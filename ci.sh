@@ -3,7 +3,7 @@
 # registry dependencies (the only external surface, proptest/criterion, is
 # replaced in-tree by crates/testkit).
 #
-#   ./ci.sh              # build + serve smoke + triple-backend tests + fmt
+#   ./ci.sh              # build + serve smoke + both-backend tests + fmt
 #                        # + lint + docs + bench-compile
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
 #                        # `cargo test` includes the rustdoc doctests
@@ -16,10 +16,11 @@
 #                        # (the full gate runs this against the newest two
 #                        # BENCH_*.json automatically)
 #
-# The test suite runs three times — pinned to the sequential backend
-# (MPCSKEW_THREADS=1), to the persistent worker pool (pool:4), and on the
-# default (threaded) backend — so every test triples as a three-way
-# differential check across executors.
+# The test suite runs twice — pinned to the sequential backend
+# (MPCSKEW_THREADS=1) and to the persistent worker pool (MPCSKEW_THREADS=4)
+# — so every test doubles as a differential check across the two
+# executors. Every `cargo test` passes --no-fail-fast: one red crate must
+# not hide the crates behind it.
 #
 # A per-stage wall-clock summary is printed at the end of every run, so
 # regressions in CI time itself stay visible.
@@ -137,13 +138,10 @@ serve_expect '^sketch bytes=[0-9][0-9]* capacity=[0-9][0-9]* max_error=[0-9][0-9
 serve_expect '^ok bye$'           # SHUTDOWN acknowledged, clean exit
 
 stage "cargo test -q  (MPCSKEW_THREADS=1: sequential backend)"
-MPCSKEW_THREADS=1 cargo test -q --workspace --offline
+MPCSKEW_THREADS=1 cargo test -q --workspace --offline --no-fail-fast
 
-stage "cargo test -q  (MPCSKEW_THREADS=pool:4: persistent worker pool)"
-MPCSKEW_THREADS=pool:4 cargo test -q --workspace --offline
-
-stage "cargo test -q  (default backend: threaded)"
-cargo test -q --workspace --offline
+stage "cargo test -q  (MPCSKEW_THREADS=4: persistent worker pool)"
+MPCSKEW_THREADS=4 cargo test -q --workspace --offline --no-fail-fast
 
 # Chaos stage: the failpoint suite again, but with the registry armed from
 # the environment (the production arming path) — delay-only sites, so
@@ -151,18 +149,15 @@ cargo test -q --workspace --offline
 # injected-latency path. Panic sites are armed by the suite itself.
 stage "chaos: MPCSKEW_FAILPOINTS armed failpoint suite"
 MPCSKEW_FAILPOINTS="shuffle:delay:1ms,local_join:delay:1ms" \
-    cargo test -q --offline --test chaos
+    cargo test -q --offline --no-fail-fast --test chaos
 
 if [ "${1:-}" = "--quick" ]; then
     summary
     exit 0
 fi
 
-stage "cargo test -q -- --ignored   (heavy-output stress cases, threaded backend)"
-MPCSKEW_THREADS=4 cargo test -q --workspace --offline -- --ignored
-
 stage "cargo test -q -- --ignored   (heavy-output stress cases, pooled backend)"
-MPCSKEW_THREADS=pool:4 cargo test -q --workspace --offline -- --ignored
+MPCSKEW_THREADS=4 cargo test -q --workspace --offline --no-fail-fast -- --ignored
 
 stage "cargo fmt --all -- --check"
 cargo fmt --all -- --check

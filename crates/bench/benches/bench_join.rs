@@ -5,10 +5,7 @@
 use mpc_bench::workloads::{skewed_join_db, uniform_db, zipf_triangle_db};
 use mpc_core::engine::{Algorithm, Engine};
 use mpc_core::skew_join::SkewJoin;
-use mpc_data::join::{
-    join_count, join_count_ordered, join_foreach_mult, try_join_foreach_mult, JoinOrder,
-};
-use mpc_data::{QueryBudget, Relation};
+use mpc_data::{Join, JoinOrder, QueryBudget, Relation};
 use mpc_query::named;
 use mpc_sim::backend::Backend;
 use mpc_testkit::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -32,12 +29,12 @@ fn bench_local_join(c: &mut Criterion) {
         let rels: Vec<&Relation> = db.relations().iter().map(|r| r.as_ref()).collect();
         g.throughput(Throughput::Elements((m * q.num_atoms()) as u64));
         g.bench_function(BenchmarkId::from_parameter(name), |b| {
-            b.iter(|| black_box(join_count(black_box(&q), &rels)))
+            b.iter(|| black_box(Join::new(black_box(&q), &rels).count()))
         });
     }
 
     // The dynamic-vs-fixed differential pairs: the default dynamic order
-    // (what `join_count` above already runs) against the legacy fixed atom
+    // (what `count()` above already runs) against the legacy fixed atom
     // order on the uniform triangle and on the locally-skewed triangle
     // (`zipf_triangle_db`: x2 Zipf-hot in both S1 and S2). The
     // `bindings_per_iter` field in the JSON records — the visited-bindings
@@ -54,14 +51,14 @@ fn bench_local_join(c: &mut Criterion) {
         let rels: Vec<&Relation> = db.relations().iter().map(|r| r.as_ref()).collect();
         g.throughput(Throughput::Elements((rels.len() << 12) as u64));
         g.bench_function(BenchmarkId::from_parameter(name), |b| {
-            b.iter(|| black_box(join_count_ordered(black_box(&tri), &rels, order)))
+            b.iter(|| black_box(Join::new(black_box(&tri), &rels).order(order).count()))
         });
     }
     g.finish();
 }
 
 /// The cost of cooperative budget enforcement on the local-join hot loop:
-/// the same `join_16k` workload unbudgeted (`join_foreach_mult`, the
+/// the same `join_16k` workload unbudgeted (no `Join::budget`, the
 /// untracked probe) versus under a budget that never trips (a far-future
 /// deadline, so every check is live but no limit fires). The budgeted
 /// variant pays one predicted compare per visited binding plus a
@@ -77,29 +74,13 @@ fn bench_deadline_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("deadline_overhead");
     g.throughput(Throughput::Elements((m * q.num_atoms()) as u64));
     g.bench_function(BenchmarkId::from_parameter("unbudgeted"), |b| {
-        b.iter(|| {
-            let mut count = 0u64;
-            join_foreach_mult(black_box(&q), &rels, JoinOrder::Dynamic, |_, mult| {
-                count += mult;
-            });
-            black_box(count)
-        })
+        b.iter(|| black_box(Join::new(black_box(&q), &rels).count()))
     });
     g.bench_function(BenchmarkId::from_parameter("far_deadline"), |b| {
         b.iter(|| {
             let budget = QueryBudget::new(Some(Duration::from_secs(3600)), None, None);
-            let mut count = 0u64;
-            try_join_foreach_mult(
-                black_box(&q),
-                &rels,
-                JoinOrder::Dynamic,
-                &budget,
-                |_, mult| {
-                    count += mult;
-                },
-            )
-            .expect("far-future deadline never trips");
-            black_box(count)
+            let count = Join::new(black_box(&q), &rels).budget(&budget).count();
+            black_box(count.expect("far-future deadline never trips"))
         })
     });
     g.finish();
@@ -107,9 +88,9 @@ fn bench_deadline_overhead(c: &mut Criterion) {
 
 /// The large Zipf end-to-end case: plan once, then per iteration run the
 /// full round (shuffle + load report + every server's local join) on a
-/// given backend. `Sequential` vs `Threaded(4)` vs `Pooled(4)` quantifies
-/// the parallel executors' wall-clock win (parity on single-core machines —
-/// results are bit-identical either way).
+/// given backend. `Sequential` vs `Pooled(4)` quantifies the parallel
+/// executor's wall-clock win (parity on single-core machines — results are
+/// bit-identical either way).
 fn bench_cluster_zipf(c: &mut Criterion) {
     let q = named::two_way_join();
     let m = 1usize << 15;
@@ -121,7 +102,6 @@ fn bench_cluster_zipf(c: &mut Criterion) {
     g.throughput(Throughput::Elements(2 * m as u64));
     for (name, backend) in [
         ("sequential", Backend::Sequential),
-        ("threaded4", Backend::Threaded(4)),
         ("pooled4", Backend::Pooled(4)),
     ] {
         g.bench_function(BenchmarkId::new("skew_join_e2e", name), |b| {
@@ -150,30 +130,23 @@ fn bench_cluster_zipf(c: &mut Criterion) {
     );
 
     // Pool-reuse case: 16 small rounds per iteration. Each round's shuffle
-    // shards into 4 chunks per relation, so Threaded(4) pays thread spawn +
-    // join on every parallel loop of every round while Pooled(4) reuses one
-    // persistent worker set — the spawn-amortization win the pool exists
-    // for (pooled median ≤ threaded median even on one core).
+    // shards into 4 chunks per relation, and every parallel loop of every
+    // round reuses the one persistent Pooled(4) worker set.
     let rounds = 16usize;
     let m_small = 1usize << 12;
     let small = skewed_join_db(&q, m_small, 1 << 12, 1.2, 200, 7);
     let sj_small = SkewJoin::plan(&small, 16, 2);
     g.throughput(Throughput::Elements((rounds * 2 * m_small) as u64));
-    for (name, backend) in [
-        ("threaded4", Backend::Threaded(4)),
-        ("pooled4", Backend::Pooled(4)),
-    ] {
-        g.bench_function(BenchmarkId::new("small_rounds_x16", name), |b| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for _ in 0..rounds {
-                    let (cluster, report) = sj_small.run_on(black_box(&small), backend);
-                    acc ^= report.max_load_bits() ^ cluster.p() as u64;
-                }
-                black_box(acc)
-            })
-        });
-    }
+    g.bench_function(BenchmarkId::new("small_rounds_x16", "pooled4"), |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for _ in 0..rounds {
+                let (cluster, report) = sj_small.run_on(black_box(&small), Backend::Pooled(4));
+                acc ^= report.max_load_bits() ^ cluster.p() as u64;
+            }
+            black_box(acc)
+        })
+    });
 
     // The same 16 rounds submitted as one batch: parallelism across rounds
     // (each round sequential inside) on the persistent pool — the

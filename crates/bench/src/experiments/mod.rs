@@ -1,5 +1,6 @@
-//! Experiment implementations (E1–E9 of DESIGN.md §3). Each module's
-//! `run()` regenerates one table/figure/worked example of the paper.
+//! Experiment implementations (E1–E13). Each module's `run()` regenerates
+//! one table/figure/worked example of the paper; [`ALL`] names them for the
+//! `exp` binary.
 
 pub mod e10_ablation_shares;
 pub mod e11_ablation_skew;
@@ -15,19 +16,19 @@ pub mod e7_residual_bounds;
 pub mod e8_general_skew;
 pub mod e9_replication;
 
-/// Run every experiment in order.
-pub fn run_all() {
-    e1_cartesian::run();
-    e2_example33::run();
-    e3_example37::run();
-    e4_skewfree_hc::run();
-    e5_hashing::run();
-    e6_skew_join::run();
-    e7_residual_bounds::run();
-    e8_general_skew::run();
-    e9_replication::run();
-    e10_ablation_shares::run();
-    e11_ablation_skew::run();
-    e12_sampling::run();
-    e13_multi_round::run();
-}
+/// Every experiment in order, under the name the `exp` binary takes.
+pub const ALL: [(&str, fn()); 13] = [
+    ("cartesian", e1_cartesian::run),
+    ("example33", e2_example33::run),
+    ("example37", e3_example37::run),
+    ("skewfree_hc", e4_skewfree_hc::run),
+    ("hashing", e5_hashing::run),
+    ("skew_join", e6_skew_join::run),
+    ("residual_bounds", e7_residual_bounds::run),
+    ("general_skew", e8_general_skew::run),
+    ("replication", e9_replication::run),
+    ("ablation_shares", e10_ablation_shares::run),
+    ("ablation_skew", e11_ablation_skew::run),
+    ("sampling", e12_sampling::run),
+    ("multi_round", e13_multi_round::run),
+];

@@ -155,7 +155,7 @@ mod tests {
         }
         // Light tails live on disjoint ranges: the output is exactly the
         // hot cartesian blocks, far larger than the inputs.
-        let out = mpc_data::join_database(&db);
+        let out = mpc_data::Join::of(&db).answers().unwrap();
         assert_eq!(out.len(), hot * fanout * fanout);
         assert!(out.len() > 2 * m);
     }

@@ -7,7 +7,7 @@
 //! identical to the materializing path (same algorithm, same load), only
 //! collection differs. Each server folds its local join's bindings — via
 //! the multiplicity-aware emit of
-//! [`mpc_data::join_foreach_mult`] — into a per-group
+//! [`mpc_data::Join::for_each`] — into a per-group
 //! [`AggregateAccumulator`], and the per-server accumulators are merged
 //! ([`Mergeable`]) into one [`AggregateResult`]. Memory is proportional
 //! to the number of *groups*, not output rows — the entire point on
@@ -48,8 +48,7 @@
 use mpc_data::budget::{BudgetExceeded, QueryBudget};
 use mpc_data::catalog::Database;
 use mpc_data::fastmap::{with_projected_key, FastMap, FastSet};
-use mpc_data::join::{self, JoinOrder};
-use mpc_data::relation::Relation;
+use mpc_data::join::{Join, JoinOrder};
 use mpc_query::aggregate::{AggregateOp, AggregateSpec};
 use mpc_query::Query;
 use mpc_sim::cluster::Cluster;
@@ -144,7 +143,7 @@ impl AggregateAccumulator {
     }
 
     /// Absorb one distinct binding with its derivation multiplicity (the
-    /// `join_foreach_mult` emit signature). The hot path probes with a
+    /// `Join::for_each` emit signature). The hot path probes with a
     /// stack-projected key and heap-allocates only when a new group
     /// appears, so folding stays `Θ(groups)` allocations even when the
     /// derivation count is enormous.
@@ -273,7 +272,7 @@ impl fmt::Display for AggregateResult {
 /// Fold `query`'s distributed answers on a post-shuffle cluster: each
 /// server's local join streams into its own accumulator (in parallel on
 /// the cluster's backend), and the per-server states merge in server
-/// order. Bit-identical across `Sequential`/`Threaded`/`Pooled` because
+/// order. Bit-identical across `Sequential`/`Pooled(n)` because
 /// every merge op is commutative and exact.
 pub fn aggregate_cluster(
     cluster: &Cluster,
@@ -316,36 +315,33 @@ pub fn try_aggregate_cluster(
 /// database through one accumulator. Every distributed aggregate is
 /// differentially checked against this oracle.
 pub fn aggregate_oracle(db: &Database, spec: &AggregateSpec) -> AggregateResult {
-    let rels: Vec<&Relation> = (0..db.query().num_atoms())
-        .map(|j| db.relation(j))
-        .collect();
     let mut acc = AggregateAccumulator::new(spec);
-    join::join_foreach_mult(db.query(), &rels, JoinOrder::Fixed, |binding, mult| {
-        acc.fold(binding, mult);
-    });
+    Join::of(db)
+        .order(JoinOrder::Fixed)
+        .for_each(|binding, mult| acc.fold(binding, mult))
+        .expect("no budget is set");
     acc.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_data::{generators, Rng};
+    use mpc_data::{generators, Relation, Rng};
     use mpc_query::aggregate::AggregateOp;
     use mpc_query::named;
 
     fn manual_fold(db: &Database, spec: &AggregateSpec) -> AggregateResult {
         // Reference fold over the *materialized* multiset of answers —
         // slow, obviously correct.
-        let rels: Vec<&Relation> = (0..db.query().num_atoms())
-            .map(|j| db.relation(j))
-            .collect();
         let mut acc = AggregateAccumulator::new(spec);
-        join::join_foreach_mult(db.query(), &rels, JoinOrder::Dynamic, |binding, mult| {
-            // Expand multiplicities one by one: same result, different path.
-            for _ in 0..mult {
-                acc.fold(binding, 1);
-            }
-        });
+        Join::of(db)
+            .for_each(|binding, mult| {
+                // Expand multiplicities one by one: same result, different path.
+                for _ in 0..mult {
+                    acc.fold(binding, 1);
+                }
+            })
+            .unwrap();
         acc.finish()
     }
 
@@ -385,11 +381,7 @@ mod tests {
         let db = join_db(500, 2);
         let spec = AggregateSpec::new(vec![], vec![AggregateOp::Count]).unwrap();
         let result = aggregate_oracle(&db, &spec);
-        let rels: Vec<&Relation> = (0..2).map(|j| db.relation(j)).collect();
-        let mut total = 0u128;
-        join::join_foreach_mult(db.query(), &rels, JoinOrder::Fixed, |_, mult| {
-            total += mult as u128;
-        });
+        let total = Join::of(&db).order(JoinOrder::Fixed).count().unwrap() as u128;
         assert_eq!(result.num_groups(), 1);
         assert_eq!(result.get(&[]), Some(&[total][..]));
     }

@@ -56,7 +56,7 @@ impl HashJoinRouter {
 
     /// Execute the round on `db` with an explicit execution backend
     /// (mirrors [`crate::hypercube::HyperCube::run_on`]; results are
-    /// bit-identical across `Sequential`, `Threaded(n)`, and `Pooled(n)`).
+    /// bit-identical across `Sequential` and `Pooled(n)`).
     pub fn run_on(&self, db: &Database, backend: Backend) -> (Cluster, LoadReport) {
         let cluster = Cluster::run_round_on(db, self.p, self, backend);
         let report = cluster.report();
@@ -138,7 +138,7 @@ mod tests {
     }
 
     fn expect_answers(db: &Database) -> mpc_data::AnswerSet {
-        let mut ans = mpc_data::join_database(db);
+        let mut ans = mpc_data::Join::of(db).answers().unwrap();
         ans.sort_dedup();
         ans
     }

@@ -584,7 +584,7 @@ mod tests {
             let s1 = generators::uniform("S1", 2, m1, n, &mut rng);
             let s2 = generators::uniform("S2", 2, m2, n, &mut rng);
             let db = Database::new(q.clone(), vec![s1, s2], n).unwrap();
-            total += mpc_data::join_database_count(&db);
+            total += mpc_data::Join::of(&db).count().unwrap();
         }
         let avg = total as f64 / seeds as f64;
         assert!(

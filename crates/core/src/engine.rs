@@ -760,7 +760,7 @@ impl Plan {
 
     /// Execute the plan on `db` with an explicit backend. Results are
     /// bit-identical to invoking the planned algorithm directly
-    /// (`Sequential`, `Threaded(n)`, and `Pooled(n)` all agree).
+    /// (`Sequential` and `Pooled(n)` agree).
     pub fn execute(&self, db: &Database, backend: Backend) -> RunOutcome {
         self.try_execute(db, backend, &QueryBudget::unlimited())
             .expect("an unlimited budget cannot be exceeded")
@@ -1479,11 +1479,7 @@ mod tests {
             .iter()
             .map(|(plan, db)| plan.execute(db, Backend::Sequential))
             .collect();
-        for backend in [
-            Backend::Sequential,
-            Backend::Threaded(3),
-            Backend::Pooled(4),
-        ] {
+        for backend in [Backend::Sequential, Backend::Pooled(3), Backend::Pooled(4)] {
             let results = execute_batch(&jobs, backend);
             assert_eq!(results.len(), jobs.len());
             for (i, (r, e)) in results.iter().zip(&expected).enumerate() {

@@ -113,7 +113,7 @@ impl HyperCube {
     }
 
     /// [`HyperCube::run`] on an explicit execution backend. Results are
-    /// bit-identical across backends (`Sequential`, `Threaded(n)`, and the
+    /// bit-identical across backends (`Sequential` and the
     /// persistent-pool `Pooled(n)`).
     pub fn run_on(&self, db: &Database, backend: Backend) -> (Cluster, LoadReport) {
         let cluster = Cluster::run_round_on(db, self.p, self, backend);
@@ -202,7 +202,7 @@ mod tests {
     use mpc_query::named;
 
     fn verify_complete(db: &Database, cluster: &Cluster) {
-        let mut expected = mpc_data::join_database(db);
+        let mut expected = mpc_data::Join::of(db).answers().unwrap();
         expected.sort_dedup();
         assert_eq!(cluster.all_answers(db.query()), expected);
     }

@@ -14,8 +14,6 @@
 //!   (light / H1 / H2 / H12 decomposition);
 //! * [`skew_general`] — the general bin-combination algorithm of
 //!   Section 4.2 (Theorem 4.6);
-//! * [`mapreduce`] — the Section 5 reducer-size model: scheduling servers
-//!   for a reducer budget;
 //! * [`bounds`] — every lower bound in the paper: `L(u, M, p)` and
 //!   `L_lower` (Theorems 3.5/3.6), residual bounds `L_x(u, M, p)`
 //!   (Theorem 4.7), Eq. (10), the replication-rate bound (Theorem 5.1) and
@@ -34,7 +32,6 @@ pub mod baselines;
 pub mod bounds;
 pub mod engine;
 pub mod hypercube;
-pub mod mapreduce;
 pub mod multi_round;
 pub mod service;
 pub mod shares;

@@ -255,7 +255,7 @@ pub fn try_run_multi_round_on(
         }
 
         // --- Local join on every server (independent; parallel on the
-        // threaded backend, fragments collected in server-index order). ---
+        // pooled backend, fragments collected in server-index order). ---
         let s_vars = atom_var_order(q, j);
         next.fragments = backend
             .run_chunks(p, 1, |lo, hi| {
@@ -529,11 +529,7 @@ mod tests {
             .iter()
             .map(|&(db, p, seed)| run_multi_round_on(db, p, seed, Backend::Sequential))
             .collect();
-        for backend in [
-            Backend::Sequential,
-            Backend::Threaded(3),
-            Backend::Pooled(4),
-        ] {
+        for backend in [Backend::Sequential, Backend::Pooled(3), Backend::Pooled(4)] {
             let results = run_multi_round_batch(&jobs, backend);
             assert_eq!(results.len(), jobs.len(), "{backend}");
             for (i, (r, e)) in results.iter().zip(&expected).enumerate() {

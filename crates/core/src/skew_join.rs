@@ -203,7 +203,7 @@ impl SkewJoin {
         }
         // Ablation: without grids, H12 hitters degrade to the H1 treatment
         // (partition S1, broadcast S2's heavy tuples) — the configuration
-        // exp_ablation_skew measures to show why the grid exists.
+        // the `ablation_skew` experiment measures to show why the grid exists.
         if !config.use_grids {
             for (h, c1, _c2) in h12.drain(..) {
                 h1.push((h, c1));
@@ -287,7 +287,7 @@ impl SkewJoin {
     }
 
     /// [`SkewJoin::run`] on an explicit execution backend. Results are
-    /// bit-identical across backends (`Sequential`, `Threaded(n)`, and the
+    /// bit-identical across backends (`Sequential` and the
     /// persistent-pool `Pooled(n)`).
     pub fn run_on(&self, db: &Database, backend: Backend) -> (Cluster, LoadReport) {
         let cluster = Cluster::run_round_on(db, self.p, self, backend);

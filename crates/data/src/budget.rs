@@ -37,8 +37,8 @@ pub enum BudgetKind {
 
 /// The error a budgeted evaluation returns when a limit fires. Also used
 /// as the typed panic payload the join's cooperative checks unwind with —
-/// [`crate::join::try_join_foreach_mult`] catches exactly this type and
-/// converts it back into an `Err`, re-raising every other payload.
+/// [`crate::join::Join::for_each`] catches exactly this type and converts
+/// it back into an `Err`, re-raising every other payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BudgetExceeded {
     /// The limit that fired first (sticky across every handle clone).

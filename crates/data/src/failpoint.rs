@@ -2,9 +2,9 @@
 //!
 //! Named sites in the hot paths call [`hit`]; with no failpoints
 //! configured that is a single relaxed atomic load and a predicted branch.
-//! Sites are armed either from the `MPCSKEW_FAILPOINTS` environment
-//! variable (read once, on the first hit) or programmatically via
-//! [`configure_str`] / [`clear`] from tests.
+//! Sites are armed from the `MPCSKEW_FAILPOINTS` environment variable
+//! (read exactly once, on the first use of the registry) and, in tests, by
+//! an [`arm`] handle layered on top of it.
 //!
 //! The configuration grammar is a comma-separated list of
 //! `site:action[:arg]` triples:
@@ -24,24 +24,71 @@
 //! `merge` (per merged chunk on the consuming thread), `local_join` (per
 //! local join evaluation). [`fires`] reports how many times a site has
 //! fired, for tests asserting an injection actually happened.
+//!
+//! The registry is process-global, so arming it is exclusive: [`arm`]
+//! returns an [`Armed`] handle that owns one process-wide guard for its
+//! lifetime and removes its sites on drop (a panicking test included).
+//! Tests sharing a process therefore serialize on the handle and can
+//! never see each other's sites.
 
 use crate::rng::mix64;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 const UNINIT: u8 = 0;
 const OFF: u8 = 1;
 const ON: u8 = 2;
 
-/// Fast-path gate: UNINIT until the first hit (or explicit configuration),
-/// then OFF or ON.
+/// Fast-path gate: UNINIT until the registry is first used, then OFF or
+/// ON. Only written while holding the [`REGISTRY`] lock.
 static STATE: AtomicU8 = AtomicU8::new(UNINIT);
 
-static REGISTRY: Mutex<Vec<Site>> = Mutex::new(Vec::new());
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    env: Vec::new(),
+    armed: Vec::new(),
+});
+
+/// The guard an [`Armed`] handle owns: at most one exists per process.
+static ARM_GUARD: Mutex<()> = Mutex::new(());
 
 /// Seed of the deterministic per-site coin flips.
 const FAILPOINT_SEED: u64 = 0x5eed_fa11_9075_c0de;
+
+/// The two layers of configuration: the environment's sites, fixed for
+/// the process lifetime, and the sites of the live [`Armed`] handle (if
+/// any), which shadow same-named environment sites.
+struct Registry {
+    env: Vec<Site>,
+    armed: Vec<Site>,
+}
+
+impl Registry {
+    /// Lock the registry, resolving the `UNINIT` state first: the
+    /// environment is parsed by whichever caller gets here first, under
+    /// the lock, so a concurrent [`arm`] can neither be overwritten by a
+    /// late initializer nor skip it.
+    fn lock() -> MutexGuard<'static, Registry> {
+        let mut reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
+        if STATE.load(Ordering::Relaxed) == UNINIT {
+            reg.env = parse_spec(&std::env::var("MPCSKEW_FAILPOINTS").unwrap_or_default());
+            reg.publish();
+        }
+        reg
+    }
+
+    fn publish(&self) {
+        let idle = self.env.is_empty() && self.armed.is_empty();
+        STATE.store(if idle { OFF } else { ON }, Ordering::Relaxed);
+    }
+
+    fn site(&mut self, name: &str) -> Option<&mut Site> {
+        self.armed
+            .iter_mut()
+            .chain(self.env.iter_mut())
+            .find(|s| s.name == name)
+    }
+}
 
 #[derive(Debug)]
 struct Site {
@@ -71,15 +118,9 @@ pub fn hit(site: &str) {
 
 #[cold]
 fn hit_slow(site: &str) {
-    if STATE.load(Ordering::Relaxed) == UNINIT {
-        init_from_env();
-        if STATE.load(Ordering::Relaxed) == OFF {
-            return;
-        }
-    }
     let action = {
-        let mut reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-        let Some(s) = reg.iter_mut().find(|s| s.name == site) else {
+        let mut reg = Registry::lock();
+        let Some(s) = reg.site(site) else {
             return;
         };
         let roll = mix64(s.hits.wrapping_mul(0x9e37_79b9_7f4a_7c15), FAILPOINT_SEED);
@@ -96,18 +137,50 @@ fn hit_slow(site: &str) {
     }
 }
 
-fn init_from_env() {
-    let spec = std::env::var("MPCSKEW_FAILPOINTS").unwrap_or_default();
-    // configure_str also resolves the UNINIT state, racing initializers
-    // included: last writer wins with identical input.
-    configure_str(&spec);
+/// Exclusive ownership of the armed layer of the registry; see [`arm`].
+pub struct Armed {
+    _guard: MutexGuard<'static, ()>,
 }
 
-/// Arm the registry from a `site:action[:arg],...` spec, replacing any
-/// previous configuration. An empty spec disables every site (see
-/// [`clear`]). Unparseable entries panic — a chaos run with a typo'd spec
-/// should fail loudly, not silently test nothing.
-pub fn configure_str(spec: &str) {
+/// Take the process-wide failpoint guard — blocking while another
+/// [`Armed`] handle is alive — and arm the sites of a
+/// `site:action[:arg],...` spec on top of the environment's. The sites
+/// are removed when the handle drops. An empty spec arms nothing: the
+/// handle then only keeps other tests' sites out of the caller's way.
+/// Unparseable entries panic — a chaos run with a typo'd spec should fail
+/// loudly, not silently test nothing.
+pub fn arm(spec: &str) -> Armed {
+    // Parse first: a typo'd spec panics with nothing held.
+    let sites = parse_spec(spec);
+    // A test that failed while armed poisons the guard; the unit value
+    // behind it has no state to be torn.
+    let guard = ARM_GUARD.lock().unwrap_or_else(|p| p.into_inner());
+    install(sites);
+    Armed { _guard: guard }
+}
+
+impl Armed {
+    /// Replace this handle's sites with those of `spec` (per-site hit and
+    /// fire counters start over), keeping the guard.
+    pub fn rearm(&mut self, spec: &str) {
+        install(parse_spec(spec));
+    }
+}
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        install(Vec::new());
+    }
+}
+
+/// Replace the armed layer. Callers hold [`ARM_GUARD`].
+fn install(sites: Vec<Site>) {
+    let mut reg = Registry::lock();
+    reg.armed = sites;
+    reg.publish();
+}
+
+fn parse_spec(spec: &str) -> Vec<Site> {
     let mut sites = Vec::new();
     for entry in spec.split(',') {
         let entry = entry.trim();
@@ -150,25 +223,13 @@ pub fn configure_str(spec: &str) {
             fires: 0,
         });
     }
-    let state = if sites.is_empty() { OFF } else { ON };
-    *REGISTRY.lock().unwrap_or_else(|p| p.into_inner()) = sites;
-    STATE.store(state, Ordering::Relaxed);
-}
-
-/// Disarm every failpoint (tests call this to restore the zero-cost path).
-pub fn clear() {
-    configure_str("");
+    sites
 }
 
 /// How many times `site` has fired (panicked or delayed) since it was
-/// configured. 0 for unknown sites.
+/// armed. 0 for unknown sites.
 pub fn fires(site: &str) -> u64 {
-    REGISTRY
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .iter()
-        .find(|s| s.name == site)
-        .map_or(0, |s| s.fires)
+    Registry::lock().site(site).map_or(0, |s| s.fires)
 }
 
 fn parse_duration(s: &str) -> Option<Duration> {
@@ -187,9 +248,6 @@ fn parse_duration(s: &str) -> Option<Duration> {
 mod tests {
     use super::*;
 
-    // The registry is process-global; these tests share it with any chaos
-    // suite in the same binary, so each test fully configures and clears.
-
     #[test]
     fn parse_durations() {
         assert_eq!(parse_duration("5ms"), Some(Duration::from_millis(5)));
@@ -199,42 +257,67 @@ mod tests {
         assert_eq!(parse_duration("5min"), None);
     }
 
+    /// Panics injected out of 64 hits of `site`.
+    fn panics_in_64_hits(site: &'static str) -> u64 {
+        (0..64)
+            .filter(|_| std::panic::catch_unwind(|| hit(site)).is_err())
+            .count() as u64
+    }
+
     #[test]
     fn unconfigured_site_is_silent_and_probability_is_deterministic() {
-        configure_str("here:panic:0.5");
+        let mut armed = arm("here:panic:0.5");
         hit("elsewhere"); // not configured: no-op
-        let mut fired = 0;
-        for _ in 0..64 {
-            let r = std::panic::catch_unwind(|| hit("here"));
-            if r.is_err() {
-                fired += 1;
-            }
-        }
+        let fired = panics_in_64_hits("here");
         assert_eq!(fired, fires("here"));
         assert!(fired > 0 && fired < 64, "p=0.5 fired {fired}/64");
-        clear();
+        armed.rearm("");
         hit("here"); // disarmed: no-op
-                     // Re-arming resets the per-site counter: the same spec fires on
-                     // the same hits again.
-        configure_str("here:panic:0.5");
-        let mut fired2 = 0;
-        for _ in 0..64 {
-            if std::panic::catch_unwind(|| hit("here")).is_err() {
-                fired2 += 1;
-            }
-        }
-        assert_eq!(fired, fired2);
-        clear();
+        assert_eq!(fires("here"), 0);
+        // Re-arming resets the per-site counter: the same spec fires on
+        // the same hits again.
+        armed.rearm("here:panic:0.5");
+        assert_eq!(panics_in_64_hits("here"), fired);
     }
 
     #[test]
     fn delay_site_sleeps_and_counts() {
-        configure_str("slow:delay:1ms");
+        let _armed = arm("slow:delay:1ms");
         let t = std::time::Instant::now();
         hit("slow");
         hit("slow");
         assert!(t.elapsed() >= Duration::from_millis(2));
         assert_eq!(fires("slow"), 2);
-        clear();
+    }
+
+    #[test]
+    fn armed_handles_serialize_across_threads() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc::channel;
+
+        let first = arm("one:panic");
+        let released = AtomicBool::new(false);
+        let (started_tx, started_rx) = channel();
+        std::thread::scope(|scope| {
+            let second = scope.spawn(|| {
+                started_tx.send(()).expect("main is waiting");
+                let _second = arm("two:panic"); // blocks until `first` drops
+                assert!(
+                    released.load(Ordering::SeqCst),
+                    "second handle armed while the first was alive"
+                );
+                hit("one"); // the first handle's site left with it
+                assert!(std::panic::catch_unwind(|| hit("two")).is_err());
+            });
+            started_rx.recv().expect("second thread started");
+            // The second thread is now at (or inside) its `arm` call; had
+            // it got through, `one` would be gone and these hits silent.
+            assert_eq!(panics_in_64_hits("one"), 64);
+            assert_eq!(fires("two"), 0);
+            released.store(true, Ordering::SeqCst);
+            drop(first);
+            second.join().expect("second thread's assertions hold");
+        });
+        hit("two"); // dropped with the second handle
     }
 }

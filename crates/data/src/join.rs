@@ -6,6 +6,15 @@
 //! evaluator, and doubles as the sequential ground truth the distributed
 //! answers are verified against.
 //!
+//! There is one entry point, the [`Join`] builder: `Join::new(query,
+//! &relations)` (or `Join::of(&database)`, or one bucket of a
+//! [`partition_join`] via [`PartitionedJoin::bucket`]), optionally
+//! `.order(..)` and `.budget(..)`, then one of three sinks —
+//! [`Join::for_each`] (every distinct binding with its multiplicity; the
+//! evaluator the other two are written on), [`Join::count`], or
+//! [`Join::answers`]. An evaluation without a budget *is* the budgeted
+//! evaluation with nothing to check, not a second code path.
+//!
 //! Two engines share the CSR [`JoinIndex`] and are selected by
 //! [`JoinOrder`]:
 //!
@@ -47,6 +56,7 @@ use crate::failpoint;
 use crate::relation::Relation;
 use crate::rng::mix64;
 use mpc_query::{Query, VarSet};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which variable-ordering engine evaluates a local join.
@@ -85,9 +95,9 @@ pub fn visited_bindings_total() -> u64 {
 
 /// The per-evaluation probe threaded through both engines: the visited
 /// counter, plus an optional cooperative [`QueryBudget`] polled every
-/// [`CHECK_INTERVAL`] bindings. Untracked (the [`join_foreach_mult`] path)
-/// the check threshold is `u64::MAX`, so the budget machinery costs one
-/// always-false predicted compare per binding.
+/// [`CHECK_INTERVAL`] bindings. Untracked (no [`Join::budget`]) the check
+/// threshold is `u64::MAX`, so the budget machinery costs one always-false
+/// predicted compare per binding.
 struct JoinProbe<'a> {
     visited: u64,
     next_check: u64,
@@ -106,9 +116,6 @@ impl<'a> JoinProbe<'a> {
 
     /// Probe polling `budget` every [`CHECK_INTERVAL`] visited bindings.
     fn budgeted(budget: &'a QueryBudget) -> JoinProbe<'a> {
-        if budget.is_unlimited() {
-            return JoinProbe::untracked();
-        }
         JoinProbe {
             visited: 0,
             next_check: CHECK_INTERVAL,
@@ -133,8 +140,8 @@ impl<'a> JoinProbe<'a> {
     }
 
     /// Slow path of the cooperative check. A violated budget unwinds with
-    /// a typed [`BudgetExceeded`] payload that
-    /// [`try_join_foreach_mult`] catches and converts back into an `Err`;
+    /// a typed [`BudgetExceeded`] payload that [`Join::for_each`] catches
+    /// and converts back into an `Err`;
     /// the join keeps no cross-evaluation state, so the unwind cannot
     /// poison anything (scratch is owned by this evaluation's stack).
     #[cold]
@@ -1395,160 +1402,133 @@ fn dyn_join(
 // Public evaluation surface
 // ---------------------------------------------------------------------------
 
-/// Evaluate `query` over `relations` (one per atom, in atom order) with the
-/// chosen engine, invoking `emit(binding, multiplicity)` once per *distinct
-/// answer occurrence group*: the multiplicity is the number of row
-/// combinations deriving the binding, so expanding every call `mult` times
-/// reproduces the exact answer multiset of the row-at-a-time join. The
-/// fixed engine always passes multiplicity 1.
-pub fn join_foreach_mult(
-    query: &Query,
-    relations: &[&Relation],
+/// One local join evaluation: a query, one relation per atom, and the two
+/// things a caller may vary — the engine ([`Join::order`], default
+/// [`JoinOrder::Dynamic`]) and a cooperative [`QueryBudget`]
+/// ([`Join::budget`], default none). [`Join::for_each`] runs it; `count`
+/// and `answers` are the two common sinks on top.
+///
+/// ```
+/// use mpc_data::{Join, JoinOrder, Relation};
+/// use mpc_query::named;
+///
+/// let q = named::two_way_join(); // S1(x,z), S2(y,z)
+/// let s1 = Relation::from_rows("S1", 2, &[&[1, 5], &[2, 5], &[3, 6]]);
+/// let s2 = Relation::from_rows("S2", 2, &[&[7, 5], &[8, 6], &[9, 9]]);
+/// assert_eq!(Join::new(&q, &[&s1, &s2]).count(), Ok(3));
+/// let fixed = Join::new(&q, &[&s1, &s2]).order(JoinOrder::Fixed).answers();
+/// assert_eq!(fixed.unwrap().len(), 3);
+/// ```
+pub struct Join<'a> {
+    query: &'a Query,
+    relations: Cow<'a, [&'a Relation]>,
     order: JoinOrder,
-    mut emit: impl FnMut(&[u64], u64),
-) -> JoinStats {
-    failpoint::hit("local_join");
-    run_join(
-        query,
-        relations,
-        order,
-        &mut JoinProbe::untracked(),
-        &mut emit,
-    )
+    budget: Option<&'a QueryBudget>,
 }
 
-/// [`join_foreach_mult`] under a cooperative [`QueryBudget`]: the probe
-/// polls the budget every [`CHECK_INTERVAL`] visited bindings, and every
-/// emitted answer row is charged against the budget's row cap *before*
-/// reaching `emit`. A violated budget unwinds out of the evaluation with a
-/// typed payload that is caught here and returned as `Err` — the join
-/// keeps no cross-evaluation state, so the unwind poisons nothing, and
-/// any other panic (a failpoint, a real bug) is re-raised verbatim.
-///
-/// With an unlimited budget this is exactly [`join_foreach_mult`]: no
-/// `catch_unwind` frame, no per-emit charge.
-pub fn try_join_foreach_mult(
-    query: &Query,
-    relations: &[&Relation],
-    order: JoinOrder,
-    budget: &QueryBudget,
-    mut emit: impl FnMut(&[u64], u64),
-) -> Result<JoinStats, BudgetExceeded> {
-    failpoint::hit("local_join");
-    if budget.is_unlimited() {
-        return Ok(run_join(
+impl<'a> Join<'a> {
+    /// The join of `query` over `relations` (one per atom, in atom order).
+    pub fn new(query: &'a Query, relations: &'a [&'a Relation]) -> Join<'a> {
+        Join::over(query, Cow::Borrowed(relations))
+    }
+
+    /// The join of a [`Database`]'s query over its relations.
+    pub fn of(db: &'a Database) -> Join<'a> {
+        let rels = db.relations().iter().map(|r| r.as_ref()).collect();
+        Join::over(db.query(), Cow::Owned(rels))
+    }
+
+    fn over(query: &'a Query, relations: Cow<'a, [&'a Relation]>) -> Join<'a> {
+        assert_eq!(relations.len(), query.num_atoms());
+        Join {
             query,
             relations,
-            order,
-            &mut JoinProbe::untracked(),
-            &mut emit,
-        ));
+            order: JoinOrder::default(),
+            budget: None,
+        }
     }
-    budget.poll()?;
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut probe = JoinProbe::budgeted(budget);
-        let mut wrapped = |row: &[u64], mult: u64| {
-            if let Err(e) = budget.charge_rows(mult) {
-                std::panic::panic_any(e);
-            }
-            emit(row, mult);
+
+    /// Evaluate with the given engine.
+    pub fn order(mut self, order: JoinOrder) -> Join<'a> {
+        self.order = order;
+        self
+    }
+
+    /// Evaluate under a cooperative [`QueryBudget`]: the probe polls it
+    /// every [`CHECK_INTERVAL`] visited bindings, and every emitted answer
+    /// row is charged against its row cap *before* reaching the sink. An
+    /// unlimited budget is the same as none: no `catch_unwind` frame, no
+    /// per-emit charge.
+    pub fn budget(mut self, budget: &'a QueryBudget) -> Join<'a> {
+        self.budget = Some(budget).filter(|b| !b.is_unlimited());
+        self
+    }
+
+    /// Run the join, invoking `emit(binding, multiplicity)` once per
+    /// *distinct answer occurrence group*: the multiplicity is the number
+    /// of row combinations deriving the binding (values indexed by query
+    /// variable), so expanding every call `mult` times reproduces the exact
+    /// answer multiset of the row-at-a-time join. The fixed engine always
+    /// passes multiplicity 1.
+    ///
+    /// `Err` only under a [`Join::budget`]: a violated budget unwinds out
+    /// of the evaluation with a typed payload that is caught here — the
+    /// join keeps no cross-evaluation state, so the unwind poisons nothing
+    /// and the relations stay usable — while any other panic (a failpoint,
+    /// a real bug) is re-raised verbatim.
+    pub fn for_each(self, mut emit: impl FnMut(&[u64], u64)) -> Result<JoinStats, BudgetExceeded> {
+        failpoint::hit("local_join");
+        let Some(budget) = self.budget else {
+            return Ok(self.run(&mut JoinProbe::untracked(), &mut emit));
         };
-        run_join(query, relations, order, &mut probe, &mut wrapped)
-    }));
-    match outcome {
-        // A final poll: joins shorter than one check interval still honor
-        // an already-expired deadline or a row pool drained by a sibling.
-        Ok(stats) => budget.poll().map(|()| stats),
-        Err(payload) => match payload.downcast::<BudgetExceeded>() {
-            Ok(e) => Err(*e),
-            Err(other) => std::panic::resume_unwind(other),
-        },
-    }
-}
-
-/// Shared engine dispatch behind the two public `*_foreach_mult` fronts.
-fn run_join(
-    query: &Query,
-    relations: &[&Relation],
-    order: JoinOrder,
-    probe: &mut JoinProbe<'_>,
-    emit: &mut impl FnMut(&[u64], u64),
-) -> JoinStats {
-    assert_eq!(relations.len(), query.num_atoms());
-    if !relations.iter().any(|r| r.is_empty()) {
-        match order {
-            JoinOrder::Dynamic => dyn_join(query, relations, probe, emit),
-            JoinOrder::Fixed => fixed_join(query, relations, probe, emit),
+        budget.poll()?;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut wrapped = |row: &[u64], mult: u64| {
+                if let Err(e) = budget.charge_rows(mult) {
+                    std::panic::panic_any(e);
+                }
+                emit(row, mult);
+            };
+            self.run(&mut JoinProbe::budgeted(budget), &mut wrapped)
+        }));
+        match outcome {
+            // A final poll: joins shorter than one check interval still honor
+            // an already-expired deadline or a row pool drained by a sibling.
+            Ok(stats) => budget.poll().map(|()| stats),
+            Err(payload) => match payload.downcast::<BudgetExceeded>() {
+                Ok(e) => Err(*e),
+                Err(other) => std::panic::resume_unwind(other),
+            },
         }
     }
-    VISITED_TOTAL.fetch_add(probe.visited, Ordering::Relaxed);
-    JoinStats {
-        bindings_visited: probe.visited,
+
+    /// Count answers (with multiplicity) without materializing them.
+    pub fn count(self) -> Result<u64, BudgetExceeded> {
+        let mut count = 0u64;
+        self.for_each(|_, mult| count += mult)?;
+        Ok(count)
     }
-}
 
-/// Evaluate `query` over `relations`, invoking `emit` once per answer tuple
-/// (values indexed by query variable), using the default dynamic ordering.
-pub fn join_foreach(query: &Query, relations: &[&Relation], mut emit: impl FnMut(&[u64])) {
-    join_foreach_mult(query, relations, JoinOrder::Dynamic, |row, mult| {
-        for _ in 0..mult {
-            emit(row);
+    /// Materialize all answers as flat rows over the query's variables.
+    pub fn answers(self) -> Result<AnswerSet, BudgetExceeded> {
+        let mut out = AnswerSet::new(self.query.num_vars());
+        self.for_each(|row, mult| out.push_repeat(row, mult))?;
+        Ok(out)
+    }
+
+    /// Engine dispatch and visited-bindings accounting.
+    fn run(&self, probe: &mut JoinProbe<'_>, emit: &mut impl FnMut(&[u64], u64)) -> JoinStats {
+        if !self.relations.iter().any(|r| r.is_empty()) {
+            match self.order {
+                JoinOrder::Dynamic => dyn_join(self.query, &self.relations, probe, emit),
+                JoinOrder::Fixed => fixed_join(self.query, &self.relations, probe, emit),
+            }
         }
-    });
-}
-
-/// [`join_foreach`] with an explicit engine, reporting the exploration
-/// stats.
-pub fn join_foreach_ordered(
-    query: &Query,
-    relations: &[&Relation],
-    order: JoinOrder,
-    mut emit: impl FnMut(&[u64]),
-) -> JoinStats {
-    join_foreach_mult(query, relations, order, |row, mult| {
-        for _ in 0..mult {
-            emit(row);
+        VISITED_TOTAL.fetch_add(probe.visited, Ordering::Relaxed);
+        JoinStats {
+            bindings_visited: probe.visited,
         }
-    })
-}
-
-/// Materialize all answers as flat rows over the query's variables with an
-/// explicit engine.
-pub fn join_ordered(query: &Query, relations: &[&Relation], order: JoinOrder) -> AnswerSet {
-    let mut out = AnswerSet::new(query.num_vars());
-    join_foreach_mult(query, relations, order, |row, mult| {
-        out.push_repeat(row, mult);
-    });
-    out
-}
-
-/// Count answers with an explicit engine, without materializing them.
-pub fn join_count_ordered(query: &Query, relations: &[&Relation], order: JoinOrder) -> u64 {
-    let mut count = 0u64;
-    join_foreach_mult(query, relations, order, |_, mult| count += mult);
-    count
-}
-
-/// Materialize all answers as flat rows over the query's variables.
-pub fn join(query: &Query, relations: &[&Relation]) -> AnswerSet {
-    join_ordered(query, relations, JoinOrder::Dynamic)
-}
-
-/// Count answers without materializing them.
-pub fn join_count(query: &Query, relations: &[&Relation]) -> u64 {
-    join_count_ordered(query, relations, JoinOrder::Dynamic)
-}
-
-/// Join a [`Database`] directly.
-pub fn join_database(db: &Database) -> AnswerSet {
-    let rels: Vec<&Relation> = db.relations().iter().map(|r| r.as_ref()).collect();
-    join(db.query(), &rels)
-}
-
-/// Count answers of a [`Database`] directly.
-pub fn join_database_count(db: &Database) -> u64 {
-    let rels: Vec<&Relation> = db.relations().iter().map(|r| r.as_ref()).collect();
-    join_count(db.query(), &rels)
+    }
 }
 
 /// A hash-partitioned decomposition of a join into independent sub-joins.
@@ -1628,35 +1608,12 @@ impl PartitionedJoin<'_> {
         self.relations.len()
     }
 
-    /// Evaluate one bucket's sub-join with the chosen engine, invoking
-    /// `emit(binding, multiplicity)` per distinct answer occurrence group
-    /// (see [`join_foreach_mult`]).
-    pub fn join_bucket_foreach_mult(
-        &self,
-        bucket: usize,
-        order: JoinOrder,
-        emit: impl FnMut(&[u64], u64),
-    ) -> JoinStats {
-        let rels: Vec<&Relation> = self.relations[bucket].iter().collect();
-        join_foreach_mult(self.query, &rels, order, emit)
-    }
-
-    /// Evaluate one bucket's sub-join, invoking `emit` per answer.
-    pub fn join_bucket_foreach(&self, bucket: usize, mut emit: impl FnMut(&[u64])) {
-        self.join_bucket_foreach_mult(bucket, JoinOrder::Dynamic, |row, mult| {
-            for _ in 0..mult {
-                emit(row);
-            }
-        });
-    }
-
-    /// Materialize one bucket's answers.
-    pub fn join_bucket(&self, bucket: usize) -> AnswerSet {
-        let mut out = AnswerSet::new(self.query.num_vars());
-        self.join_bucket_foreach_mult(bucket, JoinOrder::Dynamic, |row, mult| {
-            out.push_repeat(row, mult);
-        });
-        out
+    /// One bucket's sub-join.
+    pub fn bucket(&self, bucket: usize) -> Join<'_> {
+        Join::over(
+            self.query,
+            Cow::Owned(self.relations[bucket].iter().collect()),
+        )
     }
 }
 
@@ -1669,11 +1626,19 @@ mod tests {
 
     /// Concatenate every bucket's answers (multiset).
     fn mpc_data_answers_concat(parts: &PartitionedJoin<'_>) -> AnswerSet {
-        let mut out = parts.join_bucket(0);
+        let mut out = parts.bucket(0).answers().unwrap();
         for b in 1..parts.num_buckets() {
-            out.append(parts.join_bucket(b));
+            out.append(parts.bucket(b).answers().unwrap());
         }
         out
+    }
+
+    fn count(q: &Query, rels: &[&Relation], order: JoinOrder) -> u64 {
+        Join::new(q, rels).order(order).count().unwrap()
+    }
+
+    fn answers(q: &Query, rels: &[&Relation], order: JoinOrder) -> AnswerSet {
+        Join::new(q, rels).order(order).answers().unwrap()
     }
 
     #[test]
@@ -1683,7 +1648,7 @@ mod tests {
         let q = named::two_way_join();
         let s1 = Relation::from_rows("S1", 2, &[&[1, 5], &[2, 5], &[3, 6]]);
         let s2 = Relation::from_rows("S2", 2, &[&[7, 5], &[8, 6], &[9, 9]]);
-        let mut ans = join(&q, &[&s1, &s2]);
+        let mut ans = answers(&q, &[&s1, &s2], JoinOrder::Dynamic);
         ans.sort_dedup();
         // Variable order: x=0, z=1, y=2 (interning order).
         let xi = q.var_index("x").unwrap();
@@ -1734,11 +1699,8 @@ mod tests {
             e.sort_dedup();
             e
         };
-        assert_eq!(join_count(&q, &[&e1, &e1, &e1]), 24);
-        assert_eq!(
-            join_count_ordered(&q, &[&e1, &e1, &e1], JoinOrder::Fixed),
-            24
-        );
+        assert_eq!(count(&q, &[&e1, &e1, &e1], JoinOrder::Dynamic), 24);
+        assert_eq!(count(&q, &[&e1, &e1, &e1], JoinOrder::Fixed), 24);
     }
 
     #[test]
@@ -1747,11 +1709,8 @@ mod tests {
         let r1 = Relation::from_rows("S1", 1, &[&[1], &[2]]);
         let r2 = Relation::from_rows("S2", 1, &[&[5], &[6], &[7]]);
         let r3 = Relation::from_rows("S3", 1, &[&[9]]);
-        assert_eq!(join_count(&q, &[&r1, &r2, &r3]), 6);
-        assert_eq!(
-            join_count_ordered(&q, &[&r1, &r2, &r3], JoinOrder::Fixed),
-            6
-        );
+        assert_eq!(count(&q, &[&r1, &r2, &r3], JoinOrder::Dynamic), 6);
+        assert_eq!(count(&q, &[&r1, &r2, &r3], JoinOrder::Fixed), 6);
     }
 
     #[test]
@@ -1759,8 +1718,8 @@ mod tests {
         let q = named::two_way_join();
         let s1 = Relation::new("S1", 2);
         let s2 = Relation::from_rows("S2", 2, &[&[7, 5]]);
-        assert_eq!(join_count(&q, &[&s1, &s2]), 0);
-        assert_eq!(join_count_ordered(&q, &[&s1, &s2], JoinOrder::Fixed), 0);
+        assert_eq!(count(&q, &[&s1, &s2], JoinOrder::Dynamic), 0);
+        assert_eq!(count(&q, &[&s1, &s2], JoinOrder::Fixed), 0);
     }
 
     #[test]
@@ -1768,7 +1727,7 @@ mod tests {
         // q(x,y) = R(x,x,y): only rows with row[0] == row[1] survive.
         let q = mpc_query::Query::build("q", &[("R", &["x", "x", "y"])]).unwrap();
         let r = Relation::from_rows("R", 3, &[&[1, 1, 5], &[1, 2, 6], &[3, 3, 7]]);
-        let mut ans = join(&q, &[&r]);
+        let mut ans = answers(&q, &[&r], JoinOrder::Dynamic);
         ans.sort_dedup();
         assert_eq!(ans, vec![vec![1, 5], vec![3, 7]]);
     }
@@ -1780,8 +1739,8 @@ mod tests {
         let q = mpc_query::Query::build("q", &[("R", &["x", "x"]), ("S", &["x", "y"])]).unwrap();
         let r = Relation::from_rows("R", 2, &[&[1, 1], &[2, 3], &[4, 4], &[4, 4]]);
         let s = Relation::from_rows("S", 2, &[&[1, 10], &[4, 11], &[4, 12], &[5, 13]]);
-        let mut dynamic = join_ordered(&q, &[&r, &s], JoinOrder::Dynamic);
-        let mut fixed = join_ordered(&q, &[&r, &s], JoinOrder::Fixed);
+        let mut dynamic = answers(&q, &[&r, &s], JoinOrder::Dynamic);
+        let mut fixed = answers(&q, &[&r, &s], JoinOrder::Fixed);
         dynamic.sort();
         fixed.sort();
         assert_eq!(dynamic, fixed);
@@ -1798,7 +1757,7 @@ mod tests {
         let r1 = generators::uniform("S1", 2, 200, 32, &mut rng);
         let r2 = generators::uniform("S2", 2, 200, 32, &mut rng);
         let r3 = generators::uniform("S3", 2, 200, 32, &mut rng);
-        let fast = join_count(&q, &[&r1, &r2, &r3]);
+        let fast = count(&q, &[&r1, &r2, &r3], JoinOrder::Dynamic);
         let mut slow = 0u64;
         for a in r1.rows() {
             for b in r2.rows() {
@@ -1821,8 +1780,8 @@ mod tests {
         let s1 = Relation::from_rows("S1", 2, &[&[1, 5]]);
         let s2 = Relation::from_rows("S2", 2, &[&[7, 5]]);
         let db = Database::new(q, vec![s1, s2], 16).unwrap();
-        assert_eq!(join_database_count(&db), 1);
-        assert_eq!(join_database(&db).len(), 1);
+        assert_eq!(Join::of(&db).count(), Ok(1));
+        assert_eq!(Join::of(&db).answers().unwrap().len(), 1);
     }
 
     #[test]
@@ -1851,14 +1810,27 @@ mod tests {
                 .map(|a| generators::uniform(a.name(), a.arity(), m, n, &mut rng))
                 .collect();
             let refs: Vec<&Relation> = rels.iter().collect();
-            let mut dynamic = join_ordered(&q, &refs, JoinOrder::Dynamic);
-            let mut fixed = join_ordered(&q, &refs, JoinOrder::Fixed);
+            let mut dynamic = answers(&q, &refs, JoinOrder::Dynamic);
+            let mut fixed = answers(&q, &refs, JoinOrder::Fixed);
             assert_eq!(
-                join_count_ordered(&q, &refs, JoinOrder::Dynamic),
+                count(&q, &refs, JoinOrder::Dynamic),
                 dynamic.len() as u64,
                 "{}: count vs materialized",
                 q.name()
             );
+            // An unlimited budget is the no-budget evaluation: same
+            // emissions in the same order, same exploration stats.
+            let unlimited = QueryBudget::unlimited();
+            for (order, plain) in [(JoinOrder::Dynamic, &dynamic), (JoinOrder::Fixed, &fixed)] {
+                let mut budgeted = AnswerSet::new(q.num_vars());
+                let budgeted_stats = Join::new(&q, &refs)
+                    .order(order)
+                    .budget(&unlimited)
+                    .for_each(|row, mult| budgeted.push_repeat(row, mult));
+                let plain_stats = Join::new(&q, &refs).order(order).for_each(|_, _| {});
+                assert_eq!(budgeted_stats, plain_stats, "{} {order:?}", q.name());
+                assert_eq!(&budgeted, plain, "{} {order:?}", q.name());
+            }
             dynamic.sort();
             fixed.sort();
             assert_eq!(dynamic, fixed, "{}", q.name());
@@ -1884,11 +1856,14 @@ mod tests {
         }
         let refs = [&s1, &s2, &s3];
         let mut dyn_count = 0u64;
-        let dyn_stats =
-            join_foreach_mult(&q, &refs, JoinOrder::Dynamic, |_, mult| dyn_count += mult);
+        let dyn_stats = Join::new(&q, &refs)
+            .for_each(|_, mult| dyn_count += mult)
+            .unwrap();
         let mut fixed_count = 0u64;
-        let fixed_stats =
-            join_foreach_mult(&q, &refs, JoinOrder::Fixed, |_, mult| fixed_count += mult);
+        let fixed_stats = Join::new(&q, &refs)
+            .order(JoinOrder::Fixed)
+            .for_each(|_, mult| fixed_count += mult)
+            .unwrap();
         assert_eq!(dyn_count, fixed_count);
         assert!(dyn_stats.bindings_visited > 0);
         assert!(
@@ -1905,7 +1880,7 @@ mod tests {
         let s1 = Relation::from_rows("S1", 2, &[&[1, 5], &[2, 5]]);
         let s2 = Relation::from_rows("S2", 2, &[&[7, 5]]);
         let before = visited_bindings_total();
-        let stats = join_foreach_mult(&q, &[&s1, &s2], JoinOrder::Dynamic, |_, _| {});
+        let stats = Join::new(&q, &[&s1, &s2]).for_each(|_, _| {}).unwrap();
         assert!(stats.bindings_visited > 0);
         // Other tests run in the same process; the global only ever grows.
         assert!(visited_bindings_total() - before >= stats.bindings_visited);
@@ -1959,7 +1934,7 @@ mod tests {
                 .map(|a| generators::uniform(a.name(), a.arity(), m, n, &mut rng))
                 .collect();
             let refs: Vec<&Relation> = rels.iter().collect();
-            let mut expected = join(&q, &refs);
+            let mut expected = answers(&q, &refs, JoinOrder::Dynamic);
             expected.sort();
             for buckets in [1usize, 2, 7, 16] {
                 let parts = partition_join(&q, &refs, buckets);
@@ -1983,7 +1958,7 @@ mod tests {
             s2.push(&[i % 3, 7]);
         }
         let refs = [&s1, &s2];
-        let mut expected = join(&q, &refs);
+        let mut expected = answers(&q, &refs, JoinOrder::Dynamic);
         expected.sort();
         let parts = partition_join(&q, &refs, 8);
         let mut got = mpc_data_answers_concat(&parts);
@@ -1991,7 +1966,9 @@ mod tests {
         assert_eq!(got, expected);
         assert_eq!(got.len(), 200 * 200);
         // Exactly one bucket is non-empty: z = 7 hashes to a single bucket.
-        let busy = (0..8).filter(|&b| !parts.join_bucket(b).is_empty()).count();
+        let busy = (0..8)
+            .filter(|&b| parts.bucket(b).count().unwrap() > 0)
+            .count();
         assert_eq!(busy, 1);
     }
 
@@ -2007,10 +1984,12 @@ mod tests {
         for order in [JoinOrder::Dynamic, JoinOrder::Fixed] {
             for b in 0..parts.num_buckets() {
                 let mut via_mult = AnswerSet::new(q.num_vars());
-                parts.join_bucket_foreach_mult(b, order, |row, mult| {
-                    via_mult.push_repeat(row, mult);
-                });
-                let mut expected = parts.join_bucket(b);
+                parts
+                    .bucket(b)
+                    .order(order)
+                    .for_each(|row, mult| via_mult.push_repeat(row, mult))
+                    .unwrap();
+                let mut expected = parts.bucket(b).answers().unwrap();
                 via_mult.sort();
                 expected.sort();
                 assert_eq!(via_mult, expected, "{order:?} bucket {b}");
@@ -2031,7 +2010,7 @@ mod tests {
             let mut rng = Rng::seed_from_u64(seed);
             let s1 = generators::uniform("S1", 2, m1, n, &mut rng);
             let s2 = generators::uniform("S2", 2, m2, n, &mut rng);
-            total += join_count(&q, &[&s1, &s2]);
+            total += count(&q, &[&s1, &s2], JoinOrder::Dynamic);
         }
         let avg = total as f64 / seeds as f64;
         let expected = m1 as f64 * m2 as f64 / n as f64;
@@ -2039,5 +2018,32 @@ mod tests {
             (avg - expected).abs() < expected * 0.15,
             "avg {avg} vs expected {expected}"
         );
+    }
+
+    #[test]
+    fn tripped_row_cap_returns_err_and_relations_stay_usable() {
+        let q = named::two_way_join();
+        let mut rng = Rng::seed_from_u64(0xCA9);
+        let s1 = generators::uniform("S1", 2, 300, 16, &mut rng);
+        let s2 = generators::uniform("S2", 2, 300, 16, &mut rng);
+        let refs = [&s1, &s2];
+        for order in [JoinOrder::Dynamic, JoinOrder::Fixed] {
+            let full = count(&q, &refs, order);
+            assert!(full > 100);
+            let capped = QueryBudget::new(None, Some(100), None);
+            let mut seen = 0u64;
+            let err = Join::new(&q, &refs)
+                .order(order)
+                .budget(&capped)
+                .for_each(|_, mult| seen += mult)
+                .expect_err("100 rows cannot hold the full join");
+            assert_eq!(err.kind, crate::budget::BudgetKind::Rows, "{order:?}");
+            assert!(seen <= 100, "{order:?}: sink saw {seen} rows past the cap");
+            // The trip is sticky on the budget, not on the data: the same
+            // relations evaluate in full under a roomy cap.
+            let roomy = QueryBudget::new(None, Some(full), None);
+            let budgeted = Join::new(&q, &refs).order(order).budget(&roomy).count();
+            assert_eq!(budgeted, Ok(full), "{order:?}");
+        }
     }
 }

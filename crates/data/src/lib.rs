@@ -14,13 +14,14 @@
 //!   side of the data plane: one allocation, arity-aware sort/dedup);
 //! * [`fastmap`] — the `mix64`-keyed [`fastmap::FastMap`]/[`fastmap::FastSet`]
 //!   used by every statistics and routing map in the workspace;
-//! * [`join`](mod@crate::join) — the local multiway join every simulated server runs
-//!   (CSR-indexed, allocation-free per tuple), also the sequential ground
-//!   truth for verification;
+//! * [`join`] — the local multiway join every simulated server runs
+//!   (one [`Join`] builder; CSR-indexed, allocation-free per tuple), also
+//!   the sequential ground truth for verification;
 //! * [`budget`] — cooperative per-query resource budgets (deadline, row
 //!   cap, group cap) polled by the join and shuffle hot loops;
 //! * [`failpoint`] — the zero-cost-when-disabled chaos-injection registry
-//!   (`MPCSKEW_FAILPOINTS`), re-exported by `mpc-testkit` for test use.
+//!   (`MPCSKEW_FAILPOINTS`, or an exclusive [`failpoint::arm`] handle in
+//!   tests), re-exported by `mpc-testkit`.
 
 pub mod answers;
 pub mod budget;
@@ -38,9 +39,7 @@ pub use budget::{BudgetExceeded, BudgetKind, QueryBudget};
 pub use catalog::{CatalogError, Database};
 pub use fastmap::{FastMap, FastSet};
 pub use join::{
-    join, join_count, join_count_ordered, join_database, join_database_count, join_foreach,
-    join_foreach_mult, join_foreach_ordered, join_ordered, partition_join, try_join_foreach_mult,
-    visited_bindings_total, JoinIndex, JoinOrder, JoinStats, PartitionedJoin,
+    partition_join, visited_bindings_total, Join, JoinIndex, JoinOrder, JoinStats, PartitionedJoin,
 };
 pub use relation::{domain_bits, record_stats_scan_bytes, stats_scan_bytes_total, Relation};
 pub use rng::{mix64, splitmix64, Rng};

@@ -124,7 +124,7 @@ impl Relation {
     }
 
     /// Append every tuple of `other`, preserving order (the fragment-merge
-    /// step of the threaded shuffle).
+    /// step of the parallel shuffle).
     ///
     /// # Panics
     /// Panics when the arities differ.

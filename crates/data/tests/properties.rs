@@ -3,10 +3,17 @@
 //! the legacy `Vec<Vec<u64>>` sort+dedup, and the CSR [`JoinIndex`] pinned
 //! against the legacy per-key `HashMap` buckets.
 
-use mpc_data::{generators, join, join_count, AnswerSet, JoinIndex, Relation, Rng};
-use mpc_query::named;
+use mpc_data::{generators, AnswerSet, Join, JoinIndex, JoinOrder, Relation, Rng};
+use mpc_query::{named, Query};
 use mpc_testkit::prelude::*;
 use std::collections::HashMap;
+
+/// The join's answer multiset under `order`, one row per derivation, sorted.
+fn sorted_answers(q: &Query, rels: &[&Relation], order: JoinOrder) -> Vec<Vec<u64>> {
+    let mut got = Join::new(q, rels).order(order).answers().unwrap();
+    got.sort();
+    got.to_nested()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -74,8 +81,8 @@ proptest! {
         for row in &r1 { s1.push(row); }
         let mut s2 = Relation::new("S2", 2);
         for row in &r2 { s2.push(row); }
-        let fast = join_count(&q, &[&s1, &s2]);
-        let fixed = join::join_count_ordered(&q, &[&s1, &s2], join::JoinOrder::Fixed);
+        let fast = Join::new(&q, &[&s1, &s2]).count().unwrap();
+        let fixed = Join::new(&q, &[&s1, &s2]).order(JoinOrder::Fixed).count().unwrap();
         let slow = r1.iter()
             .flat_map(|a| r2.iter().map(move |b| (a, b)))
             .filter(|(a, b)| a[1] == b[1])
@@ -114,14 +121,9 @@ proptest! {
             }
         }
         slow.sort();
-        let collect = |order| {
-            let mut got: Vec<Vec<u64>> = Vec::new();
-            join::join_foreach_ordered(&q, &[&s1, &s2, &s3], order, |b| got.push(b.to_vec()));
-            got.sort();
-            got
-        };
-        prop_assert_eq!(collect(join::JoinOrder::Dynamic), slow.clone());
-        prop_assert_eq!(collect(join::JoinOrder::Fixed), slow);
+        let rels = [&s1, &s2, &s3];
+        prop_assert_eq!(sorted_answers(&q, &rels, JoinOrder::Dynamic), slow.clone());
+        prop_assert_eq!(sorted_answers(&q, &rels, JoinOrder::Fixed), slow);
     }
 
     /// Dynamic and fixed agree on Zipf-skewed triangles (the aligned
@@ -135,15 +137,10 @@ proptest! {
         let s1 = generators::zipf_column("S1", 2, m, n, 1, theta, &mut rng);
         let s2 = generators::zipf_column("S2", 2, m, n, 0, theta, &mut rng);
         let s3 = generators::uniform("S3", 2, m, n, &mut rng);
-        let collect = |order| {
-            let mut got: Vec<Vec<u64>> = Vec::new();
-            join::join_foreach_ordered(&q, &[&s1, &s2, &s3], order, |b| got.push(b.to_vec()));
-            got.sort();
-            got
-        };
+        let rels = [&s1, &s2, &s3];
         prop_assert_eq!(
-            collect(join::JoinOrder::Dynamic),
-            collect(join::JoinOrder::Fixed)
+            sorted_answers(&q, &rels, JoinOrder::Dynamic),
+            sorted_answers(&q, &rels, JoinOrder::Fixed)
         );
     }
 
@@ -168,9 +165,8 @@ proptest! {
         let (s1, s2, s3) = (mk("S1", &a, c1), mk("S2", &b, c2), mk("S3", &c, c3));
         let joins = a[1] == b[0] && b[1] == c[0] && c[1] == a[0];
         let want = if joins { (c1 * c2 * c3) as u64 } else { 0 };
-        for order in [join::JoinOrder::Dynamic, join::JoinOrder::Fixed] {
-            let mut got: Vec<Vec<u64>> = Vec::new();
-            join::join_foreach_ordered(&q, &[&s1, &s2, &s3], order, |bnd| got.push(bnd.to_vec()));
+        for order in [JoinOrder::Dynamic, JoinOrder::Fixed] {
+            let got = sorted_answers(&q, &[&s1, &s2, &s3], order);
             prop_assert_eq!(got.len() as u64, want);
             prop_assert!(got.iter().all(|bnd| bnd == &[a[0], a[1], b[1]]));
         }
@@ -193,7 +189,7 @@ proptest! {
         let s1 = mk("S1", &r1);
         let s2 = mk("S2", &r2);
         let s3 = mk("S3", &r3);
-        for ans in join(&q, &[&s1, &s2, &s3]).rows() {
+        for ans in Join::new(&q, &[&s1, &s2, &s3]).answers().unwrap().rows() {
             for (j, s) in [&s1, &s2, &s3].iter().enumerate() {
                 let atom = q.atom(j);
                 let proj: Vec<u64> = atom.vars().iter().map(|&v| ans[v]).collect();

@@ -3,9 +3,10 @@
 //! The MPC model is massively *parallel*, so the simulator should be too: a
 //! [`Backend`] selects how the two hot loops — the shuffle in
 //! [`crate::cluster::Cluster::run_round_on`] and the per-server local joins
-//! in [`crate::cluster::Cluster::all_answers`] — are executed.
+//! in [`crate::cluster::Cluster::all_answers`] — are executed: on the
+//! calling thread, or on the persistent worker pool of [`crate::pool`].
 //!
-//! All backends are **bit-identical**: work is split into contiguous index
+//! Both backends are **bit-identical**: work is split into contiguous index
 //! chunks, each worker produces its partial result independently, and
 //! partials are merged in worker-index order. Fragment tuple order, answer
 //! sets, and [`crate::load::LoadReport`]s therefore never depend on the
@@ -13,9 +14,9 @@
 //! this).
 //!
 //! Selection precedence: explicit [`Backend`] argument > the
-//! `MPCSKEW_THREADS` environment variable (`1` = sequential, `0`/unset =
-//! all available cores, `n` = n scoped threads, `pool:n` = the persistent
-//! `n`-worker pool) > available parallelism.
+//! `MPCSKEW_THREADS` environment variable (an integer: `1` = sequential,
+//! `0`/unset = a pool over all available cores, `n` = the `n`-worker pool)
+//! > available parallelism.
 
 use crate::pool;
 
@@ -24,33 +25,23 @@ use crate::pool;
 pub enum Backend {
     /// Everything on the calling thread.
     Sequential,
-    /// Up to `n` std::thread workers per parallel loop (scoped threads
-    /// spawned and joined per loop; `Threaded(1)` behaves exactly like
-    /// [`Backend::Sequential`]).
-    Threaded(usize),
     /// Up to `n` workers from the persistent process-wide pool of that size
     /// ([`crate::pool::global`]): threads are spawned once and reused across
-    /// every loop, round, query, and batch, amortizing spawn cost for
-    /// many-round / many-query workloads. Results are bit-identical to the
-    /// other backends.
+    /// every loop, round, query, and batch (`Pooled(1)` behaves exactly
+    /// like [`Backend::Sequential`]). Results are bit-identical to
+    /// [`Backend::Sequential`].
     Pooled(usize),
 }
 
 impl Backend {
-    /// `Threaded(available_parallelism)`.
-    pub fn available() -> Backend {
-        Backend::Threaded(available_threads())
-    }
-
     /// `Pooled(available_parallelism)`.
-    pub fn available_pooled() -> Backend {
-        Backend::Pooled(available_threads())
+    pub fn available() -> Backend {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Backend::Pooled(cores)
     }
 
-    /// Backend selected by the `MPCSKEW_THREADS` environment variable:
-    /// `1` → [`Backend::Sequential`], `n > 1` → `Threaded(n)`, `pool:n` →
-    /// `Pooled(n)` (`pool:0` = pool over all cores), `0`/unset →
-    /// [`Backend::available`].
+    /// Backend selected by the `MPCSKEW_THREADS` environment variable
+    /// ([`Backend::parse`] grammar); unset → [`Backend::available`].
     ///
     /// The variable is re-read on every call (no process-wide cache), so a
     /// test or embedder that changes `MPCSKEW_THREADS` mid-process gets the
@@ -58,51 +49,33 @@ impl Backend {
     /// pins this.
     ///
     /// # Panics
-    /// Panics when the variable is set but not a valid spec — a typo must
+    /// Panics when the variable is set but not an integer — a typo must
     /// not silently downgrade a pinned-backend CI run to the default.
     pub fn from_env() -> Backend {
         match std::env::var("MPCSKEW_THREADS") {
             Err(_) => Backend::available(),
             Ok(v) => Backend::parse(&v)
-                .unwrap_or_else(|e| panic!("MPCSKEW_THREADS must be an integer or `pool:N`: {e}")),
+                .unwrap_or_else(|e| panic!("MPCSKEW_THREADS expects an integer: {e}")),
         }
     }
 
-    /// Parse a backend spec: an integer (the [`Backend::from_thread_count`]
-    /// convention) or `pool:N` for the persistent pool (`pool:0` = all
-    /// available cores). The CLI `--threads` flag and `MPCSKEW_THREADS` both
-    /// use this grammar.
+    /// Parse a thread-count spec, the one grammar the CLI `--threads` flag
+    /// and `MPCSKEW_THREADS` share: `1` → [`Backend::Sequential`], `0` →
+    /// [`Backend::available`], `n` → `Pooled(n)`.
     pub fn parse(spec: &str) -> Result<Backend, String> {
-        let s = spec.trim();
-        if let Some(rest) = s.strip_prefix("pool:") {
-            let n: usize = rest
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad pool worker count in `{spec}`"))?;
-            Ok(match n {
-                0 => Backend::available_pooled(),
-                n => Backend::Pooled(n),
-            })
-        } else {
-            let n: usize = s.parse().map_err(|_| format!("got `{spec}`"))?;
-            Ok(Backend::from_thread_count(Some(n)))
-        }
-    }
-
-    /// The numeric [`Backend::from_env`] mapping, exposed for flag parsing.
-    pub fn from_thread_count(threads: Option<usize>) -> Backend {
-        match threads {
-            None | Some(0) => Backend::available(),
-            Some(1) => Backend::Sequential,
-            Some(n) => Backend::Threaded(n),
-        }
+        let n: usize = spec.trim().parse().map_err(|_| format!("got `{spec}`"))?;
+        Ok(match n {
+            0 => Backend::available(),
+            1 => Backend::Sequential,
+            n => Backend::Pooled(n),
+        })
     }
 
     /// Worker-thread budget of this backend (>= 1).
     pub fn threads(&self) -> usize {
         match *self {
             Backend::Sequential => 1,
-            Backend::Threaded(n) | Backend::Pooled(n) => n.max(1),
+            Backend::Pooled(n) => n.max(1),
         }
     }
 
@@ -125,10 +98,10 @@ impl Backend {
     }
 
     /// Split `0..len` into contiguous chunks of at least `min_chunk` items,
-    /// evaluate `work(lo, hi)` for each (in parallel on the threaded and
-    /// pooled backends), and return the per-chunk results **in chunk
-    /// order** — the deterministic-merge primitive every parallel loop in
-    /// the simulator is built on. Worker panics are re-raised on the caller
+    /// evaluate `work(lo, hi)` for each (in parallel on the pooled backend),
+    /// and return the per-chunk results **in chunk order** — the
+    /// deterministic-merge primitive every parallel loop in the simulator
+    /// is built on. Worker panics are re-raised on the caller
     /// with their original payload (the first panicking chunk in chunk
     /// order).
     ///
@@ -149,41 +122,20 @@ impl Backend {
             return vec![work(0, len)];
         }
         let ranges = self.chunk_ranges(len, workers);
-        match *self {
-            Backend::Sequential => unreachable!("workers_for caps Sequential at 1"),
-            Backend::Threaded(_) => {
-                let work = &work;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = ranges
-                        .iter()
-                        .map(|&(lo, hi)| scope.spawn(move || work(lo, hi)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                        .collect()
-                })
-            }
-            Backend::Pooled(n) => pool::global(n)
-                .run_jobs(ranges.len(), |i| {
-                    let (lo, hi) = ranges[i];
-                    work(lo, hi)
-                })
-                .into_iter()
-                .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect(),
-        }
+        self.run_items(ranges.len(), |i| {
+            let (lo, hi) = ranges[i];
+            work(lo, hi)
+        })
     }
 
     /// Run `count` independent work items and return their results **in
     /// item order**. Unlike [`Backend::run_chunks`], items are not
-    /// statically grouped into contiguous per-worker chunks on the pooled
-    /// backend: each item is its own pool job pulled from the shared queue,
-    /// so a slow item (a heavy oracle bucket, a big batch round) occupies
-    /// one worker while the others keep draining the rest — dynamic load
-    /// balancing for heterogeneous items. On the scoped-thread backend the
-    /// items fall back to contiguous chunking. Worker panics are re-raised
-    /// verbatim (first panicking item in item order).
+    /// statically grouped into contiguous per-worker chunks: each item is
+    /// its own pool job pulled from the shared queue, so a slow item (a
+    /// heavy oracle bucket, a big batch round) occupies one worker while
+    /// the others keep draining the rest — dynamic load balancing for
+    /// heterogeneous items. Worker panics are re-raised verbatim (first
+    /// panicking item in item order).
     pub fn run_items<T, F>(&self, count: usize, work: F) -> Vec<T>
     where
         T: Send,
@@ -192,21 +144,15 @@ impl Backend {
         if count == 0 {
             return Vec::new();
         }
-        if self.threads() <= 1 || pool::in_worker() {
+        let threads = self.threads();
+        if threads == 1 || pool::in_worker() {
             return (0..count).map(work).collect();
         }
-        match *self {
-            Backend::Pooled(n) => pool::global(n)
-                .run_jobs(count, &work)
-                .into_iter()
-                .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect(),
-            _ => self
-                .run_chunks(count, 1, |lo, hi| (lo..hi).map(&work).collect::<Vec<_>>())
-                .into_iter()
-                .flatten()
-                .collect(),
-        }
+        pool::global(threads)
+            .run_jobs(count, &work)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     }
 
     /// Pipelined [`Backend::run_chunks`]: chunk results are handed to
@@ -237,42 +183,16 @@ impl Backend {
             return;
         }
         let ranges = self.chunk_ranges(len, workers);
-        match *self {
-            Backend::Sequential => unreachable!("workers_for caps Sequential at 1"),
-            Backend::Threaded(_) => {
-                use std::panic::{catch_unwind, AssertUnwindSafe};
-                let work = &work;
-                // Capacity covers every chunk, so producers never block on
-                // the channel even if the consumer unwinds early.
-                let (tx, rx) = std::sync::mpsc::sync_channel(ranges.len());
-                std::thread::scope(|scope| {
-                    for (i, &(lo, hi)) in ranges.iter().enumerate() {
-                        let tx = tx.clone();
-                        scope.spawn(move || {
-                            let outcome = catch_unwind(AssertUnwindSafe(|| work(lo, hi)));
-                            let _ = tx.send((i, outcome));
-                        });
-                    }
-                    drop(tx);
-                    pool::consume_in_order(&rx, ranges.len(), &mut consume);
-                });
-            }
-            Backend::Pooled(n) => pool::global(n).run_jobs_pipelined(
-                ranges.len(),
-                |i| {
-                    let (lo, hi) = ranges[i];
-                    work(lo, hi)
-                },
-                consume,
-            ),
-        }
+        // `workers > 1` implies a pool: `Sequential` is capped at one.
+        pool::global(self.threads()).run_jobs_pipelined(
+            ranges.len(),
+            |i| {
+                let (lo, hi) = ranges[i];
+                work(lo, hi)
+            },
+            consume,
+        );
     }
-}
-
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 impl Default for Backend {
@@ -285,7 +205,6 @@ impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Backend::Sequential => write!(f, "sequential"),
-            Backend::Threaded(n) => write!(f, "threaded({n})"),
             Backend::Pooled(n) => write!(f, "pooled({n})"),
         }
     }
@@ -295,31 +214,16 @@ impl std::fmt::Display for Backend {
 mod tests {
     use super::*;
 
-    /// Every parallel flavour the primitive-level tests sweep.
-    const PARALLEL: [Backend; 2] = [Backend::Threaded(4), Backend::Pooled(4)];
-
-    #[test]
-    fn thread_count_mapping() {
-        assert_eq!(Backend::from_thread_count(Some(1)), Backend::Sequential);
-        assert_eq!(Backend::from_thread_count(Some(2)), Backend::Threaded(2));
-        assert_eq!(Backend::from_thread_count(Some(8)), Backend::Threaded(8));
-        // 0 and unset mean "all available cores".
-        assert_eq!(Backend::from_thread_count(Some(0)), Backend::available());
-        assert_eq!(Backend::from_thread_count(None), Backend::available());
-        assert!(Backend::available().threads() >= 1);
-    }
-
     #[test]
     fn spec_parsing() {
         assert_eq!(Backend::parse("1"), Ok(Backend::Sequential));
-        assert_eq!(Backend::parse(" 6 "), Ok(Backend::Threaded(6)));
+        assert_eq!(Backend::parse(" 6 "), Ok(Backend::Pooled(6)));
+        // 0 means "all available cores".
         assert_eq!(Backend::parse("0"), Ok(Backend::available()));
-        assert_eq!(Backend::parse("pool:4"), Ok(Backend::Pooled(4)));
-        assert_eq!(Backend::parse("pool: 2"), Ok(Backend::Pooled(2)));
-        assert_eq!(Backend::parse("pool:0"), Ok(Backend::available_pooled()));
-        assert!(Backend::parse("many").is_err());
-        assert!(Backend::parse("pool:x").is_err());
-        assert!(Backend::parse("pool:").is_err());
+        assert!(Backend::available().threads() >= 1);
+        for garbage in ["many", "", "-2", "pool:4", "4 threads"] {
+            assert!(Backend::parse(garbage).is_err(), "{garbage:?}");
+        }
     }
 
     #[test]
@@ -334,27 +238,26 @@ mod tests {
         // executor for one round.)
         let saved = std::env::var("MPCSKEW_THREADS").ok();
         std::env::set_var("MPCSKEW_THREADS", "3");
-        assert_eq!(Backend::from_env(), Backend::Threaded(3));
-        std::env::set_var("MPCSKEW_THREADS", "pool:5");
-        assert_eq!(Backend::from_env(), Backend::Pooled(5));
+        assert_eq!(Backend::from_env(), Backend::Pooled(3));
+        std::env::set_var("MPCSKEW_THREADS", "0");
+        assert_eq!(Backend::from_env(), Backend::available());
         std::env::set_var("MPCSKEW_THREADS", "1");
         assert_eq!(Backend::from_env(), Backend::Sequential);
-        match saved {
-            Some(v) => std::env::set_var("MPCSKEW_THREADS", v),
-            None => std::env::remove_var("MPCSKEW_THREADS"),
+        std::env::remove_var("MPCSKEW_THREADS");
+        assert_eq!(Backend::from_env(), Backend::available());
+        if let Some(v) = saved {
+            std::env::set_var("MPCSKEW_THREADS", v);
         }
     }
 
     #[test]
     fn worker_budgeting_respects_min_chunk() {
-        for b in [Backend::Threaded(8), Backend::Pooled(8)] {
-            assert_eq!(b.workers_for(0, 16), 0, "{b}");
-            assert_eq!(b.workers_for(10, 16), 1, "{b}");
-            assert_eq!(b.workers_for(32, 16), 2, "{b}");
-            assert_eq!(b.workers_for(1 << 20, 16), 8, "{b}");
-        }
+        let b = Backend::Pooled(8);
+        assert_eq!(b.workers_for(0, 16), 0);
+        assert_eq!(b.workers_for(10, 16), 1);
+        assert_eq!(b.workers_for(32, 16), 2);
+        assert_eq!(b.workers_for(1 << 20, 16), 8);
         assert_eq!(Backend::Sequential.workers_for(1 << 20, 1), 1);
-        assert_eq!(Backend::Threaded(0).threads(), 1);
         assert_eq!(Backend::Pooled(0).threads(), 1);
     }
 
@@ -362,12 +265,10 @@ mod tests {
     fn run_chunks_covers_range_in_order() {
         for backend in [
             Backend::Sequential,
-            Backend::Threaded(1),
-            Backend::Threaded(3),
-            Backend::Threaded(64),
             Backend::Pooled(1),
             Backend::Pooled(3),
             Backend::Pooled(16),
+            Backend::Pooled(64),
         ] {
             let parts = backend.run_chunks(1000, 1, |lo, hi| (lo..hi).collect::<Vec<_>>());
             let flat: Vec<usize> = parts.into_iter().flatten().collect();
@@ -383,11 +284,6 @@ mod tests {
             .into_iter()
             .sum();
         for n in [2usize, 3, 8, 17] {
-            let thr: u64 = Backend::Threaded(n)
-                .run_chunks(4096, 1, sum)
-                .into_iter()
-                .sum();
-            assert_eq!(thr, seq, "Threaded({n})");
             let pooled: u64 = Backend::Pooled(n)
                 .run_chunks(4096, 1, sum)
                 .into_iter()
@@ -398,26 +294,10 @@ mod tests {
 
     #[test]
     fn empty_range_runs_no_work() {
-        for backend in PARALLEL {
-            let parts = backend.run_chunks(0, 1, |_, _| panic!("no work expected"));
-            assert!(parts.is_empty(), "{backend}");
-            backend.run_chunks_pipelined(
-                0,
-                1,
-                |_, _| panic!("no work"),
-                |_: ()| panic!("no consume"),
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "worker exploded at 7")]
-    fn worker_panics_propagate_with_payload() {
-        Backend::Threaded(4).run_chunks(16, 1, |lo, hi| {
-            for i in lo..hi {
-                assert!(i != 7, "worker exploded at {i}");
-            }
-        });
+        let backend = Backend::Pooled(4);
+        let parts = backend.run_chunks(0, 1, |_, _| panic!("no work expected"));
+        assert!(parts.is_empty());
+        backend.run_chunks_pipelined(0, 1, |_, _| panic!("no work"), |_: ()| panic!("no consume"));
     }
 
     #[test]
@@ -454,13 +334,7 @@ mod tests {
 
     #[test]
     fn pipelined_consume_is_chunk_ordered_and_complete() {
-        for backend in [
-            Backend::Sequential,
-            Backend::Threaded(3),
-            Backend::Threaded(8),
-            Backend::Pooled(3),
-            Backend::Pooled(8),
-        ] {
+        for backend in [Backend::Sequential, Backend::Pooled(3), Backend::Pooled(8)] {
             let mut flat: Vec<usize> = Vec::new();
             backend.run_chunks_pipelined(
                 1000,
@@ -470,21 +344,6 @@ mod tests {
             );
             assert_eq!(flat, (0..1000).collect::<Vec<_>>(), "{backend}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "pipelined worker exploded at 9")]
-    fn pipelined_threaded_panics_propagate_with_payload() {
-        Backend::Threaded(4).run_chunks_pipelined(
-            16,
-            1,
-            |lo, hi| {
-                for i in lo..hi {
-                    assert!(i != 9, "pipelined worker exploded at {i}");
-                }
-            },
-            |_: ()| {},
-        );
     }
 
     #[test]
@@ -504,13 +363,7 @@ mod tests {
 
     #[test]
     fn run_items_is_item_ordered_on_every_backend() {
-        for backend in [
-            Backend::Sequential,
-            Backend::Threaded(1),
-            Backend::Threaded(3),
-            Backend::Pooled(1),
-            Backend::Pooled(4),
-        ] {
+        for backend in [Backend::Sequential, Backend::Pooled(1), Backend::Pooled(4)] {
             let items = backend.run_items(100, |i| i * 3);
             assert_eq!(
                 items,
@@ -560,7 +413,6 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(Backend::Sequential.to_string(), "sequential");
-        assert_eq!(Backend::Threaded(4).to_string(), "threaded(4)");
         assert_eq!(Backend::Pooled(8).to_string(), "pooled(8)");
     }
 }

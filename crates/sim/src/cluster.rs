@@ -15,7 +15,7 @@ use mpc_data::answers::AnswerSet;
 use mpc_data::budget::{BudgetExceeded, QueryBudget};
 use mpc_data::catalog::Database;
 use mpc_data::failpoint;
-use mpc_data::join;
+use mpc_data::join::Join;
 use mpc_data::relation::Relation;
 use mpc_query::Query;
 use std::cell::RefCell;
@@ -377,12 +377,6 @@ impl Cluster {
         }
     }
 
-    /// Answers found by one server: the local join of its fragments.
-    pub fn server_answers(&self, query: &Query, server: usize) -> AnswerSet {
-        let rels: Vec<&Relation> = self.fragments.iter().map(|f| &f[server]).collect();
-        join::join(query, &rels)
-    }
-
     /// The union of all servers' answers, sorted and deduplicated. A correct
     /// one-round algorithm makes this equal to the sequential join.
     ///
@@ -425,15 +419,9 @@ impl Cluster {
             let mut local = AnswerSet::new(query.num_vars());
             for s in lo..hi {
                 let rels: Vec<&Relation> = self.fragments.iter().map(|f| &f[s]).collect();
-                join::try_join_foreach_mult(
-                    query,
-                    &rels,
-                    join::JoinOrder::Dynamic,
-                    budget,
-                    |row, mult| {
-                        local.push_repeat(row, mult);
-                    },
-                )?;
+                Join::new(query, &rels)
+                    .budget(budget)
+                    .for_each(|row, mult| local.push_repeat(row, mult))?;
             }
             Ok(local)
         });
@@ -486,17 +474,13 @@ impl Cluster {
             for s in lo..hi {
                 let rels: Vec<&Relation> = self.fragments.iter().map(|f| &f[s]).collect();
                 let mut failed = None;
-                join::try_join_foreach_mult(
-                    query,
-                    &rels,
-                    join::JoinOrder::Dynamic,
-                    budget,
-                    |row, mult| {
+                Join::new(query, &rels)
+                    .budget(budget)
+                    .for_each(|row, mult| {
                         if failed.is_none() {
                             failed = fold(&mut acc, row, mult).err();
                         }
-                    },
-                )?;
+                    })?;
                 if let Some(e) = failed {
                     return Err(e);
                 }
@@ -550,7 +534,7 @@ mod tests {
         let p = 8;
         let cluster = Cluster::run_round(&db, p, &BroadcastRouter { p });
         let expected = {
-            let mut ans = mpc_data::join_database(&db);
+            let mut ans = Join::of(&db).answers().unwrap();
             ans.sort_dedup();
             ans
         };
@@ -573,7 +557,7 @@ mod tests {
         };
         let cluster = Cluster::run_round(&db, p, &router);
         let expected = {
-            let mut ans = mpc_data::join_database(&db);
+            let mut ans = Join::of(&db).answers().unwrap();
             ans.sort_dedup();
             ans
         };
@@ -647,18 +631,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "router sent a tuple of atom 0 (S1) to server 99 >= p=4")]
-    fn out_of_range_panic_propagates_from_worker_threads() {
-        // Big enough that the threaded shuffle really shards; the worker's
-        // panic payload must reach the caller verbatim.
-        let db = join_db(4096, 6);
-        let router = |atom: usize, _: &[u64], out: &mut Vec<usize>| {
-            out.push(if atom == 0 { 99 } else { 0 });
-        };
-        let _ = Cluster::run_round_on(&db, 4, &router, Backend::Threaded(4));
-    }
-
-    #[test]
     fn backends_produce_identical_clusters() {
         // Fragment contents (incl. tuple order), reports, and answers must
         // be bit-identical whatever the thread count.
@@ -667,8 +639,8 @@ mod tests {
         let router = BroadcastRouter { p };
         let seq = Cluster::run_round_on(&db, p, &router, Backend::Sequential);
         for threads in [1usize, 2, 3, 8] {
-            let thr = Cluster::run_round_on(&db, p, &router, Backend::Threaded(threads));
-            assert_eq!(thr.backend(), Backend::Threaded(threads));
+            let thr = Cluster::run_round_on(&db, p, &router, Backend::Pooled(threads));
+            assert_eq!(thr.backend(), Backend::Pooled(threads));
             for atom in 0..2 {
                 for s in 0..p {
                     assert_eq!(
@@ -690,7 +662,7 @@ mod tests {
     #[test]
     fn report_merge_is_exercised_beyond_the_chunk_threshold() {
         // p large enough that workers_for(p, REPORT_MIN_CHUNK) > 1, so the
-        // threaded report really takes the multi-part stitch path.
+        // pooled report really takes the multi-part stitch path.
         let db = join_db(2000, 9);
         let p = 1024;
         let key = 0xBADC_0FFEu64;
@@ -701,7 +673,7 @@ mod tests {
                 out.push((h + 513) % p);
             }
         };
-        let backend = Backend::Threaded(4);
+        let backend = Backend::Pooled(4);
         assert!(backend.workers_for(p, super::REPORT_MIN_CHUNK) > 1);
         let seq = Cluster::run_round_on(&db, p, &router, Backend::Sequential);
         let thr = Cluster::run_round_on(&db, p, &router, backend);
@@ -751,6 +723,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "router sent a tuple of atom 0 (S1) to server 99 >= p=4")]
     fn out_of_range_panic_propagates_from_pool_workers() {
+        // Big enough that the pooled shuffle really shards; the worker's
+        // panic payload must reach the caller verbatim.
         let db = join_db(4096, 6);
         let router = |atom: usize, _: &[u64], out: &mut Vec<usize>| {
             out.push(if atom == 0 { 99 } else { 0 });
@@ -792,11 +766,7 @@ mod tests {
                 (c.all_answers(job.db.query()), c.report())
             })
             .collect();
-        for backend in [
-            Backend::Sequential,
-            Backend::Threaded(3),
-            Backend::Pooled(4),
-        ] {
+        for backend in [Backend::Sequential, Backend::Pooled(3), Backend::Pooled(4)] {
             let results = Cluster::run_batch(&jobs, backend);
             assert_eq!(results.len(), jobs.len(), "{backend}");
             for (i, ((cluster, report), (exp_answers, exp_report))) in
@@ -818,8 +788,8 @@ mod tests {
         let p = 4;
         let cluster = Cluster::run_round_on(&db, p, &BroadcastRouter { p }, Backend::Sequential);
         let answers_seq = cluster.all_answers(db.query());
-        let cluster = cluster.with_backend(Backend::Threaded(3));
-        assert_eq!(cluster.backend(), Backend::Threaded(3));
+        let cluster = cluster.with_backend(Backend::Pooled(3));
+        assert_eq!(cluster.backend(), Backend::Pooled(3));
         assert_eq!(cluster.all_answers(db.query()), answers_seq);
     }
 }

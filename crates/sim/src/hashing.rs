@@ -4,7 +4,7 @@
 //! `h_i : [n] → [p_i]` (Section 3.1). We realize them as keyed 64-bit
 //! mixers with independently drawn keys — the empirical stand-in for the
 //! paper's "independent and perfectly random hash functions", whose max-load
-//! behaviour Lemma 3.1 analyzes and `exp_hashing` measures.
+//! behaviour Lemma 3.1 analyzes and the `hashing` experiment measures.
 
 use crate::topology::Grid;
 use mpc_data::relation::Relation;

@@ -7,9 +7,8 @@
 //! * [`cluster::Cluster`] — executes a [`cluster::Router`] (a pure
 //!   tuple-at-a-time routing policy, the paper's one-round algorithm model)
 //!   and materializes per-server fragments;
-//! * [`backend::Backend`] — the execution backend (`Sequential`,
-//!   `Threaded(n)`, or the persistent-pool `Pooled(n)`) driving the
-//!   pipelined shuffle and the per-server local joins, with bit-identical
+//! * [`backend::Backend`] — the execution backend (`Sequential` or the
+//!   persistent-pool `Pooled(n)`) driving the pipelined shuffle and the per-server local joins, with bit-identical
 //!   results whatever the thread count;
 //! * [`pool::WorkerPool`] — the persistent worker pool behind
 //!   `Backend::Pooled`, reused across rounds, queries, and batches;

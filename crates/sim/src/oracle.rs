@@ -17,13 +17,13 @@
 use crate::backend::Backend;
 use mpc_data::answers::AnswerSet;
 use mpc_data::catalog::Database;
-use mpc_data::join::{partition_join, JoinOrder};
+use mpc_data::join::{partition_join, Join, JoinOrder};
 use mpc_data::relation::Relation;
 use mpc_query::Query;
 
 /// Buckets per worker: oversplitting only pays off because the buckets run
-/// through [`Backend::run_items`] — on the pooled backend each bucket is a
-/// separate queue-scheduled job, so a heavy bucket (a skewed join key sends
+/// through [`Backend::run_items`] — each bucket is a separate
+/// queue-scheduled pool job, so a heavy bucket (a skewed join key sends
 /// all its work to one bucket) occupies one worker while the others drain
 /// the remaining small buckets.
 const BUCKETS_PER_WORKER: usize = 4;
@@ -34,17 +34,16 @@ const BUCKETS_PER_WORKER: usize = 4;
 /// answer.
 pub fn join_on(query: &Query, relations: &[&Relation], backend: Backend) -> AnswerSet {
     let workers = backend.threads();
+    let fixed = |join: Join<'_>| {
+        join.order(JoinOrder::Fixed)
+            .answers()
+            .expect("no budget is set")
+    };
     let mut answers: AnswerSet = if workers <= 1 {
-        mpc_data::join_ordered(query, relations, JoinOrder::Fixed)
+        fixed(Join::new(query, relations))
     } else {
         let parts = partition_join(query, relations, workers * BUCKETS_PER_WORKER);
-        let buckets = backend.run_items(parts.num_buckets(), |b| {
-            let mut out = AnswerSet::new(query.num_vars());
-            parts.join_bucket_foreach_mult(b, JoinOrder::Fixed, |row, mult| {
-                out.push_repeat(row, mult);
-            });
-            out
-        });
+        let buckets = backend.run_items(parts.num_buckets(), |b| fixed(parts.bucket(b)));
         let mut merged = AnswerSet::new(query.num_vars());
         for bucket in buckets {
             merged.append(bucket);
@@ -68,7 +67,7 @@ mod tests {
     use mpc_query::named;
 
     fn sequential_oracle(db: &Database) -> AnswerSet {
-        let mut ans = mpc_data::join_database(db);
+        let mut ans = Join::of(db).answers().unwrap();
         ans.sort_dedup();
         ans
     }
@@ -85,8 +84,8 @@ mod tests {
         assert!(!expected.is_empty());
         for backend in [
             Backend::Sequential,
-            Backend::Threaded(2),
-            Backend::Threaded(8),
+            Backend::Pooled(2),
+            Backend::Pooled(8),
             Backend::Pooled(4),
         ] {
             assert_eq!(join_database_on(&db, backend), expected, "{backend}");
@@ -105,8 +104,6 @@ mod tests {
             .collect();
         let db = Database::new(q, rels, n).unwrap();
         let expected = sequential_oracle(&db);
-        for backend in [Backend::Threaded(4), Backend::Pooled(4)] {
-            assert_eq!(join_database_on(&db, backend), expected, "{backend}");
-        }
+        assert_eq!(join_database_on(&db, Backend::Pooled(4)), expected);
     }
 }

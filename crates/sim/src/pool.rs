@@ -2,17 +2,17 @@
 //! execution backend.
 //!
 //! The MPC model runs *many* rounds and *many* queries over the same
-//! cluster; spawning and tearing down scoped threads on every parallel loop
-//! (the `Threaded` backend) pays the spawn cost on each of them. A
-//! [`WorkerPool`] is created once, its threads live for the lifetime of the
-//! pool, and every `run_chunks` call — across rounds, queries, and batches —
-//! reuses them. `std::thread` + `std::sync::mpsc` only, no dependencies.
+//! cluster; spawning and tearing down threads on every parallel loop would
+//! pay the spawn cost on each of them. A [`WorkerPool`] is created once,
+//! its threads live for the lifetime of the pool, and every `run_chunks`
+//! call — across rounds, queries, and batches — reuses them. `std::thread`
+//! + `std::sync::mpsc` only, no dependencies.
 //!
-//! Semantics match the scoped-thread backend exactly:
+//! Semantics:
 //!
 //! * jobs of one submission are identified by index and their results are
 //!   returned (or consumed) **in index order**, so merges stay bit-identical
-//!   to `Sequential`/`Threaded(n)`;
+//!   to `Sequential`;
 //! * a panicking job is caught on the worker (the worker thread survives and
 //!   keeps serving other jobs) and its payload is re-raised **verbatim** on
 //!   the submitting thread — a panic poisons only its own submission;
@@ -180,14 +180,13 @@ impl WorkerPool {
 /// Receive exactly `total` `(index, outcome)` messages from `rx`, handing
 /// `Ok` values to `consume` **in index order** (later arrivals wait in a
 /// reorder buffer) and re-raising the first panic — by index order —
-/// verbatim once all messages have arrived. Shared by the pool and the
-/// scoped-thread pipelined paths so their semantics cannot drift.
+/// verbatim once all messages have arrived.
 ///
 /// Every exit, including an unwind out of `consume`, first drains the
 /// outstanding messages: the producers' closures hold lifetime-erased
-/// borrows of the caller's frame (pool path) and must have finished before
-/// this frame is popped.
-pub(crate) fn consume_in_order<T>(
+/// borrows of the caller's frame and must have finished before this frame
+/// is popped.
+fn consume_in_order<T>(
     rx: &Receiver<(usize, std::thread::Result<T>)>,
     total: usize,
     consume: &mut impl FnMut(T),

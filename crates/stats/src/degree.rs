@@ -279,7 +279,7 @@ mod tests {
         let s = sum_over_assignments(&st, &[0, 1], db.domain(), |_, freq| freq as f64);
         assert!((s - 17.0).abs() < 1e-9);
         // Cross-check against the actual join.
-        assert_eq!(mpc_data::join_database_count(&db), 17);
+        assert_eq!(mpc_data::Join::of(&db).count().unwrap(), 17);
     }
 
     #[test]

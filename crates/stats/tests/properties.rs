@@ -79,7 +79,7 @@ proptest! {
         let z = db.query().var_index("z").unwrap();
         let st = degree_statistics(&db, VarSet::singleton(z));
         let s = sum_over_assignments(&st, &[0, 1], n, |_, f| f as f64);
-        let actual = mpc_data::join_database_count(&db) as f64;
+        let actual = mpc_data::Join::of(&db).count().unwrap() as f64;
         prop_assert!((s - actual).abs() < 0.5, "sum {s} vs join size {actual}");
     }
 

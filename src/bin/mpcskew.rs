@@ -73,6 +73,16 @@ impl Args {
         }
     }
 
+    /// The `--threads` backend (default: `MPCSKEW_THREADS` or all cores).
+    fn backend(&self) -> Result<Backend, String> {
+        match self.value("threads")? {
+            None => Ok(Backend::from_env()),
+            Some(v) => {
+                Backend::parse(v).map_err(|_| format!("--threads expects an integer, got `{v}`"))
+            }
+        }
+    }
+
     fn f64_or(&self, name: &str, default: f64) -> Result<f64, String> {
         match self.value(name)? {
             None => Ok(default),
@@ -127,9 +137,10 @@ fn usage() -> &'static str {
      statistics: HyperCube when the join variables are skew-free, the \u{a7}4.1\n\
      skew join on skewed two-relation joins, the \u{a7}4.2 general algorithm\n\
      otherwise;\n\
-     --threads: simulator worker threads (1 = sequential backend, N = scoped\n\
-     threads, pool:N = the persistent N-worker pool; default: MPCSKEW_THREADS\n\
-     or all available cores; results are identical whichever backend runs);\n\
+     --threads: simulator worker threads (1 = sequential backend, N = the\n\
+     persistent N-worker pool, 0 = a pool over all cores; default:\n\
+     MPCSKEW_THREADS or all available cores; results are identical whichever\n\
+     backend runs);\n\
      --stats: planner statistics source — exact (scan-based; run default),\n\
      sketch (SpaceSaving/HLL summaries, sublinear, error-bounded; serve\n\
      default), synthetic (cardinalities only); estimates can only shift\n\
@@ -231,11 +242,7 @@ fn cmd_run(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<
         None => StatsMode::Exact,
         Some(v) => StatsMode::parse(v).map_err(|e| format!("{e}\n{}", usage()))?,
     };
-    let backend = match args.value("threads")? {
-        None => Backend::from_env(),
-        Some(v) => Backend::parse(v)
-            .map_err(|_| format!("--threads expects an integer or pool:N, got `{v}`"))?,
-    };
+    let backend = args.backend()?;
 
     // Workload: every relation Zipf(theta) on `skew-col` (uniform if 0.0).
     let mut rng = Rng::seed_from_u64(seed);
@@ -370,11 +377,7 @@ fn service_from_args(args: &Args) -> Result<Service, String> {
     let domain = args.usize_or("domain", 1 << 16)? as u64;
     let p = args.usize_or("p", 64)?;
     let seed = args.usize_or("seed", 1)? as u64;
-    let backend = match args.value("threads")? {
-        None => Backend::from_env(),
-        Some(v) => Backend::parse(v)
-            .map_err(|_| format!("--threads expects an integer or pool:N, got `{v}`"))?,
-    };
+    let backend = args.backend()?;
     // A resident service defaults to sketch statistics: ingest folds into
     // O(p)-space summaries instead of exact frequency maps, so planning
     // state stays sublinear however large the catalog grows.

@@ -40,7 +40,6 @@ pub mod prelude {
         SketchStats, Stats, StatsMode, SyntheticStats,
     };
     pub use mpc_core::hypercube::HyperCube;
-    pub use mpc_core::mapreduce::{servers_for_reducer_cap, ReducerSchedule};
     pub use mpc_core::multi_round::{run_multi_round, run_multi_round_batch, MultiRoundResult};
     pub use mpc_core::service::{
         CacheCounters, CacheStatus, QuerySpec, Service, ServiceError, ServiceOutcome,
@@ -52,7 +51,7 @@ pub mod prelude {
     pub use mpc_core::verify::{assert_complete, verify, verify_aggregate, AggregateVerification};
     pub use mpc_core::wire::Session;
     pub use mpc_data::catalog::Database;
-    pub use mpc_data::join::{JoinOrder, JoinStats};
+    pub use mpc_data::join::{Join, JoinOrder, JoinStats};
     pub use mpc_data::relation::Relation;
     pub use mpc_data::rng::Rng;
     pub use mpc_query::aggregate::{AggregateOp, AggregateSpec};

@@ -14,8 +14,11 @@
 //!    with a `delay` failpoint) returns `err timeout` and leaves the plan
 //!    cache and incremental statistics untouched.
 //!
-//! The failpoint registry is process-global, so every test that arms it
-//! serializes on [`CHAOS`] and disarms via a drop guard.
+//! The failpoint registry is process-global, so every in-process test
+//! body — baselines included — runs under one `failpoint::arm` handle: the
+//! handle is exclusive, and a query outside it could be killed by a site
+//! some *other* test just armed. `arm("")` holds the handle with nothing
+//! armed; `rearm` swaps sites in and out while keeping it.
 
 use mpc_skew::core::service::{CacheStatus, QuerySpec, Service, ServiceError};
 use mpc_skew::core::wire::Session;
@@ -23,34 +26,6 @@ use mpc_skew::data::{generators, Rng};
 use mpc_skew::query::parse_query;
 use mpc_skew::sim::backend::Backend;
 use mpc_testkit::failpoint;
-use std::sync::{Mutex, MutexGuard};
-
-static CHAOS: Mutex<()> = Mutex::new(());
-
-/// Every in-process test body runs under this lock, baselines included:
-/// the registry is process-global, so a query outside the lock could be
-/// killed by a site some *other* test just armed.
-fn chaos_lock() -> MutexGuard<'static, ()> {
-    CHAOS.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Arm `spec`; disarm on drop (even when the test panics, so a failed
-/// assertion cannot leak its failpoints into a neighbor). The caller must
-/// already hold [`chaos_lock`].
-struct Armed;
-
-impl Armed {
-    fn new(spec: &str) -> Armed {
-        failpoint::configure_str(spec);
-        Armed
-    }
-}
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        failpoint::clear();
-    }
-}
 
 const DOMAIN: u64 = 1 << 10;
 
@@ -83,30 +58,29 @@ fn injected_panics_are_contained_and_survivors_are_bit_identical() {
     ];
     for &(backend, sites) in matrix {
         for &site in sites {
-            let _guard = chaos_lock();
+            let mut fp = failpoint::arm("");
             let q = two_way();
             let mut svc = loaded_service(backend);
             let baseline = svc.query(&q).expect("uninjected query");
             assert_eq!(baseline.cache_status(), CacheStatus::Miss);
             let expected = baseline.answers();
 
-            {
-                let _armed = Armed::new(&format!("{site}:panic"));
-                // `shuffle`/`merge` fire during execution, `local_join`
-                // during row materialization (one-round answers join
-                // lazily) — both legs run behind the containment
-                // boundary, so drive the full query-to-rows path.
-                let err = svc
-                    .query(&q)
-                    .and_then(|out| out.try_answers())
-                    .expect_err("injected panic must surface as an error");
-                assert_eq!(
-                    err,
-                    ServiceError::Internal(format!("failpoint `{site}` injected panic")),
-                    "{backend:?}/{site}"
-                );
-                assert!(failpoint::fires(site) > 0, "{site} never fired");
-            }
+            fp.rearm(&format!("{site}:panic"));
+            // `shuffle`/`merge` fire during execution, `local_join`
+            // during row materialization (one-round answers join
+            // lazily) — both legs run behind the containment
+            // boundary, so drive the full query-to-rows path.
+            let err = svc
+                .query(&q)
+                .and_then(|out| out.try_answers())
+                .expect_err("injected panic must surface as an error");
+            assert_eq!(
+                err,
+                ServiceError::Internal(format!("failpoint `{site}` injected panic")),
+                "{backend:?}/{site}"
+            );
+            assert!(failpoint::fires(site) > 0, "{site} never fired");
+            fp.rearm("");
 
             // Survival: same service, next query, bit-identical answers,
             // and the failed attempt still counted its cache hit.
@@ -125,17 +99,17 @@ fn injected_panics_are_contained_and_survivors_are_bit_identical() {
 
 #[test]
 fn injected_delays_change_nothing_but_time() {
-    let _guard = chaos_lock();
+    let mut fp = failpoint::arm("");
     for backend in [Backend::Sequential, Backend::Pooled(4)] {
         let q = two_way();
         let mut svc = loaded_service(backend);
         let expected = svc.query(&q).expect("uninjected query").answers();
 
-        let armed = Armed::new("shuffle:delay:1ms,local_join:delay:1ms");
+        fp.rearm("shuffle:delay:1ms,local_join:delay:1ms");
         let slow = svc.query(&q).expect("delayed query still succeeds");
         assert_eq!(slow.answers(), expected, "{backend:?}");
         assert!(failpoint::fires("local_join") > 0);
-        drop(armed);
+        fp.rearm("");
     }
 }
 
@@ -144,12 +118,12 @@ fn probabilistic_panics_eventually_let_a_query_through() {
     // A p < 1 panic site fires deterministically per hit counter: over
     // enough attempts both outcomes must occur, and every success must be
     // bit-identical to the uninjected baseline.
-    let _guard = chaos_lock();
+    let mut fp = failpoint::arm("");
     let q = two_way();
     let mut svc = loaded_service(Backend::Pooled(4));
     let expected = svc.query(&q).expect("uninjected query").answers();
 
-    let _armed = Armed::new("local_join:panic:0.2");
+    fp.rearm("local_join:panic:0.2");
     let (mut failed, mut succeeded) = (0u32, 0u32);
     for _ in 0..24 {
         match svc.query(&q).and_then(|out| out.try_answers()) {
@@ -169,7 +143,7 @@ fn probabilistic_panics_eventually_let_a_query_through() {
 
 #[test]
 fn batch_jobs_are_contained_independently() {
-    let _guard = chaos_lock();
+    let mut fp = failpoint::arm("");
     let q = two_way();
     let mut svc = loaded_service(Backend::Pooled(4));
     let expected = svc.query(&q).expect("solo query").answers();
@@ -190,20 +164,19 @@ fn batch_jobs_are_contained_independently() {
 
     // Injected panics fail the whole armed batch — but the service
     // survives and the next (disarmed) batch is bit-identical.
-    {
-        let _armed = Armed::new("local_join:panic");
-        for r in svc.query_batch(&specs[..1]) {
-            let got = r.and_then(|out| out.try_answers());
-            assert!(matches!(got, Err(ServiceError::Internal(_))), "{got:?}");
-        }
+    fp.rearm("local_join:panic");
+    for r in svc.query_batch(&specs[..1]) {
+        let got = r.and_then(|out| out.try_answers());
+        assert!(matches!(got, Err(ServiceError::Internal(_))), "{got:?}");
     }
+    fp.rearm("");
     let recovered = svc.query_batch(&specs[..1]);
     assert_eq!(recovered[0].as_ref().unwrap().answers(), expected);
 }
 
 #[test]
 fn deadline_expiry_leaves_plan_cache_and_stats_untouched() {
-    let _guard = chaos_lock();
+    let mut fp = failpoint::arm("");
     let q = two_way();
     let mut svc = loaded_service(Backend::Sequential);
     let baseline = svc.query(&q).expect("uninjected query");
@@ -213,11 +186,11 @@ fn deadline_expiry_leaves_plan_cache_and_stats_untouched() {
 
     // A 25ms injected stall against a 1ms deadline: the cooperative poll
     // right after the failpoint trips deterministically.
-    let armed = Armed::new("local_join:delay:25ms");
+    fp.rearm("local_join:delay:25ms");
     let spec = QuerySpec::new(q.clone()).timeout_ms(1);
     let err = svc.query_spec(&spec).expect_err("deadline must expire");
     assert_eq!(err, ServiceError::Timeout);
-    drop(armed);
+    fp.rearm("");
 
     // The expired query consumed nothing: same cached plan (served as a
     // hit), same counters shape, same catalog statistics.
@@ -232,7 +205,7 @@ fn deadline_expiry_leaves_plan_cache_and_stats_untouched() {
 
 #[test]
 fn wire_session_reports_err_internal_and_keeps_serving() {
-    let _guard = chaos_lock();
+    let mut fp = failpoint::arm("");
     let mut svc = Service::new(64)
         .with_backend(Backend::Sequential)
         .with_defaults(4, 1);
@@ -244,15 +217,14 @@ fn wire_session_reports_err_internal_and_keeps_serving() {
     let baseline = s.handle(&mut svc, "QUERY S1(x,z), S2(y,z) rows");
     assert!(baseline[0].starts_with("ok answers=3 "), "{baseline:?}");
 
-    {
-        let _armed = Armed::new("local_join:panic");
-        let out = s.handle(&mut svc, "QUERY S1(x,z), S2(y,z) rows");
-        assert_eq!(
-            out,
-            vec!["err internal failpoint `local_join` injected panic".to_string()],
-            "one err line, no rows, no end marker"
-        );
-    }
+    fp.rearm("local_join:panic");
+    let out = s.handle(&mut svc, "QUERY S1(x,z), S2(y,z) rows");
+    assert_eq!(
+        out,
+        vec!["err internal failpoint `local_join` injected panic".to_string()],
+        "one err line, no rows, no end marker"
+    );
+    fp.rearm("");
 
     // Same session, same service: the next reply is byte-identical.
     let after = s.handle(&mut svc, "QUERY S1(x,z), S2(y,z) rows");
@@ -272,15 +244,7 @@ use std::process::{Command, Stdio};
 /// much was injected.
 fn serve_with_failpoints(spec: &str, script: &str) -> Vec<String> {
     let mut child = Command::new(env!("CARGO_BIN_EXE_mpcskew"))
-        .args([
-            "serve",
-            "--domain",
-            "1024",
-            "--p",
-            "4",
-            "--threads",
-            "pool:2",
-        ])
+        .args(["serve", "--domain", "1024", "--p", "4", "--threads", "2"])
         .env("MPCSKEW_FAILPOINTS", spec)
         .env("RUST_BACKTRACE", "0")
         .env_remove("MPCSKEW_THREADS")

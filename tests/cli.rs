@@ -119,9 +119,7 @@ fn threads_flag_selects_backend_and_output_is_invariant() {
     let seq = run("1");
     assert!(seq.contains("backend = sequential"), "{seq}");
     assert!(seq.contains("verification PASSED"), "{seq}");
-    let thr = run("4");
-    assert!(thr.contains("backend = threaded(4)"), "{thr}");
-    let pooled = run("pool:4");
+    let pooled = run("4");
     assert!(pooled.contains("backend = pooled(4)"), "{pooled}");
     // Identical measurements, modulo the backend banner line.
     let strip = |s: &str| {
@@ -130,7 +128,6 @@ fn threads_flag_selects_backend_and_output_is_invariant() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(strip(&seq), strip(&thr), "output drifted across backends");
     assert_eq!(
         strip(&seq),
         strip(&pooled),
@@ -310,13 +307,17 @@ fn multi_round_algo_reports_rounds() {
 
 #[test]
 fn bad_threads_flag_is_rejected() {
-    let out = mpcskew()
-        .args(["run", "S1(x,z), S2(y,z)", "--threads", "many"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--threads expects an integer"), "{err}");
+    // `pool:<n>` was a second spelling of the worker count; it is gone, and
+    // must fail loudly rather than fall back to a default backend.
+    for bad in ["many".to_string(), format!("pool:{}", 4)] {
+        let out = mpcskew()
+            .args(["run", "S1(x,z), S2(y,z)", "--threads", &bad])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "--threads {bad} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--threads expects an integer"), "{err}");
+    }
 }
 
 #[test]

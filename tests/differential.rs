@@ -7,11 +7,11 @@
 //! baselines), asserting two things for each (scenario, algorithm) cell:
 //!
 //! 1. **oracle equality** — the distributed answer set equals the
-//!    sequential `mpc_data::join` of the input;
-//! 2. **backend determinism** — `Sequential`, `Threaded(2)`, `Threaded(8)`,
-//!    and the persistent-pool `Pooled(4)` produce identical answer sets
-//!    *and* identical [`LoadReport`]s (exact per-server equality), i.e.
-//!    every parallel executor is bit-identical to the sequential one.
+//!    sequential `mpc_data::Join` of the input;
+//! 2. **backend determinism** — `Sequential` and the persistent pool at
+//!    2, 4 and 8 workers produce identical answer sets *and* identical
+//!    [`LoadReport`]s (exact per-server equality), i.e. the parallel
+//!    executor is bit-identical to the sequential one.
 
 use mpc_skew::core::baselines::{FragmentReplicateRouter, HashJoinRouter};
 use mpc_skew::core::engine::{Engine, Plan};
@@ -25,19 +25,20 @@ use mpc_skew::sim::backend::Backend;
 use mpc_skew::sim::cluster::{BroadcastRouter, Cluster, Router};
 use mpc_skew::sim::load::LoadReport;
 
-/// The backends the acceptance matrix requires (`Threaded(1)` is covered
-/// separately by `threaded_one_matches_sequential`). `Pooled(4)` runs on
-/// the shared persistent pool, so the whole matrix doubles as a pool-reuse
-/// soak: one worker set serves every (scenario, algorithm) cell.
+/// The backends the acceptance matrix requires (`Pooled(1)` is covered
+/// separately by `pooled_one_matches_sequential`). Each `Pooled(n)` runs
+/// on the shared persistent pool of that size, so the whole matrix doubles
+/// as a pool-reuse soak: one worker set serves every (scenario, algorithm)
+/// cell.
 const BACKENDS: [Backend; 4] = [
     Backend::Sequential,
-    Backend::Threaded(2),
-    Backend::Threaded(8),
+    Backend::Pooled(2),
+    Backend::Pooled(8),
     Backend::Pooled(4),
 ];
 
 /// The scenario matrix over the two-way join `S1(x,z) ⋈ S2(y,z)`. Sizes
-/// are chosen so the threaded shuffle genuinely shards (> 512-tuple
+/// are chosen so the pooled shuffle genuinely shards (> 512-tuple
 /// chunks) without making the oracle join expensive.
 fn scenarios() -> Vec<(&'static str, Database)> {
     let q = named::two_way_join();
@@ -96,7 +97,7 @@ fn scenarios() -> Vec<(&'static str, Database)> {
     // All duplicates: every tuple of each relation is the same row, and the
     // shared z matches — maximal duplication on one answer (heavy on both
     // sides, so the skew join's H12 grid is exercised too). 600 copies:
-    // enough for the threaded shuffle to shard, while keeping the
+    // enough for the pooled shuffle to shard, while keeping the
     // broadcast baseline's quadratic per-server output (600²·p) tame.
     {
         let mut s1 = Relation::new("S1", 2);
@@ -116,7 +117,7 @@ fn scenarios() -> Vec<(&'static str, Database)> {
 
 /// Sequential ground truth.
 fn oracle(db: &Database) -> mpc_skew::data::AnswerSet {
-    let mut ans = mpc_skew::data::join_database(db);
+    let mut ans = mpc_skew::data::Join::of(db).answers().unwrap();
     ans.sort_dedup();
     ans
 }
@@ -203,11 +204,7 @@ fn multi_round_is_backend_invariant_on_the_matrix() {
         let expected = oracle(&db);
         let seq = run_multi_round_on(&db, p, 5, Backend::Sequential);
         assert_eq!(seq.answers, expected, "{name}: multi-round lost answers");
-        for backend in [
-            Backend::Threaded(2),
-            Backend::Threaded(8),
-            Backend::Pooled(4),
-        ] {
+        for backend in [Backend::Pooled(2), Backend::Pooled(8), Backend::Pooled(4)] {
             let thr = run_multi_round_on(&db, p, 5, backend);
             assert_eq!(thr.answers, seq.answers, "{name} [{backend}]");
             assert_eq!(thr.num_rounds(), seq.num_rounds(), "{name} [{backend}]");
@@ -309,14 +306,14 @@ fn batch_submission_matches_per_round_execution() {
 }
 
 #[test]
-fn threaded_one_matches_sequential() {
-    // Threaded(1) is the degenerate threaded configuration; it must take
-    // the same fast path and produce the same bits.
+fn pooled_one_matches_sequential() {
+    // Pooled(1) is the degenerate pool configuration; it must take the
+    // same inline fast path and produce the same bits.
     let (_, db) = scenarios().remove(1);
     let p = 16usize;
     let sj = SkewJoin::plan(&db, p, 3);
     let (c_seq, r_seq) = sj.run_on(&db, Backend::Sequential);
-    let (c_one, r_one) = sj.run_on(&db, Backend::Threaded(1));
+    let (c_one, r_one) = sj.run_on(&db, Backend::Pooled(1));
     assert_eq!(r_seq, r_one);
     assert_eq!(c_seq.all_answers(db.query()), c_one.all_answers(db.query()));
 }

@@ -208,7 +208,7 @@ proptest! {
         let cards: Vec<usize> = rels.iter().map(|r| r.len()).collect();
         let db = Database::new(q.clone(), rels, n).unwrap();
         let bound = mpc_skew::query::cover::agm_bound(q, &cards).unwrap();
-        let actual = mpc_skew::data::join_database_count(&db) as f64;
+        let actual = mpc_skew::data::Join::of(&db).count().unwrap() as f64;
         prop_assert!(actual <= bound * (1.0 + 1e-9),
             "{}: |q(I)| = {actual} exceeds AGM bound {bound}", q.name());
     }

@@ -12,8 +12,8 @@
 //! bit-identical answers, on every backend.
 
 use mpc_skew::data::generators;
-use mpc_skew::data::join::{self, JoinOrder};
-use mpc_skew::data::Relation;
+use mpc_skew::data::join::{self, Join, JoinOrder};
+use mpc_skew::data::{AnswerSet, Relation};
 use mpc_skew::prelude::*;
 use mpc_skew::query::named;
 
@@ -31,14 +31,13 @@ fn zipf_triangle(m: usize, n: u64, theta: f64, seed: u64) -> Database {
 /// Run one order over one server's fragments: the expanded answer
 /// multiset (sorted) plus the engine's visited-bindings count.
 fn run_fragment(q: &Query, rels: &[&Relation], order: JoinOrder) -> (Vec<Vec<u64>>, u64) {
-    let mut answers: Vec<Vec<u64>> = Vec::new();
-    let stats = join::join_foreach_mult(q, rels, order, |row, mult| {
-        for _ in 0..mult {
-            answers.push(row.to_vec());
-        }
-    });
+    let mut answers = AnswerSet::new(q.num_vars());
+    let stats = Join::new(q, rels)
+        .order(order)
+        .for_each(|row, mult| answers.push_repeat(row, mult))
+        .unwrap();
     answers.sort();
-    (answers, stats.bindings_visited)
+    (answers.to_nested(), stats.bindings_visited)
 }
 
 /// On every server of a HyperCube round over the locally-skewed triangle,
@@ -78,7 +77,7 @@ fn dynamic_order_dominates_fixed_on_every_skewed_fragment() {
 
 /// The full HyperCube round over the skewed triangle is complete (the
 /// oracle runs the fixed order, so this is a dynamic-vs-fixed end-to-end
-/// differential) and bit-identical across all three backends.
+/// differential) and bit-identical across both backends.
 #[test]
 fn skewed_triangle_answers_are_backend_identical() {
     let q = named::cycle(3);
@@ -88,11 +87,7 @@ fn skewed_triangle_answers_are_backend_identical() {
     let hc = HyperCube::new(&q, &alloc, 1);
 
     let mut baseline: Option<Vec<Vec<u64>>> = None;
-    for backend in [
-        Backend::Sequential,
-        Backend::Threaded(4),
-        Backend::Pooled(4),
-    ] {
+    for backend in [Backend::Sequential, Backend::Pooled(4)] {
         let (cluster, _) = hc.run_on(&db, backend);
         assert!(
             verify(&db, &cluster).is_complete(),
@@ -115,7 +110,10 @@ fn visited_probe_matches_per_call_stats() {
     let rels: Vec<&Relation> = db.relations().iter().map(|r| r.as_ref()).collect();
     for order in [JoinOrder::Dynamic, JoinOrder::Fixed] {
         let before = join::visited_bindings_total();
-        let stats = join::join_foreach_mult(&q, &rels, order, |_, _| {});
+        let stats = Join::new(&q, &rels)
+            .order(order)
+            .for_each(|_, _| {})
+            .unwrap();
         assert!(stats.bindings_visited > 0);
         assert!(join::visited_bindings_total() >= before + stats.bindings_visited);
     }

@@ -13,11 +13,7 @@ use mpc_skew::query::named;
 use mpc_skew::sim::backend::Backend;
 use mpc_skew::stats::SimpleStatistics;
 
-const BACKENDS: [Backend; 3] = [
-    Backend::Sequential,
-    Backend::Threaded(2),
-    Backend::Pooled(4),
-];
+const BACKENDS: [Backend; 3] = [Backend::Sequential, Backend::Pooled(2), Backend::Pooled(4)];
 
 const P: usize = 16;
 const SEED: u64 = 11;
@@ -122,7 +118,7 @@ fn assert_matches_explicit(
 }
 
 fn oracle(db: &Database) -> mpc_skew::data::AnswerSet {
-    let mut ans = mpc_skew::data::join_database(db);
+    let mut ans = mpc_skew::data::Join::of(db).answers().unwrap();
     ans.sort_dedup();
     ans
 }
@@ -240,7 +236,7 @@ fn every_explicit_algorithm_is_backend_invariant_through_the_engine() {
             .algorithm(algo)
             .plan(&db);
         let baseline = plan.execute(&db, Backend::Sequential);
-        for backend in [Backend::Threaded(2), Backend::Pooled(4)] {
+        for backend in [Backend::Pooled(2), Backend::Pooled(4)] {
             let outcome = plan.execute(&db, backend);
             assert_eq!(
                 outcome.answers(),

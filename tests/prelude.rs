@@ -79,18 +79,14 @@ fn prelude_covers_the_engine_surface() {
 }
 
 #[test]
-fn prelude_covers_reducer_scheduling() {
+fn prelude_covers_shares_varsets_and_clusters() {
     let query = mpc_skew::query::named::cycle(3);
     let stats = SimpleStatistics::synthetic(&[2, 2, 2], vec![1 << 14; 3], 1 << 20);
-    let m_bits = stats.bit_sizes[0] as f64;
-    let schedule: ReducerSchedule =
-        servers_for_reducer_cap(&query, &stats, m_bits / 4.0, 1 << 16).unwrap();
-    assert!(schedule.p >= 2);
-    assert!(schedule.predicted_load_bits <= m_bits / 4.0 + 1.0);
+    let alloc = ShareAllocation::optimize(&query, &stats, 64).unwrap();
     let x: VarSet = VarSet::singleton(0);
     assert_eq!(x.len(), 1);
     let c: &Cluster = &{
-        let hc = HyperCube::new(&query, &schedule.alloc, 5);
+        let hc = HyperCube::new(&query, &alloc, 5);
         let mut rng = Rng::seed_from_u64(1);
         let rels: Vec<Relation> = query
             .atoms()

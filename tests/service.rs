@@ -41,11 +41,7 @@ fn ingest_then_query_matches_fresh_build_across_backends() {
     let s1 = generators::zipf_column("S1", 2, 800, domain, 1, 1.1, &mut rng);
     let s2 = generators::uniform("S2", 2, 600, domain, &mut rng);
 
-    for backend in [
-        Backend::Sequential,
-        Backend::Threaded(2),
-        Backend::Pooled(4),
-    ] {
+    for backend in [Backend::Sequential, Backend::Pooled(2), Backend::Pooled(4)] {
         let mut svc = Service::new(domain)
             .with_backend(backend)
             .with_defaults(p, 1);

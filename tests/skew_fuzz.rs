@@ -104,9 +104,8 @@ proptest! {
 
     /// Determinism regression guard: for random queries and databases,
     /// answer sets and per-server loads (the whole `LoadReport`) are
-    /// invariant under the executor's thread count — `Threaded(t)` *and*
-    /// the persistent-pool `Pooled(t)` are bit-identical to `Sequential`
-    /// for both the §4.2 general algorithm and equal-share HyperCube.
+    /// invariant under the executor's thread count — `Pooled(t)` is
+    /// bit-identical to `Sequential` for both the §4.2 general algorithm and equal-share HyperCube.
     #[test]
     fn thread_count_invariance_fuzz(
         qi in 0usize..4,
@@ -137,29 +136,19 @@ proptest! {
 
         let alg = GeneralSkewAlgorithm::plan(&db, p, seed ^ 0x7777);
         let (c_seq, r_seq) = alg.run_on(&db, Backend::Sequential);
-        let (c_thr, r_thr) = alg.run_on(&db, Backend::Threaded(threads));
-        prop_assert_eq!(&r_seq, &r_thr,
-            "{} seed={seed} p={p} threads={threads}: general LoadReport drifted", q.name());
-        prop_assert_eq!(c_seq.all_answers(q), c_thr.all_answers(q),
-            "{} seed={seed} p={p} threads={threads}: general answers drifted", q.name());
         let (c_pool, r_pool) = alg.run_on(&db, Backend::Pooled(threads));
         prop_assert_eq!(&r_seq, &r_pool,
-            "{} seed={seed} p={p} pool:{threads}: general LoadReport drifted", q.name());
+            "{} seed={seed} p={p} threads={threads}: general LoadReport drifted", q.name());
         prop_assert_eq!(c_seq.all_answers(q), c_pool.all_answers(q),
-            "{} seed={seed} p={p} pool:{threads}: general answers drifted", q.name());
+            "{} seed={seed} p={p} threads={threads}: general answers drifted", q.name());
 
         let hc = HyperCube::with_equal_shares(q, p, seed ^ 0x2222);
         let (h_seq, hr_seq) = hc.run_on(&db, Backend::Sequential);
-        let (h_thr, hr_thr) = hc.run_on(&db, Backend::Threaded(threads));
-        prop_assert_eq!(&hr_seq, &hr_thr,
-            "{} seed={seed} p={p} threads={threads}: HC LoadReport drifted", q.name());
-        prop_assert_eq!(h_seq.all_answers(q), h_thr.all_answers(q),
-            "{} seed={seed} p={p} threads={threads}: HC answers drifted", q.name());
         let (h_pool, hr_pool) = hc.run_on(&db, Backend::Pooled(threads));
         prop_assert_eq!(&hr_seq, &hr_pool,
-            "{} seed={seed} p={p} pool:{threads}: HC LoadReport drifted", q.name());
+            "{} seed={seed} p={p} threads={threads}: HC LoadReport drifted", q.name());
         prop_assert_eq!(h_seq.all_answers(q), h_pool.all_answers(q),
-            "{} seed={seed} p={p} pool:{threads}: HC answers drifted", q.name());
+            "{} seed={seed} p={p} threads={threads}: HC answers drifted", q.name());
     }
 
     /// The engine's auto planner never loses answers and never decides
@@ -226,13 +215,12 @@ proptest! {
             "{} seed={seed} p={p}: engine answers drifted from explicit", q.name());
 
         // Invariant under the executor.
-        for backend in [Backend::Threaded(threads), Backend::Pooled(threads)] {
-            let par = plan.execute(&db, backend);
-            prop_assert_eq!(par.report(), outcome.report(),
-                "{} seed={seed} p={p} [{}]: engine LoadReport drifted", q.name(), backend);
-            prop_assert_eq!(par.answers(), outcome.answers(),
-                "{} seed={seed} p={p} [{}]: engine answers drifted", q.name(), backend);
-        }
+        let backend = Backend::Pooled(threads);
+        let par = plan.execute(&db, backend);
+        prop_assert_eq!(par.report(), outcome.report(),
+            "{} seed={seed} p={p} [{}]: engine LoadReport drifted", q.name(), backend);
+        prop_assert_eq!(par.answers(), outcome.answers(),
+            "{} seed={seed} p={p} [{}]: engine answers drifted", q.name(), backend);
     }
 
     /// Join-product-skew workloads (correlated hot values on both sides,
@@ -272,11 +260,7 @@ proptest! {
             .aggregate(spec.clone())
             .plan(&db);
         let mut per_backend = Vec::new();
-        for backend in [
-            Backend::Sequential,
-            Backend::Threaded(threads),
-            Backend::Pooled(threads),
-        ] {
+        for backend in [Backend::Sequential, Backend::Pooled(threads)] {
             let outcome = plan.execute(&db, backend);
             let v = outcome.verify(&db);
             prop_assert!(v.is_complete(),

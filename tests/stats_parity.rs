@@ -13,11 +13,7 @@ use mpc_skew::data::{generators, Database, Relation, Rng};
 use mpc_skew::query::{named, parse_query};
 use mpc_skew::sim::backend::Backend;
 
-const BACKENDS: [Backend; 3] = [
-    Backend::Sequential,
-    Backend::Threaded(2),
-    Backend::Pooled(4),
-];
+const BACKENDS: [Backend; 3] = [Backend::Sequential, Backend::Pooled(2), Backend::Pooled(4)];
 
 const P: usize = 16;
 const SEED: u64 = 11;
