@@ -4,7 +4,8 @@
 # replaced in-tree by crates/testkit).
 #
 #   ./ci.sh              # build + serve smoke + both-backend tests + fmt
-#                        # + lint + docs + bench-compile
+#                        # + lint + docs + bench-compile + mpcbench
+#                        # (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
 #                        # `cargo test` includes the rustdoc doctests
 #   ./ci.sh --bench prN  # bench smoke only (reduced budget) -> BENCH_prN.json;
@@ -172,6 +173,22 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 stage "cargo bench --no-run"
 cargo bench --workspace --offline --no-run
+
+# The judged benchmark is its own package (mpcbench/, empty [workspace]),
+# so nothing above notices when a refactor breaks the Rust API its
+# layers.rs compiles against or the protocol replies it checks. Build and
+# test it against the crates, then drive every workload once end to end.
+stage "mpcbench: unit tests + --smoke (all six workloads correct, none failed)"
+cargo test --release --offline --manifest-path mpcbench/Cargo.toml
+MPCBENCH_STATUS=0
+MPCBENCH_OUT=$(bash mpcbench/run.sh --smoke) || MPCBENCH_STATUS=$?
+echo "$MPCBENCH_OUT"
+if [ "$MPCBENCH_STATUS" -ne 0 ] \
+    || echo "$MPCBENCH_OUT" | grep -q '"correct": false' \
+    || echo "$MPCBENCH_OUT" | grep -Eq '"failed": [1-9]'; then
+    echo "mpcbench --smoke: exit $MPCBENCH_STATUS, or a workload reported wrong or failed replies" >&2
+    exit 1
+fi
 
 # Bench-trajectory comparison: newest recorded baseline vs its predecessor.
 # Informational — medians recorded on different commits of this noisy

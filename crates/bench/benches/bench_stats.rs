@@ -2,7 +2,7 @@
 //! (`stats_build/{exact,sketch}`) and keeping them fresh under ingest
 //! (`service_append_sketch`). The `scan_bytes_per_iter` counter is the
 //! acceptance probe — a sketch-mode service folds appended tuples into
-//! its SpaceSaving/HLL summaries without rescanning the relation, so its
+//! its SpaceSaving summaries without rescanning the relation, so its
 //! scan bytes stay flat as the resident relation grows, while the
 //! rebuild path's full `ExactStats` scan grows linearly.
 

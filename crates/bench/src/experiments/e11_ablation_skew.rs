@@ -42,7 +42,16 @@ pub fn run() {
 
         let with = SkewJoin::plan(&db, p, 3);
         let (c1, r1) = with.run(&db);
-        let without = SkewJoin::plan_with(&db, p, 3, SkewJoinConfig { use_grids: false });
+        let without = SkewJoin::plan_from_parts(
+            db.query(),
+            db.relation(0).len(),
+            db.relation(1).len(),
+            p,
+            3,
+            SkewJoinConfig { use_grids: false },
+            &db.relation(0).frequencies(&[1]),
+            &db.relation(1).frequencies(&[1]),
+        );
         let (c2, r2) = without.run(&db);
         // Both remain correct — only the load differs.
         if frac == 4 {

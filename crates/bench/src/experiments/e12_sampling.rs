@@ -44,11 +44,15 @@ pub fn run() {
 
         let sf1 = sampling::sample_heavy_hitters(db.relation(0), &[1], p, &mut rng);
         let sf2 = sampling::sample_heavy_hitters(db.relation(1), &[1], p, &mut rng);
-        let sampled = SkewJoin::plan_with_frequencies(
-            &db,
+        let (m1, m2) = (db.relation(0).len(), db.relation(1).len());
+        let config = SkewJoinConfig::default();
+        let sampled = SkewJoin::plan_from_parts(
+            db.query(),
+            m1,
+            m2,
             p,
             9,
-            SkewJoinConfig::default(),
+            config,
             &sf1.estimates,
             &sf2.estimates,
         );
@@ -56,8 +60,7 @@ pub fn run() {
         verify::assert_complete(&db, &c_s);
 
         let empty: mpc_data::FastMap<Vec<u64>, usize> = mpc_data::FastMap::default();
-        let blind =
-            SkewJoin::plan_with_frequencies(&db, p, 9, SkewJoinConfig::default(), &empty, &empty);
+        let blind = SkewJoin::plan_from_parts(db.query(), m1, m2, p, 9, config, &empty, &empty);
         let (c_b, r_b) = blind.run(&db);
         verify::assert_complete(&db, &c_b);
 

@@ -13,10 +13,10 @@
 //! * [`Algorithm`] — the algorithm menu, including [`Algorithm::Auto`],
 //!   which picks from heavy-hitter statistics;
 //! * [`Stats`] — the error-bounded statistics surface the planner
-//!   consumes ([`ExactStats`] reads the data exactly, [`SketchStats`]
-//!   answers from sublinear SpaceSaving/HLL summaries, [`SyntheticStats`]
-//!   carries cardinalities only; pick with [`StatsMode`] /
-//!   [`Engine::stats_mode`]);
+//!   consumes, re-exported from [`mpc_stats::source`] ([`ExactStats`]
+//!   reads the data exactly, [`SketchStats`] answers from sublinear
+//!   SpaceSaving summaries, [`SyntheticStats`] carries cardinalities only;
+//!   pick with [`StatsMode`] / [`Engine::stats_mode`]);
 //! * [`Plan`] — a planned algorithm carrying its predicted `L(u, M, p)`
 //!   load and plan metadata (shares, heavy hitters, bin combinations,
 //!   rounds); it implements [`Router`], so it drops straight into
@@ -62,18 +62,16 @@ use crate::verify::{self, Verification};
 use mpc_data::answers::AnswerSet;
 use mpc_data::budget::{BudgetExceeded, QueryBudget};
 use mpc_data::catalog::Database;
-use mpc_data::fastmap::FastMap;
 use mpc_query::aggregate::AggregateSpec;
 use mpc_query::{Query, QueryShape, VarSet};
 use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{BatchJob, Cluster, Router};
 use mpc_sim::load::LoadReport;
 use mpc_stats::cardinality::SimpleStatistics;
-use mpc_stats::combination::FrequencySource;
 use mpc_stats::heavy::HeavyHitters;
-use mpc_stats::sketch::{FreqEstimate, RelationSketch};
 use std::fmt;
-use std::sync::Arc;
+
+pub use mpc_stats::source::{ExactStats, SketchStats, Stats, SyntheticStats};
 
 /// The algorithm menu. [`Algorithm::Auto`] resolves to a concrete choice
 /// at plan time from the statistics (see [`choose`]).
@@ -150,265 +148,12 @@ impl fmt::Display for Algorithm {
     }
 }
 
-/// The statistics the planner consumes — the paper's two information
-/// regimes behind one interface, redesigned around *error-bounded
-/// estimates* so sublinear sources (sketches, samples) are first-class:
-///
-/// * [`ExactStats`] realizes both regimes exactly from the data (the
-///   paper's assumption "every input server knows all heavy hitters");
-/// * [`SketchStats`] answers from [`mpc_stats::sketch`] SpaceSaving/HLL
-///   summaries — `O(p)` space per projection, never rescanning per query;
-/// * [`SyntheticStats`] carries only the simple regime (cardinalities), so
-///   the planner sees no skew — useful for what-if planning without data.
-///
-/// The planner consumes estimates through the **pinned conservative
-/// fallback rule** ([`FreqEstimate::may_exceed`]): whenever an estimate's
-/// guaranteed error interval straddles the `m_j/p` heaviness threshold the
-/// key is treated as heavy. Overclassifying only shifts load (within the
-/// paper's constants); answers never change, because every algorithm in
-/// this crate is answer-complete under any heavy classification.
-pub trait Stats {
-    /// Simple database statistics (Section 3): cardinalities, bit sizes.
-    fn simple(&self) -> SimpleStatistics;
-
-    /// Error-bounded heavy-hitter estimates of atom `atom`'s projection
-    /// onto attribute positions `cols`, at the Section 4 threshold
-    /// `m_j/p` (the complex regime).
-    ///
-    /// Contract: a **conservative superset**, sorted by key — every
-    /// assignment whose *true* frequency may exceed `m_j/p` given the
-    /// implementation's error bounds must appear (exact sources return
-    /// exactly the heavy hitters with zero-width bounds). Extra
-    /// sub-threshold keys are allowed but wasteful.
-    fn heavy_hitters(&self, atom: usize, cols: &[usize], p: usize) -> Vec<FreqEstimate>;
-
-    /// Estimated number of distinct values in one column of `atom`
-    /// (`None` when the source cannot say — the default).
-    fn distinct(&self, _atom: usize, _col: usize) -> Option<usize> {
-        None
-    }
-
-    /// Compatibility shim over the pre-redesign surface: the known
-    /// estimates as a plain frequency map at each key's largest consistent
-    /// count. Kept so old call sites compile; new code should consume
-    /// [`Stats::heavy_hitters`], whose error bounds this projection
-    /// discards. Returns `Arc` so memoizing implementations share one map
-    /// allocation across calls instead of cloning per call.
-    fn frequencies(&self, atom: usize, cols: &[usize]) -> Arc<FastMap<Vec<u64>, usize>> {
-        // `p = usize::MAX` drives the threshold to ~0: "everything you
-        // can estimate".
-        Arc::new(
-            self.heavy_hitters(atom, cols, usize::MAX)
-                .into_iter()
-                .map(|e| (e.key.clone(), e.count_upper()))
-                .collect(),
-        )
-    }
-
-    /// Plan-cache invalidation hook: a hash of everything about these
-    /// statistics that planning `q` at `p` servers consults (see
-    /// [`planning_projections`]) — heavy-hitter *membership* per consulted
-    /// projection plus coarse (power-of-two) cardinalities. A cached
-    /// [`Plan`] built under one fingerprint may be reused while the
-    /// fingerprint is unchanged: statistics drift within a fingerprint
-    /// yields the same algorithm choice up to load shifts, and any plan
-    /// stays answer-correct regardless. Sketch-backed sources hash their
-    /// summaries' conservative heavy membership, so the plan cache keeps
-    /// working under approximate statistics. `None` (the default) means
-    /// these statistics cannot cheaply witness their own staleness, so
-    /// callers must not cache plans built from them.
-    fn fingerprint(&self, _q: &Query, _p: usize) -> Option<u64> {
-        None
-    }
-}
-
-/// The conservative frequency map of a batch of estimates: each key at its
-/// largest consistent count, clamped to the relation cardinality `m` (a
-/// key cannot occur more often than the relation has tuples). Feeding
-/// these to [`SkewJoin::plan_from_parts`] or [`bounds::skew_join_bound`]
-/// applies the pinned straddle-is-heavy rule, because a key whose interval
-/// crosses the threshold clears it at `count_upper`.
-fn conservative_frequency_map(estimates: &[FreqEstimate], m: usize) -> FastMap<Vec<u64>, usize> {
-    estimates
-        .iter()
-        .map(|e| (e.key.clone(), e.count_upper().min(m.max(1))))
-        .collect()
-}
-
-/// Adapts a [`Stats`] source into the [`FrequencySource`] the §4.2 bin
-/// combinations consume, so one statistics view feeds both the
-/// combination enumeration and the residual-base exclusion tables —
-/// keeping the heavy/light split internally consistent whatever the
-/// estimate error. Heavy sets apply the straddle-is-heavy rule via
-/// [`HeavyHitters::from_estimates`]; light frequencies fall back to the
-/// compat map (they only order the capped assignment choice, so a zero
-/// there costs balance, not correctness).
-struct StatsSource<'a> {
-    q: &'a Query,
-    stats: &'a dyn Stats,
-    simple: &'a SimpleStatistics,
-    p: usize,
-}
-
-impl FrequencySource for StatsSource<'_> {
-    fn heavy(&self, atom: usize, vars: VarSet) -> HeavyHitters {
-        let eff = vars.intersect(self.q.atom(atom).var_set());
-        let cols = mpc_stats::heavy::columns_for(self.q, atom, eff);
-        let estimates = self.stats.heavy_hitters(atom, &cols, self.p);
-        HeavyHitters::from_estimates(
-            atom,
-            eff,
-            cols,
-            &estimates,
-            self.simple.cardinalities[atom],
-            self.p,
-        )
-    }
-
-    fn light_frequency(&self, atom: usize, cols: &[usize], key: &[u64]) -> usize {
-        self.stats
-            .frequencies(atom, cols)
-            .get(key)
-            .copied()
-            .unwrap_or(0)
-    }
-}
-
-/// Exact statistics read from the database (the default). Frequency maps
-/// are memoized per `(atom, cols)` behind `Arc`, so the auto planner's
-/// skew detection and the subsequent skew-join planning share one relation
-/// scan *and* one allocation (cache hits clone the `Arc`, not the map).
-pub struct ExactStats<'a> {
-    db: &'a Database,
-    #[allow(clippy::type_complexity)]
-    cache: std::cell::RefCell<FastMap<(usize, Vec<usize>), Arc<FastMap<Vec<u64>, usize>>>>,
-}
-
-impl<'a> ExactStats<'a> {
-    /// Wrap a database.
-    pub fn of(db: &'a Database) -> ExactStats<'a> {
-        ExactStats {
-            db,
-            cache: std::cell::RefCell::new(FastMap::default()),
-        }
-    }
-}
-
-impl Stats for ExactStats<'_> {
-    fn simple(&self) -> SimpleStatistics {
-        SimpleStatistics::of(self.db)
-    }
-
-    fn heavy_hitters(&self, atom: usize, cols: &[usize], p: usize) -> Vec<FreqEstimate> {
-        let m = self.db.relation(atom).len();
-        let threshold = m as f64 / p as f64;
-        let map = self.frequencies(atom, cols);
-        let mut out: Vec<FreqEstimate> = map
-            .iter()
-            .filter(|(_, &c)| c as f64 > threshold)
-            .map(|(k, &c)| FreqEstimate::exact(k.clone(), c))
-            .collect();
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        out
-    }
-
-    fn distinct(&self, atom: usize, col: usize) -> Option<usize> {
-        Some(self.frequencies(atom, &[col]).len())
-    }
-
-    fn frequencies(&self, atom: usize, cols: &[usize]) -> Arc<FastMap<Vec<u64>, usize>> {
-        if let Some(map) = self.cache.borrow().get(&(atom, cols.to_vec())) {
-            return Arc::clone(map);
-        }
-        let map = Arc::new(self.db.relation(atom).frequencies(cols));
-        self.cache
-            .borrow_mut()
-            .insert((atom, cols.to_vec()), Arc::clone(&map));
-        map
-    }
-}
-
-/// Sketch-backed statistics: SpaceSaving heavy-hitter summaries and
-/// HLL-style distinct counters ([`mpc_stats::sketch`]) built lazily per
-/// relation/projection. Building a summary costs one streaming pass over
-/// the relation (the same pass an ingest pipeline gets for free — see the
-/// resident service, which maintains these incrementally on append); after
-/// that, every planner question is answered from `O(capacity)` state with
-/// guaranteed error bounds, never rescanning.
-pub struct SketchStats<'a> {
-    db: &'a Database,
-    capacity: usize,
-    cache: std::cell::RefCell<FastMap<usize, RelationSketch>>,
-}
-
 /// The per-projection SpaceSaving capacity the engine uses for `p`
 /// servers: `2p`, floored at 16. Capacity `>= p` guarantees no true
 /// `m/p`-heavy hitter is missed; the extra factor keeps the guarantee
 /// under moderate per-query `p` drift and tightens the error bounds.
 pub fn sketch_capacity(p: usize) -> usize {
     (2 * p).max(16)
-}
-
-impl<'a> SketchStats<'a> {
-    /// Sketch `db` at `capacity` tracked keys per projection (see
-    /// [`sketch_capacity`]).
-    pub fn of(db: &'a Database, capacity: usize) -> SketchStats<'a> {
-        SketchStats {
-            db,
-            capacity,
-            cache: std::cell::RefCell::new(FastMap::default()),
-        }
-    }
-
-    fn with_sketch<T>(
-        &self,
-        atom: usize,
-        cols: &[usize],
-        f: impl FnOnce(&RelationSketch) -> T,
-    ) -> T {
-        let mut cache = self.cache.borrow_mut();
-        let rel = self.db.relation(atom);
-        let sk = cache
-            .entry(atom)
-            .or_insert_with(|| RelationSketch::of(rel, self.capacity));
-        sk.ensure_projection(rel, cols);
-        f(sk)
-    }
-}
-
-impl Stats for SketchStats<'_> {
-    fn simple(&self) -> SimpleStatistics {
-        SimpleStatistics::of(self.db)
-    }
-
-    fn heavy_hitters(&self, atom: usize, cols: &[usize], p: usize) -> Vec<FreqEstimate> {
-        self.with_sketch(atom, cols, |sk| {
-            sk.heavy_hitters(cols, p).expect("projection ensured")
-        })
-    }
-
-    fn distinct(&self, atom: usize, col: usize) -> Option<usize> {
-        let mut cache = self.cache.borrow_mut();
-        let rel = self.db.relation(atom);
-        let sk = cache
-            .entry(atom)
-            .or_insert_with(|| RelationSketch::of(rel, self.capacity));
-        sk.distinct(col)
-    }
-}
-
-/// Cardinalities-only statistics: the planner sees no heavy hitters, so
-/// `auto` resolves to HyperCube whatever the data looks like.
-pub struct SyntheticStats(pub SimpleStatistics);
-
-impl Stats for SyntheticStats {
-    fn simple(&self) -> SimpleStatistics {
-        self.0.clone()
-    }
-
-    fn heavy_hitters(&self, _atom: usize, _cols: &[usize], _p: usize) -> Vec<FreqEstimate> {
-        Vec::new()
-    }
 }
 
 /// Which statistics source [`Engine::plan`] builds when none is supplied
@@ -418,7 +163,7 @@ pub enum StatsMode {
     /// [`ExactStats`]: scan the relations per consulted projection.
     #[default]
     Exact,
-    /// [`SketchStats`]: SpaceSaving/HLL summaries, error-bounded and
+    /// [`SketchStats`]: SpaceSaving summaries, error-bounded and
     /// sublinear to maintain.
     Sketch,
     /// [`SyntheticStats`]: cardinalities only — no skew visible.
@@ -454,18 +199,13 @@ impl fmt::Display for StatsMode {
 
 /// True when some atom has a heavy hitter (frequency `> m_j/p`) on a
 /// variable it shares with another atom — the condition under which the
-/// §4 algorithms beat plain HyperCube.
+/// §4 algorithms beat plain HyperCube. `simple` is `stats.simple()` (the
+/// planner computes it once and threads it through).
 ///
 /// Checking single shared variables suffices: any jointly-heavy
 /// assignment of a larger subset projects to an at-least-as-frequent
 /// assignment of each member variable at the same `m_j/p` threshold.
-pub fn detects_join_skew(q: &Query, stats: &dyn Stats, p: usize) -> bool {
-    detects_join_skew_with(q, stats, &stats.simple(), p)
-}
-
-/// [`detects_join_skew`] with the simple statistics already in hand (the
-/// planner computes them once and threads them through).
-fn detects_join_skew_with(
+pub fn detects_join_skew(
     q: &Query,
     stats: &dyn Stats,
     simple: &SimpleStatistics,
@@ -496,13 +236,8 @@ fn detects_join_skew_with(
 /// Resolve [`Algorithm::Auto`]: HyperCube at the LP-optimal shares when
 /// the join variables are skew-free; on skewed data, the §4.1 skew join
 /// for two-relation joins and the §4.2 general algorithm otherwise.
-pub fn choose(q: &Query, stats: &dyn Stats, p: usize) -> Algorithm {
-    choose_with(q, stats, &stats.simple(), p)
-}
-
-/// [`choose`] with the simple statistics already in hand.
-fn choose_with(q: &Query, stats: &dyn Stats, simple: &SimpleStatistics, p: usize) -> Algorithm {
-    if !detects_join_skew_with(q, stats, simple, p) {
+pub fn choose(q: &Query, stats: &dyn Stats, simple: &SimpleStatistics, p: usize) -> Algorithm {
+    if !detects_join_skew(q, stats, simple, p) {
         Algorithm::HyperCube
     } else if q.num_atoms() == 2
         && !q
@@ -557,7 +292,8 @@ pub fn planning_projections(q: &Query) -> Vec<(usize, Vec<usize>)> {
 /// parameter baked into a [`Plan`] (server count, hash seed, and the
 /// *requested* algorithm — `Auto` and a pinned choice must not share an
 /// entry even when they resolve identically today). Pair it with a
-/// [`Stats::fingerprint`] to know when the cached plan went stale.
+/// fingerprint of the statistics over [`planning_projections`] to know
+/// when the cached plan went stale.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// [`Query::shape`] of the (canonicalized) query.
@@ -1133,7 +869,7 @@ impl<'s> Engine<'s> {
 
     /// Which statistics source [`Engine::plan`] builds when none is
     /// supplied via [`Engine::stats`] (default: [`StatsMode::Exact`]).
-    /// [`StatsMode::Sketch`] plans from SpaceSaving/HLL summaries at
+    /// [`StatsMode::Sketch`] plans from SpaceSaving summaries at
     /// [`sketch_capacity`]`(p)` — sublinear state, error-bounded, and
     /// conservatively safe: estimate error can only shift load, never
     /// change answers.
@@ -1205,7 +941,7 @@ impl<'s> Engine<'s> {
         let simple = stats.simple();
         let resolved = match self.algorithm {
             Algorithm::Auto => {
-                let chosen = choose_with(q, stats, &simple, p);
+                let chosen = choose(q, stats, &simple, p);
                 // Aggregates fold over join derivations, so the plan must
                 // produce each derivation on exactly one server. The §4.2
                 // bin-combination algorithm replicates derivations across
@@ -1280,19 +1016,14 @@ impl<'s> Engine<'s> {
             Algorithm::SkewJoin => {
                 assert_eq!(q.num_atoms(), 2, "skew join handles exactly two relations");
                 let shared = q.atom(0).var_set().intersect(q.atom(1).var_set());
-                let cols = [
-                    mpc_stats::heavy::columns_for(q, 0, shared),
-                    mpc_stats::heavy::columns_for(q, 1, shared),
-                ];
                 let (m1, m2) = (simple.cardinalities[0], simple.cardinalities[1]);
-                // Heavy-hitter estimates at their largest consistent
-                // counts: the straddle-is-heavy rule. The skew join and
-                // its load bound consult frequencies only through the
-                // above-threshold classification, so under exact
-                // statistics these pruned maps reproduce the full-map
-                // plan bit for bit.
-                let f1 = conservative_frequency_map(&stats.heavy_hitters(0, &cols[0], p), m1);
-                let f2 = conservative_frequency_map(&stats.heavy_hitters(1, &cols[1], p), m2);
+                // Heavy hitters at their largest consistent counts: the
+                // straddle-is-heavy rule. The skew join and its load bound
+                // consult frequencies only through the above-threshold
+                // classification, so under exact statistics these pruned
+                // maps reproduce the full-map plan bit for bit.
+                let f1 = HeavyHitters::of(q, stats, m1, 0, shared, p).entries;
+                let f2 = HeavyHitters::of(q, stats, m2, 1, shared, p).entries;
                 let bound = bounds::skew_join_bound(m1, m2, &f1, &f2, p);
                 // Eq. (10) is stated in tuples; convert with the widest
                 // tuple so the prediction stays an upper shape.
@@ -1302,14 +1033,7 @@ impl<'s> Engine<'s> {
                 (PlanKind::SkewJoin(sj), bound.max_tuples() * width)
             }
             Algorithm::GeneralSkew => {
-                let source = StatsSource {
-                    q,
-                    stats,
-                    simple: &simple,
-                    p,
-                };
-                let alg =
-                    GeneralSkewAlgorithm::plan_with_source(db, p, self.seed, &simple, &source);
+                let alg = GeneralSkewAlgorithm::plan_with(db, p, self.seed, stats);
                 let predicted = alg.predicted_load_bits();
                 (PlanKind::GeneralSkew(Box::new(alg)), predicted)
             }
@@ -1533,13 +1257,18 @@ mod tests {
 
     #[test]
     fn exact_stats_memoize_frequency_maps() {
+        use mpc_data::stats_scan_bytes_total;
         let db = zipf_join(1500, 1.0, 50);
         let stats = ExactStats::of(&db);
-        let a = stats.frequencies(0, &[1]);
-        let b = stats.frequencies(0, &[1]);
-        // One shared allocation: the cache hit clones the Arc, not the map.
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(stats.cache.borrow().len(), 1, "second call hit the cache");
+        let before = stats_scan_bytes_total();
+        let heavy = stats.heavy_hitters(0, &[1], 16);
+        let one_scan = stats_scan_bytes_total() - before;
+        assert_eq!(one_scan, db.relation(0).len() as u64 * 2 * 8);
+        // Every later question about the projection — another threshold, a
+        // point lookup — is answered from the memoized map: no rescan.
+        assert!(stats.heavy_hitters(0, &[1], 4).len() <= heavy.len());
+        assert_eq!(stats.frequency(0, &[1], &heavy[0].key), heavy[0].estimate);
+        assert_eq!(stats_scan_bytes_total() - before, one_scan);
     }
 
     #[test]
@@ -1552,7 +1281,7 @@ mod tests {
         let hh = stats.heavy_hitters(0, &[1], p);
         assert!(!hh.is_empty(), "zipf 1.2 plants heavy hitters");
         assert!(hh.windows(2).all(|w| w[0].key < w[1].key), "sorted by key");
-        let freq = stats.frequencies(0, &[1]);
+        let freq = db.relation(0).frequencies(&[1]);
         for e in &hh {
             assert_eq!(e.error_bound, 0);
             assert_eq!(e.direction, mpc_stats::sketch::ErrorDirection::Exact);
@@ -1562,9 +1291,6 @@ mod tests {
         // Exactly the above-threshold keys appear.
         let expect = freq.values().filter(|&&c| c as f64 > threshold).count();
         assert_eq!(hh.len(), expect);
-        // The compat shim over the default impl would also be conservative;
-        // distinct() agrees with the map.
-        assert_eq!(stats.distinct(0, 1), Some(freq.len()));
     }
 
     #[test]
@@ -1615,14 +1341,6 @@ mod tests {
                 );
             }
         }
-        // HLL distinct lands within its ~3% relative error at this scale
-        // (generous 15% assertion for one fixed seed).
-        let truth = exact.distinct(0, 1).unwrap() as f64;
-        let est = sketch.distinct(0, 1).unwrap() as f64;
-        assert!(
-            (est - truth).abs() / truth < 0.15,
-            "distinct {est} vs {truth}"
-        );
     }
 
     #[test]

@@ -1,22 +1,25 @@
-//! The resident query service: a long-lived catalog with memoized
+//! The resident query service: a long-lived catalog with maintained
 //! statistics, a fingerprinted plan cache, and an incremental ingest path.
 //!
-//! A [`Service`] owns named relations behind [`Arc`] handles and keeps
-//! [`IncrementalStats`] per relation, so the per-query pipeline becomes:
+//! A [`Service`] owns named relations behind [`Arc`] handles and keeps one
+//! [`RelationSketch`] per relation — the only statistics state it
+//! maintains, at a bounded capacity in [`StatsMode::Sketch`] and at
+//! [`SpaceSaving::UNBOUNDED`] (where every count is exact) in
+//! [`StatsMode::Exact`] — so the per-query pipeline becomes:
 //!
 //! 1. canonicalize the query ([`Query::canonical`]) and look its
 //!    [`PlanKey`] up in the plan cache;
-//! 2. compare the entry's stored [`Stats::fingerprint`] with the current
+//! 2. compare the entry's stored statistics fingerprint with the current
 //!    one (heavy-hitter membership over [`planning_projections`] plus
-//!    power-of-two cardinality buckets — `O(heavy hitters)`, no scan);
+//!    power-of-two cardinality buckets — read off the sketches, no scan);
 //! 3. on a hit, skip `Engine` planning entirely and execute the cached
 //!    [`Plan`] against a `Database` assembled from `Arc` clones (no tuple
 //!    copies, no validation rescans);
-//! 4. on a miss, plan once from the memoized statistics and cache the
+//! 4. on a miss, plan once from the maintained statistics and cache the
 //!    result.
 //!
 //! [`Service::append`] folds new tuples into the relation and its
-//! statistics in place (`O(appended × tracked projections)`) and
+//! sketch in place (`O(appended × tracked projections)`) and
 //! re-fingerprints only the cached plans whose query references the
 //! appended relation, dropping exactly the stale ones.
 //!
@@ -70,8 +73,8 @@ use mpc_query::aggregate::AggregateSpec;
 use mpc_query::Query;
 use mpc_sim::backend::Backend;
 use mpc_stats::cardinality::SimpleStatistics;
-use mpc_stats::incremental::IncrementalStats;
-use mpc_stats::sketch::{FreqEstimate, RelationSketch};
+use mpc_stats::sketch::{FreqEstimate, RelationSketch, SpaceSaving};
+use mpc_stats::source::ExactStats;
 use std::fmt;
 use std::sync::Arc;
 
@@ -459,18 +462,16 @@ pub struct RelationInfo {
     pub arity: usize,
     /// Current cardinality.
     pub tuples: usize,
-    /// Memoized frequency-map projections.
+    /// Projections the relation's sketch tracks.
     pub tracked_projections: usize,
 }
 
 struct CatalogEntry {
     rel: Arc<Relation>,
-    stats: IncrementalStats,
-    /// SpaceSaving/HLL summaries ([`StatsMode::Sketch`] only): built by
-    /// one streaming pass at load, folded forward on every append —
-    /// planning and fingerprinting then read `O(capacity)` state instead
-    /// of exact frequency maps.
-    sketch: Option<RelationSketch>,
+    /// The relation's one statistics summary: created at load (at the
+    /// capacity the statistics mode selects), folded forward on every
+    /// append, read by planning and fingerprinting.
+    sketch: RelationSketch,
 }
 
 struct CacheEntry {
@@ -560,15 +561,26 @@ impl Service {
 
     /// Set the statistics mode for relations loaded *after* this call
     /// (configure before loading; `mpcskew serve` defaults to
-    /// [`StatsMode::Sketch`]). In sketch mode each relation carries
-    /// SpaceSaving/HLL summaries sized with headroom over the default `p`
-    /// ([`Service::sketch_capacity_for_p`]): planning and plan-cache
-    /// fingerprints read `O(capacity)` sketch state, and appends fold into
-    /// the summaries without ever rescanning the relation. Queries that
-    /// override `p` far above the default erode the no-missed-heavy-hitter
-    /// guarantee gradually (capacity headroom absorbs moderate drift);
-    /// answers stay exact regardless — estimate error only shifts load.
+    /// [`StatsMode::Sketch`]). The mode is the capacity of each relation's
+    /// [`RelationSketch`]: unbounded — every count exact — in
+    /// [`StatsMode::Exact`], sized with headroom over the default `p`
+    /// ([`Service::sketch_capacity_for_p`]) in [`StatsMode::Sketch`], where
+    /// planning and plan-cache fingerprints read `O(capacity)` state.
+    /// Either way appends fold into the summaries without ever rescanning
+    /// the relation. In sketch mode, queries that override `p` far above
+    /// the default erode the no-missed-heavy-hitter guarantee gradually
+    /// (capacity headroom absorbs moderate drift); answers stay exact
+    /// regardless — estimate error only shifts load.
+    ///
+    /// # Panics
+    /// Panics on [`StatsMode::Synthetic`]: a resident service always has
+    /// its data, so it has no cardinalities-only mode to plan from.
     pub fn with_stats_mode(mut self, mode: StatsMode) -> Self {
+        assert!(
+            mode != StatsMode::Synthetic,
+            "a resident service maintains statistics of its data: \
+             stats mode must be exact or sketch, not synthetic"
+        );
         self.stats_mode = mode;
         self
     }
@@ -621,10 +633,10 @@ impl Service {
         self.stats_mode
     }
 
-    /// The SpaceSaving capacity sketches are built at: the engine's
-    /// [`sketch_capacity`] for the default `p`, doubled again and floored
-    /// at 64 — headroom so per-query `p` above the default keeps the
-    /// no-missed-heavy-hitter guarantee.
+    /// The SpaceSaving capacity [`StatsMode::Sketch`] builds summaries
+    /// at: the engine's [`sketch_capacity`] for the default `p`, doubled
+    /// again and floored at 64 — headroom so per-query `p` above the
+    /// default keeps the no-missed-heavy-hitter guarantee.
     pub fn sketch_capacity_for_p(&self) -> usize {
         (2 * sketch_capacity(self.default_p)).max(64)
     }
@@ -632,15 +644,16 @@ impl Service {
     /// Aggregate sketch telemetry, or `None` outside
     /// [`StatsMode::Sketch`] (or before any relation is loaded).
     pub fn sketch_telemetry(&self) -> Option<SketchTelemetry> {
-        let mut out: Option<SketchTelemetry> = None;
-        for e in &self.entries {
-            let sk = e.sketch.as_ref()?;
-            let t = out.get_or_insert_with(SketchTelemetry::default);
-            t.bytes += sk.bytes();
-            t.capacity = sk.capacity();
-            t.max_error = t.max_error.max(sk.max_error_bound());
+        if self.stats_mode != StatsMode::Sketch || self.entries.is_empty() {
+            return None;
         }
-        out
+        let mut t = SketchTelemetry::default();
+        for e in &self.entries {
+            t.bytes += e.sketch.bytes();
+            t.capacity = e.sketch.capacity();
+            t.max_error = t.max_error.max(e.sketch.max_error_bound());
+        }
+        Some(t)
     }
 
     /// Plan-cache traffic counters.
@@ -661,7 +674,7 @@ impl Service {
                 name: e.rel.name().to_string(),
                 arity: e.rel.arity(),
                 tuples: e.rel.len(),
-                tracked_projections: e.stats.tracked_projections(),
+                tracked_projections: e.sketch.tracked_projections(),
             })
             .collect()
     }
@@ -686,26 +699,23 @@ impl Service {
         }
         let len = rel.len();
         let name = rel.name().to_string();
-        let stats = IncrementalStats::of(&rel);
-        let sketch = match self.stats_mode {
-            StatsMode::Sketch => Some(RelationSketch::of(&rel, self.sketch_capacity_for_p())),
-            StatsMode::Exact | StatsMode::Synthetic => None,
+        // The statistics mode is the capacity of the relation's summary.
+        let capacity = match self.stats_mode {
+            StatsMode::Sketch => self.sketch_capacity_for_p(),
+            StatsMode::Exact => SpaceSaving::UNBOUNDED,
+            StatsMode::Synthetic => unreachable!("refused by with_stats_mode"),
+        };
+        let entry = CatalogEntry {
+            sketch: RelationSketch::of(&rel, capacity),
+            rel: Arc::new(rel),
         };
         match self.names.get(&name).copied() {
             Some(i) => {
-                self.entries[i] = CatalogEntry {
-                    rel: Arc::new(rel),
-                    stats,
-                    sketch,
-                };
+                self.entries[i] = entry;
                 self.drop_plans_referencing(&name);
             }
             None => {
-                self.entries.push(CatalogEntry {
-                    rel: Arc::new(rel),
-                    stats,
-                    sketch,
-                });
+                self.entries.push(entry);
                 self.names.insert(name, self.entries.len() - 1);
             }
         }
@@ -713,8 +723,8 @@ impl Service {
     }
 
     /// Append tuples (row-major flat, length a multiple of the arity) to a
-    /// loaded relation, updating its frequency maps, heavy trackers, and
-    /// cardinality in place — no rescan. Cached plans whose query
+    /// loaded relation, folding them into its sketch in place — no
+    /// rescan. Cached plans whose query
     /// references `name` are re-fingerprinted; exactly the stale ones are
     /// dropped (counted as invalidations). Returns the new cardinality.
     pub fn append(&mut self, name: &str, tuples: &[u64]) -> Result<usize, ServiceError> {
@@ -738,12 +748,9 @@ impl Service {
             });
         }
         let entry = &mut self.entries[i];
-        entry.stats.append(tuples);
-        if let Some(sk) = entry.sketch.as_mut() {
-            // Fold into the summaries: O(appended × tracked projections),
-            // never a rescan of the relation.
-            sk.append_rows(tuples);
-        }
+        // Fold into the summaries: O(appended × tracked projections),
+        // never a rescan of the relation.
+        entry.sketch.append_rows(tuples);
         // In the steady state the service holds the only strong reference
         // (per-query Databases are dropped with their outcomes), so this
         // appends in place; a concurrent holder forces one copy, never a
@@ -912,7 +919,7 @@ impl Service {
                 } else {
                     self.counters.misses += 1;
                 }
-                let view = self.stats_view(&canonical, &atom_entries, p, fingerprint);
+                let view = self.stats_view(&atom_entries, &db);
                 let mut engine = Engine::new(&canonical)
                     .p(p)
                     .seed(seed)
@@ -963,54 +970,37 @@ impl Service {
 
     /// The current statistics fingerprint for `q` at `p`: fold the
     /// power-of-two cardinality bucket of every atom's relation and the
-    /// heavy-membership hash of every [`planning_projections`] tracker
-    /// (building trackers on first need — one scan each, amortized away).
+    /// heavy-membership hash of every [`planning_projections`] projection
+    /// as its sketch reports it — the (conservative) heavy set the planner
+    /// will actually see. A projection is registered with the sketch on
+    /// first need (one scan, amortized away).
     fn fingerprint_for(&mut self, q: &Query, atom_entries: &[usize], p: usize) -> u64 {
         let mut h = mix64(p as u64, 0x5e);
         for (j, &i) in atom_entries.iter().enumerate() {
-            let entry = &self.entries[i];
             h = mix64(h, j as u64);
-            h = mix64(h, entry.stats.cardinality_bucket());
+            h = mix64(h, cardinality_bucket(self.entries[i].rel.len()));
         }
         for (j, cols) in planning_projections(q) {
-            let i = atom_entries[j];
-            let entry = &mut self.entries[i];
-            let rel = entry.rel.clone();
-            let hash = match entry.sketch.as_mut() {
-                // Sketch mode: hash the *conservative* heavy membership the
-                // planner will actually see — O(capacity), no tracker, no
-                // exact frequency map.
-                Some(sk) => {
-                    sk.ensure_projection(&rel, &cols);
-                    let estimates = sk.heavy_hitters(&cols, p).expect("projection ensured");
-                    heavy_membership_hash(&estimates)
-                }
-                None => entry.stats.ensure_tracker(&rel, &cols, p),
-            };
-            h = mix64(h, j as u64 ^ hash);
+            let entry = &mut self.entries[atom_entries[j]];
+            entry.sketch.ensure_projection(&entry.rel, &cols);
+            let heavy = entry
+                .sketch
+                .heavy_hitters(&cols, p)
+                .expect("projection ensured");
+            h = mix64(h, j as u64 ^ heavy_membership_hash(&heavy));
         }
         h
     }
 
-    /// Read-only [`Stats`] view over the catalog for planning `q`.
-    fn stats_view<'a>(
-        &'a self,
-        q: &Query,
-        atom_entries: &'a [usize],
-        p: usize,
-        fingerprint: u64,
-    ) -> CatalogStats<'a> {
-        let cardinalities: Vec<usize> = atom_entries
-            .iter()
-            .map(|&i| self.entries[i].stats.cardinality())
-            .collect();
-        let arities: Vec<usize> = q.atoms().iter().map(|a| a.arity()).collect();
+    /// Read-only [`Stats`] view over the catalog for planning `db`'s query
+    /// (`atom_entries` maps its atoms to catalog entries).
+    fn stats_view<'a>(&'a self, atom_entries: &[usize], db: &'a Database) -> CatalogStats<'a> {
         CatalogStats {
-            service: self,
-            atom_entries,
-            simple: SimpleStatistics::synthetic(&arities, cardinalities, self.domain),
-            p,
-            fingerprint,
+            sketches: atom_entries
+                .iter()
+                .map(|&i| &self.entries[i].sketch)
+                .collect(),
+            exact: ExactStats::of(db),
         }
     }
 
@@ -1062,11 +1052,19 @@ impl Service {
     }
 }
 
-/// Order-independent XOR hash of the heavy membership of a batch of
-/// estimates — the sketch-mode analogue of
-/// [`HeavyTracker::membership_hash`](mpc_stats::incremental::HeavyTracker::membership_hash):
-/// counts are deliberately excluded, so estimate drift within an unchanged
-/// conservative heavy set keeps cached plans warm.
+/// A cardinality rounded up to a power of two — the coarse bucket the
+/// plan-cache fingerprint uses, so appends that stay within a bucket keep
+/// cached plans warm.
+fn cardinality_bucket(len: usize) -> u64 {
+    (len.max(1) as u64).next_power_of_two()
+}
+
+/// Order-independent XOR hash of the heavy *membership* of a batch of
+/// estimates. Counts are deliberately excluded: any statistics yield a
+/// correct (answer-identical) plan, and drifting frequencies of an
+/// unchanged heavy set merely shift load within the paper's constants, so
+/// a plan cache keyed on this hash stays warm across such drift and
+/// invalidates exactly when membership changes.
 fn heavy_membership_hash(estimates: &[FreqEstimate]) -> u64 {
     estimates
         .iter()
@@ -1078,90 +1076,34 @@ fn heavy_membership_hash(estimates: &[FreqEstimate]) -> u64 {
         .fold(0u64, |acc, kh| acc ^ kh)
 }
 
-/// Planner-facing view of the catalog's memoized statistics: `simple()`
-/// comes from maintained cardinalities (no scan); heavy hitters come from
-/// the relation's sketch in [`StatsMode::Sketch`] and from the memoized
-/// incremental maps otherwise, falling back to one relation scan for a
-/// projection planning has never asked about (e.g. a pinned §4.2 run
-/// asking for a joint variable subset outside [`planning_projections`]).
+/// Planner-facing view of the catalog's maintained statistics: every
+/// question is answered by the relation's sketch when the projection is
+/// registered there (all of [`planning_projections`] are, by the
+/// fingerprint that precedes planning), and otherwise by one exact scan,
+/// memoized for the life of the view (e.g. a pinned §4.2 run asking for a
+/// joint variable subset outside [`planning_projections`]) — registering
+/// it would need to mutate the catalog through a shared view.
 struct CatalogStats<'a> {
-    service: &'a Service,
-    atom_entries: &'a [usize],
-    simple: SimpleStatistics,
-    p: usize,
-    fingerprint: u64,
-}
-
-impl CatalogStats<'_> {
-    fn entry(&self, atom: usize) -> &CatalogEntry {
-        &self.service.entries[self.atom_entries[atom]]
-    }
-
-    /// The exact frequency map: memoized `Arc` when incremental stats
-    /// have it, one relation scan otherwise.
-    fn frequencies_exact(&self, atom: usize, cols: &[usize]) -> Arc<FastMap<Vec<u64>, usize>> {
-        let entry = self.entry(atom);
-        match entry.stats.frequencies_cached(cols) {
-            Some(map) => Arc::clone(map),
-            None => Arc::new(entry.rel.frequencies(cols)),
-        }
-    }
+    /// The sketch of each atom's relation, in atom order.
+    sketches: Vec<&'a RelationSketch>,
+    exact: ExactStats<'a>,
 }
 
 impl Stats for CatalogStats<'_> {
     fn simple(&self) -> SimpleStatistics {
-        self.simple.clone()
+        self.exact.simple()
     }
 
     fn heavy_hitters(&self, atom: usize, cols: &[usize], p: usize) -> Vec<FreqEstimate> {
-        let entry = self.entry(atom);
-        if let Some(sk) = &entry.sketch {
-            if let Some(estimates) = sk.heavy_hitters(cols, p) {
-                return estimates;
-            }
-            // Projection never registered with the sketch; fall through to
-            // one exact scan rather than mutate through a shared view.
-        }
-        let m = entry.stats.cardinality();
-        let threshold = m as f64 / p as f64;
-        let map = self.frequencies_exact(atom, cols);
-        let mut out: Vec<FreqEstimate> = map
-            .iter()
-            .filter(|(_, &c)| c as f64 > threshold)
-            .map(|(k, &c)| FreqEstimate::exact(k.clone(), c))
-            .collect();
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        out
+        self.sketches[atom]
+            .heavy_hitters(cols, p)
+            .unwrap_or_else(|| self.exact.heavy_hitters(atom, cols, p))
     }
 
-    fn distinct(&self, atom: usize, col: usize) -> Option<usize> {
-        let entry = self.entry(atom);
-        match &entry.sketch {
-            Some(sk) => sk.distinct(col),
-            None => entry.stats.frequencies_cached(&[col]).map(|m| m.len()),
-        }
-    }
-
-    fn frequencies(&self, atom: usize, cols: &[usize]) -> Arc<FastMap<Vec<u64>, usize>> {
-        let entry = self.entry(atom);
-        if let Some(sk) = &entry.sketch {
-            if let Some(ss) = sk.projection(cols) {
-                return Arc::new(
-                    ss.estimates()
-                        .into_iter()
-                        .map(|e| {
-                            let c = e.count_upper();
-                            (e.key, c)
-                        })
-                        .collect(),
-                );
-            }
-        }
-        self.frequencies_exact(atom, cols)
-    }
-
-    fn fingerprint(&self, _q: &Query, p: usize) -> Option<u64> {
-        (p == self.p).then_some(self.fingerprint)
+    fn frequency(&self, atom: usize, cols: &[usize], key: &[u64]) -> usize {
+        self.sketches[atom]
+            .frequency(cols, key)
+            .unwrap_or_else(|| self.exact.frequency(atom, cols, key))
     }
 }
 
@@ -1325,6 +1267,124 @@ mod tests {
             assert_eq!(&fresh.query_spec(spec).unwrap().answers(), batch);
         }
         assert_eq!(batch_answers[0], batch_answers[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exact or sketch, not synthetic")]
+    fn synthetic_stats_mode_is_refused() {
+        let _ = Service::new(16).with_stats_mode(StatsMode::Synthetic);
+    }
+
+    #[test]
+    fn cardinality_bucket_is_power_of_two() {
+        assert_eq!(cardinality_bucket(0), 1);
+        assert_eq!(cardinality_bucket(5), 8);
+        assert_eq!(cardinality_bucket(8), 8);
+        assert_eq!(cardinality_bucket(9), 16);
+    }
+
+    #[test]
+    fn membership_hash_ignores_count_drift_and_sees_membership_changes() {
+        // 8 tuples, z=7 appears 3 times: threshold at p=4 is 2.0, so z=7 is
+        // heavy.
+        let zs = [7u64, 7, 7, 1, 2, 3, 4, 5];
+        let mut rel = Relation::new("S", 2);
+        for (i, z) in zs.into_iter().enumerate() {
+            rel.push(&[i as u64, z]);
+        }
+        let mut sk = RelationSketch::of(&rel, SpaceSaving::UNBOUNDED);
+        sk.ensure_projection(&rel, &[1]);
+        let heavy = |sk: &RelationSketch| sk.heavy_hitters(&[1], 4).unwrap();
+        let h0 = heavy_membership_hash(&heavy(&sk));
+        assert_eq!(heavy(&sk), vec![FreqEstimate::exact(vec![7], 3)]);
+        // Growing the heavy key's count (and m with it) keeps membership —
+        // hash unchanged.
+        sk.append_rows(&[8, 7]);
+        assert_eq!(heavy(&sk), vec![FreqEstimate::exact(vec![7], 4)]);
+        assert_eq!(heavy_membership_hash(&heavy(&sk)), h0);
+        // Flooding with distinct z values raises the threshold until z=7
+        // falls light: membership changes, hash changes.
+        let flood: Vec<u64> = (0..40u64).flat_map(|i| [100 + i, 200 + i]).collect();
+        sk.append_rows(&flood);
+        assert!(heavy(&sk).is_empty());
+        assert_ne!(heavy_membership_hash(&heavy(&sk)), h0);
+    }
+
+    #[test]
+    fn frequency_is_the_lookup_into_the_map_it_replaces() {
+        // `Stats::frequency` must return what the map-shaped `frequencies()`
+        // shim it replaced returned for every key, known or not. That shim
+        // defaulted to "every estimate the source can produce (`p =
+        // usize::MAX` drives the threshold to ~0), each at `count_upper`";
+        // the service view overrode it with the sketch's tracked estimates
+        // on a registered projection and the exact map on any other.
+        use crate::engine::{ExactStats, SketchStats};
+        use mpc_data::stats_scan_bytes_total;
+        let n = 1u64 << 12;
+        for mode in [StatsMode::Exact, StatsMode::Sketch] {
+            let mut rng = Rng::seed_from_u64(5);
+            // p = 4 puts the sketch capacity at its floor of 64, far below
+            // the hundreds of distinct z values, so sketch mode evicts.
+            let mut svc = Service::new(n)
+                .with_backend(Backend::Sequential)
+                .with_defaults(4, 3)
+                .with_stats_mode(mode);
+            for name in ["S1", "S2"] {
+                svc.load(generators::uniform(name, 2, 600, 512, &mut rng))
+                    .unwrap();
+            }
+            let q = parse_query("S1(x,z), S2(y,z)").unwrap().canonical();
+            svc.query(&q).unwrap(); // registers the z projection of both atoms
+            let atoms = svc.resolve_atoms(&q).unwrap();
+            let rels = atoms.iter().map(|&i| svc.entries[i].rel.clone()).collect();
+            let db = Database::from_shared(q, rels, n).unwrap();
+            let absent = vec![n - 1];
+            let check = |stats: &dyn Stats, cols: &[usize], shim: &FastMap<Vec<u64>, usize>| {
+                for key in db.relation(0).frequencies(cols).keys().chain([&absent]) {
+                    let want = shim.get(key).copied().unwrap_or(0);
+                    assert_eq!(
+                        stats.frequency(0, cols, key),
+                        want,
+                        "{mode} {cols:?} {key:?}"
+                    );
+                }
+            };
+            let at_count_upper = |estimates: Vec<FreqEstimate>| -> FastMap<Vec<u64>, usize> {
+                let upper = |e: FreqEstimate| (e.key.clone(), e.count_upper());
+                estimates.into_iter().map(upper).collect()
+            };
+            let (truth_z, truth_x) = (
+                db.relation(0).frequencies(&[1]),
+                db.relation(0).frequencies(&[0]),
+            );
+
+            // The free-standing sources register a projection on demand.
+            let (exact, sketch) = (ExactStats::of(&db), SketchStats::of(&db, 16));
+            check(&exact, &[1], &truth_z);
+            let sketched = at_count_upper(sketch.heavy_hitters(0, &[1], usize::MAX));
+            assert_eq!(sketched.len(), 16, "16 slots over hundreds of keys");
+            check(&sketch, &[1], &sketched);
+
+            // The service view, on a projection its sketch has registered...
+            let view = svc.stats_view(&atoms, &db);
+            let summary = svc.entries[atoms[0]].sketch.projection(&[1]);
+            let tracked = at_count_upper(summary.expect("registered above").estimates());
+            check(&view, &[1], &tracked);
+            match mode {
+                StatsMode::Exact => assert_eq!(tracked, truth_z),
+                _ => assert!(tracked.len() < truth_z.len(), "sketch mode must evict here"),
+            }
+            // ... and on one it has not (x is no join variable): exact
+            // counts from one scan, memoized for the life of the view.
+            let before = stats_scan_bytes_total();
+            check(&view, &[0], &truth_x);
+            let two_scans = 2 * db.relation(0).len() as u64 * 2 * 8;
+            assert_eq!(
+                stats_scan_bytes_total() - before,
+                two_scans,
+                "check's + the view's"
+            );
+        }
     }
 
     #[test]

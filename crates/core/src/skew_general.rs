@@ -40,10 +40,9 @@ use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::hashing::HashFamily;
 use mpc_sim::load::LoadReport;
 use mpc_sim::topology::{round_shares, Grid, SubcubeScratch};
-use mpc_stats::cardinality::SimpleStatistics;
-use mpc_stats::combination::{
-    enumerate_combinations_with, BinChoice, BinCombination, ExactSource, FrequencySource,
-};
+use mpc_stats::combination::{enumerate_combinations_with, BinChoice, BinCombination};
+use mpc_stats::heavy::HeavyHitters;
+use mpc_stats::source::{ExactStats, Stats};
 use std::cell::RefCell;
 
 /// One prepared bin combination: its LP solution, grid shape, and block
@@ -86,28 +85,24 @@ pub struct GeneralSkewAlgorithm {
 impl GeneralSkewAlgorithm {
     /// Plan from the data's exact statistics.
     pub fn plan(db: &Database, p: usize, seed: u64) -> GeneralSkewAlgorithm {
-        let simple = SimpleStatistics::of(db);
-        let source = ExactSource { db, p };
-        GeneralSkewAlgorithm::plan_with_source(db, p, seed, &simple, &source)
+        GeneralSkewAlgorithm::plan_with(db, p, seed, &ExactStats::of(db))
     }
 
-    /// Plan from any [`FrequencySource`] — the entry point for sketch- and
-    /// sample-backed statistics. One source feeds both the §4.2 bin
-    /// combinations and the residual-base exclusion tables, so tuples a
-    /// given source classifies as heavy are either covered by a heavy
-    /// combination or stay in `B_∅` — completeness holds under any
-    /// (including overcounted) classification; estimate error only shifts
-    /// load. Exact statistics through [`ExactSource`] reproduce
-    /// [`GeneralSkewAlgorithm::plan`] bit for bit.
+    /// Plan from any [`Stats`] source — exact, sketch- or sample-backed.
+    /// One source feeds both the §4.2 bin combinations and the
+    /// residual-base exclusion tables, so tuples a given source classifies
+    /// as heavy are either covered by a heavy combination or stay in `B_∅`
+    /// — completeness holds under any (including overcounted)
+    /// classification; estimate error only shifts load.
     #[allow(clippy::needless_range_loop)]
-    pub fn plan_with_source(
+    pub fn plan_with(
         db: &Database,
         p: usize,
         seed: u64,
-        simple: &SimpleStatistics,
-        source: &dyn FrequencySource,
+        stats: &dyn Stats,
     ) -> GeneralSkewAlgorithm {
         let q = db.query().clone();
+        let simple = stats.simple();
         let logp = (p.max(2) as f64).ln();
         let mu: Vec<f64> = simple
             .bit_sizes_f64()
@@ -115,7 +110,7 @@ impl GeneralSkewAlgorithm {
             .map(|&m| m.max(1.0).ln() / logp)
             .collect();
 
-        let raw = enumerate_combinations_with(&q, p, source);
+        let raw = enumerate_combinations_with(&q, p, stats);
         // Count assignments dropped by the |C'(B)| <= p cap: re-derive how
         // many candidates each combination could have had. The enumerator
         // already caps, so recompute potential counts cheaply from the
@@ -226,7 +221,7 @@ impl GeneralSkewAlgorithm {
                 if subset.is_empty() {
                     continue;
                 }
-                let hh = source.heavy(j, subset);
+                let hh = HeavyHitters::of(&q, stats, simple.cardinalities[j], j, subset, p);
                 if hh.entries.is_empty() {
                     continue;
                 }
@@ -244,16 +239,12 @@ impl GeneralSkewAlgorithm {
                 if !matches!(pc.combo.bins[j], BinChoice::Heavy(_)) {
                     continue;
                 }
-                let xj_cols = &pc.proj_cols[j];
-                let entry = covered_heavy[j].entry(xj_cols.clone()).or_default();
-                for assignment in &pc.combo.assignments {
-                    // Reconstruct the atom's key from the assignment.
-                    if let Some(map) = &pc.lookups[j] {
-                        for key in map.keys() {
-                            entry.insert(key.clone());
-                        }
-                    }
-                    let _ = assignment;
+                // The atom's keys of the kept assignments are its lookup's.
+                if let Some(map) = &pc.lookups[j] {
+                    covered_heavy[j]
+                        .entry(pc.proj_cols[j].clone())
+                        .or_default()
+                        .extend(map.keys().cloned());
                 }
             }
         }
@@ -439,6 +430,7 @@ mod tests {
     use crate::verify::assert_complete;
     use mpc_data::{generators, Rng};
     use mpc_query::named;
+    use mpc_stats::cardinality::SimpleStatistics;
 
     fn zipf_join(m: usize, theta: f64, seed: u64) -> Database {
         let q = named::two_way_join();

@@ -101,56 +101,32 @@ pub struct SkewJoin {
 
 impl SkewJoin {
     /// Plan the algorithm from exact statistics of `db` (two-atom query with
-    /// a non-empty shared variable set).
+    /// a non-empty shared variable set): the shared-variable frequency maps
+    /// are scanned from the data and handed to
+    /// [`SkewJoin::plan_from_parts`] under the default configuration.
     pub fn plan(db: &Database, p: usize, seed: u64) -> SkewJoin {
-        SkewJoin::plan_with(db, p, seed, SkewJoinConfig::default())
-    }
-
-    /// Plan with an explicit [`SkewJoinConfig`] (ablation hooks), computing
-    /// exact shared-variable frequencies from the data.
-    pub fn plan_with(db: &Database, p: usize, seed: u64, config: SkewJoinConfig) -> SkewJoin {
         let q = db.query();
         let shared: VarSet = q.atom(0).var_set().intersect(q.atom(1).var_set());
-        let shared_cols = [
-            mpc_stats::heavy::columns_for(q, 0, shared),
-            mpc_stats::heavy::columns_for(q, 1, shared),
-        ];
-        let f1 = db.relation(0).frequencies(&shared_cols[0]);
-        let f2 = db.relation(1).frequencies(&shared_cols[1]);
-        SkewJoin::plan_with_frequencies(db, p, seed, config, &f1, &f2)
-    }
-
-    /// Plan from externally supplied shared-variable frequency maps — e.g.
-    /// the sampling-based estimates of
-    /// [`mpc_stats::sampling::sampled_frequencies`]. Classification is
-    /// driven entirely by these maps, and because both relations consult the
-    /// same per-value route table, *any* maps yield a correct (complete)
-    /// algorithm: estimation error only shifts load, exactly the robustness
-    /// the paper's approximate-frequency assumption relies on.
-    pub fn plan_with_frequencies(
-        db: &Database,
-        p: usize,
-        seed: u64,
-        config: SkewJoinConfig,
-        f1: &FastMap<Vec<u64>, usize>,
-        f2: &FastMap<Vec<u64>, usize>,
-    ) -> SkewJoin {
-        SkewJoin::plan_from_parts(
-            db.query(),
-            db.relation(0).len(),
-            db.relation(1).len(),
-            p,
-            seed,
-            config,
-            f1,
-            f2,
-        )
+        let f1 = db
+            .relation(0)
+            .frequencies(&mpc_stats::heavy::columns_for(q, 0, shared));
+        let f2 = db
+            .relation(1)
+            .frequencies(&mpc_stats::heavy::columns_for(q, 1, shared));
+        let (m1, m2) = (db.relation(0).len(), db.relation(1).len());
+        SkewJoin::plan_from_parts(q, m1, m2, p, seed, SkewJoinConfig::default(), &f1, &f2)
     }
 
     /// Plan without touching any data at all: query shape, cardinalities,
     /// and shared-variable frequency maps are everything the §4.1
     /// algorithm needs — the statistics surface `mpc_core::engine`'s
-    /// planner feeds it.
+    /// planner feeds it, and the entry point for externally estimated
+    /// frequencies (e.g. [`mpc_stats::sampling`]) and ablation
+    /// configurations. Classification is driven entirely by these maps,
+    /// and because both relations consult the same per-value route table,
+    /// *any* maps yield a correct (complete) algorithm: estimation error
+    /// only shifts load, exactly the robustness the paper's
+    /// approximate-frequency assumption relies on.
     #[allow(clippy::too_many_arguments)]
     pub fn plan_from_parts(
         q: &mpc_query::Query,
@@ -494,8 +470,10 @@ mod tests {
         let mut rng = mpc_data::Rng::seed_from_u64(77);
         let sf1 = mpc_stats::sampling::sample_heavy_hitters(db.relation(0), &[1], p, &mut rng);
         let sf2 = mpc_stats::sampling::sample_heavy_hitters(db.relation(1), &[1], p, &mut rng);
-        let sampled = SkewJoin::plan_with_frequencies(
-            &db,
+        let sampled = SkewJoin::plan_from_parts(
+            db.query(),
+            db.relation(0).len(),
+            db.relation(1).len(),
             p,
             5,
             SkewJoinConfig::default(),
@@ -537,7 +515,16 @@ mod tests {
         let (c1, r1) = with_grid.run(&db);
         assert_complete(&db, &c1);
 
-        let without = SkewJoin::plan_with(&db, p, 9, SkewJoinConfig { use_grids: false });
+        let without = SkewJoin::plan_from_parts(
+            db.query(),
+            db.relation(0).len(),
+            db.relation(1).len(),
+            p,
+            9,
+            SkewJoinConfig { use_grids: false },
+            &db.relation(0).frequencies(&[1]),
+            &db.relation(1).frequencies(&[1]),
+        );
         let (c2, r2) = without.run(&db);
         assert_complete(&db, &c2);
 

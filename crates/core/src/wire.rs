@@ -507,6 +507,11 @@ mod tests {
             .parse()
             .unwrap();
         assert!(bytes > 0);
+        // The join query registered the z projection with each sketch.
+        assert!(
+            out.contains(&"rel S1 arity=2 tuples=2 tracked=1".to_string()),
+            "{out:?}"
+        );
         assert_eq!(out.last().unwrap(), "end");
     }
 

@@ -10,8 +10,8 @@
 //! combination at `p` (`|C'(B)| <= p`, Lemma 4.2) via the overweight
 //! recursion; this collector enforces the same cap by keeping the
 //! heaviest-by-frequency-product assignments, which realizes the same
-//! guarantee directly from the exact statistics it already holds (the
-//! difference is documented in DESIGN.md §4).
+//! guarantee directly from the statistics it already holds (the deviation
+//! is stated in `mpc_core::skew_general`'s module docs).
 //!
 //! Enumerating `C(B)` requires every variable of `x` to be pinned by at
 //! least one atom in a *heavy* bin (light projections have up to `n`
@@ -19,49 +19,11 @@
 //! per-assignment processing). Combinations violating that are skipped.
 
 use crate::bins::{bin_exponent, BinnedHitters, LIGHT_BIN_EXPONENT};
-use crate::heavy::{heavy_hitters, HeavyHitters};
+use crate::heavy::HeavyHitters;
+use crate::source::{ExactStats, Stats};
 use mpc_data::catalog::Database;
 use mpc_query::{Query, VarSet};
 use std::collections::HashMap;
-
-/// Where the combination enumerator gets its frequencies: either the exact
-/// per-projection scans ([`ExactSource`]) or any error-bounded estimate
-/// provider (sketches, samples) adapted through
-/// [`HeavyHitters::from_estimates`]'s conservative rule.
-pub trait FrequencySource {
-    /// Heavy hitters of atom `j` at variable subset `vars` (already
-    /// intersected with the atom's variables).
-    fn heavy(&self, atom: usize, vars: VarSet) -> HeavyHitters;
-
-    /// Best-known frequency of a *light* assignment (used only to order
-    /// the `|C'(B)| <= p` cap; any value at or below the threshold is
-    /// consistent, so estimate providers may return 0 for unknown keys).
-    fn light_frequency(&self, atom: usize, cols: &[usize], key: &[u64]) -> usize;
-}
-
-/// The exact source: scans the database's relations (the paper's
-/// all-knowing statistics oracle).
-pub struct ExactSource<'a> {
-    /// The database whose relations are scanned.
-    pub db: &'a Database,
-    /// Threshold denominator `p`.
-    pub p: usize,
-}
-
-impl FrequencySource for ExactSource<'_> {
-    fn heavy(&self, atom: usize, vars: VarSet) -> HeavyHitters {
-        heavy_hitters(self.db, atom, vars, self.p)
-    }
-
-    fn light_frequency(&self, atom: usize, cols: &[usize], key: &[u64]) -> usize {
-        self.db
-            .relation(atom)
-            .frequencies(cols)
-            .get(key)
-            .copied()
-            .unwrap_or(0)
-    }
-}
 
 /// The per-atom bin choice inside a combination.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,28 +92,26 @@ impl BinCombination {
 /// light projection. Combinations whose heavy atoms do not cover `x`, or
 /// with no realizable assignment, are dropped.
 pub fn enumerate_combinations(db: &Database, p: usize) -> Vec<BinCombination> {
-    enumerate_combinations_with(db.query(), p, &ExactSource { db, p })
+    enumerate_combinations_with(db.query(), p, &ExactStats::of(db))
 }
 
-/// [`enumerate_combinations`] over any [`FrequencySource`] — the entry
-/// point for sketch- and sample-backed planning (exact statistics go
-/// through the same path via [`ExactSource`], bit-identically).
-pub fn enumerate_combinations_with(
-    q: &Query,
-    p: usize,
-    source: &dyn FrequencySource,
-) -> Vec<BinCombination> {
+/// [`enumerate_combinations`] over any [`Stats`] source — heavy sets come
+/// from [`HeavyHitters::of`]'s conservative rule, light frequencies from
+/// [`Stats::frequency`] (exact statistics go through the same path via
+/// [`ExactStats`]).
+pub fn enumerate_combinations_with(q: &Query, p: usize, stats: &dyn Stats) -> Vec<BinCombination> {
     let l = q.num_atoms();
     let mut out = vec![BinCombination::empty(l)];
 
     // Pre-bin every (atom, nonempty subset of its variables).
     let mut binned: HashMap<(usize, VarSet), BinnedHitters> = HashMap::new();
-    for j in 0..l {
+    for (j, &m) in stats.simple().cardinalities.iter().enumerate() {
         for sub in q.atom(j).var_set().subsets() {
             if sub.is_empty() {
                 continue;
             }
-            binned.insert((j, sub), BinnedHitters::build(source.heavy(j, sub)));
+            let heavy = HeavyHitters::of(q, stats, m, j, sub, p);
+            binned.insert((j, sub), BinnedHitters::build(heavy));
         }
     }
 
@@ -187,7 +147,7 @@ pub fn enumerate_combinations_with(
                 .fold(VarSet::EMPTY, |s, (&j, _)| s.union(xj[j]));
             if covered == x {
                 if let Some(combo) =
-                    realize_combination(q, p, x, &participants, &chosen, &binned, source)
+                    realize_combination(q, p, x, &participants, &chosen, &binned, stats)
                 {
                     out.push(combo);
                 }
@@ -220,7 +180,7 @@ fn realize_combination(
     participants: &[usize],
     chosen: &[&BinChoice],
     binned: &HashMap<(usize, VarSet), BinnedHitters>,
-    source: &dyn FrequencySource,
+    stats: &dyn Stats,
 ) -> Option<BinCombination> {
     let l = q.num_atoms();
     let xvars: Vec<usize> = x.iter().collect();
@@ -296,8 +256,8 @@ fn realize_combination(
                 (BinChoice::Light, Some(_)) => continue 'cand, // actually heavy
                 (BinChoice::Light, None) => {
                     // Light: best-known frequency (may be 0; only orders
-                    // the cap, see `FrequencySource::light_frequency`).
-                    freqs[j] = Some(source.light_frequency(j, &bh.source.cols, &key));
+                    // the cap, see `Stats::frequency`).
+                    freqs[j] = Some(stats.frequency(j, &bh.source.cols, &key));
                 }
                 (BinChoice::Absent, _) => unreachable!("participants are non-absent"),
             }

@@ -5,9 +5,11 @@
 //! `m_j(h_j) > m_j / p` (Section 4.2). By construction there are fewer than
 //! `p` heavy hitters per `(relation, subset)` pair. The paper assumes every
 //! input server knows all heavy hitters and their (approximate)
-//! frequencies; this collector computes them exactly from the data, which
-//! is how a real engine's statistics pass would realize that assumption.
+//! frequencies; [`HeavyHitters::of`] takes them from any
+//! [`Stats`] source, and [`heavy_hitters`] from the
+//! exact one.
 
+use crate::source::{ExactStats, Stats};
 use mpc_data::catalog::Database;
 use mpc_data::fastmap::FastMap;
 use mpc_query::{Query, VarSet};
@@ -32,8 +34,10 @@ pub struct HeavyHitters {
 }
 
 impl HeavyHitters {
-    /// Build a detection result from error-bounded frequency estimates —
-    /// the §4.2 entry point for sketch- or sample-backed statistics.
+    /// The heavy hitters of atom `atom` (of cardinality `cardinality`) at
+    /// variable subset `vars` as `stats` reports them (variables outside
+    /// the atom are ignored) — the §4.2 entry point for every statistics
+    /// source, exact or estimated.
     ///
     /// Applies the pinned conservative-fallback rule: every estimate whose
     /// error interval *may* exceed the `m/p` threshold
@@ -43,16 +47,19 @@ impl HeavyHitters {
     /// keys from light to heavy handling, which shifts load but never
     /// answers — every consumer in this workspace is answer-complete under
     /// any heavy classification.
-    pub fn from_estimates(
+    pub fn of(
+        q: &Query,
+        stats: &dyn Stats,
+        cardinality: usize,
         atom: usize,
         vars: VarSet,
-        cols: Vec<usize>,
-        estimates: &[crate::sketch::FreqEstimate],
-        cardinality: usize,
         p: usize,
     ) -> HeavyHitters {
+        let vars = vars.intersect(q.atom(atom).var_set());
+        let cols = columns_for(q, atom, vars);
         let threshold = cardinality as f64 / p as f64;
-        let entries = estimates
+        let entries = stats
+            .heavy_hitters(atom, &cols, p)
             .iter()
             .filter(|e| e.may_exceed(threshold))
             .map(|e| (e.key.clone(), e.count_upper().min(cardinality.max(1))))
@@ -100,61 +107,12 @@ pub fn columns_for(q: &Query, atom: usize, vars: VarSet) -> Vec<usize> {
     vars.iter().filter_map(|v| a.position_of_var(v)).collect()
 }
 
-/// Detect the heavy hitters of atom `j` at variable subset `vars`
+/// The exact heavy hitters of atom `j` of `db` at variable subset `vars`
 /// (`vars ⊆ vars(S_j)` after intersection; variables outside the atom are
-/// ignored).
+/// ignored) — [`HeavyHitters::of`] over [`ExactStats`].
 pub fn heavy_hitters(db: &Database, atom: usize, vars: VarSet, p: usize) -> HeavyHitters {
-    let q = db.query();
-    let eff_vars = vars.intersect(q.atom(atom).var_set());
-    let cols = columns_for(q, atom, eff_vars);
-    let rel = db.relation(atom);
-    let m = rel.len();
-    let threshold = m as f64 / p as f64;
-    let entries = rel
-        .frequencies(&cols)
-        .into_iter()
-        .filter(|(_, c)| (*c as f64) > threshold)
-        .collect();
-    HeavyHitters {
-        atom,
-        vars: eff_vars,
-        cols,
-        entries,
-        cardinality: m,
-        p,
-    }
-}
-
-/// Detect heavy hitters for *every* atom and every nonempty variable subset
-/// of that atom — the full complex-statistics regime of Section 4.2 ("one
-/// needs to consider sets of attributes of each relation S_j that may be
-/// heavy hitters jointly, even if none of them is a heavy hitter by
-/// itself").
-pub fn all_heavy_hitters(db: &Database, p: usize) -> Vec<HeavyHitters> {
-    let q = db.query();
-    let mut out = Vec::new();
-    for j in 0..q.num_atoms() {
-        let atom_vars = q.atom(j).var_set();
-        for subset in atom_vars.subsets() {
-            if subset.is_empty() {
-                continue;
-            }
-            out.push(heavy_hitters(db, j, subset, p));
-        }
-    }
-    out
-}
-
-/// Split a relation's tuples into (heavy, light) with respect to a set of
-/// heavy assignments at `cols`.
-pub fn split_heavy_light(
-    rel: &mpc_data::Relation,
-    hh: &HeavyHitters,
-) -> (mpc_data::Relation, mpc_data::Relation) {
-    rel.partition(|row| {
-        let key: Vec<u64> = hh.cols.iter().map(|&c| row[c]).collect();
-        hh.entries.contains_key(&key)
-    })
+    let cardinality = db.relation(atom).len();
+    HeavyHitters::of(db.query(), &ExactStats::of(db), cardinality, atom, vars, p)
 }
 
 #[cfg(test)]
@@ -162,6 +120,18 @@ mod tests {
     use super::*;
     use mpc_data::{generators, Relation, Rng};
     use mpc_query::named;
+
+    /// Every `(atom, nonempty variable subset)` pair of `db`'s query — the
+    /// full complex-statistics regime of Section 4.2 ("one needs to
+    /// consider sets of attributes of each relation S_j that may be heavy
+    /// hitters jointly, even if none of them is a heavy hitter by itself").
+    fn all_subsets(db: &Database) -> Vec<(usize, VarSet)> {
+        let q = db.query();
+        (0..q.num_atoms())
+            .flat_map(|j| q.atom(j).var_set().subsets().map(move |s| (j, s)))
+            .filter(|(_, s)| !s.is_empty())
+            .collect()
+    }
 
     fn skewed_join_db(p: usize) -> (Database, usize) {
         // S1(x,z): 100 tuples with z=7 (heavy for p >= 2), 100 spread out.
@@ -195,14 +165,9 @@ mod tests {
         // Structural guarantee: fewer than p assignments can each exceed m/p.
         let (db, _) = skewed_join_db(4);
         for p in [2usize, 4, 8, 64] {
-            for j in 0..db.query().num_atoms() {
-                for subset in db.query().atom(j).var_set().subsets() {
-                    if subset.is_empty() {
-                        continue;
-                    }
-                    let hh = heavy_hitters(&db, j, subset, p);
-                    assert!(hh.len() < p, "p={p}: {} heavy hitters", hh.len());
-                }
+            for (j, subset) in all_subsets(&db) {
+                let hh = heavy_hitters(&db, j, subset, p);
+                assert!(hh.len() < p, "p={p}: {} heavy hitters", hh.len());
             }
         }
     }
@@ -211,7 +176,7 @@ mod tests {
     fn joint_attribute_subsets_are_enumerated() {
         // 14 tuples share the pair (x,z) = (1,2) out of 120; with p = 16 the
         // threshold is 7.5, so the *pair* is a heavy hitter of the attribute
-        // subset {x,z}, and all_heavy_hitters must inspect that subset.
+        // subset {x,z} even though neither value is rare on its own.
         let q = named::two_way_join();
         let mut rng = Rng::seed_from_u64(2);
         let mut s1 = Relation::new("S1", 2);
@@ -231,22 +196,6 @@ mod tests {
         assert_eq!(joint.frequency(&[1, 2]), Some(14));
         let single_x = heavy_hitters(&db, 0, VarSet::singleton(x), p);
         assert_eq!(single_x.frequency(&[1]), Some(14));
-        // All subsets are enumerated by all_heavy_hitters.
-        let all = all_heavy_hitters(&db, p);
-        // Atom 0 has vars {x,z}: subsets {x},{z},{x,z}; atom 1: {y},{z},{y,z}.
-        assert_eq!(all.len(), 6);
-    }
-
-    #[test]
-    fn split_heavy_light_partitions() {
-        let (db, p) = skewed_join_db(8);
-        let z = db.query().var_index("z").unwrap();
-        let hh = heavy_hitters(&db, 0, VarSet::singleton(z), p);
-        let (heavy, light) = split_heavy_light(db.relation(0), &hh);
-        assert_eq!(heavy.len(), 100);
-        assert_eq!(light.len(), 100);
-        assert!(heavy.rows().all(|r| r[1] == 7));
-        assert!(light.rows().all(|r| r[1] != 7));
     }
 
     #[test]
@@ -257,7 +206,8 @@ mod tests {
         let s1 = generators::matching("S1", 2, 1000, n, &mut rng);
         let s2 = generators::matching("S2", 2, 1000, n, &mut rng);
         let db = Database::new(q, vec![s1, s2], n).unwrap();
-        for hh in all_heavy_hitters(&db, 64) {
+        for (j, subset) in all_subsets(&db) {
+            let hh = heavy_hitters(&db, j, subset, 64);
             assert!(hh.is_empty(), "unexpected heavy hitters: {hh:?}");
         }
     }

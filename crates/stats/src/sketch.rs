@@ -1,5 +1,6 @@
-//! Streaming statistics sketches: sublinear heavy-hitter and distinct
-//! estimates for data too big to rescan.
+//! Streaming statistics sketches: sublinear heavy-hitter estimates for
+//! data too big to rescan — and, at unbounded capacity, the exact
+//! statistics maintained by the same code.
 //!
 //! The paper assumes the heavy hitters and their *approximate* frequencies
 //! are simply known ("e.g. using sampling", §1), and the §4.2 bins tolerate
@@ -11,15 +12,14 @@
 //!   amortized per observed tuple (`O(capacity)` on an eviction, which is
 //!   constant in the relation size), deterministic, and mergeable. At
 //!   capacity `>= p` it **never misses** a true `m/p`-heavy hitter: an
-//!   untracked key's frequency is at most `items/capacity <= m/p`.
-//! * [`DistinctCounter`] — an HLL-style distinct estimator (2^10 registers,
-//!   `mix64`-hashed, per-register max merge), for per-variable domain
-//!   estimates.
-//! * [`RelationSketch`] — the per-relation bundle a resident service
-//!   maintains next to its catalog: one `SpaceSaving` per projection the
-//!   planner has asked about plus one `DistinctCounter` per column, all
-//!   advanced in `O(projections)` per appended tuple — **no relation
-//!   rescan on append**.
+//!   untracked key's frequency is at most `items/capacity <= m/p`. A
+//!   summary that never fills (capacity [`SpaceSaving::UNBOUNDED`]) never
+//!   evicts, so every count it reports is exact.
+//! * [`RelationSketch`] — the one per-relation statistics state a
+//!   resident service maintains next to its catalog: one `SpaceSaving`
+//!   per projection the planner has asked about, all advanced in
+//!   `O(projections)` per appended tuple — **no relation rescan on
+//!   append**. Exact statistics are the same state at unbounded capacity.
 //!
 //! Every estimate is reported as a [`FreqEstimate`]: the point estimate
 //! plus a *guaranteed* error bound and its direction. Planners consume
@@ -60,7 +60,6 @@
 
 use mpc_data::fastmap::FastMap;
 use mpc_data::relation::{record_stats_scan_bytes, Relation};
-use mpc_data::rng::mix64;
 
 /// Which side of the true count an estimate can err on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,8 +68,6 @@ pub enum ErrorDirection {
     Exact,
     /// `true count ∈ [estimate - error_bound, estimate]` (SpaceSaving).
     Overcount,
-    /// `true count ∈ [estimate, estimate + error_bound]`.
-    Undercount,
     /// `true count ∈ [estimate - error_bound, estimate + error_bound]`
     /// (Bernoulli sampling).
     Symmetric,
@@ -103,7 +100,7 @@ impl FreqEstimate {
     /// Smallest count consistent with the estimate and its bound.
     pub fn count_lower(&self) -> usize {
         match self.direction {
-            ErrorDirection::Exact | ErrorDirection::Undercount => self.estimate,
+            ErrorDirection::Exact => self.estimate,
             ErrorDirection::Overcount | ErrorDirection::Symmetric => {
                 self.estimate.saturating_sub(self.error_bound)
             }
@@ -114,9 +111,7 @@ impl FreqEstimate {
     pub fn count_upper(&self) -> usize {
         match self.direction {
             ErrorDirection::Exact | ErrorDirection::Overcount => self.estimate,
-            ErrorDirection::Undercount | ErrorDirection::Symmetric => {
-                self.estimate.saturating_add(self.error_bound)
-            }
+            ErrorDirection::Symmetric => self.estimate.saturating_add(self.error_bound),
         }
     }
 
@@ -147,6 +142,21 @@ struct Slot {
     over: u64,
 }
 
+impl Slot {
+    fn estimate(&self) -> FreqEstimate {
+        FreqEstimate {
+            key: self.key.clone(),
+            estimate: self.count as usize,
+            error_bound: self.over as usize,
+            direction: if self.over == 0 {
+                ErrorDirection::Exact
+            } else {
+                ErrorDirection::Overcount
+            },
+        }
+    }
+}
+
 /// SpaceSaving heavy-hitter summary (Metwally et al., "Efficient
 /// computation of frequent and top-k elements in data streams").
 ///
@@ -164,13 +174,25 @@ pub struct SpaceSaving {
 }
 
 impl SpaceSaving {
+    /// The capacity of a summary that never fills: it tracks every key it
+    /// has seen, never evicts, and so reports exact counts
+    /// ([`ErrorDirection::Exact`], error bound 0) — exact statistics as
+    /// the zero-error instance of the sketch.
+    pub const UNBOUNDED: usize = usize::MAX;
+
     /// New summary tracking at most `capacity` keys (`capacity >= 1`).
     pub fn new(capacity: usize) -> SpaceSaving {
         assert!(capacity >= 1, "SpaceSaving needs capacity >= 1");
         SpaceSaving {
             capacity,
             index: FastMap::default(),
-            slots: Vec::with_capacity(capacity),
+            // A bounded summary fills up, so its slots are reserved once;
+            // an unbounded one grows with the keys it meets.
+            slots: if capacity == Self::UNBOUNDED {
+                Vec::new()
+            } else {
+                Vec::with_capacity(capacity)
+            },
             items: 0,
         }
     }
@@ -243,6 +265,16 @@ impl SpaceSaving {
         }
     }
 
+    /// Best-known count of `key`: its tracked (over)estimate — the
+    /// [`FreqEstimate::count_upper`] of its entry in
+    /// [`SpaceSaving::estimates`] — or 0 when the key is not tracked. One
+    /// index probe, no allocation.
+    pub fn count(&self, key: &[u64]) -> usize {
+        self.index
+            .get(key)
+            .map_or(0, |&i| self.slots[i].count as usize)
+    }
+
     /// The largest per-entry overcount bound (telemetry).
     pub fn max_over(&self) -> u64 {
         self.slots.iter().map(|s| s.over).max().unwrap_or(0)
@@ -250,20 +282,7 @@ impl SpaceSaving {
 
     /// All tracked estimates, sorted by key (deterministic output order).
     pub fn estimates(&self) -> Vec<FreqEstimate> {
-        let mut out: Vec<FreqEstimate> = self
-            .slots
-            .iter()
-            .map(|s| FreqEstimate {
-                key: s.key.clone(),
-                estimate: s.count as usize,
-                error_bound: s.over as usize,
-                direction: if s.over == 0 {
-                    ErrorDirection::Exact
-                } else {
-                    ErrorDirection::Overcount
-                },
-            })
-            .collect();
+        let mut out: Vec<FreqEstimate> = self.slots.iter().map(Slot::estimate).collect();
         out.sort_by(|a, b| a.key.cmp(&b.key));
         out
     }
@@ -276,16 +295,7 @@ impl SpaceSaving {
             .slots
             .iter()
             .filter(|s| (s.count as f64) > threshold)
-            .map(|s| FreqEstimate {
-                key: s.key.clone(),
-                estimate: s.count as usize,
-                error_bound: s.over as usize,
-                direction: if s.over == 0 {
-                    ErrorDirection::Exact
-                } else {
-                    ErrorDirection::Overcount
-                },
-            })
+            .map(Slot::estimate)
             .collect();
         out.sort_by(|a, b| a.key.cmp(&b.key));
         out
@@ -341,87 +351,11 @@ impl SpaceSaving {
     }
 }
 
-/// Number of index bits for [`DistinctCounter`] registers (2^10 = 1024
-/// registers, ~3% standard error).
-const HLL_BITS: u32 = 10;
-
-/// Seed of the register hash (any fixed odd constant works; `mix64` keys
-/// on it).
-const HLL_SEED: u64 = 0x5EED_D157_1BC7;
-
-/// HLL-style distinct-value estimator: 2^10 single-byte registers holding
-/// the max leading-zero rank per bucket. Deterministic and mergeable
-/// (per-register max).
-#[derive(Clone, Debug)]
-pub struct DistinctCounter {
-    registers: Vec<u8>,
-}
-
-impl Default for DistinctCounter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DistinctCounter {
-    /// New empty counter.
-    pub fn new() -> DistinctCounter {
-        DistinctCounter {
-            registers: vec![0; 1 << HLL_BITS],
-        }
-    }
-
-    /// Observe one value (idempotent per distinct value modulo hash
-    /// collisions).
-    pub fn observe(&mut self, value: u64) {
-        let h = mix64(HLL_SEED, value);
-        let idx = (h >> (64 - HLL_BITS)) as usize;
-        // Rank of the first set bit in the remaining 54 bits (1-based);
-        // an all-zero suffix ranks highest.
-        let rest = h << HLL_BITS;
-        let rank = if rest == 0 {
-            (64 - HLL_BITS + 1) as u8
-        } else {
-            (rest.leading_zeros() + 1) as u8
-        };
-        if rank > self.registers[idx] {
-            self.registers[idx] = rank;
-        }
-    }
-
-    /// Distinct-count estimate (harmonic mean over registers, with the
-    /// standard linear-counting correction for the small range).
-    pub fn estimate(&self) -> usize {
-        let m = self.registers.len() as f64;
-        let sum: f64 = self.registers.iter().map(|&r| 2f64.powi(-(r as i32))).sum();
-        let alpha = 0.7213 / (1.0 + 1.079 / m);
-        let raw = alpha * m * m / sum;
-        let zeros = self.registers.iter().filter(|&&r| r == 0).count();
-        if raw <= 2.5 * m && zeros > 0 {
-            (m * (m / zeros as f64).ln()).round() as usize
-        } else {
-            raw.round() as usize
-        }
-    }
-
-    /// Merge another counter (union of the observed value sets).
-    pub fn merge(&mut self, other: &DistinctCounter) {
-        for (a, &b) in self.registers.iter_mut().zip(&other.registers) {
-            if b > *a {
-                *a = b;
-            }
-        }
-    }
-
-    /// Resident bytes (the register array).
-    pub fn bytes(&self) -> usize {
-        self.registers.len()
-    }
-}
-
-/// The streaming statistics bundle a resident catalog keeps per relation:
-/// one [`SpaceSaving`] per projection the planner has asked about plus one
-/// [`DistinctCounter`] per column.
+/// The statistics state a resident catalog keeps per relation: one
+/// [`SpaceSaving`] per projection the planner has asked about. At capacity
+/// [`SpaceSaving::UNBOUNDED`] every answer is exact; at a bounded capacity
+/// the same code answers from `O(capacity)` state with guaranteed error
+/// bounds.
 ///
 /// Appends are `O(registered projections)` per tuple and never rescan the
 /// relation; registering a *new* projection over already-resident data
@@ -433,7 +367,6 @@ pub struct RelationSketch {
     rows: u64,
     capacity: usize,
     projections: FastMap<Vec<usize>, SpaceSaving>,
-    distinct: Vec<DistinctCounter>,
 }
 
 impl RelationSketch {
@@ -447,7 +380,6 @@ impl RelationSketch {
             rows: 0,
             capacity: capacity.max(1),
             projections: FastMap::default(),
-            distinct: vec![DistinctCounter::new(); arity],
         }
     }
 
@@ -472,11 +404,9 @@ impl RelationSketch {
         self.capacity
     }
 
-    /// Registered projections, sorted (telemetry / fingerprinting).
-    pub fn tracked_projections(&self) -> Vec<Vec<usize>> {
-        let mut cols: Vec<Vec<usize>> = self.projections.keys().cloned().collect();
-        cols.sort();
-        cols
+    /// Number of registered projections (telemetry).
+    pub fn tracked_projections(&self) -> usize {
+        self.projections.len()
     }
 
     /// Ensure a `cols` projection is tracked, backfilling from `rel` (one
@@ -512,9 +442,6 @@ impl RelationSketch {
 
     fn observe_row(&mut self, row: &[u64]) {
         self.rows += 1;
-        for (c, d) in self.distinct.iter_mut().enumerate() {
-            d.observe(row[c]);
-        }
         for (cols, ss) in self.projections.iter_mut() {
             let key: Vec<u64> = cols.iter().map(|&c| row[c]).collect();
             ss.observe(&key);
@@ -534,15 +461,16 @@ impl RelationSketch {
         Some(ss.heavy_hitters(threshold))
     }
 
-    /// Distinct-count estimate for one column.
-    pub fn distinct(&self, col: usize) -> Option<usize> {
-        self.distinct.get(col).map(|d| d.estimate())
+    /// Best-known count of `key` in the `cols` projection — see
+    /// [`SpaceSaving::count`] (`None` when the projection is not
+    /// registered).
+    pub fn frequency(&self, cols: &[usize], key: &[u64]) -> Option<usize> {
+        self.projection(cols).map(|ss| ss.count(key))
     }
 
-    /// Resident bytes across all summaries and counters (telemetry).
+    /// Resident bytes across all summaries (telemetry).
     pub fn bytes(&self) -> usize {
-        self.projections.values().map(|s| s.bytes()).sum::<usize>()
-            + self.distinct.iter().map(|d| d.bytes()).sum::<usize>()
+        self.projections.values().map(|s| s.bytes()).sum()
     }
 
     /// Largest per-entry overcount bound across projections (telemetry:
@@ -666,41 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_counter_tracks_cardinality() {
-        let mut d = DistinctCounter::new();
-        for v in 0..5000u64 {
-            d.observe(v * 31 + 7);
-            d.observe(v * 31 + 7); // repeats must not inflate
-        }
-        let est = d.estimate() as f64;
-        assert!(
-            (est - 5000.0).abs() / 5000.0 < 0.15,
-            "estimate {est} too far from 5000"
-        );
-        // Merge with an overlapping counter: still one union estimate.
-        let mut e = DistinctCounter::new();
-        for v in 2500..7500u64 {
-            e.observe(v * 31 + 7);
-        }
-        d.merge(&e);
-        let est = d.estimate() as f64;
-        assert!(
-            (est - 7500.0).abs() / 7500.0 < 0.15,
-            "merged estimate {est} too far from 7500"
-        );
-    }
-
-    #[test]
-    fn distinct_counter_small_range_is_near_exact() {
-        let mut d = DistinctCounter::new();
-        for v in 0..10u64 {
-            d.observe(v);
-        }
-        let est = d.estimate();
-        assert!((9..=11).contains(&est), "small-range estimate {est}");
-    }
-
-    #[test]
     fn relation_sketch_appends_without_rescan() {
         use mpc_data::relation::stats_scan_bytes_total;
         let mut rel = Relation::new("S", 2);
@@ -728,6 +621,50 @@ mod tests {
             assert_eq!(e.estimate, exact[&e.key]);
             assert_eq!(e.direction, ErrorDirection::Exact);
         }
+    }
+
+    #[test]
+    fn incremental_matches_fresh_scan_under_random_appends() {
+        // Exact statistics are the sketch at unbounded capacity: after any
+        // sequence of appends, every registered projection answers exactly
+        // what a fresh scan + threshold would — keys, counts, direction.
+        let mut rng = Rng::seed_from_u64(42);
+        let mut rel = Relation::new("S", 2);
+        let mut sk = RelationSketch::of(&rel, SpaceSaving::UNBOUNDED);
+        sk.ensure_projection(&rel, &[1]);
+        sk.ensure_projection(&rel, &[0, 1]);
+        for round in 0..20 {
+            let nrows = 1 + (rng.next_u64() % 40) as usize;
+            // Skewed small domain so heavy sets actually change.
+            let flat: Vec<u64> = (0..nrows)
+                .flat_map(|_| [rng.next_u64() % 32, rng.next_u64() % 8])
+                .collect();
+            rel.push_rows(&flat);
+            sk.append_rows(&flat);
+            assert_eq!(sk.rows(), rel.len() as u64);
+            for cols in [vec![1usize], vec![0usize, 1]] {
+                let freq = rel.frequencies(&cols);
+                for (key, &count) in &freq {
+                    assert_eq!(sk.frequency(&cols, key), Some(count));
+                }
+                assert_eq!(sk.projection(&cols).unwrap().len(), freq.len());
+                for p in [2usize, 4, 8] {
+                    let threshold = rel.len() as f64 / p as f64;
+                    let mut expect: Vec<FreqEstimate> = freq
+                        .iter()
+                        .filter(|(_, &c)| c as f64 > threshold)
+                        .map(|(k, &c)| FreqEstimate::exact(k.clone(), c))
+                        .collect();
+                    expect.sort_by(|a, b| a.key.cmp(&b.key));
+                    assert_eq!(
+                        sk.heavy_hitters(&cols, p).unwrap(),
+                        expect,
+                        "p={p} round={round} cols={cols:?}: heavy drift"
+                    );
+                }
+            }
+        }
+        assert_eq!(sk.max_error_bound(), 0);
     }
 
     #[test]

@@ -141,13 +141,14 @@ fn usage() -> &'static str {
      persistent N-worker pool, 0 = a pool over all cores; default:\n\
      MPCSKEW_THREADS or all available cores; results are identical whichever\n\
      backend runs);\n\
-     --stats: planner statistics source — exact (scan-based; run default),\n\
-     sketch (SpaceSaving/HLL summaries, sublinear, error-bounded; serve\n\
-     default), synthetic (cardinalities only); estimates can only shift\n\
-     load, never change answers;\n\
+     --stats: planner statistics — exact (run default), sketch (SpaceSaving\n\
+     summaries, sublinear, error-bounded; serve default), synthetic\n\
+     (cardinalities only; run only); in serve the flag selects the capacity\n\
+     of the one summary kept per relation (exact = unbounded); estimates\n\
+     can only shift load, never change answers;\n\
      serve: resident service speaking the line protocol (LOAD / APPEND /\n\
      QUERY / SET / BATCH..RUN / STATS / SHUTDOWN) on stdin, or on a TCP\n\
-     socket with --listen — relations stay loaded, statistics are memoized,\n\
+     socket with --listen — relations stay loaded, statistics are kept current,\n\
      and repeated query shapes hit a fingerprinted plan cache; worker\n\
      panics are contained per query (`err internal ...`), SET/timeout=/\n\
      limit= budgets bound runaway queries (`err timeout`/`err limit`), and\n\
@@ -379,11 +380,16 @@ fn service_from_args(args: &Args) -> Result<Service, String> {
     let seed = args.usize_or("seed", 1)? as u64;
     let backend = args.backend()?;
     // A resident service defaults to sketch statistics: ingest folds into
-    // O(p)-space summaries instead of exact frequency maps, so planning
+    // O(p)-space summaries instead of unbounded exact ones, so planning
     // state stays sublinear however large the catalog grows.
     let stats_mode = match args.value("stats")? {
         None => StatsMode::Sketch,
-        Some(v) => StatsMode::parse(v).map_err(|e| format!("{e}\n{}", usage()))?,
+        // `synthetic` plans without looking at data; a resident service
+        // always has its data, so to serve it is one more unknown mode.
+        Some(v) => StatsMode::parse(v)
+            .ok()
+            .filter(|&mode| mode != StatsMode::Synthetic)
+            .ok_or_else(|| format!("unknown stats mode `{v}`\n{}", usage()))?,
     };
     Ok(Service::new(domain)
         .with_backend(backend)

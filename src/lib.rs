@@ -62,7 +62,5 @@ pub mod prelude {
     pub use mpc_sim::cluster::{BatchJob, Cluster};
     pub use mpc_sim::pool::WorkerPool;
     pub use mpc_stats::cardinality::SimpleStatistics;
-    pub use mpc_stats::sketch::{
-        DistinctCounter, ErrorDirection, FreqEstimate, RelationSketch, SpaceSaving,
-    };
+    pub use mpc_stats::sketch::{ErrorDirection, FreqEstimate, RelationSketch, SpaceSaving};
 }

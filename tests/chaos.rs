@@ -12,7 +12,7 @@
 //!    that was never injected, and plan-cache counters consistent.
 //! 3. **Budgets** — a deadline expired mid-query (forced deterministic
 //!    with a `delay` failpoint) returns `err timeout` and leaves the plan
-//!    cache and incremental statistics untouched.
+//!    cache and maintained statistics untouched.
 //!
 //! The failpoint registry is process-global, so every in-process test
 //! body — baselines included — runs under one `failpoint::arm` handle: the

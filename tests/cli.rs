@@ -351,6 +351,36 @@ fn unknown_algorithm_is_rejected() {
     assert!(!out.status.success());
 }
 
+#[test]
+fn serve_rejects_stats_modes_it_does_not_have() {
+    // `synthetic` (cardinalities only) is a `run` what-if mode: a resident
+    // service always has its data, so serve refuses it like any unknown
+    // mode — before it reads a single command.
+    for mode in ["synthetic", "psychic"] {
+        let out = mpcskew()
+            .args(["serve", "--stats", mode])
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "serve accepted --stats {mode}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown stats mode `{mode}`")),
+            "{err}"
+        );
+        assert!(err.contains("[--stats exact|sketch]"), "{err}");
+    }
+    // `run` still takes it.
+    let out = mpcskew()
+        .args(["run", "S1(x,z), S2(y,z)", "--m", "500", "--p", "8"])
+        .args(["--stats", "synthetic"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("stats = synthetic"), "{text}");
+}
+
 // ---------------------------------------------------------------------------
 // `mpcskew serve`
 // ---------------------------------------------------------------------------

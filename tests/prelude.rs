@@ -35,7 +35,7 @@ fn prelude_covers_skew_and_multi_round() {
     let s2 = mpc_skew::data::generators::matching("S2", 2, 512, 1024, &mut rng);
     let db = Database::new(query.clone(), vec![s1, s2], 1024).unwrap();
 
-    let sj = SkewJoin::plan_with(&db, 8, 2, SkewJoinConfig::default());
+    let sj = SkewJoin::plan(&db, 8, 2);
     let (cluster, _) = sj.run(&db);
     assert_complete(&db, &cluster);
 

@@ -8,7 +8,7 @@
 use mpc_skew::core::engine::{
     sketch_capacity, Algorithm, Engine, ExactStats, SketchStats, Stats, StatsMode,
 };
-use mpc_skew::core::service::Service;
+use mpc_skew::core::service::{CacheCounters, Service};
 use mpc_skew::data::{generators, Database, Relation, Rng};
 use mpc_skew::query::{named, parse_query};
 use mpc_skew::sim::backend::Backend;
@@ -226,15 +226,48 @@ fn sketch_service_answers_match_exact_service_across_appends() {
     assert_eq!(exact.stats_mode(), StatsMode::Exact);
     assert_eq!(sketch.stats_mode(), StatsMode::Sketch);
     assert!(exact.sketch_telemetry().is_none());
-    assert!(sketch.sketch_telemetry().unwrap().bytes > 0);
+    assert!(sketch.sketch_telemetry().is_some());
 
     let q = parse_query("S1(x,z), S2(y,z)").unwrap();
+    // Max load per query and the final plan-cache traffic of this exact
+    // history, captured before the service's two statistics states became
+    // one sketch (exact = unbounded capacity): fingerprints — hence hits,
+    // misses, invalidations — and plans must not move in either mode.
+    const MAX_LOAD_BITS: [u64; 5] = [5300, 5340, 5400, 5480, 6780];
+    let mut loads = [Vec::new(), Vec::new()];
+    let mut query_both = |exact: &mut Service, sketch: &mut Service, step: &str| {
+        let a = exact.query(&q).unwrap();
+        let b = sketch.query(&q).unwrap();
+        assert_eq!(a.answers(), b.answers(), "{step}: service answers diverged");
+        assert_eq!(a.cache_status(), b.cache_status(), "{step}");
+        loads[0].push(a.max_load_bits());
+        loads[1].push(b.max_load_bits());
+    };
     for round in 0..4 {
-        let a = exact.query(&q).unwrap().answers();
-        let b = sketch.query(&q).unwrap().answers();
-        assert_eq!(a, b, "round {round}: service answers diverged");
+        query_both(&mut exact, &mut sketch, &format!("round {round}"));
         let batch: Vec<u64> = (0..32u64).flat_map(|i| [i, (7 * i + round) % 64]).collect();
         exact.append("S2", &batch).unwrap();
         sketch.append("S2", &batch).unwrap();
+    }
+    // A new heavy hitter (z = 5 in 200 of ~1800 tuples, threshold m/16)
+    // changes heavy membership: the cached plan is dropped at the append
+    // and the next query replans, in both modes.
+    let flood: Vec<u64> = (0..200u64).flat_map(|i| [i, 5]).collect();
+    exact.append("S2", &flood).unwrap();
+    sketch.append("S2", &flood).unwrap();
+    query_both(&mut exact, &mut sketch, "after the heavy append");
+    assert!(sketch.sketch_telemetry().unwrap().bytes > 0);
+    for (mode, svc, loads) in [("exact", &exact, &loads[0]), ("sketch", &sketch, &loads[1])] {
+        assert_eq!(loads[..], MAX_LOAD_BITS, "{mode}: plans moved");
+        assert_eq!(
+            svc.counters(),
+            CacheCounters {
+                hits: 3,
+                misses: 2,
+                invalidations: 1,
+                evictions: 0
+            },
+            "{mode}: fingerprints moved"
+        );
     }
 }
