@@ -110,13 +110,25 @@ fi
 stage "cargo build --release"
 cargo build --release --offline
 
-stage "mpcskew serve smoke (LOAD/QUERY/APPEND/STATS/SHUTDOWN over stdin)"
-SERVE_OUT=$(printf 'LOAD S1 2 0,1;1,1;2,3\nLOAD S2 2 5,1;6,3;7,9\nQUERY S1(x,z), S2(y,z) rows\nQUERY Q(z; count, sum(x)) :- S1(x,z), S2(y,z) rows\nAPPEND S2 8,1\nQUERY S1(x,z), S2(y,z)\nSTATS\nSHUTDOWN\n' \
-    | ./target/release/mpcskew serve --domain 16 --p 4 --threads 1)
+stage "mpcskew serve smoke (LOAD/QUERY/APPEND/STATS/SHUTDOWN over stdin, then over TCP)"
+SERVE_SCRIPT='LOAD S1 2 0,1;1,1;2,3
+LOAD S2 2 5,1;6,3;7,9
+QUERY S1(x,z), S2(y,z) rows
+QUERY Q(z; count, sum(x)) :- S1(x,z), S2(y,z) rows
+APPEND S2 8,1
+QUERY S1(x,z), S2(y,z)
+STATS
+SHUTDOWN
+'
+SMOKE_DIR=target/serve_smoke
+rm -rf "$SMOKE_DIR"
+mkdir -p "$SMOKE_DIR"
+printf '%s' "$SERVE_SCRIPT" \
+    | ./target/release/mpcskew serve --domain 16 --p 4 --threads 1 > "$SMOKE_DIR/stdio.out"
 serve_expect() {
-    echo "$SERVE_OUT" | grep -q "$1" || {
+    grep -q "$1" "$SMOKE_DIR/stdio.out" || {
         echo "serve smoke: missing \`$1\` in:" >&2
-        echo "$SERVE_OUT" >&2
+        cat "$SMOKE_DIR/stdio.out" >&2
         exit 1
     }
 }
@@ -137,6 +149,36 @@ serve_expect '^ok answers=5 '     # the appended tuple joins twice
 serve_expect 'invalidations=2 evictions=0 relations=2 mode=sketch$'
 serve_expect '^sketch bytes=[0-9][0-9]* capacity=[0-9][0-9]* max_error=[0-9][0-9]*$'
 serve_expect '^ok bye$'           # SHUTDOWN acknowledged, clean exit
+
+# The socket front must say the same thing byte for byte: spawn the server
+# on an OS-picked port, read the banner, send the same script through
+# bash's /dev/tcp and read replies until the server closes (SHUTDOWN).
+./target/release/mpcskew serve --domain 16 --p 4 --threads 1 --listen 127.0.0.1:0 \
+    > "$SMOKE_DIR/banner" &
+SERVE_PID=$!
+SERVE_ADDR=""
+TRIES=0
+while [ -z "$SERVE_ADDR" ] && [ "$TRIES" -lt 50 ]; do
+    sleep 0.1
+    SERVE_ADDR=$(sed -n 's/^listening on //p' "$SMOKE_DIR/banner")
+    TRIES=$((TRIES + 1))
+done
+if [ -z "$SERVE_ADDR" ]; then
+    kill "$SERVE_PID" 2>/dev/null || true
+    echo "serve smoke: no \`listening on\` banner from --listen" >&2
+    exit 1
+fi
+bash -c 'exec 3<>"/dev/tcp/${1%:*}/${1##*:}" && printf "%s" "$2" >&3 && cat <&3' \
+    serve-smoke "$SERVE_ADDR" "$SERVE_SCRIPT" > "$SMOKE_DIR/tcp.out" || {
+    kill "$SERVE_PID" 2>/dev/null || true
+    echo "serve smoke: TCP client failed against $SERVE_ADDR" >&2
+    exit 1
+}
+wait "$SERVE_PID"
+cmp "$SMOKE_DIR/stdio.out" "$SMOKE_DIR/tcp.out" || {
+    echo "serve smoke: TCP replies differ from the stdin replies" >&2
+    exit 1
+}
 
 stage "cargo test -q  (MPCSKEW_THREADS=1: sequential backend)"
 MPCSKEW_THREADS=1 cargo test -q --workspace --offline --no-fail-fast

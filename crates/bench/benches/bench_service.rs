@@ -7,11 +7,16 @@
 //! magnitude: the 6-variable star's share-LP vertex enumeration is ~15x
 //! its execution cost at this scale, the triangle's closer to 2x — the
 //! cache's win is exactly the planning it skips.
+//!
+//! `wire_render/*` times the reply renderer alone — one outcome, already
+//! materialized, appended to a reused buffer — so `allocs_per_iter` is the
+//! renderer's own: 0 once the buffer is warm, however many rows.
 
 use mpc_core::engine::Engine;
 use mpc_core::service::{QuerySpec, Service};
+use mpc_core::wire::render_outcome;
 use mpc_data::{generators, Database, Relation, Rng};
-use mpc_query::{named, Query};
+use mpc_query::{named, parse_aggregate_query, Query};
 use mpc_sim::backend::Backend;
 use mpc_testkit::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -119,5 +124,56 @@ fn bench_service_qps(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_service_qps);
+/// Render one resident outcome into a reused buffer: a 100 352-row
+/// answer (`mpcbench`'s `rows_out` shape: 8 hot join values, fan-out 112
+/// on both sides), its 8-group aggregate twin, and the status line alone.
+fn bench_wire_render(c: &mut Criterion) {
+    const HOT: u64 = 8;
+    const FAN: u64 = 112;
+    let side = |name: &str, base: u64| {
+        let flat = (0..HOT)
+            .flat_map(|z| (0..FAN).flat_map(move |v| [base + z * FAN + v, z]))
+            .collect();
+        Relation::from_flat(name, 2, flat)
+    };
+    let mut svc = Service::new(1 << 11)
+        .with_backend(Backend::Sequential)
+        .with_defaults(P, 1);
+    svc.load(side("S1", 0)).expect("load");
+    svc.load(side("S2", HOT * FAN)).expect("load");
+    let (plain, _) = parse_aggregate_query("S1(x,z), S2(y,z)").expect("parses");
+    let (body, head) =
+        parse_aggregate_query("Q(z; count, sum(x)) :- S1(x,z), S2(y,z)").expect("parses");
+    let rows = svc.query(&plain).expect("query");
+    assert_eq!(rows.answers().len() as u64, HOT * FAN * FAN);
+    let groups = svc
+        .query_spec(&QuerySpec::new(body).aggregate(head.expect("aggregate head")))
+        .expect("query");
+
+    let mut g = c.benchmark_group("wire_render");
+    let mut buf = String::new();
+    for (name, outcome, want_rows) in [
+        ("rows_100k", &rows, true),
+        ("groups_8", &groups, true),
+        ("status_only", &rows, false),
+    ] {
+        g.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| {
+                buf.clear();
+                render_outcome(&mut buf, black_box(outcome), want_rows);
+                black_box(buf.len())
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group! {
+    name = benches;
+    config = {
+        mpc_testkit::criterion::set_alloc_probe(mpc_bench::alloc_counter::alloc_count);
+        Criterion::default()
+    };
+    targets = bench_service_qps, bench_wire_render
+}
 criterion_main!(benches);

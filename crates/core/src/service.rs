@@ -76,7 +76,7 @@ use mpc_stats::cardinality::SimpleStatistics;
 use mpc_stats::sketch::{FreqEstimate, RelationSketch, SpaceSaving};
 use mpc_stats::source::ExactStats;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors raised by the service surface — the one typed vocabulary the
 /// wire protocol renders (`err {Display}`), replacing the ad-hoc strings
@@ -222,7 +222,7 @@ fn execute_budgeted(
     db: &Database,
     backend: Backend,
     budget: &QueryBudget,
-) -> Result<(RunOutcome, Option<AnswerSet>), BudgetExceeded> {
+) -> Result<(RunOutcome, OnceLock<AnswerSet>), BudgetExceeded> {
     let outcome = plan.try_execute(db, backend, budget)?;
     // A limited budget must charge every materialized answer row against
     // its cap, so the set is built here, inside the contained region.
@@ -231,9 +231,9 @@ fn execute_budgeted(
     // containment for that), so callers that never read answers — the
     // batch throughput path — never pay for them.
     let answers = if outcome.aggregate().is_none() && !budget.is_unlimited() {
-        Some(outcome.try_answers(budget)?)
+        OnceLock::from(outcome.try_answers(budget)?)
     } else {
-        None
+        OnceLock::new()
     };
     Ok((outcome, answers))
 }
@@ -247,7 +247,7 @@ fn execute_budgeted(
 fn execute_batch_contained(
     jobs: &[(&Plan, &Database, &QueryBudget)],
     backend: Backend,
-) -> Vec<Result<(RunOutcome, Option<AnswerSet>), ServiceError>> {
+) -> Vec<Result<(RunOutcome, OnceLock<AnswerSet>), ServiceError>> {
     backend.run_items(jobs.len(), |i| {
         let (plan, db, budget) = jobs[i];
         run_contained(|| execute_budgeted(plan, db, Backend::Sequential, budget))
@@ -366,11 +366,12 @@ impl QuerySpec {
 /// the plan cache served it. For plain (non-aggregate) queries the answer
 /// set is materialized *inside* the service's containment boundary — so a
 /// panic or budget trip during answer collection surfaces as the query's
-/// error, never the caller's — and cached here.
+/// error, never the caller's — and held here, once: every later read is a
+/// borrow of the same set.
 pub struct ServiceOutcome {
     outcome: RunOutcome,
     cache: CacheStatus,
-    answers: Option<AnswerSet>,
+    answers: OnceLock<AnswerSet>,
 }
 
 impl ServiceOutcome {
@@ -386,12 +387,9 @@ impl ServiceOutcome {
 
     /// The distinct answers, sorted, in query-variable order (the set
     /// materialized under the query's budget when the service ran it,
-    /// joined lazily here otherwise).
-    pub fn answers(&self) -> AnswerSet {
-        match &self.answers {
-            Some(a) => a.clone(),
-            None => self.outcome.answers(),
-        }
+    /// joined lazily on the first read otherwise, and kept).
+    pub fn answers(&self) -> &AnswerSet {
+        self.answers.get_or_init(|| self.outcome.answers())
     }
 
     /// [`ServiceOutcome::answers`] behind the service's containment
@@ -399,11 +397,12 @@ impl ServiceOutcome {
     /// budget, the lazy join runs under `catch_unwind` so a worker panic
     /// during materialization (not just during execution) surfaces as a
     /// typed [`ServiceError`]. The wire layer renders rows through this.
-    pub fn try_answers(&self) -> Result<AnswerSet, ServiceError> {
-        match &self.answers {
-            Some(a) => Ok(a.clone()),
-            None => run_contained(|| Ok(self.outcome.answers())),
+    pub fn try_answers(&self) -> Result<&AnswerSet, ServiceError> {
+        if let Some(answers) = self.answers.get() {
+            return Ok(answers);
         }
+        let answers = run_contained(|| Ok(self.outcome.answers()))?;
+        Ok(self.answers.get_or_init(|| answers))
     }
 
     /// The pushed-down aggregate result, when the spec carried an
@@ -1257,14 +1256,16 @@ mod tests {
         ];
         let results = svc.query_batch(&specs);
         assert_eq!(results.len(), 3);
-        let batch_answers: Vec<AnswerSet> =
-            results.into_iter().map(|r| r.unwrap().answers()).collect();
+        let batch_answers: Vec<&AnswerSet> = results
+            .iter()
+            .map(|r| r.as_ref().unwrap().answers())
+            .collect();
         // Spec 2 is shape-equal to spec 0: served from the cache.
         assert_eq!(svc.counters().hits, 1);
         assert_eq!(svc.counters().misses, 2);
         let mut fresh = loaded_service();
         for (spec, batch) in specs.iter().zip(&batch_answers) {
-            assert_eq!(&fresh.query_spec(spec).unwrap().answers(), batch);
+            assert_eq!(fresh.query_spec(spec).unwrap().answers(), *batch);
         }
         assert_eq!(batch_answers[0], batch_answers[2]);
     }

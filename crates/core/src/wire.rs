@@ -33,6 +33,16 @@
 //! the same connection runs normally). The TCP front end additionally
 //! sheds clients past its `--max-clients` cap with `err overloaded ...`.
 //!
+//! **Reply framing.** There is one renderer and one serve loop. Every
+//! reply — status line, answer rows, group lines, `STATS`, `err` — is
+//! appended as newline-terminated text to one reusable buffer
+//! ([`Session::handle_into`], [`render_outcome`]); [`Session::handle`] is
+//! the same path split into lines. [`serve`] reads a command, renders its
+//! whole reply *before* writing any of it (so a panic or budget trip while
+//! the rows are materialized is one `err` line, never a torn reply), and
+//! hands it to the transport in one `write_all` + `flush`: a client sees
+//! each reply arrive as one unit, on stdio and on TCP alike.
+//!
 //! ```
 //! use mpc_core::service::Service;
 //! use mpc_core::wire::Session;
@@ -54,6 +64,17 @@
 use crate::engine::Algorithm;
 use crate::service::{QuerySpec, Service, ServiceError, ServiceOutcome};
 use mpc_query::parse_aggregate_query;
+use std::fmt::Write as _;
+use std::io::{self, BufRead, Write};
+use std::sync::Mutex;
+
+/// Append one formatted, newline-terminated line to a reply buffer
+/// (formatting into a `String` cannot fail).
+macro_rules! reply {
+    ($out:expr, $($arg:tt)*) => {{
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
 
 /// Per-connection protocol state: queued batch specs and the shutdown
 /// flag. All catalog/cache state lives in the [`Service`], which many
@@ -78,160 +99,161 @@ impl Session {
     }
 
     /// Process one protocol line against `service`, returning the
-    /// response lines.
+    /// response lines: [`Session::handle_into`] split at its newlines.
     pub fn handle(&mut self, service: &mut Service, line: &str) -> Vec<String> {
+        let mut out = String::new();
+        self.handle_into(service, line, &mut out);
+        out.lines().map(str::to_owned).collect()
+    }
+
+    /// Process one protocol line against `service`, appending the reply —
+    /// zero or more newline-terminated lines — to `out`. Nothing else is
+    /// allocated per reply line, so a caller that reuses `out` renders
+    /// even a large `rows` reply without touching the allocator.
+    pub fn handle_into(&mut self, service: &mut Service, line: &str, out: &mut String) {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
-            return Vec::new();
+            return;
         }
         let (keyword, rest) = match line.split_once(char::is_whitespace) {
             Some((k, r)) => (k, r.trim()),
             None => (line, ""),
         };
         match keyword.to_ascii_uppercase().as_str() {
-            "LOAD" => self.cmd_load(service, rest),
-            "APPEND" => self.cmd_append(service, rest),
-            "QUERY" => self.cmd_query(service, rest),
-            "SET" => self.cmd_set(service, rest),
-            "BATCH" => self.cmd_batch(),
-            "RUN" => self.cmd_run(service),
-            "STATS" => self.cmd_stats(service),
+            "LOAD" => self.cmd_load(service, rest, out),
+            "APPEND" => self.cmd_append(service, rest, out),
+            "QUERY" => self.cmd_query(service, rest, out),
+            "SET" => self.cmd_set(service, rest, out),
+            "BATCH" => self.cmd_batch(out),
+            "RUN" => self.cmd_run(service, out),
+            "STATS" => self.cmd_stats(service, out),
             "SHUTDOWN" => {
                 if self.in_batch {
-                    return vec!["err SHUTDOWN inside BATCH (send RUN first)".to_string()];
+                    return reply!(out, "err SHUTDOWN inside BATCH (send RUN first)");
                 }
                 self.done = true;
-                vec!["ok bye".to_string()]
+                reply!(out, "ok bye")
             }
-            other => vec![format!("err unknown command `{other}`")],
+            other => reply!(out, "err unknown command `{other}`"),
         }
     }
 
-    fn cmd_load(&mut self, service: &mut Service, rest: &str) -> Vec<String> {
+    fn cmd_load(&mut self, service: &mut Service, rest: &str, out: &mut String) {
         if self.in_batch {
-            return vec!["err LOAD inside BATCH".to_string()];
+            return reply!(out, "err LOAD inside BATCH");
         }
         let mut parts = rest.splitn(3, char::is_whitespace);
         let name = match parts.next().filter(|s| !s.is_empty()) {
             Some(n) => n,
-            None => return vec!["err LOAD needs: LOAD <rel> <arity> [rows]".to_string()],
+            None => return reply!(out, "err LOAD needs: LOAD <rel> <arity> [rows]"),
         };
         let arity: usize = match parts.next().and_then(|a| a.parse().ok()) {
             Some(a) if a > 0 => a,
-            _ => return vec!["err LOAD needs a positive integer arity".to_string()],
+            _ => return reply!(out, "err LOAD needs a positive integer arity"),
         };
         let flat = match parse_rows(parts.next().unwrap_or(""), arity) {
             Ok(flat) => flat,
-            Err(e) => return vec![format!("err {e}")],
+            Err(e) => return reply!(out, "err {e}"),
         };
         let rel = mpc_data::relation::Relation::from_flat(name, arity, flat);
         match service.load(rel) {
-            Ok(len) => vec![format!("ok loaded {name} arity={arity} tuples={len}")],
-            Err(e) => vec![format!("err {e}")],
+            Ok(len) => reply!(out, "ok loaded {name} arity={arity} tuples={len}"),
+            Err(e) => reply!(out, "err {e}"),
         }
     }
 
-    fn cmd_append(&mut self, service: &mut Service, rest: &str) -> Vec<String> {
+    fn cmd_append(&mut self, service: &mut Service, rest: &str, out: &mut String) {
         if self.in_batch {
-            return vec!["err APPEND inside BATCH".to_string()];
+            return reply!(out, "err APPEND inside BATCH");
         }
         let (name, rows) = match rest.split_once(char::is_whitespace) {
             Some((n, r)) => (n, r.trim()),
-            None => return vec!["err APPEND needs: APPEND <rel> <rows>".to_string()],
+            None => return reply!(out, "err APPEND needs: APPEND <rel> <rows>"),
         };
         let arity = match service.relation(name) {
             Some(rel) => rel.arity(),
-            None => return vec![format!("err relation `{name}` is not loaded")],
+            None => return reply!(out, "err relation `{name}` is not loaded"),
         };
         let flat = match parse_rows(rows, arity) {
             Ok(flat) if !flat.is_empty() => flat,
-            Ok(_) => return vec!["err APPEND needs at least one tuple".to_string()],
-            Err(e) => return vec![format!("err {e}")],
+            Ok(_) => return reply!(out, "err APPEND needs at least one tuple"),
+            Err(e) => return reply!(out, "err {e}"),
         };
         let appended = flat.len() / arity;
         match service.append(name, &flat) {
-            Ok(len) => vec![format!("ok appended {name} +{appended} tuples={len}")],
-            Err(e) => vec![format!("err {e}")],
+            Ok(len) => reply!(out, "ok appended {name} +{appended} tuples={len}"),
+            Err(e) => reply!(out, "err {e}"),
         }
     }
 
-    fn cmd_query(&mut self, service: &mut Service, rest: &str) -> Vec<String> {
+    fn cmd_query(&mut self, service: &mut Service, rest: &str, out: &mut String) {
         let (spec, want_rows) = match parse_query_line(rest) {
             Ok(parsed) => parsed,
-            Err(e) => return vec![format!("err {e}")],
+            Err(e) => return reply!(out, "err {e}"),
         };
         if self.in_batch {
             self.pending.push(spec);
             self.pending_rows.push(want_rows);
-            return vec![format!("ok queued {}", self.pending.len())];
+            return reply!(out, "ok queued {}", self.pending.len());
         }
-        match service.query_spec(&spec) {
-            Ok(outcome) => render_outcome(&outcome, want_rows),
-            Err(e) => vec![format!("err {e}")],
-        }
+        render_result(out, &service.query_spec(&spec), want_rows);
     }
 
     /// `SET key=value ...`: install default query budgets on the service
     /// (shared by every session on a TCP front). `0` clears a default
     /// back to unlimited.
-    fn cmd_set(&mut self, service: &mut Service, rest: &str) -> Vec<String> {
+    fn cmd_set(&mut self, service: &mut Service, rest: &str, out: &mut String) {
         if self.in_batch {
-            return vec!["err SET inside BATCH".to_string()];
+            return reply!(out, "err SET inside BATCH");
         }
         if rest.is_empty() {
-            return vec![
-                "err SET needs: SET [timeout_ms=N] [max_rows=N] [max_groups=N]".to_string(),
-            ];
+            return reply!(
+                out,
+                "err SET needs: SET [timeout_ms=N] [max_rows=N] [max_groups=N]"
+            );
         }
-        let mut echo = Vec::new();
+        // The echo grows pair by pair; a bad pair takes it back.
+        let start = out.len();
+        out.push_str("ok set");
         for pair in rest.split_whitespace() {
-            let Some((key, value)) = pair.split_once('=') else {
-                return vec![format!("err SET expects key=value, got `{pair}`")];
-            };
-            let Ok(n) = value.parse::<u64>() else {
-                return vec![format!("err SET {key}= expects an integer, got `{value}`")];
-            };
-            let setting = if n == 0 { None } else { Some(n) };
-            match key {
-                "timeout_ms" => service.set_default_timeout_ms(setting),
-                "max_rows" => service.set_default_max_rows(setting),
-                "max_groups" => service.set_default_max_groups(setting),
-                other => return vec![format!("err SET has no key `{other}`")],
+            match apply_setting(service, pair) {
+                Ok((key, n)) => {
+                    let _ = write!(out, " {key}={n}");
+                }
+                Err(e) => {
+                    out.truncate(start);
+                    return reply!(out, "err {e}");
+                }
             }
-            echo.push(format!("{key}={n}"));
         }
-        vec![format!("ok set {}", echo.join(" "))]
+        out.push('\n');
     }
 
-    fn cmd_batch(&mut self) -> Vec<String> {
+    fn cmd_batch(&mut self, out: &mut String) {
         if self.in_batch {
-            return vec!["err already in BATCH".to_string()];
+            return reply!(out, "err already in BATCH");
         }
         self.in_batch = true;
-        vec!["ok batch".to_string()]
+        reply!(out, "ok batch")
     }
 
-    fn cmd_run(&mut self, service: &mut Service) -> Vec<String> {
+    fn cmd_run(&mut self, service: &mut Service, out: &mut String) {
         if !self.in_batch {
-            return vec!["err RUN outside BATCH".to_string()];
+            return reply!(out, "err RUN outside BATCH");
         }
         self.in_batch = false;
         let specs = std::mem::take(&mut self.pending);
         let rows = std::mem::take(&mut self.pending_rows);
-        let mut out = Vec::new();
-        for (result, want_rows) in service.query_batch(&specs).into_iter().zip(rows) {
-            match result {
-                Ok(outcome) => out.extend(render_outcome(&outcome, want_rows)),
-                Err(e) => out.push(format!("err {e}")),
-            }
+        for (result, want_rows) in service.query_batch(&specs).iter().zip(rows) {
+            render_result(out, result, want_rows);
         }
-        out.push(format!("ok ran {}", specs.len()));
-        out
+        reply!(out, "ok ran {}", specs.len())
     }
 
-    fn cmd_stats(&mut self, service: &mut Service) -> Vec<String> {
+    fn cmd_stats(&mut self, service: &mut Service, out: &mut String) {
         let c = service.counters();
-        let mut out = vec![format!(
+        reply!(
+            out,
             "ok plans={} hits={} misses={} invalidations={} evictions={} relations={} mode={}",
             service.cached_plans(),
             c.hits,
@@ -240,67 +262,230 @@ impl Session {
             c.evictions,
             service.relation_infos().len(),
             service.stats_mode()
-        )];
+        );
         if let Some(t) = service.sketch_telemetry() {
-            out.push(format!(
+            reply!(
+                out,
                 "sketch bytes={} capacity={} max_error={}",
-                t.bytes, t.capacity, t.max_error
-            ));
+                t.bytes,
+                t.capacity,
+                t.max_error
+            );
         }
         for info in service.relation_infos() {
-            out.push(format!(
+            reply!(
+                out,
                 "rel {} arity={} tuples={} tracked={}",
-                info.name, info.arity, info.tuples, info.tracked_projections
-            ));
+                info.name,
+                info.arity,
+                info.tuples,
+                info.tracked_projections
+            );
         }
-        out.push("end".to_string());
-        out
+        reply!(out, "end")
     }
 }
 
-/// Render one query outcome: the `ok` status line, plus the answer tuples
-/// (or `key | value` group lines for aggregate heads) and an `end`
-/// terminator when the client asked for rows.
-fn render_outcome(outcome: &ServiceOutcome, want_rows: bool) -> Vec<String> {
+/// Install one `SET` pair on the service, returning it for the echo.
+fn apply_setting<'a>(service: &mut Service, pair: &'a str) -> Result<(&'a str, u64), String> {
+    let (key, value) = pair
+        .split_once('=')
+        .ok_or_else(|| format!("SET expects key=value, got `{pair}`"))?;
+    let n = value
+        .parse::<u64>()
+        .map_err(|_| format!("SET {key}= expects an integer, got `{value}`"))?;
+    let setting = if n == 0 { None } else { Some(n) };
+    match key {
+        "timeout_ms" => service.set_default_timeout_ms(setting),
+        "max_rows" => service.set_default_max_rows(setting),
+        "max_groups" => service.set_default_max_groups(setting),
+        other => return Err(format!("SET has no key `{other}`")),
+    }
+    Ok((key, n))
+}
+
+/// Append one `err <cause>` line — the shape of every failure reply,
+/// including the TCP front's `err overloaded` shed line.
+pub fn render_err(out: &mut String, cause: &ServiceError) {
+    reply!(out, "err {cause}")
+}
+
+/// Render one query result: the outcome, or its one `err` line.
+fn render_result(out: &mut String, result: &Result<ServiceOutcome, ServiceError>, want_rows: bool) {
+    match result {
+        Ok(outcome) => render_outcome(out, outcome, want_rows),
+        Err(e) => render_err(out, e),
+    }
+}
+
+/// Append one query outcome to `out`: the `ok` status line, plus the
+/// answer tuples (or `key | value` group lines for aggregate heads) and an
+/// `end` terminator when the client asked for rows. Rows are written
+/// straight from the outcome's [`AnswerSet`](mpc_data::answers::AnswerSet)
+/// into the buffer, so a warm buffer renders without allocating.
+pub fn render_outcome(out: &mut String, outcome: &ServiceOutcome, want_rows: bool) {
+    let run = outcome.run_outcome();
     if let Some(agg) = outcome.aggregate() {
-        let mut out = vec![format!(
+        reply!(
+            out,
             "ok groups={} algo={} cache={} rounds={} load={} predicted={:.0}",
             agg.num_groups(),
             outcome.algorithm(),
             outcome.cache_status(),
             outcome.num_rounds(),
             outcome.max_load_bits(),
-            outcome.run_outcome().predicted_load_bits(),
-        )];
+            run.predicted_load_bits(),
+        );
         if want_rows {
-            out.extend(agg.to_string().lines().map(str::to_string));
-            out.push("end".to_string());
+            // `Display` separates the group lines; the last one still
+            // needs its terminator.
+            if agg.num_groups() > 0 {
+                reply!(out, "{agg}");
+            }
+            reply!(out, "end");
         }
-        return out;
+        return;
     }
     // Containment extends to the lazy row materialization: a worker panic
-    // while joining the rows yields one `err` line, not a torn reply.
+    // while joining the rows yields one `err` line, not a torn reply —
+    // nothing of this outcome is in the buffer yet.
     let answers = match outcome.try_answers() {
         Ok(a) => a,
-        Err(e) => return vec![format!("err {e}")],
+        Err(e) => return render_err(out, &e),
     };
-    let mut out = vec![format!(
+    reply!(
+        out,
         "ok answers={} algo={} cache={} rounds={} load={} predicted={:.0}",
         answers.len(),
         outcome.algorithm(),
         outcome.cache_status(),
         outcome.num_rounds(),
         outcome.max_load_bits(),
-        outcome.run_outcome().predicted_load_bits(),
-    )];
+        run.predicted_load_bits(),
+    );
     if want_rows {
         for row in answers.rows() {
-            let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-            out.push(cells.join(" "));
+            for (i, &v) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push(' ');
+                }
+                push_u64(out, v);
+            }
+            out.push('\n');
         }
-        out.push("end".to_string());
+        reply!(out, "end");
     }
-    out
+}
+
+/// Append `v` in decimal, digits written in place (the row loop's only
+/// formatting; `fmt` machinery per cell is most of a `rows` render).
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// How [`serve`] reaches the [`Service`] for the duration of one command.
+pub trait ServiceAccess {
+    /// Run `f` with exclusive access to the service.
+    fn with_service<T>(&mut self, f: impl FnOnce(&mut Service) -> T) -> T;
+}
+
+/// A front that owns its service (stdio: one session, no sharing).
+impl ServiceAccess for Service {
+    fn with_service<T>(&mut self, f: impl FnOnce(&mut Service) -> T) -> T {
+        f(self)
+    }
+}
+
+/// A front whose sessions share one service (TCP): the lock is held for
+/// exactly one command — parse, plan, execute, render — and released
+/// before the reply is written.
+impl ServiceAccess for &Mutex<Service> {
+    fn with_service<T>(&mut self, f: impl FnOnce(&mut Service) -> T) -> T {
+        // Recover the lock even if another session's thread died while
+        // holding it: the service's own containment boundary means the
+        // state behind a poisoned mutex is still consistent.
+        f(&mut self.lock().unwrap_or_else(|p| p.into_inner()))
+    }
+}
+
+/// How a [`serve`] loop ended.
+#[derive(Debug)]
+pub struct ServeEnd {
+    /// The client sent `SHUTDOWN` (on a shared front: stop the server).
+    pub shutdown: bool,
+    /// The first I/O error the session met, if any. A read error ends the
+    /// session; a write error only mutes it.
+    pub error: Option<io::Error>,
+}
+
+/// Line and reply buffers are reused across commands up to this capacity;
+/// one past it (a bulk `LOAD`, a large `rows` reply) is released after
+/// use, so a session's footprint does not ratchet up to its largest
+/// command.
+const RETAINED_BUFFER_BYTES: usize = 64 << 10;
+
+/// Empty `buf` for the next command, keeping its allocation unless it
+/// outgrew [`RETAINED_BUFFER_BYTES`].
+fn recycle(buf: &mut String) {
+    if buf.capacity() > RETAINED_BUFFER_BYTES {
+        *buf = String::new();
+    } else {
+        buf.clear();
+    }
+}
+
+/// Serve one session — the loop behind both `mpcskew serve` fronts: read
+/// a line, render its whole reply into a buffer with the service reached
+/// through `service`, then (outside that access) hand the reply to
+/// `writer` in one `write_all` + `flush`. Empty replies (blank lines,
+/// comments) write nothing.
+///
+/// The loop ends at `SHUTDOWN`, end of input, or a read error. A write
+/// error ends only the session's *output*: its commands keep being
+/// consumed, so a client that vanished cannot swallow its own `SHUTDOWN`.
+pub fn serve<R: BufRead, W: Write>(
+    mut reader: R,
+    mut writer: W,
+    mut service: impl ServiceAccess,
+) -> ServeEnd {
+    let mut session = Session::new();
+    let mut line = String::new();
+    let mut reply = String::new();
+    let mut error = None;
+    while !session.is_done() {
+        match reader.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => {
+                error.get_or_insert(e);
+                break;
+            }
+        }
+        service.with_service(|svc| session.handle_into(svc, &line, &mut reply));
+        // Only a write error leaves the loop running with `error` set.
+        if !reply.is_empty() && error.is_none() {
+            error = writer
+                .write_all(reply.as_bytes())
+                .and_then(|()| writer.flush())
+                .err();
+        }
+        recycle(&mut line);
+        recycle(&mut reply);
+    }
+    ServeEnd {
+        shutdown: session.is_done(),
+        error,
+    }
 }
 
 /// Parse `v,v,..;v,v,..` into flat row-major data, validating row widths.
@@ -698,5 +883,163 @@ mod tests {
         assert!(one(&mut s, &mut svc, "LOAD S2 2 9999,0").starts_with("err value 9999"));
         assert!(one(&mut s, &mut svc, "QUERY S1(x,z) algo=quantum")
             .starts_with("err unknown algorithm"));
+    }
+
+    /// What a [`serve`] writer saw, call by call.
+    #[derive(Debug, PartialEq)]
+    enum Io {
+        Write(String),
+        Flush,
+    }
+
+    /// A `Write` that accepts everything and records every call.
+    #[derive(Default)]
+    struct Recorder(Vec<Io>);
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let text = std::str::from_utf8(buf).expect("replies are UTF-8");
+            self.0.push(Io::Write(text.to_string()));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.0.push(Io::Flush);
+            Ok(())
+        }
+    }
+
+    /// `(v, 0)` for `v` in `0..n`: joined on column 1 with another of its
+    /// kind, `n * n` answers.
+    fn fan(n: u64) -> String {
+        let rows: Vec<String> = (0..n).map(|v| format!("{v},0")).collect();
+        rows.join(";")
+    }
+
+    #[test]
+    fn serve_writes_each_reply_once_and_matches_handle() {
+        let script = [
+            format!("LOAD A 2 {}", fan(100)),
+            format!("LOAD B 2 {}", fan(100)),
+            "QUERY A(x,z), B(y,z)".to_string(),
+            "QUERY A(x,z), B(y,z) rows".to_string(),
+            "QUERY Q(z; count, sum(x)) :- A(x,z), B(y,z) rows".to_string(),
+            String::new(),
+            "# a comment between commands".to_string(),
+            "BATCH".to_string(),
+            "QUERY A(x,z), B(y,z) limit=5 rows".to_string(),
+            "QUERY Q(x; count) :- A(x,z), B(y,z) rows".to_string(),
+            "RUN".to_string(),
+            "STATS".to_string(),
+            "FROB".to_string(),
+            "SET max_rows=7 frobs=1".to_string(),
+            "SHUTDOWN".to_string(),
+            "QUERY A(x,z), B(y,z)".to_string(), // after SHUTDOWN: never read
+        ];
+
+        // The adapter: one `Vec<String>` per command.
+        let mut svc = service();
+        let mut session = Session::new();
+        let mut expected = Vec::new();
+        for line in &script[..script.len() - 1] {
+            let lines = session.handle(&mut svc, line);
+            if !lines.is_empty() {
+                expected.push(Io::Write(lines.join("\n") + "\n"));
+                expected.push(Io::Flush);
+            }
+        }
+        let big = match &expected[6] {
+            Io::Write(reply) => reply,
+            other => panic!("expected the rows reply, got {other:?}"),
+        };
+        assert_eq!(big.lines().count(), 10_002, "status + 10 000 rows + end");
+        assert!(
+            big.ends_with("\n99 0 98\n99 0 99\nend\n"),
+            "{:?}",
+            &big[big.len() - 40..]
+        );
+
+        // The buffer path, through the shared loop: exactly one write and
+        // one flush per non-empty reply, the same bytes.
+        let mut recorder = Recorder::default();
+        let end = serve(io::Cursor::new(script.join("\n")), &mut recorder, service());
+        assert!(end.shutdown);
+        assert!(end.error.is_none(), "{:?}", end.error);
+        assert_eq!(recorder.0.len(), expected.len());
+        for (i, (got, want)) in recorder.0.iter().zip(&expected).enumerate() {
+            assert!(got == want, "call {i}: got {got:?}, want {want:?}");
+        }
+    }
+
+    #[test]
+    fn row_cap_trip_is_one_err_line_and_nothing_before_it() {
+        let script = format!(
+            "LOAD A 2 {0}\nLOAD B 2 {0}\nQUERY A(x,z), B(y,z) limit=99 rows\n\
+             SET max_rows=99\nQUERY A(x,z), B(y,z) rows\n",
+            fan(10)
+        );
+        let mut recorder = Recorder::default();
+        let end = serve(io::Cursor::new(script), &mut recorder, service());
+        assert!(!end.shutdown, "input ended without SHUTDOWN");
+        let writes: Vec<&str> = recorder
+            .0
+            .iter()
+            .filter_map(|io| match io {
+                Io::Write(reply) => Some(reply.as_str()),
+                Io::Flush => None,
+            })
+            .collect();
+        assert_eq!(
+            writes[2..],
+            [
+                "err limit max_rows exceeded\n",
+                "ok set max_rows=99\n",
+                "err limit max_rows exceeded\n"
+            ]
+        );
+    }
+
+    #[test]
+    fn write_error_mutes_the_session_but_not_its_commands() {
+        /// Accepts one reply, then fails like a vanished peer.
+        struct Vanishing(usize);
+        impl Write for Vanishing {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                if self.0 > 1 {
+                    return Err(io::ErrorKind::BrokenPipe.into());
+                }
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let svc = Mutex::new(service());
+        let mut writer = Vanishing(0);
+        let end = serve(
+            io::Cursor::new("LOAD S1 2 0,1\nSTATS\nLOAD S2 2 5,1\nSHUTDOWN\n"),
+            &mut writer,
+            &svc,
+        );
+        // The second write failed; nothing was attempted after it, yet the
+        // LOAD and the SHUTDOWN behind it were still executed.
+        assert_eq!(writer.0, 2);
+        assert_eq!(end.error.map(|e| e.kind()), Some(io::ErrorKind::BrokenPipe));
+        assert!(end.shutdown);
+        assert!(svc.lock().unwrap().relation("S2").is_some());
+    }
+
+    #[test]
+    fn buffers_do_not_retain_a_large_command() {
+        let mut small = String::with_capacity(128);
+        small.push_str("ok bye\n");
+        recycle(&mut small);
+        assert!(small.is_empty());
+        assert!(small.capacity() >= 128, "small buffers are reused");
+        let mut big = String::with_capacity(RETAINED_BUFFER_BYTES + 1);
+        big.push('x');
+        recycle(&mut big);
+        assert_eq!(big.capacity(), 0, "a large buffer is released");
     }
 }

@@ -72,7 +72,7 @@ fn injected_panics_are_contained_and_survivors_are_bit_identical() {
             // boundary, so drive the full query-to-rows path.
             let err = svc
                 .query(&q)
-                .and_then(|out| out.try_answers())
+                .and_then(|out| out.try_answers().cloned())
                 .expect_err("injected panic must surface as an error");
             assert_eq!(
                 err,
@@ -103,11 +103,11 @@ fn injected_delays_change_nothing_but_time() {
     for backend in [Backend::Sequential, Backend::Pooled(4)] {
         let q = two_way();
         let mut svc = loaded_service(backend);
-        let expected = svc.query(&q).expect("uninjected query").answers();
+        let expected = svc.query(&q).expect("uninjected query").answers().clone();
 
         fp.rearm("shuffle:delay:1ms,local_join:delay:1ms");
         let slow = svc.query(&q).expect("delayed query still succeeds");
-        assert_eq!(slow.answers(), expected, "{backend:?}");
+        assert_eq!(slow.answers(), &expected, "{backend:?}");
         assert!(failpoint::fires("local_join") > 0);
         fp.rearm("");
     }
@@ -121,12 +121,12 @@ fn probabilistic_panics_eventually_let_a_query_through() {
     let mut fp = failpoint::arm("");
     let q = two_way();
     let mut svc = loaded_service(Backend::Pooled(4));
-    let expected = svc.query(&q).expect("uninjected query").answers();
+    let expected = svc.query(&q).expect("uninjected query").answers().clone();
 
     fp.rearm("local_join:panic:0.2");
     let (mut failed, mut succeeded) = (0u32, 0u32);
     for _ in 0..24 {
-        match svc.query(&q).and_then(|out| out.try_answers()) {
+        match svc.query(&q).and_then(|out| out.try_answers().cloned()) {
             Ok(answers) => {
                 assert_eq!(answers, expected);
                 succeeded += 1;
@@ -146,7 +146,7 @@ fn batch_jobs_are_contained_independently() {
     let mut fp = failpoint::arm("");
     let q = two_way();
     let mut svc = loaded_service(Backend::Pooled(4));
-    let expected = svc.query(&q).expect("solo query").answers();
+    let expected = svc.query(&q).expect("solo query").answers().clone();
 
     // A budget-tripped job errors alone; its neighbors are untouched.
     let specs = vec![
@@ -155,23 +155,23 @@ fn batch_jobs_are_contained_independently() {
         QuerySpec::new(q.clone()),
     ];
     let results = svc.query_batch(&specs);
-    assert_eq!(results[0].as_ref().unwrap().answers(), expected);
+    assert_eq!(results[0].as_ref().unwrap().answers(), &expected);
     assert_eq!(
         results[1].as_ref().unwrap_err(),
         &ServiceError::LimitExceeded("max_rows".to_string())
     );
-    assert_eq!(results[2].as_ref().unwrap().answers(), expected);
+    assert_eq!(results[2].as_ref().unwrap().answers(), &expected);
 
     // Injected panics fail the whole armed batch — but the service
     // survives and the next (disarmed) batch is bit-identical.
     fp.rearm("local_join:panic");
     for r in svc.query_batch(&specs[..1]) {
-        let got = r.and_then(|out| out.try_answers());
+        let got = r.and_then(|out| out.try_answers().cloned());
         assert!(matches!(got, Err(ServiceError::Internal(_))), "{got:?}");
     }
     fp.rearm("");
     let recovered = svc.query_batch(&specs[..1]);
-    assert_eq!(recovered[0].as_ref().unwrap().answers(), expected);
+    assert_eq!(recovered[0].as_ref().unwrap().answers(), &expected);
 }
 
 #[test]

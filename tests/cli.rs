@@ -626,7 +626,7 @@ fn serve_tcp_child(extra_args: &[&str]) -> (std::process::Child, String) {
 fn serve_tcp_survives_client_disconnects() {
     use std::net::TcpStream;
 
-    let (child, addr) = serve_tcp_child(&[]);
+    let (child, addr) = serve_tcp_child(&["--domain", "1024"]);
 
     // Client 1 drops mid-line: a partial command with no newline, then
     // the socket closes. The listener must shrug it off.
@@ -657,13 +657,39 @@ fn serve_tcp_survives_client_disconnects() {
         // Drop here: the server is (or was) mid-way through writing rows.
     }
 
+    // Client 3 asks for a reply far larger than the socket buffers
+    // (400 x 400 rows of ~10 bytes, > 1 MB) and hangs up without reading
+    // any of it: the one buffered write fails part-way, which must end
+    // that session's output and nothing else.
+    {
+        let fan = |n: u64| {
+            let rows: Vec<String> = (0..n).map(|v| format!("{v},0")).collect();
+            rows.join(";")
+        };
+        let stream = TcpStream::connect(&addr).expect("client connects");
+        let mut writer = stream.try_clone().expect("stream clones");
+        writer
+            .write_all(format!("LOAD A 2 {0}\nLOAD B 2 {0}\n", fan(400)).as_bytes())
+            .expect("loads sent");
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        for _ in 0..2 {
+            line.clear();
+            reader.read_line(&mut line).expect("reply line");
+            assert!(line.starts_with("ok loaded"), "{line}");
+        }
+        writer
+            .write_all(b"QUERY A(x,z), B(y,z) rows\n")
+            .expect("query sent");
+    }
+
     // A fresh client still gets the shared catalog and the cached plan,
-    // proving neither disconnect tore down the listener or the service.
+    // proving no disconnect tore down the listener or the service.
     let survivor = {
         let stream = TcpStream::connect(&addr).expect("client connects");
         let mut writer = stream.try_clone().expect("stream clones");
         writer
-            .write_all(b"QUERY S1(x,z), S2(y,z)\nSHUTDOWN\n")
+            .write_all(b"QUERY S1(x,z), S2(y,z)\nQUERY A(x,z), B(y,z)\nSHUTDOWN\n")
             .expect("script sent");
         BufReader::new(stream)
             .lines()
@@ -672,6 +698,10 @@ fn serve_tcp_survives_client_disconnects() {
     };
     assert!(survivor[0].starts_with("ok answers=3"), "{survivor:?}");
     assert!(survivor[0].contains("cache=hit"), "{survivor:?}");
+    assert!(
+        survivor[1].starts_with("ok answers=160000 "),
+        "{survivor:?}"
+    );
     assert_eq!(survivor.last().map(String::as_str), Some("ok bye"));
 
     let out = child.wait_with_output().expect("serve exits");
@@ -737,4 +767,85 @@ fn serve_tcp_sheds_load_beyond_max_clients() {
         "serve failed; stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn serve_tcp_replies_are_not_held_back_by_nagle() {
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    let (child, addr) = serve_tcp_child(&[]);
+    let stream = TcpStream::connect(&addr).expect("client connects");
+    stream.set_nodelay(true).expect("client nodelay");
+    let mut writer = stream.try_clone().expect("stream clones");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+
+    // Closed loop: the next STATS goes out only after the previous reply's
+    // `end`. A multi-line reply written line by line into a Nagle socket
+    // costs one delayed ACK (~40 ms) per round trip — 2 s for these 50;
+    // one buffered write on a TCP_NODELAY socket costs a few ms in all.
+    let started = Instant::now();
+    for _ in 0..50 {
+        writer.write_all(b"STATS\n").expect("command sent");
+        loop {
+            line.clear();
+            reader.read_line(&mut line).expect("reply line");
+            if line == "end\n" {
+                break;
+            }
+        }
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "50 STATS round trips took {took:?}"
+    );
+
+    writer.write_all(b"SHUTDOWN\n").expect("command sent");
+    line.clear();
+    reader.read_line(&mut line).expect("reply line");
+    assert_eq!(line, "ok bye\n");
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(out.status.success());
+}
+
+#[test]
+fn serve_stdio_and_tcp_replies_are_byte_identical() {
+    use std::io::Read;
+    use std::net::TcpStream;
+
+    let script = "LOAD S1 2 0,1;1,1;2,3\n\
+                  LOAD S2 2 5,1;6,3;7,9\n\
+                  QUERY S1(x,z), S2(y,z) rows\n\
+                  # comments and blank lines reply nothing\n\
+                  \n\
+                  QUERY Q(z; count, sum(x)) :- S1(x,z), S2(y,z) rows\n\
+                  QUERY S1(x,z), S2(y,z) limit=1 rows\n\
+                  BATCH\n\
+                  QUERY S1(x,z), S2(y,z) rows\n\
+                  QUERY S9(x,z)\n\
+                  RUN\n\
+                  APPEND S2 8,1\n\
+                  SET max_groups=1\n\
+                  QUERY Q(z; count) :- S1(x,z), S2(y,z)\n\
+                  FROB\n\
+                  STATS\n\
+                  SHUTDOWN\n";
+    let args = ["--domain", "16", "--p", "4", "--threads", "1"];
+
+    let over_stdio = serve_stdio_session(&args, script).join("\n") + "\n";
+    assert!(over_stdio.contains("\nerr limit max_rows exceeded\n"));
+    assert!(over_stdio.ends_with("\nend\nok bye\n"), "{over_stdio}");
+
+    let (child, addr) = serve_tcp_child(&args[4..]);
+    let mut stream = TcpStream::connect(&addr).expect("client connects");
+    stream.write_all(script.as_bytes()).expect("script sent");
+    let mut over_tcp = String::new();
+    stream
+        .read_to_string(&mut over_tcp)
+        .expect("replies to EOF");
+    assert_eq!(over_tcp, over_stdio);
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(out.status.success());
 }

@@ -55,7 +55,7 @@ fn ingest_then_query_matches_fresh_build_across_backends() {
             let (want_algo, want) = fresh_run(&q, &rels, domain, p, backend);
             assert_eq!(
                 got.answers(),
-                want,
+                &want,
                 "round {round}, backend {backend}: service answers diverge from fresh build"
             );
             assert_eq!(
@@ -102,7 +102,7 @@ fn batch_queries_match_serial_and_fresh_build() {
     assert_eq!(outcomes.len(), 3);
     for (spec, out) in [&q1, &q2, &q1].into_iter().zip(&outcomes) {
         let (_, want) = fresh_run(spec, &rels, domain, p, Backend::Sequential);
-        assert_eq!(out.answers(), want, "batch answer diverges for {spec}");
+        assert_eq!(out.answers(), &want, "batch answer diverges for {spec}");
     }
     // The third spec repeats the first's shape: same plan, served warm.
     assert_eq!(outcomes[2].cache_status(), CacheStatus::Hit);
@@ -174,7 +174,7 @@ fn stale_plan_invalidation_fires_on_heavy_threshold_crossing() {
     s2.push_rows(&skewed);
     let (want_algo, want) = fresh_run(&q, &[s1, s2], domain, p, Backend::Sequential);
     assert_eq!(want_algo, Algorithm::SkewJoin);
-    assert_eq!(replanned.answers(), want);
+    assert_eq!(replanned.answers(), &want);
 
     // Counter book-keeping: 2 misses (cold + replan), 1 hit, 1 invalidation.
     let c = svc.counters();
