@@ -17,10 +17,10 @@
 //! stay near zero on pushdown and grow with `|output|` on the baseline.
 
 use mpc_bench::workloads::{correlated_zipf_db, product_skew_db};
-use mpc_core::aggregate::{AggregateAccumulator, Mergeable};
+use mpc_core::aggregate::{aggregate_cluster, AggregateAccumulator, Mergeable};
 use mpc_core::engine::Engine;
 use mpc_data::catalog::Database;
-use mpc_data::AnswerSet;
+use mpc_data::{AnswerSet, QueryBudget};
 use mpc_query::aggregate::AggregateSpec;
 use mpc_query::{named, parse_aggregate_query};
 use mpc_sim::backend::Backend;
@@ -44,11 +44,17 @@ fn materialize_then_fold(
     query: &mpc_query::Query,
     spec: &AggregateSpec,
 ) -> mpc_core::aggregate::AggregateResult {
-    let parts = cluster.fold_answers(
-        query,
-        || AnswerSet::new(query.num_vars()),
-        |rows, binding, mult| rows.push_repeat(binding, mult),
-    );
+    let parts = cluster
+        .fold_answers(
+            query,
+            &QueryBudget::unlimited(),
+            || AnswerSet::new(query.num_vars()),
+            |rows, binding, mult| {
+                rows.push_repeat(binding, mult);
+                Ok(())
+            },
+        )
+        .expect("no budget is set");
     let mut acc = AggregateAccumulator::new(spec);
     for part in parts {
         let mut local = AggregateAccumulator::new(spec);
@@ -89,7 +95,10 @@ fn run_pair(
     let total_tuples: usize = db.cardinalities().iter().sum();
     g.throughput(Throughput::Elements(total_tuples as u64));
     g.bench_function(BenchmarkId::new(name, "pushdown"), |b| {
-        b.iter(|| black_box(mpc_core::aggregate::aggregate_cluster(cluster, q, spec).num_groups()))
+        b.iter(|| {
+            let folded = aggregate_cluster(cluster, q, spec, &QueryBudget::unlimited());
+            black_box(folded.expect("no budget is set").num_groups())
+        })
     });
     g.bench_function(BenchmarkId::new(name, "materialize"), |b| {
         b.iter(|| black_box(materialize_then_fold(cluster, q, spec).num_groups()))

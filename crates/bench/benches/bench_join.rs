@@ -3,9 +3,9 @@
 //! on every execution backend, including the pool-reuse and batch cases.
 
 use mpc_bench::workloads::{skewed_join_db, uniform_db, zipf_triangle_db};
-use mpc_core::engine::{Algorithm, Engine};
+use mpc_core::engine::{execute_batch, Algorithm, Engine, Plan};
 use mpc_core::skew_join::SkewJoin;
-use mpc_data::{Join, JoinOrder, QueryBudget, Relation};
+use mpc_data::{Database, Join, JoinOrder, QueryBudget, Relation};
 use mpc_query::named;
 use mpc_sim::backend::Backend;
 use mpc_testkit::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -148,16 +148,16 @@ fn bench_cluster_zipf(c: &mut Criterion) {
         })
     });
 
-    // The same 16 rounds submitted as one batch: parallelism across rounds
-    // (each round sequential inside) on the persistent pool — the
-    // multi-query-throughput shape. Jobs are built from an engine plan
-    // (`Plan` is a `Router`), the post-PR-4 batch idiom.
+    // The same 16 rounds submitted as one `execute_batch`: parallelism
+    // across rounds (each round sequential inside) on the persistent pool
+    // — the multi-query-throughput shape. Like the loop above it shuffles
+    // and reports load; answers stay lazy.
     let plan_small = Engine::new(&q).p(16).seed(2).plan(&small);
     assert_eq!(plan_small.algorithm(), Algorithm::SkewJoin);
-    let jobs: Vec<mpc_sim::BatchJob> = (0..rounds).map(|_| plan_small.batch_job(&small)).collect();
+    let jobs: Vec<(&Plan, &Database)> = (0..rounds).map(|_| (&plan_small, &small)).collect();
     g.bench_function(BenchmarkId::new("small_rounds_x16", "batch_pooled4"), |b| {
         b.iter(|| {
-            let results = mpc_sim::Cluster::run_batch(black_box(&jobs), Backend::Pooled(4));
+            let results = execute_batch(black_box(&jobs), Backend::Pooled(4));
             black_box(results.len())
         })
     });

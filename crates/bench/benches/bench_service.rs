@@ -101,7 +101,9 @@ fn bench_service_qps(c: &mut Criterion) {
 
     // Batch multiplexing: the same stream twice over, fanned out across
     // the persistent worker pool (parallel across jobs, sequential
-    // inside) — the shape `mpcskew serve` uses for BATCH .. RUN.
+    // inside) — the shape `mpcskew serve` uses for BATCH .. RUN. Every
+    // outcome's answers are read, like `service_qps/*` above, so the two
+    // groups compare like work.
     let mut g = c.benchmark_group("service_qps_batch");
     g.throughput(Throughput::Elements(2 * queries.len() as u64));
     let mut pooled = Service::new(DOMAIN)
@@ -117,8 +119,9 @@ fn bench_service_qps(c: &mut Criterion) {
         .collect();
     g.bench_function(BenchmarkId::from_parameter("resident_pool4"), |b| {
         b.iter(|| {
-            let outs = pooled.query_batch(black_box(&specs));
-            black_box(outs.len())
+            for out in pooled.query_batch(black_box(&specs)) {
+                black_box(out.expect("query").answers().len());
+            }
         })
     });
     g.finish();

@@ -8,7 +8,7 @@
 
 use mpc_core::engine::{sketch_capacity, Engine, ExactStats, SketchStats, Stats, StatsMode};
 use mpc_core::service::Service;
-use mpc_data::{generators, Database, Rng};
+use mpc_data::{generators, Database, Relation, Rng};
 use mpc_query::named;
 use mpc_sim::backend::Backend;
 use mpc_testkit::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -75,11 +75,20 @@ fn uniform_db(m: usize) -> Database {
     Database::new(q, vec![s1, s2], DOMAIN).expect("valid db")
 }
 
-/// One ingest round against a resident relation of `m` tuples: append a
-/// 32-tuple batch, then answer the join. In sketch mode the append folds
-/// into the summaries and the fingerprint reads them back — no rescan,
-/// so `scan_bytes_per_iter` is flat in `m`. The rebuild arm replans from
-/// a fresh `ExactStats` each round and its scan bytes grow with `m`.
+/// The 32-tuple batch round `round` appends to `S2`.
+fn append_batch(round: u64) -> Vec<u64> {
+    (0..32u64)
+        .flat_map(|i| [i, (i * 7 + round) % DOMAIN])
+        .collect()
+}
+
+/// One ingest round against a relation of `m` tuples, the same work on
+/// every arm: append a 32-tuple batch, answer the join, read the answers.
+/// In sketch mode the append folds into the summaries and the fingerprint
+/// reads them back — no rescan, so `scan_bytes_per_iter` is flat in `m`.
+/// The rebuild arm is the service-less process: it revalidates the grown
+/// relations into a fresh `Database` and replans from a fresh
+/// `ExactStats` each round, so its scan bytes grow with `m`.
 fn bench_service_append(c: &mut Criterion) {
     let q = named::two_way_join();
     let mut g = c.benchmark_group("service_append_sketch");
@@ -98,22 +107,30 @@ fn bench_service_append(c: &mut Criterion) {
             g.bench_function(BenchmarkId::new(format!("resident_{tag}"), m), |b| {
                 b.iter(|| {
                     round += 1;
-                    let batch: Vec<u64> = (0..32u64)
-                        .flat_map(|i| [i, (i * 7 + round) % DOMAIN])
-                        .collect();
-                    svc.append("S2", black_box(&batch)).expect("append");
+                    svc.append("S2", black_box(&append_batch(round)))
+                        .expect("append");
                     let out = svc.query(&q).expect("query");
                     black_box(out.answers().len())
                 })
             });
         }
-        // The service-less baseline: replan from fresh exact statistics
-        // after every batch — the full-relation scan the sketch avoids.
-        let db = uniform_db(m);
+        // The service-less baseline: rebuild the database and replan from
+        // fresh exact statistics after every batch — the full-relation
+        // scan the sketch avoids.
+        let mut rels: Vec<Relation> = uniform_db(m)
+            .relations()
+            .iter()
+            .map(|r| r.as_ref().clone())
+            .collect();
+        let mut round = 0u64;
         g.bench_function(BenchmarkId::new("rebuild_exact", m), |b| {
             b.iter(|| {
-                let plan = Engine::new(db.query()).p(P).seed(1).plan(black_box(&db));
-                black_box(plan.algorithm())
+                round += 1;
+                rels[1].push_rows(black_box(&append_batch(round)));
+                let db = Database::new(q.clone(), rels.clone(), DOMAIN).expect("valid db");
+                let plan = Engine::new(&q).p(P).seed(1).plan(&db);
+                let out = plan.execute(&db, Backend::Sequential);
+                black_box(out.answers().len())
             })
         });
     }

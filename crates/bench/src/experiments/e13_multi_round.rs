@@ -8,6 +8,13 @@
 //! load when intermediates are small (chains on sparse data), loses badly
 //! when they explode (triangles on dense data), and always pays more
 //! synchronization rounds.
+//!
+//! Recorded at PR 16 (`MPCSKEW_THREADS=1`): `MR max/round` 8960 / 8932 /
+//! 9893 / 200256 / 16548 for the five rows below (PR 15: 8624 / 9128 /
+//! 9477 / 206052 / 17928). Rounds and intermediates did not move; the
+//! per-round max moved by hash placement only — the baseline's rounds are
+//! `Cluster` rounds under `HashJoinRouter`'s keys now, not a private
+//! shuffle's.
 
 use crate::table::{fmt, Table};
 use crate::workloads::uniform_db;

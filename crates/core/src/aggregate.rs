@@ -23,14 +23,19 @@
 //! derivation is one grid cell), hash join, fragment-replicate, and the
 //! §4.1 skew join (every virtual block is at most `p` long, so the
 //! round-robin fold is injective within it) all qualify. Two do not and
-//! are excluded: the multi-round baseline deduplicates intermediates,
-//! and the §4.2 general algorithm replicates a derivation across
-//! overlapping bin-combination sub-instances — auto planning falls back
-//! to skew-resilient equal shares for aggregates instead.
+//! are excluded ([`Algorithm::partitions_derivations`] is the one
+//! predicate, [`AGGREGATE_NEEDS_PARTITIONING`] the one refusal): the
+//! multi-round baseline has no per-derivation fold over its rounds, and
+//! the §4.2 general algorithm replicates a derivation across overlapping
+//! bin-combination sub-instances — auto planning falls back to
+//! skew-resilient equal shares for aggregates instead.
+//!
+//! [`Algorithm::partitions_derivations`]: crate::engine::Algorithm::partitions_derivations
+//! [`AGGREGATE_NEEDS_PARTITIONING`]: crate::engine::AGGREGATE_NEEDS_PARTITIONING
 //!
 //! ```
-//! use mpc_core::aggregate::aggregate_oracle;
 //! use mpc_core::engine::Engine;
+//! use mpc_core::verify::aggregate_oracle;
 //! use mpc_data::{generators, Database, Rng};
 //! use mpc_query::parse_aggregate_query;
 //!
@@ -46,9 +51,7 @@
 //! ```
 
 use mpc_data::budget::{BudgetExceeded, QueryBudget};
-use mpc_data::catalog::Database;
 use mpc_data::fastmap::{with_projected_key, FastMap, FastSet};
-use mpc_data::join::{Join, JoinOrder};
 use mpc_query::aggregate::{AggregateOp, AggregateSpec};
 use mpc_query::Query;
 use mpc_sim::cluster::Cluster;
@@ -274,27 +277,19 @@ impl fmt::Display for AggregateResult {
 /// the cluster's backend), and the per-server states merge in server
 /// order. Bit-identical across `Sequential`/`Pooled(n)` because
 /// every merge op is commutative and exact.
+///
+/// Each per-server fold charges its group count against `budget`'s group
+/// cap as groups appear (per-worker counts undercount the global union,
+/// but the merge re-checks the union, so the cap is enforced exactly
+/// before any result is returned), and the underlying joins poll the
+/// deadline; pass [`QueryBudget::unlimited`] for none of that.
 pub fn aggregate_cluster(
-    cluster: &Cluster,
-    query: &Query,
-    spec: &AggregateSpec,
-) -> AggregateResult {
-    try_aggregate_cluster(cluster, query, spec, &QueryBudget::unlimited())
-        .expect("an unlimited budget cannot be exceeded")
-}
-
-/// [`aggregate_cluster`] under a cooperative [`QueryBudget`]: each
-/// per-server fold charges its group count against the budget's group cap
-/// as groups appear (per-worker counts undercount the global union, but
-/// the merge re-checks the union, so the cap is enforced exactly before
-/// any result is returned), and the underlying joins poll the deadline.
-pub fn try_aggregate_cluster(
     cluster: &Cluster,
     query: &Query,
     spec: &AggregateSpec,
     budget: &QueryBudget,
 ) -> Result<AggregateResult, BudgetExceeded> {
-    let parts = cluster.try_fold_answers(
+    let parts = cluster.fold_answers(
         query,
         budget,
         || AggregateAccumulator::new(spec),
@@ -311,22 +306,11 @@ pub fn try_aggregate_cluster(
     Ok(merged.finish())
 }
 
-/// The sequential ground truth: fold the Fixed-order join of the full
-/// database through one accumulator. Every distributed aggregate is
-/// differentially checked against this oracle.
-pub fn aggregate_oracle(db: &Database, spec: &AggregateSpec) -> AggregateResult {
-    let mut acc = AggregateAccumulator::new(spec);
-    Join::of(db)
-        .order(JoinOrder::Fixed)
-        .for_each(|binding, mult| acc.fold(binding, mult))
-        .expect("no budget is set");
-    acc.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_data::{generators, Relation, Rng};
+    use crate::verify::aggregate_oracle;
+    use mpc_data::{generators, Database, Join, Relation, Rng};
     use mpc_query::aggregate::AggregateOp;
     use mpc_query::named;
 
@@ -381,7 +365,7 @@ mod tests {
         let db = join_db(500, 2);
         let spec = AggregateSpec::new(vec![], vec![AggregateOp::Count]).unwrap();
         let result = aggregate_oracle(&db, &spec);
-        let total = Join::of(&db).order(JoinOrder::Fixed).count().unwrap() as u128;
+        let total = Join::of(&db).count().unwrap() as u128;
         assert_eq!(result.num_groups(), 1);
         assert_eq!(result.get(&[]), Some(&[total][..]));
     }

@@ -19,9 +19,9 @@
 //!   pick with [`StatsMode`] / [`Engine::stats_mode`]);
 //! * [`Plan`] — a planned algorithm carrying its predicted `L(u, M, p)`
 //!   load and plan metadata (shares, heavy hitters, bin combinations,
-//!   rounds); it implements [`Router`], so it drops straight into
-//!   [`BatchJob`] / [`Cluster::run_batch`];
-//! * [`RunOutcome`] — the unified result: answers, measured
+//!   rounds); [`execute_batch`] runs many `(plan, db)` jobs in parallel
+//!   across jobs;
+//! * [`RunOutcome`] — the unified result: answers (held once), measured
 //!   [`LoadReport`], predicted-vs-measured load, per-round statistics for
 //!   the multi-round baseline.
 //!
@@ -50,31 +50,41 @@
 //! assert!(outcome.max_load_bits() > 0);
 //! ```
 
-use crate::aggregate::{aggregate_oracle, try_aggregate_cluster, AggregateResult};
+use crate::aggregate::{aggregate_cluster, AggregateResult};
 use crate::baselines::{FragmentReplicateRouter, HashJoinRouter};
 use crate::bounds;
 use crate::hypercube::HyperCube;
-use crate::multi_round::{try_run_multi_round_on, MultiRoundResult};
+use crate::multi_round::{run_multi_round, MultiRoundResult};
 use crate::shares::ShareAllocation;
 use crate::skew_general::GeneralSkewAlgorithm;
 use crate::skew_join::{SkewJoin, SkewJoinConfig};
-use crate::verify::{self, Verification};
+use crate::verify::{self, aggregate_oracle, Verification};
 use mpc_data::answers::AnswerSet;
 use mpc_data::budget::{BudgetExceeded, QueryBudget};
 use mpc_data::catalog::Database;
 use mpc_query::aggregate::AggregateSpec;
 use mpc_query::{Query, QueryShape, VarSet};
 use mpc_sim::backend::Backend;
-use mpc_sim::cluster::{BatchJob, Cluster, Router};
+use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::load::LoadReport;
 use mpc_stats::cardinality::SimpleStatistics;
 use mpc_stats::heavy::HeavyHitters;
 use std::fmt;
+use std::sync::OnceLock;
 
 pub use mpc_stats::source::{ExactStats, SketchStats, Stats, SyntheticStats};
 
+/// The one refusal every surface gives an aggregate head pinned to an
+/// algorithm that fails [`Algorithm::partitions_derivations`]: the engine
+/// panics with it, the service wraps it in `ServiceError::Unsupported`,
+/// the CLI prints it after `error: `.
+pub const AGGREGATE_NEEDS_PARTITIONING: &str =
+    "aggregate heads need a plan that materializes every join derivation exactly once; \
+     `multi-round` and `general` do not (use auto, hc, hc-equal, hash, fragment-replicate \
+     or skew-join)";
+
 /// The algorithm menu. [`Algorithm::Auto`] resolves to a concrete choice
-/// at plan time from the statistics (see [`choose`]).
+/// at plan time from the statistics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Pick from the statistics: HyperCube on skew-free data, the §4.1
@@ -126,6 +136,16 @@ impl Algorithm {
             "multi-round" | "mr" => Algorithm::MultiRound,
             other => return Err(format!("unknown algorithm `{other}`")),
         })
+    }
+
+    /// True when the algorithm's routing puts each join derivation on
+    /// exactly one server — what bag-semantics aggregate pushdown needs
+    /// (see [`crate::aggregate`]). False for the multi-round baseline
+    /// (no per-derivation fold over its rounds) and the §4.2 general
+    /// algorithm (bin-combination sub-instances replicate derivations);
+    /// [`Algorithm::Auto`] resolves to an eligible plan by itself.
+    pub fn partitions_derivations(self) -> bool {
+        !matches!(self, Algorithm::MultiRound | Algorithm::GeneralSkew)
     }
 
     /// Every concrete (non-auto) algorithm, in menu order.
@@ -205,7 +225,7 @@ impl fmt::Display for StatsMode {
 /// Checking single shared variables suffices: any jointly-heavy
 /// assignment of a larger subset projects to an at-least-as-frequent
 /// assignment of each member variable at the same `m_j/p` threshold.
-pub fn detects_join_skew(
+pub(crate) fn detects_join_skew(
     q: &Query,
     stats: &dyn Stats,
     simple: &SimpleStatistics,
@@ -236,7 +256,12 @@ pub fn detects_join_skew(
 /// Resolve [`Algorithm::Auto`]: HyperCube at the LP-optimal shares when
 /// the join variables are skew-free; on skewed data, the §4.1 skew join
 /// for two-relation joins and the §4.2 general algorithm otherwise.
-pub fn choose(q: &Query, stats: &dyn Stats, simple: &SimpleStatistics, p: usize) -> Algorithm {
+pub(crate) fn choose(
+    q: &Query,
+    stats: &dyn Stats,
+    simple: &SimpleStatistics,
+    p: usize,
+) -> Algorithm {
     if !detects_join_skew(q, stats, simple, p) {
         Algorithm::HyperCube
     } else if q.num_atoms() == 2
@@ -253,7 +278,7 @@ pub fn choose(q: &Query, stats: &dyn Stats, simple: &SimpleStatistics, p: usize)
 }
 
 /// The `(atom, cols)` frequency projections planning consults for `q`:
-/// every single shared variable of every atom (the [`detects_join_skew`]
+/// every single shared variable of every atom (the skew-detection
 /// enumeration that resolves [`Algorithm::Auto`]), plus — on two-relation
 /// joins — each side's full shared-variable projection (what
 /// [`Algorithm::SkewJoin`] routes heavy hitters by). A plan cache must
@@ -311,7 +336,7 @@ pub struct PlanKey {
     pub aggregate: Option<AggregateSpec>,
 }
 
-/// The hash-join partition variable the engine defaults to: the variable
+/// The hash-join partition variable the engine uses: the variable
 /// occurring in the most atoms (ties: highest index, matching the
 /// historical CLI behaviour).
 pub fn default_hash_vars(q: &Query) -> VarSet {
@@ -323,15 +348,14 @@ pub fn default_hash_vars(q: &Query) -> VarSet {
 
 /// A planned algorithm instance: the configured router (or multi-round
 /// schedule) plus the plan's predicted load and metadata. Built by
-/// [`Engine::plan`]; executed by [`Plan::execute`]. One-round plans
-/// implement [`Router`], so `&plan` drops straight into a [`BatchJob`].
+/// [`Engine::plan`]; executed by [`Plan::execute`] or, many at a time,
+/// by [`execute_batch`].
 ///
 /// ```
 /// use mpc_core::engine::{Algorithm, Engine};
 /// use mpc_data::{generators, Database, Rng};
 /// use mpc_query::named;
 /// use mpc_sim::backend::Backend;
-/// use mpc_sim::cluster::Cluster;
 ///
 /// let q = named::two_way_join();
 /// let mut rng = Rng::seed_from_u64(5);
@@ -344,10 +368,11 @@ pub fn default_hash_vars(q: &Query) -> VarSet {
 /// assert_eq!(plan.algorithm(), Algorithm::HyperCube);
 /// assert!(plan.shares().is_some());
 ///
-/// // A plan is a Router: batch it like any other.
-/// let results = Cluster::run_batch(&[plan.batch_job(&db)], Backend::Sequential);
+/// // Batches run across jobs and agree with one-at-a-time execution.
+/// let batched = mpc_core::engine::execute_batch(&[(&plan, &db)], Backend::Pooled(2));
 /// let outcome = plan.execute(&db, Backend::Sequential);
-/// assert_eq!(results[0].1, *outcome.report().unwrap());
+/// assert_eq!(batched[0].report(), outcome.report());
+/// assert_eq!(batched[0].answers(), outcome.answers());
 /// ```
 pub struct Plan {
     query: Query,
@@ -378,23 +403,6 @@ impl Plan {
     /// The query this plan evaluates.
     pub fn query(&self) -> &Query {
         &self.query
-    }
-
-    /// Number of physical servers.
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// The seed keying the plan's hash functions.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The aggregate head this plan evaluates, if any. Routing is
-    /// identical to the materializing plan (same algorithm, same
-    /// predicted load) — only answer collection differs.
-    pub fn aggregate_spec(&self) -> Option<&AggregateSpec> {
-        self.aggregate.as_ref()
     }
 
     /// The plan's predicted per-server load in bits — the algorithm's own
@@ -450,47 +458,12 @@ impl Plan {
     }
 
     /// Communication rounds the plan will take: 1 for every one-round
-    /// algorithm, `ℓ - 1` for the multi-round baseline.
+    /// algorithm, `max(ℓ - 1, 1)` for the multi-round baseline. Always
+    /// equal to the executed [`RunOutcome::num_rounds`].
     pub fn planned_rounds(&self) -> usize {
         match &self.kind {
             PlanKind::MultiRound => self.query.num_atoms().saturating_sub(1).max(1),
             _ => 1,
-        }
-    }
-
-    /// The one-round router behind this plan (`None` for the multi-round
-    /// baseline).
-    pub fn router(&self) -> Option<&(dyn Router + Sync)> {
-        match &self.kind {
-            PlanKind::HyperCube(r) => Some(r),
-            PlanKind::HashJoin(r) => Some(r),
-            PlanKind::FragmentReplicate(r) => Some(r),
-            PlanKind::SkewJoin(r) => Some(r),
-            PlanKind::GeneralSkew(r) => Some(r.as_ref()),
-            PlanKind::MultiRound => None,
-        }
-    }
-
-    /// A [`BatchJob`] for [`Cluster::run_batch`], routing through this
-    /// plan (one-round plans only).
-    ///
-    /// # Panics
-    /// Panics on a multi-round plan (use
-    /// [`crate::multi_round::run_multi_round_batch`] or [`execute_batch`]).
-    pub fn batch_job<'a>(&'a self, db: &'a Database) -> BatchJob<'a> {
-        assert!(
-            !matches!(self.kind, PlanKind::MultiRound),
-            "multi-round plans cannot be batched as one-round jobs"
-        );
-        assert_eq!(
-            db.query(),
-            &self.query,
-            "plan was built for a different query"
-        );
-        BatchJob {
-            db,
-            p: self.p,
-            router: self,
         }
     }
 
@@ -505,9 +478,13 @@ impl Plan {
     /// [`Plan::execute`] under a cooperative [`QueryBudget`]: the shuffle
     /// polls at chunk boundaries, the pushed-down aggregate fold polls
     /// inside every server's local join and charges groups against the
-    /// group cap, and the multi-round baseline polls at round boundaries.
-    /// For a plain (non-aggregate) plan the answers stay lazy — budget
-    /// them at materialization time with [`RunOutcome::try_answers`].
+    /// group cap, and the multi-round baseline does both every round (see
+    /// [`crate::multi_round`]). A limited budget must charge every
+    /// materialized answer row against its cap, so a plain (non-aggregate)
+    /// plan's answers are joined here, inside the budget, and handed to
+    /// the outcome; under [`QueryBudget::unlimited`] they stay lazy until
+    /// [`RunOutcome::answers`] is first read, so callers that never read
+    /// them — the batch throughput path — never pay for them.
     pub fn try_execute(
         &self,
         db: &Database,
@@ -519,11 +496,10 @@ impl Plan {
             &self.query,
             "plan was built for a different query"
         );
+        let mut answers = OnceLock::new();
         let (detail, aggregate) = match &self.kind {
             PlanKind::MultiRound => (
-                OutcomeDetail::MultiRound(try_run_multi_round_on(
-                    db, self.p, self.seed, backend, budget,
-                )?),
+                OutcomeDetail::MultiRound(run_multi_round(db, self.p, self.seed, backend, budget)?),
                 None,
             ),
             _ => {
@@ -533,30 +509,41 @@ impl Plan {
                 // a per-group accumulator and merge — answers are never
                 // materialized into an `AnswerSet`.
                 let aggregate = match &self.aggregate {
-                    Some(spec) => Some(try_aggregate_cluster(&cluster, &self.query, spec, budget)?),
-                    None => None,
+                    Some(spec) => Some(aggregate_cluster(&cluster, &self.query, spec, budget)?),
+                    None => {
+                        if !budget.is_unlimited() {
+                            answers = OnceLock::from(cluster.try_all_answers(&self.query, budget)?);
+                        }
+                        None
+                    }
                 };
                 (OutcomeDetail::OneRound { cluster, report }, aggregate)
             }
         };
         Ok(RunOutcome {
             algorithm: self.algorithm,
-            p: self.p,
             predicted_load_bits: self.predicted_load_bits,
             lower_bound_bits: self.lower_bound_bits,
             query: self.query.clone(),
             aggregate_spec: self.aggregate.clone(),
             aggregate,
+            answers,
             detail,
         })
     }
 }
 
+/// A one-round plan routes as the algorithm it planned.
 impl Router for Plan {
     fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
-        self.router()
-            .expect("multi-round plans have no one-round router")
-            .route(atom, tuple, out)
+        match &self.kind {
+            PlanKind::HyperCube(r) => r.route(atom, tuple, out),
+            PlanKind::HashJoin(r) => r.route(atom, tuple, out),
+            PlanKind::FragmentReplicate(r) => r.route(atom, tuple, out),
+            PlanKind::SkewJoin(r) => r.route(atom, tuple, out),
+            PlanKind::GeneralSkew(r) => r.route(atom, tuple, out),
+            PlanKind::MultiRound => unreachable!("multi-round plans route round by round"),
+        }
     }
 }
 
@@ -585,15 +572,19 @@ impl fmt::Display for Plan {
 
 /// The unified execution result: what every algorithm returns through the
 /// engine, whether it ran one round (`Cluster` + [`LoadReport`]) or the
-/// multi-round baseline ([`MultiRoundResult`]).
+/// multi-round baseline ([`MultiRoundResult`]). It holds its answer set
+/// once: every [`RunOutcome::answers`] read borrows the same set.
 pub struct RunOutcome {
     algorithm: Algorithm,
-    p: usize,
     predicted_load_bits: f64,
     lower_bound_bits: f64,
     query: Query,
     aggregate_spec: Option<AggregateSpec>,
     aggregate: Option<AggregateResult>,
+    /// A one-round outcome's answers: filled by [`Plan::try_execute`]
+    /// inside a limited budget, by the first read otherwise. (A
+    /// multi-round outcome's answers live in its [`MultiRoundResult`].)
+    answers: OnceLock<AnswerSet>,
     detail: OutcomeDetail,
 }
 
@@ -609,11 +600,6 @@ impl RunOutcome {
     /// The algorithm that ran.
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
-    }
-
-    /// Number of physical servers.
-    pub fn p(&self) -> usize {
-        self.p
     }
 
     /// The plan's predicted per-server load in bits (see
@@ -671,32 +657,20 @@ impl RunOutcome {
 
     /// The distinct answers, sorted, in query-variable order (flat
     /// [`AnswerSet`] storage; `.to_nested()` is the nested escape hatch).
-    pub fn answers(&self) -> AnswerSet {
+    /// A one-round outcome that was not executed under a limited budget
+    /// runs its servers' local joins on the first call and keeps the set.
+    pub fn answers(&self) -> &AnswerSet {
         match &self.detail {
-            OutcomeDetail::OneRound { cluster, .. } => cluster.all_answers(&self.query),
-            OutcomeDetail::MultiRound(mr) => mr.answers.clone(),
-        }
-    }
-
-    /// [`RunOutcome::answers`] under a cooperative [`QueryBudget`]: the
-    /// per-server local joins poll the deadline and charge every emitted
-    /// row against the row cap, so an oversized output trips cleanly
-    /// instead of materializing. (A multi-round outcome already holds its
-    /// answers — they were charged during execution.)
-    pub fn try_answers(&self, budget: &QueryBudget) -> Result<AnswerSet, BudgetExceeded> {
-        match &self.detail {
-            OutcomeDetail::OneRound { cluster, .. } => cluster.try_all_answers(&self.query, budget),
-            OutcomeDetail::MultiRound(mr) => {
-                budget.poll()?;
-                Ok(mr.answers.clone())
-            }
+            OutcomeDetail::OneRound { cluster, .. } => self
+                .answers
+                .get_or_init(|| cluster.all_answers(&self.query)),
+            OutcomeDetail::MultiRound(mr) => &mr.answers,
         }
     }
 
     /// The pushed-down aggregate result, when the plan carried an
-    /// [`AggregateSpec`] (one-round plans only — the multi-round baseline
-    /// deduplicates intermediates, losing the derivation multiplicities
-    /// bag-semantics aggregates need).
+    /// [`AggregateSpec`] (plans whose algorithm
+    /// [partitions derivations](Algorithm::partitions_derivations) only).
     pub fn aggregate(&self) -> Option<&AggregateResult> {
         self.aggregate.as_ref()
     }
@@ -716,23 +690,27 @@ impl RunOutcome {
         }
     }
 
-    /// Verify the answers against the sequential ground truth of `db`.
+    /// Verify the answers against the sequential ground truth of `db`
+    /// (computed on the cluster's own backend for a one-round outcome).
     pub fn verify(&self, db: &Database) -> Verification {
-        match &self.detail {
-            OutcomeDetail::OneRound { cluster, .. } => verify::verify(db, cluster),
-            OutcomeDetail::MultiRound(mr) => {
-                let expected = mpc_sim::oracle::join_database_on(db, Backend::from_env());
-                verify::diff(&expected, &mr.answers)
-            }
-        }
+        let backend = match &self.detail {
+            OutcomeDetail::OneRound { cluster, .. } => cluster.backend(),
+            OutcomeDetail::MultiRound(_) => Backend::from_env(),
+        };
+        let expected = mpc_sim::oracle::join_database_on(db, backend);
+        verify::diff(&expected, self.answers())
     }
 }
 
-/// Execute a batch of `(plan, db)` jobs, parallel **across** jobs on one
-/// backend (each job sequential inside, results in job order) — the same
-/// shape as [`Cluster::run_batch`], but returning [`RunOutcome`]s and
-/// accepting multi-round plans too. Every outcome is bit-identical to
-/// `plan.execute(db, Backend::Sequential)`.
+/// Execute a batch of `(plan, db)` jobs — many small queries or repeated
+/// rounds, multi-round plans included — parallelizing **across** jobs on
+/// one backend instead of inside each round: the multi-query-throughput
+/// shape, where a persistent pool ([`Backend::Pooled`]) amortizes its
+/// spawn cost over the entire batch and schedules jobs dynamically (a slow
+/// job does not hold up the queue behind it). Each job runs sequentially
+/// inside, so every outcome is bit-identical to
+/// `plan.execute(db, Backend::Sequential)`; results come back in job
+/// order.
 pub fn execute_batch(jobs: &[(&Plan, &Database)], backend: Backend) -> Vec<RunOutcome> {
     backend.run_items(jobs.len(), |i| {
         let (plan, db) = jobs[i];
@@ -772,9 +750,6 @@ pub struct Engine<'s> {
     seed: u64,
     backend: Backend,
     algorithm: Algorithm,
-    hash_vars: Option<VarSet>,
-    broadcast_atom: Option<usize>,
-    skew_config: SkewJoinConfig,
     stats: Option<&'s dyn Stats>,
     stats_mode: StatsMode,
     aggregate: Option<AggregateSpec>,
@@ -791,9 +766,6 @@ impl Engine<'static> {
             seed: 1,
             backend: Backend::from_env(),
             algorithm: Algorithm::Auto,
-            hash_vars: None,
-            broadcast_atom: None,
-            skew_config: SkewJoinConfig::default(),
             stats: None,
             stats_mode: StatsMode::Exact,
             aggregate: None,
@@ -827,27 +799,6 @@ impl<'s> Engine<'s> {
         self
     }
 
-    /// Partition variables for [`Algorithm::HashJoin`] (default:
-    /// [`default_hash_vars`]).
-    pub fn hash_vars(mut self, vars: VarSet) -> Self {
-        assert!(!vars.is_empty(), "hash join needs at least one variable");
-        self.hash_vars = Some(vars);
-        self
-    }
-
-    /// Atom to broadcast for [`Algorithm::FragmentReplicate`] (default:
-    /// the smallest relation).
-    pub fn broadcast_atom(mut self, atom: usize) -> Self {
-        self.broadcast_atom = Some(atom);
-        self
-    }
-
-    /// Ablation knobs for [`Algorithm::SkewJoin`].
-    pub fn skew_config(mut self, config: SkewJoinConfig) -> Self {
-        self.skew_config = config;
-        self
-    }
-
     /// Evaluate an aggregate head instead of materializing answers: every
     /// plan folds its local joins through [`crate::aggregate`] and the
     /// outcome carries an [`AggregateResult`]. Routing and predicted load
@@ -858,10 +809,9 @@ impl<'s> Engine<'s> {
     ///
     /// # Panics
     /// [`Engine::plan`] panics when the spec references variables the
-    /// query does not have, or when explicitly combined with
-    /// [`Algorithm::MultiRound`] (deduplicates intermediates) or
-    /// [`Algorithm::GeneralSkew`] — neither materializes each join
-    /// derivation exactly once, which bag-semantics aggregates need.
+    /// query does not have, or — with [`AGGREGATE_NEEDS_PARTITIONING`] —
+    /// when explicitly combined with an algorithm that fails
+    /// [`Algorithm::partitions_derivations`].
     pub fn aggregate(mut self, spec: AggregateSpec) -> Self {
         self.aggregate = Some(spec);
         self
@@ -889,9 +839,6 @@ impl<'s> Engine<'s> {
             seed: self.seed,
             backend: self.backend,
             algorithm: self.algorithm,
-            hash_vars: self.hash_vars,
-            broadcast_atom: self.broadcast_atom,
-            skew_config: self.skew_config,
             stats: Some(stats),
             stats_mode: self.stats_mode,
             aggregate: self.aggregate,
@@ -947,7 +894,7 @@ impl<'s> Engine<'s> {
                 // bin-combination algorithm replicates derivations across
                 // overlapping sub-instances; equal shares (Corollary
                 // 3.2(ii)) is the skew-resilient exact fallback.
-                if self.aggregate.is_some() && chosen == Algorithm::GeneralSkew {
+                if self.aggregate.is_some() && !chosen.partitions_derivations() {
                     Algorithm::HyperCubeEqual
                 } else {
                     chosen
@@ -956,11 +903,8 @@ impl<'s> Engine<'s> {
             other => other,
         };
         assert!(
-            !(self.aggregate.is_some()
-                && matches!(resolved, Algorithm::MultiRound | Algorithm::GeneralSkew)),
-            "aggregate heads need a plan that materializes every join derivation exactly \
-             once: the multi-round baseline deduplicates intermediates and the general \
-             bin-combination algorithm replicates derivations across sub-instances"
+            self.aggregate.is_none() || resolved.partitions_derivations(),
+            "{AGGREGATE_NEEDS_PARTITIONING}"
         );
         let (lower_bound_bits, _) = bounds::l_lower(q, &simple, p);
         let (kind, predicted) = match resolved {
@@ -981,7 +925,7 @@ impl<'s> Engine<'s> {
                 (PlanKind::HyperCube(hc), predicted)
             }
             Algorithm::HashJoin => {
-                let vars = self.hash_vars.unwrap_or_else(|| default_hash_vars(q));
+                let vars = default_hash_vars(q);
                 let m = simple.bit_sizes_f64();
                 // Partitioned atoms pay M_j/p, broadcast atoms pay M_j.
                 let predicted: f64 = (0..q.num_atoms())
@@ -999,11 +943,10 @@ impl<'s> Engine<'s> {
                 )
             }
             Algorithm::FragmentReplicate => {
-                let b = self.broadcast_atom.unwrap_or_else(|| {
-                    (0..q.num_atoms())
-                        .min_by_key(|&j| simple.bit_sizes[j])
-                        .expect("query has atoms")
-                });
+                // Broadcast the smallest relation.
+                let b = (0..q.num_atoms())
+                    .min_by_key(|&j| simple.bit_sizes[j])
+                    .expect("query has atoms");
                 let m = simple.bit_sizes_f64();
                 let predicted: f64 = (0..q.num_atoms())
                     .map(|j| if j == b { m[j] } else { m[j] / p as f64 })
@@ -1028,8 +971,16 @@ impl<'s> Engine<'s> {
                 // Eq. (10) is stated in tuples; convert with the widest
                 // tuple so the prediction stays an upper shape.
                 let width = q.max_arity() as f64 * simple.value_bits as f64;
-                let sj =
-                    SkewJoin::plan_from_parts(q, m1, m2, p, self.seed, self.skew_config, &f1, &f2);
+                let sj = SkewJoin::plan_from_parts(
+                    q,
+                    m1,
+                    m2,
+                    p,
+                    self.seed,
+                    SkewJoinConfig::default(),
+                    &f1,
+                    &f2,
+                );
                 (PlanKind::SkewJoin(sj), bound.max_tuples() * width)
             }
             Algorithm::GeneralSkew => {
@@ -1063,13 +1014,18 @@ mod tests {
     use mpc_data::{generators, Rng};
     use mpc_query::named;
 
-    fn uniform_join(m: usize, seed: u64) -> Database {
-        let q = named::two_way_join();
-        let n = 1u64 << 12;
+    fn uniform_db(q: &Query, m: usize, n: u64, seed: u64) -> Database {
         let mut rng = Rng::seed_from_u64(seed);
-        let s1 = generators::uniform("S1", 2, m, n, &mut rng);
-        let s2 = generators::uniform("S2", 2, m, n, &mut rng);
-        Database::new(q, vec![s1, s2], n).unwrap()
+        let rels = q
+            .atoms()
+            .iter()
+            .map(|a| generators::uniform(a.name(), a.arity(), m, n, &mut rng))
+            .collect();
+        Database::new(q.clone(), rels, n).unwrap()
+    }
+
+    fn uniform_join(m: usize, seed: u64) -> Database {
+        uniform_db(&named::two_way_join(), m, 1 << 12, seed)
     }
 
     fn zipf_join(m: usize, theta: f64, seed: u64) -> Database {
@@ -1137,22 +1093,43 @@ mod tests {
 
     #[test]
     fn every_algorithm_runs_and_verifies_through_the_engine() {
-        let db = zipf_join(1500, 1.0, 8);
-        for algo in Algorithm::all() {
-            let outcome = Engine::new(db.query())
-                .p(8)
-                .seed(9)
-                .backend(Backend::Sequential)
-                .algorithm(algo)
-                .run(&db);
-            assert_eq!(outcome.algorithm(), algo);
-            assert!(outcome.verify(&db).is_complete(), "{algo} lost answers");
-            assert!(outcome.max_load_bits() > 0, "{algo} reported zero load");
-            assert!(outcome.num_rounds() >= 1);
-            assert!(
-                outcome.predicted_load_bits() > 0.0,
-                "{algo} predicted zero load"
-            );
+        // ℓ = 2 and ℓ = 3, plus the ℓ = 1 scan: a single atom is one round
+        // on every algorithm, the multi-round baseline included. The §4.1
+        // skew join is two-relation only, and so is footnote 1's broadcast
+        // join (splitting two atoms of a triangle independently loses
+        // answers — ROADMAP).
+        let scan = mpc_query::parse_query("S1(x,z)").unwrap();
+        for db in [
+            zipf_join(1500, 1.0, 8),
+            uniform_db(&named::cycle(3), 300, 64, 8),
+            uniform_db(&scan, 300, 1 << 12, 8),
+        ] {
+            let l = db.query().num_atoms();
+            for algo in Algorithm::all() {
+                if matches!(algo, Algorithm::SkewJoin | Algorithm::FragmentReplicate) && l != 2 {
+                    continue;
+                }
+                let engine = Engine::new(db.query())
+                    .p(8)
+                    .seed(9)
+                    .backend(Backend::Sequential)
+                    .algorithm(algo);
+                let plan = engine.plan(&db);
+                let outcome = engine.run(&db);
+                assert_eq!(outcome.algorithm(), algo);
+                assert!(outcome.verify(&db).is_complete(), "{algo} lost answers");
+                assert!(outcome.max_load_bits() > 0, "{algo} reported zero load");
+                let rounds = match algo {
+                    Algorithm::MultiRound => (l - 1).max(1),
+                    _ => 1,
+                };
+                assert_eq!(outcome.num_rounds(), rounds, "{algo} at ℓ = {l}");
+                assert_eq!(plan.planned_rounds(), rounds, "{algo} at ℓ = {l}");
+                assert!(
+                    outcome.predicted_load_bits() > 0.0,
+                    "{algo} predicted zero load"
+                );
+            }
         }
     }
 
@@ -1167,20 +1144,13 @@ mod tests {
         let (c_exp, r_exp) = explicit.run_on(&db, Backend::Sequential);
         let outcome = plan.execute(&db, Backend::Sequential);
         assert_eq!(outcome.report(), Some(&r_exp));
-        assert_eq!(outcome.answers(), c_exp.all_answers(db.query()));
+        assert_eq!(*outcome.answers(), c_exp.all_answers(db.query()));
     }
 
     #[test]
     fn multi_round_outcome_carries_round_stats() {
         let q = named::cycle(3);
-        let n = 128u64;
-        let mut rng = Rng::seed_from_u64(12);
-        let rels = q
-            .atoms()
-            .iter()
-            .map(|a| generators::uniform(a.name(), a.arity(), 600, n, &mut rng))
-            .collect();
-        let db = Database::new(q.clone(), rels, n).unwrap();
+        let db = uniform_db(&q, 600, 128, 12);
         let outcome = Engine::new(&q)
             .p(8)
             .seed(13)
@@ -1237,22 +1207,6 @@ mod tests {
         let db = uniform_join(100, 40);
         let other = named::cycle(3);
         let _ = Engine::new(&other).p(4).plan(&db);
-    }
-
-    #[test]
-    #[should_panic(expected = "different query")]
-    fn batch_job_rejects_foreign_database() {
-        let db = uniform_join(100, 41);
-        let plan = Engine::new(db.query()).p(4).plan(&db);
-        let mut rng = Rng::seed_from_u64(1);
-        let q2 = named::cycle(3);
-        let rels = q2
-            .atoms()
-            .iter()
-            .map(|a| generators::uniform(a.name(), a.arity(), 50, 64, &mut rng))
-            .collect();
-        let other = Database::new(q2, rels, 64).unwrap();
-        let _ = plan.batch_job(&other);
     }
 
     #[test]

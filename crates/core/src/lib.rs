@@ -40,9 +40,7 @@ pub mod skew_join;
 pub mod verify;
 pub mod wire;
 
-pub use aggregate::{
-    aggregate_cluster, aggregate_oracle, AggregateAccumulator, AggregateResult, Mergeable,
-};
+pub use aggregate::{aggregate_cluster, AggregateAccumulator, AggregateResult, Mergeable};
 pub use baselines::{FragmentReplicateRouter, HashJoinRouter};
 pub use engine::{
     sketch_capacity, Algorithm, Engine, ExactStats, Plan, PlanKey, RunOutcome, SketchStats, Stats,
@@ -56,5 +54,8 @@ pub use service::{
 pub use shares::ShareAllocation;
 pub use skew_general::GeneralSkewAlgorithm;
 pub use skew_join::{SkewJoin, SkewJoinConfig};
-pub use verify::{assert_complete, verify, verify_aggregate, AggregateVerification, Verification};
+pub use verify::{
+    aggregate_oracle, assert_complete, verify, verify_aggregate, AggregateVerification,
+    Verification,
+};
 pub use wire::Session;

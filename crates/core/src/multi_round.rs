@@ -4,9 +4,9 @@
 //! the classical plan: "the traditional approach is to compute one join at
 //! a time leading to a number of communication rounds at least as large as
 //! the depth of the query plan". This module implements that baseline —
-//! a left-deep sequence of distributed hash joins — with the same exact
-//! load accounting as the one-round algorithms, so experiments can show the
-//! real trade-off:
+//! a left-deep sequence of distributed hash joins — on the same data plane
+//! as the one-round algorithms, so experiments can show the real
+//! trade-off:
 //!
 //! * per-round load can be as low as `~(|input| + |intermediate|)/p`, which
 //!   beats one-round HyperCube when intermediates are small;
@@ -17,16 +17,34 @@
 //!   separately.
 //!
 //! The join order is greedy: start from the smallest relation, repeatedly
-//! fold in the atom sharing variables with the bound set (smallest first);
-//! disconnected atoms trigger a broadcast (fragment-replicate) round.
+//! fold in the atom sharing variables with the bound set (smallest first).
+//!
+//! **Every round is a [`Cluster`] round.** Folding atom `S_j` into the
+//! running intermediate `I` is the two-atom query `I(bound vars), S_j(..)`:
+//! it is shuffled by [`Cluster::try_run_round_on`] under a
+//! [`HashJoinRouter`] on the shared variables — or, when there are none, a
+//! [`FragmentReplicateRouter`] that broadcasts `S_j` —, its load is read
+//! off the cluster's [`LoadReport`](mpc_sim::load::LoadReport), and the
+//! next intermediate is the cluster's own per-server local join
+//! ([`Cluster::fold_answers`]). Intermediates keep bag semantics (one row
+//! per derivation); only the final answers are sorted and deduplicated. A
+//! single-atom query is one partition round on the atom's own variables.
+//!
+//! **Budget.** Every round's shuffle polls the deadline per routed chunk.
+//! Intermediates are not answers and are not charged against the row cap;
+//! the last round's local join runs under the budget, so the final answers
+//! (bag count) are charged once and its deadline is polled in the join.
 
+use crate::baselines::{FragmentReplicateRouter, HashJoinRouter};
 use mpc_data::answers::AnswerSet;
 use mpc_data::budget::{BudgetExceeded, QueryBudget};
 use mpc_data::catalog::Database;
 use mpc_data::mix64;
+use mpc_data::relation::Relation;
 use mpc_query::{Query, VarSet};
 use mpc_sim::backend::Backend;
-use std::collections::HashMap;
+use mpc_sim::cluster::Cluster;
+use std::sync::Arc;
 
 /// Load accounting for one round of the multi-round plan.
 #[derive(Clone, Debug)]
@@ -46,7 +64,7 @@ pub struct RoundStats {
 /// Result of running the multi-round baseline.
 #[derive(Clone, Debug)]
 pub struct MultiRoundResult {
-    /// Per-round statistics, in execution order (`ℓ - 1` rounds).
+    /// Per-round statistics, in execution order (`max(ℓ - 1, 1)` rounds).
     pub rounds: Vec<RoundStats>,
     /// The final answers (sorted, deduplicated, in query-variable order,
     /// flat [`AnswerSet`] storage).
@@ -80,19 +98,6 @@ impl MultiRoundResult {
     }
 }
 
-/// A distributed intermediate result: fragments per server, rows over
-/// `vars` (in `vars.iter()` order).
-struct Intermediate {
-    vars: Vec<usize>,
-    fragments: Vec<Vec<Vec<u64>>>,
-}
-
-impl Intermediate {
-    fn total_tuples(&self) -> u64 {
-        self.fragments.iter().map(|f| f.len() as u64).sum()
-    }
-}
-
 /// Greedy left-deep atom order: smallest relation first, then the connected
 /// atom with the smallest relation (disconnected atoms last).
 fn plan_order(q: &Query, db: &Database) -> Vec<usize> {
@@ -113,34 +118,13 @@ fn plan_order(q: &Query, db: &Database) -> Vec<usize> {
     order
 }
 
-/// Execute the multi-round baseline on `p` servers with the
-/// [`Backend::from_env`] backend. Loads are measured in bits with the
-/// database's value width, exactly like the one-round algorithms.
-pub fn run_multi_round(db: &Database, p: usize, seed: u64) -> MultiRoundResult {
-    run_multi_round_on(db, p, seed, Backend::from_env())
-}
-
-/// [`run_multi_round`] on an explicit execution backend: each round's
-/// per-server local joins (servers are independent) run in parallel and
-/// their fragments are collected in server-index order, so results and
-/// round statistics are identical across backends.
-pub fn run_multi_round_on(
-    db: &Database,
-    p: usize,
-    seed: u64,
-    backend: Backend,
-) -> MultiRoundResult {
-    try_run_multi_round_on(db, p, seed, backend, &QueryBudget::unlimited())
-        .expect("an unlimited budget cannot be exceeded")
-}
-
-/// [`run_multi_round_on`] under a cooperative [`QueryBudget`]. Budget
-/// granularity is **per round**: the deadline is polled before every
-/// round and before the final answer collection (a round in flight runs
-/// to completion), and the final materialized answers are charged against
-/// the row cap. Finer-grained than that the baseline does not need to be
-/// — it exists as a reference, not a production path.
-pub fn try_run_multi_round_on(
+/// Execute the multi-round baseline on `p` servers. Loads are measured in
+/// bits with the database's value width by the same [`Cluster`] accounting
+/// as the one-round algorithms, and results — answers and every
+/// [`RoundStats`] — are identical across backends. See the
+/// [module docs](self) for what `budget` is and is not charged.
+/// `Engine::new(q).algorithm(Algorithm::MultiRound)` is the planned front.
+pub fn run_multi_round(
     db: &Database,
     p: usize,
     seed: u64,
@@ -149,156 +133,88 @@ pub fn try_run_multi_round_on(
 ) -> Result<MultiRoundResult, BudgetExceeded> {
     assert!(p >= 1);
     let q = db.query();
-    let bits = db.value_bits() as u64;
     let order = plan_order(q, db);
+    // The left side of the left-deep plan: a relation (the first atom's
+    // own, shared, until a round replaces it with an intermediate that
+    // keeps its name — no self-joins, so the name never collides) and the
+    // query variable each of its columns carries.
+    let name = q.atom(order[0]).name();
+    let mut left: Arc<Relation> = db.relations()[order[0]].clone();
+    let mut left_vars: Vec<usize> = q.atom(order[0]).vars().to_vec();
+    let names_of = |vars: &[usize]| -> Vec<&str> { vars.iter().map(|&v| q.var_name(v)).collect() };
 
-    // Seed intermediate: the first relation, partitioned by full-tuple hash
-    // (its initial distribution; this placement is free — the input is
-    // already spread across servers in the MPC model).
-    let first = order[0];
-    let first_vars: Vec<usize> = {
-        let mut vs: Vec<usize> = q.atom(first).var_set().iter().collect();
-        vs.sort_unstable();
-        vs
-    };
-    let key0 = mix64(seed, 0x8f0c_21d1_72f3_aa01);
-    let mut inter = Intermediate {
-        vars: first_vars.clone(),
-        fragments: vec![Vec::new(); p],
-    };
-    for row in db.relation(first).rows() {
-        // Project to var order (repeated variables must agree).
-        let Some(projected) = project_atom_row(q, first, row, &first_vars) else {
-            continue;
-        };
-        let mut h = key0;
-        for &v in &projected {
-            h = mix64(v, h);
+    let num_rounds = (order.len() - 1).max(1);
+    let unlimited = QueryBudget::unlimited();
+    let mut rounds = Vec::with_capacity(num_rounds);
+    for round in 0..num_rounds {
+        // The round's query: the left side and the atom folded into it
+        // (none only for a single-atom query — one partition round).
+        let mut named = vec![(name, names_of(&left_vars))];
+        let mut relations = vec![left];
+        if let Some(&j) = order.get(round + 1) {
+            named.push((q.atom(j).name(), names_of(q.atom(j).vars())));
+            relations.push(db.relations()[j].clone());
         }
-        inter.fragments[(h % p as u64) as usize].push(projected);
-    }
+        let atoms: Vec<(&str, &[&str])> = named.iter().map(|(n, vs)| (*n, &vs[..])).collect();
+        let round_query = Query::build("round", &atoms).expect("atoms of a valid query");
+        let round_db = Database::from_shared(round_query, relations, db.domain())
+            .expect("arities follow the atoms");
+        let round_query = round_db.query();
 
-    let mut rounds = Vec::new();
-    let mut bound = q.atom(first).var_set();
-
-    for (round, &j) in order.iter().skip(1).enumerate() {
-        budget.poll()?;
-        let atom = q.atom(j);
-        let shared = atom.var_set().intersect(bound);
-        let round_key = mix64(seed ^ round as u64, 0x1b87_3595_21b6_3e05);
-
-        // New variable list after the round.
-        let new_bound = bound.union(atom.var_set());
-        let mut out_vars: Vec<usize> = new_bound.iter().collect();
-        out_vars.sort_unstable();
-
-        let mut received_bits = vec![0u64; p];
-        let mut next = Intermediate {
-            vars: out_vars.clone(),
-            fragments: vec![Vec::new(); p],
+        // Partition on the variables every atom of the round has; with
+        // none, split the left side and broadcast the folded atom.
+        let shared = (round_query.atoms().iter().map(|a| a.var_set()))
+            .reduce(VarSet::intersect)
+            .expect("a round has atoms");
+        let key = mix64(seed, round as u64);
+        let cluster = if shared.is_empty() {
+            let router = FragmentReplicateRouter::new(p, 1, key);
+            Cluster::try_run_round_on(&round_db, p, &router, backend, budget)?
+        } else {
+            let router = HashJoinRouter::new(round_query, shared, p, key);
+            Cluster::try_run_round_on(&round_db, p, &router, backend, budget)?
         };
 
-        // Positions of the shared variables.
-        let inter_key_pos: Vec<usize> = shared
-            .iter()
-            .map(|v| inter.vars.iter().position(|&w| w == v).expect("bound var"))
-            .collect();
-        let broadcast = shared.is_empty();
-
-        // --- Route the intermediate (repartition by join key). ---
-        let mut i_parts: Vec<Vec<Vec<u64>>> = vec![Vec::new(); p];
-        for frag in &inter.fragments {
-            for row in frag {
-                let dest = if broadcast {
-                    // Keep in place conceptually: route by full row hash.
-                    let mut h = round_key;
-                    for &v in row.iter() {
-                        h = mix64(v, h);
-                    }
-                    (h % p as u64) as usize
-                } else {
-                    let mut h = round_key;
-                    for &pos in &inter_key_pos {
-                        h = mix64(row[pos], h);
-                    }
-                    (h % p as u64) as usize
-                };
-                received_bits[dest] += row.len() as u64 * bits;
-                i_parts[dest].push(row.clone());
-            }
+        // The next intermediate: every server's local join, one row per
+        // derivation. Only the last round's rows are answers.
+        let arity = round_query.num_vars();
+        let last = round + 1 == num_rounds;
+        let parts = cluster.fold_answers(
+            round_query,
+            if last { budget } else { &unlimited },
+            || Relation::new(name, arity),
+            |out, row, mult| {
+                for _ in 0..mult {
+                    out.push(row);
+                }
+                Ok(())
+            },
+        )?;
+        let mut next = Relation::new(name, arity);
+        for part in parts {
+            next.append(part);
         }
-
-        // --- Route the new atom's relation. ---
-        let mut s_parts: Vec<Vec<Vec<u64>>> = vec![Vec::new(); p];
-        for row in db.relation(j).rows() {
-            let Some(projected) = project_atom_row(q, j, row, &atom_var_order(q, j)) else {
-                continue;
-            };
-            if broadcast {
-                for (dest, part) in s_parts.iter_mut().enumerate() {
-                    received_bits[dest] += projected.len() as u64 * bits;
-                    part.push(projected.clone());
-                }
-            } else {
-                let mut h = round_key;
-                for v in shared.iter() {
-                    let pos = atom_var_order(q, j)
-                        .iter()
-                        .position(|&w| w == v)
-                        .expect("shared var in atom");
-                    h = mix64(projected[pos], h);
-                }
-                let dest = (h % p as u64) as usize;
-                received_bits[dest] += projected.len() as u64 * bits;
-                s_parts[dest].push(projected);
-            }
-        }
-
-        // --- Local join on every server (independent; parallel on the
-        // pooled backend, fragments collected in server-index order). ---
-        let s_vars = atom_var_order(q, j);
-        next.fragments = backend
-            .run_chunks(p, 1, |lo, hi| {
-                let mut frags = Vec::with_capacity(hi - lo);
-                for server in lo..hi {
-                    let mut out = Vec::new();
-                    local_hash_join(
-                        &inter.vars,
-                        &i_parts[server],
-                        &s_vars,
-                        &s_parts[server],
-                        &shared,
-                        &out_vars,
-                        &mut out,
-                    );
-                    frags.push(out);
-                }
-                frags
-            })
-            .into_iter()
-            .flatten()
-            .collect();
 
         rounds.push(RoundStats {
             round,
-            atom: atom.name().to_string(),
-            max_load_bits: received_bits.iter().copied().max().unwrap_or(0),
-            intermediate_tuples: next.total_tuples(),
-            broadcast,
+            atom: atoms[atoms.len() - 1].0.to_string(),
+            max_load_bits: cluster.report().max_load_bits(),
+            intermediate_tuples: next.len() as u64,
+            broadcast: shared.is_empty(),
         });
-        inter = next;
-        bound = new_bound;
+        left_vars = (0..arity)
+            .map(|v| q.var_index(round_query.var_name(v)).expect("same names"))
+            .collect();
+        left = Arc::new(next);
     }
 
     // Collect final answers flat, in query-variable order.
-    budget.poll()?;
-    budget.charge_rows(inter.total_tuples())?;
     let perm: Vec<usize> = (0..q.num_vars())
-        .map(|v| inter.vars.iter().position(|&w| w == v).expect("full query"))
+        .map(|v| left_vars.iter().position(|&w| w == v).expect("full query"))
         .collect();
-    let mut answers = AnswerSet::with_capacity(q.num_vars(), inter.total_tuples() as usize);
+    let mut answers = AnswerSet::with_capacity(q.num_vars(), left.len());
     let mut row_buf = vec![0u64; q.num_vars()];
-    for row in inter.fragments.iter().flatten() {
+    for row in left.rows() {
         for (slot, &i) in row_buf.iter_mut().zip(&perm) {
             *slot = row[i];
         }
@@ -309,124 +225,8 @@ pub fn try_run_multi_round_on(
     Ok(MultiRoundResult {
         rounds,
         answers,
-        bound_vars: bound,
+        bound_vars: q.all_vars(),
     })
-}
-
-/// The distinct variables of atom `j` in ascending index order.
-fn atom_var_order(q: &Query, j: usize) -> Vec<usize> {
-    let mut vs: Vec<usize> = q.atom(j).var_set().iter().collect();
-    vs.sort_unstable();
-    vs
-}
-
-/// Project an atom's stored row onto the given distinct-variable order,
-/// returning `None` when repeated variables carry unequal values (such
-/// tuples cannot satisfy the atom).
-fn project_atom_row(q: &Query, j: usize, row: &[u64], var_order: &[usize]) -> Option<Vec<u64>> {
-    let atom = q.atom(j);
-    // Consistency check for repeated variables.
-    for (pos, &v) in atom.vars().iter().enumerate() {
-        let first = atom.position_of_var(v).expect("var present");
-        if row[pos] != row[first] {
-            return None;
-        }
-    }
-    Some(
-        var_order
-            .iter()
-            .map(|&v| row[atom.position_of_var(v).expect("var present")])
-            .collect(),
-    )
-}
-
-/// Hash join of two local fragments on `shared`, emitting rows over
-/// `out_vars`.
-#[allow(clippy::too_many_arguments)]
-fn local_hash_join(
-    left_vars: &[usize],
-    left_rows: &[Vec<u64>],
-    right_vars: &[usize],
-    right_rows: &[Vec<u64>],
-    shared: &VarSet,
-    out_vars: &[usize],
-    out: &mut Vec<Vec<u64>>,
-) {
-    let l_key: Vec<usize> = shared
-        .iter()
-        .map(|v| left_vars.iter().position(|&w| w == v).expect("in left"))
-        .collect();
-    let r_key: Vec<usize> = shared
-        .iter()
-        .map(|v| right_vars.iter().position(|&w| w == v).expect("in right"))
-        .collect();
-    // Output assembly: source of each output variable.
-    enum Src {
-        Left(usize),
-        Right(usize),
-    }
-    let srcs: Vec<Src> = out_vars
-        .iter()
-        .map(|&v| {
-            if let Some(i) = left_vars.iter().position(|&w| w == v) {
-                Src::Left(i)
-            } else {
-                let i = right_vars
-                    .iter()
-                    .position(|&w| w == v)
-                    .expect("var comes from one side");
-                Src::Right(i)
-            }
-        })
-        .collect();
-
-    let mut index: HashMap<Vec<u64>, Vec<&Vec<u64>>> = HashMap::new();
-    for row in right_rows {
-        let key: Vec<u64> = r_key.iter().map(|&i| row[i]).collect();
-        index.entry(key).or_default().push(row);
-    }
-    for lrow in left_rows {
-        let key: Vec<u64> = l_key.iter().map(|&i| lrow[i]).collect();
-        let Some(matches) = index.get(&key) else {
-            continue;
-        };
-        for rrow in matches {
-            out.push(
-                srcs.iter()
-                    .map(|s| match s {
-                        Src::Left(i) => lrow[*i],
-                        Src::Right(i) => rrow[*i],
-                    })
-                    .collect(),
-            );
-        }
-    }
-}
-
-/// Execute a batch of independent multi-round queries, parallelizing
-/// **across** queries on one backend instead of inside each round — with
-/// [`Backend::Pooled`] the whole batch reuses one persistent worker set
-/// and schedules queries dynamically from the shared queue (the
-/// multi-query-throughput shape). Each job `(db, p, seed)` runs its rounds
-/// sequentially, so every result is bit-identical to
-/// `run_multi_round_on(db, p, seed, Backend::Sequential)`; results come
-/// back in job order.
-pub fn run_multi_round_batch(
-    jobs: &[(&Database, usize, u64)],
-    backend: Backend,
-) -> Vec<MultiRoundResult> {
-    backend.run_items(jobs.len(), |i| {
-        let (db, p, seed) = jobs[i];
-        run_multi_round_on(db, p, seed, Backend::Sequential)
-    })
-}
-
-/// Convenience: compare the multi-round answers with the ground-truth join
-/// (computed on the [`Backend::from_env`] backend; the answer set is the
-/// same whichever executor runs it).
-pub fn verify_multi_round(db: &Database, result: &MultiRoundResult) -> bool {
-    let expected = mpc_sim::oracle::join_database_on(db, Backend::from_env());
-    expected == result.answers
 }
 
 #[cfg(test)]
@@ -434,6 +234,15 @@ mod tests {
     use super::*;
     use mpc_data::{generators, Rng};
     use mpc_query::named;
+
+    fn run(db: &Database, p: usize, seed: u64) -> MultiRoundResult {
+        run_multi_round(db, p, seed, Backend::from_env(), &QueryBudget::unlimited())
+            .expect("no budget is set")
+    }
+
+    fn is_complete(db: &Database, result: &MultiRoundResult) -> bool {
+        mpc_sim::oracle::join_database_on(db, Backend::from_env()) == result.answers
+    }
 
     fn uniform_db(q: &Query, m: usize, n: u64, seed: u64) -> Database {
         let mut rng = Rng::seed_from_u64(seed);
@@ -449,19 +258,19 @@ mod tests {
     fn two_way_join_single_round() {
         let q = named::two_way_join();
         let db = uniform_db(&q, 1500, 1 << 10, 1);
-        let result = run_multi_round(&db, 8, 42);
+        let result = run(&db, 8, 42);
         assert_eq!(result.num_rounds(), 1);
         assert!(!result.rounds[0].broadcast);
-        assert!(verify_multi_round(&db, &result));
+        assert!(is_complete(&db, &result));
     }
 
     #[test]
     fn triangle_takes_two_rounds() {
         let q = named::cycle(3);
         let db = uniform_db(&q, 800, 128, 2);
-        let result = run_multi_round(&db, 8, 7);
+        let result = run(&db, 8, 7);
         assert_eq!(result.num_rounds(), 2);
-        assert!(verify_multi_round(&db, &result));
+        assert!(is_complete(&db, &result));
         // The intermediate (length-2 paths) is bigger than the input —
         // the blow-up the paper's one-round approach avoids storing.
         assert!(result.max_intermediate_tuples() > 800);
@@ -471,9 +280,9 @@ mod tests {
     fn chain_4_takes_three_rounds() {
         let q = named::chain(4);
         let db = uniform_db(&q, 800, 256, 3);
-        let result = run_multi_round(&db, 8, 9);
+        let result = run(&db, 8, 9);
         assert_eq!(result.num_rounds(), 3);
-        assert!(verify_multi_round(&db, &result));
+        assert!(is_complete(&db, &result));
     }
 
     #[test]
@@ -484,10 +293,10 @@ mod tests {
         let s1 = generators::uniform_set("S1", 1, 200, n, &mut rng);
         let s2 = generators::uniform_set("S2", 1, 150, n, &mut rng);
         let db = Database::new(q, vec![s1, s2], n).unwrap();
-        let result = run_multi_round(&db, 4, 11);
+        let result = run(&db, 4, 11);
         assert_eq!(result.num_rounds(), 1);
         assert!(result.rounds[0].broadcast);
-        assert!(verify_multi_round(&db, &result));
+        assert!(is_complete(&db, &result));
         assert_eq!(result.answers.len() as u64, 200 * 150);
     }
 
@@ -495,9 +304,9 @@ mod tests {
     fn star_join_correct() {
         let q = named::star(3);
         let db = uniform_db(&q, 600, 64, 5);
-        let result = run_multi_round(&db, 8, 13);
+        let result = run(&db, 8, 13);
         assert_eq!(result.num_rounds(), 2);
-        assert!(verify_multi_round(&db, &result));
+        assert!(is_complete(&db, &result));
     }
 
     #[test]
@@ -505,7 +314,7 @@ mod tests {
         let q = named::cycle(3);
         let db = uniform_db(&q, 500, 64, 6);
         let p = 8usize;
-        let result = run_multi_round(&db, p, 15);
+        let result = run(&db, p, 15);
         for r in &result.rounds {
             assert!(r.max_load_bits > 0);
         }
@@ -517,33 +326,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_individual_runs_in_job_order() {
-        let q = named::cycle(3);
-        let dbs: Vec<Database> = (0..5).map(|s| uniform_db(&q, 400, 64, 20 + s)).collect();
-        let jobs: Vec<(&Database, usize, u64)> = dbs
-            .iter()
-            .enumerate()
-            .map(|(i, db)| (db, 4 + i, 30 + i as u64))
-            .collect();
-        let expected: Vec<MultiRoundResult> = jobs
-            .iter()
-            .map(|&(db, p, seed)| run_multi_round_on(db, p, seed, Backend::Sequential))
-            .collect();
-        for backend in [Backend::Sequential, Backend::Pooled(3), Backend::Pooled(4)] {
-            let results = run_multi_round_batch(&jobs, backend);
-            assert_eq!(results.len(), jobs.len(), "{backend}");
-            for (i, (r, e)) in results.iter().zip(&expected).enumerate() {
-                assert_eq!(r.answers, e.answers, "job {i} [{backend}]");
-                assert_eq!(r.num_rounds(), e.num_rounds(), "job {i} [{backend}]");
-                for (a, b) in r.rounds.iter().zip(&e.rounds) {
-                    assert_eq!(a.max_load_bits, b.max_load_bits, "job {i} [{backend}]");
-                    assert_eq!(
-                        a.intermediate_tuples, b.intermediate_tuples,
-                        "job {i} [{backend}]"
-                    );
-                }
-            }
-        }
+    fn single_atom_is_one_partition_round() {
+        // ℓ = 1: one round that hash-partitions the atom on its own
+        // variables, with its load counted like any other round's — and
+        // S(x,x) keeps only the tuples whose repeated variable agrees.
+        let q = Query::build("q", &[("S", &["x", "x"])]).unwrap();
+        let s = Relation::from_rows("S", 2, &[&[1, 1], &[2, 3], &[4, 4], &[4, 4]]);
+        let db = Database::new(q, vec![s], 16).unwrap();
+        let result = run(&db, 4, 3);
+        assert_eq!(result.num_rounds(), 1);
+        assert!(!result.rounds[0].broadcast);
+        assert_eq!(result.rounds[0].atom, "S");
+        assert_eq!(result.rounds[0].intermediate_tuples, 3, "bag: (4,4) twice");
+        assert!(result.rounds[0].max_load_bits >= 2 * db.value_bits() as u64);
+        assert_eq!(result.answers, vec![vec![1], vec![4]]);
     }
 
     #[test]
@@ -557,8 +353,8 @@ mod tests {
         let s1 = generators::single_value_column("S1", 2, m, n, 1, 5, &mut rng);
         let s2 = generators::single_value_column("S2", 2, m, n, 1, 5, &mut rng);
         let db = Database::new(q, vec![s1, s2], n).unwrap();
-        let result = run_multi_round(&db, 16, 17);
-        assert!(verify_multi_round(&db, &result));
+        let result = run(&db, 16, 17);
+        assert!(is_complete(&db, &result));
         let bits = db.value_bits() as u64;
         // Everything (both relations) funnels into one server.
         assert_eq!(result.rounds[0].max_load_bits, 2 * m as u64 * 2 * bits);

@@ -61,7 +61,7 @@
 
 use crate::engine::{
     planning_projections, sketch_capacity, Algorithm, Engine, Plan, PlanKey, RunOutcome, Stats,
-    StatsMode,
+    StatsMode, AGGREGATE_NEEDS_PARTITIONING,
 };
 use mpc_data::answers::AnswerSet;
 use mpc_data::budget::{BudgetExceeded, BudgetKind, QueryBudget};
@@ -76,7 +76,7 @@ use mpc_stats::cardinality::SimpleStatistics;
 use mpc_stats::sketch::{FreqEstimate, RelationSketch, SpaceSaving};
 use mpc_stats::source::ExactStats;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Errors raised by the service surface — the one typed vocabulary the
 /// wire protocol renders (`err {Display}`), replacing the ad-hoc strings
@@ -214,44 +214,17 @@ fn run_contained<T>(f: impl FnOnce() -> Result<T, BudgetExceeded>) -> Result<T, 
     }
 }
 
-/// Execute one plan under `budget`, materializing the answer set for
-/// plain queries (aggregate heads already folded their result during
-/// execution and never materialize rows).
-fn execute_budgeted(
+/// The per-job body of [`Service::query_spec`] and
+/// [`Service::query_batch`]: execute one resolved plan under its budget —
+/// which materializes a plain query's answers when the budget is limited,
+/// see [`Plan::try_execute`] — inside the containment boundary.
+fn execute_contained(
     plan: &Plan,
     db: &Database,
     backend: Backend,
     budget: &QueryBudget,
-) -> Result<(RunOutcome, OnceLock<AnswerSet>), BudgetExceeded> {
-    let outcome = plan.try_execute(db, backend, budget)?;
-    // A limited budget must charge every materialized answer row against
-    // its cap, so the set is built here, inside the contained region.
-    // Unlimited budgets keep the pre-budget laziness: answers are only
-    // joined when someone asks ([`ServiceOutcome::try_answers`] re-enters
-    // containment for that), so callers that never read answers — the
-    // batch throughput path — never pay for them.
-    let answers = if outcome.aggregate().is_none() && !budget.is_unlimited() {
-        OnceLock::from(outcome.try_answers(budget)?)
-    } else {
-        OnceLock::new()
-    };
-    Ok((outcome, answers))
-}
-
-/// The containment-aware sibling of
-/// [`execute_batch`](crate::engine::execute_batch): same multiplexing
-/// shape (parallel across jobs, each job sequential inside, results in
-/// job order), but each job runs under its own budget and containment
-/// boundary, so one job's injected panic or expired deadline errors that
-/// job without touching its neighbors.
-fn execute_batch_contained(
-    jobs: &[(&Plan, &Database, &QueryBudget)],
-    backend: Backend,
-) -> Vec<Result<(RunOutcome, OnceLock<AnswerSet>), ServiceError>> {
-    backend.run_items(jobs.len(), |i| {
-        let (plan, db, budget) = jobs[i];
-        run_contained(|| execute_budgeted(plan, db, Backend::Sequential, budget))
-    })
+) -> Result<RunOutcome, ServiceError> {
+    run_contained(|| plan.try_execute(db, backend, budget))
 }
 
 /// How the plan cache served one query.
@@ -363,15 +336,15 @@ impl QuerySpec {
 }
 
 /// The result of one service query: the engine's [`RunOutcome`] plus how
-/// the plan cache served it. For plain (non-aggregate) queries the answer
-/// set is materialized *inside* the service's containment boundary — so a
-/// panic or budget trip during answer collection surfaces as the query's
-/// error, never the caller's — and held here, once: every later read is a
-/// borrow of the same set.
+/// the plan cache served it. The answer set lives in the [`RunOutcome`],
+/// once: a limited budget materialized it *inside* the service's
+/// containment boundary — so a budget trip during answer collection
+/// surfaced as the query's error —, otherwise the first read joins it
+/// ([`ServiceOutcome::try_answers`] keeps that read contained too), and
+/// every later read is a borrow of the same set.
 pub struct ServiceOutcome {
     outcome: RunOutcome,
     cache: CacheStatus,
-    answers: OnceLock<AnswerSet>,
 }
 
 impl ServiceOutcome {
@@ -389,7 +362,7 @@ impl ServiceOutcome {
     /// materialized under the query's budget when the service ran it,
     /// joined lazily on the first read otherwise, and kept).
     pub fn answers(&self) -> &AnswerSet {
-        self.answers.get_or_init(|| self.outcome.answers())
+        self.outcome.answers()
     }
 
     /// [`ServiceOutcome::answers`] behind the service's containment
@@ -398,11 +371,7 @@ impl ServiceOutcome {
     /// during materialization (not just during execution) surfaces as a
     /// typed [`ServiceError`]. The wire layer renders rows through this.
     pub fn try_answers(&self) -> Result<&AnswerSet, ServiceError> {
-        if let Some(answers) = self.answers.get() {
-            return Ok(answers);
-        }
-        let answers = run_contained(|| Ok(self.outcome.answers()))?;
-        Ok(self.answers.get_or_init(|| answers))
+        run_contained(|| Ok(self.outcome.answers()))
     }
 
     /// The pushed-down aggregate result, when the spec carried an
@@ -487,10 +456,6 @@ struct CacheEntry {
 /// Default bound on the number of cached plans (see
 /// [`Service::with_plan_cache_capacity`]).
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
-
-/// One batch entry after plan resolution: the (possibly cached) plan, the
-/// per-query database view, and how the cache served it.
-type Resolved = Result<(Arc<Plan>, Database, CacheStatus), ServiceError>;
 
 /// The resident query service. See the [module docs](self) for the
 /// architecture and an end-to-end example.
@@ -809,53 +774,33 @@ impl Service {
     pub fn query_spec(&mut self, spec: &QuerySpec) -> Result<ServiceOutcome, ServiceError> {
         let (plan, db, cache) = self.resolve_plan(spec)?;
         let budget = self.budget_for(spec);
-        let backend = self.backend;
-        let (outcome, answers) = run_contained(|| execute_budgeted(&plan, &db, backend, &budget))?;
-        Ok(ServiceOutcome {
-            outcome,
-            cache,
-            answers,
-        })
+        let outcome = execute_contained(&plan, &db, self.backend, &budget)?;
+        Ok(ServiceOutcome { outcome, cache })
     }
 
     /// Run a batch of queries, multiplexing their shuffles **across** jobs
     /// on the service backend (the
-    /// [`execute_batch`](crate::engine::execute_batch) /
-    /// [`Cluster::run_batch`](mpc_sim::cluster::Cluster::run_batch) shape:
-    /// on a pooled backend, concurrent clients share the persistent
-    /// worker pool). Results come back in spec order, each bit-identical
-    /// to running the spec alone, and each contained independently: one
-    /// job's panic or budget trip errors that job only.
+    /// [`execute_batch`](crate::engine::execute_batch) shape — parallel
+    /// across jobs, each job sequential inside: on a pooled backend,
+    /// concurrent clients share the persistent worker pool). Results come
+    /// back in spec order, each bit-identical to running the spec alone,
+    /// and each under its own budget and containment boundary: one job's
+    /// panic or budget trip errors that job only.
     pub fn query_batch(
         &mut self,
         specs: &[QuerySpec],
     ) -> Vec<Result<ServiceOutcome, ServiceError>> {
-        let resolved: Vec<Resolved> = specs.iter().map(|spec| self.resolve_plan(spec)).collect();
-        let budgets: Vec<QueryBudget> = specs.iter().map(|spec| self.budget_for(spec)).collect();
-        let jobs: Vec<(&Plan, &Database, &QueryBudget)> = resolved
-            .iter()
-            .zip(&budgets)
-            .filter_map(|(r, budget)| {
-                r.as_ref()
-                    .ok()
-                    .map(|(plan, db, _)| (plan.as_ref(), db, budget))
+        // Resolve every plan, then start every deadline clock, then run.
+        let resolved: Vec<_> = specs.iter().map(|spec| self.resolve_plan(spec)).collect();
+        let budgets: Vec<_> = specs.iter().map(|spec| self.budget_for(spec)).collect();
+        self.backend.run_items(specs.len(), |i| {
+            let (plan, db, cache) = resolved[i].as_ref().map_err(ServiceError::clone)?;
+            let outcome = execute_contained(plan, db, Backend::Sequential, &budgets[i])?;
+            Ok(ServiceOutcome {
+                outcome,
+                cache: *cache,
             })
-            .collect();
-        let mut outcomes = execute_batch_contained(&jobs, self.backend).into_iter();
-        resolved
-            .into_iter()
-            .map(|r| {
-                r.and_then(|(_, _, cache)| {
-                    let (outcome, answers) =
-                        outcomes.next().expect("one outcome per resolved job")?;
-                    Ok(ServiceOutcome {
-                        outcome,
-                        cache,
-                        answers,
-                    })
-                })
-            })
-            .collect()
+        })
     }
 
     /// Canonicalize, fingerprint, and serve a plan from the cache —
@@ -870,15 +815,10 @@ impl Service {
         if let Some(agg) = &spec.aggregate {
             agg.validate_for(&spec.query)
                 .map_err(|e| ServiceError::Unsupported(format!("invalid aggregate: {e}")))?;
-            if matches!(
-                spec.algorithm,
-                Algorithm::MultiRound | Algorithm::GeneralSkew
-            ) {
-                return Err(ServiceError::Unsupported(format!(
-                    "invalid aggregate: `{}` does not materialize each join derivation \
-                     exactly once; aggregates need a derivation-partitioning plan",
-                    spec.algorithm
-                )));
+            if !spec.algorithm.partitions_derivations() {
+                return Err(ServiceError::Unsupported(
+                    AGGREGATE_NEEDS_PARTITIONING.to_string(),
+                ));
             }
         }
         // Canonicalization renames variables but keeps their indices, so

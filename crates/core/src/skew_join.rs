@@ -542,7 +542,7 @@ mod tests {
         // folds summed across the cluster must equal the sequential fold.
         // Small p with an H12 grid is where a wrapped (p1*p2 > p) block
         // would double-count derivations.
-        use crate::aggregate::{aggregate_cluster, aggregate_oracle};
+        use crate::verify::verify_aggregate;
         use mpc_query::{AggregateOp, AggregateSpec};
         let check = |db: &Database, p: usize, label: &str| {
             let z = db.query().var_index("z").unwrap();
@@ -552,11 +552,8 @@ mod tests {
             let sj = SkewJoin::plan(db, p, 11);
             assert!(sj.num_heavy() > 0, "{label}: no heavy hitters planned");
             let (cluster, _) = sj.run(db);
-            assert_eq!(
-                aggregate_cluster(&cluster, db.query(), &spec),
-                aggregate_oracle(db, &spec),
-                "{label}"
-            );
+            let v = verify_aggregate(db, &cluster, &spec);
+            assert_eq!(v.got, v.expected, "{label}");
         };
         // Planted H12 value at small p: the grid is forced and the old
         // wrapped (div_ceil) layout would fold two of its cells together.

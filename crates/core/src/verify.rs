@@ -6,12 +6,13 @@
 //! performs that comparison exactly and reports any discrepancy.
 //!
 //! Aggregate queries verify the same way through
-//! [`verify_aggregate`] / [`crate::aggregate::aggregate_oracle`]: the
-//! distributed per-server fold is compared bit for bit against a
-//! sequential Fixed-order fold over the full database.
+//! [`verify_aggregate`] / [`aggregate_oracle`]: the distributed per-server
+//! fold is compared bit for bit against a sequential Fixed-order fold over
+//! the full database.
 
-use crate::aggregate::{aggregate_cluster, aggregate_oracle, AggregateResult};
+use crate::aggregate::{aggregate_cluster, AggregateAccumulator, AggregateResult};
 use mpc_data::answers::AnswerSet;
+use mpc_data::budget::QueryBudget;
 use mpc_data::catalog::Database;
 use mpc_query::aggregate::AggregateSpec;
 use mpc_sim::cluster::Cluster;
@@ -110,6 +111,15 @@ impl AggregateVerification {
     }
 }
 
+/// The sequential ground truth: fold the oracle's Fixed-order join of the
+/// full database ([`oracle::for_each_binding`]) through one accumulator.
+/// Every distributed aggregate is differentially checked against it.
+pub fn aggregate_oracle(db: &Database, spec: &AggregateSpec) -> AggregateResult {
+    let mut acc = AggregateAccumulator::new(spec);
+    oracle::for_each_binding(db, |binding, mult| acc.fold(binding, mult));
+    acc.finish()
+}
+
 /// Differentially check `spec`'s pushed-down aggregate on a post-shuffle
 /// cluster against the sequential oracle fold over `db`.
 pub fn verify_aggregate(
@@ -119,7 +129,8 @@ pub fn verify_aggregate(
 ) -> AggregateVerification {
     AggregateVerification {
         expected: aggregate_oracle(db, spec),
-        got: aggregate_cluster(cluster, db.query(), spec),
+        got: aggregate_cluster(cluster, db.query(), spec, &QueryBudget::unlimited())
+            .expect("no budget is set"),
     }
 }
 

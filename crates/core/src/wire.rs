@@ -795,9 +795,12 @@ mod tests {
             &mut svc,
             "QUERY \"Q(; count) :- S1(x,z), S2(y,z)\" algo=multi-round",
         );
-        assert!(
-            out.starts_with("err unsupported invalid aggregate"),
-            "{out}"
+        assert_eq!(
+            out,
+            format!(
+                "err unsupported {}",
+                crate::engine::AGGREGATE_NEEDS_PARTITIONING
+            )
         );
     }
 

@@ -40,27 +40,6 @@ impl<F: Fn(usize, &[u64], &mut Vec<usize>)> Router for F {
     }
 }
 
-/// One independent round in a [`Cluster::run_batch`] submission.
-pub struct BatchJob<'a> {
-    /// The input database (query + relations).
-    pub db: &'a Database,
-    /// Number of servers for this round.
-    pub p: usize,
-    /// The routing policy (type-erased so one batch can mix algorithms).
-    pub router: &'a (dyn Router + Sync),
-}
-
-/// Adapter giving a `&dyn Router` the `impl Router` shape `run_round_on`
-/// expects (a blanket `impl Router for &R` would collide with the closure
-/// impl above).
-struct DynRouter<'a>(&'a (dyn Router + Sync));
-
-impl Router for DynRouter<'_> {
-    fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
-        self.0.route(atom, tuple, out)
-    }
-}
-
 /// The post-shuffle state: per-atom, per-server relation fragments.
 #[derive(Clone, Debug)]
 pub struct Cluster {
@@ -293,25 +272,6 @@ impl Cluster {
         })
     }
 
-    /// Execute a whole batch of independent rounds — many small queries or
-    /// repeated rounds — parallelizing **across** jobs on one backend
-    /// instead of inside each round: the multi-query-throughput shape,
-    /// where a persistent pool ([`Backend::Pooled`]) amortizes its spawn
-    /// cost over the entire batch and schedules jobs dynamically (a slow
-    /// round does not hold up the queue behind it). Each job runs its own
-    /// round sequentially (so results are bit-identical to
-    /// `run_round_on(.., Sequential)`) and the `(Cluster, LoadReport)`
-    /// pairs come back in job order.
-    pub fn run_batch(jobs: &[BatchJob<'_>], backend: Backend) -> Vec<(Cluster, LoadReport)> {
-        backend.run_items(jobs.len(), |i| {
-            let job = &jobs[i];
-            let cluster =
-                Cluster::run_round_on(job.db, job.p, &DynRouter(job.router), Backend::Sequential);
-            let report = cluster.report();
-            (cluster, report)
-        })
-    }
-
     /// Number of servers.
     pub fn p(&self) -> usize {
         self.p
@@ -385,9 +345,8 @@ impl Cluster {
     /// [`AnswerSet`]s and merges them in server-index order before the final
     /// arity-aware sort — answers are identical for every thread count.
     pub fn all_answers(&self, query: &Query) -> AnswerSet {
-        let mut out = self.collect_answers(query);
-        out.sort_dedup();
-        out
+        self.try_all_answers(query, &QueryBudget::unlimited())
+            .expect("an unlimited budget cannot be exceeded")
     }
 
     /// [`Cluster::all_answers`] under a cooperative [`QueryBudget`]: every
@@ -399,70 +358,56 @@ impl Cluster {
         query: &Query,
         budget: &QueryBudget,
     ) -> Result<AnswerSet, BudgetExceeded> {
-        let mut out = self.try_collect_answers(query, budget)?;
+        let mut out = self.collect_answers(query, budget)?;
         out.sort_dedup();
         Ok(out)
     }
 
-    /// The concatenated (unsorted, undeduplicated) per-server outputs.
-    fn collect_answers(&self, query: &Query) -> AnswerSet {
-        self.try_collect_answers(query, &QueryBudget::unlimited())
-            .expect("an unlimited budget cannot be exceeded")
-    }
-
-    fn try_collect_answers(
+    /// The concatenated (unsorted, undeduplicated) per-server outputs:
+    /// [`Cluster::fold_answers`] with an [`AnswerSet`] accumulator.
+    fn collect_answers(
         &self,
         query: &Query,
         budget: &QueryBudget,
     ) -> Result<AnswerSet, BudgetExceeded> {
-        let parts = self.backend.run_chunks(self.p, 1, |lo, hi| {
-            let mut local = AnswerSet::new(query.num_vars());
-            for s in lo..hi {
-                let rels: Vec<&Relation> = self.fragments.iter().map(|f| &f[s]).collect();
-                Join::new(query, &rels)
-                    .budget(budget)
-                    .for_each(|row, mult| local.push_repeat(row, mult))?;
-            }
-            Ok(local)
-        });
+        let parts = self.fold_answers(
+            query,
+            budget,
+            || AnswerSet::new(query.num_vars()),
+            |local, row, mult| {
+                local.push_repeat(row, mult);
+                Ok(())
+            },
+        )?;
         let mut out = AnswerSet::new(query.num_vars());
         for part in parts {
-            out.append(part?);
+            out.append(part);
         }
         Ok(out)
     }
 
     /// Fold every server's local join into accumulators without ever
     /// materializing an [`AnswerSet`] — the collection half of aggregate
-    /// pushdown. `fold` sees each server's distinct bindings once, with
-    /// the number of *local derivations* (row combinations) as `mult`;
-    /// when the routing partitions the join's derivation multiset across
-    /// servers (every aggregate-eligible plan does — see
-    /// `mpc_core::aggregate`), summing per-server folds of a
-    /// derivation-additive aggregate is exact.
+    /// pushdown, and of the multi-round baseline's bag intermediates.
+    /// `fold` sees each server's distinct bindings once, with the number
+    /// of *local derivations* (row combinations) as `mult`; when the
+    /// routing partitions the join's derivation multiset across servers
+    /// (every aggregate-eligible plan does — see `mpc_core::aggregate`),
+    /// summing per-server folds of a derivation-additive aggregate is
+    /// exact.
     ///
     /// Server ranges run in parallel on the cluster's backend (one `init`
     /// accumulator per worker chunk); the chunk accumulators come back in
     /// server-index order, so an order-sensitive merge stays deterministic
     /// — though a correct aggregate merge is commutative anyway.
+    ///
+    /// A budget is a property of the evaluation: every local join polls
+    /// `budget` and charges emitted rows against its row cap
+    /// ([`QueryBudget::unlimited`] costs nothing), and the fold itself is
+    /// fallible so accumulators can charge their own resources (the
+    /// aggregate path trips on its group cap); the first error in
+    /// server-index order wins.
     pub fn fold_answers<A: Send>(
-        &self,
-        query: &Query,
-        init: impl Fn() -> A + Sync,
-        fold: impl Fn(&mut A, &[u64], u64) + Sync,
-    ) -> Vec<A> {
-        self.try_fold_answers(query, &QueryBudget::unlimited(), init, |acc, row, mult| {
-            fold(acc, row, mult);
-            Ok(())
-        })
-        .expect("an unlimited budget cannot be exceeded")
-    }
-
-    /// [`Cluster::fold_answers`] under a cooperative [`QueryBudget`]. The
-    /// fold itself is fallible so accumulators can charge their own
-    /// resources (the aggregate path trips on its group cap); the first
-    /// error in server-index order wins.
-    pub fn try_fold_answers<A: Send>(
         &self,
         query: &Query,
         budget: &QueryBudget,
@@ -494,7 +439,9 @@ impl Cluster {
     /// sorted flat union ([`AnswerSet::sorted_distinct_count`]) instead of
     /// rebuilding a deduplicated copy like [`Cluster::all_answers`] must.
     pub fn answer_count(&self, query: &Query) -> u64 {
-        self.collect_answers(query).sorted_distinct_count() as u64
+        self.collect_answers(query, &QueryBudget::unlimited())
+            .expect("an unlimited budget cannot be exceeded")
+            .sorted_distinct_count() as u64
     }
 }
 
@@ -730,56 +677,6 @@ mod tests {
             out.push(if atom == 0 { 99 } else { 0 });
         };
         let _ = Cluster::run_round_on(&db, 4, &router, Backend::Pooled(4));
-    }
-
-    #[test]
-    fn run_batch_matches_individual_rounds_in_job_order() {
-        let dbs: Vec<Database> = (0..6).map(|seed| join_db(700, 100 + seed)).collect();
-        let p = 8usize;
-        let broadcast = BroadcastRouter { p };
-        let key = 0x5EED_F00Du64;
-        let hash = move |_atom: usize, tuple: &[u64], out: &mut Vec<usize>| {
-            out.push((mpc_data::mix64(tuple[1], key) % p as u64) as usize);
-        };
-        let jobs: Vec<BatchJob> = dbs
-            .iter()
-            .enumerate()
-            .map(|(i, db)| BatchJob {
-                db,
-                p,
-                router: if i % 2 == 0 {
-                    &broadcast as &(dyn Router + Sync)
-                } else {
-                    &hash as &(dyn Router + Sync)
-                },
-            })
-            .collect();
-        let expected: Vec<(mpc_data::AnswerSet, LoadReport)> = jobs
-            .iter()
-            .map(|job| {
-                let c = Cluster::run_round_on(
-                    job.db,
-                    job.p,
-                    &DynRouter(job.router),
-                    Backend::Sequential,
-                );
-                (c.all_answers(job.db.query()), c.report())
-            })
-            .collect();
-        for backend in [Backend::Sequential, Backend::Pooled(3), Backend::Pooled(4)] {
-            let results = Cluster::run_batch(&jobs, backend);
-            assert_eq!(results.len(), jobs.len(), "{backend}");
-            for (i, ((cluster, report), (exp_answers, exp_report))) in
-                results.iter().zip(&expected).enumerate()
-            {
-                assert_eq!(report, exp_report, "job {i} report [{backend}]");
-                assert_eq!(
-                    &cluster.all_answers(dbs[i].query()),
-                    exp_answers,
-                    "job {i} answers [{backend}]"
-                );
-            }
-        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod pool;
 pub mod topology;
 
 pub use backend::Backend;
-pub use cluster::{BatchJob, BroadcastRouter, Cluster, Router};
+pub use cluster::{BroadcastRouter, Cluster, Router};
 pub use hashing::{bucket_loads, summarize, HashFamily, LoadSummary};
 pub use load::LoadReport;
 pub use pool::WorkerPool;

@@ -60,6 +60,17 @@ pub fn join_database_on(db: &Database, backend: Backend) -> AnswerSet {
     join_on(db.query(), &rels, backend)
 }
 
+/// Stream the sequential Fixed-order join of `db` into `emit`: every
+/// distinct binding once, with its derivation multiplicity. The ground
+/// truth distributed aggregates are folded against
+/// (`mpc_core::verify::aggregate_oracle`).
+pub fn for_each_binding(db: &Database, emit: impl FnMut(&[u64], u64)) {
+    Join::of(db)
+        .order(JoinOrder::Fixed)
+        .for_each(emit)
+        .expect("no budget is set");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,7 +23,7 @@
 //! shared by concurrent clients.
 
 use mpc_skew::core::bounds;
-use mpc_skew::core::engine::{Algorithm, Engine, StatsMode};
+use mpc_skew::core::engine::{Algorithm, Engine, StatsMode, AGGREGATE_NEEDS_PARTITIONING};
 use mpc_skew::core::service::{Service, ServiceError};
 use mpc_skew::core::shares::ShareAllocation;
 use mpc_skew::core::wire;
@@ -232,12 +232,8 @@ fn cmd_run(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<
         None => Algorithm::Auto,
         Some(v) => Algorithm::parse(v).map_err(|e| format!("{e}\n{}", usage()))?,
     };
-    if aggregate.is_some() && matches!(algo, Algorithm::MultiRound | Algorithm::GeneralSkew) {
-        return Err(format!(
-            "`{algo}` does not materialize each join derivation exactly once; \
-             aggregate heads need a derivation-partitioning plan \
-             (auto, hc, hc-equal, hash, fragment-replicate, skew-join)"
-        ));
+    if aggregate.is_some() && !algo.partitions_derivations() {
+        return Err(AGGREGATE_NEEDS_PARTITIONING.to_string());
     }
     let stats_mode = match args.value("stats")? {
         None => StatsMode::Exact,

@@ -31,16 +31,14 @@ pub use mpc_stats as stats;
 
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
-    pub use mpc_core::aggregate::{
-        aggregate_cluster, aggregate_oracle, AggregateAccumulator, AggregateResult, Mergeable,
-    };
+    pub use mpc_core::aggregate::{AggregateAccumulator, AggregateResult, Mergeable};
     pub use mpc_core::bounds;
     pub use mpc_core::engine::{
         execute_batch, sketch_capacity, Algorithm, Engine, ExactStats, Plan, PlanKey, RunOutcome,
         SketchStats, Stats, StatsMode, SyntheticStats,
     };
     pub use mpc_core::hypercube::HyperCube;
-    pub use mpc_core::multi_round::{run_multi_round, run_multi_round_batch, MultiRoundResult};
+    pub use mpc_core::multi_round::MultiRoundResult;
     pub use mpc_core::service::{
         CacheCounters, CacheStatus, QuerySpec, Service, ServiceError, ServiceOutcome,
         SketchTelemetry, DEFAULT_PLAN_CACHE_CAPACITY,
@@ -48,10 +46,12 @@ pub mod prelude {
     pub use mpc_core::shares::ShareAllocation;
     pub use mpc_core::skew_general::GeneralSkewAlgorithm;
     pub use mpc_core::skew_join::{SkewJoin, SkewJoinConfig};
-    pub use mpc_core::verify::{assert_complete, verify, verify_aggregate, AggregateVerification};
+    pub use mpc_core::verify::{
+        aggregate_oracle, assert_complete, verify, verify_aggregate, AggregateVerification,
+    };
     pub use mpc_core::wire::Session;
     pub use mpc_data::catalog::Database;
-    pub use mpc_data::join::{Join, JoinOrder, JoinStats};
+    pub use mpc_data::join::{Join, JoinStats};
     pub use mpc_data::relation::Relation;
     pub use mpc_data::rng::Rng;
     pub use mpc_query::aggregate::{AggregateOp, AggregateSpec};
@@ -59,7 +59,7 @@ pub mod prelude {
     pub use mpc_query::query::Query;
     pub use mpc_query::varset::VarSet;
     pub use mpc_sim::backend::Backend;
-    pub use mpc_sim::cluster::{BatchJob, Cluster};
+    pub use mpc_sim::cluster::Cluster;
     pub use mpc_sim::pool::WorkerPool;
     pub use mpc_stats::cardinality::SimpleStatistics;
     pub use mpc_stats::sketch::{ErrorDirection, FreqEstimate, RelationSketch, SpaceSaving};

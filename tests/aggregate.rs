@@ -3,8 +3,9 @@
 //! plus the planner/service contracts around which algorithms qualify.
 
 use mpc_bench::workloads::{correlated_zipf_db, product_skew_db, skewed_join_db, uniform_db};
-use mpc_skew::core::aggregate::{aggregate_oracle, AggregateResult};
+use mpc_skew::core::aggregate::AggregateResult;
 use mpc_skew::core::engine::{execute_batch, Algorithm, Engine};
+use mpc_skew::core::verify::aggregate_oracle;
 use mpc_skew::data::{generators, Database, Rng};
 use mpc_skew::query::aggregate::{AggregateOp, AggregateSpec};
 use mpc_skew::query::{named, parse_aggregate_query};

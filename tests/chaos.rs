@@ -20,9 +20,10 @@
 //! some *other* test just armed. `arm("")` holds the handle with nothing
 //! armed; `rearm` swaps sites in and out while keeping it.
 
+use mpc_skew::core::engine::Algorithm;
 use mpc_skew::core::service::{CacheStatus, QuerySpec, Service, ServiceError};
 use mpc_skew::core::wire::Session;
-use mpc_skew::data::{generators, Rng};
+use mpc_skew::data::{generators, Relation, Rng};
 use mpc_skew::query::parse_query;
 use mpc_skew::sim::backend::Backend;
 use mpc_testkit::failpoint;
@@ -176,31 +177,76 @@ fn batch_jobs_are_contained_independently() {
 
 #[test]
 fn deadline_expiry_leaves_plan_cache_and_stats_untouched() {
+    // The one-round auto plan and the multi-round baseline (whose rounds
+    // are the same `Cluster` shuffle + local join) honor the same contract.
     let mut fp = failpoint::arm("");
-    let q = two_way();
-    let mut svc = loaded_service(Backend::Sequential);
-    let baseline = svc.query(&q).expect("uninjected query");
-    let expected = baseline.answers();
-    let plans_before = svc.cached_plans();
-    let infos_before = format!("{:?}", svc.relation_infos());
+    for algo in [Algorithm::Auto, Algorithm::MultiRound] {
+        let spec = QuerySpec::new(two_way()).algorithm(algo);
+        let mut svc = loaded_service(Backend::Sequential);
+        let baseline = svc.query_spec(&spec).expect("uninjected query");
+        let expected = baseline.answers();
+        let plans_before = svc.cached_plans();
+        let infos_before = format!("{:?}", svc.relation_infos());
 
-    // A 25ms injected stall against a 1ms deadline: the cooperative poll
-    // right after the failpoint trips deterministically.
-    fp.rearm("local_join:delay:25ms");
-    let spec = QuerySpec::new(q.clone()).timeout_ms(1);
-    let err = svc.query_spec(&spec).expect_err("deadline must expire");
-    assert_eq!(err, ServiceError::Timeout);
-    fp.rearm("");
+        // A 25ms injected stall against a 1ms deadline: the cooperative
+        // poll right after the failpoint trips deterministically.
+        fp.rearm("local_join:delay:25ms");
+        let err = svc
+            .query_spec(&spec.clone().timeout_ms(1))
+            .expect_err("deadline must expire");
+        assert_eq!(err, ServiceError::Timeout, "{algo}");
+        fp.rearm("");
 
-    // The expired query consumed nothing: same cached plan (served as a
-    // hit), same counters shape, same catalog statistics.
-    assert_eq!(svc.cached_plans(), plans_before);
-    assert_eq!(format!("{:?}", svc.relation_infos()), infos_before);
-    let c = svc.counters();
-    assert_eq!((c.hits, c.misses, c.invalidations), (1, 1, 0));
-    let after = svc.query(&q).expect("query after expiry");
+        // The expired query consumed nothing: same cached plan (served as
+        // a hit), same counters shape, same catalog statistics.
+        assert_eq!(svc.cached_plans(), plans_before, "{algo}");
+        assert_eq!(format!("{:?}", svc.relation_infos()), infos_before);
+        let c = svc.counters();
+        assert_eq!((c.hits, c.misses, c.invalidations), (1, 1, 0), "{algo}");
+        let after = svc.query_spec(&spec).expect("query after expiry");
+        assert_eq!(after.cache_status(), CacheStatus::Hit, "{algo}");
+        assert_eq!(after.answers(), expected, "{algo}");
+        assert_eq!(after.max_load_bits(), baseline.max_load_bits(), "{algo}");
+    }
+}
+
+#[test]
+fn multi_round_row_cap_charges_answers_not_intermediates() {
+    // Triangle S1(x,y), S2(y,z), S3(z,x): every S1 and S2 tuple meets at
+    // y = 0, so the baseline's first round builds 30 × 30 = 900 length-2
+    // paths, of which S3 (the largest relation, hence folded last) closes
+    // 30. A cap of 100 rows is about answers: it must let the 900-row
+    // intermediate through, and a cap of 29 must trip on the 30 answers.
+    let _fp = failpoint::arm("");
+    let mut svc = Service::new(DOMAIN)
+        .with_backend(Backend::Sequential)
+        .with_defaults(4, 1);
+    let column = |name: &str, row: fn(u64) -> [u64; 2], m: u64| {
+        let flat: Vec<u64> = (0..m).flat_map(row).collect();
+        Relation::from_flat(name, 2, flat)
+    };
+    svc.load(column("S1", |i| [i, 0], 30)).unwrap();
+    svc.load(column("S2", |j| [0, j], 30)).unwrap();
+    svc.load(column("S3", |k| [k, k], 40)).unwrap();
+    let spec = QuerySpec::new(parse_query("S1(x,y), S2(y,z), S3(z,x)").unwrap())
+        .algorithm(Algorithm::MultiRound);
+
+    let unlimited = svc.query_spec(&spec).expect("unlimited");
+    let rounds = &unlimited.run_outcome().multi_round().unwrap().rounds;
+    assert_eq!(rounds[0].intermediate_tuples, 900);
+    assert_eq!(unlimited.answers().len(), 30);
+
+    let capped = svc.query_spec(&spec.clone().limit(100)).expect("cap 100");
+    assert_eq!(capped.answers(), unlimited.answers());
+    assert_eq!(capped.max_load_bits(), unlimited.max_load_bits());
+    assert_eq!(
+        svc.query_spec(&spec.clone().limit(29)).unwrap_err(),
+        ServiceError::LimitExceeded("max_rows".to_string())
+    );
+    // The trip left nothing behind: the next query is bit-identical.
+    let after = svc.query_spec(&spec).expect("query after the trip");
     assert_eq!(after.cache_status(), CacheStatus::Hit);
-    assert_eq!(after.answers(), expected);
+    assert_eq!(after.answers(), unlimited.answers());
 }
 
 #[test]

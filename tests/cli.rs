@@ -559,24 +559,41 @@ fn serve_tcp_shares_catalog_and_plan_cache_across_clients() {
 #[test]
 fn serve_pins_the_unsupported_error_vocabulary() {
     // End-to-end: an aggregate head forced onto a multi-round plan is
-    // refused with a typed `err unsupported` line, and the session keeps
-    // serving afterwards.
+    // refused with a typed `err unsupported` line — the one refusal text
+    // the engine, the service and `mpcskew run` share — and the session
+    // keeps serving afterwards. A single-atom multi-round query is one
+    // partition round whose load counts like any one-round algorithm's.
+    use mpc_skew::core::engine::AGGREGATE_NEEDS_PARTITIONING;
     let lines = serve_stdio_session(
         &["--domain", "16", "--p", "4"],
-        "LOAD S1 2 0,1;1,1\n\
+        "LOAD S1 2 0,1;1,1;2,3\n\
          LOAD S2 2 5,1\n\
          QUERY \"Q(; count) :- S1(x,z), S2(y,z)\" algo=multi-round\n\
          QUERY S1(x,z), S2(y,z)\n\
+         QUERY S1(x,z) algo=multi-round\n\
          SHUTDOWN\n",
     );
     assert_eq!(
         lines[2],
-        "err unsupported invalid aggregate: `multi-round` does not materialize \
-         each join derivation exactly once; aggregates need a derivation-partitioning plan",
+        format!("err unsupported {AGGREGATE_NEEDS_PARTITIONING}"),
         "{lines:?}"
     );
     assert!(lines[3].starts_with("ok answers=2"), "{lines:?}");
+    assert_eq!(
+        lines[4], "ok answers=3 algo=multi-round cache=miss rounds=1 load=16 predicted=6",
+        "{lines:?}"
+    );
     assert_eq!(lines.last().map(String::as_str), Some("ok bye"));
+
+    let out = mpcskew()
+        .args(["run", "Q(; count) :- S1(x,z), S2(y,z)", "--algo", "general"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).lines().next(),
+        Some(format!("error: {AGGREGATE_NEEDS_PARTITIONING}").as_str())
+    );
 
     // The `JoinIndex` u32 row-id overflow cannot be provoked end-to-end
     // (it needs > 4B rows), so pin the wire rendering of the error the

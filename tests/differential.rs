@@ -14,12 +14,12 @@
 //!    executor is bit-identical to the sequential one.
 
 use mpc_skew::core::baselines::{FragmentReplicateRouter, HashJoinRouter};
-use mpc_skew::core::engine::{Engine, Plan};
+use mpc_skew::core::engine::{execute_batch, Algorithm, Engine, Plan};
 use mpc_skew::core::hypercube::HyperCube;
-use mpc_skew::core::multi_round::run_multi_round_on;
+use mpc_skew::core::multi_round::{run_multi_round, MultiRoundResult};
 use mpc_skew::core::skew_general::GeneralSkewAlgorithm;
 use mpc_skew::core::skew_join::SkewJoin;
-use mpc_skew::data::{generators, Database, Relation, Rng};
+use mpc_skew::data::{generators, Database, QueryBudget, Relation, Rng};
 use mpc_skew::query::{named, VarSet};
 use mpc_skew::sim::backend::Backend;
 use mpc_skew::sim::cluster::{BroadcastRouter, Cluster, Router};
@@ -199,13 +199,37 @@ fn scenario_matrix_times_algorithms_is_deterministic_and_complete() {
 
 #[test]
 fn multi_round_is_backend_invariant_on_the_matrix() {
+    // Per-scenario `(intermediate_tuples, broadcast)` of every round,
+    // recorded from the pre-`Cluster` data plane (PR 15) at p = 8, seed = 5:
+    // the rewrite must reproduce them. `all_duplicates` is the row that
+    // tells bag intermediates (600 × 600 derivations of one answer) from
+    // set intermediates (1). Loads are hash placement, so they are
+    // compared across backends, not pinned.
+    let recorded: [(&str, &[(u64, bool)]); 5] = [
+        ("uniform", &[(3870, false)]),
+        ("zipf", &[(237502, false)]),
+        ("single_heavy_hitter", &[(502, false)]),
+        ("empty_relation", &[(0, false)]),
+        ("all_duplicates", &[(360000, false)]),
+    ];
     let p = 8usize;
-    for (name, db) in scenarios() {
+    let run = |db: &Database, backend: Backend| -> MultiRoundResult {
+        run_multi_round(db, p, 5, backend, &QueryBudget::unlimited()).expect("no budget is set")
+    };
+    for ((name, db), (recorded_name, rounds)) in scenarios().into_iter().zip(recorded) {
+        assert_eq!(name, recorded_name);
         let expected = oracle(&db);
-        let seq = run_multi_round_on(&db, p, 5, Backend::Sequential);
+        let seq = run(&db, Backend::Sequential);
         assert_eq!(seq.answers, expected, "{name}: multi-round lost answers");
+        assert_eq!(seq.num_rounds(), rounds.len(), "{name}");
+        let got: Vec<(u64, bool)> = seq
+            .rounds
+            .iter()
+            .map(|r| (r.intermediate_tuples, r.broadcast))
+            .collect();
+        assert_eq!(got, rounds, "{name}: per-round shape moved");
         for backend in [Backend::Pooled(2), Backend::Pooled(8), Backend::Pooled(4)] {
-            let thr = run_multi_round_on(&db, p, 5, backend);
+            let thr = run(&db, backend);
             assert_eq!(thr.answers, seq.answers, "{name} [{backend}]");
             assert_eq!(thr.num_rounds(), seq.num_rounds(), "{name} [{backend}]");
             for (a, b) in seq.rounds.iter().zip(&thr.rounds) {
@@ -265,42 +289,38 @@ fn parallel_oracle_matches_sequential_on_the_matrix() {
 
 #[test]
 fn batch_submission_matches_per_round_execution() {
-    // Cluster::run_batch parallelizes across rounds; its per-job results
-    // must equal running each round alone, whatever executor the batch is
-    // on. Jobs are built from engine plans (a `Plan` is a `Router`), the
-    // post-PR-4 shape every batch call site uses.
-    let dbs: Vec<(&'static str, mpc_skew::data::Database)> = scenarios();
-    let p = 16usize;
-    let plans: Vec<Plan> = dbs
-        .iter()
-        .map(|(_, db)| Engine::new(db.query()).p(p).seed(11).plan(db))
-        .collect();
-    let jobs: Vec<mpc_skew::sim::BatchJob> = dbs
-        .iter()
-        .zip(&plans)
-        .map(|((_, db), plan)| plan.batch_job(db))
-        .collect();
-    let expected: Vec<(mpc_skew::data::AnswerSet, LoadReport)> = dbs
-        .iter()
-        .zip(&plans)
-        .map(|((_, db), plan)| {
-            let c = Cluster::run_round_on(db, p, plan, Backend::Sequential);
-            (c.all_answers(db.query()), c.report())
+    // execute_batch parallelizes across jobs; its per-job results must
+    // equal running each plan alone, whatever executor the batch is on.
+    // Every scenario rides twice: as its auto plan and as a multi-round
+    // plan (batches may mix the two kinds).
+    let dbs = scenarios();
+    let plans: Vec<Plan> = [Algorithm::Auto, Algorithm::MultiRound]
+        .into_iter()
+        .flat_map(|algo| dbs.iter().map(move |(_, db)| (algo, db)))
+        .map(|(algo, db)| {
+            Engine::new(db.query())
+                .p(16)
+                .seed(11)
+                .algorithm(algo)
+                .plan(db)
         })
         .collect();
+    let jobs: Vec<(&Plan, &Database)> = plans
+        .iter()
+        .zip(dbs.iter().chain(&dbs).map(|(_, db)| db))
+        .collect();
+    let expected: Vec<_> = jobs
+        .iter()
+        .map(|(plan, db)| plan.execute(db, Backend::Sequential))
+        .collect();
     for backend in BACKENDS {
-        let results = Cluster::run_batch(&jobs, backend);
-        assert_eq!(results.len(), dbs.len(), "{backend}");
-        for (i, ((cluster, report), (exp_answers, exp_report))) in
-            results.iter().zip(&expected).enumerate()
-        {
-            let (name, db) = &dbs[i];
-            assert_eq!(report, exp_report, "{name} report [{backend}]");
-            assert_eq!(
-                &cluster.all_answers(db.query()),
-                exp_answers,
-                "{name} [{backend}]"
-            );
+        let results = execute_batch(&jobs, backend);
+        assert_eq!(results.len(), jobs.len(), "{backend}");
+        for (i, (got, want)) in results.iter().zip(&expected).enumerate() {
+            let tag = format!("{}/{} [{backend}]", dbs[i % dbs.len()].0, want.algorithm());
+            assert_eq!(got.report(), want.report(), "{tag}: report");
+            assert_eq!(got.max_load_bits(), want.max_load_bits(), "{tag}: load");
+            assert_eq!(got.answers(), want.answers(), "{tag}: answers");
         }
     }
 }

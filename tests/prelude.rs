@@ -43,9 +43,14 @@ fn prelude_covers_skew_and_multi_round() {
     let (c2, _) = alg.run(&db);
     assert_complete(&db, &c2);
 
-    let mr = run_multi_round(&db, 8, 2);
+    let outcome = Engine::new(&query)
+        .p(8)
+        .seed(2)
+        .algorithm(Algorithm::MultiRound)
+        .run(&db);
+    let mr: &MultiRoundResult = outcome.multi_round().expect("multi-round outcome");
     assert_eq!(mr.num_rounds(), 1);
-    assert!(mpc_skew::core::multi_round::verify_multi_round(&db, &mr));
+    assert!(outcome.verify(&db).is_complete());
 }
 
 #[test]
@@ -67,7 +72,7 @@ fn prelude_covers_the_engine_surface() {
     assert!(outcome.verify(&db).is_complete());
     assert!(outcome.predicted_load_bits() > 0.0);
 
-    // A plan is a Router: it batches, and execute_batch agrees.
+    // Batches of (plan, db) jobs agree with one-at-a-time execution.
     let jobs = [(&plan, &db)];
     let batched = execute_batch(&jobs, Backend::Sequential);
     assert_eq!(batched[0].report(), outcome.report());

@@ -29,7 +29,7 @@ fn fresh_run(
     let db = Database::new(q.clone(), rels.to_vec(), domain).expect("valid db");
     let plan = Engine::new(q).p(p).seed(1).plan(&db);
     let out = plan.execute(&db, backend);
-    (out.algorithm(), out.answers())
+    (out.algorithm(), out.answers().clone())
 }
 
 #[test]

@@ -3,7 +3,6 @@
 
 use mpc_skew::core::engine::{Algorithm, Engine};
 use mpc_skew::core::hypercube::HyperCube;
-use mpc_skew::core::multi_round::{run_multi_round, verify_multi_round};
 use mpc_skew::core::skew_general::GeneralSkewAlgorithm;
 use mpc_skew::core::skew_join::SkewJoin;
 use mpc_skew::core::verify;
@@ -211,7 +210,7 @@ proptest! {
         prop_assert_eq!(outcome.report(), Some(&r_exp),
             "{} seed={seed} p={p} plan={}: engine LoadReport drifted from explicit",
             q.name(), plan.algorithm());
-        prop_assert_eq!(outcome.answers(), c_exp.all_answers(q),
+        prop_assert_eq!(outcome.answers(), &c_exp.all_answers(q),
             "{} seed={seed} p={p}: engine answers drifted from explicit", q.name());
 
         // Invariant under the executor.
@@ -238,7 +237,7 @@ proptest! {
         threads in 2usize..7,
     ) {
         use mpc_bench::workloads::{correlated_zipf_db, product_skew_db};
-        use mpc_skew::core::aggregate::aggregate_oracle;
+        use mpc_skew::core::verify::aggregate_oracle;
         use mpc_skew::query::parse_aggregate_query;
 
         let (q, spec) =
@@ -298,8 +297,8 @@ proptest! {
             .map(|a| generators::uniform(a.name(), a.arity(), m, n, &mut rng))
             .collect();
         let db = Database::new(q.clone(), rels, n).unwrap();
-        let result = run_multi_round(&db, p, seed);
-        prop_assert!(verify_multi_round(&db, &result),
+        let outcome = Engine::new(q).p(p).seed(seed).algorithm(Algorithm::MultiRound).run(&db);
+        prop_assert!(outcome.verify(&db).is_complete(),
             "{} seed={seed} p={p}: multi-round lost answers", q.name());
     }
 }
