@@ -4,7 +4,8 @@
 # replaced in-tree by crates/testkit).
 #
 #   ./ci.sh              # build + serve smoke + both-backend tests + fmt
-#                        # + lint + docs + API-surface guard + bench-compile
+#                        # + lint + docs + API-surface and one-shuffle-kernel
+#                        # guards + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
 #                        # `cargo test` includes the rustdoc doctests
@@ -226,7 +227,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # the summary, so surface growth shows up PR over PR.
 PUB_FNS=""
 for f in crates/core/src/engine.rs crates/core/src/service.rs crates/core/src/wire.rs \
-    crates/sim/src/cluster.rs crates/data/src/join.rs; do
+    crates/sim/src/cluster.rs crates/sim/src/topology.rs crates/data/src/join.rs; do
     PUB_FNS="$PUB_FNS $(basename "$f" .rs)=$(grep -c 'pub fn ' "$f")"
 done
 stage "API surface: no new pub fn X / try_X twins (pub fn:$PUB_FNS)"
@@ -242,6 +243,19 @@ TWINS=$(grep -rno 'pub fn try_[a-z_0-9]*' crates --include='*.rs' \
 if [ -n "$TWINS" ]; then
     echo "pub fn X / pub fn try_X twins outside the allowlist in ci.sh:" >&2
     echo "$TWINS" >&2
+    exit 1
+fi
+
+# No fork left behind: the shuffle is one route -> count -> scatter kernel
+# over per-atom compiled routes. The per-tuple subcube odometer, its
+# scratch, and the two older shuffle paths must not come back beside it,
+# not even as a name in a comment.
+stage "one shuffle kernel: no subcube_into / SubcubeScratch / RoutedChunk / route_into_fragments"
+FORKS=$(grep -rn "subcube_into\|SubcubeScratch\|RoutedChunk\|route_into_fragments" \
+    crates src tests || true)
+if [ -n "$FORKS" ]; then
+    echo "deleted shuffle/routing paths are named again:" >&2
+    echo "$FORKS" >&2
     exit 1
 fi
 

@@ -18,16 +18,25 @@ static ALLOC: mpc_bench::alloc_counter::CountingAllocator =
 fn bench_round(c: &mut Criterion) {
     let backend = Backend::from_env();
     let mut g = c.benchmark_group("hypercube_round");
-    for (name, q, m, n) in [
-        ("join_16k", named::two_way_join(), 1usize << 14, 1u64 << 16),
-        ("triangle_8k", named::cycle(3), 1usize << 13, 1u64 << 12),
-        ("star3_8k", named::star(3), 1usize << 13, 1u64 << 12),
+    // `chain3_32k` is `uniform_hit`'s heaviest round: shares `[8,1,8,1]`
+    // send every tuple of every atom to 8 servers — 786 432 destinations.
+    for (name, q, m, n, ps) in [
+        (
+            "join_16k",
+            named::two_way_join(),
+            1usize << 14,
+            1u64 << 16,
+            &[16usize, 64][..],
+        ),
+        ("triangle_8k", named::cycle(3), 1 << 13, 1 << 12, &[16, 64]),
+        ("star3_8k", named::star(3), 1 << 13, 1 << 12, &[16, 64]),
+        ("chain3_32k", named::chain(3), 1 << 15, 1 << 16, &[64]),
     ] {
         let db = uniform_db(&q, m, n, 7);
         let st = SimpleStatistics::of(&db);
         let total: u64 = db.cardinalities().iter().map(|&c| c as u64).sum();
         g.throughput(Throughput::Elements(total));
-        for p in [16usize, 64] {
+        for &p in ps {
             let hc = HyperCube::with_optimal_shares(&q, &st, p, 3);
             g.bench_function(BenchmarkId::new(name, p), |b| {
                 b.iter(|| {

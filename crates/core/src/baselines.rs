@@ -6,8 +6,11 @@
 //!   On skew-free data this is optimal for `τ* = 1` queries; on skewed data
 //!   its load degrades to `Ω(m)` (Example 3.3), which is the paper's
 //!   motivating failure.
-//! * [`FragmentReplicateRouter`] — footnote 1's broadcast join: replicate
-//!   one (small) relation everywhere, split every other relation evenly.
+//! * [`FragmentReplicateRouter`] — footnote 1's broadcast join, generalized
+//!   to any number of atoms: split one (the largest) relation evenly and
+//!   replicate every other relation everywhere. With two atoms that is
+//!   "broadcast the small one, split the other"; splitting more than one
+//!   atom independently would lose answers.
 
 use mpc_data::catalog::Database;
 use mpc_data::mix64;
@@ -79,22 +82,24 @@ impl Router for HashJoinRouter {
     }
 }
 
-/// Broadcast one atom's relation to every server; split all other atoms
-/// evenly by a hash of the whole tuple.
+/// Split one atom's relation evenly by a hash of the whole tuple;
+/// broadcast every other atom's relation to every server. Every answer
+/// uses exactly one tuple of the split atom, so it is found on exactly the
+/// server holding that tuple.
 pub struct FragmentReplicateRouter {
     /// Number of servers.
     pub p: usize,
-    /// The atom to broadcast.
-    pub broadcast_atom: usize,
+    /// The atom to split.
+    pub split_atom: usize,
     key: u64,
 }
 
 impl FragmentReplicateRouter {
-    /// Build, broadcasting `broadcast_atom`.
-    pub fn new(p: usize, broadcast_atom: usize, seed: u64) -> FragmentReplicateRouter {
+    /// Build, splitting `split_atom` and broadcasting the rest.
+    pub fn new(p: usize, split_atom: usize, seed: u64) -> FragmentReplicateRouter {
         FragmentReplicateRouter {
             p,
-            broadcast_atom,
+            split_atom,
             key: mix64(seed, 0xD6E8_FEB8_6659_FD93),
         }
     }
@@ -109,14 +114,14 @@ impl FragmentReplicateRouter {
 
 impl Router for FragmentReplicateRouter {
     fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
-        if atom == self.broadcast_atom {
-            out.extend(0..self.p);
-        } else {
+        if atom == self.split_atom {
             let mut h = self.key;
             for &v in tuple {
                 h = mix64(v, h);
             }
             out.push((h % self.p as u64) as usize);
+        } else {
+            out.extend(0..self.p);
         }
     }
 }
@@ -193,7 +198,7 @@ mod tests {
         let db = join_db(400, 5);
         let q = db.query().clone();
         let p = 8usize;
-        let router = FragmentReplicateRouter::new(p, 1, 11);
+        let router = FragmentReplicateRouter::new(p, 0, 11);
         let cluster = Cluster::run_round(&db, p, &router);
         assert_eq!(cluster.all_answers(&q), expect_answers(&db));
         let rep = cluster.report();

@@ -476,7 +476,7 @@ impl Plan {
     }
 
     /// [`Plan::execute`] under a cooperative [`QueryBudget`]: the shuffle
-    /// polls at chunk boundaries, the pushed-down aggregate fold polls
+    /// polls every 512 routed tuples, the pushed-down aggregate fold polls
     /// inside every server's local join and charges groups against the
     /// group cap, and the multi-round baseline does both every round (see
     /// [`crate::multi_round`]). A limited budget must charge every
@@ -943,16 +943,18 @@ impl<'s> Engine<'s> {
                 )
             }
             Algorithm::FragmentReplicate => {
-                // Broadcast the smallest relation.
-                let b = (0..q.num_atoms())
-                    .min_by_key(|&j| simple.bit_sizes[j])
+                // Split the largest relation (the last one on ties, so two
+                // equal atoms split the second, as always) and broadcast
+                // every other: Σ_{j≠split} M_j + M_split/p.
+                let split = (0..q.num_atoms())
+                    .max_by_key(|&j| simple.bit_sizes[j])
                     .expect("query has atoms");
                 let m = simple.bit_sizes_f64();
                 let predicted: f64 = (0..q.num_atoms())
-                    .map(|j| if j == b { m[j] } else { m[j] / p as f64 })
+                    .map(|j| if j == split { m[j] / p as f64 } else { m[j] })
                     .sum();
                 (
-                    PlanKind::FragmentReplicate(FragmentReplicateRouter::new(p, b, self.seed)),
+                    PlanKind::FragmentReplicate(FragmentReplicateRouter::new(p, split, self.seed)),
                     predicted,
                 )
             }
@@ -1095,9 +1097,7 @@ mod tests {
     fn every_algorithm_runs_and_verifies_through_the_engine() {
         // ℓ = 2 and ℓ = 3, plus the ℓ = 1 scan: a single atom is one round
         // on every algorithm, the multi-round baseline included. The §4.1
-        // skew join is two-relation only, and so is footnote 1's broadcast
-        // join (splitting two atoms of a triangle independently loses
-        // answers — ROADMAP).
+        // skew join is two-relation only.
         let scan = mpc_query::parse_query("S1(x,z)").unwrap();
         for db in [
             zipf_join(1500, 1.0, 8),
@@ -1106,7 +1106,7 @@ mod tests {
         ] {
             let l = db.query().num_atoms();
             for algo in Algorithm::all() {
-                if matches!(algo, Algorithm::SkewJoin | Algorithm::FragmentReplicate) && l != 2 {
+                if algo == Algorithm::SkewJoin && l != 2 {
                     continue;
                 }
                 let engine = Engine::new(db.query())

@@ -8,6 +8,14 @@
 //! `(a_1, ..., a_k)` is then fully known by the server
 //! `(h_1(a_1), ..., h_k(a_k))`, so one local join per server finds all
 //! answers in a single round.
+//!
+//! Everything about that destination set except the hashes is fixed by the
+//! atom and the shares, so it is compiled when the plan is built: one
+//! route per atom (attribute positions, dimension sizes and strides, the
+//! repeated-variable checks, and the offsets of the atom's
+//! [`SubcubePlan`]). Routing a tuple is then its hashes plus one `extend`
+//! — there is no per-thread routing scratch (`RouteScratch` and its
+//! `thread_local!` are gone).
 
 use crate::shares::ShareAllocation;
 use mpc_data::catalog::Database;
@@ -16,9 +24,8 @@ use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::hashing::HashFamily;
 use mpc_sim::load::LoadReport;
-use mpc_sim::topology::{Grid, SubcubeScratch};
+use mpc_sim::topology::{Grid, SubcubePlan};
 use mpc_stats::cardinality::SimpleStatistics;
-use std::cell::RefCell;
 
 /// A configured HyperCube run: query + grid + hash family.
 ///
@@ -50,6 +57,8 @@ pub struct HyperCube {
     family: HashFamily,
     /// Physical server count (the grid may use fewer cells).
     p: usize,
+    /// One compiled route per atom.
+    routes: CompiledRoutes,
 }
 
 impl HyperCube {
@@ -62,11 +71,13 @@ impl HyperCube {
             grid.num_cells() <= alloc.p,
             "share product exceeds server budget"
         );
+        let routes = CompiledRoutes::compile(query, &grid);
         HyperCube {
             query: query.clone(),
             grid,
             family: HashFamily::new(query.num_vars(), seed),
             p: alloc.p,
+            routes,
         }
     }
 
@@ -163,35 +174,118 @@ impl HyperCube {
     }
 }
 
-/// Reusable per-worker routing buffers: the fixed-coordinate list plus the
-/// subcube enumeration scratch, cleared — never reallocated — per tuple.
-#[derive(Default)]
-struct RouteScratch {
-    fixed: Vec<(usize, usize)>,
-    sub: SubcubeScratch,
+/// The tuple-independent part of routing every atom of a query on one
+/// grid, compiled once per plan (per distinct block grid in
+/// [`crate::skew_general::GeneralSkewAlgorithm`]). Plans are cached by the
+/// hundred, so the atoms share three flat allocations.
+#[derive(Clone, Debug)]
+pub(crate) struct CompiledRoutes {
+    /// Every atom's hashed attributes, concatenated in atom order.
+    attrs: Box<[RouteAttr]>,
+    /// Every atom's ascending subcube offsets ([`SubcubePlan::offsets`]),
+    /// concatenated in atom order.
+    offsets: Box<[u32]>,
+    /// Per atom: where its run ends in `attrs` and in `offsets`.
+    ends: Box<[(u32, u32)]>,
 }
 
-thread_local! {
-    static ROUTE_SCRATCH: RefCell<RouteScratch> = RefCell::new(RouteScratch::default());
+/// One attribute that needs hashing. A dimension of size 1 hashes
+/// everything to coordinate 0, so its attributes are left out.
+#[derive(Clone, Debug)]
+struct RouteAttr {
+    /// Attribute position in the tuple.
+    pos: usize,
+    /// Query variable = hash function = grid dimension.
+    var: usize,
+    /// Size of that dimension.
+    dim: usize,
+    /// What one step of the coordinate adds to the server id.
+    stride: usize,
+    /// For a repeated variable: the position of its first occurrence. The
+    /// two hashes must agree or the tuple matches no server.
+    repeat_of: Option<usize>,
+}
+
+/// One atom's compiled route ([`CompiledRoutes::atom`]).
+pub(crate) struct AtomRoute<'a> {
+    attrs: &'a [RouteAttr],
+    /// Ascending offsets from [`AtomRoute::base`] to every destination:
+    /// the subcube over the dimensions of the variables the atom lacks.
+    pub(crate) offsets: &'a [u32],
+}
+
+impl CompiledRoutes {
+    /// Compile every atom of `query` for `grid` (one dimension per query
+    /// variable). O(cells of the free subcube) ≤ O(p) per atom.
+    pub(crate) fn compile(query: &Query, grid: &Grid) -> CompiledRoutes {
+        let narrow = |len: usize| u32::try_from(len).expect("fewer than 2^32 compiled offsets");
+        let (mut attrs, mut offsets, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+        for atom in query.atoms() {
+            let vars = atom.vars();
+            let plan: SubcubePlan = grid.subcube_plan(vars);
+            for (pos, &var) in vars.iter().enumerate() {
+                if grid.dims()[var] > 1 {
+                    attrs.push(RouteAttr {
+                        pos,
+                        var,
+                        dim: grid.dims()[var],
+                        stride: plan.stride(pos),
+                        repeat_of: vars[..pos].iter().position(|&v| v == var),
+                    });
+                }
+            }
+            offsets.extend_from_slice(plan.offsets());
+            ends.push((narrow(attrs.len()), narrow(offsets.len())));
+        }
+        CompiledRoutes {
+            attrs: attrs.into(),
+            offsets: offsets.into(),
+            ends: ends.into(),
+        }
+    }
+
+    /// The route of atom `atom`.
+    #[inline]
+    pub(crate) fn atom(&self, atom: usize) -> AtomRoute<'_> {
+        let (attrs_lo, offsets_lo) = match atom {
+            0 => (0, 0),
+            _ => self.ends[atom - 1],
+        };
+        let (attrs_hi, offsets_hi) = self.ends[atom];
+        AtomRoute {
+            attrs: &self.attrs[attrs_lo as usize..attrs_hi as usize],
+            offsets: &self.offsets[offsets_lo as usize..offsets_hi as usize],
+        }
+    }
+}
+
+impl AtomRoute<'_> {
+    /// The first cell of `tuple`'s subcube, or `None` when a repeated
+    /// variable's occurrences hash apart — such a tuple can never satisfy
+    /// the atom and is dropped. The check is on the hashes, not the values:
+    /// unequal values that collide keep being routed.
+    #[inline]
+    pub(crate) fn base(&self, family: &HashFamily, tuple: &[u64]) -> Option<usize> {
+        let mut base = 0usize;
+        for a in self.attrs {
+            let hash = |pos: usize| family.hash(a.var, tuple[pos], a.dim);
+            let h = hash(a.pos);
+            match a.repeat_of {
+                None => base += h * a.stride,
+                Some(first) if hash(first) != h => return None,
+                Some(_) => {}
+            }
+        }
+        Some(base)
+    }
 }
 
 impl Router for HyperCube {
     fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
-        ROUTE_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            let a = self.query.atom(atom);
-            // Fix the dimension of every variable occurring in the atom.
-            // For a repeated variable with unequal values the subcube is
-            // empty — such tuples can never satisfy the atom, and HC
-            // correctly drops them.
-            scratch.fixed.clear();
-            for (pos, &var) in a.vars().iter().enumerate() {
-                let h = self.family.hash(var, tuple[pos], self.grid.dims()[var]);
-                scratch.fixed.push((var, h));
-            }
-            self.grid
-                .subcube_into(&scratch.fixed, &mut scratch.sub, out);
-        })
+        let route = self.routes.atom(atom);
+        if let Some(base) = route.base(&self.family, tuple) {
+            out.extend(route.offsets.iter().map(|&o| base + o as usize));
+        }
     }
 }
 
@@ -325,6 +419,60 @@ mod tests {
             "equal-share load {} above resilience cap {cap}",
             rep_eq.max_load_tuples()
         );
+    }
+
+    /// Routing as Section 3.1 states it, independent of the compiled
+    /// routes: hash every attribute, then enumerate the subcube.
+    fn reference_route(hc: &HyperCube, atom: usize, tuple: &[u64]) -> Vec<usize> {
+        let fixed: Vec<(usize, usize)> = (hc.query.atom(atom).vars().iter().enumerate())
+            .map(|(pos, &var)| (var, hc.family.hash(var, tuple[pos], hc.grid.dims()[var])))
+            .collect();
+        hc.grid.subcube_vec(&fixed)
+    }
+
+    #[test]
+    fn compiled_routes_match_the_reference() {
+        // An arity-3 atom with a repeated variable; a grid using fewer
+        // cells than p; a dimension of size 1; a broadcast atom.
+        for (text, shares, p) in [
+            ("R(x,y,x), S(y,z)", vec![3, 2, 2], 12),
+            ("R(x,y,x), S(y,x)", vec![3, 3], 10),
+            ("R(x,y,x), S(y,z), T(z)", vec![4, 1, 3], 16),
+            ("S1(x,y), S2(y,z), S3(z,w)", vec![8, 1, 8, 1], 64),
+        ] {
+            let q = mpc_query::parse_query(text).unwrap();
+            // A small domain, so repeated-variable tuples both agree and
+            // disagree, and disagreeing values sometimes hash together.
+            let db = uniform_db(&q, 400, 6, 11);
+            let hc = HyperCube::new(&q, &ShareAllocation::explicit(shares, p), 5);
+            let (mut out, mut dropped) = (Vec::new(), 0);
+            for (j, rel) in db.relations().iter().enumerate() {
+                for row in rel.rows() {
+                    out.clear();
+                    hc.route(j, row, &mut out);
+                    assert_eq!(out, reference_route(&hc, j, row), "{text} atom {j} {row:?}");
+                    assert!(out.windows(2).all(|w| w[0] < w[1]), "not ascending");
+                    dropped += usize::from(out.is_empty());
+                }
+            }
+            assert_eq!(
+                dropped > 0,
+                text.contains("R(x,y,x)"),
+                "{text}: tuples are dropped iff a repeated variable disagrees"
+            );
+            // Through the cluster: same fragments as the reference router.
+            let reference = |j: usize, row: &[u64], out: &mut Vec<usize>| {
+                out.extend(reference_route(&hc, j, row))
+            };
+            let (got, _) = hc.run_on(&db, Backend::Sequential);
+            let want = Cluster::run_round_on(&db, p, &reference, Backend::Sequential);
+            for j in 0..q.num_atoms() {
+                for s in 0..p {
+                    assert_eq!(got.fragment(j, s), want.fragment(j, s), "{text}");
+                }
+            }
+            verify_complete(&db, &got);
+        }
     }
 
     #[test]

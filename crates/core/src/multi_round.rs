@@ -23,7 +23,7 @@
 //! running intermediate `I` is the two-atom query `I(bound vars), S_j(..)`:
 //! it is shuffled by [`Cluster::try_run_round_on`] under a
 //! [`HashJoinRouter`] on the shared variables — or, when there are none, a
-//! [`FragmentReplicateRouter`] that broadcasts `S_j` —, its load is read
+//! [`FragmentReplicateRouter`] that splits `I` and broadcasts `S_j` —, its load is read
 //! off the cluster's [`LoadReport`](mpc_sim::load::LoadReport), and the
 //! next intermediate is the cluster's own per-server local join
 //! ([`Cluster::fold_answers`]). Intermediates keep bag semantics (one row
@@ -168,7 +168,7 @@ pub fn run_multi_round(
             .expect("a round has atoms");
         let key = mix64(seed, round as u64);
         let cluster = if shared.is_empty() {
-            let router = FragmentReplicateRouter::new(p, 1, key);
+            let router = FragmentReplicateRouter::new(p, 0, key);
             Cluster::try_run_round_on(&round_db, p, &router, backend, budget)?
         } else {
             let router = HashJoinRouter::new(round_query, shared, p, key);

@@ -30,20 +30,26 @@
 //! tuples fall back to the `B_∅` run (correctness is preserved
 //! unconditionally; the load guarantee then degrades gracefully —
 //! [`GeneralSkewAlgorithm::dropped_assignments`] reports the count).
+//!
+//! Routing is compiled at plan time like plain HyperCube's: one route per
+//! *(bin combination, atom)* on the combination's block grid, so a tuple's
+//! destinations inside a block are its hashes plus the block offset (the
+//! per-thread `RouteScratch` and its `thread_local!` are gone).
 
+use crate::hypercube::CompiledRoutes;
 use mpc_data::catalog::Database;
 use mpc_data::fastmap::{with_projected_key, FastMap, FastSet};
 use mpc_lp::{Cmp, LinearProgram, Sense};
-use mpc_query::{Query, VarSet};
+use mpc_query::VarSet;
 use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::hashing::HashFamily;
 use mpc_sim::load::LoadReport;
-use mpc_sim::topology::{round_shares, Grid, SubcubeScratch};
+use mpc_sim::topology::{round_shares, Grid};
 use mpc_stats::combination::{enumerate_combinations_with, BinChoice, BinCombination};
 use mpc_stats::heavy::HeavyHitters;
 use mpc_stats::source::{ExactStats, Stats};
-use std::cell::RefCell;
+use std::sync::Arc;
 
 /// One prepared bin combination: its LP solution, grid shape, and block
 /// layout.
@@ -52,7 +58,15 @@ struct PreparedCombo {
     combo: BinCombination,
     /// LP (11) optimum (load exponent).
     lambda: f64,
-    /// Full k-dimensional grid; dimensions of `x` variables have size 1.
+    /// Every atom's compiled route on this combination's block grid (the
+    /// full k-dimensional grid; dimensions of `x` variables have size 1, so
+    /// they contribute coordinate 0 and are never hashed). A route depends
+    /// on the grid's shape only, so combinations with equal shapes share
+    /// one set.
+    routes: Arc<CompiledRoutes>,
+    /// The block grid the routes were compiled for (the tests' reference
+    /// router enumerates its subcubes directly).
+    #[cfg(test)]
     grid: Grid,
     /// Virtual-server offset of each assignment's block.
     offsets: Vec<usize>,
@@ -66,7 +80,6 @@ struct PreparedCombo {
 
 /// The Section 4.2 algorithm, planned against exact statistics.
 pub struct GeneralSkewAlgorithm {
-    query: Query,
     p: usize,
     family: HashFamily,
     combos: Vec<PreparedCombo>,
@@ -116,6 +129,7 @@ impl GeneralSkewAlgorithm {
         // already caps, so recompute potential counts cheaply from the
         // per-atom heavy-hitter sets it kept.
         let mut combos: Vec<PreparedCombo> = Vec::with_capacity(raw.len());
+        let mut compiled: FastMap<Vec<usize>, Arc<CompiledRoutes>> = FastMap::default();
         let mut base = usize::MAX;
         let mut offset = 0usize;
         for combo in raw {
@@ -164,6 +178,10 @@ impl GeneralSkewAlgorithm {
                 }
             }
             let grid = Grid::new(dims);
+            let routes = compiled
+                .entry(grid.dims().to_vec())
+                .or_insert_with(|| Arc::new(CompiledRoutes::compile(&q, &grid)));
+            let routes = Arc::clone(routes);
 
             // Block layout + per-atom lookups.
             let block = grid.num_cells();
@@ -203,6 +221,8 @@ impl GeneralSkewAlgorithm {
             combos.push(PreparedCombo {
                 combo,
                 lambda: lam,
+                routes,
+                #[cfg(test)]
                 grid,
                 offsets,
                 lookups,
@@ -262,7 +282,6 @@ impl GeneralSkewAlgorithm {
         }
 
         GeneralSkewAlgorithm {
-            query: q.clone(),
             p,
             family: HashFamily::new(q.num_vars(), seed),
             combos,
@@ -332,32 +351,25 @@ impl GeneralSkewAlgorithm {
         !has_heavy
     }
 
-    /// HyperCube routing of `tuple` (atom `j`) inside one block.
-    fn route_block(
+    /// HyperCube routing of a tuple of `atom` inside the blocks of
+    /// `assignments`: the block-relative subcube is the same in every
+    /// block, so its base is hashed once.
+    fn route_blocks(
         &self,
         pc: &PreparedCombo,
-        assignment: usize,
+        assignments: impl Iterator<Item = usize>,
         atom: usize,
         tuple: &[u64],
         out: &mut Vec<usize>,
-        scratch: &mut RouteScratch,
     ) {
-        let a = self.query.atom(atom);
-        scratch.fixed.clear();
-        for (pos, &var) in a.vars().iter().enumerate() {
-            let dim = pc.grid.dims()[var];
-            if pc.combo.x.contains(var) {
-                scratch.fixed.push((var, 0));
-            } else {
-                scratch
-                    .fixed
-                    .push((var, self.family.hash(var, tuple[pos], dim)));
-            }
+        let route = pc.routes.atom(atom);
+        let Some(base) = route.base(&self.family, tuple) else {
+            return;
+        };
+        for a in assignments {
+            let first = pc.offsets[a] + base;
+            out.extend(route.offsets.iter().map(|&o| self.fold(first + o as usize)));
         }
-        pc.grid
-            .subcube_into(&scratch.fixed, &mut scratch.sub, &mut scratch.cells);
-        let offset = pc.offsets[assignment];
-        out.extend(scratch.cells.iter().map(|&cell| self.fold(offset + cell)));
     }
 
     /// Execute on `db` with the [`Backend::from_env`] backend.
@@ -375,51 +387,27 @@ impl GeneralSkewAlgorithm {
     }
 }
 
-/// Reusable per-worker routing buffers for
-/// [`GeneralSkewAlgorithm::route`]: subcube cells, the fixed-coordinate
-/// list, and the grid's enumeration scratch — cleared per block, never
-/// reallocated across tuples/rounds.
-#[derive(Default)]
-struct RouteScratch {
-    cells: Vec<usize>,
-    fixed: Vec<(usize, usize)>,
-    sub: SubcubeScratch,
-}
-
-thread_local! {
-    static SUBCUBE_SCRATCH: RefCell<RouteScratch> = RefCell::new(RouteScratch::default());
-}
-
 impl Router for GeneralSkewAlgorithm {
     fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
-        SUBCUBE_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            for (ci, pc) in self.combos.iter().enumerate() {
-                if ci == self.base {
-                    if self.tuple_in_base(atom, tuple) {
-                        self.route_block(pc, 0, atom, tuple, out, scratch);
-                    }
-                    continue;
+        for (ci, pc) in self.combos.iter().enumerate() {
+            if ci == self.base {
+                if self.tuple_in_base(atom, tuple) {
+                    self.route_blocks(pc, 0..1, atom, tuple, out);
                 }
-                match &pc.lookups[atom] {
-                    None => {
-                        // x_j = ∅: participate in every assignment.
-                        for a in 0..pc.offsets.len() {
-                            self.route_block(pc, a, atom, tuple, out, scratch);
-                        }
-                    }
-                    Some(map) => {
-                        let assignments =
-                            with_projected_key(tuple, &pc.proj_cols[atom], |key| map.get(key));
-                        if let Some(assignments) = assignments {
-                            for &a in assignments {
-                                self.route_block(pc, a, atom, tuple, out, scratch);
-                            }
-                        }
+                continue;
+            }
+            match &pc.lookups[atom] {
+                // x_j = ∅: participate in every assignment.
+                None => self.route_blocks(pc, 0..pc.offsets.len(), atom, tuple, out),
+                Some(map) => {
+                    let assignments =
+                        with_projected_key(tuple, &pc.proj_cols[atom], |key| map.get(key));
+                    if let Some(assignments) = assignments {
+                        self.route_blocks(pc, assignments.iter().copied(), atom, tuple, out);
                     }
                 }
             }
-        })
+        }
     }
 }
 
@@ -535,6 +523,99 @@ mod tests {
         assert!(has_pair_combo, "no pairwise combination found");
         let (cluster, _) = alg.run(&db);
         assert_complete(&db, &cluster);
+    }
+
+    /// Routing as Section 4.2 states it, independent of the compiled
+    /// routes: per combination pick the tuple's assignments, pin `x`
+    /// variables to coordinate 0, hash the rest, enumerate the block's
+    /// subcube, and fold the virtual server ids onto `p`.
+    fn reference_route(
+        alg: &GeneralSkewAlgorithm,
+        q: &mpc_query::Query,
+        atom: usize,
+        tuple: &[u64],
+    ) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (ci, pc) in alg.combos.iter().enumerate() {
+            let assignments: Vec<usize> = if ci == alg.base {
+                Vec::from_iter(alg.tuple_in_base(atom, tuple).then_some(0))
+            } else {
+                match &pc.lookups[atom] {
+                    None => (0..pc.offsets.len()).collect(),
+                    Some(map) => with_projected_key(tuple, &pc.proj_cols[atom], |key| {
+                        map.get(key).cloned().unwrap_or_default()
+                    }),
+                }
+            };
+            let fixed: Vec<(usize, usize)> = (q.atom(atom).vars().iter().enumerate())
+                .map(|(pos, &var)| {
+                    let dim = pc.grid.dims()[var];
+                    let x = pc.combo.x.contains(var);
+                    (
+                        var,
+                        if x {
+                            0
+                        } else {
+                            alg.family.hash(var, tuple[pos], dim)
+                        },
+                    )
+                })
+                .collect();
+            for a in assignments {
+                let cells = pc.grid.subcube_vec(&fixed);
+                out.extend(cells.iter().map(|&cell| (pc.offsets[a] + cell) % alg.p));
+            }
+        }
+        out
+    }
+
+    fn assert_routes_match_reference(db: &Database, p: usize, min_combos: usize) {
+        let q = db.query();
+        let alg = GeneralSkewAlgorithm::plan(db, p, 17);
+        let combos = alg.combination_summary().len();
+        assert!(combos >= min_combos, "{q}: only {combos} bin combinations");
+        let mut out = Vec::new();
+        for (j, rel) in db.relations().iter().enumerate() {
+            for row in rel.rows() {
+                out.clear();
+                alg.route(j, row, &mut out);
+                assert_eq!(
+                    out,
+                    reference_route(&alg, q, j, row),
+                    "{q} atom {j} {row:?}"
+                );
+            }
+        }
+        let reference = |j: usize, row: &[u64], out: &mut Vec<usize>| {
+            out.extend(reference_route(&alg, q, j, row))
+        };
+        let (got, _) = alg.run_on(db, Backend::Sequential);
+        let want = Cluster::run_round_on(db, p, &reference, Backend::Sequential);
+        for j in 0..q.num_atoms() {
+            for s in 0..p {
+                assert_eq!(got.fragment(j, s), want.fragment(j, s), "{q}");
+            }
+        }
+        assert_complete(db, &got);
+    }
+
+    #[test]
+    fn compiled_routes_match_the_reference() {
+        let zipf_db = |text: &str, m: usize, n: u64| {
+            let q = mpc_query::parse_query(text).unwrap();
+            let mut rng = Rng::seed_from_u64(21);
+            let rels = (q.atoms().iter())
+                .map(|a| generators::zipf_column(a.name(), a.arity(), m, n, 0, 1.1, &mut rng))
+                .collect();
+            Database::new(q, rels, n).unwrap()
+        };
+        // `skew_hit`-style triangles: Zipf on column 0 of every atom.
+        assert_routes_match_reference(&zipf_db("S1(x,y), S2(y,z), S3(z,x)", 512, 4096), 64, 10);
+        // An arity-3 atom with a repeated variable, heavy on x; a small
+        // domain so its occurrences both agree and disagree.
+        assert_routes_match_reference(&zipf_db("R(x,y,x), S(y,z)", 600, 8), 16, 2);
+        // A block grid using fewer cells than p (p = 10 is no power).
+        assert_routes_match_reference(&zipf_db("S1(x,z), S2(y,z)", 800, 64), 10, 2);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! state) carrying up to three limits: a wall-clock **deadline**, a cap on
 //! **answer rows** emitted, and a cap on **aggregate groups** materialized.
 //! The budget is *cooperative*: the local join polls it every
-//! [`CHECK_INTERVAL`] visited bindings, the shuffle polls it at chunk
-//! boundaries, and the aggregate accumulators charge groups as they
+//! [`CHECK_INTERVAL`] visited bindings, the shuffle polls it every 512
+//! routed tuples, and the aggregate accumulators charge groups as they
 //! allocate them. The first limit to fire *trips* the budget — a sticky
 //! flag every clone observes — so all workers of a parallel run fail fast
 //! once any one of them exceeds the budget.

@@ -8,6 +8,14 @@
 //! other tuples". After the round, each server holds one fragment per
 //! relation and evaluates the query locally; [`Cluster::all_answers`] unions
 //! the per-server outputs.
+//!
+//! A round is one kernel for every backend — **route → count → scatter**
+//! ([`Cluster::try_run_round_on`]): every tuple is routed once into a flat
+//! destination list, the per-server counts size every fragment exactly, and
+//! every tuple word is then copied once, straight from the input relation
+//! into its fragments. (It replaced a sequential path that grew `p`
+//! vectors by doubling and a pooled `route_chunk` path that copied each
+//! word through a per-worker scratch buffer and a per-chunk arena first.)
 
 use crate::backend::Backend;
 use crate::load::LoadReport;
@@ -18,7 +26,6 @@ use mpc_data::failpoint;
 use mpc_data::join::Join;
 use mpc_data::relation::Relation;
 use mpc_query::Query;
-use std::cell::RefCell;
 
 /// Smallest number of tuples a shuffle worker is worth spawning for.
 const SHUFFLE_MIN_CHUNK: usize = 512;
@@ -52,54 +59,29 @@ pub struct Cluster {
     backend: Backend,
 }
 
-/// Reusable per-worker routing scratch: per-server flat tuple buffers plus
-/// the destination list, **cleared — not reallocated — across chunks,
-/// rounds, and batch jobs**. Each worker thread (including the persistent
-/// pool's) owns one instance through a thread-local, so the steady-state
-/// shuffle performs no per-chunk buffer allocation beyond the single
-/// contiguous [`RoutedChunk`] arena it hands to the merge.
-#[derive(Default)]
-struct ShuffleScratch {
-    /// Per-server flat tuple data (`bufs[s]` holds server `s`'s tuples of
-    /// the current chunk, row-major).
-    bufs: Vec<Vec<u64>>,
-    /// Destination-server scratch for one tuple.
-    dests: Vec<usize>,
-}
-
-impl ShuffleScratch {
-    /// Clear all buffers (cheap: lengths only, capacity kept) and make
-    /// sure at least `p` per-server buffers exist. Clearing *everything* —
-    /// not just the first `p` — also recovers from a router panic that
-    /// left stale data behind on this worker thread.
-    fn reset(&mut self, p: usize) {
-        for buf in &mut self.bufs {
-            buf.clear();
-        }
-        if self.bufs.len() < p {
-            self.bufs.resize_with(p, Vec::new);
-        }
-        self.dests.clear();
-    }
-}
-
-thread_local! {
-    static SHUFFLE_SCRATCH: RefCell<ShuffleScratch> = RefCell::new(ShuffleScratch::default());
-}
-
-/// One routed chunk: every destination's tuples packed into a single
-/// arena, per-server word counts alongside (`counts[s]` words belong to
-/// server `s`, in server order). This is the only allocation a routed
-/// chunk performs.
-struct RoutedChunk {
-    data: Vec<u64>,
+/// One routed row range of one relation: where every row goes, and how
+/// many rows every server receives. Rows are not copied here — the scatter
+/// reads them from the relation once the fragment sizes are known.
+struct Routed {
+    /// First row of the range.
+    lo: usize,
+    /// Every row's destination servers, concatenated; one row's run is
+    /// strictly ascending.
+    dests: Vec<u32>,
+    /// `ends[k]` is where row `lo + k`'s run ends in `dests`.
+    ends: Vec<u32>,
+    /// Rows routed to each of the `p` servers.
     counts: Vec<usize>,
 }
 
-/// Route rows `lo..hi` of `rel` (atom `j`) through the thread-local
-/// [`ShuffleScratch`] into one [`RoutedChunk`]. Shared by all backends so
-/// fragment contents stay bit-identical.
-fn route_chunk(
+/// Route rows `lo..hi` of `rel` (atom `j`): the one place
+/// [`Router::route`] is called, once per row, on every backend. A
+/// destination list that is not already strictly ascending (compiled
+/// HyperCube routes always are) is sorted and deduplicated; an out-of-range
+/// server panics. The budget is polled before the first row and again
+/// every [`SHUFFLE_MIN_CHUNK`] rows.
+#[allow(clippy::too_many_arguments)]
+fn route_rows(
     rel: &Relation,
     j: usize,
     name: &str,
@@ -107,65 +89,77 @@ fn route_chunk(
     hi: usize,
     p: usize,
     router: &(impl Router + Sync),
-) -> RoutedChunk {
+    budget: &QueryBudget,
+) -> Result<Routed, BudgetExceeded> {
     failpoint::hit("shuffle");
-    SHUFFLE_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        scratch.reset(p);
-        for i in lo..hi {
-            let tuple = rel.row(i);
-            scratch.dests.clear();
-            router.route(j, tuple, &mut scratch.dests);
-            scratch.dests.sort_unstable();
-            scratch.dests.dedup();
-            for &server in scratch.dests.iter() {
-                assert!(
-                    server < p,
-                    "router sent a tuple of atom {j} ({name}) to server {server} >= p={p}"
-                );
-                scratch.bufs[server].extend_from_slice(tuple);
+    let mut routed = Routed {
+        lo,
+        dests: Vec::with_capacity(hi - lo),
+        ends: Vec::with_capacity(hi - lo),
+        counts: vec![0; p],
+    };
+    let mut out: Vec<usize> = Vec::new();
+    let mut block = lo;
+    loop {
+        budget.poll()?;
+        let block_hi = hi.min(block + SHUFFLE_MIN_CHUNK);
+        for i in block..block_hi {
+            out.clear();
+            router.route(j, rel.row(i), &mut out);
+            if !out.windows(2).all(|w| w[0] < w[1]) {
+                out.sort_unstable();
+                out.dedup();
             }
+            if out.last().is_some_and(|&last| last >= p) {
+                let server = out.iter().find(|&&s| s >= p).expect("the last one is");
+                panic!("router sent a tuple of atom {j} ({name}) to server {server} >= p={p}");
+            }
+            // `server < p <= u32::MAX` was checked above and at round start.
+            let counts = &mut routed.counts;
+            routed.dests.extend(out.iter().map(|&server| {
+                counts[server] += 1;
+                server as u32
+            }));
+            let end = u32::try_from(routed.dests.len())
+                .expect("one chunk routes fewer than 2^32 destinations");
+            routed.ends.push(end);
         }
-        let total: usize = scratch.bufs[..p].iter().map(Vec::len).sum();
-        let mut data = Vec::with_capacity(total);
-        let mut counts = Vec::with_capacity(p);
-        for buf in &mut scratch.bufs[..p] {
-            counts.push(buf.len());
-            data.extend_from_slice(buf);
-            buf.clear();
+        if block_hi == hi {
+            return Ok(routed);
         }
-        RoutedChunk { data, counts }
-    })
+        block = block_hi;
+    }
 }
 
-/// Route every row of `rel` (atom `j`) straight into the per-server
-/// fragments — the sequential path, with no intermediate buffers at all.
-fn route_into_fragments(
-    rel: &Relation,
-    j: usize,
-    name: &str,
-    p: usize,
-    router: &(impl Router + Sync),
-    frag: &mut [Relation],
-) {
-    failpoint::hit("shuffle");
-    SHUFFLE_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        for i in 0..rel.len() {
-            let tuple = rel.row(i);
-            scratch.dests.clear();
-            router.route(j, tuple, &mut scratch.dests);
-            scratch.dests.sort_unstable();
-            scratch.dests.dedup();
-            for &server in scratch.dests.iter() {
-                assert!(
-                    server < p,
-                    "router sent a tuple of atom {j} ({name}) to server {server} >= p={p}"
-                );
-                frag[server].push(tuple);
+/// Copy every routed row of one chunk into its destination fragments'
+/// (flat, row-major) buffers, in row order. The buffers were reserved at
+/// their final size, so no copy reallocates.
+fn scatter(rel: &Relation, routed: &Routed, bufs: &mut [Vec<u64>]) {
+    fn copy_rows<R: AsRef<[u64]>>(
+        rows: impl Iterator<Item = R>,
+        routed: &Routed,
+        bufs: &mut [Vec<u64>],
+    ) {
+        let mut start = 0usize;
+        for (row, &end) in rows.zip(&routed.ends) {
+            for &server in &routed.dests[start..end as usize] {
+                bufs[server as usize].extend_from_slice(row.as_ref());
             }
+            start = end as usize;
         }
-    })
+    }
+    fn fixed<const A: usize>(row: &[u64]) -> &[u64; A] {
+        row.try_into().expect("a row is `arity` values long")
+    }
+    let rows = rel.rows().skip(routed.lo);
+    // A row length known at compile time makes each copy a couple of plain
+    // stores instead of a `memcpy` call: a third off the scatter of the
+    // binary relations nearly every query here is made of.
+    match rel.arity() {
+        2 => copy_rows(rows.map(fixed::<2>), routed, bufs),
+        3 => copy_rows(rows.map(fixed::<3>), routed, bufs),
+        _ => copy_rows(rows, routed, bufs),
+    }
 }
 
 impl Cluster {
@@ -181,16 +175,9 @@ impl Cluster {
 
     /// [`Cluster::run_round`] on an explicit [`Backend`].
     ///
-    /// On the parallel backends each relation's rows are sharded into
-    /// contiguous chunks, every worker routes its chunk into private
-    /// per-server buffers, and buffers are merged in worker-index order —
-    /// so fragment tuple order (hence answers and [`LoadReport`]s) is
-    /// independent of the thread count. The shuffle is **pipelined**: the
-    /// per-server fragment merge runs on the calling thread, through
-    /// [`Backend::run_chunks_pipelined`]'s bounded channel, overlapping
-    /// with the routing of later chunks instead of waiting for the whole
-    /// relation — the merge still consumes chunks strictly in worker-index
-    /// order, so the pipelining is invisible in the output.
+    /// Fragment tuple order — hence answers and [`LoadReport`]s — is
+    /// independent of the thread count: see
+    /// [`Cluster::try_run_round_on`] for how a round is executed.
     pub fn run_round_on(
         db: &Database,
         p: usize,
@@ -201,13 +188,30 @@ impl Cluster {
             .expect("an unlimited budget cannot be exceeded")
     }
 
-    /// [`Cluster::run_round_on`] under a cooperative [`QueryBudget`]: the
-    /// budget is polled once per routed chunk (both the sequential and the
-    /// pipelined shuffle), so an expired deadline stops the shuffle within
-    /// one chunk of work. On a trip the partially built fragments are
-    /// dropped and a clean `Err` comes back — routing scratch is
-    /// thread-local and reset at the start of every chunk, so nothing is
-    /// poisoned for the next round.
+    /// [`Cluster::run_round_on`] under a cooperative [`QueryBudget`].
+    ///
+    /// Every relation goes through one **route → count → scatter** kernel,
+    /// whatever the backend:
+    ///
+    /// 1. *Route.* The relation's rows are split into contiguous chunks
+    ///    (one on [`Backend::Sequential`]; on `Pooled(n)` one per worker,
+    ///    routed in parallel). Each chunk calls [`Router::route`] once per
+    ///    row and records the destinations and per-server row counts — no
+    ///    tuple is copied yet. The `shuffle` failpoint is hit once per
+    ///    routed chunk.
+    /// 2. *Count.* The per-server counts are summed over the chunks and
+    ///    each of the `p` fragments is allocated once, at its exact size.
+    /// 3. *Scatter.* The calling thread copies every row to its
+    ///    destinations in chunk-then-row order, so fragment tuple order is
+    ///    the relation's row order on every backend. When the relation was
+    ///    split, the `merge` failpoint is hit once per scattered chunk.
+    ///
+    /// The budget is polled by the routing step: at the start of every
+    /// chunk and again every 512 rows, on both backends, so an expired
+    /// deadline stops the shuffle within that many `route` calls. On a trip
+    /// the partially routed round is dropped and a clean `Err` comes back;
+    /// the kernel keeps no state between rounds, so nothing is poisoned for
+    /// the next one.
     pub fn try_run_round_on(
         db: &Database,
         p: usize,
@@ -216,52 +220,38 @@ impl Cluster {
         budget: &QueryBudget,
     ) -> Result<Cluster, BudgetExceeded> {
         assert!(p > 0, "cluster needs at least one server");
+        assert!(u32::try_from(p).is_ok(), "server ids must fit in 32 bits");
         let q = db.query();
-        let mut fragments: Vec<Vec<Relation>> = q
-            .atoms()
-            .iter()
-            .map(|a| (0..p).map(|_| Relation::new(a.name(), a.arity())).collect())
-            .collect();
+        let mut fragments: Vec<Vec<Relation>> = Vec::with_capacity(q.num_atoms());
         for (j, rel) in db.relations().iter().enumerate() {
             let rel: &Relation = rel;
             let name = q.atom(j).name();
-            let frag = &mut fragments[j];
-            if backend.workers_for(rel.len(), SHUFFLE_MIN_CHUNK) <= 1 {
-                budget.poll()?;
-                // Route straight into the fragments, no intermediate buffers.
-                route_into_fragments(rel, j, name, p, router, frag);
+            let split = backend.workers_for(rel.len(), SHUFFLE_MIN_CHUNK) > 1;
+            let route = |lo, hi| route_rows(rel, j, name, lo, hi, p, router, budget);
+            let chunks: Vec<Routed> = if split {
+                backend.run_chunks(rel.len(), SHUFFLE_MIN_CHUNK, route)
             } else {
-                // Producers poll at chunk boundaries and ship `Result`s;
-                // the merge keeps consuming (the pipelined contract drains
-                // every chunk) but stops merging after the first trip.
-                let mut tripped: Option<BudgetExceeded> = None;
-                backend.run_chunks_pipelined(
-                    rel.len(),
-                    SHUFFLE_MIN_CHUNK,
-                    |lo, hi| {
-                        budget
-                            .poll()
-                            .map(|()| route_chunk(rel, j, name, lo, hi, p, router))
-                    },
-                    |chunk| {
-                        failpoint::hit("merge");
-                        match chunk {
-                            Ok(chunk) if tripped.is_none() => {
-                                let mut off = 0usize;
-                                for (s, &words) in chunk.counts.iter().enumerate() {
-                                    frag[s].push_rows(&chunk.data[off..off + words]);
-                                    off += words;
-                                }
-                            }
-                            Ok(_) => {}
-                            Err(e) => tripped = tripped.or(Some(e)),
-                        }
-                    },
-                );
-                if let Some(e) = tripped {
-                    return Err(e);
-                }
+                vec![route(0, rel.len())]
             }
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+            let arity = rel.arity();
+            let mut bufs: Vec<Vec<u64>> = (0..p)
+                .map(|s| {
+                    let rows: usize = chunks.iter().map(|c| c.counts[s]).sum();
+                    Vec::with_capacity(rows * arity)
+                })
+                .collect();
+            for chunk in &chunks {
+                if split {
+                    failpoint::hit("merge");
+                }
+                scatter(rel, chunk, &mut bufs);
+            }
+            let frag = bufs
+                .into_iter()
+                .map(|buf| Relation::from_flat(name, arity, buf));
+            fragments.push(frag.collect());
         }
         Ok(Cluster {
             p,
@@ -577,33 +567,144 @@ mod tests {
         let _ = Cluster::run_round_on(&db, 4, &router, Backend::Sequential);
     }
 
-    #[test]
-    fn backends_produce_identical_clusters() {
-        // Fragment contents (incl. tuple order), reports, and answers must
-        // be bit-identical whatever the thread count.
-        let db = join_db(3000, 7);
-        let p = 8;
-        let router = BroadcastRouter { p };
-        let seq = Cluster::run_round_on(&db, p, &router, Backend::Sequential);
-        for threads in [1usize, 2, 3, 8] {
-            let thr = Cluster::run_round_on(&db, p, &router, Backend::Pooled(threads));
-            assert_eq!(thr.backend(), Backend::Pooled(threads));
-            for atom in 0..2 {
-                for s in 0..p {
+    /// The shuffle as the model states it, kept here as the reference the
+    /// kernel is compared against: route each tuple, sort, dedup, push.
+    fn naive_fragments(db: &Database, p: usize, router: &impl Router) -> Vec<Vec<Relation>> {
+        let mut fragments = Vec::new();
+        for (j, rel) in db.relations().iter().enumerate() {
+            let mut frag: Vec<Relation> = (0..p)
+                .map(|_| Relation::new(rel.name(), rel.arity()))
+                .collect();
+            let mut dests = Vec::new();
+            for row in rel.rows() {
+                dests.clear();
+                router.route(j, row, &mut dests);
+                dests.sort_unstable();
+                dests.dedup();
+                for &server in &dests {
+                    frag[server].push(row);
+                }
+            }
+            fragments.push(frag);
+        }
+        fragments
+    }
+
+    /// Fragment contents (incl. tuple order), reports, and answers must be
+    /// the naive reference's, bit for bit, whatever the thread count — and
+    /// `route` runs exactly once per input tuple.
+    fn assert_kernel_matches_reference(
+        db: &Database,
+        p: usize,
+        label: &str,
+        router: &(impl Router + Sync),
+    ) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let expected = naive_fragments(db, p, router);
+        let calls = AtomicUsize::new(0);
+        let counting = |atom: usize, tuple: &[u64], out: &mut Vec<usize>| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            router.route(atom, tuple, out);
+        };
+        let tuples: usize = db.relations().iter().map(|r| r.len()).sum();
+        let seq = Cluster::run_round_on(db, p, &counting, Backend::Sequential);
+        let backends = [1usize, 2, 3, 8].map(Backend::Pooled);
+        for backend in [Backend::Sequential].into_iter().chain(backends) {
+            calls.store(0, Ordering::Relaxed);
+            let got = Cluster::run_round_on(db, p, &counting, backend);
+            assert_eq!(got.backend(), backend);
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                tuples,
+                "{label}: route calls on {backend}"
+            );
+            for (atom, frag) in expected.iter().enumerate() {
+                for (s, want) in frag.iter().enumerate() {
                     assert_eq!(
-                        seq.fragment(atom, s),
-                        thr.fragment(atom, s),
-                        "fragment[{atom}][{s}] differs at {threads} threads"
+                        got.fragment(atom, s),
+                        want,
+                        "{label}: fragment[{atom}][{s}] differs on {backend}"
                     );
                 }
             }
-            assert_eq!(seq.report(), thr.report(), "{threads} threads");
+            assert_eq!(seq.report(), got.report(), "{label} on {backend}");
             assert_eq!(
                 seq.all_answers(db.query()),
-                thr.all_answers(db.query()),
-                "{threads} threads"
+                got.all_answers(db.query()),
+                "{label} on {backend}"
             );
         }
+    }
+
+    #[test]
+    fn backends_produce_identical_clusters() {
+        // Big enough that Pooled(8) really shards (six routed chunks).
+        let db = join_db(3000, 7);
+        let p = 8;
+        assert_kernel_matches_reference(&db, p, "broadcast", &BroadcastRouter { p });
+        assert_kernel_matches_reference(
+            &db,
+            p,
+            "unsorted duplicates",
+            &|atom: usize, tuple: &[u64], out: &mut Vec<usize>| {
+                let h = (mpc_data::mix64(tuple[1], 3) % p as u64) as usize;
+                out.extend([(h + 5) % p, h, (h + 5) % p, (h + 2 + atom) % p, h]);
+            },
+        );
+        assert_kernel_matches_reference(
+            &db,
+            p,
+            "some tuples nowhere",
+            &|_: usize, tuple: &[u64], out: &mut Vec<usize>| {
+                if !tuple[0].is_multiple_of(3) {
+                    out.push((tuple[0] % p as u64) as usize);
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn sequential_shuffle_polls_the_budget_mid_relation() {
+        // The deadline expires while the router sleeps on its 1 000th call;
+        // the next poll (at most 512 rows later) must stop the round long
+        // before the relation's 50 000 rows are routed.
+        use mpc_data::budget::BudgetKind;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+        let db = join_db(50_000, 11);
+        let p = 4usize;
+        let calls = AtomicUsize::new(0);
+        let plain = |_: usize, tuple: &[u64], out: &mut Vec<usize>| {
+            out.push((tuple[1] % p as u64) as usize);
+        };
+        let sleepy = |atom: usize, tuple: &[u64], out: &mut Vec<usize>| {
+            if calls.fetch_add(1, Ordering::Relaxed) + 1 == 1000 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            plain(atom, tuple, out);
+        };
+        let budget = QueryBudget::new(Some(Duration::from_millis(5)), None, None);
+        let err = Cluster::try_run_round_on(&db, p, &sleepy, Backend::Sequential, &budget)
+            .expect_err("the deadline expired mid-shuffle");
+        assert_eq!(err.kind, BudgetKind::Deadline);
+        let made = calls.load(Ordering::Relaxed);
+        assert!(made < 50_000, "{made} route calls after the deadline");
+
+        // The tripped round left nothing behind on this thread: the next
+        // one equals a round run on a thread that never saw the trip.
+        let here = Cluster::run_round_on(&db, p, &plain, Backend::Sequential);
+        let fresh = std::thread::scope(|scope| {
+            scope
+                .spawn(|| Cluster::run_round_on(&db, p, &plain, Backend::Sequential))
+                .join()
+                .expect("fresh round")
+        });
+        for atom in 0..2 {
+            for s in 0..p {
+                assert_eq!(here.fragment(atom, s), fresh.fragment(atom, s));
+            }
+        }
+        assert_eq!(here.report(), fresh.report());
     }
 
     #[test]

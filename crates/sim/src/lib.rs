@@ -8,8 +8,8 @@
 //!   tuple-at-a-time routing policy, the paper's one-round algorithm model)
 //!   and materializes per-server fragments;
 //! * [`backend::Backend`] — the execution backend (`Sequential` or the
-//!   persistent-pool `Pooled(n)`) driving the pipelined shuffle and the per-server local joins, with bit-identical
-//!   results whatever the thread count;
+//!   persistent-pool `Pooled(n)`) driving the shuffle and the per-server
+//!   local joins, with bit-identical results whatever the thread count;
 //! * [`pool::WorkerPool`] — the persistent worker pool behind
 //!   `Backend::Pooled`, reused across rounds, queries, and batches;
 //! * [`oracle`] — the parallel ground-truth join (hash-partitioned

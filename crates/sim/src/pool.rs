@@ -127,8 +127,8 @@ impl WorkerPool {
 
     /// Pipelined variant of [`WorkerPool::run_jobs`]: `consume` runs on the
     /// calling thread, in job-index order, *while later jobs are still
-    /// executing on the workers* — the producer/consumer overlap behind the
-    /// pipelined shuffle. The first panic (in index order) is re-raised
+    /// executing on the workers* — producer/consumer overlap for an
+    /// order-sensitive merge. The first panic (in index order) is re-raised
     /// verbatim after all jobs of this submission have finished; a panic in
     /// `consume` itself likewise waits for the in-flight jobs to drain
     /// before propagating (their erased borrows must not outlive the

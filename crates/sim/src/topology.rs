@@ -3,8 +3,11 @@
 //! The HyperCube algorithm (Section 3.1) organizes `p = p1 · p2 ··· pk`
 //! servers as a k-dimensional grid, one dimension per query variable with
 //! `p_i` *shares*. A tuple hashing to known coordinates in some dimensions
-//! is replicated to the whole subcube spanned by the remaining dimensions;
-//! [`Grid::subcube`] enumerates exactly that set of server ids.
+//! is replicated to the whole subcube spanned by the remaining dimensions.
+//! Which dimensions a tuple knows depends on its atom only, so that set is
+//! compiled once per atom into a [`SubcubePlan`] (strides of the fixed
+//! dimensions + ascending offsets of the free ones); [`Grid::subcube`]
+//! enumerates one subcube through the same plan.
 
 /// A k-dimensional grid of servers, `dims[i]` cells along dimension `i`.
 /// Server ids are mixed-radix encodings of coordinate vectors, dimension 0
@@ -62,79 +65,64 @@ impl Grid {
         coords
     }
 
+    /// Compile the subcube spanned by fixing `fixed_dims` and letting every
+    /// other dimension range over everything — the part of a HyperCube
+    /// destination set that depends on the atom and the shares only, never
+    /// on the tuple. A dimension may be named more than once (a repeated
+    /// variable); see [`SubcubePlan::base`].
+    ///
+    /// # Panics
+    /// Panics when a fixed dimension is out of range.
+    pub fn subcube_plan(&self, fixed_dims: &[usize]) -> SubcubePlan {
+        assert!(
+            u32::try_from(self.num_cells()).is_ok(),
+            "subcube offsets are 32-bit server ids"
+        );
+        let k = self.dims.len();
+        // Mixed-radix strides, dimension 0 most significant (as `encode`).
+        let mut strides = vec![1usize; k];
+        for i in (0..k.saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * self.dims[i + 1];
+        }
+        let fixed = fixed_dims
+            .iter()
+            .enumerate()
+            .map(|(i, &dim)| {
+                assert!(dim < k, "fixed dimension out of range");
+                FixedDim {
+                    size: self.dims[dim],
+                    stride: strides[dim],
+                    first: fixed_dims[..i].iter().position(|&d| d == dim).unwrap_or(i),
+                }
+            })
+            .collect();
+        // Free dimensions expanded most significant first, so the offsets
+        // come out in lexicographic = ascending numeric order.
+        let mut offsets = vec![0u32];
+        for i in (0..k).filter(|i| !fixed_dims.contains(i)) {
+            let (size, stride) = (self.dims[i], strides[i]);
+            offsets = offsets
+                .iter()
+                .flat_map(|&o| (0..size).map(move |c| o + (c * stride) as u32))
+                .collect();
+        }
+        SubcubePlan { fixed, offsets }
+    }
+
     /// Enumerate all server ids whose coordinates agree with `fixed`
     /// (a list of `(dimension, coordinate)` pairs); the remaining dimensions
     /// range over everything. This is the subcube a tuple is replicated to
-    /// during the HyperCube shuffle.
+    /// during the HyperCube shuffle, in ascending order.
     ///
     /// Destinations are appended to `out` (cleared first). This convenience
-    /// form allocates fresh enumeration buffers; routing hot loops should
-    /// hold a [`SubcubeScratch`] and call [`Grid::subcube_into`].
+    /// form compiles a fresh [`SubcubePlan`] per call; routers compile one
+    /// per atom when the plan is built ([`Grid::subcube_plan`]).
     pub fn subcube(&self, fixed: &[(usize, usize)], out: &mut Vec<usize>) {
-        self.subcube_into(fixed, &mut SubcubeScratch::default(), out)
-    }
-
-    /// [`Grid::subcube`] with caller-owned enumeration buffers: called once
-    /// per routed tuple, this performs **no allocation** in the steady
-    /// state (the scratch is cleared, not reallocated).
-    pub fn subcube_into(
-        &self,
-        fixed: &[(usize, usize)],
-        scratch: &mut SubcubeScratch,
-        out: &mut Vec<usize>,
-    ) {
         out.clear();
-        let k = self.dims.len();
-        scratch.coord.clear();
-        scratch.coord.resize(k, None);
-        let coord = &mut scratch.coord;
-        for &(dim, c) in fixed {
-            assert!(dim < k, "fixed dimension out of range");
-            assert!(c < self.dims[dim], "fixed coordinate out of range");
-            // Repeated variables may fix the same dim twice; they must agree
-            // or the tuple matches no server.
-            if let Some(prev) = coord[dim] {
-                if prev != c {
-                    return;
-                }
-            }
-            coord[dim] = Some(c);
-        }
-        // Iterate the free dimensions with an odometer.
-        scratch.free.clear();
-        scratch.free.extend((0..k).filter(|&i| coord[i].is_none()));
-        let free = &scratch.free;
-        let total: usize = free.iter().map(|&i| self.dims[i]).product();
-        out.reserve(total);
-        scratch.odo.clear();
-        scratch.odo.resize(free.len(), 0);
-        let odo = &mut scratch.odo;
-        scratch.current.clear();
-        scratch.current.resize(k, 0);
-        let current = &mut scratch.current;
-        for (i, c) in coord.iter().enumerate() {
-            if let Some(v) = c {
-                current[i] = *v;
-            }
-        }
-        loop {
-            for (slot, &dim) in odo.iter().zip(free) {
-                current[dim] = *slot;
-            }
-            out.push(self.encode(current));
-            // Advance odometer.
-            let mut i = free.len();
-            loop {
-                if i == 0 {
-                    return;
-                }
-                i -= 1;
-                odo[i] += 1;
-                if odo[i] < self.dims[free[i]] {
-                    break;
-                }
-                odo[i] = 0;
-            }
+        let (dims, coords): (Vec<usize>, Vec<usize>) = fixed.iter().copied().unzip();
+        let plan = self.subcube_plan(&dims);
+        if let Some(base) = plan.base(&coords) {
+            plan.emit(base, out);
         }
     }
 
@@ -146,15 +134,69 @@ impl Grid {
     }
 }
 
-/// Reusable enumeration buffers for [`Grid::subcube_into`] (the odometer
-/// walk needs one small buffer per grid rank; routers keep one scratch per
-/// worker thread so the per-tuple subcube enumeration never allocates).
-#[derive(Clone, Debug, Default)]
-pub struct SubcubeScratch {
-    coord: Vec<Option<usize>>,
-    free: Vec<usize>,
-    odo: Vec<usize>,
-    current: Vec<usize>,
+/// One fixed dimension of a [`SubcubePlan`], in the order it was named.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct FixedDim {
+    size: usize,
+    stride: usize,
+    /// Index of the first entry naming the same dimension (its own index
+    /// unless the dimension is repeated).
+    first: usize,
+}
+
+/// A compiled subcube ([`Grid::subcube_plan`]): the mixed-radix stride of
+/// each fixed dimension plus the **ascending** server-id offsets of every
+/// combination of the free dimensions (`Π free dims` entries, at most the
+/// grid's cell count; 32-bit, because plans — and these with them — are
+/// cached by the hundred). A tuple's destination set is then
+/// `base + offsets` with `base = Σ coordinate · stride` — no per-tuple
+/// enumeration state. (This replaced the per-tuple odometer walk and its
+/// scratch buffers; [`Grid::subcube`] is a wrapper over it, so there is one
+/// enumeration.)
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SubcubePlan {
+    fixed: Vec<FixedDim>,
+    offsets: Vec<u32>,
+}
+
+impl SubcubePlan {
+    /// Stride of the `i`-th fixed dimension (in the order given to
+    /// [`Grid::subcube_plan`]): what one step of its coordinate adds to
+    /// the server id.
+    pub fn stride(&self, i: usize) -> usize {
+        self.fixed[i].stride
+    }
+
+    /// Ascending offsets of the free-dimension combinations.
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// The server id of the subcube's first cell for one coordinate per
+    /// fixed dimension. A dimension fixed twice must agree on its
+    /// coordinate: `None` (the empty subcube) when it does not.
+    ///
+    /// # Panics
+    /// Panics on a coordinate count mismatch or an out-of-range coordinate.
+    pub fn base(&self, coords: &[usize]) -> Option<usize> {
+        assert_eq!(coords.len(), self.fixed.len(), "coordinate rank mismatch");
+        let mut base = 0usize;
+        for (i, (f, &c)) in self.fixed.iter().zip(coords).enumerate() {
+            assert!(c < f.size, "fixed coordinate out of range");
+            if f.first == i {
+                base += c * f.stride;
+            } else if coords[f.first] != c {
+                return None;
+            }
+        }
+        Some(base)
+    }
+
+    /// Append the subcube starting at `base` to `out`, ascending.
+    #[inline]
+    pub fn emit(&self, base: usize, out: &mut Vec<usize>) {
+        out.extend(self.offsets.iter().map(|&o| base + o as usize));
+    }
 }
 
 /// Round real-valued shares `p^{e_i}` down to an integer share vector with

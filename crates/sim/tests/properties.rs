@@ -10,6 +10,38 @@ fn arb_dims() -> impl Strategy<Value = Vec<usize>> {
     mpc_testkit::collection::vec(1usize..6, 1..4)
 }
 
+/// Reference subcube enumeration, independent of `SubcubePlan`: pin the
+/// fixed coordinates (conflicting pins of one dimension → nothing), then
+/// walk the free dimensions with an odometer, last dimension fastest, and
+/// `encode` every cell.
+fn odometer_subcube(g: &Grid, fixed: &[(usize, usize)]) -> Vec<usize> {
+    let dims = g.dims();
+    let mut pinned: Vec<Option<usize>> = vec![None; dims.len()];
+    for &(dim, c) in fixed {
+        if pinned[dim].is_some_and(|prev| prev != c) {
+            return Vec::new();
+        }
+        pinned[dim] = Some(c);
+    }
+    let mut cell: Vec<usize> = pinned.iter().map(|c| c.unwrap_or(0)).collect();
+    let mut out = Vec::new();
+    loop {
+        out.push(g.encode(&cell));
+        let Some(i) = (0..dims.len())
+            .rev()
+            .find(|&i| pinned[i].is_none() && cell[i] + 1 < dims[i])
+        else {
+            return out;
+        };
+        cell[i] += 1;
+        for later in i + 1..dims.len() {
+            if pinned[later].is_none() {
+                cell[later] = 0;
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -35,6 +67,46 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s == 1), "slices overlap or miss cells");
+    }
+
+    /// The compiled subcube equals the reference odometer on random grids
+    /// (rank 1–5, dims 1–7) and random fixed sets — nothing fixed
+    /// (broadcast), every dimension fixed, a dimension fixed twice to the
+    /// same or to different coordinates — and is strictly ascending.
+    #[test]
+    fn subcube_plan_matches_reference_odometer(
+        dims in mpc_testkit::collection::vec(1usize..8, 1..6),
+        picks in mpc_testkit::collection::vec((0usize..5, 0usize..7), 0..7),
+    ) {
+        let g = Grid::new(dims.clone());
+        let fixed: Vec<(usize, usize)> = picks
+            .iter()
+            .map(|&(d, c)| (d % dims.len(), c % dims[d % dims.len()]))
+            .collect();
+        let expected = odometer_subcube(&g, &fixed);
+        prop_assert!(expected.windows(2).all(|w| w[0] < w[1]), "reference not ascending");
+
+        let (fixed_dims, coords): (Vec<usize>, Vec<usize>) = fixed.iter().copied().unzip();
+        let plan = g.subcube_plan(&fixed_dims);
+        let mut got = Vec::new();
+        if let Some(base) = plan.base(&coords) {
+            plan.emit(base, &mut got);
+        }
+        prop_assert_eq!(&got, &expected, "dims {:?} fixed {:?}", dims, fixed);
+        // The convenience wrappers are the same enumeration.
+        prop_assert_eq!(g.subcube_vec(&fixed), expected);
+
+        // A dimension fixed twice: agreeing is the single subcube,
+        // conflicting is empty.
+        if let Some(&(dim, c)) = fixed.first() {
+            let mut twice = fixed.clone();
+            twice.push((dim, c));
+            prop_assert_eq!(g.subcube_vec(&twice), odometer_subcube(&g, &fixed));
+            if dims[dim] > 1 {
+                twice.push((dim, (c + 1) % dims[dim]));
+                prop_assert!(g.subcube_vec(&twice).is_empty());
+            }
+        }
     }
 
     /// Subcube sizes multiply: |subcube(fixed)| = Π over free dims.

@@ -31,8 +31,8 @@ use mpc_testkit::failpoint;
 const DOMAIN: u64 = 1 << 10;
 
 /// A service whose relations are big enough (≥ 2 shuffle chunks) that the
-/// parallel backends take the pipelined shuffle — so the `merge` site
-/// actually fires on them.
+/// parallel backends split them — so the `merge` site (one hit per
+/// scattered chunk of a split relation) actually fires on them.
 fn loaded_service(backend: Backend) -> Service {
     let mut rng = Rng::seed_from_u64(42);
     let mut svc = Service::new(DOMAIN)
@@ -51,8 +51,8 @@ fn two_way() -> mpc_skew::query::Query {
 
 #[test]
 fn injected_panics_are_contained_and_survivors_are_bit_identical() {
-    // `merge` only exists on the pipelined (parallel) shuffle; the other
-    // two sites fire on every backend.
+    // `merge` only fires when a relation was routed in several chunks
+    // (the parallel backends); the other two sites fire on every backend.
     let matrix: &[(Backend, &[&str])] = &[
         (Backend::Sequential, &["shuffle", "local_join"]),
         (Backend::Pooled(4), &["shuffle", "merge", "local_join"]),

@@ -178,7 +178,7 @@ fn scenario_matrix_times_algorithms_is_deterministic_and_complete() {
         let hj = HashJoinRouter::new(&q, VarSet::singleton(z), p, 11);
         check_router(&format!("{name}/hash_join"), &db, &expected, p, &hj);
 
-        let fr = FragmentReplicateRouter::new(p, 1, 11);
+        let fr = FragmentReplicateRouter::new(p, 0, 11);
         check_router(
             &format!("{name}/fragment_replicate"),
             &db,

@@ -181,7 +181,7 @@ fn broadcast_join_matches_footnote_1() {
     let s1 = generators::uniform("S1", 2, 8000, n, &mut rng);
     let s2 = generators::uniform("S2", 2, 8000 / p / 2, n, &mut rng);
     let db = Database::new(q.clone(), vec![s1, s2], n).unwrap();
-    let router = FragmentReplicateRouter::new(p, 1, 5);
+    let router = FragmentReplicateRouter::new(p, 0, 5);
     let cluster = Cluster::run_round(&db, p, &router);
     verify::assert_complete(&db, &cluster);
     let report = cluster.report();
