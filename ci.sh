@@ -4,8 +4,8 @@
 # replaced in-tree by crates/testkit).
 #
 #   ./ci.sh              # build + serve smoke + both-backend tests + fmt
-#                        # + lint + docs + API-surface and one-shuffle-kernel
-#                        # guards + bench-compile
+#                        # + lint + docs + API-surface, one-shuffle-kernel
+#                        # and one-share-LP guards + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
 #                        # `cargo test` includes the rustdoc doctests
@@ -250,12 +250,25 @@ fi
 # over per-atom compiled routes. The per-tuple subcube odometer, its
 # scratch, and the two older shuffle paths must not come back beside it,
 # not even as a name in a comment.
-stage "one shuffle kernel: no subcube_into / SubcubeScratch / RoutedChunk / route_into_fragments"
-FORKS=$(grep -rn "subcube_into\|SubcubeScratch\|RoutedChunk\|route_into_fragments" \
+stage "one shuffle kernel: no subcube_into / SubcubeScratch / RoutedChunk / route_into_fragments / pipelined pool paths"
+FORKS=$(grep -rn "subcube_into\|SubcubeScratch\|RoutedChunk\|route_into_fragments\|run_chunks_pipelined\|run_jobs_pipelined\|consume_in_order" \
     crates src tests || true)
 if [ -n "$FORKS" ]; then
     echo "deleted shuffle/routing paths are named again:" >&2
     echo "$FORKS" >&2
+    exit 1
+fi
+
+# One share LP per plan: `L_lower` is the LP (5) optimum (Theorem 3.6), so
+# nothing on the query path may enumerate packing vertices. The closed
+# form stays behind `mpcskew bounds`, the experiments and the tests.
+stage "one share LP: no l_lower / packing_vertices in the planner files"
+ENUMERATORS=$(grep -n "l_lower\|packing_vertices" \
+    crates/core/src/engine.rs crates/core/src/service.rs crates/core/src/skew_general.rs \
+    crates/core/src/skew_join.rs crates/core/src/hypercube.rs || true)
+if [ -n "$ENUMERATORS" ]; then
+    echo "the packing-vertex enumeration is named on the query path again:" >&2
+    echo "$ENUMERATORS" >&2
     exit 1
 fi
 

@@ -52,7 +52,7 @@
 
 use crate::aggregate::{aggregate_cluster, AggregateResult};
 use crate::baselines::{FragmentReplicateRouter, HashJoinRouter};
-use crate::bounds;
+use crate::bounds::skew_join_bound;
 use crate::hypercube::HyperCube;
 use crate::multi_round::{run_multi_round, MultiRoundResult};
 use crate::shares::ShareAllocation;
@@ -82,6 +82,20 @@ pub const AGGREGATE_NEEDS_PARTITIONING: &str =
     "aggregate heads need a plan that materializes every join derivation exactly once; \
      `multi-round` and `general` do not (use auto, hc, hc-equal, hash, fragment-replicate \
      or skew-join)";
+
+/// The one refusal every surface gives [`Algorithm::SkewJoin`] pinned on a
+/// query that is not [`Query::is_two_atom_join`], worded and surfaced like
+/// [`AGGREGATE_NEEDS_PARTITIONING`].
+pub const SKEW_JOIN_NEEDS_TWO_ATOMS: &str =
+    "`skew-join` handles exactly two atoms that share a variable \
+     (use auto, hc or general)";
+
+/// The largest server count `p` any surface accepts (`p=` on the wire,
+/// `--p` on the CLI). A round allocates `p` fragments per atom before its
+/// first budget poll, so an unbounded `p` is an unbounded allocation no
+/// `timeout=` can stop; at this bound an empty query already costs tens of
+/// milliseconds.
+pub const MAX_SERVERS: usize = 1 << 16;
 
 /// The algorithm menu. [`Algorithm::Auto`] resolves to a concrete choice
 /// at plan time from the statistics.
@@ -264,13 +278,7 @@ pub(crate) fn choose(
 ) -> Algorithm {
     if !detects_join_skew(q, stats, simple, p) {
         Algorithm::HyperCube
-    } else if q.num_atoms() == 2
-        && !q
-            .atom(0)
-            .var_set()
-            .intersect(q.atom(1).var_set())
-            .is_empty()
-    {
+    } else if q.is_two_atom_join() {
         Algorithm::SkewJoin
     } else {
         Algorithm::GeneralSkew
@@ -414,9 +422,14 @@ impl Plan {
         self.predicted_load_bits
     }
 
-    /// `L_lower = max_{u ∈ pk(q)} L(u, M, p)` in bits (Theorems 3.5/3.6)
-    /// for the statistics the plan was built from — what *any* one-round
-    /// algorithm must pay.
+    /// `L_lower = max_{u ∈ pk(q)} L(u, M, p)` in bits (Theorem 3.5) for the
+    /// statistics the plan was built from — what *any* one-round algorithm
+    /// must pay. Computed as the LP (5) optimum `p^λ`, which Theorem 3.6
+    /// proves equal to that maximum: planning solves the LP once and never
+    /// enumerates packing vertices (the closed form in [`crate::bounds`] is
+    /// the reference the property tests hold this number to, within 1e-4
+    /// relative). Variables are non-negative, so the value floors at
+    /// `p^0 = 1` bit.
     pub fn lower_bound_bits(&self) -> f64 {
         self.lower_bound_bits
     }
@@ -853,6 +866,11 @@ impl<'s> Engine<'s> {
     /// the §4.2 bin combinations — goes through the [`Stats`] source's
     /// error-bounded estimates with the conservative straddle-is-heavy
     /// rule; `db` itself is only consulted for tuple routing at run time.
+    ///
+    /// # Panics
+    /// Panics with [`SKEW_JOIN_NEEDS_TWO_ATOMS`] when
+    /// [`Algorithm::SkewJoin`] is pinned on any other query shape (and see
+    /// [`Engine::aggregate`]).
     pub fn plan(&self, db: &Database) -> Plan {
         assert_eq!(
             db.query(),
@@ -879,6 +897,7 @@ impl<'s> Engine<'s> {
     }
 
     fn plan_with(&self, db: &Database, stats: &dyn Stats) -> Plan {
+        mpc_data::failpoint::hit("plan");
         let q = &self.query;
         let p = self.p;
         if let Some(spec) = &self.aggregate {
@@ -906,18 +925,21 @@ impl<'s> Engine<'s> {
             self.aggregate.is_none() || resolved.partitions_derivations(),
             "{AGGREGATE_NEEDS_PARTITIONING}"
         );
-        let (lower_bound_bits, _) = bounds::l_lower(q, &simple, p);
+        assert!(
+            resolved != Algorithm::SkewJoin || q.is_two_atom_join(),
+            "{SKEW_JOIN_NEEDS_TWO_ATOMS}"
+        );
+        // LP (5), once per plan: its optimum `p^λ` is `L_lower` (Theorem
+        // 3.6) whatever algorithm runs, and its shares are the HyperCube
+        // arm's grid.
+        let alloc = ShareAllocation::optimize(q, &simple, p).expect("share LP is always feasible");
+        let lower_bound_bits = alloc.predicted_load_bits();
         let (kind, predicted) = match resolved {
             Algorithm::Auto => unreachable!("auto resolved above"),
-            Algorithm::HyperCube => {
-                let alloc =
-                    ShareAllocation::optimize(q, &simple, p).expect("share LP is always feasible");
-                let predicted = alloc.predicted_load_bits();
-                (
-                    PlanKind::HyperCube(HyperCube::new(q, &alloc, self.seed)),
-                    predicted,
-                )
-            }
+            Algorithm::HyperCube => (
+                PlanKind::HyperCube(HyperCube::new(q, &alloc, self.seed)),
+                lower_bound_bits,
+            ),
             Algorithm::HyperCubeEqual => {
                 let hc = HyperCube::with_equal_shares(q, p, self.seed);
                 // Corollary 3.2(ii): the unconditional skew-resilient cap.
@@ -959,7 +981,6 @@ impl<'s> Engine<'s> {
                 )
             }
             Algorithm::SkewJoin => {
-                assert_eq!(q.num_atoms(), 2, "skew join handles exactly two relations");
                 let shared = q.atom(0).var_set().intersect(q.atom(1).var_set());
                 let (m1, m2) = (simple.cardinalities[0], simple.cardinalities[1]);
                 // Heavy hitters at their largest consistent counts: the
@@ -969,7 +990,7 @@ impl<'s> Engine<'s> {
                 // maps reproduce the full-map plan bit for bit.
                 let f1 = HeavyHitters::of(q, stats, m1, 0, shared, p).entries;
                 let f2 = HeavyHitters::of(q, stats, m2, 1, shared, p).entries;
-                let bound = bounds::skew_join_bound(m1, m2, &f1, &f2, p);
+                let bound = skew_join_bound(m1, m2, &f1, &f2, p);
                 // Eq. (10) is stated in tuples; convert with the widest
                 // tuple so the prediction stays an upper shape.
                 let width = q.max_arity() as f64 * simple.value_bits as f64;

@@ -132,24 +132,6 @@ impl HyperCube {
         (cluster, report)
     }
 
-    /// Corollary 3.2(i): the expected per-server load on data that is
-    /// skew-free w.r.t. these shares, in bits:
-    /// `max_j M_j / Π_{i ∈ S_j} p_i`.
-    pub fn skew_free_load_bits(&self, stats: &SimpleStatistics) -> f64 {
-        (0..self.query.num_atoms())
-            .map(|j| {
-                let denom: f64 = self
-                    .query
-                    .atom(j)
-                    .var_set()
-                    .iter()
-                    .map(|i| self.grid.dims()[i] as f64)
-                    .product();
-                stats.bit_sizes_f64()[j] / denom
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Corollary 3.2(ii): the *unconditional* load cap, valid on any
     /// *set* instance (the paper's model: relations are subsets of
     /// `[n]^{a_j}`, so duplicate tuples — which no algorithm could split —

@@ -61,7 +61,7 @@
 
 use crate::engine::{
     planning_projections, sketch_capacity, Algorithm, Engine, Plan, PlanKey, RunOutcome, Stats,
-    StatsMode, AGGREGATE_NEEDS_PARTITIONING,
+    StatsMode, AGGREGATE_NEEDS_PARTITIONING, SKEW_JOIN_NEEDS_TWO_ATOMS,
 };
 use mpc_data::answers::AnswerSet;
 use mpc_data::budget::{BudgetExceeded, BudgetKind, QueryBudget};
@@ -114,7 +114,9 @@ pub enum ServiceError {
     /// The query asks for something the engine recognizably cannot do:
     /// an invalid aggregate head (bad variable indices, or pinned to an
     /// algorithm that does not materialize each join derivation exactly
-    /// once), or a relation past the u32 row-id space of the join index.
+    /// once), the §4.1 skew join pinned on anything but two atoms sharing
+    /// a variable, or a relation past the u32 row-id space of the join
+    /// index.
     Unsupported(String),
     /// A worker panicked mid-query. The panic was contained at the
     /// service boundary; the catalog, plan cache, and backend are intact
@@ -767,10 +769,11 @@ impl Service {
     }
 
     /// Run one fully-specified query inside the fault-containment
-    /// boundary: execution *and* answer materialization happen under the
-    /// spec's budget and a `catch_unwind`, so a mid-query worker panic or
-    /// a tripped budget returns a typed [`ServiceError`] — the catalog,
-    /// plan cache, and backend stay intact for the next query.
+    /// boundary: planning runs under a `catch_unwind`, execution *and*
+    /// answer materialization under the spec's budget and another, so a
+    /// planner or mid-query worker panic or a tripped budget returns a
+    /// typed [`ServiceError`] — the catalog, plan cache, and backend stay
+    /// intact for the next query.
     pub fn query_spec(&mut self, spec: &QuerySpec) -> Result<ServiceOutcome, ServiceError> {
         let (plan, db, cache) = self.resolve_plan(spec)?;
         let budget = self.budget_for(spec);
@@ -821,6 +824,11 @@ impl Service {
                 ));
             }
         }
+        if spec.algorithm == Algorithm::SkewJoin && !spec.query.is_two_atom_join() {
+            return Err(ServiceError::Unsupported(
+                SKEW_JOIN_NEEDS_TWO_ATOMS.to_string(),
+            ));
+        }
         // Canonicalization renames variables but keeps their indices, so
         // the aggregate spec applies to the canonical query unchanged.
         let canonical = spec.query.canonical();
@@ -853,11 +861,6 @@ impl Service {
                 entry.plan.clone()
             }
             CacheStatus::Miss | CacheStatus::Invalidated => {
-                if cache == CacheStatus::Invalidated {
-                    self.counters.invalidations += 1;
-                } else {
-                    self.counters.misses += 1;
-                }
                 let view = self.stats_view(&atom_entries, &db);
                 let mut engine = Engine::new(&canonical)
                     .p(p)
@@ -866,7 +869,15 @@ impl Service {
                 if let Some(agg) = &spec.aggregate {
                     engine = engine.aggregate(agg.clone());
                 }
-                let plan = Arc::new(engine.stats(&view).plan(&db));
+                // Planning runs inside the containment boundary like
+                // execution: a planner panic is this query's `err internal`,
+                // and nothing is counted or cached for it.
+                let plan = Arc::new(run_contained(|| Ok(engine.stats(&view).plan(&db)))?);
+                if cache == CacheStatus::Invalidated {
+                    self.counters.invalidations += 1;
+                } else {
+                    self.counters.misses += 1;
+                }
                 self.tick += 1;
                 self.plans.insert(
                     key,

@@ -1,4 +1,5 @@
-//! Share-exponent optimization — LP (5) and Theorem 3.6.
+//! Share-exponent optimization — LP (5), its residual form LP (11), and
+//! Theorem 3.6.
 //!
 //! Given statistics `M` and `p` servers, the HyperCube algorithm needs one
 //! share `p_i = p^{e_i}` per variable. The paper computes the exponents by
@@ -12,12 +13,17 @@
 //! ```
 //!
 //! whose optimum `p^λ` equals the closed form
-//! `max_{u ∈ pk(q)} L(u, M, p)` (Theorem 3.6) — an identity
-//! [`ShareAllocation::verify_against_closed_form`] checks numerically.
+//! `max_{u ∈ pk(q)} L(u, M, p)` (Theorem 3.6) — so the LP is also how the
+//! planner gets `L_lower`; the vertex enumeration in [`crate::bounds`] is
+//! the reference the tests hold it to.
+//!
+//! §4.2's per-bin-combination LP (11) is the same program over the residual
+//! variables `V − x` with right-hand sides `µ_j − β_j` and budget `1 − α`:
+//! LP (5) is its instance `x = ∅, β = 0, α = 0`. `solve_share_lp` is the
+//! one place either is built and solved.
 
-use crate::bounds;
 use mpc_lp::{Cmp, LinearProgram, LpError, Sense};
-use mpc_query::Query;
+use mpc_query::{Query, VarSet};
 use mpc_sim::topology::round_shares;
 use mpc_stats::cardinality::SimpleStatistics;
 
@@ -54,38 +60,12 @@ impl ShareAllocation {
                 p,
             });
         }
-        let logp = (p.max(2) as f64).ln();
-        let mu: Vec<f64> = stats
-            .bit_sizes_f64()
-            .iter()
-            .map(|&m| m.max(1.0).ln() / logp)
-            .collect();
-
-        let mut lp = LinearProgram::new(Sense::Minimize);
-        let lambda = lp.add_var("lambda", 1.0);
-        let evars: Vec<usize> = (0..q.num_vars())
-            .map(|i| lp.add_var(format!("e_{}", q.var_name(i)), 0.0))
-            .collect();
-        // Σ e_i <= 1.
-        let budget: Vec<(usize, f64)> = evars.iter().map(|&v| (v, 1.0)).collect();
-        lp.add_constraint(&budget, Cmp::Le, 1.0);
-        // Per atom: Σ_{i∈S_j} e_i + λ >= µ_j.
-        for (j, &muj) in mu.iter().enumerate() {
-            let mut terms: Vec<(usize, f64)> = q
-                .atom(j)
-                .var_set()
-                .iter()
-                .map(|i| (evars[i], 1.0))
-                .collect();
-            terms.push((lambda, 1.0));
-            lp.add_constraint(&terms, Cmp::Ge, muj);
-        }
-        let sol = lp.solve()?;
-        let exponents: Vec<f64> = evars.iter().map(|&v| sol.x[v].max(0.0)).collect();
+        let mu = log_p_sizes(stats, p);
+        let (lambda, exponents) = solve_share_lp(q, VarSet::EMPTY, |j| mu[j], 1.0)?;
         let shares = round_shares(p, &exponents);
         Ok(ShareAllocation {
             exponents,
-            lambda: sol.objective,
+            lambda,
             shares,
             p,
         })
@@ -237,24 +217,66 @@ impl ShareAllocation {
             })
             .fold(0.0, f64::max)
     }
+}
 
-    /// Numerically verify Theorem 3.6: `p^λ == max_{u ∈ pk(q)} L(u, M, p)`
-    /// within relative tolerance `tol`. Returns the pair (LP value, closed
-    /// form) for diagnostics.
-    pub fn verify_against_closed_form(
-        &self,
-        q: &Query,
-        stats: &SimpleStatistics,
-        tol: f64,
-    ) -> (f64, f64) {
-        let lp_val = self.predicted_load_bits();
-        let (closed, _) = bounds::l_lower(q, stats, self.p);
-        debug_assert!(
-            (lp_val - closed).abs() / closed.max(1.0) < tol,
-            "Theorem 3.6 violated: LP {lp_val} vs closed form {closed}"
-        );
-        (lp_val, closed)
+/// `µ_j = log_p M_j` per atom (bit sizes clamped at 1, base `max(p, 2)`):
+/// the right-hand sides of LP (5).
+pub(crate) fn log_p_sizes(stats: &SimpleStatistics, p: usize) -> Vec<f64> {
+    let logp = (p.max(2) as f64).ln();
+    stats
+        .bit_sizes_f64()
+        .iter()
+        .map(|&m| m.max(1.0).ln() / logp)
+        .collect()
+}
+
+/// Build and solve the paper's share LP over the variables `V − x`:
+///
+/// ```text
+/// minimize λ
+/// s.t.  Σ_{i ∈ V − x} e_i <= budget
+///       ∀j: λ + Σ_{i ∈ S_j − x} e_i >= rhs(j)
+///       e, λ >= 0
+/// ```
+///
+/// LP (5) is `x = ∅`, `rhs(j) = µ_j`, `budget = 1`; LP (11) of a bin
+/// combination is `rhs(j) = µ_j − β_j`, `budget = 1 − α`. Returns `(λ, e)`
+/// with `e` indexed by query variable (0 on `x`) and stated as fractions of
+/// the budget — exponents to the base `p^budget`, the number of servers the
+/// shares divide, which is what [`round_shares`] takes.
+pub(crate) fn solve_share_lp(
+    q: &Query,
+    x: VarSet,
+    rhs: impl Fn(usize) -> f64,
+    budget: f64,
+) -> Result<(f64, Vec<f64>), LpError> {
+    let mut lp = LinearProgram::new(Sense::Minimize);
+    let lambda = lp.add_var("lambda", 1.0);
+    let evars: Vec<Option<usize>> = (0..q.num_vars())
+        .map(|i| (!x.contains(i)).then(|| lp.add_var(format!("e_{}", q.var_name(i)), 0.0)))
+        .collect();
+    let mut spend: Vec<(usize, f64)> = Vec::with_capacity(evars.len());
+    spend.extend(evars.iter().flatten().map(|&v| (v, 1.0)));
+    lp.add_constraint(&spend, Cmp::Le, budget);
+    for j in 0..q.num_atoms() {
+        let mut terms: Vec<(usize, f64)> = q
+            .atom(j)
+            .var_set()
+            .iter()
+            .filter_map(|i| evars[i].map(|v| (v, 1.0)))
+            .collect();
+        terms.push((lambda, 1.0));
+        lp.add_constraint(&terms, Cmp::Ge, rhs(j));
     }
+    let sol = lp.solve()?;
+    let exponents = evars
+        .iter()
+        .map(|v| match *v {
+            Some(v) if budget > 1e-9 => sol.x[v].max(0.0) / budget,
+            _ => 0.0,
+        })
+        .collect();
+    Ok((sol.objective, exponents))
 }
 
 #[cfg(test)]
@@ -281,7 +303,8 @@ mod tests {
             );
         }
         assert_eq!(alloc.shares, vec![4, 4, 4]);
-        let (lp_val, closed) = alloc.verify_against_closed_form(&q, &st, 1e-6);
+        let lp_val = alloc.predicted_load_bits();
+        let (closed, _) = crate::bounds::l_lower(&q, &st, p);
         assert!((lp_val - closed).abs() / closed < 1e-6);
     }
 

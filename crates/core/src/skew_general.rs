@@ -8,7 +8,9 @@
 //! * every other combination owns `|C'(B)| <= p` assignments `h`; each
 //!   assignment gets a block of `p^{1-α}` virtual servers
 //!   (`α = log_p |C'(B)|`) running HyperCube on the *residual* variables
-//!   `V − x`, with share exponents from the per-combination LP (11):
+//!   `V − x`, with share exponents from the per-combination LP (11) —
+//!   LP (5) over the residual variables, built and solved by
+//!   [`crate::shares`]'s one share-LP builder:
 //!
 //!   ```text
 //!   minimize λ
@@ -37,9 +39,9 @@
 //! per-thread `RouteScratch` and its `thread_local!` are gone).
 
 use crate::hypercube::CompiledRoutes;
+use crate::shares::{log_p_sizes, solve_share_lp};
 use mpc_data::catalog::Database;
 use mpc_data::fastmap::{with_projected_key, FastMap, FastSet};
-use mpc_lp::{Cmp, LinearProgram, Sense};
 use mpc_query::VarSet;
 use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
@@ -116,62 +118,29 @@ impl GeneralSkewAlgorithm {
     ) -> GeneralSkewAlgorithm {
         let q = db.query().clone();
         let simple = stats.simple();
-        let logp = (p.max(2) as f64).ln();
-        let mu: Vec<f64> = simple
-            .bit_sizes_f64()
-            .iter()
-            .map(|&m| m.max(1.0).ln() / logp)
-            .collect();
+        let mu = log_p_sizes(&simple, p);
 
         let raw = enumerate_combinations_with(&q, p, stats);
-        // Count assignments dropped by the |C'(B)| <= p cap: re-derive how
-        // many candidates each combination could have had. The enumerator
-        // already caps, so recompute potential counts cheaply from the
-        // per-atom heavy-hitter sets it kept.
         let mut combos: Vec<PreparedCombo> = Vec::with_capacity(raw.len());
         let mut compiled: FastMap<Vec<usize>, Arc<CompiledRoutes>> = FastMap::default();
         let mut base = usize::MAX;
         let mut offset = 0usize;
         for combo in raw {
             let x = combo.x;
-            let alpha = combo.alpha(p);
-            // LP (11).
-            let mut lp = LinearProgram::new(Sense::Minimize);
-            let lambda = lp.add_var("lambda", 1.0);
-            let evars: Vec<Option<usize>> = (0..q.num_vars())
-                .map(|i| {
-                    if x.contains(i) {
-                        None
-                    } else {
-                        Some(lp.add_var(format!("e{i}"), 0.0))
-                    }
-                })
-                .collect();
-            let budget: Vec<(usize, f64)> = evars.iter().flatten().map(|&v| (v, 1.0)).collect();
-            lp.add_constraint(&budget, Cmp::Le, (1.0 - alpha).max(0.0));
-            for j in 0..q.num_atoms() {
-                let mut terms: Vec<(usize, f64)> = q
-                    .atom(j)
-                    .var_set()
-                    .iter()
-                    .filter_map(|i| evars[i].map(|v| (v, 1.0)))
-                    .collect();
-                terms.push((lambda, 1.0));
-                lp.add_constraint(&terms, Cmp::Ge, mu[j] - combo.beta[j]);
-            }
-            let sol = lp.solve().expect("LP (11) is always feasible");
-            let lam = sol.objective;
+            // LP (11): LP (5) over `V − x` at `µ_j − β_j` and budget `1 − α`.
+            // One server has nothing to divide (the exponent space is
+            // degenerate at p = 1, as in `ShareAllocation::optimize`).
+            let budget = if p == 1 {
+                0.0
+            } else {
+                (1.0 - combo.alpha(p)).max(0.0)
+            };
+            let (lambda, exponents) = solve_share_lp(&q, x, |j| mu[j] - combo.beta[j], budget)
+                .expect("LP (11) is always feasible");
 
             // Integer shares for one assignment's block.
             let ph = (p / combo.assignments.len().max(1)).max(1);
-            let budget_exp = (1.0 - alpha).max(0.0);
-            let residual_exponents: Vec<f64> = (0..q.num_vars())
-                .map(|i| match evars[i] {
-                    Some(v) if budget_exp > 1e-9 => sol.x[v].max(0.0) / budget_exp,
-                    _ => 0.0,
-                })
-                .collect();
-            let mut dims = round_shares(ph, &residual_exponents);
+            let mut dims = round_shares(ph, &exponents);
             for i in 0..q.num_vars() {
                 if x.contains(i) {
                     dims[i] = 1;
@@ -220,7 +189,7 @@ impl GeneralSkewAlgorithm {
             }
             combos.push(PreparedCombo {
                 combo,
-                lambda: lam,
+                lambda,
                 routes,
                 #[cfg(test)]
                 grid,

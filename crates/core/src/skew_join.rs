@@ -30,24 +30,25 @@ use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::load::LoadReport;
 
-/// How a heavy `z`-value is handled.
+/// How a heavy `z`-value is handled: a `p1 × p2` block of virtual servers
+/// at `offset`. S1's tuples hash their private attributes to a row and go
+/// to every column of it, S2's hash to a column and go to every row.
+/// Heavy on both sides is a true grid; heavy in S1 only is `p_h × 1`
+/// (partition S1, broadcast S2's matching tuples), heavy in S2 only is
+/// `1 × p_h`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum HeavyRoute {
-    /// Heavy on both sides: `p1 × p2` grid at `offset`.
-    Both { offset: usize, p1: usize, p2: usize },
-    /// Heavy in S1 only: partition S1 on its private attributes over `ph`
-    /// servers at `offset`, broadcast S2's matching tuples.
-    Only1 { offset: usize, ph: usize },
-    /// Heavy in S2 only (symmetric).
-    Only2 { offset: usize, ph: usize },
+struct HeavyRoute {
+    offset: usize,
+    p1: usize,
+    p2: usize,
 }
 
 /// Configuration knobs for [`SkewJoin`] (ablations).
 #[derive(Clone, Copy, Debug)]
 pub struct SkewJoinConfig {
     /// Handle H12 (heavy-both-sides) values with a `p1 × p2` cartesian grid
-    /// (the paper's step 2). When false they fall back to the H1 treatment,
-    /// whose broadcast side costs `Θ(m2(h))` per server instead of
+    /// (the paper's step 2). When false they fall back to the H1 treatment
+    /// (`p2 = 1`), whose broadcast side costs `Θ(m2(h))` per server instead of
     /// `Θ(sqrt(m1(h) m2(h) / p_h))`.
     pub use_grids: bool,
 }
@@ -207,18 +208,18 @@ impl SkewJoin {
             // grid down instead of up costs at most a factor 2 in per-cell
             // load.
             let p2 = (ph / p1).max(1);
-            routes.insert(h, HeavyRoute::Both { offset, p1, p2 });
+            routes.insert(h, HeavyRoute { offset, p1, p2 });
             offset += p1 * p2;
         }
         for (h, c1) in h1 {
-            let ph = ((p as f64 * c1 / k1_total).ceil() as usize).max(1);
-            routes.insert(h, HeavyRoute::Only1 { offset, ph });
-            offset += ph;
+            let p1 = ((p as f64 * c1 / k1_total).ceil() as usize).max(1);
+            routes.insert(h, HeavyRoute { offset, p1, p2: 1 });
+            offset += p1;
         }
         for (h, c2) in h2 {
-            let ph = ((p as f64 * c2 / k2_total).ceil() as usize).max(1);
-            routes.insert(h, HeavyRoute::Only2 { offset, ph });
-            offset += ph;
+            let p2 = ((p as f64 * c2 / k2_total).ceil() as usize).max(1);
+            routes.insert(h, HeavyRoute { offset, p1: 1, p2 });
+            offset += p2;
         }
 
         SkewJoin {
@@ -286,7 +287,7 @@ impl Router for SkewJoin {
                     }
                     out.push((h % self.p as u64) as usize);
                 }
-                Some(HeavyRoute::Both { offset, p1, p2 }) => {
+                Some(HeavyRoute { offset, p1, p2 }) => {
                     if atom == 0 {
                         let row = self.hash_private(0, tuple, *p1);
                         for col in 0..*p2 {
@@ -296,26 +297,6 @@ impl Router for SkewJoin {
                         let col = self.hash_private(1, tuple, *p2);
                         for row in 0..*p1 {
                             out.push(self.fold(offset + row * p2 + col));
-                        }
-                    }
-                }
-                Some(HeavyRoute::Only1 { offset, ph }) => {
-                    if atom == 0 {
-                        let slot = self.hash_private(0, tuple, *ph);
-                        out.push(self.fold(offset + slot));
-                    } else {
-                        for s in 0..*ph {
-                            out.push(self.fold(offset + s));
-                        }
-                    }
-                }
-                Some(HeavyRoute::Only2 { offset, ph }) => {
-                    if atom == 1 {
-                        let slot = self.hash_private(1, tuple, *ph);
-                        out.push(self.fold(offset + slot));
-                    } else {
-                        for s in 0..*ph {
-                            out.push(self.fold(offset + s));
                         }
                     }
                 }
@@ -381,10 +362,8 @@ mod tests {
         let s2 = generators::matching("S2", 2, m, n, &mut rng);
         let db = Database::new(q, vec![s1, s2], n).unwrap();
         let sj = SkewJoin::plan(&db, 16, 9);
-        assert!(matches!(
-            sj.routes.get(&vec![5u64]),
-            Some(HeavyRoute::Only1 { .. })
-        ));
+        let route = sj.routes.get(&vec![5u64]).expect("5 is heavy in S1");
+        assert!(route.p1 > 1 && route.p2 == 1, "{route:?}");
         let (cluster, report) = sj.run(&db);
         assert_complete(&db, &cluster);
         // The heavy S1 side is partitioned: no server sees all m/2 heavy
@@ -410,9 +389,8 @@ mod tests {
         let db = Database::new(q, vec![s1, s2], n).unwrap();
         let p = 16usize;
         let sj = SkewJoin::plan(&db, p, 10);
-        let Some(HeavyRoute::Both { p1, p2, .. }) = sj.routes.get(&vec![5u64]) else {
-            panic!("expected H12 grid for the shared heavy hitter");
-        };
+        let HeavyRoute { p1, p2, .. } = sj.routes.get(&vec![5u64]).expect("5 is heavy");
+        assert!(*p1 > 1 && *p2 > 1, "expected an H12 grid, got {p1}x{p2}");
         // Symmetric frequencies: a roughly square grid.
         assert!((*p1 as i64 - *p2 as i64).abs() <= 2, "grid {p1}x{p2}");
         let (cluster, report) = sj.run(&db);

@@ -28,10 +28,12 @@
 //! aggregate head; 0 = unlimited) override them. Every failure is one
 //! `err` line whose first word classifies it: `err timeout ...` (deadline
 //! expired), `err limit ...` (row/group cap), `err unsupported ...`
-//! (recognized capability limit), `err internal ...` (a worker panic,
-//! contained — the session and service survive, and the next query on
-//! the same connection runs normally). The TCP front end additionally
-//! sheds clients past its `--max-clients` cap with `err overloaded ...`.
+//! (recognized capability limit), `err internal ...` (a planner or worker
+//! panic, contained — the session and service survive, and the next query
+//! on the same connection runs normally). `p=` is refused outside
+//! `1..=`[`MAX_SERVERS`] when the line is parsed. The TCP front end
+//! additionally sheds clients past its `--max-clients` cap with
+//! `err overloaded ...`.
 //!
 //! **Reply framing.** There is one renderer and one serve loop. Every
 //! reply — status line, answer rows, group lines, `STATS`, `err` — is
@@ -61,7 +63,7 @@
 //! assert!(session.is_done());
 //! ```
 
-use crate::engine::Algorithm;
+use crate::engine::{Algorithm, MAX_SERVERS};
 use crate::service::{QuerySpec, Service, ServiceError, ServiceOutcome};
 use mpc_query::parse_aggregate_query;
 use std::fmt::Write as _;
@@ -544,6 +546,11 @@ fn parse_query_line(rest: &str) -> Result<(QuerySpec, bool), ServiceError> {
             );
             if p == Some(0) {
                 return Err(parse_err("p= must be at least 1"));
+            }
+            if p > Some(MAX_SERVERS) {
+                return Err(ServiceError::Parse(format!(
+                    "p= must be at most {MAX_SERVERS}"
+                )));
             }
         } else if let Some(v) = tail.strip_prefix("seed=") {
             seed = Some(

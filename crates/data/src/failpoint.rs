@@ -20,9 +20,10 @@
 //! * `delay[:duration]` — sleep for the duration (default `1ms`; accepts
 //!   `ns`/`us`/`ms`/`s` suffixes) on every hit.
 //!
-//! The sites this workspace registers: `shuffle` (per routed chunk),
-//! `merge` (per merged chunk on the consuming thread), `local_join` (per
-//! local join evaluation). [`fires`] reports how many times a site has
+//! The sites this workspace registers: `plan` (per planned query, i.e. per
+//! plan-cache miss in the service), `shuffle` (per routed chunk), `merge`
+//! (per merged chunk on the consuming thread), `local_join` (per local
+//! join evaluation). [`fires`] reports how many times a site has
 //! fired, for tests asserting an injection actually happened.
 //!
 //! The registry is process-global, so arming it is exclusive: [`arm`]

@@ -229,6 +229,15 @@ impl Query {
             .collect()
     }
 
+    /// True for exactly two atoms sharing at least one variable — the only
+    /// shape the §4.1 skew join handles.
+    pub fn is_two_atom_join(&self) -> bool {
+        match self.atoms.as_slice() {
+            [a, b] => !a.var_set().intersect(b.var_set()).is_empty(),
+            _ => false,
+        }
+    }
+
     /// Structural identity of this query: relation symbols in body order
     /// with their interned variable patterns. The query's own name and the
     /// spelling of its variables are erased — two queries with equal shapes

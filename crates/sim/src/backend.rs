@@ -154,45 +154,6 @@ impl Backend {
             .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     }
-
-    /// Pipelined [`Backend::run_chunks`]: chunk results are handed to
-    /// `consume` on the **calling thread, in chunk order, while later chunks
-    /// are still being computed** — producers and the (order-sensitive)
-    /// merge overlap through a bounded channel instead of a full barrier.
-    /// Because `consume` still sees every chunk in chunk order, anything
-    /// merged through it is bit-identical to the unpipelined path. Worker
-    /// panics are re-raised verbatim (first panicking chunk in chunk order)
-    /// after the in-flight chunks have drained.
-    pub fn run_chunks_pipelined<T, F, C>(
-        &self,
-        len: usize,
-        min_chunk: usize,
-        work: F,
-        mut consume: C,
-    ) where
-        T: Send,
-        F: Fn(usize, usize) -> T + Sync,
-        C: FnMut(T),
-    {
-        let workers = self.workers_for(len, min_chunk);
-        if workers == 0 {
-            return;
-        }
-        if workers == 1 || pool::in_worker() {
-            consume(work(0, len));
-            return;
-        }
-        let ranges = self.chunk_ranges(len, workers);
-        // `workers > 1` implies a pool: `Sequential` is capped at one.
-        pool::global(self.threads()).run_jobs_pipelined(
-            ranges.len(),
-            |i| {
-                let (lo, hi) = ranges[i];
-                work(lo, hi)
-            },
-            consume,
-        );
-    }
 }
 
 impl Default for Backend {
@@ -297,7 +258,6 @@ mod tests {
         let backend = Backend::Pooled(4);
         let parts = backend.run_chunks(0, 1, |_, _| panic!("no work expected"));
         assert!(parts.is_empty());
-        backend.run_chunks_pipelined(0, 1, |_, _| panic!("no work"), |_: ()| panic!("no consume"));
     }
 
     #[test]
@@ -333,35 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_consume_is_chunk_ordered_and_complete() {
-        for backend in [Backend::Sequential, Backend::Pooled(3), Backend::Pooled(8)] {
-            let mut flat: Vec<usize> = Vec::new();
-            backend.run_chunks_pipelined(
-                1000,
-                1,
-                |lo, hi| (lo..hi).collect::<Vec<_>>(),
-                |part| flat.extend(part),
-            );
-            assert_eq!(flat, (0..1000).collect::<Vec<_>>(), "{backend}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pipelined worker exploded at 9")]
-    fn pipelined_pooled_panics_propagate_with_payload() {
-        Backend::Pooled(4).run_chunks_pipelined(
-            16,
-            1,
-            |lo, hi| {
-                for i in lo..hi {
-                    assert!(i != 9, "pipelined worker exploded at {i}");
-                }
-            },
-            |_: ()| {},
-        );
-    }
-
-    #[test]
     fn run_items_is_item_ordered_on_every_backend() {
         for backend in [Backend::Sequential, Backend::Pooled(1), Backend::Pooled(4)] {
             let items = backend.run_items(100, |i| i * 3);
@@ -380,22 +311,6 @@ mod tests {
         Backend::Pooled(4).run_items(32, |i| {
             assert!(i != 11, "item exploded at {i}");
         });
-    }
-
-    #[test]
-    fn pipelined_consumer_panic_propagates_and_pool_survives() {
-        let backend = Backend::Pooled(4);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            backend.run_chunks_pipelined(
-                1000,
-                1,
-                |lo, hi| (lo..hi).sum::<usize>(),
-                |_| panic!("merge bailed"),
-            );
-        }));
-        assert!(result.is_err());
-        let parts = backend.run_chunks(100, 1, |lo, hi| hi - lo);
-        assert_eq!(parts.iter().sum::<usize>(), 100);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Semantics:
 //!
 //! * jobs of one submission are identified by index and their results are
-//!   returned (or consumed) **in index order**, so merges stay bit-identical
+//!   returned **in index order**, so merges stay bit-identical
 //!   to `Sequential`;
 //! * a panicking job is caught on the worker (the worker thread survives and
 //!   keeps serving other jobs) and its payload is re-raised **verbatim** on
@@ -25,7 +25,7 @@
 //! submissions to inline execution instead of deadlocking on a full queue.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -125,24 +125,6 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Pipelined variant of [`WorkerPool::run_jobs`]: `consume` runs on the
-    /// calling thread, in job-index order, *while later jobs are still
-    /// executing on the workers* — producer/consumer overlap for an
-    /// order-sensitive merge. The first panic (in index order) is re-raised
-    /// verbatim after all jobs of this submission have finished; a panic in
-    /// `consume` itself likewise waits for the in-flight jobs to drain
-    /// before propagating (their erased borrows must not outlive the
-    /// caller's frame).
-    pub fn run_jobs_pipelined<T, F, C>(&self, jobs: usize, work: F, mut consume: C)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        C: FnMut(T),
-    {
-        let rx = self.submit(jobs, &work);
-        consume_in_order(&rx, jobs, &mut consume);
-    }
-
     /// Enqueue `jobs` erased closures and return the result channel. Every
     /// job sends exactly one `(index, outcome)` message, even when it
     /// panics.
@@ -165,7 +147,7 @@ impl WorkerPool {
             });
             // SAFETY: the job sends its message as its final action and the
             // caller blocks on the returned receiver until all `jobs`
-            // messages arrived (run_jobs / run_jobs_pipelined), so the
+            // messages arrived (`run_jobs`, its only caller), so the
             // borrows captured by the closure (`work`, the caller-lifetime
             // `T` sender) outlive every use. Erasing the lifetime is the
             // standard scoped-pool transmute; the Box layouts are identical.
@@ -174,66 +156,6 @@ impl WorkerPool {
             queue.send(job).expect("pool workers are alive until drop");
         }
         rx
-    }
-}
-
-/// Receive exactly `total` `(index, outcome)` messages from `rx`, handing
-/// `Ok` values to `consume` **in index order** (later arrivals wait in a
-/// reorder buffer) and re-raising the first panic — by index order —
-/// verbatim once all messages have arrived.
-///
-/// Every exit, including an unwind out of `consume`, first drains the
-/// outstanding messages: the producers' closures hold lifetime-erased
-/// borrows of the caller's frame and must have finished before this frame
-/// is popped.
-fn consume_in_order<T>(
-    rx: &Receiver<(usize, std::thread::Result<T>)>,
-    total: usize,
-    consume: &mut impl FnMut(T),
-) {
-    struct Drain<'a, T> {
-        rx: &'a Receiver<(usize, std::thread::Result<T>)>,
-        remaining: usize,
-    }
-    impl<T> Drop for Drain<'_, T> {
-        fn drop(&mut self) {
-            while self.remaining > 0 {
-                if self.rx.recv().is_err() {
-                    break; // producers gone: nothing left to wait for
-                }
-                self.remaining -= 1;
-            }
-        }
-    }
-    let mut guard = Drain {
-        rx,
-        remaining: total,
-    };
-    let mut pending: BTreeMap<usize, std::thread::Result<T>> = BTreeMap::new();
-    let mut next = 0usize;
-    let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for _ in 0..total {
-        let (i, outcome) = guard.rx.recv().expect("every job reports exactly once");
-        guard.remaining -= 1;
-        pending.insert(i, outcome);
-        while let Some(outcome) = pending.remove(&next) {
-            next += 1;
-            match outcome {
-                Ok(value) => {
-                    if first_panic.is_none() {
-                        consume(value);
-                    }
-                }
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-    }
-    if let Some(payload) = first_panic {
-        std::panic::resume_unwind(payload);
     }
 }
 
@@ -349,62 +271,6 @@ mod tests {
         }
         // The same workers keep serving jobs after the panic.
         assert_eq!(pool.spawn_count(), 2);
-        let ok: Vec<usize> = pool
-            .run_jobs(4, |i| i)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(ok, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn pipelined_consume_sees_index_order() {
-        let pool = WorkerPool::new(4);
-        let mut seen = Vec::new();
-        pool.run_jobs_pipelined(32, |i| i, |v| seen.push(v));
-        assert_eq!(seen, (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "pipelined job exploded at 3")]
-    fn pipelined_reraises_first_panic_in_index_order() {
-        let pool = WorkerPool::new(4);
-        pool.run_jobs_pipelined(
-            8,
-            |i| {
-                assert!(i != 3 && i != 6, "pipelined job exploded at {i}");
-                i
-            },
-            |_| {},
-        );
-    }
-
-    #[test]
-    fn consumer_panic_drains_in_flight_jobs_before_unwinding() {
-        // If `consume` panics, the unwind must wait for every outstanding
-        // job of the submission: the jobs hold lifetime-erased borrows of
-        // the caller's frame, so leaving early would be a use-after-free.
-        use std::sync::atomic::AtomicUsize;
-        let pool = WorkerPool::new(4);
-        let completed = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_jobs_pipelined(
-                32,
-                |i| {
-                    // Stagger the jobs so plenty are still in flight when
-                    // the consumer bails on the very first result.
-                    std::thread::sleep(std::time::Duration::from_micros(200 * (i as u64 % 4)));
-                    completed.fetch_add(1, Ordering::SeqCst);
-                    i
-                },
-                |_| panic!("consumer bailed"),
-            );
-        }));
-        let payload = result.expect_err("consumer panic propagates");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"consumer bailed"));
-        // By the time the unwind escaped, every job had finished.
-        assert_eq!(completed.load(Ordering::SeqCst), 32);
-        // And the pool still works.
         let ok: Vec<usize> = pool
             .run_jobs(4, |i| i)
             .into_iter()

@@ -102,6 +102,10 @@ pub fn enumerate_combinations(db: &Database, p: usize) -> Vec<BinCombination> {
 pub fn enumerate_combinations_with(q: &Query, p: usize, stats: &dyn Stats) -> Vec<BinCombination> {
     let l = q.num_atoms();
     let mut out = vec![BinCombination::empty(l)];
+    if p == 1 {
+        // No frequency exceeds `m_j / 1`: nothing is heavy, nothing to bin.
+        return out;
+    }
 
     // Pre-bin every (atom, nonempty subset of its variables).
     let mut binned: HashMap<(usize, VarSet), BinnedHitters> = HashMap::new();

@@ -23,7 +23,10 @@
 //! shared by concurrent clients.
 
 use mpc_skew::core::bounds;
-use mpc_skew::core::engine::{Algorithm, Engine, StatsMode, AGGREGATE_NEEDS_PARTITIONING};
+use mpc_skew::core::engine::{
+    Algorithm, Engine, StatsMode, AGGREGATE_NEEDS_PARTITIONING, MAX_SERVERS,
+    SKEW_JOIN_NEEDS_TWO_ATOMS,
+};
 use mpc_skew::core::service::{Service, ServiceError};
 use mpc_skew::core::shares::ShareAllocation;
 use mpc_skew::core::wire;
@@ -70,6 +73,15 @@ impl Args {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--{name} expects an integer, got `{v}`")),
+        }
+    }
+
+    /// `--p` (default 64), held to `1..=MAX_SERVERS` like `p=` on the wire.
+    fn servers(&self) -> Result<usize, String> {
+        match self.usize_or("p", 64)? {
+            0 => Err("--p must be at least 1".to_string()),
+            p if p > MAX_SERVERS => Err(format!("--p must be at most {MAX_SERVERS}")),
+            p => Ok(p),
         }
     }
 
@@ -156,7 +168,7 @@ fn usage() -> &'static str {
 }
 
 fn cmd_bounds(q: &Query, args: &Args) -> Result<(), String> {
-    let p = args.usize_or("p", 64)?;
+    let p = args.servers()?;
     let domain = args.usize_or("domain", 1 << 20)? as u64;
     let cards: Vec<usize> = args
         .value("cards")?
@@ -222,7 +234,7 @@ fn cmd_bounds(q: &Query, args: &Args) -> Result<(), String> {
 }
 
 fn cmd_run(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<(), String> {
-    let p = args.usize_or("p", 64)?;
+    let p = args.servers()?;
     let m = args.usize_or("m", 10_000)?;
     let domain = args.usize_or("domain", 1 << 16)? as u64;
     let theta = args.f64_or("theta", 0.0)?;
@@ -234,6 +246,9 @@ fn cmd_run(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<
     };
     if aggregate.is_some() && !algo.partitions_derivations() {
         return Err(AGGREGATE_NEEDS_PARTITIONING.to_string());
+    }
+    if algo == Algorithm::SkewJoin && !q.is_two_atom_join() {
+        return Err(SKEW_JOIN_NEEDS_TWO_ATOMS.to_string());
     }
     let stats_mode = match args.value("stats")? {
         None => StatsMode::Exact,
@@ -372,7 +387,7 @@ fn cmd_run(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<
 /// Build the service from the shared serve flags.
 fn service_from_args(args: &Args) -> Result<Service, String> {
     let domain = args.usize_or("domain", 1 << 16)? as u64;
-    let p = args.usize_or("p", 64)?;
+    let p = args.servers()?;
     let seed = args.usize_or("seed", 1)? as u64;
     let backend = args.backend()?;
     // A resident service defaults to sketch statistics: ingest folds into

@@ -4,7 +4,7 @@
 //! The properties under test:
 //!
 //! 1. **Containment** — an injected panic at any failpoint site
-//!    (`shuffle`, `merge`, `local_join`), on any backend, surfaces as
+//!    (`plan`, `shuffle`, `merge`, `local_join`), on any backend, surfaces as
 //!    `ServiceError::Internal` and nothing else: no unwinding into the
 //!    caller, no torn service state.
 //! 2. **Survival** — the very next query on the same service (and the
@@ -275,6 +275,57 @@ fn wire_session_reports_err_internal_and_keeps_serving() {
     // Same session, same service: the next reply is byte-identical.
     let after = s.handle(&mut svc, "QUERY S1(x,z), S2(y,z) rows");
     assert_eq!(after, baseline);
+    assert!(s.handle(&mut svc, "SHUTDOWN")[0].starts_with("ok bye"));
+}
+
+#[test]
+fn a_bad_plan_is_one_err_line_and_caches_nothing() {
+    // Planning runs behind the same containment boundary as execution;
+    // the in-process twin of `tests/cli.rs`'s serve regression, plus the
+    // `err internal` path only a failpoint can reach.
+    use mpc_skew::core::engine::SKEW_JOIN_NEEDS_TWO_ATOMS;
+    let mut fp = failpoint::arm("");
+    let mut svc = Service::new(64)
+        .with_backend(Backend::Sequential)
+        .with_defaults(4, 1);
+    let mut s = Session::new();
+    s.handle(&mut svc, "LOAD S1 2 0,1;1,1;2,3");
+    s.handle(&mut svc, "LOAD S2 2 5,1;6,3");
+    s.handle(&mut svc, "QUERY S1(x,z), S2(y,z) rows");
+    let baseline = s.handle(&mut svc, "QUERY S1(x,z), S2(y,z) rows");
+    assert!(baseline[0].starts_with("ok answers=3 "), "{baseline:?}");
+
+    assert_eq!(
+        s.handle(&mut svc, "QUERY S1(x,z), S2(y,w) algo=skew-join"),
+        vec![format!("err unsupported {SKEW_JOIN_NEEDS_TWO_ATOMS}")]
+    );
+    assert_eq!(
+        s.handle(&mut svc, "QUERY S1(x,z), S2(y,z) p=100000000"),
+        vec!["err p= must be at most 65536".to_string()]
+    );
+    // At p = 1 nothing exceeds m/1: §4.2 plans B_∅ alone, and the one
+    // server receives the whole database (5 tuples x 2 values x 6 bits).
+    assert_eq!(
+        s.handle(&mut svc, "QUERY S1(x,z), S2(y,z) p=1 algo=general"),
+        vec!["ok answers=3 algo=general cache=miss rounds=1 load=60 predicted=36".to_string()]
+    );
+    let before = (svc.cached_plans(), svc.counters());
+
+    // Any other planner panic is this query's `err internal`: nothing is
+    // counted, nothing is cached, and the same line plans cold afterwards.
+    fp.rearm("plan:panic");
+    let cold = "QUERY S1(x,z), S2(y,z) seed=77";
+    assert_eq!(
+        s.handle(&mut svc, cold),
+        vec!["err internal failpoint `plan` injected panic".to_string()]
+    );
+    assert!(failpoint::fires("plan") > 0);
+    fp.rearm("");
+    assert_eq!((svc.cached_plans(), svc.counters()), before);
+    assert!(s.handle(&mut svc, cold)[0].contains(" cache=miss "));
+
+    // Same session, same service: the next reply is byte-identical.
+    assert_eq!(s.handle(&mut svc, "QUERY S1(x,z), S2(y,z) rows"), baseline);
     assert!(s.handle(&mut svc, "SHUTDOWN")[0].starts_with("ok bye"));
 }
 

@@ -899,3 +899,83 @@ fn serve_stdio_and_tcp_replies_are_byte_identical() {
     let out = child.wait_with_output().expect("serve exits");
     assert!(out.status.success());
 }
+
+#[test]
+fn serve_answers_unplannable_queries_with_one_err_line_on_stdio_and_tcp() {
+    // Three lines that each took the server down at plan time (a planner
+    // panic outside the containment boundary, twice; `p` fragments per atom
+    // allocated before the first budget poll): each gets exactly one reply,
+    // the session keeps serving, and SHUTDOWN exits 0 — on both fronts.
+    use mpc_skew::core::engine::SKEW_JOIN_NEEDS_TWO_ATOMS;
+    use std::io::Read;
+    use std::net::TcpStream;
+
+    let script = "LOAD S1 2 0,1;1,1;2,3\n\
+                  LOAD S2 2 5,1;6,3;7,9\n\
+                  QUERY S1(x,z), S2(y,z) rows\n\
+                  QUERY S1(x,z), S2(y,z) rows\n\
+                  QUERY S1(x,z), S2(y,w) algo=skew-join\n\
+                  QUERY S1(x,z), S2(y,z) p=1 algo=general\n\
+                  QUERY S1(x,z), S2(y,z) p=100000000\n\
+                  QUERY S1(x,z), S2(y,z) rows\n\
+                  SHUTDOWN\n";
+    let args = ["--domain", "16", "--p", "4", "--threads", "1"];
+    let lines = serve_stdio_session(&args, script);
+    let warm = &lines[7..12];
+    assert!(warm[0].starts_with("ok answers=3 ") && warm[0].contains("cache=hit"));
+    assert_eq!(
+        lines[12..15],
+        [
+            format!("err unsupported {SKEW_JOIN_NEEDS_TWO_ATOMS}"),
+            // B_∅ alone: the one server receives all 6 tuples (48 bits).
+            "ok answers=3 algo=general cache=miss rounds=1 load=48 predicted=24".to_string(),
+            "err p= must be at most 65536".to_string(),
+        ],
+        "{lines:?}"
+    );
+    // The next QUERY on the same connection is answered bit-identically.
+    assert_eq!(&lines[15..20], warm, "{lines:?}");
+    assert_eq!(lines[20..], ["ok bye"], "{lines:?}");
+
+    let (child, addr) = serve_tcp_child(&args[4..]);
+    let mut stream = TcpStream::connect(&addr).expect("client connects");
+    stream.write_all(script.as_bytes()).expect("script sent");
+    let mut over_tcp = String::new();
+    stream
+        .read_to_string(&mut over_tcp)
+        .expect("replies to EOF");
+    assert_eq!(over_tcp, lines.join("\n") + "\n");
+    assert!(child
+        .wait_with_output()
+        .expect("serve exits")
+        .status
+        .success());
+}
+
+#[test]
+fn run_refuses_unplannable_requests_without_a_backtrace() {
+    use mpc_skew::core::engine::SKEW_JOIN_NEEDS_TWO_ATOMS;
+    for (args, message) in [
+        (
+            vec!["run", "S1(x,z), S2(y,w)", "--algo", "skew-join"],
+            SKEW_JOIN_NEEDS_TWO_ATOMS,
+        ),
+        (
+            vec!["run", "S1(x,z), S2(y,z)", "--p", "100000000"],
+            "--p must be at most 65536",
+        ),
+        (
+            vec!["run", "S1(x,z), S2(y,z)", "--p", "0"],
+            "--p must be at least 1",
+        ),
+        (vec!["serve", "--p", "0"], "--p must be at least 1"),
+    ] {
+        let out = mpcskew().args(&args).output().expect("binary runs");
+        assert!(!out.status.success(), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: {message}\n"),
+            "{args:?}"
+        );
+    }
+}

@@ -2,11 +2,12 @@
 //! on randomized queries, statistics and data.
 
 use mpc_skew::core::bounds;
+use mpc_skew::core::engine::{Algorithm, Engine, SyntheticStats};
 use mpc_skew::core::hypercube::HyperCube;
 use mpc_skew::core::shares::ShareAllocation;
 use mpc_skew::core::skew_join::SkewJoin;
 use mpc_skew::core::verify;
-use mpc_skew::data::{generators, Database, Rng};
+use mpc_skew::data::{generators, Database, Relation, Rng};
 use mpc_skew::query::{named, Query};
 use mpc_skew::stats::SimpleStatistics;
 use mpc_testkit::prelude::*;
@@ -28,7 +29,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Theorem 3.6 as a property: for random cardinalities, the LP (5)
-    /// optimum equals max_u L(u, M, p) over packing vertices.
+    /// optimum equals max_u L(u, M, p) over packing vertices — and that
+    /// optimum is the `L_lower` every plan reports, whatever algorithm the
+    /// query admits (the planner never enumerates the vertices itself).
     #[test]
     fn lp_equals_closed_form(
         qi in 0usize..8,
@@ -49,6 +52,24 @@ proptest! {
             (lp_val - closed).abs() / closed.max(1.0) < 1e-4,
             "{}: LP {lp_val} vs closed {closed}", q.name()
         );
+        // Plans read the statistics, never the data: one tuple per relation
+        // stands in for the synthetic cardinalities.
+        let rels = q.atoms().iter()
+            .map(|a| Relation::from_flat(a.name(), a.arity(), vec![0; a.arity()]))
+            .collect();
+        let db = Database::new(q.clone(), rels, 1 << 24).unwrap();
+        let stats = SyntheticStats(st);
+        for algo in Algorithm::all() {
+            if algo == Algorithm::SkewJoin && !q.is_two_atom_join() {
+                continue;
+            }
+            let plan = Engine::new(q).p(p).algorithm(algo).stats(&stats).plan(&db);
+            let lower = plan.lower_bound_bits();
+            prop_assert!(
+                (lower - closed).abs() / closed.max(1.0) < 1e-4,
+                "{} {algo}: plan L_lower {lower} vs closed {closed}", q.name()
+            );
+        }
     }
 
     /// Share products never exceed p, across random budgets.
