@@ -5,7 +5,8 @@
 #
 #   ./ci.sh              # build + serve smoke + both-backend tests + fmt
 #                        # + lint + docs + API-surface, one-shuffle-kernel
-#                        # and one-share-LP guards + bench-compile
+#                        # and one-share-LP (one model, one solve) guards
+#                        # + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
 #                        # `cargo test` includes the rustdoc doctests
@@ -261,14 +262,23 @@ fi
 
 # One share LP per plan: `L_lower` is the LP (5) optimum (Theorem 3.6), so
 # nothing on the query path may enumerate packing vertices. The closed
-# form stays behind `mpcskew bounds`, the experiments and the tests.
-stage "one share LP: no l_lower / packing_vertices in the planner files"
+# form stays behind `mpcskew bounds`, the experiments and the tests. And
+# one *model* per share LP: the least-communication tie-break is a third
+# phase on the tableau `solve_share_lp` already solved, so shares.rs builds
+# exactly one `LinearProgram` and solves it exactly once.
+stage "one share LP: no l_lower / packing_vertices in the planner files; one LinearProgram, one solve in shares.rs"
 ENUMERATORS=$(grep -n "l_lower\|packing_vertices" \
     crates/core/src/engine.rs crates/core/src/service.rs crates/core/src/skew_general.rs \
     crates/core/src/skew_join.rs crates/core/src/hypercube.rs || true)
 if [ -n "$ENUMERATORS" ]; then
     echo "the packing-vertex enumeration is named on the query path again:" >&2
     echo "$ENUMERATORS" >&2
+    exit 1
+fi
+MODELS=$(grep -c "LinearProgram::new" crates/core/src/shares.rs || true)
+SOLVES=$(grep -c "\.solve\(_lex\)\?(" crates/core/src/shares.rs || true)
+if [ "$MODELS" -ne 1 ] || [ "$SOLVES" -ne 1 ]; then
+    echo "crates/core/src/shares.rs builds $MODELS LinearProgram(s) and solves $SOLVES time(s); solve_share_lp must build one and solve it once" >&2
     exit 1
 fi
 

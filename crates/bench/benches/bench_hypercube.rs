@@ -18,8 +18,9 @@ static ALLOC: mpc_bench::alloc_counter::CountingAllocator =
 fn bench_round(c: &mut Criterion) {
     let backend = Backend::from_env();
     let mut g = c.benchmark_group("hypercube_round");
-    // `chain3_32k` is `uniform_hit`'s heaviest round: shares `[8,1,8,1]`
-    // send every tuple of every atom to 8 servers — 786 432 destinations.
+    // `chain3_32k` is `uniform_hit`'s heaviest round: shares `[1,8,8,1]`
+    // send every tuple of S1 and S3 to 8 servers and of S2 to one —
+    // 557 056 destinations.
     for (name, q, m, n, ps) in [
         (
             "join_16k",

@@ -443,6 +443,21 @@ impl Plan {
         }
     }
 
+    /// Planned replication per atom — the number of servers each of its
+    /// tuples is sent to ([`HyperCube::replication_of`]) — when the plan is
+    /// a HyperCube. Their cardinality-weighted sum is the round's total
+    /// communication, the term the share LP's tie-break minimizes.
+    pub fn replication(&self) -> Option<Vec<usize>> {
+        match &self.kind {
+            PlanKind::HyperCube(hc) => Some(
+                (0..self.query.num_atoms())
+                    .map(|j| hc.replication_of(j))
+                    .collect(),
+            ),
+            _ => None,
+        }
+    }
+
     /// Number of heavy shared-variable values handled specially (§4.1
     /// skew join only).
     pub fn num_heavy(&self) -> Option<usize> {

@@ -201,8 +201,8 @@ impl ShareAllocation {
     }
 
     /// The expected per-server load in bits for the *integer* shares:
-    /// `max_j M_j / Π_{i ∈ S_j} p_i` (the expectation of Lemma 3.1(1)
-    /// summed... maxed over relations).
+    /// `max_j M_j / Π_{i ∈ S_j} p_i` (the expectation of Lemma 3.1(1),
+    /// maxed over relations).
     pub fn expected_load_bits(&self, q: &Query, stats: &SimpleStatistics) -> f64 {
         let m = stats.bit_sizes_f64();
         (0..q.num_atoms())
@@ -240,7 +240,19 @@ pub(crate) fn log_p_sizes(stats: &SimpleStatistics, p: usize) -> Vec<f64> {
 /// ```
 ///
 /// LP (5) is `x = ∅`, `rhs(j) = µ_j`, `budget = 1`; LP (11) of a bin
-/// combination is `rhs(j) = µ_j − β_j`, `budget = 1 − α`. Returns `(λ, e)`
+/// combination is `rhs(j) = µ_j − β_j`, `budget = 1 − α`.
+///
+/// `λ` bounds the *largest* per-relation load, but a server receives the
+/// *sum* over atoms, and the λ-optimal face is often more than one vertex
+/// (uniform 3-chain: `(½,0,½,0)` replicates all three relations 8×,
+/// `(0,½,½,0)` partitions `S2` 64 ways at the same λ). So the solve is
+/// lexicographic: among λ-optimal solutions, maximize
+/// `Σ_j Σ_{i ∈ S_j − x} e_i` — i.e. minimize the product of the per-atom
+/// per-server loads, Afrati–Ullman's total-communication objective applied
+/// only where it costs no max load. Same model, same tableau, `λ`
+/// untouched (Theorem 3.6 still reads it).
+///
+/// Returns `(λ, e)`
 /// with `e` indexed by query variable (0 on `x`) and stated as fractions of
 /// the budget — exponents to the base `p^budget`, the number of servers the
 /// shares divide, which is what [`round_shares`] takes.
@@ -255,20 +267,22 @@ pub(crate) fn solve_share_lp(
     let evars: Vec<Option<usize>> = (0..q.num_vars())
         .map(|i| (!x.contains(i)).then(|| lp.add_var(format!("e_{}", q.var_name(i)), 0.0)))
         .collect();
-    let mut spend: Vec<(usize, f64)> = Vec::with_capacity(evars.len());
-    spend.extend(evars.iter().flatten().map(|&v| (v, 1.0)));
-    lp.add_constraint(&spend, Cmp::Le, budget);
+    let mut terms: Vec<(usize, f64)> = Vec::with_capacity(evars.len() + 1);
+    terms.extend(evars.iter().flatten().map(|&v| (v, 1.0)));
+    lp.add_constraint(&terms, Cmp::Le, budget);
+    // The tie-break, in the model's (minimizing) sense: −(number of atoms
+    // containing x_i) on e_i, 0 on λ.
+    let mut fewest_copies = vec![0.0; lp.num_vars()];
     for j in 0..q.num_atoms() {
-        let mut terms: Vec<(usize, f64)> = q
-            .atom(j)
-            .var_set()
-            .iter()
-            .filter_map(|i| evars[i].map(|v| (v, 1.0)))
-            .collect();
+        terms.clear();
+        terms.extend((q.atom(j).var_set().iter()).filter_map(|i| evars[i].map(|v| (v, 1.0))));
+        for &(v, _) in &terms {
+            fewest_copies[v] -= 1.0;
+        }
         terms.push((lambda, 1.0));
         lp.add_constraint(&terms, Cmp::Ge, rhs(j));
     }
-    let sol = lp.solve()?;
+    let sol = lp.solve_lex(&fewest_copies)?;
     let exponents = evars
         .iter()
         .map(|v| match *v {
@@ -362,9 +376,10 @@ mod tests {
     fn tiny_relation_gets_broadcast_shares() {
         // If M2 << M1/p the optimum gives S2's private variable y no share
         // (so S2 is replicated — footnote 1's broadcast join) and spends the
-        // whole budget on S1's variables. The LP is degenerate between x and
-        // z (any split achieves the same λ), so assert the product, not the
-        // split.
+        // whole budget on S1's variables. Any split between x and z achieves
+        // the same λ, and a share on x broadcasts S2 that many times; z is in
+        // both atoms, so the tie-break puts all of p there and S2 is hashed
+        // along with S1.
         let q = named::two_way_join();
         let st = stats(&q, &[1 << 20, 1 << 4]);
         let p = 64usize;
@@ -372,16 +387,61 @@ mod tests {
         let x = q.var_index("x").unwrap();
         let z = q.var_index("z").unwrap();
         let y = q.var_index("y").unwrap();
-        assert_eq!(alloc.shares[y], 1, "shares {:?}", alloc.shares);
-        assert!(
-            alloc.shares[x] * alloc.shares[z] >= p / 2,
-            "S1's variables should absorb the budget: {:?}",
+        assert_eq!(
+            (alloc.shares[x], alloc.shares[y], alloc.shares[z]),
+            (1, 1, p),
+            "shares {:?}",
             alloc.shares
         );
         // The predicted load matches the closed form (Theorem 3.6).
         let lp_val = alloc.predicted_load_bits();
         let (closed, _) = crate::bounds::l_lower(&q, &st, p);
         assert!((lp_val - closed).abs() / closed < 1e-5);
+    }
+
+    #[test]
+    fn ties_break_toward_least_communication() {
+        // Equal cardinalities. "was" names the vertex Bland's rule alone
+        // stopped on, where the tie-break moves it.
+        let pinned: Vec<(Query, usize, Vec<usize>, &str)> = vec![
+            // was [8,1,8,1]: all three relations replicated 8×. Now S2 is
+            // partitioned 64 ways and only S1, S3 are replicated 8×.
+            (named::chain(3), 64, vec![1, 8, 8, 1], "S2 partitioned"),
+            // was [4,1,4,1,4,1]: every relation replicated 16×. Now S2 is
+            // replicated 4× and the rest 16×.
+            (
+                named::chain(5),
+                64,
+                vec![1, 4, 4, 1, 4, 1],
+                "S2 replicated 4x",
+            ),
+            // was [2,1,1,1]: S2 and S3 broadcast whole. Now only S3 is.
+            (
+                named::chain(3),
+                2,
+                vec![1, 2, 1, 1],
+                "one broadcast, not two",
+            ),
+            // Unchanged: the λ-optimal face is one vertex, or the incumbent
+            // vertex already has the fewest copies and the warm start keeps
+            // it (a cold second solve would flip the 4-cycle to [8,1,8,1]).
+            (named::two_way_join(), 64, vec![1, 64, 1], "unique"),
+            (named::cycle(3), 64, vec![4, 4, 4], "unique"),
+            (named::chain(4), 64, vec![1, 8, 1, 8, 1], "incumbent kept"),
+            (named::cycle(4), 64, vec![1, 8, 1, 8], "incumbent kept"),
+            (named::cycle(5), 64, vec![4, 2, 2, 2, 2], "unique (all 1/5)"),
+            (
+                mpc_query::parse_query("S1(z,x1), S2(z,x2), S3(z,x3)").unwrap(),
+                64,
+                vec![64, 1, 1, 1],
+                "unique",
+            ),
+        ];
+        for (q, p, shares, why) in pinned {
+            let st = stats(&q, &vec![1 << 16; q.num_atoms()]);
+            let alloc = ShareAllocation::optimize(&q, &st, p).unwrap();
+            assert_eq!(alloc.shares, shares, "{} p={p} ({why})", q.name());
+        }
     }
 
     #[test]

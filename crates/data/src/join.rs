@@ -218,8 +218,9 @@ fn assert_indexable(name: &str, rows: usize) {
 /// inline via [`mix64`] and resolved through an
 /// open-addressing group table, with **no per-key allocation** (the legacy
 /// `HashMap<Vec<u64>, Vec<u32>>` paid one key `Vec` plus one bucket `Vec`
-/// per distinct key). [`JoinIndex::candidates`] returns the group's row-id
-/// slice, in ascending row order, exactly matching the legacy buckets.
+/// per distinct key) and every array sized once. [`JoinIndex::candidates`]
+/// returns the group's row-id slice, in ascending row order, exactly
+/// matching the legacy buckets.
 ///
 /// ```
 /// use mpc_data::join::JoinIndex;
@@ -245,6 +246,9 @@ pub struct JoinIndex<'a> {
     /// Open-addressing table: slot → group id (`EMPTY_SLOT` = free). The
     /// group's key is read back from its first row, so no key is stored.
     slots: Vec<u32>,
+    /// Each group's key hash, dense by group id: a probe compares this one
+    /// word before it chases `offsets → row_ids → row` to confirm the key.
+    group_hash: Vec<u64>,
     /// `slots.len() - 1` (the table size is a power of two).
     mask: usize,
 }
@@ -267,55 +271,64 @@ impl<'a> JoinIndex<'a> {
                 offsets: vec![0, n as u32],
                 row_ids: (0..n as u32).collect(),
                 slots: Vec::new(),
+                group_hash: Vec::new(),
                 mask: 0,
             };
         }
 
         // Pass 1: resolve each row to a group id via the open-addressing
-        // table; count group sizes.
+        // table; count group sizes into `offsets[g + 1]`. There are at most
+        // `n` groups, so nothing here grows.
         let cap = (n * 2).next_power_of_two().max(8);
         let mask = cap - 1;
         let mut slots = vec![EMPTY_SLOT; cap];
-        let mut group_rep: Vec<u32> = Vec::new(); // first row of each group
-        let mut group_len: Vec<u32> = Vec::new();
+        let mut group_rep: Vec<u32> = Vec::with_capacity(n); // first row of each group
+        let mut group_hash: Vec<u64> = Vec::with_capacity(n);
         let mut row_group: Vec<u32> = Vec::with_capacity(n);
+        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+        offsets.push(0);
         for (i, row) in relation.rows().enumerate() {
-            let mut s = (hash_cols(row, &key_cols) as usize) & mask;
+            let h = hash_cols(row, &key_cols);
+            let mut s = (h as usize) & mask;
             let g = loop {
                 match slots[s] {
                     EMPTY_SLOT => {
                         let g = group_rep.len() as u32;
                         slots[s] = g;
                         group_rep.push(i as u32);
-                        group_len.push(0);
+                        group_hash.push(h);
+                        offsets.push(0);
                         break g;
                     }
-                    g if rows_key_equal(relation, group_rep[g as usize], row, &key_cols) => {
+                    g if group_hash[g as usize] == h
+                        && rows_key_equal(relation, group_rep[g as usize], row, &key_cols) =>
+                    {
                         break g;
                     }
                     _ => s = (s + 1) & mask,
                 }
             };
-            group_len[g as usize] += 1;
+            offsets[g as usize + 1] += 1;
             row_group.push(g);
         }
 
-        // Pass 2: prefix-sum offsets, then scatter row ids in ascending
-        // row order (so each group's slice is ascending, matching the
-        // insertion order of the legacy per-key buckets).
-        let mut offsets = Vec::with_capacity(group_len.len() + 1);
+        // Pass 2: prefix-sum the counts so `offsets[g + 1]` is where group
+        // `g` starts, scatter row ids through it in ascending row order (so
+        // each group's slice is ascending, matching the insertion order of
+        // the legacy per-key buckets) — which advances it to where `g` ends.
         let mut acc = 0u32;
-        offsets.push(0);
-        for &len in &group_len {
+        for slot in &mut offsets[1..] {
+            let len = *slot;
+            *slot = acc;
             acc += len;
-            offsets.push(acc);
         }
-        let mut cursor: Vec<u32> = offsets[..group_len.len()].to_vec();
         let mut row_ids = vec![0u32; n];
         for (i, &g) in row_group.iter().enumerate() {
-            row_ids[cursor[g as usize] as usize] = i as u32;
-            cursor[g as usize] += 1;
+            let cursor = &mut offsets[g as usize + 1];
+            row_ids[*cursor as usize] = i as u32;
+            *cursor += 1;
         }
+        debug_assert_eq!(offsets.last(), Some(&(n as u32)));
 
         JoinIndex {
             relation,
@@ -323,6 +336,7 @@ impl<'a> JoinIndex<'a> {
             offsets,
             row_ids,
             slots,
+            group_hash,
             mask,
         }
     }
@@ -350,20 +364,21 @@ impl<'a> JoinIndex<'a> {
         if self.slots.is_empty() {
             return (0, 0);
         }
-        let mut s = (hash_key(key) as usize) & self.mask;
+        let h = hash_key(key);
+        let mut s = (h as usize) & self.mask;
         loop {
             match self.slots[s] {
                 EMPTY_SLOT => return (0, 0),
-                g => {
-                    let rep = self
-                        .relation
-                        .row(self.row_ids[self.offsets[g as usize] as usize] as usize);
+                g if self.group_hash[g as usize] == h => {
+                    let lo = self.offsets[g as usize];
+                    let rep = self.relation.row(self.row_ids[lo as usize] as usize);
                     if self.key_cols.iter().zip(key).all(|(&c, &v)| rep[c] == v) {
-                        return (self.offsets[g as usize], self.offsets[g as usize + 1]);
+                        return (lo, self.offsets[g as usize + 1]);
                     }
-                    s = (s + 1) & self.mask;
                 }
+                _ => {}
             }
+            s = (s + 1) & self.mask;
         }
     }
 
@@ -407,31 +422,6 @@ fn rows_key_equal(rel: &Relation, a: u32, row_b: &[u64], cols: &[usize]) -> bool
 // Fixed-order engine (the differential baseline)
 // ---------------------------------------------------------------------------
 
-/// A [`JoinIndex`] bound to the relation it indexes (one per atom in visit
-/// order).
-struct AtomIndex<'a> {
-    relation: &'a Relation,
-    index: JoinIndex<'a>,
-}
-
-impl<'a> AtomIndex<'a> {
-    fn build(relation: &'a Relation, key_positions: Vec<usize>) -> AtomIndex<'a> {
-        AtomIndex {
-            relation,
-            index: JoinIndex::build(relation, key_positions),
-        }
-    }
-
-    fn key_positions(&self) -> &[usize] {
-        self.index.key_cols()
-    }
-
-    #[inline]
-    fn candidates(&self, key: &[u64]) -> &[u32] {
-        self.index.candidates(key)
-    }
-}
-
 /// The legacy engine: order atoms once with [`atom_order`], index each on
 /// its bound positions, extend bindings depth-first one row at a time.
 /// Emits every answer with multiplicity 1.
@@ -446,7 +436,7 @@ fn fixed_join(
     // For each atom (in visit order) decide which of its positions are bound
     // by earlier atoms, and build the index keyed on those positions.
     let mut bound = VarSet::EMPTY;
-    let mut indexes: Vec<AtomIndex> = Vec::with_capacity(order.len());
+    let mut indexes: Vec<JoinIndex> = Vec::with_capacity(order.len());
     // For checking: positions that must match the current binding but are not
     // part of the key (repeated variables within the atom).
     let mut check_positions: Vec<Vec<(usize, usize)>> = Vec::with_capacity(order.len());
@@ -476,7 +466,7 @@ fn fixed_join(
                 binds.push((pos, v));
             }
         }
-        indexes.push(AtomIndex::build(relations[j], key_positions));
+        indexes.push(JoinIndex::build(relations[j], key_positions));
         check_positions.push(checks);
         bind_positions.push(binds);
         bound = bound.union(atom.var_set());
@@ -492,7 +482,7 @@ fn fixed_join(
         depth: usize,
         order: &[usize],
         query: &Query,
-        indexes: &[AtomIndex],
+        indexes: &[JoinIndex],
         check_positions: &[Vec<(usize, usize)>],
         bind_positions: &[Vec<(usize, usize)>],
         binding: &mut Vec<u64>,
@@ -508,7 +498,7 @@ fn fixed_join(
         let atom = query.atom(j);
         let idx = &indexes[depth];
         key_buf.clear();
-        for &pos in idx.key_positions() {
+        for &pos in idx.key_cols() {
             key_buf.push(binding[atom.vars()[pos]]);
         }
         // `candidates` borrows the index, not `key_buf`, so the buffer is

@@ -150,6 +150,18 @@ impl LinearProgram {
     pub fn solve(&self) -> Result<Solution, LpError> {
         crate::simplex::solve(self)
     }
+
+    /// Solve lexicographically: first the model's objective, then — among
+    /// its optimal solutions only — `secondary` (one coefficient per
+    /// variable in `add_var` order, in the model's own sense; missing
+    /// trailing coefficients are zero). [`Solution::objective`] is the
+    /// primary optimum, exactly as [`LinearProgram::solve`] reports it, and
+    /// an all-zero `secondary` returns `solve`'s solution bit for bit.
+    /// [`LpError::Unbounded`] also covers a secondary objective unbounded
+    /// over the optimal face.
+    pub fn solve_lex(&self, secondary: &[f64]) -> Result<Solution, LpError> {
+        crate::simplex::solve_lex(self, secondary)
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,6 @@
-//! Two-phase primal simplex over `f64` with Bland's anti-cycling rule.
+//! Two-phase primal simplex over `f64` with Bland's anti-cycling rule, plus
+//! an optional lexicographic third phase ([`solve_lex`]) that breaks ties on
+//! the optimal face by a secondary objective without leaving the tableau.
 //!
 //! The LPs solved in this workspace (share-exponent LP (5), its dual (8),
 //! the bin-combination LP (11)) have at most a few dozen variables and
@@ -103,7 +105,19 @@ impl Tableau {
 
 /// Solve a [`LinearProgram`]; see [`LinearProgram::solve`].
 pub fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
+    solve_lex(lp, &[])
+}
+
+/// Solve a [`LinearProgram`] lexicographically; see
+/// [`LinearProgram::solve_lex`]. Phases 1–2 are [`solve`]'s; phase 3 keeps
+/// the tableau they end on, so a vertex that is already secondary-optimal is
+/// returned as it stands and an all-zero `secondary` pivots nothing.
+pub fn solve_lex(lp: &LinearProgram, secondary: &[f64]) -> Result<Solution, LpError> {
     let n_orig = lp.num_vars();
+    assert!(
+        secondary.len() <= n_orig,
+        "secondary objective names unknown variables"
+    );
     let m = lp.num_constraints();
 
     // Count auxiliary columns: one slack/surplus per inequality, one
@@ -227,8 +241,26 @@ pub fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
         n: n_total,
     };
     t.price_out();
-    let allowed: Vec<bool> = (0..n_total).map(|j| !is_artificial(j)).collect();
+    let mut allowed: Vec<bool> = (0..n_total).map(|j| !is_artificial(j)).collect();
     t.iterate(&allowed)?;
+    // Cost row's last slot holds -z for the minimized objective.
+    let objective = sign * -t.cost[n_total];
+
+    // ---- Phase 3: secondary objective over the optimal face. ----
+    // A column priced above zero must stay at zero in every optimal
+    // solution, so the columns left are exactly the face; the basis is among
+    // them (reduced cost 0) and stays feasible.
+    if secondary.iter().any(|&c| c != 0.0) {
+        for (a, &reduced) in allowed.iter_mut().zip(&t.cost) {
+            *a &= reduced <= EPS;
+        }
+        t.cost.fill(0.0);
+        for (slot, &c) in t.cost.iter_mut().zip(secondary) {
+            *slot = sign * c;
+        }
+        t.price_out();
+        t.iterate(&allowed)?;
+    }
 
     let mut x = vec![0.0; n_orig];
     for (r, &bv) in t.basis.iter().enumerate() {
@@ -236,8 +268,6 @@ pub fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
             x[bv] = t.rows[r][n_total];
         }
     }
-    // Cost row's last slot holds -z for the minimized objective.
-    let objective = sign * -t.cost[n_total];
     Ok(Solution { x, objective })
 }
 
@@ -250,80 +280,67 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
     }
 
-    #[test]
-    fn textbook_maximization() {
-        // max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 => x=4, y=0, z=12.
+    // The models under test, by name, so the lexicographic tests can run
+    // over every one of them.
+
+    /// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 => x=4, y=0, z=12.
+    fn textbook() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_var("x", 3.0);
         let y = lp.add_var("y", 2.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
         lp.add_constraint(&[(x, 1.0), (y, 3.0)], Cmp::Le, 6.0);
-        let s = lp.solve().unwrap();
-        assert_close(s.objective, 12.0);
-        assert_close(s.x[x], 4.0);
-        assert_close(s.x[y], 0.0);
+        lp
     }
 
-    #[test]
-    fn minimization_with_ge() {
-        // min 2x + 3y s.t. x + y >= 10, x >= 3 => x=10,y=0? check: obj 2*10=20;
-        // or x=3,y=7 -> 6+21=27. Optimum x=10.
+    /// min 2x + 3y s.t. x + y >= 10, x >= 3: (10, 0) costs 20, (3, 7) 27.
+    fn min_with_ge() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Minimize);
         let x = lp.add_var("x", 2.0);
         let y = lp.add_var("y", 3.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 10.0);
         lp.add_constraint(&[(x, 1.0)], Cmp::Ge, 3.0);
-        let s = lp.solve().unwrap();
-        assert_close(s.objective, 20.0);
-        assert_close(s.x[x], 10.0);
+        lp
     }
 
-    #[test]
-    fn equality_constraints() {
-        // min x + y s.t. x + 2y = 4, x - y = 1 => y=1, x=2, z=3.
+    /// min x + y s.t. x + 2y = 4, x - y = 1 => y=1, x=2, z=3.
+    fn equalities() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Minimize);
         let x = lp.add_var("x", 1.0);
         let y = lp.add_var("y", 1.0);
         lp.add_constraint(&[(x, 1.0), (y, 2.0)], Cmp::Eq, 4.0);
         lp.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Eq, 1.0);
-        let s = lp.solve().unwrap();
-        assert_close(s.objective, 3.0);
-        assert_close(s.x[x], 2.0);
-        assert_close(s.x[y], 1.0);
+        lp
     }
 
-    #[test]
-    fn infeasible_detected() {
+    /// x <= 1 and x >= 2.
+    fn infeasible() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_var("x", 1.0);
         lp.add_constraint(&[(x, 1.0)], Cmp::Le, 1.0);
         lp.add_constraint(&[(x, 1.0)], Cmp::Ge, 2.0);
-        assert_eq!(lp.solve().unwrap_err(), LpError::Infeasible);
+        lp
     }
 
-    #[test]
-    fn unbounded_detected() {
+    /// max x s.t. x - y <= 1: follow y up.
+    fn unbounded() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_var("x", 1.0);
         let y = lp.add_var("y", 0.0);
         lp.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Le, 1.0);
-        assert_eq!(lp.solve().unwrap_err(), LpError::Unbounded);
+        lp
     }
 
-    #[test]
-    fn negative_rhs_normalization() {
-        // min x s.t. -x <= -5  (i.e. x >= 5)
+    /// min x s.t. -x <= -5  (i.e. x >= 5).
+    fn negative_rhs() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Minimize);
         let x = lp.add_var("x", 1.0);
         lp.add_constraint(&[(x, -1.0)], Cmp::Le, -5.0);
-        let s = lp.solve().unwrap();
-        assert_close(s.x[x], 5.0);
-        assert_close(s.objective, 5.0);
+        lp
     }
 
-    #[test]
-    fn degenerate_lp_terminates() {
-        // Classic degenerate example; Bland's rule must terminate.
+    /// Classic degenerate example; Bland's rule must terminate.
+    fn degenerate() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x1 = lp.add_var("x1", 10.0);
         let x2 = lp.add_var("x2", -57.0);
@@ -340,18 +357,16 @@ mod tests {
             0.0,
         );
         lp.add_constraint(&[(x1, 1.0)], Cmp::Le, 1.0);
-        let s = lp.solve().unwrap();
-        assert_close(s.objective, 1.0);
+        lp
     }
 
-    #[test]
-    fn share_exponent_lp_for_triangle() {
-        // LP (5) for C3 with equal sizes: mu_j = mu for all j. With
-        // p-normalized units mu = 1: minimize lambda s.t.
-        //   e1+e2+lambda >= 1, e2+e3+lambda >= 1, e3+e1+lambda >= 1,
-        //   e1+e2+e3 <= 1.
-        // Optimum: e_i = 1/3, lambda = 1/3  (load M/p^{1/3}... in exponent
-        // space: lambda = mu - 2/3 = 1/3 when mu = 1).
+    /// LP (5) for C3 with equal sizes: mu_j = mu for all j. With
+    /// p-normalized units mu = 1: minimize lambda s.t.
+    ///   e1+e2+lambda >= 1, e2+e3+lambda >= 1, e3+e1+lambda >= 1,
+    ///   e1+e2+e3 <= 1.
+    /// Optimum: e_i = 1/3, lambda = 1/3  (load M/p^{1/3}... in exponent
+    /// space: lambda = mu - 2/3 = 1/3 when mu = 1).
+    fn triangle_share_lp() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Minimize);
         let l = lp.add_var("lambda", 1.0);
         let e1 = lp.add_var("e1", 0.0);
@@ -361,7 +376,169 @@ mod tests {
         lp.add_constraint(&[(e1, 1.0), (e2, 1.0), (l, 1.0)], Cmp::Ge, 1.0);
         lp.add_constraint(&[(e2, 1.0), (e3, 1.0), (l, 1.0)], Cmp::Ge, 1.0);
         lp.add_constraint(&[(e3, 1.0), (e1, 1.0), (l, 1.0)], Cmp::Ge, 1.0);
-        let s = lp.solve().unwrap();
+        lp
+    }
+
+    /// max x + y s.t. x + y <= 4, x <= 3, y <= 3: the optimum 4 is attained
+    /// on the whole edge from (1, 3) to (3, 1).
+    fn optimal_edge() -> LinearProgram {
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_var("x", 1.0);
+        let y = lp.add_var("y", 1.0);
+        lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+        lp.add_constraint(&[(x, 1.0)], Cmp::Le, 3.0);
+        lp.add_constraint(&[(y, 1.0)], Cmp::Le, 3.0);
+        lp
+    }
+
+    fn models() -> Vec<LinearProgram> {
+        vec![
+            textbook(),
+            min_with_ge(),
+            equalities(),
+            infeasible(),
+            unbounded(),
+            negative_rhs(),
+            degenerate(),
+            triangle_share_lp(),
+            optimal_edge(),
+        ]
+    }
+
+    /// The solution's exact bits, or the error.
+    fn bits(r: Result<Solution, LpError>) -> Result<(Vec<u64>, u64), LpError> {
+        r.map(|s| {
+            (
+                s.x.iter().map(|v| v.to_bits()).collect(),
+                s.objective.to_bits(),
+            )
+        })
+    }
+
+    #[test]
+    fn textbook_maximization() {
+        let s = textbook().solve().unwrap();
+        assert_close(s.objective, 12.0);
+        assert_close(s.x[0], 4.0);
+        assert_close(s.x[1], 0.0);
+    }
+
+    #[test]
+    fn minimization_with_ge() {
+        let s = min_with_ge().solve().unwrap();
+        assert_close(s.objective, 20.0);
+        assert_close(s.x[0], 10.0);
+    }
+
+    #[test]
+    fn equality_constraints() {
+        let s = equalities().solve().unwrap();
+        assert_close(s.objective, 3.0);
+        assert_close(s.x[0], 2.0);
+        assert_close(s.x[1], 1.0);
+    }
+
+    #[test]
+    fn infeasible_detected() {
+        assert_eq!(infeasible().solve().unwrap_err(), LpError::Infeasible);
+    }
+
+    #[test]
+    fn unbounded_detected() {
+        assert_eq!(unbounded().solve().unwrap_err(), LpError::Unbounded);
+    }
+
+    #[test]
+    fn negative_rhs_normalization() {
+        let s = negative_rhs().solve().unwrap();
+        assert_close(s.x[0], 5.0);
+        assert_close(s.objective, 5.0);
+    }
+
+    #[test]
+    fn degenerate_lp_terminates() {
+        let s = degenerate().solve().unwrap();
+        assert_close(s.objective, 1.0);
+    }
+
+    #[test]
+    fn share_exponent_lp_for_triangle() {
+        let s = triangle_share_lp().solve().unwrap();
         assert_close(s.objective, 1.0 / 3.0);
+    }
+
+    #[test]
+    fn secondary_picks_an_end_of_the_optimal_edge() {
+        let lp = optimal_edge();
+        let primary = lp.solve().unwrap().objective;
+        // Model sense is Maximize: x − y prefers (3, 1), y − x prefers (1, 3).
+        for (secondary, end) in [([1.0, -1.0], [3.0, 1.0]), ([-1.0, 1.0], [1.0, 3.0])] {
+            let s = lp.solve_lex(&secondary).unwrap();
+            assert!((s.x[0] - end[0]).abs() < 1e-12, "{secondary:?}: {:?}", s.x);
+            assert!((s.x[1] - end[1]).abs() < 1e-12, "{secondary:?}: {:?}", s.x);
+            // The reported objective is the primary's, not the tie-break's.
+            assert!((s.objective - primary).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn secondary_never_trades_away_the_primary() {
+        // The primary 3x + 2y has the single optimal vertex (4, 0); a
+        // secondary that wants y large has no face to move along.
+        let lp = textbook();
+        let s = lp.solve_lex(&[0.0, 100.0]).unwrap();
+        assert_eq!(bits(Ok(s)), bits(lp.solve()));
+    }
+
+    #[test]
+    fn zero_secondary_is_solve_bit_for_bit() {
+        for lp in models() {
+            let zeros = vec![0.0; lp.num_vars()];
+            assert_eq!(bits(lp.solve_lex(&zeros)), bits(lp.solve()));
+            assert_eq!(bits(lp.solve_lex(&[])), bits(lp.solve()));
+        }
+    }
+
+    #[test]
+    fn secondary_optimal_incumbent_is_kept() {
+        // Whichever end of the edge phase 2 stopped on, a secondary that
+        // prefers that end pivots nothing: same vertex, same bits.
+        let lp = optimal_edge();
+        let incumbent = lp.solve().unwrap();
+        let toward = if incumbent.x[0] > incumbent.x[1] {
+            [1.0, -1.0]
+        } else {
+            [-1.0, 1.0]
+        };
+        assert_eq!(bits(lp.solve_lex(&toward)), bits(Ok(incumbent)));
+    }
+
+    #[test]
+    fn phase_one_and_two_errors_survive_a_secondary() {
+        assert_eq!(
+            infeasible().solve_lex(&[1.0]).unwrap_err(),
+            LpError::Infeasible
+        );
+        assert_eq!(
+            unbounded().solve_lex(&[1.0, 1.0]).unwrap_err(),
+            LpError::Unbounded
+        );
+    }
+
+    #[test]
+    fn unbounded_secondary_errors_instead_of_looping() {
+        // min x s.t. x >= 1 with y free: the optimal face {x = 1, y >= 0}
+        // is a ray, and the secondary min −y runs off along it. Share LPs
+        // cannot do this (Σ e <= budget bounds the face).
+        let mut lp = LinearProgram::new(Sense::Minimize);
+        let x = lp.add_var("x", 1.0);
+        let _y = lp.add_var("y", 0.0);
+        lp.add_constraint(&[(x, 1.0)], Cmp::Ge, 1.0);
+        assert_close(lp.solve().unwrap().objective, 1.0);
+        assert_eq!(lp.solve_lex(&[0.0, -1.0]).unwrap_err(), LpError::Unbounded);
+        // Toward the bounded side the same face is fine.
+        let s = lp.solve_lex(&[0.0, 1.0]).unwrap();
+        assert_close(s.x[1], 0.0);
+        assert_close(s.objective, 1.0);
     }
 }

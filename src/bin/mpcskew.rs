@@ -294,6 +294,11 @@ fn cmd_run(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<
     match plan.algorithm() {
         Algorithm::HyperCube | Algorithm::HyperCubeEqual => {
             println!("shares : {:?}", plan.shares().expect("hypercube plan"));
+            let copies: Vec<String> = (q.atoms().iter())
+                .zip(plan.replication().expect("hypercube plan"))
+                .map(|(atom, r)| format!("{} {r}x", atom.name()))
+                .collect();
+            println!("planned repl. : {}", copies.join(", "));
         }
         Algorithm::SkewJoin => {
             println!("heavy z: {}", plan.num_heavy().expect("skew-join plan"));

@@ -177,6 +177,25 @@ fn auto_algo_is_default_and_picks_by_skew() {
 }
 
 #[test]
+fn run_prints_planned_replication_next_to_shares() {
+    // The share LP's tie-break, visible before the round runs: of the
+    // 3-chain's two max-load-optimal grids the plan is the one that
+    // partitions S2 (the other, [8,1,8,1], reads `S1 8x, S2 8x, S3 8x`).
+    let out = mpcskew()
+        .args(["run", "S1(x0,x1), S2(x1,x2), S3(x2,x3)"])
+        .args(["--m", "2000", "--p", "64", "--algo", "hc", "--threads", "1"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("shares : [1, 8, 8, 1]\nplanned repl. : S1 8x, S2 1x, S3 8x\n"),
+        "{text}"
+    );
+    assert!(text.contains("verification PASSED"), "{text}");
+}
+
+#[test]
 fn equals_form_flags_are_accepted() {
     let out = mpcskew()
         .args([

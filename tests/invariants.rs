@@ -8,6 +8,7 @@ use mpc_skew::core::shares::ShareAllocation;
 use mpc_skew::core::skew_join::SkewJoin;
 use mpc_skew::core::verify;
 use mpc_skew::data::{generators, Database, Relation, Rng};
+use mpc_skew::lp::{Cmp, LinearProgram, Sense};
 use mpc_skew::query::{named, Query};
 use mpc_skew::stats::SimpleStatistics;
 use mpc_testkit::prelude::*;
@@ -248,4 +249,92 @@ proptest! {
         prop_assert!((eps - (1.0 - 1.0 / tau)).abs() < 1e-6,
             "{}: eps {eps} vs 1 - 1/tau* {}", q.name(), 1.0 - 1.0 / tau);
     }
+}
+
+/// LP (5) exactly as the paper states it — `min λ` and nothing else — built
+/// here independently of the planner: the reference the tie-break is held to.
+fn single_objective_lp5(q: &Query, st: &SimpleStatistics, p: usize) -> (f64, Vec<f64>) {
+    let logp = (p as f64).ln();
+    let mut lp = LinearProgram::new(Sense::Minimize);
+    let lambda = lp.add_var("lambda", 1.0);
+    let e: Vec<usize> = (0..q.num_vars())
+        .map(|i| lp.add_var(q.var_name(i), 0.0))
+        .collect();
+    let all: Vec<(usize, f64)> = e.iter().map(|&v| (v, 1.0)).collect();
+    lp.add_constraint(&all, Cmp::Le, 1.0);
+    for (j, m) in st.bit_sizes_f64().into_iter().enumerate() {
+        let mut terms: Vec<(usize, f64)> =
+            (q.atom(j).var_set().iter().map(|i| (e[i], 1.0))).collect();
+        terms.push((lambda, 1.0));
+        lp.add_constraint(&terms, Cmp::Ge, m.max(1.0).ln() / logp);
+    }
+    let sol = lp.solve().unwrap();
+    (sol.objective, e.iter().map(|&v| sol.x[v]).collect())
+}
+
+/// `Σ_j Σ_{i ∈ S_j} e_i`: log_p of how many ways the atoms are partitioned
+/// in total — what the share LP's tie-break maximizes.
+fn partition_exponent(q: &Query, e: &[f64]) -> f64 {
+    (0..q.num_atoms())
+        .flat_map(|j| q.atom(j).var_set().iter())
+        .map(|i| e[i])
+        .sum()
+}
+
+/// The tie-break is a tie-break: `λ` is still the LP (5) optimum (so
+/// Theorem 3.6 and every reported bound are untouched), and the vertex it
+/// lands on partitions at least as much as the one `min λ` alone stops on.
+#[test]
+fn share_tie_break_keeps_lambda_and_never_replicates_more() {
+    let queries = [
+        named::two_way_join(),
+        named::chain(3),
+        named::chain(4),
+        named::chain(5),
+        named::cycle(3),
+        named::cycle(4),
+        named::cycle(5),
+        named::star(3),
+        named::cartesian(3),
+        named::loomis_whitney(3),
+    ];
+    // The vectors of `theorem_3_6_holds_across_queries_and_cardinalities`,
+    // cycled over however many atoms the query has.
+    let log_cards: [&[u32]; 7] = [
+        &[16, 16, 16],
+        &[20, 12, 12],
+        &[18, 16, 10],
+        &[14, 18, 14],
+        &[16, 14, 12],
+        &[18, 12],
+        &[12, 14, 16],
+    ];
+    let mut moved = 0;
+    for q in &queries {
+        let arities: Vec<usize> = q.atoms().iter().map(|a| a.arity()).collect();
+        for logs in log_cards {
+            let cards = (0..q.num_atoms())
+                .map(|j| 1usize << logs[j % logs.len()])
+                .collect();
+            let st = SimpleStatistics::synthetic(&arities, cards, 1 << 20);
+            for p in [2usize, 3, 8, 60, 64, 512] {
+                let alloc = ShareAllocation::optimize(q, &st, p).unwrap();
+                let (lambda, e) = single_objective_lp5(q, &st, p);
+                let ctx = format!("{} logs={logs:?} p={p}", q.name());
+                assert!(
+                    (alloc.lambda - lambda).abs() <= 1e-12,
+                    "{ctx}: λ {} vs LP (5) {lambda}",
+                    alloc.lambda
+                );
+                let (got, reference) = (
+                    partition_exponent(q, &alloc.exponents),
+                    partition_exponent(q, &e),
+                );
+                assert!(got >= reference - 1e-9, "{ctx}: {got} < {reference}");
+                assert!(alloc.exponents.iter().sum::<f64>() <= 1.0 + 1e-9, "{ctx}");
+                moved += usize::from(got > reference + 1e-9);
+            }
+        }
+    }
+    assert!(moved > 0, "no case had a tie to break");
 }
