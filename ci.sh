@@ -4,8 +4,9 @@
 # replaced in-tree by crates/testkit).
 #
 #   ./ci.sh              # build + serve smoke + both-backend tests + fmt
-#                        # + lint + docs + API-surface, one-shuffle-kernel
-#                        # and one-share-LP (one model, one solve) guards
+#                        # + lint + docs + API-surface, one-shuffle-kernel,
+#                        # one-share-LP (one model, one solve) and
+#                        # four-algorithm (no baselines in the engine) guards
 #                        # + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
@@ -279,6 +280,25 @@ MODELS=$(grep -c "LinearProgram::new" crates/core/src/shares.rs || true)
 SOLVES=$(grep -c "\.solve\(_lex\)\?(" crates/core/src/shares.rs || true)
 if [ "$MODELS" -ne 1 ] || [ "$SOLVES" -ne 1 ]; then
     echo "crates/core/src/shares.rs builds $MODELS LinearProgram(s) and solves $SOLVES time(s); solve_share_lp must build one and solve it once" >&2
+    exit 1
+fi
+
+# The engine serves the paper's four algorithms (auto, hc, skew-join,
+# general). The baselines it argues against — hash join, fragment-replicate,
+# equal shares, multi-round — are routers the experiments and tests drive
+# directly: the engine, service, wire and CLI may not name them, and no
+# `Algorithm` variant for them may come back anywhere. The stage name
+# carries engine.rs's size and the two largest public surfaces.
+ENGINE_SIZE="engine.rs $(wc -l < crates/core/src/engine.rs) lines, pub fn engine=$(grep -c 'pub fn ' crates/core/src/engine.rs) service=$(grep -c 'pub fn ' crates/core/src/service.rs)"
+stage "the engine serves four algorithms: no baselines in engine/service/wire/mpcskew ($ENGINE_SIZE)"
+BASELINES=$(grep -n "HashJoinRouter\|FragmentReplicateRouter\|run_multi_round\|MultiRoundResult" \
+    crates/core/src/engine.rs crates/core/src/service.rs crates/core/src/wire.rs \
+    src/bin/mpcskew.rs || true)
+VARIANTS=$(grep -rnE "Algorithm::(HashJoin|FragmentReplicate|HyperCubeEqual|MultiRound)" \
+    crates src tests examples || true)
+if [ -n "$BASELINES$VARIANTS" ]; then
+    echo "a baseline is served by the engine again:" >&2
+    printf '%s\n%s\n' "$BASELINES" "$VARIANTS" | sed '/^$/d' >&2
     exit 1
 fi
 

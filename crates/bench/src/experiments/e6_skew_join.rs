@@ -7,9 +7,12 @@
 
 use crate::table::{fmt, Table};
 use crate::workloads::skewed_join_db;
+use mpc_core::baselines::HashJoinRouter;
 use mpc_core::bounds::skew_join_bound;
 use mpc_core::engine::{Algorithm, Engine};
-use mpc_query::named;
+use mpc_core::hypercube::HyperCube;
+use mpc_query::{named, VarSet};
+use mpc_sim::backend::Backend;
 
 /// Run E6.
 pub fn run() {
@@ -30,28 +33,19 @@ pub fn run() {
             "#heavy",
         ],
     );
-    // One engine per column; the engine's default hash variable is the
-    // most-shared one, i.e. z — exactly the classical join key.
-    let engine = Engine::new(&q).p(p);
+    // The baselines run their routers directly: the hash join partitions
+    // on z, the classical join key.
+    let z = VarSet::singleton(q.var_index("z").expect("join key"));
+    let hash = HashJoinRouter::new(&q, z, p, 1);
+    let hc = HyperCube::with_equal_shares(&q, p, 2);
+    let engine = Engine::new(&q).p(p).seed(3).algorithm(Algorithm::SkewJoin);
     for theta in [0.0f64, 0.5, 1.0, 1.5, 2.0] {
         let db = skewed_join_db(&q, m, n, theta, 800, 61 + theta as u64);
 
-        let hash = engine
-            .clone()
-            .seed(1)
-            .algorithm(Algorithm::HashJoin)
-            .run(&db);
-        let hc = engine
-            .clone()
-            .seed(2)
-            .algorithm(Algorithm::HyperCubeEqual)
-            .run(&db);
-        let plan = engine
-            .clone()
-            .seed(3)
-            .algorithm(Algorithm::SkewJoin)
-            .plan(&db);
-        let sj = plan.execute(&db, mpc_sim::backend::Backend::from_env());
+        let (_, hash_rep) = hash.run_on(&db, Backend::from_env());
+        let (_, hc_rep) = hc.run_on(&db, Backend::from_env());
+        let plan = engine.plan(&db);
+        let sj = plan.execute(&db, Backend::from_env());
         if theta == 1.0 {
             // Full correctness audit at one representative skew level (the
             // others are covered by the integration tests at smaller m).
@@ -64,8 +58,8 @@ pub fn run() {
         let bound = skew_join_bound(m, m, &f1, &f2, p);
         t.row(&[
             theta.to_string(),
-            fmt(hash.report().expect("one-round").max_load_tuples() as f64),
-            fmt(hc.report().expect("one-round").max_load_tuples() as f64),
+            fmt(hash_rep.max_load_tuples() as f64),
+            fmt(hc_rep.max_load_tuples() as f64),
             fmt(sj_rep.max_load_tuples() as f64),
             fmt(bound.max_tuples()),
             format!(

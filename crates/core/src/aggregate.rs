@@ -19,16 +19,17 @@
 //! servers — each derivation's tuples meet at exactly one server — so
 //! summing per-server folds of a derivation-additive aggregate is exact,
 //! even when one binding's derivations split across servers (e.g. a heavy
-//! hitter's rows spread over a skew-join row block). HyperCube (a
-//! derivation is one grid cell), hash join, fragment-replicate, and the
-//! §4.1 skew join (every virtual block is at most `p` long, so the
-//! round-robin fold is injective within it) all qualify. Two do not and
-//! are excluded ([`Algorithm::partitions_derivations`] is the one
-//! predicate, [`AGGREGATE_NEEDS_PARTITIONING`] the one refusal): the
-//! multi-round baseline has no per-derivation fold over its rounds, and
-//! the §4.2 general algorithm replicates a derivation across overlapping
-//! bin-combination sub-instances — auto planning falls back to
-//! skew-resilient equal shares for aggregates instead.
+//! hitter's rows spread over a skew-join row block). HyperCube at any
+//! shares (a derivation is one grid cell) and the §4.1 skew join (every
+//! virtual block is at most `p` long, so the round-robin fold is
+//! injective within it) qualify, and so do the hash-join and
+//! fragment-replicate baselines, whose routers the tests drive through
+//! [`aggregate_cluster`] directly. The §4.2 general algorithm does not
+//! ([`Algorithm::partitions_derivations`] is the one predicate,
+//! [`AGGREGATE_NEEDS_PARTITIONING`] the one refusal): it replicates a
+//! derivation across overlapping bin-combination sub-instances — auto
+//! planning falls back to HyperCube at skew-resilient equal shares for
+//! aggregates instead.
 //!
 //! [`Algorithm::partitions_derivations`]: crate::engine::Algorithm::partitions_derivations
 //! [`AGGREGATE_NEEDS_PARTITIONING`]: crate::engine::AGGREGATE_NEEDS_PARTITIONING

@@ -1,12 +1,16 @@
-//! The unified engine: one stats-driven plan/execute surface over every
-//! algorithm in this crate.
+//! The unified engine: one stats-driven plan/execute surface over the
+//! algorithms the paper proposes.
 //!
 //! The paper's central argument is that the *right* algorithm depends on
 //! the data: skew-free databases want HyperCube at the LP-optimal shares
 //! (Section 3), skewed ones want the §4.1/§4.2 heavy-hitter
 //! decompositions, and the `L(u, M, p)` bounds say what load is
 //! achievable. [`Engine`] encodes that choice once, instead of every call
-//! site hand-rolling its own dispatch:
+//! site hand-rolling its own dispatch. The baselines the paper argues
+//! against — the hash and broadcast joins ([`crate::baselines`]), equal
+//! shares ([`HyperCube::with_equal_shares`]) and the one-join-per-round
+//! plan ([`crate::multi_round`]) — are not on this menu: the experiments
+//! and tests drive their routers directly.
 //!
 //! * [`Engine`] — a builder (`query`, `p`, `seed`, `backend`, `stats`,
 //!   `algorithm`) that plans and executes;
@@ -18,12 +22,11 @@
 //!   SpaceSaving summaries, [`SyntheticStats`] carries cardinalities only;
 //!   pick with [`StatsMode`] / [`Engine::stats_mode`]);
 //! * [`Plan`] — a planned algorithm carrying its predicted `L(u, M, p)`
-//!   load and plan metadata (shares, heavy hitters, bin combinations,
-//!   rounds); [`execute_batch`] runs many `(plan, db)` jobs in parallel
-//!   across jobs;
+//!   load and plan metadata (shares, heavy hitters, bin combinations);
+//!   [`execute_batch`] runs many `(plan, db)` jobs in parallel across
+//!   jobs;
 //! * [`RunOutcome`] — the unified result: answers (held once), measured
-//!   [`LoadReport`], predicted-vs-measured load, per-round statistics for
-//!   the multi-round baseline.
+//!   [`LoadReport`], predicted-vs-measured load.
 //!
 //! ```
 //! use mpc_core::engine::{Algorithm, Engine};
@@ -51,10 +54,8 @@
 //! ```
 
 use crate::aggregate::{aggregate_cluster, AggregateResult};
-use crate::baselines::{FragmentReplicateRouter, HashJoinRouter};
 use crate::bounds::skew_join_bound;
 use crate::hypercube::HyperCube;
-use crate::multi_round::{run_multi_round, MultiRoundResult};
 use crate::shares::ShareAllocation;
 use crate::skew_general::GeneralSkewAlgorithm;
 use crate::skew_join::{SkewJoin, SkewJoinConfig};
@@ -80,8 +81,7 @@ pub use mpc_stats::source::{ExactStats, SketchStats, Stats, SyntheticStats};
 /// the CLI prints it after `error: `.
 pub const AGGREGATE_NEEDS_PARTITIONING: &str =
     "aggregate heads need a plan that materializes every join derivation exactly once; \
-     `multi-round` and `general` do not (use auto, hc, hc-equal, hash, fragment-replicate \
-     or skew-join)";
+     `general` does not (use auto, hc or skew-join)";
 
 /// The one refusal every surface gives [`Algorithm::SkewJoin`] pinned on a
 /// query that is not [`Query::is_two_atom_join`], worded and surfaced like
@@ -107,18 +107,10 @@ pub enum Algorithm {
     Auto,
     /// HyperCube at the LP (5)-optimal shares (Section 3.1).
     HyperCube,
-    /// HyperCube at equal shares `p^{1/k}` (Corollary 3.2(ii)).
-    HyperCubeEqual,
-    /// The standard parallel hash join baseline.
-    HashJoin,
-    /// Footnote 1's broadcast join baseline.
-    FragmentReplicate,
     /// The §4.1 two-relation skew join.
     SkewJoin,
     /// The §4.2 general bin-combination algorithm.
     GeneralSkew,
-    /// The traditional one-join-per-round baseline.
-    MultiRound,
 }
 
 impl Algorithm {
@@ -127,51 +119,38 @@ impl Algorithm {
         match self {
             Algorithm::Auto => "auto",
             Algorithm::HyperCube => "hc",
-            Algorithm::HyperCubeEqual => "hc-equal",
-            Algorithm::HashJoin => "hash",
-            Algorithm::FragmentReplicate => "fragment-replicate",
             Algorithm::SkewJoin => "skew-join",
             Algorithm::GeneralSkew => "general",
-            Algorithm::MultiRound => "multi-round",
         }
     }
 
     /// Parse a CLI algorithm name (the inverse of [`Algorithm::name`],
-    /// plus a few ergonomic aliases).
+    /// plus the `hypercube` alias).
     pub fn parse(s: &str) -> Result<Algorithm, String> {
         Ok(match s {
             "auto" => Algorithm::Auto,
             "hc" | "hypercube" => Algorithm::HyperCube,
-            "hc-equal" => Algorithm::HyperCubeEqual,
-            "hash" | "hash-join" => Algorithm::HashJoin,
-            "fragment-replicate" | "fr" => Algorithm::FragmentReplicate,
             "skew-join" => Algorithm::SkewJoin,
             "general" => Algorithm::GeneralSkew,
-            "multi-round" | "mr" => Algorithm::MultiRound,
             other => return Err(format!("unknown algorithm `{other}`")),
         })
     }
 
     /// True when the algorithm's routing puts each join derivation on
     /// exactly one server — what bag-semantics aggregate pushdown needs
-    /// (see [`crate::aggregate`]). False for the multi-round baseline
-    /// (no per-derivation fold over its rounds) and the §4.2 general
+    /// (see [`crate::aggregate`]). False only for the §4.2 general
     /// algorithm (bin-combination sub-instances replicate derivations);
     /// [`Algorithm::Auto`] resolves to an eligible plan by itself.
     pub fn partitions_derivations(self) -> bool {
-        !matches!(self, Algorithm::MultiRound | Algorithm::GeneralSkew)
+        self != Algorithm::GeneralSkew
     }
 
     /// Every concrete (non-auto) algorithm, in menu order.
-    pub fn all() -> [Algorithm; 7] {
+    pub fn all() -> [Algorithm; 3] {
         [
             Algorithm::HyperCube,
-            Algorithm::HyperCubeEqual,
-            Algorithm::HashJoin,
-            Algorithm::FragmentReplicate,
             Algorithm::SkewJoin,
             Algorithm::GeneralSkew,
-            Algorithm::MultiRound,
         ]
     }
 }
@@ -344,18 +323,8 @@ pub struct PlanKey {
     pub aggregate: Option<AggregateSpec>,
 }
 
-/// The hash-join partition variable the engine uses: the variable
-/// occurring in the most atoms (ties: highest index, matching the
-/// historical CLI behaviour).
-pub fn default_hash_vars(q: &Query) -> VarSet {
-    let key = (0..q.num_vars())
-        .max_by_key(|&i| q.atoms_with_var(i).count())
-        .expect("query has variables");
-    VarSet::singleton(key)
-}
-
-/// A planned algorithm instance: the configured router (or multi-round
-/// schedule) plus the plan's predicted load and metadata. Built by
+/// A planned algorithm instance: the configured router plus the plan's
+/// predicted load and metadata. Built by
 /// [`Engine::plan`]; executed by [`Plan::execute`] or, many at a time,
 /// by [`execute_batch`].
 ///
@@ -384,9 +353,7 @@ pub fn default_hash_vars(q: &Query) -> VarSet {
 /// ```
 pub struct Plan {
     query: Query,
-    algorithm: Algorithm,
     p: usize,
-    seed: u64,
     predicted_load_bits: f64,
     lower_bound_bits: f64,
     aggregate: Option<AggregateSpec>,
@@ -395,17 +362,19 @@ pub struct Plan {
 
 enum PlanKind {
     HyperCube(HyperCube),
-    HashJoin(HashJoinRouter),
-    FragmentReplicate(FragmentReplicateRouter),
     SkewJoin(SkewJoin),
     GeneralSkew(Box<GeneralSkewAlgorithm>),
-    MultiRound,
 }
 
 impl Plan {
-    /// The resolved (never `Auto`) algorithm.
+    /// The resolved (never `Auto`) algorithm: the one whose router the
+    /// plan holds.
     pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
+        match self.kind {
+            PlanKind::HyperCube(_) => Algorithm::HyperCube,
+            PlanKind::SkewJoin(_) => Algorithm::SkewJoin,
+            PlanKind::GeneralSkew(_) => Algorithm::GeneralSkew,
+        }
     }
 
     /// The query this plan evaluates.
@@ -414,10 +383,11 @@ impl Plan {
     }
 
     /// The plan's predicted per-server load in bits — the algorithm's own
-    /// `L(u, M, p)`-style prediction (LP (5) `p^λ` for HyperCube, Eq. (10)
-    /// for the skew join, Theorem 4.6's `max_B p^{λ(B)}` for the general
-    /// algorithm, scan/broadcast arithmetic for the baselines), valid up
-    /// to the paper's constant and polylog factors.
+    /// `L(u, M, p)`-style prediction (LP (5) `p^λ` for HyperCube, or
+    /// Corollary 3.2(ii)'s cap on Auto's equal-share aggregate fallback,
+    /// Eq. (10) for the skew join, Theorem 4.6's `max_B p^{λ(B)}` for the
+    /// general algorithm), valid up to the paper's constant and polylog
+    /// factors.
     pub fn predicted_load_bits(&self) -> f64 {
         self.predicted_load_bits
     }
@@ -485,16 +455,6 @@ impl Plan {
         }
     }
 
-    /// Communication rounds the plan will take: 1 for every one-round
-    /// algorithm, `max(ℓ - 1, 1)` for the multi-round baseline. Always
-    /// equal to the executed [`RunOutcome::num_rounds`].
-    pub fn planned_rounds(&self) -> usize {
-        match &self.kind {
-            PlanKind::MultiRound => self.query.num_atoms().saturating_sub(1).max(1),
-            _ => 1,
-        }
-    }
-
     /// Execute the plan on `db` with an explicit backend. Results are
     /// bit-identical to invoking the planned algorithm directly
     /// (`Sequential` and `Pooled(n)` agree).
@@ -504,13 +464,12 @@ impl Plan {
     }
 
     /// [`Plan::execute`] under a cooperative [`QueryBudget`]: the shuffle
-    /// polls every 512 routed tuples, the pushed-down aggregate fold polls
-    /// inside every server's local join and charges groups against the
-    /// group cap, and the multi-round baseline does both every round (see
-    /// [`crate::multi_round`]). A limited budget must charge every
-    /// materialized answer row against its cap, so a plain (non-aggregate)
-    /// plan's answers are joined here, inside the budget, and handed to
-    /// the outcome; under [`QueryBudget::unlimited`] they stay lazy until
+    /// polls every 512 routed tuples, and the pushed-down aggregate fold
+    /// polls inside every server's local join and charges groups against
+    /// the group cap. A limited budget must charge every materialized
+    /// answer row against its cap, so a plain (non-aggregate) plan's
+    /// answers are joined here, inside the budget, and handed to the
+    /// outcome; under [`QueryBudget::unlimited`] they stay lazy until
     /// [`RunOutcome::answers`] is first read, so callers that never read
     /// them — the batch throughput path — never pay for them.
     pub fn try_execute(
@@ -524,53 +483,42 @@ impl Plan {
             &self.query,
             "plan was built for a different query"
         );
+        let cluster = Cluster::try_run_round_on(db, self.p, self, backend, budget)?;
+        let report = cluster.report();
         let mut answers = OnceLock::new();
-        let (detail, aggregate) = match &self.kind {
-            PlanKind::MultiRound => (
-                OutcomeDetail::MultiRound(run_multi_round(db, self.p, self.seed, backend, budget)?),
-                None,
-            ),
-            _ => {
-                let cluster = Cluster::try_run_round_on(db, self.p, self, backend, budget)?;
-                let report = cluster.report();
-                // Aggregate pushdown: fold each server's local join into
-                // a per-group accumulator and merge — answers are never
-                // materialized into an `AnswerSet`.
-                let aggregate = match &self.aggregate {
-                    Some(spec) => Some(aggregate_cluster(&cluster, &self.query, spec, budget)?),
-                    None => {
-                        if !budget.is_unlimited() {
-                            answers = OnceLock::from(cluster.try_all_answers(&self.query, budget)?);
-                        }
-                        None
-                    }
-                };
-                (OutcomeDetail::OneRound { cluster, report }, aggregate)
+        // Aggregate pushdown: fold each server's local join into a
+        // per-group accumulator and merge — answers are never materialized
+        // into an `AnswerSet`.
+        let aggregate = match &self.aggregate {
+            Some(spec) => Some(aggregate_cluster(&cluster, &self.query, spec, budget)?),
+            None => {
+                if !budget.is_unlimited() {
+                    answers = OnceLock::from(cluster.try_all_answers(&self.query, budget)?);
+                }
+                None
             }
         };
         Ok(RunOutcome {
-            algorithm: self.algorithm,
+            algorithm: self.algorithm(),
             predicted_load_bits: self.predicted_load_bits,
             lower_bound_bits: self.lower_bound_bits,
             query: self.query.clone(),
             aggregate_spec: self.aggregate.clone(),
             aggregate,
             answers,
-            detail,
+            cluster,
+            report,
         })
     }
 }
 
-/// A one-round plan routes as the algorithm it planned.
+/// A plan routes as the algorithm it planned.
 impl Router for Plan {
     fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
         match &self.kind {
             PlanKind::HyperCube(r) => r.route(atom, tuple, out),
-            PlanKind::HashJoin(r) => r.route(atom, tuple, out),
-            PlanKind::FragmentReplicate(r) => r.route(atom, tuple, out),
             PlanKind::SkewJoin(r) => r.route(atom, tuple, out),
             PlanKind::GeneralSkew(r) => r.route(atom, tuple, out),
-            PlanKind::MultiRound => unreachable!("multi-round plans route round by round"),
         }
     }
 }
@@ -580,7 +528,10 @@ impl fmt::Display for Plan {
         write!(
             f,
             "{} (p={}, predicted L={:.0} bits, L_lower={:.0} bits",
-            self.algorithm, self.p, self.predicted_load_bits, self.lower_bound_bits
+            self.algorithm(),
+            self.p,
+            self.predicted_load_bits,
+            self.lower_bound_bits
         )?;
         if let Some(shares) = self.shares() {
             write!(f, ", shares={shares:?}")?;
@@ -591,17 +542,14 @@ impl fmt::Display for Plan {
         if let Some(c) = self.num_bin_combinations() {
             write!(f, ", combos={c}")?;
         }
-        if self.planned_rounds() > 1 {
-            write!(f, ", rounds={}", self.planned_rounds())?;
-        }
         write!(f, ")")
     }
 }
 
 /// The unified execution result: what every algorithm returns through the
-/// engine, whether it ran one round (`Cluster` + [`LoadReport`]) or the
-/// multi-round baseline ([`MultiRoundResult`]). It holds its answer set
-/// once: every [`RunOutcome::answers`] read borrows the same set.
+/// engine — the post-shuffle `Cluster`, its [`LoadReport`], and the
+/// answers or aggregate. It holds its answer set once: every
+/// [`RunOutcome::answers`] read borrows the same set.
 pub struct RunOutcome {
     algorithm: Algorithm,
     predicted_load_bits: f64,
@@ -609,19 +557,11 @@ pub struct RunOutcome {
     query: Query,
     aggregate_spec: Option<AggregateSpec>,
     aggregate: Option<AggregateResult>,
-    /// A one-round outcome's answers: filled by [`Plan::try_execute`]
-    /// inside a limited budget, by the first read otherwise. (A
-    /// multi-round outcome's answers live in its [`MultiRoundResult`].)
+    /// Filled by [`Plan::try_execute`] inside a limited budget, by the
+    /// first read otherwise.
     answers: OnceLock<AnswerSet>,
-    detail: OutcomeDetail,
-}
-
-enum OutcomeDetail {
-    OneRound {
-        cluster: Cluster,
-        report: LoadReport,
-    },
-    MultiRound(MultiRoundResult),
+    cluster: Cluster,
+    report: LoadReport,
 }
 
 impl RunOutcome {
@@ -642,58 +582,27 @@ impl RunOutcome {
         self.lower_bound_bits
     }
 
-    /// The post-shuffle cluster (one-round algorithms only).
+    /// The post-shuffle cluster (always `Some`).
     pub fn cluster(&self) -> Option<&Cluster> {
-        match &self.detail {
-            OutcomeDetail::OneRound { cluster, .. } => Some(cluster),
-            OutcomeDetail::MultiRound(_) => None,
-        }
+        Some(&self.cluster)
     }
 
-    /// The measured one-round [`LoadReport`] (one-round algorithms only).
+    /// The measured [`LoadReport`] (always `Some`).
     pub fn report(&self) -> Option<&LoadReport> {
-        match &self.detail {
-            OutcomeDetail::OneRound { report, .. } => Some(report),
-            OutcomeDetail::MultiRound(_) => None,
-        }
+        Some(&self.report)
     }
 
-    /// The multi-round result (multi-round baseline only).
-    pub fn multi_round(&self) -> Option<&MultiRoundResult> {
-        match &self.detail {
-            OutcomeDetail::OneRound { .. } => None,
-            OutcomeDetail::MultiRound(mr) => Some(mr),
-        }
-    }
-
-    /// Maximum bits received by any server in any round — the MPC cost
-    /// both kinds of result are measured by.
+    /// Maximum bits received by any server — the MPC cost of the round.
     pub fn max_load_bits(&self) -> u64 {
-        match &self.detail {
-            OutcomeDetail::OneRound { report, .. } => report.max_load_bits(),
-            OutcomeDetail::MultiRound(mr) => mr.max_round_load_bits(),
-        }
-    }
-
-    /// Communication rounds actually executed.
-    pub fn num_rounds(&self) -> usize {
-        match &self.detail {
-            OutcomeDetail::OneRound { .. } => 1,
-            OutcomeDetail::MultiRound(mr) => mr.num_rounds(),
-        }
+        self.report.max_load_bits()
     }
 
     /// The distinct answers, sorted, in query-variable order (flat
     /// [`AnswerSet`] storage; `.to_nested()` is the nested escape hatch).
-    /// A one-round outcome that was not executed under a limited budget
-    /// runs its servers' local joins on the first call and keeps the set.
+    /// An outcome that was not executed under a limited budget runs its
+    /// servers' local joins on the first call and keeps the set.
     pub fn answers(&self) -> &AnswerSet {
-        match &self.detail {
-            OutcomeDetail::OneRound { cluster, .. } => self
-                .answers
-                .get_or_init(|| cluster.all_answers(&self.query)),
-            OutcomeDetail::MultiRound(mr) => &mr.answers,
-        }
+        (self.answers).get_or_init(|| self.cluster.all_answers(&self.query))
     }
 
     /// The pushed-down aggregate result, when the plan carried an
@@ -719,26 +628,21 @@ impl RunOutcome {
     }
 
     /// Verify the answers against the sequential ground truth of `db`
-    /// (computed on the cluster's own backend for a one-round outcome).
+    /// (computed on the cluster's own backend).
     pub fn verify(&self, db: &Database) -> Verification {
-        let backend = match &self.detail {
-            OutcomeDetail::OneRound { cluster, .. } => cluster.backend(),
-            OutcomeDetail::MultiRound(_) => Backend::from_env(),
-        };
-        let expected = mpc_sim::oracle::join_database_on(db, backend);
+        let expected = mpc_sim::oracle::join_database_on(db, self.cluster.backend());
         verify::diff(&expected, self.answers())
     }
 }
 
 /// Execute a batch of `(plan, db)` jobs — many small queries or repeated
-/// rounds, multi-round plans included — parallelizing **across** jobs on
-/// one backend instead of inside each round: the multi-query-throughput
-/// shape, where a persistent pool ([`Backend::Pooled`]) amortizes its
-/// spawn cost over the entire batch and schedules jobs dynamically (a slow
-/// job does not hold up the queue behind it). Each job runs sequentially
-/// inside, so every outcome is bit-identical to
-/// `plan.execute(db, Backend::Sequential)`; results come back in job
-/// order.
+/// rounds — parallelizing **across** jobs on one backend instead of inside
+/// each round: the multi-query-throughput shape, where a persistent pool
+/// ([`Backend::Pooled`]) amortizes its spawn cost over the entire batch and
+/// schedules jobs dynamically (a slow job does not hold up the queue behind
+/// it). Each job runs sequentially inside, so every outcome is
+/// bit-identical to `plan.execute(db, Backend::Sequential)`; results come
+/// back in job order.
 pub fn execute_batch(jobs: &[(&Plan, &Database)], backend: Backend) -> Vec<RunOutcome> {
     backend.run_items(jobs.len(), |i| {
         let (plan, db) = jobs[i];
@@ -831,9 +735,11 @@ impl<'s> Engine<'s> {
     /// plan folds its local joins through [`crate::aggregate`] and the
     /// outcome carries an [`AggregateResult`]. Routing and predicted load
     /// are those of the underlying algorithm; the auto choice is the same
-    /// except that [`Algorithm::GeneralSkew`] (whose bin-combination
-    /// sub-instances replicate derivations) falls back to the
-    /// skew-resilient [`Algorithm::HyperCubeEqual`].
+    /// except where it would be [`Algorithm::GeneralSkew`] (whose
+    /// bin-combination sub-instances replicate derivations): there it
+    /// plans [`Algorithm::HyperCube`] at the skew-resilient equal shares
+    /// ([`HyperCube::with_equal_shares`]) and predicts Corollary 3.2(ii)'s
+    /// cap ([`HyperCube::worst_case_load_bits`]).
     ///
     /// # Panics
     /// [`Engine::plan`] panics when the spec references variables the
@@ -920,28 +826,23 @@ impl<'s> Engine<'s> {
                 .expect("aggregate spec references variables the query does not have");
         }
         let simple = stats.simple();
-        let resolved = match self.algorithm {
-            Algorithm::Auto => {
-                let chosen = choose(q, stats, &simple, p);
-                // Aggregates fold over join derivations, so the plan must
-                // produce each derivation on exactly one server. The §4.2
-                // bin-combination algorithm replicates derivations across
-                // overlapping sub-instances; equal shares (Corollary
-                // 3.2(ii)) is the skew-resilient exact fallback.
-                if self.aggregate.is_some() && !chosen.partitions_derivations() {
-                    Algorithm::HyperCubeEqual
-                } else {
-                    chosen
-                }
-            }
+        let chosen = match self.algorithm {
+            Algorithm::Auto => choose(q, stats, &simple, p),
             other => other,
         };
+        // Aggregates fold over join derivations, so the plan must produce
+        // each derivation on exactly one server. The §4.2 bin-combination
+        // algorithm replicates derivations across overlapping
+        // sub-instances: pinned, it is refused; chosen by Auto, it gives
+        // way to HyperCube at equal shares (Corollary 3.2(ii)), the
+        // skew-resilient exact fallback.
+        let equal_shares = self.aggregate.is_some() && !chosen.partitions_derivations();
         assert!(
-            self.aggregate.is_none() || resolved.partitions_derivations(),
+            !equal_shares || self.algorithm == Algorithm::Auto,
             "{AGGREGATE_NEEDS_PARTITIONING}"
         );
         assert!(
-            resolved != Algorithm::SkewJoin || q.is_two_atom_join(),
+            chosen != Algorithm::SkewJoin || q.is_two_atom_join(),
             "{SKEW_JOIN_NEEDS_TWO_ATOMS}"
         );
         // LP (5), once per plan: its optimum `p^λ` is `L_lower` (Theorem
@@ -949,52 +850,18 @@ impl<'s> Engine<'s> {
         // arm's grid.
         let alloc = ShareAllocation::optimize(q, &simple, p).expect("share LP is always feasible");
         let lower_bound_bits = alloc.predicted_load_bits();
-        let (kind, predicted) = match resolved {
+        let (kind, predicted) = match chosen {
             Algorithm::Auto => unreachable!("auto resolved above"),
-            Algorithm::HyperCube => (
-                PlanKind::HyperCube(HyperCube::new(q, &alloc, self.seed)),
-                lower_bound_bits,
-            ),
-            Algorithm::HyperCubeEqual => {
+            Algorithm::GeneralSkew if equal_shares => {
                 let hc = HyperCube::with_equal_shares(q, p, self.seed);
                 // Corollary 3.2(ii): the unconditional skew-resilient cap.
                 let predicted = hc.worst_case_load_bits(&simple);
                 (PlanKind::HyperCube(hc), predicted)
             }
-            Algorithm::HashJoin => {
-                let vars = default_hash_vars(q);
-                let m = simple.bit_sizes_f64();
-                // Partitioned atoms pay M_j/p, broadcast atoms pay M_j.
-                let predicted: f64 = (0..q.num_atoms())
-                    .map(|j| {
-                        if vars.is_subset(q.atom(j).var_set()) {
-                            m[j] / p as f64
-                        } else {
-                            m[j]
-                        }
-                    })
-                    .sum();
-                (
-                    PlanKind::HashJoin(HashJoinRouter::new(q, vars, p, self.seed)),
-                    predicted,
-                )
-            }
-            Algorithm::FragmentReplicate => {
-                // Split the largest relation (the last one on ties, so two
-                // equal atoms split the second, as always) and broadcast
-                // every other: Σ_{j≠split} M_j + M_split/p.
-                let split = (0..q.num_atoms())
-                    .max_by_key(|&j| simple.bit_sizes[j])
-                    .expect("query has atoms");
-                let m = simple.bit_sizes_f64();
-                let predicted: f64 = (0..q.num_atoms())
-                    .map(|j| if j == split { m[j] / p as f64 } else { m[j] })
-                    .sum();
-                (
-                    PlanKind::FragmentReplicate(FragmentReplicateRouter::new(p, split, self.seed)),
-                    predicted,
-                )
-            }
+            Algorithm::HyperCube => (
+                PlanKind::HyperCube(HyperCube::new(q, &alloc, self.seed)),
+                lower_bound_bits,
+            ),
             Algorithm::SkewJoin => {
                 let shared = q.atom(0).var_set().intersect(q.atom(1).var_set());
                 let (m1, m2) = (simple.cardinalities[0], simple.cardinalities[1]);
@@ -1026,18 +893,10 @@ impl<'s> Engine<'s> {
                 let predicted = alg.predicted_load_bits();
                 (PlanKind::GeneralSkew(Box::new(alg)), predicted)
             }
-            Algorithm::MultiRound => {
-                // Best case: every round a perfectly balanced scan of the
-                // inputs (intermediates can only add to this).
-                let predicted = simple.total_bits() as f64 / p as f64;
-                (PlanKind::MultiRound, predicted)
-            }
         };
         Plan {
             query: q.clone(),
-            algorithm: resolved,
             p,
-            seed: self.seed,
             predicted_load_bits: predicted,
             lower_bound_bits,
             aggregate: self.aggregate.clone(),
@@ -1131,9 +990,8 @@ mod tests {
 
     #[test]
     fn every_algorithm_runs_and_verifies_through_the_engine() {
-        // ℓ = 2 and ℓ = 3, plus the ℓ = 1 scan: a single atom is one round
-        // on every algorithm, the multi-round baseline included. The §4.1
-        // skew join is two-relation only.
+        // ℓ = 2 and ℓ = 3, plus the ℓ = 1 scan. The §4.1 skew join is
+        // two-relation only.
         let scan = mpc_query::parse_query("S1(x,z)").unwrap();
         for db in [
             zipf_join(1500, 1.0, 8),
@@ -1150,17 +1008,10 @@ mod tests {
                     .seed(9)
                     .backend(Backend::Sequential)
                     .algorithm(algo);
-                let plan = engine.plan(&db);
                 let outcome = engine.run(&db);
                 assert_eq!(outcome.algorithm(), algo);
                 assert!(outcome.verify(&db).is_complete(), "{algo} lost answers");
                 assert!(outcome.max_load_bits() > 0, "{algo} reported zero load");
-                let rounds = match algo {
-                    Algorithm::MultiRound => (l - 1).max(1),
-                    _ => 1,
-                };
-                assert_eq!(outcome.num_rounds(), rounds, "{algo} at ℓ = {l}");
-                assert_eq!(plan.planned_rounds(), rounds, "{algo} at ℓ = {l}");
                 assert!(
                     outcome.predicted_load_bits() > 0.0,
                     "{algo} predicted zero load"
@@ -1181,22 +1032,6 @@ mod tests {
         let outcome = plan.execute(&db, Backend::Sequential);
         assert_eq!(outcome.report(), Some(&r_exp));
         assert_eq!(*outcome.answers(), c_exp.all_answers(db.query()));
-    }
-
-    #[test]
-    fn multi_round_outcome_carries_round_stats() {
-        let q = named::cycle(3);
-        let db = uniform_db(&q, 600, 128, 12);
-        let outcome = Engine::new(&q)
-            .p(8)
-            .seed(13)
-            .backend(Backend::Sequential)
-            .algorithm(Algorithm::MultiRound)
-            .run(&db);
-        assert_eq!(outcome.num_rounds(), 2);
-        assert!(outcome.report().is_none());
-        assert!(outcome.multi_round().is_some());
-        assert!(outcome.verify(&db).is_complete());
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! * [`shares`] — the share-exponent LP (5) and its closed form over
 //!   `pk(q)` (Theorem 3.6);
 //! * [`hypercube`] — the HyperCube algorithm (Section 3.1);
-//! * [`baselines`] — standard parallel hash join and broadcast join;
+//! * [`baselines`] — standard parallel hash join and broadcast join
+//!   routers, driven by the experiments and tests;
 //! * [`multi_round`] — the traditional one-join-per-round baseline the
-//!   introduction contrasts against;
+//!   introduction contrasts against, driven the same way;
 //! * [`skew_join`] — the two-relation skew join of Section 4.1
 //!   (light / H1 / H2 / H12 decomposition);
 //! * [`skew_general`] — the general bin-combination algorithm of
@@ -22,10 +23,10 @@
 //! * [`aggregate`](mod@crate::aggregate) — streaming aggregate pushdown:
 //!   COUNT/SUM/MIN/MAX/COUNT DISTINCT folded inside the local join,
 //!   merged across servers, memory proportional to groups not output;
-//! * [`engine`] — the unified plan/execute surface over all of the above:
-//!   [`Engine`] builds a stats-driven [`engine::Plan`] (auto mode picks the
-//!   algorithm from heavy-hitter statistics and the load bounds) and every
-//!   run returns one [`engine::RunOutcome`] shape.
+//! * [`engine`] — the unified plan/execute surface over HyperCube and the
+//!   §4 algorithms: [`Engine`] builds a stats-driven [`engine::Plan`]
+//!   (auto mode picks the algorithm from heavy-hitter statistics and the
+//!   load bounds) and every run returns one [`engine::RunOutcome`] shape.
 
 pub mod aggregate;
 pub mod baselines;

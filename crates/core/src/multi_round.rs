@@ -6,7 +6,7 @@
 //! the depth of the query plan". This module implements that baseline —
 //! a left-deep sequence of distributed hash joins — on the same data plane
 //! as the one-round algorithms, so experiments can show the real
-//! trade-off:
+//! trade-off. It is driven by the experiments and tests, not the engine:
 //!
 //! * per-round load can be as low as `~(|input| + |intermediate|)/p`, which
 //!   beats one-round HyperCube when intermediates are small;
@@ -21,7 +21,7 @@
 //!
 //! **Every round is a [`Cluster`] round.** Folding atom `S_j` into the
 //! running intermediate `I` is the two-atom query `I(bound vars), S_j(..)`:
-//! it is shuffled by [`Cluster::try_run_round_on`] under a
+//! it is shuffled by [`Cluster::run_round_on`] under a
 //! [`HashJoinRouter`] on the shared variables — or, when there are none, a
 //! [`FragmentReplicateRouter`] that splits `I` and broadcasts `S_j` —, its load is read
 //! off the cluster's [`LoadReport`](mpc_sim::load::LoadReport), and the
@@ -29,15 +29,10 @@
 //! ([`Cluster::fold_answers`]). Intermediates keep bag semantics (one row
 //! per derivation); only the final answers are sorted and deduplicated. A
 //! single-atom query is one partition round on the atom's own variables.
-//!
-//! **Budget.** Every round's shuffle polls the deadline per routed chunk.
-//! Intermediates are not answers and are not charged against the row cap;
-//! the last round's local join runs under the budget, so the final answers
-//! (bag count) are charged once and its deadline is polled in the join.
 
 use crate::baselines::{FragmentReplicateRouter, HashJoinRouter};
 use mpc_data::answers::AnswerSet;
-use mpc_data::budget::{BudgetExceeded, QueryBudget};
+use mpc_data::budget::QueryBudget;
 use mpc_data::catalog::Database;
 use mpc_data::mix64;
 use mpc_data::relation::Relation;
@@ -69,8 +64,6 @@ pub struct MultiRoundResult {
     /// The final answers (sorted, deduplicated, in query-variable order,
     /// flat [`AnswerSet`] storage).
     pub answers: AnswerSet,
-    /// The bound variables after completion (always all query variables).
-    pub bound_vars: VarSet,
 }
 
 impl MultiRoundResult {
@@ -121,16 +114,8 @@ fn plan_order(q: &Query, db: &Database) -> Vec<usize> {
 /// Execute the multi-round baseline on `p` servers. Loads are measured in
 /// bits with the database's value width by the same [`Cluster`] accounting
 /// as the one-round algorithms, and results — answers and every
-/// [`RoundStats`] — are identical across backends. See the
-/// [module docs](self) for what `budget` is and is not charged.
-/// `Engine::new(q).algorithm(Algorithm::MultiRound)` is the planned front.
-pub fn run_multi_round(
-    db: &Database,
-    p: usize,
-    seed: u64,
-    backend: Backend,
-    budget: &QueryBudget,
-) -> Result<MultiRoundResult, BudgetExceeded> {
+/// [`RoundStats`] — are identical across backends.
+pub fn run_multi_round(db: &Database, p: usize, seed: u64, backend: Backend) -> MultiRoundResult {
     assert!(p >= 1);
     let q = db.query();
     let order = plan_order(q, db);
@@ -144,7 +129,6 @@ pub fn run_multi_round(
     let names_of = |vars: &[usize]| -> Vec<&str> { vars.iter().map(|&v| q.var_name(v)).collect() };
 
     let num_rounds = (order.len() - 1).max(1);
-    let unlimited = QueryBudget::unlimited();
     let mut rounds = Vec::with_capacity(num_rounds);
     for round in 0..num_rounds {
         // The round's query: the left side and the atom folded into it
@@ -169,27 +153,28 @@ pub fn run_multi_round(
         let key = mix64(seed, round as u64);
         let cluster = if shared.is_empty() {
             let router = FragmentReplicateRouter::new(p, 0, key);
-            Cluster::try_run_round_on(&round_db, p, &router, backend, budget)?
+            Cluster::run_round_on(&round_db, p, &router, backend)
         } else {
             let router = HashJoinRouter::new(round_query, shared, p, key);
-            Cluster::try_run_round_on(&round_db, p, &router, backend, budget)?
+            Cluster::run_round_on(&round_db, p, &router, backend)
         };
 
         // The next intermediate: every server's local join, one row per
         // derivation. Only the last round's rows are answers.
         let arity = round_query.num_vars();
-        let last = round + 1 == num_rounds;
-        let parts = cluster.fold_answers(
-            round_query,
-            if last { budget } else { &unlimited },
-            || Relation::new(name, arity),
-            |out, row, mult| {
-                for _ in 0..mult {
-                    out.push(row);
-                }
-                Ok(())
-            },
-        )?;
+        let parts = cluster
+            .fold_answers(
+                round_query,
+                &QueryBudget::unlimited(),
+                || Relation::new(name, arity),
+                |out, row, mult| {
+                    for _ in 0..mult {
+                        out.push(row);
+                    }
+                    Ok(())
+                },
+            )
+            .expect("an unlimited budget cannot be exceeded");
         let mut next = Relation::new(name, arity);
         for part in parts {
             next.append(part);
@@ -222,11 +207,7 @@ pub fn run_multi_round(
     }
     answers.sort_dedup();
 
-    Ok(MultiRoundResult {
-        rounds,
-        answers,
-        bound_vars: q.all_vars(),
-    })
+    MultiRoundResult { rounds, answers }
 }
 
 #[cfg(test)]
@@ -236,8 +217,7 @@ mod tests {
     use mpc_query::named;
 
     fn run(db: &Database, p: usize, seed: u64) -> MultiRoundResult {
-        run_multi_round(db, p, seed, Backend::from_env(), &QueryBudget::unlimited())
-            .expect("no budget is set")
+        run_multi_round(db, p, seed, Backend::from_env())
     }
 
     fn is_complete(db: &Database, result: &MultiRoundResult) -> bool {

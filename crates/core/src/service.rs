@@ -382,14 +382,9 @@ impl ServiceOutcome {
         self.outcome.aggregate()
     }
 
-    /// Maximum bits received by any server in any round.
+    /// Maximum bits received by any server.
     pub fn max_load_bits(&self) -> u64 {
         self.outcome.max_load_bits()
-    }
-
-    /// Rounds executed.
-    pub fn num_rounds(&self) -> usize {
-        self.outcome.num_rounds()
     }
 
     /// The full engine outcome.
@@ -403,7 +398,6 @@ impl fmt::Debug for ServiceOutcome {
         f.debug_struct("ServiceOutcome")
             .field("algorithm", &self.algorithm())
             .field("cache", &self.cache)
-            .field("rounds", &self.num_rounds())
             .finish_non_exhaustive()
     }
 }
@@ -1104,13 +1098,14 @@ mod tests {
             }
         );
         assert_eq!(svc.cached_plans(), 1);
-        // Different p / seed / pinned algorithm are distinct entries.
+        // Different p / seed / pinned algorithm are distinct entries, even
+        // a pin on the algorithm Auto resolves to here.
         let spec = QuerySpec::new(q.clone()).p(8);
         assert_eq!(
             svc.query_spec(&spec).unwrap().cache_status(),
             CacheStatus::Miss
         );
-        let pinned = QuerySpec::new(q).algorithm(Algorithm::HashJoin);
+        let pinned = QuerySpec::new(q).algorithm(Algorithm::HyperCube);
         assert_eq!(
             svc.query_spec(&pinned).unwrap().cache_status(),
             CacheStatus::Miss

@@ -51,8 +51,9 @@ pub fn verify(db: &Database, cluster: &Cluster) -> Verification {
     diff(&expected, &got)
 }
 
-/// Compare two sorted, deduplicated answer sets (the engine uses this to
-/// verify multi-round results, which carry answers without a cluster).
+/// Compare two sorted, deduplicated answer sets (for answers that are
+/// already collected, such as a `RunOutcome`'s or the multi-round
+/// baseline's).
 pub fn diff(expected: &AnswerSet, got: &AnswerSet) -> Verification {
     let mut missing = AnswerSet::new(expected.arity());
     let mut unexpected = AnswerSet::new(got.arity());

@@ -324,17 +324,18 @@ fn render_result(out: &mut String, result: &Result<ServiceOutcome, ServiceError>
 /// answer tuples (or `key | value` group lines for aggregate heads) and an
 /// `end` terminator when the client asked for rows. Rows are written
 /// straight from the outcome's [`AnswerSet`](mpc_data::answers::AnswerSet)
-/// into the buffer, so a warm buffer renders without allocating.
+/// into the buffer, so a warm buffer renders without allocating. Every plan
+/// the service runs is one communication round, so the status line's
+/// `rounds=` field is always `rounds=1`.
 pub fn render_outcome(out: &mut String, outcome: &ServiceOutcome, want_rows: bool) {
     let run = outcome.run_outcome();
     if let Some(agg) = outcome.aggregate() {
         reply!(
             out,
-            "ok groups={} algo={} cache={} rounds={} load={} predicted={:.0}",
+            "ok groups={} algo={} cache={} rounds=1 load={} predicted={:.0}",
             agg.num_groups(),
             outcome.algorithm(),
             outcome.cache_status(),
-            outcome.num_rounds(),
             outcome.max_load_bits(),
             run.predicted_load_bits(),
         );
@@ -357,11 +358,10 @@ pub fn render_outcome(out: &mut String, outcome: &ServiceOutcome, want_rows: boo
     };
     reply!(
         out,
-        "ok answers={} algo={} cache={} rounds={} load={} predicted={:.0}",
+        "ok answers={} algo={} cache={} rounds=1 load={} predicted={:.0}",
         answers.len(),
         outcome.algorithm(),
         outcome.cache_status(),
-        outcome.num_rounds(),
         outcome.max_load_bits(),
         run.predicted_load_bits(),
     );
@@ -741,16 +741,16 @@ mod tests {
         let out = one(
             &mut s,
             &mut svc,
-            "QUERY \"S1(x,z), S2(y,z)\" p=2 seed=9 algo=hash",
+            "QUERY \"S1(x,z), S2(y,z)\" p=2 seed=9 algo=hc",
         );
-        assert!(out.starts_with("ok answers=2 algo=hash "), "{out}");
+        assert!(out.starts_with("ok answers=2 algo=hc "), "{out}");
         // Same options without quotes.
         let out = one(
             &mut s,
             &mut svc,
-            "QUERY S1(x,z), S2(y,z) p=2 seed=9 algo=hash",
+            "QUERY S1(x,z), S2(y,z) p=2 seed=9 algo=hc",
         );
-        assert!(out.starts_with("ok answers=2 algo=hash cache=hit"), "{out}");
+        assert!(out.starts_with("ok answers=2 algo=hc cache=hit"), "{out}");
     }
 
     #[test]
@@ -793,21 +793,20 @@ mod tests {
 
     #[test]
     fn aggregate_rejects_multi_round() {
+        // Pinned to a baseline's name the aggregate is an unknown
+        // algorithm; pinned to the §4.2 algorithm it is refused.
+        use crate::engine::AGGREGATE_NEEDS_PARTITIONING;
         let mut svc = service();
         let mut s = Session::new();
         s.handle(&mut svc, "LOAD S1 2 0,1;1,1");
         s.handle(&mut svc, "LOAD S2 2 5,1");
-        let out = one(
-            &mut s,
-            &mut svc,
-            "QUERY \"Q(; count) :- S1(x,z), S2(y,z)\" algo=multi-round",
-        );
+        let query = "QUERY \"Q(; count) :- S1(x,z), S2(y,z)\" algo=";
+        let out = one(&mut s, &mut svc, &format!("{query}multi-round"));
+        assert_eq!(out, "err unknown algorithm `multi-round`");
+        let out = one(&mut s, &mut svc, &format!("{query}general"));
         assert_eq!(
             out,
-            format!(
-                "err unsupported {}",
-                crate::engine::AGGREGATE_NEEDS_PARTITIONING
-            )
+            format!("err unsupported {AGGREGATE_NEEDS_PARTITIONING}")
         );
     }
 

@@ -144,11 +144,10 @@ fn usage() -> &'static str {
      ops count | sum(v) | min(v) | max(v) | count_distinct(v) — folded\n\
      inside the local joins, never materializing the join output;\n\
      flags accept both `--flag value` and `--flag=value`;\n\
-     algos: auto | hc | hc-equal | hash | fragment-replicate | skew-join |\n\
-     general | multi-round — `auto` (the default) picks from heavy-hitter\n\
-     statistics: HyperCube when the join variables are skew-free, the \u{a7}4.1\n\
-     skew join on skewed two-relation joins, the \u{a7}4.2 general algorithm\n\
-     otherwise;\n\
+     algos: auto | hc | skew-join | general — `auto` (the default) picks\n\
+     from heavy-hitter statistics: HyperCube when the join variables are\n\
+     skew-free, the \u{a7}4.1 skew join on skewed two-relation joins, the\n\
+     \u{a7}4.2 general algorithm otherwise;\n\
      --threads: simulator worker threads (1 = sequential backend, N = the\n\
      persistent N-worker pool, 0 = a pool over all cores; default:\n\
      MPCSKEW_THREADS or all available cores; results are identical whichever\n\
@@ -291,55 +290,32 @@ fn cmd_run(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<
     }
     let plan = engine.plan(&db);
     println!("plan   : {plan}");
-    match plan.algorithm() {
-        Algorithm::HyperCube | Algorithm::HyperCubeEqual => {
-            println!("shares : {:?}", plan.shares().expect("hypercube plan"));
-            let copies: Vec<String> = (q.atoms().iter())
-                .zip(plan.replication().expect("hypercube plan"))
-                .map(|(atom, r)| format!("{} {r}x", atom.name()))
-                .collect();
-            println!("planned repl. : {}", copies.join(", "));
-        }
-        Algorithm::SkewJoin => {
-            println!("heavy z: {}", plan.num_heavy().expect("skew-join plan"));
-        }
-        Algorithm::GeneralSkew => {
-            println!(
-                "combos : {}",
-                plan.num_bin_combinations().expect("general plan")
-            );
-        }
-        Algorithm::HashJoin => {
-            let vars = mpc_skew::core::engine::default_hash_vars(q);
-            let names: Vec<&str> = vars.iter().map(|v| q.var_name(v)).collect();
-            println!("hash on: {}", names.join(","));
-        }
-        _ => {}
+    // Each accessor answers for its own algorithm only.
+    if let (Some(shares), Some(replication)) = (plan.shares(), plan.replication()) {
+        println!("shares : {shares:?}");
+        let copies: Vec<String> = (q.atoms().iter())
+            .zip(replication)
+            .map(|(atom, r)| format!("{} {r}x", atom.name()))
+            .collect();
+        println!("planned repl. : {}", copies.join(", "));
+    }
+    if let Some(heavy) = plan.num_heavy() {
+        println!("heavy z: {heavy}");
+    }
+    if let Some(combos) = plan.num_bin_combinations() {
+        println!("combos : {combos}");
     }
 
     let outcome = plan.execute(&db, backend);
-
-    if let Some(report) = outcome.report() {
-        println!(
-            "\nmax load      : {} bits ({} tuples)",
-            report.max_load_bits(),
-            report.max_load_tuples()
-        );
-        println!("mean load     : {:.0} bits", report.mean_load_bits());
-        println!("imbalance     : {:.2}x", report.imbalance());
-        println!("replication   : {:.2}x", report.replication_rate());
-    } else {
-        let mr = outcome.multi_round().expect("multi-round outcome");
-        println!(
-            "\nmax load      : {} bits (max over {} rounds)",
-            mr.max_round_load_bits(),
-            mr.num_rounds()
-        );
-        println!(
-            "intermediates : {} tuples max",
-            mr.max_intermediate_tuples()
-        );
-    }
+    let report = outcome.report().expect("every plan reports its round");
+    println!(
+        "\nmax load      : {} bits ({} tuples)",
+        report.max_load_bits(),
+        report.max_load_tuples()
+    );
+    println!("mean load     : {:.0} bits", report.mean_load_bits());
+    println!("imbalance     : {:.2}x", report.imbalance());
+    println!("replication   : {:.2}x", report.replication_rate());
     println!("predicted L   : {:.0} bits", outcome.predicted_load_bits());
     println!("L_lower       : {:.0} bits", outcome.lower_bound_bits());
     println!(

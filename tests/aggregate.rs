@@ -3,12 +3,14 @@
 //! plus the planner/service contracts around which algorithms qualify.
 
 use mpc_bench::workloads::{correlated_zipf_db, product_skew_db, skewed_join_db, uniform_db};
-use mpc_skew::core::aggregate::AggregateResult;
+use mpc_skew::core::aggregate::{aggregate_cluster, AggregateResult};
+use mpc_skew::core::baselines::{FragmentReplicateRouter, HashJoinRouter};
 use mpc_skew::core::engine::{execute_batch, Algorithm, Engine};
+use mpc_skew::core::hypercube::HyperCube;
 use mpc_skew::core::verify::aggregate_oracle;
-use mpc_skew::data::{generators, Database, Rng};
+use mpc_skew::data::{generators, Database, QueryBudget, Rng};
 use mpc_skew::query::aggregate::{AggregateOp, AggregateSpec};
-use mpc_skew::query::{named, parse_aggregate_query};
+use mpc_skew::query::{named, parse_aggregate_query, VarSet};
 use mpc_skew::sim::backend::Backend;
 
 const P: usize = 16;
@@ -84,14 +86,27 @@ fn every_derivation_partitioning_algorithm_is_exact() {
     let q = named::two_way_join();
     let db = skewed_join_db(&q, 2000, 1 << 11, 1.2, 300, 13);
     let spec = full_spec(&q);
-    for algo in [
-        Algorithm::HyperCube,
-        Algorithm::HyperCubeEqual,
-        Algorithm::HashJoin,
-        Algorithm::FragmentReplicate,
-        Algorithm::SkewJoin,
-    ] {
+    for algo in [Algorithm::HyperCube, Algorithm::SkewJoin] {
         assert_matches_oracle("zipf_h12", &db, &spec, algo);
+    }
+    // The baselines partition derivations too; their routers run outside
+    // the engine. Hash join on the join key z; fragment-replicate splits
+    // the last of the two equal-size relations.
+    let expected = aggregate_oracle(&db, &spec);
+    let z = q.var_index("z").unwrap();
+    let hc_equal = HyperCube::with_equal_shares(&q, P, SEED);
+    let hash = HashJoinRouter::new(&q, VarSet::singleton(z), P, SEED);
+    let fr = FragmentReplicateRouter::new(P, 1, SEED);
+    for backend in BACKENDS {
+        let clusters = [
+            ("hc-equal", hc_equal.run_on(&db, backend).0),
+            ("hash", hash.run_on(&db, backend).0),
+            ("fragment-replicate", fr.run_on(&db, backend).0),
+        ];
+        for (name, cluster) in clusters {
+            let got = aggregate_cluster(&cluster, &q, &spec, &QueryBudget::unlimited());
+            assert_eq!(got.as_ref(), Ok(&expected), "zipf_h12 [{name}/{backend}]");
+        }
     }
 }
 
@@ -99,9 +114,10 @@ fn every_derivation_partitioning_algorithm_is_exact() {
 fn auto_with_aggregate_resolves_away_from_general_skew() {
     // The same skewed triangle that makes plain auto pick the §4.2
     // general algorithm (see planner_choice.rs) must fall back to
-    // skew-resilient equal shares once an aggregate head is attached:
-    // the general algorithm replicates derivations across its
-    // bin-combination sub-instances.
+    // HyperCube at skew-resilient equal shares once an aggregate head is
+    // attached: the general algorithm replicates derivations across its
+    // bin-combination sub-instances. The plan reports `hc` and routes
+    // exactly as the equal-share router does.
     let q = named::cycle(3);
     let n = 1u64 << 7;
     let mut rng = Rng::seed_from_u64(0xBEEF_0005);
@@ -128,22 +144,29 @@ fn auto_with_aggregate_resolves_away_from_general_skew() {
         .seed(SEED)
         .aggregate(spec.clone())
         .plan(&db);
-    assert_eq!(plan.algorithm(), Algorithm::HyperCubeEqual);
+    assert_eq!(plan.algorithm(), Algorithm::HyperCube);
+    let equal = HyperCube::with_equal_shares(&q, P, SEED);
+    assert_eq!(plan.shares().unwrap(), equal.grid().dims());
+    let cap = equal.worst_case_load_bits(&mpc_skew::stats::SimpleStatistics::of(&db));
+    assert_eq!(plan.predicted_load_bits(), cap);
     let expected = aggregate_oracle(&db, &spec);
     for backend in BACKENDS {
-        assert_eq!(plan.execute(&db, backend).aggregate(), Some(&expected));
+        let outcome = plan.execute(&db, backend);
+        assert_eq!(outcome.aggregate(), Some(&expected));
+        let (_, report) = equal.run_on(&db, backend);
+        assert_eq!(outcome.report(), Some(&report), "[{backend}]");
     }
 }
 
 #[test]
 #[should_panic(expected = "aggregate heads need a plan")]
-fn explicit_multi_round_with_aggregate_panics() {
+fn explicit_general_skew_with_aggregate_panics() {
     let q = named::two_way_join();
     let db = uniform_db(&q, 300, 1 << 9, 1);
     let spec = AggregateSpec::new(vec![], vec![AggregateOp::Count]).unwrap();
     let _ = Engine::new(&q)
         .p(4)
-        .algorithm(Algorithm::MultiRound)
+        .algorithm(Algorithm::GeneralSkew)
         .aggregate(spec)
         .plan(&db);
 }

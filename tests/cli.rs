@@ -296,68 +296,6 @@ fn valued_flag_without_value_is_rejected() {
 }
 
 #[test]
-fn multi_round_algo_reports_rounds() {
-    let out = mpcskew()
-        .args([
-            "run",
-            "S1(x,y), S2(y,z), S3(z,w)",
-            "--m",
-            "1000",
-            "--p",
-            "8",
-            "--algo",
-            "multi-round",
-            "--domain",
-            "4096",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("plan   : multi-round"), "{text}");
-    assert!(text.contains("rounds=2"), "{text}");
-    assert!(text.contains("max over 2 rounds"), "{text}");
-    assert!(text.contains("verification PASSED"), "{text}");
-}
-
-#[test]
-fn fragment_replicate_verifies_on_a_triangle() {
-    // With more than two atoms the router splits one relation and
-    // broadcasts the rest; splitting two of them used to lose answers
-    // (`verification FAILED`, 13 300 of these 15 169 triangles missing).
-    let out = mpcskew()
-        .args([
-            "run",
-            "S1(x,y), S2(y,z), S3(z,x)",
-            "--algo",
-            "fragment-replicate",
-            "--m",
-            "2000",
-            "--domain",
-            "64",
-            "--p",
-            "8",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("plan   : fragment-replicate"), "{text}");
-    assert!(
-        text.contains("15169 distinct, verification PASSED"),
-        "{text}"
-    );
-}
-
-#[test]
 fn bad_threads_flag_is_rejected() {
     // `pool:<n>` was a second spelling of the worker count; it is gone, and
     // must fail loudly rather than fall back to a default backend.
@@ -401,6 +339,36 @@ fn unknown_algorithm_is_rejected() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
+}
+
+#[test]
+fn retired_algorithm_names_are_unknown_on_both_surfaces() {
+    // The baselines' names and aliases: their routers are driven by the
+    // experiments and tests, never through `--algo` or `algo=`.
+    let retired = "hc-equal hash hash-join fragment-replicate fr multi-round mr";
+    let mut script = String::from("LOAD S1 2 0,1;1,1;2,3\nLOAD S2 2 5,1\n");
+    let mut refusals = Vec::new();
+    for name in retired.split(' ') {
+        let out = mpcskew()
+            .args(["run", "S1(x,z), S2(y,z)", "--m", "100", "--algo", name])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "--algo {name}");
+        let refusal = format!("unknown algorithm `{name}`");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr).lines().next(),
+            Some(format!("error: {refusal}").as_str())
+        );
+        script.push_str(&format!("QUERY S1(x,z), S2(y,z) algo={name}\n"));
+        refusals.push(format!("err {refusal}"));
+    }
+    // On the wire each refusal is one `err` line, and the session keeps
+    // serving: the query after the last one is answered.
+    script.push_str("QUERY S1(x,z), S2(y,z) algo=hc\nSHUTDOWN\n");
+    let lines = serve_stdio_session(&["--domain", "16", "--p", "4"], &script);
+    assert_eq!(lines[2..9], refusals[..], "{lines:?}");
+    assert!(lines[9].starts_with("ok answers=2 algo=hc "), "{lines:?}");
+    assert_eq!(lines[10..], ["ok bye"], "{lines:?}");
 }
 
 #[test]
@@ -610,19 +578,17 @@ fn serve_tcp_shares_catalog_and_plan_cache_across_clients() {
 
 #[test]
 fn serve_pins_the_unsupported_error_vocabulary() {
-    // End-to-end: an aggregate head forced onto a multi-round plan is
+    // End-to-end: an aggregate head forced onto the §4.2 general plan is
     // refused with a typed `err unsupported` line — the one refusal text
     // the engine, the service and `mpcskew run` share — and the session
-    // keeps serving afterwards. A single-atom multi-round query is one
-    // partition round whose load counts like any one-round algorithm's.
+    // keeps serving afterwards.
     use mpc_skew::core::engine::AGGREGATE_NEEDS_PARTITIONING;
     let lines = serve_stdio_session(
         &["--domain", "16", "--p", "4"],
         "LOAD S1 2 0,1;1,1;2,3\n\
          LOAD S2 2 5,1\n\
-         QUERY \"Q(; count) :- S1(x,z), S2(y,z)\" algo=multi-round\n\
+         QUERY \"Q(; count) :- S1(x,z), S2(y,z)\" algo=general\n\
          QUERY S1(x,z), S2(y,z)\n\
-         QUERY S1(x,z) algo=multi-round\n\
          SHUTDOWN\n",
     );
     assert_eq!(
@@ -631,10 +597,6 @@ fn serve_pins_the_unsupported_error_vocabulary() {
         "{lines:?}"
     );
     assert!(lines[3].starts_with("ok answers=2"), "{lines:?}");
-    assert_eq!(
-        lines[4], "ok answers=3 algo=multi-round cache=miss rounds=1 load=16 predicted=6",
-        "{lines:?}"
-    );
     assert_eq!(lines.last().map(String::as_str), Some("ok bye"));
 
     let out = mpcskew()

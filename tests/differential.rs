@@ -16,10 +16,10 @@
 use mpc_skew::core::baselines::{FragmentReplicateRouter, HashJoinRouter};
 use mpc_skew::core::engine::{execute_batch, Algorithm, Engine, Plan};
 use mpc_skew::core::hypercube::HyperCube;
-use mpc_skew::core::multi_round::{run_multi_round, MultiRoundResult};
+use mpc_skew::core::multi_round::run_multi_round;
 use mpc_skew::core::skew_general::GeneralSkewAlgorithm;
 use mpc_skew::core::skew_join::SkewJoin;
-use mpc_skew::data::{generators, Database, QueryBudget, Relation, Rng};
+use mpc_skew::data::{generators, Database, Relation, Rng};
 use mpc_skew::query::{named, VarSet};
 use mpc_skew::sim::backend::Backend;
 use mpc_skew::sim::cluster::{BroadcastRouter, Cluster, Router};
@@ -213,9 +213,7 @@ fn multi_round_is_backend_invariant_on_the_matrix() {
         ("all_duplicates", &[(360000, false)]),
     ];
     let p = 8usize;
-    let run = |db: &Database, backend: Backend| -> MultiRoundResult {
-        run_multi_round(db, p, 5, backend, &QueryBudget::unlimited()).expect("no budget is set")
-    };
+    let run = |db: &Database, backend| run_multi_round(db, p, 5, backend);
     for ((name, db), (recorded_name, rounds)) in scenarios().into_iter().zip(recorded) {
         assert_eq!(name, recorded_name);
         let expected = oracle(&db);
@@ -291,10 +289,10 @@ fn parallel_oracle_matches_sequential_on_the_matrix() {
 fn batch_submission_matches_per_round_execution() {
     // execute_batch parallelizes across jobs; its per-job results must
     // equal running each plan alone, whatever executor the batch is on.
-    // Every scenario rides twice: as its auto plan and as a multi-round
-    // plan (batches may mix the two kinds).
+    // Every scenario rides twice: as its auto plan and as a pinned
+    // HyperCube plan (batches may mix algorithms).
     let dbs = scenarios();
-    let plans: Vec<Plan> = [Algorithm::Auto, Algorithm::MultiRound]
+    let plans: Vec<Plan> = [Algorithm::Auto, Algorithm::HyperCube]
         .into_iter()
         .flat_map(|algo| dbs.iter().map(move |(_, db)| (algo, db)))
         .map(|(algo, db)| {

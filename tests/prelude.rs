@@ -43,14 +43,13 @@ fn prelude_covers_skew_and_multi_round() {
     let (c2, _) = alg.run(&db);
     assert_complete(&db, &c2);
 
-    let outcome = Engine::new(&query)
-        .p(8)
-        .seed(2)
-        .algorithm(Algorithm::MultiRound)
-        .run(&db);
-    let mr: &MultiRoundResult = outcome.multi_round().expect("multi-round outcome");
+    let mr: MultiRoundResult =
+        mpc_skew::core::multi_round::run_multi_round(&db, 8, 2, Backend::Sequential);
     assert_eq!(mr.num_rounds(), 1);
-    assert!(outcome.verify(&db).is_complete());
+    assert_eq!(
+        mr.answers,
+        mpc_skew::sim::oracle::join_database_on(&db, Backend::Sequential)
+    );
 }
 
 #[test]

@@ -3,6 +3,7 @@
 
 use mpc_skew::core::engine::{Algorithm, Engine};
 use mpc_skew::core::hypercube::HyperCube;
+use mpc_skew::core::multi_round::run_multi_round;
 use mpc_skew::core::skew_general::GeneralSkewAlgorithm;
 use mpc_skew::core::skew_join::SkewJoin;
 use mpc_skew::core::verify;
@@ -297,8 +298,10 @@ proptest! {
             .map(|a| generators::uniform(a.name(), a.arity(), m, n, &mut rng))
             .collect();
         let db = Database::new(q.clone(), rels, n).unwrap();
-        let outcome = Engine::new(q).p(p).seed(seed).algorithm(Algorithm::MultiRound).run(&db);
-        prop_assert!(outcome.verify(&db).is_complete(),
+        let backend = Backend::from_env();
+        let result = run_multi_round(&db, p, seed, backend);
+        let expected = mpc_skew::sim::oracle::join_database_on(&db, backend);
+        prop_assert!(verify::diff(&expected, &result.answers).is_complete(),
             "{} seed={seed} p={p}: multi-round lost answers", q.name());
     }
 }
