@@ -5,8 +5,9 @@
 #
 #   ./ci.sh              # build + serve smoke + both-backend tests + fmt
 #                        # + lint + docs + API-surface, one-shuffle-kernel,
-#                        # one-share-LP (one model, one solve) and
-#                        # four-algorithm (no baselines in the engine) guards
+#                        # one-share-LP (one model, one solve),
+#                        # four-algorithm (no baselines in the engine) and
+#                        # one-ground-truth/one-freshness-check guards
 #                        # + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
@@ -299,6 +300,34 @@ VARIANTS=$(grep -rnE "Algorithm::(HashJoin|FragmentReplicate|HyperCubeEqual|Mult
 if [ -n "$BASELINES$VARIANTS" ]; then
     echo "a baseline is served by the engine again:" >&2
     printf '%s\n%s\n' "$BASELINES" "$VARIANTS" | sed '/^$/d' >&2
+    exit 1
+fi
+
+# One path per question. Ground truth is one sequential join (no
+# hash-partitioned second oracle), plan freshness is decided once at
+# ingest (APPEND/LOAD drop stale plans; a lookup never re-checks), and the
+# unused hypergraph module stays gone — not even as a name in a comment.
+# The ratchet counts `pub fn`s under crates/*/src whose name appears in no
+# other .rs file; it may fall, never rise past UNCALLED_MAX.
+UNCALLED_MAX=36
+UNCALLED=0
+for entry in $(grep -rno 'pub fn [a-z_0-9]*' crates/*/src --include='*.rs' \
+    | sed 's/^\([^:]*\):[0-9]*:pub fn /\1:/'); do
+    if ! grep -rlw --include='*.rs' -- "${entry##*:}" crates src tests examples mpcbench/src \
+        | grep -qvxF "${entry%%:*}"; then
+        UNCALLED=$((UNCALLED + 1))
+    fi
+done
+stage "one ground truth, one freshness check (pub fn named nowhere else: $UNCALLED, max $UNCALLED_MAX)"
+SECOND_PATHS=$(grep -rn "partition_join\|PartitionedJoin\|BUCKETS_PER_WORKER\|CacheStatus::Invalidated\|mod hypergraph" \
+    crates src tests examples || true)
+if [ -n "$SECOND_PATHS" ]; then
+    echo "a deleted second ground truth, lookup-time invalidation or the hypergraph module is back:" >&2
+    echo "$SECOND_PATHS" >&2
+    exit 1
+fi
+if [ "$UNCALLED" -gt "$UNCALLED_MAX" ]; then
+    echo "$UNCALLED pub fns are named in no other .rs file (max $UNCALLED_MAX): delete them or use them" >&2
     exit 1
 fi
 

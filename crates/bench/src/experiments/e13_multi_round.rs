@@ -63,11 +63,10 @@ pub fn run() {
             assert!(hc.verify(&db).is_complete(), "{label}: HC lost answers");
         }
 
-        let backend = Backend::from_env();
-        let mr = run_multi_round(&db, p, 5, backend);
+        let mr = run_multi_round(&db, p, 5, Backend::from_env());
         if n > 1 << 8 {
             assert!(
-                mr.answers == mpc_sim::oracle::join_database_on(&db, backend),
+                mr.answers == mpc_sim::oracle::join_database(&db),
                 "{label}: multi-round lost answers"
             );
         }

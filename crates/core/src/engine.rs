@@ -628,9 +628,9 @@ impl RunOutcome {
     }
 
     /// Verify the answers against the sequential ground truth of `db`
-    /// (computed on the cluster's own backend).
+    /// ([`mpc_sim::oracle::join_database`]).
     pub fn verify(&self, db: &Database) -> Verification {
-        let expected = mpc_sim::oracle::join_database_on(db, self.cluster.backend());
+        let expected = mpc_sim::oracle::join_database(db);
         verify::diff(&expected, self.answers())
     }
 }

@@ -221,7 +221,7 @@ mod tests {
     }
 
     fn is_complete(db: &Database, result: &MultiRoundResult) -> bool {
-        mpc_sim::oracle::join_database_on(db, Backend::from_env()) == result.answers
+        mpc_sim::oracle::join_database(db) == result.answers
     }
 
     fn uniform_db(q: &Query, m: usize, n: u64, seed: u64) -> Database {

@@ -9,19 +9,22 @@
 //!
 //! 1. canonicalize the query ([`Query::canonical`]) and look its
 //!    [`PlanKey`] up in the plan cache;
-//! 2. compare the entry's stored statistics fingerprint with the current
-//!    one (heavy-hitter membership over [`planning_projections`] plus
-//!    power-of-two cardinality buckets — read off the sketches, no scan);
-//! 3. on a hit, skip `Engine` planning entirely and execute the cached
-//!    [`Plan`] against a `Database` assembled from `Arc` clones (no tuple
-//!    copies, no validation rescans);
-//! 4. on a miss, plan once from the maintained statistics and cache the
-//!    result.
+//! 2. APPEND/LOAD drop exactly the stale plans; a key found is a hit;
+//! 3. on a hit, skip fingerprinting and `Engine` planning entirely and
+//!    execute the cached [`Plan`] against a `Database` assembled from
+//!    `Arc` clones (no tuple copies, no validation rescans);
+//! 4. on a miss, fingerprint the statistics (heavy-hitter membership over
+//!    [`planning_projections`] plus power-of-two cardinality buckets —
+//!    read off the sketches, no scan), plan once from them, and cache the
+//!    plan with its fingerprint.
 //!
-//! [`Service::append`] folds new tuples into the relation and its
-//! sketch in place (`O(appended × tracked projections)`) and
-//! re-fingerprints only the cached plans whose query references the
-//! appended relation, dropping exactly the stale ones.
+//! The planner reads nothing but those statistics, and only ingest changes
+//! them, so staleness is decided once, where they change.
+//! [`Service::append`] folds new tuples into the relation and its sketch
+//! in place (`O(appended × tracked projections)`) and re-fingerprints only
+//! the cached plans whose query references the appended relation,
+//! dropping exactly the stale ones; [`Service::load`] replacing a relation
+//! drops every plan that references it.
 //!
 //! Why a stale-but-membership-equal plan is safe: every algorithm in the
 //! menu computes the same answer set on any database (that is what
@@ -234,11 +237,9 @@ fn execute_contained(
 pub enum CacheStatus {
     /// Cached plan reused; `Engine` planning was skipped entirely.
     Hit,
-    /// No entry for this key yet; planned and cached.
+    /// No entry for this key (never planned, evicted, or dropped by an
+    /// ingest that changed its statistics); planned and cached.
     Miss,
-    /// An entry existed but its statistics fingerprint was stale;
-    /// replanned and recached.
-    Invalidated,
 }
 
 impl CacheStatus {
@@ -247,7 +248,6 @@ impl CacheStatus {
         match self {
             CacheStatus::Hit => "hit",
             CacheStatus::Miss => "miss",
-            CacheStatus::Invalidated => "invalidated",
         }
     }
 }
@@ -800,9 +800,9 @@ impl Service {
         })
     }
 
-    /// Canonicalize, fingerprint, and serve a plan from the cache —
-    /// planning through the [`Engine`] only on miss/stale — plus the
-    /// zero-copy `Database` to run it on.
+    /// Canonicalize and serve a plan from the cache — fingerprinting and
+    /// planning through the [`Engine`] only on a miss — plus the zero-copy
+    /// `Database` to run it on.
     fn resolve_plan(
         &mut self,
         spec: &QuerySpec,
@@ -827,7 +827,6 @@ impl Service {
         // the aggregate spec applies to the canonical query unchanged.
         let canonical = spec.query.canonical();
         let atom_entries = self.resolve_atoms(&canonical)?;
-        let fingerprint = self.fingerprint_for(&canonical, &atom_entries, p);
         let key = PlanKey {
             shape: canonical.shape(),
             p,
@@ -841,52 +840,40 @@ impl Service {
             .collect();
         let db = Database::from_shared(canonical.clone(), rels, self.domain)
             .expect("atoms resolved against the catalog");
-        let cache = match self.plans.get(&key) {
-            Some(entry) if entry.fingerprint == fingerprint => CacheStatus::Hit,
-            Some(_) => CacheStatus::Invalidated,
-            None => CacheStatus::Miss,
-        };
-        let plan = match cache {
-            CacheStatus::Hit => {
-                self.counters.hits += 1;
-                self.tick += 1;
-                let entry = self.plans.get_mut(&key).expect("hit entry exists");
-                entry.last_used = self.tick;
-                entry.plan.clone()
-            }
-            CacheStatus::Miss | CacheStatus::Invalidated => {
-                let view = self.stats_view(&atom_entries, &db);
-                let mut engine = Engine::new(&canonical)
-                    .p(p)
-                    .seed(seed)
-                    .algorithm(spec.algorithm);
-                if let Some(agg) = &spec.aggregate {
-                    engine = engine.aggregate(agg.clone());
-                }
-                // Planning runs inside the containment boundary like
-                // execution: a planner panic is this query's `err internal`,
-                // and nothing is counted or cached for it.
-                let plan = Arc::new(run_contained(|| Ok(engine.stats(&view).plan(&db)))?);
-                if cache == CacheStatus::Invalidated {
-                    self.counters.invalidations += 1;
-                } else {
-                    self.counters.misses += 1;
-                }
-                self.tick += 1;
-                self.plans.insert(
-                    key,
-                    CacheEntry {
-                        plan: plan.clone(),
-                        query: canonical,
-                        fingerprint,
-                        last_used: self.tick,
-                    },
-                );
-                self.evict_lru_overflow();
-                plan
-            }
-        };
-        Ok((plan, db, cache))
+        // APPEND and LOAD drop every plan their statistics change made
+        // stale, so an entry that is still here is fresh.
+        if let Some(entry) = self.plans.get_mut(&key) {
+            self.counters.hits += 1;
+            self.tick += 1;
+            entry.last_used = self.tick;
+            return Ok((entry.plan.clone(), db, CacheStatus::Hit));
+        }
+        let fingerprint = self.fingerprint_for(&canonical, &atom_entries, p);
+        let view = self.stats_view(&atom_entries, &db);
+        let mut engine = Engine::new(&canonical)
+            .p(p)
+            .seed(seed)
+            .algorithm(spec.algorithm);
+        if let Some(agg) = &spec.aggregate {
+            engine = engine.aggregate(agg.clone());
+        }
+        // Planning runs inside the containment boundary like execution: a
+        // planner panic is this query's `err internal`, and nothing is
+        // counted or cached for it.
+        let plan = Arc::new(run_contained(|| Ok(engine.stats(&view).plan(&db)))?);
+        self.counters.misses += 1;
+        self.tick += 1;
+        self.plans.insert(
+            key,
+            CacheEntry {
+                plan: plan.clone(),
+                query: canonical,
+                fingerprint,
+                last_used: self.tick,
+            },
+        );
+        self.evict_lru_overflow();
+        Ok((plan, db, CacheStatus::Miss))
     }
 
     /// Map each atom of `q` to its catalog entry, validating presence and
@@ -1331,6 +1318,79 @@ mod tests {
                 two_scans,
                 "check's + the view's"
             );
+        }
+    }
+
+    mpc_testkit::proptest! {
+        #![proptest_config(mpc_testkit::ProptestConfig::with_cases(24))]
+
+        /// The freshness invariant a cache hit relies on: after every LOAD
+        /// (new or replacing), APPEND and QUERY, each cached entry's stored
+        /// fingerprint equals the one recomputed from the statistics of
+        /// that moment — so a lookup that finds its key never needs to
+        /// fingerprint. Ops are `(kind, relation, aux, value)`: kind 0
+        /// queries shape `relation` at `p = 4 << 2·aux`; 1 appends two light
+        /// tuples; 2 appends enough copies of `value` in column `aux` to push
+        /// it past `m_j / p` at both `p`; 3 appends light tuples until the
+        /// cardinality crosses a power of two; 4 (re)loads the relation.
+        /// Kinds 2 and 3 append light tuples once a relation passes 1 024
+        /// rows, which keeps every case small.
+        #[test]
+        fn cached_fingerprints_track_every_ingest(
+            ops in mpc_testkit::collection::vec((0usize..5, 0usize..4, 0usize..2, 0u64..256), 1..16),
+            seed in 0u64..1_000,
+        ) {
+            const NAMES: [&str; 4] = ["S1", "S2", "S3", "S4"];
+            let shapes = [
+                "S1(x,z), S2(y,z)",
+                "S2(x,y), S3(y,z)",
+                "S1(x,y), S2(y,z), S3(z,x)",
+                "S3(x,z), S4(y,z)",
+            ]
+            .map(|text| parse_query(text).unwrap());
+            let n = 256u64;
+            let light = |rng: &mut Rng, rows: usize| -> Vec<u64> {
+                (0..2 * rows).map(|_| rng.below(n)).collect()
+            };
+            for mode in [StatsMode::Exact, StatsMode::Sketch] {
+                let mut rng = Rng::seed_from_u64(seed);
+                let mut svc = Service::new(n)
+                    .with_backend(Backend::Sequential)
+                    .with_defaults(4, 1)
+                    .with_stats_mode(mode);
+                for name in &NAMES[..3] {
+                    svc.load(generators::uniform(name, 2, 48, n, &mut rng)).unwrap();
+                }
+                for &(kind, r, aux, value) in &ops {
+                    let name = NAMES[r];
+                    let len = svc.relation(name).map_or(0, Relation::len);
+                    // Ingest into a relation that was never loaded (S4
+                    // before its first LOAD) errs and changes nothing.
+                    let _ = match kind {
+                        0 => svc
+                            .query_spec(&QuerySpec::new(shapes[r].clone()).p(4 << (2 * aux)))
+                            .map(|_| 0),
+                        2 if len <= 1024 => {
+                            let mut rows = light(&mut rng, len / 2 + 1);
+                            rows.iter_mut().skip(aux).step_by(2).for_each(|v| *v = value);
+                            svc.append(name, &rows)
+                        }
+                        3 if len <= 1024 => {
+                            let rows = light(&mut rng, len.next_power_of_two() + 1 - len);
+                            svc.append(name, &rows)
+                        }
+                        1..=3 => svc.append(name, &light(&mut rng, 2)),
+                        _ => svc.load(generators::uniform(name, 2, 16 + value as usize, n, &mut rng)),
+                    };
+                    let keys: Vec<PlanKey> = svc.plans.keys().cloned().collect();
+                    for key in keys {
+                        let query = svc.plans[&key].query.clone();
+                        let atoms = svc.resolve_atoms(&query).unwrap();
+                        let now = svc.fingerprint_for(&query, &atoms, key.p);
+                        mpc_testkit::prop_assert_eq!(svc.plans[&key].fingerprint, now, "{mode} after op {kind} on {name}");
+                    }
+                }
+            }
         }
     }
 

@@ -38,14 +38,10 @@ impl Verification {
     }
 }
 
-/// Compare a cluster's unioned answers against the sequential join of `db`.
-///
-/// The ground truth runs through [`mpc_sim::oracle::join_database_on`] on
-/// the cluster's own backend — hash-partitioned and parallel when the
-/// cluster is parallel, and bit-identical to the sequential join either
-/// way — so stress verification no longer serializes on the oracle.
+/// Compare a cluster's unioned answers against the sequential join of `db`
+/// ([`mpc_sim::oracle::join_database`]).
 pub fn verify(db: &Database, cluster: &Cluster) -> Verification {
-    let expected = oracle::join_database_on(db, cluster.backend());
+    let expected = oracle::join_database(db);
     // The per-server local joins run on the cluster's own backend.
     let got = cluster.all_answers(db.query());
     diff(&expected, &got)

@@ -8,7 +8,8 @@
 //! LOAD <rel> <arity> [<v>,<v>,..;<v>,..]   register/replace a relation
 //! APPEND <rel> <v>,<v>,..;..               incremental ingest
 //! QUERY <body> [p=N] [seed=N] [algo=NAME] [timeout=MS] [limit=N] [rows]
-//! SET [timeout_ms=N] [max_rows=N] [max_groups=N]   session-wide defaults
+//! SET [timeout_ms=N] [max_rows=N] [max_groups=N]   service-wide defaults
+//!                                          (shared by every session on a TCP front)
 //! BATCH / RUN                              queue QUERYs, run multiplexed
 //! STATS                                    counters + catalog, then `end`
 //! SHUTDOWN                                 `ok bye`, session done

@@ -7,9 +7,8 @@
 //! answers are verified against.
 //!
 //! There is one entry point, the [`Join`] builder: `Join::new(query,
-//! &relations)` (or `Join::of(&database)`, or one bucket of a
-//! [`partition_join`] via [`PartitionedJoin::bucket`]), optionally
-//! `.order(..)` and `.budget(..)`, then one of three sinks —
+//! &relations)` (or `Join::of(&database)`), optionally `.order(..)` and
+//! `.budget(..)`, then one of three sinks —
 //! [`Join::for_each`] (every distinct binding with its multiplicity; the
 //! evaluator the other two are written on), [`Join::count`], or
 //! [`Join::answers`]. An evaluation without a budget *is* the budgeted
@@ -696,6 +695,64 @@ fn cached_index<'x, 'a>(atom: &'x DynAtom<'a>, mask: u64) -> &'x JoinIndex<'a> {
         .1
 }
 
+/// The atom's materialized candidate rows: its `Inline` survivors or its
+/// `Range` of the cached index's row-id arena.
+fn candidate_rows<'x>(atom: &'x DynAtom<'_>, state: &'x AtomState) -> &'x [u32] {
+    match &state.rows {
+        Candidates::Inline(rows) => &rows[..state.count as usize],
+        Candidates::Range(lo, hi) => {
+            &cached_index(atom, state.mask).row_ids[*lo as usize..*hi as usize]
+        }
+        Candidates::All | Candidates::Unknown => unreachable!("candidate rows are materialized"),
+    }
+}
+
+/// Enumerate an unbound driver's values through its per-value index on
+/// `mask`: `f(value, lo, hi)` once per group, with the group's row range.
+/// Groups whose rows disagree on a repeated variable's positions can never
+/// match and are skipped whole (all rows of a group share the key
+/// projection).
+fn for_each_group(
+    atom: &mut DynAtom<'_>,
+    mask: u64,
+    first: usize,
+    mut f: impl FnMut(u64, u32, u32),
+) {
+    let multi = mask.count_ones() > 1;
+    let i = ensure_index_pos(atom, mask);
+    let idx = &atom.indexes[i].1;
+    for g in 0..idx.num_groups() {
+        let (lo, hi) = (idx.offsets[g], idx.offsets[g + 1]);
+        let rep = atom.rel.row(idx.row_ids[lo as usize] as usize);
+        if multi && !positions_agree(rep, mask, first) {
+            continue;
+        }
+        f(rep[first], lo, hi);
+    }
+}
+
+/// Call `f` with the value at position `first` of each of `rows` that
+/// agrees on every position in `mask` (a repeated variable's positions),
+/// in row order.
+fn for_each_value(rel: &Relation, rows: &[u32], mask: u64, first: usize, mut f: impl FnMut(u64)) {
+    let multi = mask.count_ones() > 1;
+    for &row_id in rows {
+        let row = rel.row(row_id as usize);
+        if !multi || positions_agree(row, mask, first) {
+            f(row[first]);
+        }
+    }
+}
+
+/// Sort `vals`, then call `f(value, occurrences)` once per distinct value,
+/// ascending.
+fn for_each_run(vals: &mut [u64], mut f: impl FnMut(u64, u64)) {
+    vals.sort_unstable();
+    for run in vals.chunk_by(|a, b| a == b) {
+        f(run[0], run.len() as u64);
+    }
+}
+
 /// Filter `rows` down to those matching the binding on `add_mask`,
 /// collecting survivors inline. Returns the survivor count (≤ input count
 /// ≤ [`SCAN_THRESHOLD`]).
@@ -730,47 +787,25 @@ fn narrow(
     key: &mut Vec<u64>,
 ) -> bool {
     let newmask = state.mask | add_mask;
-    if state.count as usize <= SCAN_THRESHOLD {
+    // Rows not materialized (`Unknown`) fall through to the index probe.
+    if state.count as usize <= SCAN_THRESHOLD && !matches!(state.rows, Candidates::Unknown) {
         let mut inline = [0u32; SCAN_THRESHOLD];
+        let (rel, vars) = (atom.rel, atom.vars);
         let cnt = match state.rows {
-            Candidates::All => filter_into(
-                atom.rel,
-                atom.vars,
-                add_mask,
-                binding,
-                0..state.count,
-                &mut inline,
-            ),
-            Candidates::Range(lo, hi) => {
-                let idx = cached_index(atom, state.mask);
-                filter_into(
-                    atom.rel,
-                    atom.vars,
-                    add_mask,
-                    binding,
-                    idx.row_ids[lo as usize..hi as usize].iter().copied(),
-                    &mut inline,
-                )
+            Candidates::All => {
+                filter_into(rel, vars, add_mask, binding, 0..state.count, &mut inline)
             }
-            Candidates::Inline(rows) => filter_into(
-                atom.rel,
-                atom.vars,
-                add_mask,
-                binding,
-                rows[..state.count as usize].iter().copied(),
-                &mut inline,
-            ),
-            // Rows not materialized: fall through to the index probe.
-            Candidates::Unknown => u32::MAX,
+            _ => {
+                let rows = candidate_rows(atom, state).iter().copied();
+                filter_into(rel, vars, add_mask, binding, rows, &mut inline)
+            }
         };
-        if cnt != u32::MAX {
-            *state = AtomState {
-                mask: newmask,
-                count: cnt,
-                rows: Candidates::Inline(inline),
-            };
-            return cnt > 0;
-        }
+        *state = AtomState {
+            mask: newmask,
+            count: cnt,
+            rows: Candidates::Inline(inline),
+        };
+        return cnt > 0;
     }
     build_key(key, newmask, atom.vars, binding);
     let i = ensure_index_pos(atom, newmask);
@@ -882,92 +917,38 @@ fn dyn_descend<'a>(
     // --- enumerate the driver's distinct v-values with multiplicities ---
     let grouped = states[d].mask == 0;
     if grouped {
-        // Unbound driver: group-enumerate its per-value index. Each group
-        // is one distinct value with its row range; groups whose rows
-        // disagree on repeated v-positions can never match and are skipped
-        // whole (all rows of a group share the key projection).
-        let multi = dmask.count_ones() > 1;
-        let i = ensure_index_pos(&mut atoms[d], dmask);
-        let idx = &atoms[d].indexes[i].1;
-        let rel = atoms[d].rel;
-        for g in 0..idx.num_groups() {
-            let (lo, hi) = (idx.offsets[g], idx.offsets[g + 1]);
-            let rep = rel.row(idx.row_ids[lo as usize] as usize);
-            if multi && !positions_agree(rep, dmask, dfirst) {
-                continue;
-            }
+        // Unbound driver: one value per group of its per-value index.
+        for_each_group(&mut atoms[d], dmask, dfirst, |val, lo, hi| {
             cur.vals.push(ValEntry {
-                val: rep[dfirst],
+                val,
                 count: hi - lo,
                 lo,
                 hi,
-            });
-        }
+            })
+        });
     } else {
         // Bound driver: its candidate rows are already narrowed — collect
         // the distinct values at v's positions, counting occurrences
         // (which become the driver's per-value candidate count).
-        let multi = dmask.count_ones() > 1;
         materialize_unknown(&mut atoms[d], &mut states[d], binding, &mut cur.key);
-        let rel = atoms[d].rel;
-        let inline_store;
-        let row_slice: &[u32] = match states[d].rows {
-            Candidates::Inline(rows) => {
-                inline_store = rows;
-                &inline_store[..states[d].count as usize]
-            }
-            Candidates::Range(lo, hi) => {
-                &cached_index(&atoms[d], states[d].mask).row_ids[lo as usize..hi as usize]
-            }
-            Candidates::All | Candidates::Unknown => {
-                unreachable!("bound driver has materialized rows")
-            }
+        let rows = candidate_rows(&atoms[d], &states[d]);
+        let new_val = |val, count| ValEntry {
+            val,
+            count,
+            lo: 0,
+            hi: 0,
         };
-        if row_slice.len() <= LINEAR_DEDUP_MAX {
-            'rows: for &row_id in row_slice {
-                let row = rel.row(row_id as usize);
-                if multi && !positions_agree(row, dmask, dfirst) {
-                    continue;
+        if rows.len() <= LINEAR_DEDUP_MAX {
+            for_each_value(atoms[d].rel, rows, dmask, dfirst, |val| {
+                match cur.vals.iter_mut().find(|e| e.val == val) {
+                    Some(e) => e.count += 1,
+                    None => cur.vals.push(new_val(val, 1)),
                 }
-                let val = row[dfirst];
-                for e in cur.vals.iter_mut() {
-                    if e.val == val {
-                        e.count += 1;
-                        continue 'rows;
-                    }
-                }
-                cur.vals.push(ValEntry {
-                    val,
-                    count: 1,
-                    lo: 0,
-                    hi: 0,
-                });
-            }
+            });
         } else {
             cur.raw.clear();
-            for &row_id in row_slice {
-                let row = rel.row(row_id as usize);
-                if multi && !positions_agree(row, dmask, dfirst) {
-                    continue;
-                }
-                cur.raw.push(row[dfirst]);
-            }
-            cur.raw.sort_unstable();
-            let mut i = 0;
-            while i < cur.raw.len() {
-                let val = cur.raw[i];
-                let mut j = i + 1;
-                while j < cur.raw.len() && cur.raw[j] == val {
-                    j += 1;
-                }
-                cur.vals.push(ValEntry {
-                    val,
-                    count: (j - i) as u32,
-                    lo: 0,
-                    hi: 0,
-                });
-                i = j;
-            }
+            for_each_value(atoms[d].rel, rows, dmask, dfirst, |val| cur.raw.push(val));
+            for_each_run(&mut cur.raw, |val, n| cur.vals.push(new_val(val, n as u32)));
         }
     }
 
@@ -1064,58 +1045,17 @@ fn dyn_leaf<'a>(
     // --- driver: collect its distinct v-values with multiplicities, ---
     // --- sorted by value, into `cur.merged`.                        ---
     cur.merged.clear();
-    let multi = dmask.count_ones() > 1;
     if states[d].mask == 0 {
-        // Unbound driver: its per-value index already groups rows by
-        // value; groups disagreeing on repeated v-positions are skipped
-        // whole (all rows of a group share the key projection).
-        let i = ensure_index_pos(&mut atoms[d], dmask);
-        let idx = &atoms[d].indexes[i].1;
-        let rel = atoms[d].rel;
-        for g in 0..idx.num_groups() {
-            let (lo, hi) = (idx.offsets[g], idx.offsets[g + 1]);
-            let rep = rel.row(idx.row_ids[lo as usize] as usize);
-            if multi && !positions_agree(rep, dmask, dfirst) {
-                continue;
-            }
-            cur.merged.push((rep[dfirst], (hi - lo) as u64));
-        }
+        for_each_group(&mut atoms[d], dmask, dfirst, |val, lo, hi| {
+            cur.merged.push((val, (hi - lo) as u64))
+        });
         cur.merged.sort_unstable_by_key(|&(val, _)| val);
     } else {
         materialize_unknown(&mut atoms[d], &mut states[d], binding, &mut cur.key);
-        let rel = atoms[d].rel;
+        let rows = candidate_rows(&atoms[d], &states[d]);
         cur.raw.clear();
-        let inline_store;
-        let row_slice: &[u32] = match states[d].rows {
-            Candidates::Inline(rows) => {
-                inline_store = rows;
-                &inline_store[..states[d].count as usize]
-            }
-            Candidates::Range(lo, hi) => {
-                &cached_index(&atoms[d], states[d].mask).row_ids[lo as usize..hi as usize]
-            }
-            Candidates::All | Candidates::Unknown => {
-                unreachable!("bound driver has materialized rows")
-            }
-        };
-        for &row_id in row_slice {
-            let row = rel.row(row_id as usize);
-            if multi && !positions_agree(row, dmask, dfirst) {
-                continue;
-            }
-            cur.raw.push(row[dfirst]);
-        }
-        cur.raw.sort_unstable();
-        let mut i = 0;
-        while i < cur.raw.len() {
-            let val = cur.raw[i];
-            let mut j = i + 1;
-            while j < cur.raw.len() && cur.raw[j] == val {
-                j += 1;
-            }
-            cur.merged.push((val, (j - i) as u64));
-            i = j;
-        }
+        for_each_value(atoms[d].rel, rows, dmask, dfirst, |val| cur.raw.push(val));
+        for_each_run(&mut cur.raw, |val, n| cur.merged.push((val, n)));
     }
     probe.bump_by(cur.merged.len() as u64);
 
@@ -1124,7 +1064,6 @@ fn dyn_leaf<'a>(
         if a == d || cur.merged.is_empty() {
             continue;
         }
-        let multi = pos_mask.count_ones() > 1;
         // Scan-and-merge when the candidate set is comparable in size to
         // the surviving value list (the driver is the min-bound
         // occurrence, so candidates ≥ survivors); probe the per-value
@@ -1134,51 +1073,24 @@ fn dyn_leaf<'a>(
             && (states[a].count as usize) <= 4 * cur.merged.len().max(SCAN_THRESHOLD);
         if scan {
             materialize_unknown(&mut atoms[a], &mut states[a], binding, &mut cur.key);
-            let rel = atoms[a].rel;
+            let rows = candidate_rows(&atoms[a], &states[a]);
             cur.raw.clear();
-            {
-                let inline_store;
-                let row_slice: &[u32] = match states[a].rows {
-                    Candidates::Inline(rows) => {
-                        inline_store = rows;
-                        &inline_store[..states[a].count as usize]
-                    }
-                    Candidates::Range(lo, hi) => {
-                        &cached_index(&atoms[a], states[a].mask).row_ids[lo as usize..hi as usize]
-                    }
-                    Candidates::All | Candidates::Unknown => {
-                        unreachable!("the scan path materialized the rows")
-                    }
-                };
-                for &row_id in row_slice {
-                    let row = rel.row(row_id as usize);
-                    if multi && !positions_agree(row, pos_mask, first) {
-                        continue;
-                    }
-                    cur.raw.push(row[first]);
+            for_each_value(atoms[a].rel, rows, pos_mask, first, |val| cur.raw.push(val));
+            // Merge-intersect the sorted runs with the sorted survivors,
+            // folding each matching run's length into the survivor's
+            // multiplicity product.
+            let merged = &mut cur.merged;
+            let (mut w, mut i) = (0usize, 0usize);
+            for_each_run(&mut cur.raw, |val, n| {
+                while i < merged.len() && merged[i].0 < val {
+                    i += 1;
                 }
-            }
-            cur.raw.sort_unstable();
-            // Two-pointer intersect: fold each matching run's length into
-            // the survivor's multiplicity product.
-            let (mut w, mut i, mut j) = (0usize, 0usize, 0usize);
-            while i < cur.merged.len() && j < cur.raw.len() {
-                let (val, prod) = cur.merged[i];
-                match cur.raw[j].cmp(&val) {
-                    std::cmp::Ordering::Less => j += 1,
-                    std::cmp::Ordering::Greater => i += 1,
-                    std::cmp::Ordering::Equal => {
-                        let mut c = 0u64;
-                        while j < cur.raw.len() && cur.raw[j] == val {
-                            c += 1;
-                            j += 1;
-                        }
-                        cur.merged[w] = (val, prod * c);
-                        w += 1;
-                        i += 1;
-                    }
+                if i < merged.len() && merged[i].0 == val {
+                    merged[w] = (val, merged[i].1 * n);
+                    w += 1;
+                    i += 1;
                 }
-            }
+            });
             cur.merged.truncate(w);
         } else {
             let newmask = states[a].mask | pos_mask;
@@ -1521,107 +1433,12 @@ impl<'a> Join<'a> {
     }
 }
 
-/// A hash-partitioned decomposition of a join into independent sub-joins.
-///
-/// The sequential oracle join is the slowest piece of stress verification;
-/// this splits it into `buckets` sub-joins that can run on any executor
-/// (each bucket is self-contained). A partition variable `v` is chosen to
-/// appear in as many atoms as possible; every row of an atom containing `v`
-/// goes to the bucket hashing its `v`-value, and rows of atoms without `v`
-/// are replicated to all buckets. Any answer binds `v` to a single value
-/// `c`, and all rows of `v`-atoms deriving it live only in `hash(c)`'s
-/// bucket — so the concatenation of all bucket outputs equals the full join
-/// as a multiset, with no cross-bucket duplicates.
-pub struct PartitionedJoin<'a> {
-    query: &'a Query,
-    /// `relations[bucket][atom]`.
-    relations: Vec<Vec<Relation>>,
-}
-
-/// Partitioning hash salt (fixed: the decomposition is deterministic).
-const PARTITION_SALT: u64 = 0x9a3c_51f2_0b6d_e771;
-
-/// Decompose `query` over `relations` into `buckets` independent sub-joins
-/// (see [`PartitionedJoin`]). `buckets` is clamped to at least 1; if the
-/// query has no variables the whole join lands in a single bucket.
-pub fn partition_join<'a>(
-    query: &'a Query,
-    relations: &[&Relation],
-    buckets: usize,
-) -> PartitionedJoin<'a> {
-    assert_eq!(relations.len(), query.num_atoms());
-    let buckets = buckets.max(1);
-    // The variable in the most atoms minimizes replication (ties: lowest
-    // variable index, so the decomposition is deterministic).
-    let key_var =
-        (0..query.num_vars()).max_by_key(|&v| (query.atoms_with_var(v).count(), usize::MAX - v));
-    let buckets = match key_var {
-        Some(v) if query.atoms_with_var(v).count() > 0 => buckets,
-        _ => 1,
-    };
-    let mut parts: Vec<Vec<Relation>> = (0..buckets)
-        .map(|_| {
-            query
-                .atoms()
-                .iter()
-                .map(|a| Relation::new(a.name(), a.arity()))
-                .collect()
-        })
-        .collect();
-    for (j, rel) in relations.iter().enumerate() {
-        let key_pos = key_var.and_then(|v| query.atom(j).position_of_var(v));
-        match key_pos {
-            Some(pos) if buckets > 1 => {
-                for row in rel.rows() {
-                    let b = (crate::mix64(row[pos], PARTITION_SALT) % buckets as u64) as usize;
-                    parts[b][j].push(row);
-                }
-            }
-            _ => {
-                for part in parts.iter_mut() {
-                    for row in rel.rows() {
-                        part[j].push(row);
-                    }
-                }
-            }
-        }
-    }
-    PartitionedJoin {
-        query,
-        relations: parts,
-    }
-}
-
-impl PartitionedJoin<'_> {
-    /// Number of independent sub-joins.
-    pub fn num_buckets(&self) -> usize {
-        self.relations.len()
-    }
-
-    /// One bucket's sub-join.
-    pub fn bucket(&self, bucket: usize) -> Join<'_> {
-        Join::over(
-            self.query,
-            Cow::Owned(self.relations[bucket].iter().collect()),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
     use crate::rng::Rng;
     use mpc_query::named;
-
-    /// Concatenate every bucket's answers (multiset).
-    fn mpc_data_answers_concat(parts: &PartitionedJoin<'_>) -> AnswerSet {
-        let mut out = parts.bucket(0).answers().unwrap();
-        for b in 1..parts.num_buckets() {
-            out.append(parts.bucket(b).answers().unwrap());
-        }
-        out
-    }
 
     fn count(q: &Query, rels: &[&Relation], order: JoinOrder) -> u64 {
         Join::new(q, rels).order(order).count().unwrap()
@@ -1901,90 +1718,6 @@ mod tests {
         // The guard itself is exercised directly: materializing a 4-billion
         // row relation in a test is not practical.
         assert_indexable("R", u32::MAX as usize);
-    }
-
-    #[test]
-    fn partitioned_join_is_exact_across_queries_and_bucket_counts() {
-        // The concatenated bucket outputs must equal the sequential join as
-        // a multiset (here compared sorted, duplicates preserved) for every
-        // query shape, including the no-shared-variable cartesian where all
-        // atoms but the key atom are replicated.
-        let cases: Vec<(Query, usize, u64)> = vec![
-            (named::two_way_join(), 400, 128),
-            (named::cycle(3), 300, 32),
-            (named::chain(3), 300, 64),
-            (named::star(2), 300, 64),
-            (named::cartesian(2), 40, 256),
-        ];
-        for (q, m, n) in cases {
-            let mut rng = Rng::seed_from_u64(0xACE5);
-            let rels: Vec<Relation> = q
-                .atoms()
-                .iter()
-                .map(|a| generators::uniform(a.name(), a.arity(), m, n, &mut rng))
-                .collect();
-            let refs: Vec<&Relation> = rels.iter().collect();
-            let mut expected = answers(&q, &refs, JoinOrder::Dynamic);
-            expected.sort();
-            for buckets in [1usize, 2, 7, 16] {
-                let parts = partition_join(&q, &refs, buckets);
-                assert_eq!(parts.num_buckets(), buckets.max(1), "{}", q.name());
-                let mut got = mpc_data_answers_concat(&parts);
-                got.sort();
-                assert_eq!(got, expected, "{} with {buckets} buckets", q.name());
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_join_handles_skew_and_duplicates() {
-        // A single heavy value lands in one bucket; duplicate rows keep
-        // their multiplicity.
-        let q = named::two_way_join();
-        let mut s1 = Relation::new("S1", 2);
-        let mut s2 = Relation::new("S2", 2);
-        for i in 0..200u64 {
-            s1.push(&[i, 7]); // all of S1 shares z = 7
-            s2.push(&[i % 3, 7]);
-        }
-        let refs = [&s1, &s2];
-        let mut expected = answers(&q, &refs, JoinOrder::Dynamic);
-        expected.sort();
-        let parts = partition_join(&q, &refs, 8);
-        let mut got = mpc_data_answers_concat(&parts);
-        got.sort();
-        assert_eq!(got, expected);
-        assert_eq!(got.len(), 200 * 200);
-        // Exactly one bucket is non-empty: z = 7 hashes to a single bucket.
-        let busy = (0..8)
-            .filter(|&b| parts.bucket(b).count().unwrap() > 0)
-            .count();
-        assert_eq!(busy, 1);
-    }
-
-    #[test]
-    fn bucket_mult_foreach_matches_expanded_answers() {
-        // The multiplicity-aware bucket walk must expand to exactly the
-        // per-row walk, on both engines.
-        let q = named::two_way_join();
-        let mut rng = Rng::seed_from_u64(0xBEEF);
-        let s1 = generators::uniform("S1", 2, 300, 16, &mut rng);
-        let s2 = generators::uniform("S2", 2, 300, 16, &mut rng);
-        let parts = partition_join(&q, &[&s1, &s2], 4);
-        for order in [JoinOrder::Dynamic, JoinOrder::Fixed] {
-            for b in 0..parts.num_buckets() {
-                let mut via_mult = AnswerSet::new(q.num_vars());
-                parts
-                    .bucket(b)
-                    .order(order)
-                    .for_each(|row, mult| via_mult.push_repeat(row, mult))
-                    .unwrap();
-                let mut expected = parts.bucket(b).answers().unwrap();
-                via_mult.sort();
-                expected.sort();
-                assert_eq!(via_mult, expected, "{order:?} bucket {b}");
-            }
-        }
     }
 
     #[test]

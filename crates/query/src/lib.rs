@@ -8,7 +8,6 @@
 //! * [`aggregate::AggregateSpec`] — optional aggregate heads (group-by +
 //!   COUNT/SUM/MIN/MAX/COUNT DISTINCT) over a query's bindings;
 //! * [`varset::VarSet`] — compact variable sets (`x` in `q_x`);
-//! * [`hypergraph`] — matchings, degrees, connected components;
 //! * [`packing`] — fractional edge packings and the exact vertex set
 //!   `pk(q)` of the packing polytope;
 //! * [`cover`] — fractional edge covers, `ρ*`, `τ*`, the AGM bound, and LP
@@ -20,7 +19,6 @@
 
 pub mod aggregate;
 pub mod cover;
-pub mod hypergraph;
 pub mod named;
 pub mod packing;
 pub mod parser;

@@ -12,9 +12,8 @@
 //!   local joins, with bit-identical results whatever the thread count;
 //! * [`pool::WorkerPool`] — the persistent worker pool behind
 //!   `Backend::Pooled`, reused across rounds, queries, and batches;
-//! * [`oracle`] — the parallel ground-truth join (hash-partitioned
-//!   sub-joins on the backend chunking) that verification measures
-//!   distributed answers against;
+//! * [`oracle`] — the sequential ground-truth join that verification
+//!   measures distributed answers against;
 //! * [`load::LoadReport`] — exact per-server bit/tuple accounting, maximum
 //!   load `L`, and the replication rate `r` of Section 5;
 //! * [`topology::Grid`] — the hypercube server grid with subcube

@@ -9,8 +9,8 @@
 //! This façade crate re-exports the workspace crates under stable paths:
 //!
 //! * [`lp`] — exact rationals, simplex, polytope vertex enumeration;
-//! * [`query`] — conjunctive queries, hypergraphs, fractional edge packings,
-//!   residual queries;
+//! * [`query`] — conjunctive queries, fractional edge packings, residual
+//!   queries;
 //! * [`data`] — relations, deterministic generators, a local multiway join;
 //! * [`stats`] — cardinalities, heavy hitters, frequency bins, bin
 //!   combinations, degree sequences;

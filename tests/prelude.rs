@@ -46,10 +46,7 @@ fn prelude_covers_skew_and_multi_round() {
     let mr: MultiRoundResult =
         mpc_skew::core::multi_round::run_multi_round(&db, 8, 2, Backend::Sequential);
     assert_eq!(mr.num_rounds(), 1);
-    assert_eq!(
-        mr.answers,
-        mpc_skew::sim::oracle::join_database_on(&db, Backend::Sequential)
-    );
+    assert_eq!(mr.answers, mpc_skew::sim::oracle::join_database(&db));
 }
 
 #[test]

@@ -298,9 +298,8 @@ proptest! {
             .map(|a| generators::uniform(a.name(), a.arity(), m, n, &mut rng))
             .collect();
         let db = Database::new(q.clone(), rels, n).unwrap();
-        let backend = Backend::from_env();
-        let result = run_multi_round(&db, p, seed, backend);
-        let expected = mpc_skew::sim::oracle::join_database_on(&db, backend);
+        let result = run_multi_round(&db, p, seed, Backend::from_env());
+        let expected = mpc_skew::sim::oracle::join_database(&db);
         prop_assert!(verify::diff(&expected, &result.answers).is_complete(),
             "{} seed={seed} p={p}: multi-round lost answers", q.name());
     }
