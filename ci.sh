@@ -6,8 +6,9 @@
 #   ./ci.sh              # build + serve smoke + both-backend tests + fmt
 #                        # + lint + docs + API-surface, one-shuffle-kernel,
 #                        # one-share-LP (one model, one solve),
-#                        # four-algorithm (no baselines in the engine) and
-#                        # one-ground-truth/one-freshness-check guards
+#                        # four-algorithm (no baselines in the engine),
+#                        # one-ground-truth/one-freshness-check and
+#                        # one-statistics-surface guards
 #                        # + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
@@ -309,7 +310,7 @@ fi
 # unused hypergraph module stays gone — not even as a name in a comment.
 # The ratchet counts `pub fn`s under crates/*/src whose name appears in no
 # other .rs file; it may fall, never rise past UNCALLED_MAX.
-UNCALLED_MAX=36
+UNCALLED_MAX=12
 UNCALLED=0
 for entry in $(grep -rno 'pub fn [a-z_0-9]*' crates/*/src --include='*.rs' \
     | sed 's/^\([^:]*\):[0-9]*:pub fn /\1:/'); do
@@ -328,6 +329,23 @@ if [ -n "$SECOND_PATHS" ]; then
 fi
 if [ "$UNCALLED" -gt "$UNCALLED_MAX" ]; then
     echo "$UNCALLED pub fns are named in no other .rs file (max $UNCALLED_MAX): delete them or use them" >&2
+    exit 1
+fi
+
+# One statistics surface. An estimate is one overcount interval (no error
+# direction, no symmetric sampling adapter), heavy estimates are binned by
+# one rule (`HeavyHitters::of` + `BinnedHitters::build`), the engine plans
+# from `Engine::stats` or exact statistics (no mode knob), a service's
+# stats mode is only a summary capacity, and the plan cache has one
+# capacity. None of the retired names may come back, comments included.
+stage "one statistics surface: no second estimate shape, binning rule, planner-stats knob or cache-capacity knob"
+RETIRED=$(grep -rn "ErrorDirection\|to_estimates\|bin_of_estimate\|must_exceed\|StatsMode::Synthetic\|with_plan_cache_capacity" \
+    crates src tests examples || true)
+RETIRED="$RETIRED$(grep -nw "fn merge" crates/stats/src/sketch.rs || true)"
+RETIRED="$RETIRED$(grep -nw "fn stats_mode" crates/core/src/engine.rs || true)"
+if [ -n "$RETIRED" ]; then
+    echo "a retired statistics path is back:" >&2
+    echo "$RETIRED" >&2
     exit 1
 fi
 

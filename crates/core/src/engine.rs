@@ -15,12 +15,14 @@
 //! * [`Engine`] — a builder (`query`, `p`, `seed`, `backend`, `stats`,
 //!   `algorithm`) that plans and executes;
 //! * [`Algorithm`] — the algorithm menu, including [`Algorithm::Auto`],
-//!   which picks from heavy-hitter statistics;
-//! * [`Stats`] — the error-bounded statistics surface the planner
-//!   consumes, re-exported from [`mpc_stats::source`] ([`ExactStats`]
-//!   reads the data exactly, [`SketchStats`] answers from sublinear
-//!   SpaceSaving summaries, [`SyntheticStats`] carries cardinalities only;
-//!   pick with [`StatsMode`] / [`Engine::stats_mode`]);
+//!   which picks from heavy-hitter statistics; [`admit`] is the one
+//!   check of what a query may pin;
+//! * [`Stats`] — the statistics surface the planner consumes, re-exported
+//!   from [`mpc_stats::source`]. The engine plans from the source handed
+//!   to [`Engine::stats`] — [`ExactStats`] reads the data exactly,
+//!   [`SketchStats`] answers from sublinear SpaceSaving summaries,
+//!   [`SyntheticStats`] carries cardinalities only — and from
+//!   [`ExactStats`] over the planned database when none is given;
 //! * [`Plan`] — a planned algorithm carrying its predicted `L(u, M, p)`
 //!   load and plan metadata (shares, heavy hitters, bin combinations);
 //!   [`execute_batch`] runs many `(plan, db)` jobs in parallel across
@@ -68,7 +70,6 @@ use mpc_query::{Query, QueryShape, VarSet};
 use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::load::LoadReport;
-use mpc_stats::cardinality::SimpleStatistics;
 use mpc_stats::heavy::HeavyHitters;
 use std::fmt;
 use std::sync::OnceLock;
@@ -169,18 +170,17 @@ pub fn sketch_capacity(p: usize) -> usize {
     (2 * p).max(16)
 }
 
-/// Which statistics source [`Engine::plan`] builds when none is supplied
-/// explicitly via [`Engine::stats`].
+/// The capacity of the statistics summary a resident
+/// [`Service`](crate::service::Service) keeps per relation (`mpcskew serve
+/// --stats`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum StatsMode {
-    /// [`ExactStats`]: scan the relations per consulted projection.
+    /// Unbounded: every count exact, as [`ExactStats`] would report it.
     #[default]
     Exact,
-    /// [`SketchStats`]: SpaceSaving summaries, error-bounded and
-    /// sublinear to maintain.
+    /// Bounded SpaceSaving summaries, as [`SketchStats`] keeps them:
+    /// overcount intervals, sublinear to maintain.
     Sketch,
-    /// [`SyntheticStats`]: cardinalities only — no skew visible.
-    Synthetic,
 }
 
 impl StatsMode {
@@ -189,7 +189,6 @@ impl StatsMode {
         match self {
             StatsMode::Exact => "exact",
             StatsMode::Sketch => "sketch",
-            StatsMode::Synthetic => "synthetic",
         }
     }
 
@@ -198,7 +197,6 @@ impl StatsMode {
         Ok(match s {
             "exact" => StatsMode::Exact,
             "sketch" => StatsMode::Sketch,
-            "synthetic" => StatsMode::Synthetic,
             other => return Err(format!("unknown stats mode `{other}`")),
         })
     }
@@ -210,58 +208,30 @@ impl fmt::Display for StatsMode {
     }
 }
 
-/// True when some atom has a heavy hitter (frequency `> m_j/p`) on a
-/// variable it shares with another atom — the condition under which the
-/// §4 algorithms beat plain HyperCube. `simple` is `stats.simple()` (the
-/// planner computes it once and threads it through).
-///
-/// Checking single shared variables suffices: any jointly-heavy
-/// assignment of a larger subset projects to an at-least-as-frequent
-/// assignment of each member variable at the same `m_j/p` threshold.
-pub(crate) fn detects_join_skew(
-    q: &Query,
-    stats: &dyn Stats,
-    simple: &SimpleStatistics,
-    p: usize,
-) -> bool {
-    for j in 0..q.num_atoms() {
-        let own = q.atom(j).var_set();
-        let shared = (0..q.num_atoms())
-            .filter(|&k| k != j)
-            .fold(VarSet::EMPTY, |s, k| {
-                s.union(own.intersect(q.atom(k).var_set()))
-            });
-        let threshold = simple.cardinalities[j] as f64 / p as f64;
-        for v in shared.iter() {
-            let cols = mpc_stats::heavy::columns_for(q, j, VarSet::singleton(v));
-            if stats
-                .heavy_hitters(j, &cols, p)
-                .iter()
-                .any(|e| e.may_exceed(threshold))
-            {
-                return true;
-            }
+/// Admission: whether `query` may be planned with `algorithm` pinned and
+/// `aggregate` as its head. The one check every surface runs — the engine
+/// panics with the message, the service answers `err unsupported` with it,
+/// the CLI prints it after `error: `. In order: the aggregate spec must
+/// name the query's variables (`invalid aggregate: …`), an aggregate needs
+/// an algorithm that [partitions derivations](Algorithm::partitions_derivations)
+/// ([`AGGREGATE_NEEDS_PARTITIONING`]), and the skew join needs two atoms
+/// sharing a variable ([`SKEW_JOIN_NEEDS_TWO_ATOMS`]).
+pub fn admit(
+    query: &Query,
+    algorithm: Algorithm,
+    aggregate: Option<&AggregateSpec>,
+) -> Result<(), String> {
+    if let Some(spec) = aggregate {
+        spec.validate_for(query)
+            .map_err(|e| format!("invalid aggregate: {e}"))?;
+        if !algorithm.partitions_derivations() {
+            return Err(AGGREGATE_NEEDS_PARTITIONING.to_string());
         }
     }
-    false
-}
-
-/// Resolve [`Algorithm::Auto`]: HyperCube at the LP-optimal shares when
-/// the join variables are skew-free; on skewed data, the §4.1 skew join
-/// for two-relation joins and the §4.2 general algorithm otherwise.
-pub(crate) fn choose(
-    q: &Query,
-    stats: &dyn Stats,
-    simple: &SimpleStatistics,
-    p: usize,
-) -> Algorithm {
-    if !detects_join_skew(q, stats, simple, p) {
-        Algorithm::HyperCube
-    } else if q.is_two_atom_join() {
-        Algorithm::SkewJoin
-    } else {
-        Algorithm::GeneralSkew
+    if algorithm == Algorithm::SkewJoin && !query.is_two_atom_join() {
+        return Err(SKEW_JOIN_NEEDS_TWO_ATOMS.to_string());
     }
+    Ok(())
 }
 
 /// The `(atom, cols)` frequency projections planning consults for `q`:
@@ -272,32 +242,30 @@ pub(crate) fn choose(
 /// fingerprint heavy-hitter state over exactly these projections: appends
 /// that change no heavy set here cannot flip the auto choice.
 pub fn planning_projections(q: &Query) -> Vec<(usize, Vec<usize>)> {
-    let mut out: Vec<(usize, Vec<usize>)> = Vec::new();
-    let mut push = |entry: (usize, Vec<usize>)| {
-        if !entry.1.is_empty() && !out.contains(&entry) {
-            out.push(entry);
+    let mut out: Vec<(usize, Vec<usize>)> = shared_variable_projections(q).collect();
+    if q.num_atoms() == 2 {
+        let shared = q.atom(0).var_set().intersect(q.atom(1).var_set());
+        if shared.len() > 1 {
+            out.extend((0..2).map(|j| (j, mpc_stats::heavy::columns_for(q, j, shared))));
         }
-    };
-    for j in 0..q.num_atoms() {
+    }
+    out
+}
+
+/// The single-column entries of [`planning_projections`], in its order:
+/// one per variable an atom shares with another. Lazy, so skew detection
+/// builds them only until the first heavy one.
+fn shared_variable_projections(q: &Query) -> impl Iterator<Item = (usize, Vec<usize>)> + '_ {
+    (0..q.num_atoms()).flat_map(move |j| {
         let own = q.atom(j).var_set();
         let shared = (0..q.num_atoms())
             .filter(|&k| k != j)
             .fold(VarSet::EMPTY, |s, k| {
                 s.union(own.intersect(q.atom(k).var_set()))
             });
-        for v in shared.iter() {
-            push((j, mpc_stats::heavy::columns_for(q, j, VarSet::singleton(v))));
-        }
-    }
-    if q.num_atoms() == 2 {
-        let shared = q.atom(0).var_set().intersect(q.atom(1).var_set());
-        if shared.len() > 1 {
-            for j in 0..2 {
-                push((j, mpc_stats::heavy::columns_for(q, j, shared)));
-            }
-        }
-    }
-    out
+        let cols = move |v| mpc_stats::heavy::columns_for(q, j, VarSet::singleton(v));
+        shared.iter().map(move |v| (j, cols(v)))
+    })
 }
 
 /// A plan-cache key: the canonicalized query structure plus every planning
@@ -683,14 +651,13 @@ pub struct Engine<'s> {
     backend: Backend,
     algorithm: Algorithm,
     stats: Option<&'s dyn Stats>,
-    stats_mode: StatsMode,
     aggregate: Option<AggregateSpec>,
 }
 
 impl Engine<'static> {
     /// A new engine for `query` with the defaults: `p = 64`, `seed = 1`,
     /// [`Backend::from_env`], [`Algorithm::Auto`], exact statistics read
-    /// from the database at plan time ([`StatsMode::Exact`]).
+    /// from the database at plan time ([`ExactStats`]).
     pub fn new(query: &Query) -> Engine<'static> {
         Engine {
             query: query.clone(),
@@ -699,7 +666,6 @@ impl Engine<'static> {
             backend: Backend::from_env(),
             algorithm: Algorithm::Auto,
             stats: None,
-            stats_mode: StatsMode::Exact,
             aggregate: None,
         }
     }
@@ -742,30 +708,18 @@ impl<'s> Engine<'s> {
     /// cap ([`HyperCube::worst_case_load_bits`]).
     ///
     /// # Panics
-    /// [`Engine::plan`] panics when the spec references variables the
-    /// query does not have, or — with [`AGGREGATE_NEEDS_PARTITIONING`] —
-    /// when explicitly combined with an algorithm that fails
+    /// [`Engine::plan`] panics with [`admit`]'s message when the spec
+    /// references variables the query does not have, or when explicitly
+    /// combined with an algorithm that fails
     /// [`Algorithm::partitions_derivations`].
     pub fn aggregate(mut self, spec: AggregateSpec) -> Self {
         self.aggregate = Some(spec);
         self
     }
 
-    /// Which statistics source [`Engine::plan`] builds when none is
-    /// supplied via [`Engine::stats`] (default: [`StatsMode::Exact`]).
-    /// [`StatsMode::Sketch`] plans from SpaceSaving summaries at
-    /// [`sketch_capacity`]`(p)` — sublinear state, error-bounded, and
-    /// conservatively safe: estimate error can only shift load, never
-    /// change answers.
-    pub fn stats_mode(mut self, mode: StatsMode) -> Self {
-        self.stats_mode = mode;
-        self
-    }
-
     /// Plan (and pick, in auto mode) from these statistics instead of
     /// exact statistics read from the database. Estimated or synthetic
-    /// statistics yield correct plans — error only shifts load. Takes
-    /// precedence over [`Engine::stats_mode`].
+    /// statistics yield correct plans — error only shifts load.
     pub fn stats<'t>(self, stats: &'t dyn Stats) -> Engine<'t> {
         Engine {
             query: self.query,
@@ -774,7 +728,6 @@ impl<'s> Engine<'s> {
             backend: self.backend,
             algorithm: self.algorithm,
             stats: Some(stats),
-            stats_mode: self.stats_mode,
             aggregate: self.aggregate,
         }
     }
@@ -785,13 +738,14 @@ impl<'s> Engine<'s> {
     ///
     /// Every planner question — skew detection, skew-join routing, and
     /// the §4.2 bin combinations — goes through the [`Stats`] source's
-    /// error-bounded estimates with the conservative straddle-is-heavy
-    /// rule; `db` itself is only consulted for tuple routing at run time.
+    /// overcount intervals with the conservative straddle-is-heavy rule;
+    /// `db` itself is only consulted for tuple routing at run time (and
+    /// read by [`ExactStats`] when [`Engine::stats`] gave no source).
     ///
     /// # Panics
-    /// Panics with [`SKEW_JOIN_NEEDS_TWO_ATOMS`] when
-    /// [`Algorithm::SkewJoin`] is pinned on any other query shape (and see
-    /// [`Engine::aggregate`]).
+    /// Panics with [`admit`]'s message when the query may not be planned
+    /// as configured — e.g. [`SKEW_JOIN_NEEDS_TWO_ATOMS`] when
+    /// [`Algorithm::SkewJoin`] is pinned on any other query shape.
     pub fn plan(&self, db: &Database) -> Plan {
         assert_eq!(
             db.query(),
@@ -800,15 +754,7 @@ impl<'s> Engine<'s> {
         );
         match self.stats {
             Some(stats) => self.plan_with(db, stats),
-            None => match self.stats_mode {
-                StatsMode::Exact => self.plan_with(db, &ExactStats::of(db)),
-                StatsMode::Sketch => {
-                    self.plan_with(db, &SketchStats::of(db, sketch_capacity(self.p)))
-                }
-                StatsMode::Synthetic => {
-                    self.plan_with(db, &SyntheticStats(SimpleStatistics::of(db)))
-                }
-            },
+            None => self.plan_with(db, &ExactStats::of(db)),
         }
     }
 
@@ -821,30 +767,37 @@ impl<'s> Engine<'s> {
         mpc_data::failpoint::hit("plan");
         let q = &self.query;
         let p = self.p;
-        if let Some(spec) = &self.aggregate {
-            spec.validate_for(q)
-                .expect("aggregate spec references variables the query does not have");
+        if let Err(refusal) = admit(q, self.algorithm, self.aggregate.as_ref()) {
+            panic!("{refusal}");
         }
         let simple = stats.simple();
+        // Auto: HyperCube at the LP-optimal shares unless some atom has a
+        // heavy hitter (`> m_j/p`) on a variable it shares with another
+        // atom; then the §4.1 skew join for two-relation joins and the §4.2
+        // general algorithm otherwise. Single shared variables suffice: a
+        // jointly-heavy assignment of a larger subset projects to an
+        // at-least-as-frequent one of each member. They are the
+        // single-column entries of `planning_projections`, asked in its
+        // order, so the plan cache fingerprints everything Auto reads.
+        let skewed = || {
+            shared_variable_projections(q).any(|(j, cols)| {
+                let threshold = simple.cardinalities[j] as f64 / p as f64;
+                (stats.heavy_hitters(j, &cols, p).iter()).any(|e| e.may_exceed(threshold))
+            })
+        };
         let chosen = match self.algorithm {
-            Algorithm::Auto => choose(q, stats, &simple, p),
+            Algorithm::Auto if !skewed() => Algorithm::HyperCube,
+            Algorithm::Auto if q.is_two_atom_join() => Algorithm::SkewJoin,
+            Algorithm::Auto => Algorithm::GeneralSkew,
             other => other,
         };
         // Aggregates fold over join derivations, so the plan must produce
         // each derivation on exactly one server. The §4.2 bin-combination
         // algorithm replicates derivations across overlapping
-        // sub-instances: pinned, it is refused; chosen by Auto, it gives
-        // way to HyperCube at equal shares (Corollary 3.2(ii)), the
+        // sub-instances: pinned, `admit` refused it; chosen by Auto, it
+        // gives way to HyperCube at equal shares (Corollary 3.2(ii)), the
         // skew-resilient exact fallback.
         let equal_shares = self.aggregate.is_some() && !chosen.partitions_derivations();
-        assert!(
-            !equal_shares || self.algorithm == Algorithm::Auto,
-            "{AGGREGATE_NEEDS_PARTITIONING}"
-        );
-        assert!(
-            chosen != Algorithm::SkewJoin || q.is_two_atom_join(),
-            "{SKEW_JOIN_NEEDS_TWO_ATOMS}"
-        );
         // LP (5), once per plan: its optimum `p^λ` is `L_lower` (Theorem
         // 3.6) whatever algorithm runs, and its shares are the HyperCube
         // arm's grid.
@@ -910,6 +863,7 @@ mod tests {
     use super::*;
     use mpc_data::{generators, Rng};
     use mpc_query::named;
+    use mpc_stats::cardinality::SimpleStatistics;
 
     fn uniform_db(q: &Query, m: usize, n: u64, seed: u64) -> Database {
         let mut rng = Rng::seed_from_u64(seed);
@@ -1109,7 +1063,6 @@ mod tests {
         let freq = db.relation(0).frequencies(&[1]);
         for e in &hh {
             assert_eq!(e.error_bound, 0);
-            assert_eq!(e.direction, mpc_stats::sketch::ErrorDirection::Exact);
             assert_eq!(e.estimate, freq[&e.key]);
             assert!(e.estimate as f64 > threshold);
         }
@@ -1128,10 +1081,11 @@ mod tests {
             (zipf_join(3000, 1.2, 61), Algorithm::SkewJoin),
         ] {
             let exact = Engine::new(db.query()).p(16).seed(3).plan(&db);
+            let stats = SketchStats::of(&db, sketch_capacity(16));
             let sketch = Engine::new(db.query())
                 .p(16)
                 .seed(3)
-                .stats_mode(StatsMode::Sketch)
+                .stats(&stats)
                 .plan(&db);
             assert_eq!(exact.algorithm(), expect);
             assert_eq!(sketch.algorithm(), expect, "sketch pick diverged");
@@ -1170,9 +1124,10 @@ mod tests {
 
     #[test]
     fn stats_mode_names_round_trip() {
-        for mode in [StatsMode::Exact, StatsMode::Sketch, StatsMode::Synthetic] {
+        for mode in [StatsMode::Exact, StatsMode::Sketch] {
             assert_eq!(StatsMode::parse(mode.name()), Ok(mode));
         }
+        assert!(StatsMode::parse("synthetic").is_err());
         assert!(StatsMode::parse("psychic").is_err());
     }
 }

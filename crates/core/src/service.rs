@@ -5,10 +5,14 @@
 //! [`RelationSketch`] per relation — the only statistics state it
 //! maintains, at a bounded capacity in [`StatsMode::Sketch`] and at
 //! [`SpaceSaving::UNBOUNDED`] (where every count is exact) in
-//! [`StatsMode::Exact`] — so the per-query pipeline becomes:
+//! [`StatsMode::Exact`]; the mode is nothing but that capacity — so the
+//! per-query pipeline becomes:
 //!
-//! 1. canonicalize the query ([`Query::canonical`]) and look its
-//!    [`PlanKey`] up in the plan cache;
+//! 1. refuse what the engine cannot plan ([`admit`], as
+//!    [`ServiceError::Unsupported`]), canonicalize the query
+//!    ([`Query::canonical`]) and look its [`PlanKey`] up in the plan cache
+//!    (at most [`DEFAULT_PLAN_CACHE_CAPACITY`] plans, least recently used
+//!    evicted first);
 //! 2. APPEND/LOAD drop exactly the stale plans; a key found is a hit;
 //! 3. on a hit, skip fingerprinting and `Engine` planning entirely and
 //!    execute the cached [`Plan`] against a `Database` assembled from
@@ -63,8 +67,8 @@
 //! ```
 
 use crate::engine::{
-    planning_projections, sketch_capacity, Algorithm, Engine, Plan, PlanKey, RunOutcome, Stats,
-    StatsMode, AGGREGATE_NEEDS_PARTITIONING, SKEW_JOIN_NEEDS_TWO_ATOMS,
+    admit, planning_projections, sketch_capacity, Algorithm, Engine, Plan, PlanKey, RunOutcome,
+    Stats, StatsMode,
 };
 use mpc_data::answers::AnswerSet;
 use mpc_data::budget::{BudgetExceeded, BudgetKind, QueryBudget};
@@ -412,8 +416,8 @@ pub struct CacheCounters {
     /// Cache entries dropped because an ingest changed their statistics
     /// fingerprint.
     pub invalidations: u64,
-    /// Least-recently-used entries dropped to keep the cache within its
-    /// configured capacity ([`Service::with_plan_cache_capacity`]).
+    /// Least-recently-used entries dropped to keep the cache within
+    /// [`DEFAULT_PLAN_CACHE_CAPACITY`] plans.
     pub evictions: u64,
 }
 
@@ -449,8 +453,10 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// Default bound on the number of cached plans (see
-/// [`Service::with_plan_cache_capacity`]).
+/// The bound on the number of cached plans: an insert past it evicts the
+/// least-recently-used plan (and advances [`CacheCounters::evictions`]),
+/// so an unbounded stream of distinct plan keys cannot grow the cache
+/// without limit.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
 
 /// The resident query service. See the [module docs](self) for the
@@ -463,7 +469,6 @@ pub struct Service {
     entries: Vec<CatalogEntry>,
     names: FastMap<String, usize>,
     plans: FastMap<PlanKey, CacheEntry>,
-    plan_cache_capacity: usize,
     stats_mode: StatsMode,
     /// Monotonic recency counter; advances on every cache touch, so
     /// `last_used` stamps are unique and LRU ties cannot occur.
@@ -503,7 +508,6 @@ impl Service {
             entries: Vec::new(),
             names: FastMap::default(),
             plans: FastMap::default(),
-            plan_cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
             stats_mode: StatsMode::Exact,
             tick: 0,
             counters: CacheCounters::default(),
@@ -531,16 +535,7 @@ impl Service {
     /// the default erode the no-missed-heavy-hitter guarantee gradually
     /// (capacity headroom absorbs moderate drift); answers stay exact
     /// regardless — estimate error only shifts load.
-    ///
-    /// # Panics
-    /// Panics on [`StatsMode::Synthetic`]: a resident service always has
-    /// its data, so it has no cardinalities-only mode to plan from.
     pub fn with_stats_mode(mut self, mode: StatsMode) -> Self {
-        assert!(
-            mode != StatsMode::Synthetic,
-            "a resident service maintains statistics of its data: \
-             stats mode must be exact or sketch, not synthetic"
-        );
         self.stats_mode = mode;
         self
     }
@@ -553,21 +548,6 @@ impl Service {
         self
     }
 
-    /// Bound the plan cache to `capacity` entries: an insert past the bound
-    /// evicts the least-recently-used plan (and advances
-    /// [`CacheCounters::evictions`]). Without a bound, an unbounded stream
-    /// of distinct query shapes would grow the cache without limit.
-    pub fn with_plan_cache_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity >= 1, "plan cache needs room for at least one plan");
-        self.plan_cache_capacity = capacity;
-        self
-    }
-
-    /// The configured plan-cache capacity.
-    pub fn plan_cache_capacity(&self) -> usize {
-        self.plan_cache_capacity
-    }
-
     /// The service domain `n`.
     pub fn domain(&self) -> u64 {
         self.domain
@@ -576,16 +556,6 @@ impl Service {
     /// The execution backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// Default server count.
-    pub fn default_p(&self) -> usize {
-        self.default_p
-    }
-
-    /// Default hash seed.
-    pub fn default_seed(&self) -> u64 {
-        self.default_seed
     }
 
     /// The configured statistics mode.
@@ -663,7 +633,6 @@ impl Service {
         let capacity = match self.stats_mode {
             StatsMode::Sketch => self.sketch_capacity_for_p(),
             StatsMode::Exact => SpaceSaving::UNBOUNDED,
-            StatsMode::Synthetic => unreachable!("refused by with_stats_mode"),
         };
         let entry = CatalogEntry {
             sketch: RelationSketch::of(&rel, capacity),
@@ -809,20 +778,8 @@ impl Service {
     ) -> Result<(Arc<Plan>, Database, CacheStatus), ServiceError> {
         let p = spec.p.unwrap_or(self.default_p);
         let seed = spec.seed.unwrap_or(self.default_seed);
-        if let Some(agg) = &spec.aggregate {
-            agg.validate_for(&spec.query)
-                .map_err(|e| ServiceError::Unsupported(format!("invalid aggregate: {e}")))?;
-            if !spec.algorithm.partitions_derivations() {
-                return Err(ServiceError::Unsupported(
-                    AGGREGATE_NEEDS_PARTITIONING.to_string(),
-                ));
-            }
-        }
-        if spec.algorithm == Algorithm::SkewJoin && !spec.query.is_two_atom_join() {
-            return Err(ServiceError::Unsupported(
-                SKEW_JOIN_NEEDS_TWO_ATOMS.to_string(),
-            ));
-        }
+        admit(&spec.query, spec.algorithm, spec.aggregate.as_ref())
+            .map_err(ServiceError::Unsupported)?;
         // Canonicalization renames variables but keeps their indices, so
         // the aggregate spec applies to the canonical query unchanged.
         let canonical = spec.query.canonical();
@@ -970,7 +927,7 @@ impl Service {
     /// Recency ticks are unique, so the victim is unambiguous; the O(n)
     /// scan is bounded by the capacity itself.
     fn evict_lru_overflow(&mut self) {
-        while self.plans.len() > self.plan_cache_capacity {
+        while self.plans.len() > DEFAULT_PLAN_CACHE_CAPACITY {
             let victim = self
                 .plans
                 .iter()
@@ -1043,7 +1000,7 @@ mod tests {
     use super::*;
     use mpc_data::generators;
     use mpc_data::rng::Rng;
-    use mpc_query::parse_query;
+    use mpc_query::{parse_query, AggregateOp};
 
     fn loaded_service() -> Service {
         let mut rng = Rng::seed_from_u64(11);
@@ -1102,27 +1059,40 @@ mod tests {
 
     #[test]
     fn plan_cache_evicts_least_recently_used() {
-        let mut svc = loaded_service().with_plan_cache_capacity(2);
-        let qa = parse_query("S1(x,z), S2(y,z)").unwrap();
-        let qb = parse_query("S1(x,y), S3(y,z)").unwrap();
-        let qc = parse_query("S2(x,y), S3(y,z)").unwrap();
-        // Fill to capacity, then touch A so B is the LRU entry.
-        svc.query(&qa).unwrap();
-        svc.query(&qb).unwrap();
-        assert_eq!(svc.query(&qa).unwrap().cache_status(), CacheStatus::Hit);
+        use CacheStatus::{Hit, Miss};
+        // A tiny catalog keeps every plan cheap; each `seed=` is its own
+        // plan key.
+        let mut svc = Service::new(16)
+            .with_backend(Backend::Sequential)
+            .with_defaults(4, 1);
+        svc.load(Relation::from_rows("S1", 2, &[&[1, 2], &[3, 2]]))
+            .unwrap();
+        svc.load(Relation::from_rows("S2", 2, &[&[5, 2]])).unwrap();
+        let q = parse_query("S1(x,z), S2(y,z)").unwrap();
+        let status = |svc: &mut Service, seed: u64| {
+            let spec = QuerySpec::new(q.clone()).seed(seed);
+            svc.query_spec(&spec).unwrap().cache_status()
+        };
+        // Fill to capacity, then touch seed 0 so seed 1 is the LRU entry.
+        let cap = DEFAULT_PLAN_CACHE_CAPACITY as u64;
+        for seed in 0..cap {
+            assert_eq!(status(&mut svc, seed), Miss);
+        }
+        assert_eq!(status(&mut svc, 0), Hit);
         assert_eq!(svc.counters().evictions, 0);
-        // Inserting C overflows the capacity and evicts B.
-        assert_eq!(svc.query(&qc).unwrap().cache_status(), CacheStatus::Miss);
-        assert_eq!(svc.cached_plans(), 2);
+        // One more key overflows the capacity and evicts seed 1.
+        assert_eq!(status(&mut svc, cap), Miss);
+        assert_eq!(svc.cached_plans(), DEFAULT_PLAN_CACHE_CAPACITY);
         assert_eq!(svc.counters().evictions, 1);
-        // A survived (recently used); B replans correctly: miss, then hit.
-        assert_eq!(svc.query(&qa).unwrap().cache_status(), CacheStatus::Hit);
-        let replanned = svc.query(&qb).unwrap();
-        assert_eq!(replanned.cache_status(), CacheStatus::Miss);
-        assert_eq!(svc.query(&qb).unwrap().cache_status(), CacheStatus::Hit);
-        // The B reinsert displaced C in turn.
+        // Seed 0 survived (recently used); seed 1 replans: miss, then hit.
+        assert_eq!(status(&mut svc, 0), Hit);
+        assert_eq!(status(&mut svc, 1), Miss);
+        assert_eq!(status(&mut svc, 1), Hit);
+        // The seed-1 reinsert displaced seed 2, the LRU entry by then.
         assert_eq!(svc.counters().evictions, 2);
-        assert_eq!(svc.cached_plans(), 2);
+        assert_eq!(svc.cached_plans(), DEFAULT_PLAN_CACHE_CAPACITY);
+        assert_eq!(status(&mut svc, 3), Hit);
+        assert_eq!(status(&mut svc, 2), Miss);
     }
 
     #[test]
@@ -1177,6 +1147,15 @@ mod tests {
         ));
         // Failed ingest mutated nothing.
         assert_eq!(svc.relation("S1").unwrap().len(), 500);
+        // Admission refuses an aggregate over variables the query lacks,
+        // before asking whether its pinned algorithm may aggregate.
+        let bad = AggregateSpec::new(vec![9], vec![AggregateOp::Count]).unwrap();
+        let triangle = parse_query("S1(x,y), S2(y,z), S3(z,x)").unwrap();
+        let spec = QuerySpec::new(triangle).algorithm(Algorithm::GeneralSkew);
+        let Err(ServiceError::Unsupported(invalid)) = svc.query_spec(&spec.aggregate(bad)) else {
+            panic!("an out-of-range group-by variable is admitted");
+        };
+        assert!(invalid.starts_with("invalid aggregate: "), "{invalid}");
     }
 
     #[test]
@@ -1201,12 +1180,6 @@ mod tests {
             assert_eq!(fresh.query_spec(spec).unwrap().answers(), *batch);
         }
         assert_eq!(batch_answers[0], batch_answers[2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exact or sketch, not synthetic")]
-    fn synthetic_stats_mode_is_refused() {
-        let _ = Service::new(16).with_stats_mode(StatsMode::Synthetic);
     }
 
     #[test]

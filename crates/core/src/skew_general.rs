@@ -48,7 +48,7 @@ use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::hashing::HashFamily;
 use mpc_sim::load::LoadReport;
 use mpc_sim::topology::{round_shares, Grid};
-use mpc_stats::combination::{enumerate_combinations_with, BinChoice, BinCombination};
+use mpc_stats::combination::{enumerate_combinations_with, heavy_table, BinChoice, BinCombination};
 use mpc_stats::heavy::HeavyHitters;
 use mpc_stats::source::{ExactStats, Stats};
 use std::sync::Arc;
@@ -90,9 +90,9 @@ pub struct GeneralSkewAlgorithm {
     /// Per atom: heavy `(cols, key)` projections covered by some kept
     /// assignment of a combination where that atom chose a heavy bin.
     covered_heavy: Vec<FastMap<Vec<usize>, FastSet<Vec<u64>>>>,
-    /// Per atom: all heavy `(cols, key)` projections (for the `B_∅`
+    /// Per atom: its heavy sets with any heavy key (for the `B_∅`
     /// exclusion test).
-    all_heavy: Vec<FastMap<Vec<usize>, FastSet<Vec<u64>>>>,
+    all_heavy: Vec<Vec<HeavyHitters>>,
     virtual_servers: usize,
     dropped: usize,
 }
@@ -103,12 +103,12 @@ impl GeneralSkewAlgorithm {
         GeneralSkewAlgorithm::plan_with(db, p, seed, &ExactStats::of(db))
     }
 
-    /// Plan from any [`Stats`] source — exact, sketch- or sample-backed.
-    /// One source feeds both the §4.2 bin combinations and the
-    /// residual-base exclusion tables, so tuples a given source classifies
-    /// as heavy are either covered by a heavy combination or stay in `B_∅`
-    /// — completeness holds under any (including overcounted)
-    /// classification; estimate error only shifts load.
+    /// Plan from any [`Stats`] source — exact or sketch-backed. One heavy
+    /// table, read from the source once per plan, feeds both the §4.2 bin
+    /// combinations and the residual-base exclusion tables, so tuples the
+    /// source classifies as heavy are either covered by a heavy combination
+    /// or stay in `B_∅` — completeness holds under any (including
+    /// overcounted) classification; estimate error only shifts load.
     #[allow(clippy::needless_range_loop)]
     pub fn plan_with(
         db: &Database,
@@ -120,7 +120,8 @@ impl GeneralSkewAlgorithm {
         let simple = stats.simple();
         let mu = log_p_sizes(&simple, p);
 
-        let raw = enumerate_combinations_with(&q, p, stats);
+        let binned = heavy_table(&q, p, stats);
+        let raw = enumerate_combinations_with(&q, p, stats, &binned);
         let mut combos: Vec<PreparedCombo> = Vec::with_capacity(raw.len());
         let mut compiled: FastMap<Vec<usize>, Arc<CompiledRoutes>> = FastMap::default();
         let mut base = usize::MAX;
@@ -200,25 +201,12 @@ impl GeneralSkewAlgorithm {
         }
         assert!(base != usize::MAX, "B_∅ always enumerated");
 
-        // Heavy-projection tables for the B_∅ exclusion rule — from the
-        // SAME source as the combinations above, so the heavy/light split
-        // stays internally consistent whatever the estimate error.
-        let mut all_heavy: Vec<FastMap<Vec<usize>, FastSet<Vec<u64>>>> =
-            vec![FastMap::default(); q.num_atoms()];
-        for j in 0..q.num_atoms() {
-            for subset in q.atom(j).var_set().subsets() {
-                if subset.is_empty() {
-                    continue;
-                }
-                let hh = HeavyHitters::of(&q, stats, simple.cardinalities[j], j, subset, p);
-                if hh.entries.is_empty() {
-                    continue;
-                }
-                all_heavy[hh.atom]
-                    .entry(hh.cols.clone())
-                    .or_default()
-                    .extend(hh.entries.keys().cloned());
-            }
+        // The B_∅ exclusion rule reads the SAME heavy table as the
+        // combinations above, so the heavy/light split stays internally
+        // consistent whatever the estimate error.
+        let mut all_heavy: Vec<Vec<HeavyHitters>> = vec![Vec::new(); q.num_atoms()];
+        for bh in binned.into_values().filter(|bh| !bh.source.is_empty()) {
+            all_heavy[bh.source.atom].push(bh.source);
         }
         let mut covered_heavy: Vec<FastMap<Vec<usize>, FastSet<Vec<u64>>>> =
             vec![FastMap::default(); q.num_atoms()];
@@ -239,14 +227,11 @@ impl GeneralSkewAlgorithm {
         }
         // Dropped = heavy projections never covered by a kept assignment of
         // a heavy-choice combination.
-        for j in 0..q.num_atoms() {
-            for (cols, keys) in &all_heavy[j] {
-                let covered = covered_heavy[j].get(cols);
-                for key in keys {
-                    if covered.is_none_or(|c| !c.contains(key)) {
-                        dropped += 1;
-                    }
-                }
+        for (j, heavy) in all_heavy.iter().enumerate() {
+            for hh in heavy {
+                let covered = covered_heavy[j].get(&hh.cols);
+                let uncovered = |key: &&Vec<u64>| covered.is_none_or(|c| !c.contains(*key));
+                dropped += hh.entries.keys().filter(uncovered).count();
             }
         }
 
@@ -299,14 +284,14 @@ impl GeneralSkewAlgorithm {
     /// projection it belongs to `B_∅`).
     fn tuple_in_base(&self, atom: usize, tuple: &[u64]) -> bool {
         let mut has_heavy = false;
-        for (cols, keys) in &self.all_heavy[atom] {
+        for hh in &self.all_heavy[atom] {
             // `None`: not heavy at this subset; `Some(uncovered)`: heavy,
             // with coverage by a kept assignment. Keys are projected on the
             // stack and probed as slices.
-            let heavy_uncovered = with_projected_key(tuple, cols, |key| {
-                keys.contains(key).then(|| {
+            let heavy_uncovered = with_projected_key(tuple, &hh.cols, |key| {
+                hh.entries.contains_key(key).then(|| {
                     self.covered_heavy[atom]
-                        .get(cols)
+                        .get(&hh.cols)
                         .is_none_or(|c| !c.contains(key))
                 })
             });

@@ -211,19 +211,6 @@ impl Relation {
         self.frequencies(cols).values().copied().max().unwrap_or(0)
     }
 
-    /// Select tuples whose projection on `cols` equals `key`
-    /// (`σ_{cols = key}(S)`), as a new relation.
-    pub fn select_eq(&self, cols: &[usize], key: &[u64]) -> Relation {
-        assert_eq!(cols.len(), key.len());
-        let mut out = Relation::new(self.name.clone(), self.arity);
-        for row in self.rows() {
-            if cols.iter().zip(key).all(|(&c, &v)| row[c] == v) {
-                out.push(row);
-            }
-        }
-        out
-    }
-
     /// Partition tuples by a predicate into (matching, non-matching).
     pub fn partition(&self, mut pred: impl FnMut(&[u64]) -> bool) -> (Relation, Relation) {
         let mut yes = Relation::new(self.name.clone(), self.arity);
@@ -236,14 +223,6 @@ impl Relation {
             }
         }
         (yes, no)
-    }
-
-    /// The set of distinct values in attribute `col`.
-    pub fn distinct_values(&self, col: usize) -> Vec<u64> {
-        let mut vals: Vec<u64> = self.rows().map(|r| r[col]).collect();
-        vals.sort_unstable();
-        vals.dedup();
-        vals
     }
 }
 
@@ -349,19 +328,10 @@ mod tests {
     #[test]
     fn select_and_partition() {
         let r = sample();
-        let sel = r.select_eq(&[1], &[10]);
-        assert_eq!(sel.len(), 3);
         let (heavy, light) = r.partition(|row| row[1] == 10);
         assert_eq!(heavy.len(), 3);
         assert_eq!(light.len(), 1);
         assert_eq!(heavy.len() + light.len(), r.len());
-    }
-
-    #[test]
-    fn distinct_values() {
-        let r = sample();
-        assert_eq!(r.distinct_values(0), vec![1, 2, 3]);
-        assert_eq!(r.distinct_values(1), vec![10, 20]);
     }
 
     #[test]

@@ -81,22 +81,10 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Uniform value in the inclusive range `[lo, hi]`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi);
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Fork a child generator with an independent stream (keyed by `tag`).
-    pub fn fork(&mut self, tag: u64) -> Rng {
-        let base = self.next_u64() ^ mix64(tag, 0xA24B_AED4_963E_E407);
-        Rng::seed_from_u64(base)
     }
 
     /// Fisher–Yates shuffle.
@@ -204,15 +192,6 @@ mod tests {
             (0..50).collect::<Vec<_>>(),
             "shuffle left input unchanged"
         );
-    }
-
-    #[test]
-    fn forked_streams_are_independent() {
-        let mut root = Rng::seed_from_u64(9);
-        let mut c1 = root.fork(1);
-        let mut c2 = root.fork(2);
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert!(same < 2);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl Zipf {
         }
         lo as u64
     }
-
-    /// Expected frequency of the heaviest value among `m` samples.
-    pub fn expected_top_frequency(&self, m: usize) -> f64 {
-        self.pmf(0) * m as f64
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +129,6 @@ mod tests {
         let z = Zipf::new(1000, 2.0);
         // P(0) ~ 1/zeta(2) ~ 0.6.
         assert!(z.pmf(0) > 0.5);
-        assert!(z.expected_top_frequency(1_000_000) > 500_000.0);
     }
 
     #[test]

@@ -83,26 +83,16 @@ impl Rat {
         self.num == 0
     }
 
-    /// True iff strictly positive.
-    pub fn is_positive(&self) -> bool {
-        self.num > 0
-    }
-
     /// True iff strictly negative.
     pub fn is_negative(&self) -> bool {
         self.num < 0
-    }
-
-    /// True iff this rational is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
     }
 
     /// Multiplicative inverse.
     ///
     /// # Panics
     /// Panics on zero.
-    pub fn recip(&self) -> Rat {
+    fn recip(&self) -> Rat {
         assert!(self.num != 0, "Rat::recip of zero");
         Rat::new(self.den, self.num)
     }
@@ -334,10 +324,8 @@ mod tests {
     fn recip_and_predicates() {
         assert_eq!(Rat::new(2, 3).recip(), Rat::new(3, 2));
         assert!(Rat::new(-1, 7).is_negative());
-        assert!(Rat::new(1, 7).is_positive());
+        assert!(!Rat::new(1, 7).is_negative());
         assert!(Rat::ZERO.is_zero());
-        assert!(Rat::int(4).is_integer());
-        assert!(!Rat::new(4, 3).is_integer());
     }
 
     #[test]

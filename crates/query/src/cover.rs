@@ -24,7 +24,7 @@ pub fn is_cover(q: &Query, u: &Packing) -> bool {
 }
 
 /// Minimum fractional edge cover weights (argmin of `Σ u_j`), via LP.
-pub fn min_edge_cover(q: &Query) -> Result<Vec<f64>, LpError> {
+fn min_edge_cover(q: &Query) -> Result<Vec<f64>, LpError> {
     let mut lp = LinearProgram::new(Sense::Minimize);
     let vars: Vec<usize> = (0..q.num_atoms())
         .map(|j| lp.add_var(format!("u{j}"), 1.0))

@@ -45,13 +45,6 @@ impl Atom {
         VarSet::from_iter(self.vars.iter().copied())
     }
 
-    /// Attribute positions (within this atom) holding variables from `x`.
-    pub fn positions_of(&self, x: VarSet) -> Vec<usize> {
-        (0..self.vars.len())
-            .filter(|&pos| x.contains(self.vars[pos]))
-            .collect()
-    }
-
     /// Position of variable `v` within this atom, if present. When a
     /// variable repeats, the first position is returned.
     pub fn position_of_var(&self, v: usize) -> Option<usize> {
@@ -188,11 +181,6 @@ impl Query {
         &self.atoms[j]
     }
 
-    /// Atom index by relation name.
-    pub fn atom_index(&self, rel: &str) -> Option<usize> {
-        self.atoms.iter().position(|a| a.name == rel)
-    }
-
     /// The set of all variables (always `{0..k}`).
     pub fn all_vars(&self) -> VarSet {
         VarSet::from_iter(0..self.num_vars())
@@ -216,17 +204,6 @@ impl Query {
             .enumerate()
             .filter(move |(_, a)| a.vars.contains(&i))
             .map(|(j, _)| j)
-    }
-
-    /// `J(x)`: indices of atoms sharing at least one variable with `x`
-    /// (Section 4.3).
-    pub fn atoms_meeting(&self, x: VarSet) -> Vec<usize> {
-        self.atoms
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| !a.var_set().intersect(x).is_empty())
-            .map(|(j, _)| j)
-            .collect()
     }
 
     /// True for exactly two atoms sharing at least one variable — the only
@@ -278,11 +255,6 @@ pub struct QueryShape {
 }
 
 impl QueryShape {
-    /// Relation symbols in body order.
-    pub fn relation_names(&self) -> impl Iterator<Item = &str> {
-        self.atoms.iter().map(|(n, _)| n.as_str())
-    }
-
     /// True if any atom references relation `rel`.
     pub fn references(&self, rel: &str) -> bool {
         self.atoms.iter().any(|(n, _)| n == rel)
@@ -342,7 +314,6 @@ mod tests {
         assert_eq!(q.var_name(0), "x1");
         assert_eq!(q.var_index("x3"), Some(2));
         assert_eq!(q.atom(1).vars(), &[1, 2]);
-        assert_eq!(q.atom_index("S3"), Some(2));
     }
 
     #[test]
@@ -376,9 +347,7 @@ mod tests {
     fn incidence_queries() {
         let q = triangle();
         assert_eq!(q.atoms_with_var(0).collect::<Vec<_>>(), vec![0, 2]);
-        let x = VarSet::singleton(1); // x2 appears in S1, S2
-        assert_eq!(q.atoms_meeting(x), vec![0, 1]);
-        assert_eq!(q.atoms_meeting(VarSet::EMPTY), Vec::<usize>::new());
+        assert_eq!(q.atoms_with_var(1).collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]
@@ -396,7 +365,6 @@ mod tests {
         assert_ne!(a.shape(), c.shape());
         assert!(a.shape().references("S2"));
         assert!(!a.shape().references("S3"));
-        assert_eq!(a.shape().relation_names().collect::<Vec<_>>(), ["S1", "S2"]);
         // Canonicalization is idempotent.
         assert_eq!(a.canonical().canonical(), a.canonical());
     }
@@ -408,6 +376,6 @@ mod tests {
         assert_eq!(atom.arity(), 3);
         assert_eq!(atom.var_set().len(), 2);
         assert_eq!(atom.position_of_var(0), Some(0));
-        assert_eq!(atom.positions_of(VarSet::singleton(0)), vec![0, 2]);
+        assert_eq!(atom.position_of_var(1), Some(1));
     }
 }

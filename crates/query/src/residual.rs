@@ -56,7 +56,7 @@ pub fn saturates(q: &Query, u: &Packing, x: VarSet) -> bool {
 /// The constraint system of the *saturated residual polytope*: packings of
 /// `q_x` (with per-atom caps, see [`packing_system`]) intersected with the
 /// saturation half-spaces `Σ_{j: x_i ∈ S_j} u_j >= 1` for each `x_i ∈ x`.
-pub fn saturated_system(q: &Query, x: VarSet) -> (RatMatrix, Vec<Rat>) {
+fn saturated_system(q: &Query, x: VarSet) -> (RatMatrix, Vec<Rat>) {
     let qx = residual_query(q, x);
     let (a, mut b) = packing_system(&qx);
     let l = q.num_atoms();

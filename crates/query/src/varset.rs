@@ -78,11 +78,6 @@ impl VarSet {
         self.0 & !other.0 == 0
     }
 
-    /// True iff `self ⊂ other` (strict).
-    pub fn is_strict_subset(self, other: VarSet) -> bool {
-        self.is_subset(other) && self != other
-    }
-
     /// Iterate the elements in increasing order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
         let mut bits = self.0;

@@ -42,20 +42,6 @@ pub fn bin_of_frequency(freq: usize, m: usize, p: usize) -> Option<usize> {
     Some(num_bins(p))
 }
 
-/// The 1-based bin index of an error-bounded frequency estimate, with the
-/// pinned conservative-fallback rule: an estimate whose interval straddles
-/// the `m/p` threshold bins at its *largest* consistent count, so it lands
-/// in a heavy bin rather than falling light. §4.2's bins are a factor of
-/// two wide precisely so approximate frequencies suffice; rounding up
-/// within the interval shifts load by at most those constants and never
-/// changes answers.
-pub fn bin_of_estimate(est: &crate::sketch::FreqEstimate, m: usize, p: usize) -> Option<usize> {
-    if !est.may_exceed(m as f64 / p as f64) {
-        return None;
-    }
-    bin_of_frequency(est.count_upper().min(m.max(1)), m, p)
-}
-
 /// The bin exponent `β_b = log_p(2^{b-1})` of heavy bin `b`; the light bin
 /// is represented by exponent 1 ([`LIGHT_BIN_EXPONENT`]).
 pub fn bin_exponent(b: usize, p: usize) -> f64 {
@@ -100,11 +86,6 @@ impl BinnedHitters {
             .enumerate()
             .filter(|(_, v)| !v.is_empty())
             .map(|(i, v)| (i + 1, v.as_slice()))
-    }
-
-    /// The bin exponent of bin `b` for this relation's `p`.
-    pub fn exponent(&self, b: usize) -> f64 {
-        bin_exponent(b, self.source.p)
     }
 }
 
@@ -158,40 +139,59 @@ mod tests {
 
     #[test]
     fn estimates_bin_conservatively() {
-        use crate::sketch::{ErrorDirection, FreqEstimate};
+        use crate::cardinality::SimpleStatistics;
+        use crate::sketch::FreqEstimate;
+        use crate::source::Stats;
+
+        /// A source reporting the same `(key, estimate, error_bound)`
+        /// intervals for every projection.
+        struct Fixed(Vec<(u64, usize, usize)>);
+        impl Stats for Fixed {
+            fn simple(&self) -> SimpleStatistics {
+                SimpleStatistics::synthetic(&[2, 2], vec![1024, 1024], 1 << 12)
+            }
+            fn heavy_hitters(&self, _: usize, _: &[usize], _: usize) -> Vec<FreqEstimate> {
+                let interval = |&(key, estimate, error_bound): &(u64, usize, usize)| FreqEstimate {
+                    key: vec![key],
+                    estimate,
+                    error_bound,
+                };
+                self.0.iter().map(interval).collect()
+            }
+            fn frequency(&self, _: usize, _: &[usize], _: &[u64]) -> usize {
+                0
+            }
+        }
+
+        // The rule planning applies: `HeavyHitters::of` keeps what may
+        // exceed m/p = 64 at its largest consistent count (clamped to m),
+        // then `BinnedHitters::build` bins it. Exact counts (keys 1, 5) bin
+        // like raw frequencies, 64 itself being light; the interval
+        // [60, 70] straddling the threshold (key 2) rounds up into a heavy
+        // bin; the entirely-light [56, 60] (key 3) stays light; an upper
+        // end past m (key 4) bins at m.
         let (m, p) = (1024usize, 16usize);
-        // Exact estimates bin exactly like raw frequencies.
-        let e = FreqEstimate::exact(vec![1], 300);
-        assert_eq!(bin_of_estimate(&e, m, p), bin_of_frequency(300, m, p));
-        assert_eq!(
-            bin_of_estimate(&FreqEstimate::exact(vec![1], 64), m, p),
-            None
-        );
-        // A straddling interval (threshold 64 inside [60, 70]) rounds up
-        // into a heavy bin instead of falling light.
-        let straddle = FreqEstimate {
-            key: vec![2],
-            estimate: 70,
-            error_bound: 10,
-            direction: ErrorDirection::Overcount,
+        let stats = Fixed(vec![
+            (1, 300, 0),
+            (5, 64, 0),
+            (2, 70, 10),
+            (3, 60, 4),
+            (4, 2 * m, 1500),
+        ]);
+        let q = named::two_way_join();
+        let z = VarSet::singleton(q.var_index("z").unwrap());
+        let binned = BinnedHitters::build(HeavyHitters::of(&q, &stats, m, 0, z, p));
+        let bin_of = |key: u64| {
+            (binned.occupied())
+                .find(|(_, members)| members.iter().any(|(k, _)| k == &[key]))
+                .map(|(b, _)| b)
         };
-        assert_eq!(bin_of_estimate(&straddle, m, p), bin_of_frequency(70, m, p));
-        // Entirely-light intervals stay light.
-        let light = FreqEstimate {
-            key: vec![3],
-            estimate: 60,
-            error_bound: 4,
-            direction: ErrorDirection::Overcount,
-        };
-        assert_eq!(bin_of_estimate(&light, m, p), None);
-        // Symmetric intervals bin at their upper end (clamped to m).
-        let sym = FreqEstimate {
-            key: vec![4],
-            estimate: m,
-            error_bound: 50,
-            direction: ErrorDirection::Symmetric,
-        };
-        assert_eq!(bin_of_estimate(&sym, m, p), Some(1));
+        assert_eq!(bin_of(1), bin_of_frequency(300, m, p));
+        assert_eq!(bin_of(5), None);
+        assert_eq!(bin_of(2), bin_of_frequency(70, m, p));
+        assert_eq!(bin_of(3), None);
+        assert_eq!(bin_of(4), Some(1));
+        assert_eq!(binned.source.frequency(&[4]), Some(m));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::heavy::HeavyHitters;
 use crate::source::{ExactStats, Stats};
 use mpc_data::catalog::Database;
 use mpc_query::{Query, VarSet};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The per-atom bin choice inside a combination.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,6 +83,29 @@ impl BinCombination {
     }
 }
 
+/// The binned heavy hitters of a query per `(atom, nonempty subset of its
+/// variables)`: everything §4.2 reads of the statistics' heavy sets.
+/// Ordered, so every walk over it repeats exactly.
+pub type HeavyTable = BTreeMap<(usize, VarSet), BinnedHitters>;
+
+/// Build the [`HeavyTable`] of `q` at `p`, asking `stats` once per pair
+/// through [`HeavyHitters::of`]'s conservative rule. Empty at `p = 1`: no
+/// frequency exceeds `m_j / 1`, so nothing is heavy and there is nothing
+/// to bin.
+pub fn heavy_table(q: &Query, p: usize, stats: &dyn Stats) -> HeavyTable {
+    let mut binned = HeavyTable::new();
+    if p == 1 {
+        return binned;
+    }
+    for (j, &m) in stats.simple().cardinalities.iter().enumerate() {
+        for sub in q.atom(j).var_set().subsets().filter(|s| !s.is_empty()) {
+            let heavy = HeavyHitters::of(q, stats, m, j, sub, p);
+            binned.insert((j, sub), BinnedHitters::build(heavy));
+        }
+    }
+    binned
+}
+
 /// Enumerate the bin combinations realized by the data, including `B_∅`,
 /// with `|C'(B)| <= p` per combination.
 ///
@@ -92,31 +115,26 @@ impl BinCombination {
 /// light projection. Combinations whose heavy atoms do not cover `x`, or
 /// with no realizable assignment, are dropped.
 pub fn enumerate_combinations(db: &Database, p: usize) -> Vec<BinCombination> {
-    enumerate_combinations_with(db.query(), p, &ExactStats::of(db))
+    let stats = ExactStats::of(db);
+    let binned = heavy_table(db.query(), p, &stats);
+    enumerate_combinations_with(db.query(), p, &stats, &binned)
 }
 
 /// [`enumerate_combinations`] over any [`Stats`] source — heavy sets come
-/// from [`HeavyHitters::of`]'s conservative rule, light frequencies from
+/// from `binned` (the source's [`heavy_table`]), light frequencies from
 /// [`Stats::frequency`] (exact statistics go through the same path via
 /// [`ExactStats`]).
-pub fn enumerate_combinations_with(q: &Query, p: usize, stats: &dyn Stats) -> Vec<BinCombination> {
+pub fn enumerate_combinations_with(
+    q: &Query,
+    p: usize,
+    stats: &dyn Stats,
+    binned: &HeavyTable,
+) -> Vec<BinCombination> {
     let l = q.num_atoms();
     let mut out = vec![BinCombination::empty(l)];
     if p == 1 {
         // No frequency exceeds `m_j / 1`: nothing is heavy, nothing to bin.
         return out;
-    }
-
-    // Pre-bin every (atom, nonempty subset of its variables).
-    let mut binned: HashMap<(usize, VarSet), BinnedHitters> = HashMap::new();
-    for (j, &m) in stats.simple().cardinalities.iter().enumerate() {
-        for sub in q.atom(j).var_set().subsets() {
-            if sub.is_empty() {
-                continue;
-            }
-            let heavy = HeavyHitters::of(q, stats, m, j, sub, p);
-            binned.insert((j, sub), BinnedHitters::build(heavy));
-        }
     }
 
     for x in q.all_vars().subsets() {
@@ -151,7 +169,7 @@ pub fn enumerate_combinations_with(q: &Query, p: usize, stats: &dyn Stats) -> Ve
                 .fold(VarSet::EMPTY, |s, (&j, _)| s.union(xj[j]));
             if covered == x {
                 if let Some(combo) =
-                    realize_combination(q, p, x, &participants, &chosen, &binned, stats)
+                    realize_combination(q, p, x, &participants, &chosen, binned, stats)
                 {
                     out.push(combo);
                 }
@@ -183,7 +201,7 @@ fn realize_combination(
     x: VarSet,
     participants: &[usize],
     chosen: &[&BinChoice],
-    binned: &HashMap<(usize, VarSet), BinnedHitters>,
+    binned: &HeavyTable,
     stats: &dyn Stats,
 ) -> Option<BinCombination> {
     let l = q.num_atoms();

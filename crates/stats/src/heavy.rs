@@ -79,11 +79,6 @@ impl HeavyHitters {
         self.cardinality as f64 / self.p as f64
     }
 
-    /// True iff assignment `key` (in `cols` order) is heavy.
-    pub fn is_heavy(&self, key: &[u64]) -> bool {
-        self.entries.contains_key(key)
-    }
-
     /// Frequency of a heavy assignment (`None` for light ones).
     pub fn frequency(&self, key: &[u64]) -> Option<usize> {
         self.entries.get(key).copied()
@@ -155,8 +150,8 @@ mod tests {
         // threshold = 200/8 = 25; only z=7 (freq 100) exceeds it.
         assert_eq!(hh.len(), 1);
         assert_eq!(hh.frequency(&[7]), Some(100));
-        assert!(hh.is_heavy(&[7]));
-        assert!(!hh.is_heavy(&[100]));
+        assert!(hh.frequency(&[7]).is_some());
+        assert!(hh.frequency(&[100]).is_none());
         assert!((hh.threshold() - 25.0).abs() < 1e-12);
     }
 

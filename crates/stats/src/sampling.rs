@@ -15,8 +15,12 @@
 //! constant factor, with high probability — which is exactly the accuracy
 //! the binning of Section 4.2 needs. Tests exercise both guarantees
 //! empirically.
+//!
+//! The guarantees hold with high probability only, so sampled counts are
+//! not a planner statistics source: the sampling experiment (E12) reads
+//! [`SampledFrequencies::estimates`] directly and compares them with the
+//! exact counts.
 
-use crate::sketch::{ErrorDirection, FreqEstimate};
 use mpc_data::fastmap::FastMap;
 use mpc_data::relation::{record_stats_scan_bytes, Relation};
 use mpc_data::rng::Rng;
@@ -31,34 +35,6 @@ pub struct SampledFrequencies {
     pub rate: f64,
     /// Number of sampled tuples.
     pub sample_size: usize,
-}
-
-impl SampledFrequencies {
-    /// The detected assignments as error-bounded [`FreqEstimate`]s — the
-    /// redesigned Stats surface ([`crate::sketch`]) over sampled counts.
-    ///
-    /// The bounds are [`ErrorDirection::Symmetric`] with
-    /// `error_bound = estimate`, covering the factor-2 interval
-    /// `[est/2, 2·est]` that the Chernoff analysis guarantees at the
-    /// recommended rate. Unlike SpaceSaving's bounds these hold only with
-    /// high probability, not absolutely — consumers that need certainty
-    /// (the planner's conservative fallback) already treat a straddling
-    /// interval as heavy, which is the safe direction here too. Sorted by
-    /// key.
-    pub fn to_estimates(&self) -> Vec<FreqEstimate> {
-        let mut out: Vec<FreqEstimate> = self
-            .estimates
-            .iter()
-            .map(|(key, &est)| FreqEstimate {
-                key: key.clone(),
-                estimate: est,
-                error_bound: est,
-                direction: ErrorDirection::Symmetric,
-            })
-            .collect();
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        out
-    }
 }
 
 /// The recommended sampling rate for detecting `m/p`-heavy hitters in a
@@ -201,30 +177,6 @@ mod tests {
             "{} false positives on uniform data",
             sf.estimates.len()
         );
-    }
-
-    #[test]
-    fn estimates_surface_is_symmetric_and_sorted() {
-        let m = 1 << 14;
-        let p = 8usize;
-        let heavies = [(2u64, 4096usize), (1, 2048)];
-        let mut rng = Rng::seed_from_u64(5);
-        let rel = planted(m, &heavies, &mut rng);
-        let sf = sample_heavy_hitters(&rel, &[1], p, &mut rng);
-        let ests = sf.to_estimates();
-        assert!(!ests.is_empty());
-        assert!(ests.windows(2).all(|w| w[0].key < w[1].key), "sorted");
-        for e in &ests {
-            assert_eq!(e.direction, super::ErrorDirection::Symmetric);
-            assert_eq!(e.error_bound, e.estimate);
-            // The factor-2 interval really is [est/2, 2 est].
-            assert_eq!(e.count_lower(), e.estimate.saturating_sub(e.error_bound));
-            assert_eq!(e.count_upper(), 2 * e.estimate);
-            // True heavy hitters must sit inside their whp interval.
-            if let Some(&(_, t)) = heavies.iter().find(|&&(v, _)| e.key == vec![v]) {
-                assert!(e.count_lower() <= t && t <= e.count_upper());
-            }
-        }
     }
 
     #[test]

@@ -10,28 +10,29 @@
 //! * [`SpaceSaving`] — the Metwally–Agrawal–El Abbadi counter summary for
 //!   one `(relation, cols)` projection. `O(capacity)` space, `O(1)`
 //!   amortized per observed tuple (`O(capacity)` on an eviction, which is
-//!   constant in the relation size), deterministic, and mergeable. At
-//!   capacity `>= p` it **never misses** a true `m/p`-heavy hitter: an
-//!   untracked key's frequency is at most `items/capacity <= m/p`. A
-//!   summary that never fills (capacity [`SpaceSaving::UNBOUNDED`]) never
-//!   evicts, so every count it reports is exact.
+//!   constant in the relation size), deterministic. At capacity `>= p` it
+//!   **never misses** a true `m/p`-heavy hitter: an untracked key's
+//!   frequency is at most `items/capacity <= m/p`. A summary that never
+//!   fills (capacity [`SpaceSaving::UNBOUNDED`]) never evicts, so every
+//!   count it reports is exact.
 //! * [`RelationSketch`] — the one per-relation statistics state a
 //!   resident service maintains next to its catalog: one `SpaceSaving`
 //!   per projection the planner has asked about, all advanced in
 //!   `O(projections)` per appended tuple — **no relation rescan on
 //!   append**. Exact statistics are the same state at unbounded capacity.
 //!
-//! Every estimate is reported as a [`FreqEstimate`]: the point estimate
-//! plus a *guaranteed* error bound and its direction. Planners consume
-//! these through the conservative rule pinned by
-//! [`FreqEstimate::may_exceed`]: when the error interval straddles the
-//! `m_j/p` heaviness threshold, the key is treated as heavy. That only
-//! ever moves keys from light to heavy handling — load can shift within
-//! the paper's constants, answers never change (every algorithm in this
-//! workspace is answer-complete under any heavy classification).
+//! Every estimate is reported as a [`FreqEstimate`]: an *overcount
+//! interval* — the true count lies in `[estimate − error_bound, estimate]`,
+//! and an exact count has `error_bound == 0`. Planners consume these
+//! through the conservative rule pinned by [`FreqEstimate::may_exceed`]:
+//! when the interval straddles the `m_j/p` heaviness threshold, the key is
+//! treated as heavy. That only ever moves keys from light to heavy
+//! handling — load can shift within the paper's constants, answers never
+//! change (every algorithm in this workspace is answer-complete under any
+//! heavy classification).
 //!
 //! ```
-//! use mpc_stats::sketch::{ErrorDirection, SpaceSaving};
+//! use mpc_stats::sketch::SpaceSaving;
 //!
 //! // One heavy key (40 of 100 observations) among many light ones,
 //! // summarized in 8 slots instead of a 61-entry frequency map. The
@@ -53,7 +54,7 @@
 //!     .into_iter()
 //!     .find(|e| e.key == [7])
 //!     .expect("capacity >= p never misses a true m/p-heavy hitter");
-//! assert_eq!(est.direction, ErrorDirection::Overcount);
+//! assert!(est.error_bound > 0, "an overcount inherited from an eviction");
 //! assert!(est.count_lower() <= 40 && 40 <= est.count_upper());
 //! assert!(est.may_exceed(10.0), "treated as heavy — conservatively");
 //! ```
@@ -61,29 +62,19 @@
 use mpc_data::fastmap::FastMap;
 use mpc_data::relation::{record_stats_scan_bytes, Relation};
 
-/// Which side of the true count an estimate can err on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ErrorDirection {
-    /// `estimate == true count` (error bound is 0).
-    Exact,
-    /// `true count ∈ [estimate - error_bound, estimate]` (SpaceSaving).
-    Overcount,
-    /// `true count ∈ [estimate - error_bound, estimate + error_bound]`
-    /// (Bernoulli sampling).
-    Symmetric,
-}
-
-/// One frequency estimate with a guaranteed error interval.
+/// One frequency estimate as an overcount interval: the true count lies in
+/// `[estimate − error_bound, estimate]`. Exact counts have
+/// `error_bound == 0`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FreqEstimate {
     /// The projected assignment (in the projection's `cols` order).
     pub key: Vec<u64>,
-    /// Point estimate of `m_j(h_j)`.
+    /// The largest count consistent with what the source saw: an upper
+    /// bound on `m_j(h_j)`.
     pub estimate: usize,
-    /// Guaranteed error bound in the direction(s) of `direction`.
+    /// Guaranteed overcount: the true count is at least
+    /// `estimate − error_bound`.
     pub error_bound: usize,
-    /// Which side(s) of the truth the estimate can sit on.
-    pub direction: ErrorDirection,
 }
 
 impl FreqEstimate {
@@ -93,26 +84,18 @@ impl FreqEstimate {
             key,
             estimate: count,
             error_bound: 0,
-            direction: ErrorDirection::Exact,
         }
     }
 
     /// Smallest count consistent with the estimate and its bound.
     pub fn count_lower(&self) -> usize {
-        match self.direction {
-            ErrorDirection::Exact => self.estimate,
-            ErrorDirection::Overcount | ErrorDirection::Symmetric => {
-                self.estimate.saturating_sub(self.error_bound)
-            }
-        }
+        self.estimate.saturating_sub(self.error_bound)
     }
 
-    /// Largest count consistent with the estimate and its bound.
+    /// Largest count consistent with the estimate and its bound: the
+    /// estimate itself.
     pub fn count_upper(&self) -> usize {
-        match self.direction {
-            ErrorDirection::Exact | ErrorDirection::Overcount => self.estimate,
-            ErrorDirection::Symmetric => self.estimate.saturating_add(self.error_bound),
-        }
+        self.estimate
     }
 
     /// Conservative heaviness test — the **pinned fallback rule**: true as
@@ -123,12 +106,6 @@ impl FreqEstimate {
     pub fn may_exceed(&self, threshold: f64) -> bool {
         self.count_upper() as f64 > threshold
     }
-
-    /// Certain heaviness: even the smallest consistent count exceeds
-    /// `threshold`.
-    pub fn must_exceed(&self, threshold: f64) -> bool {
-        self.count_lower() as f64 > threshold
-    }
 }
 
 /// One tracked counter of a [`SpaceSaving`] summary.
@@ -138,7 +115,7 @@ struct Slot {
     /// Overestimated count: `true ∈ [count - over, count]`.
     count: u64,
     /// Maximum possible overcount (the evicted minimum inherited at
-    /// takeover, plus merge slack).
+    /// takeover).
     over: u64,
 }
 
@@ -148,11 +125,6 @@ impl Slot {
             key: self.key.clone(),
             estimate: self.count as usize,
             error_bound: self.over as usize,
-            direction: if self.over == 0 {
-                ErrorDirection::Exact
-            } else {
-                ErrorDirection::Overcount
-            },
         }
     }
 }
@@ -175,9 +147,8 @@ pub struct SpaceSaving {
 
 impl SpaceSaving {
     /// The capacity of a summary that never fills: it tracks every key it
-    /// has seen, never evicts, and so reports exact counts
-    /// ([`ErrorDirection::Exact`], error bound 0) — exact statistics as
-    /// the zero-error instance of the sketch.
+    /// has seen, never evicts, and so reports exact counts (error bound 0)
+    /// — exact statistics as the zero-error instance of the sketch.
     pub const UNBOUNDED: usize = usize::MAX;
 
     /// New summary tracking at most `capacity` keys (`capacity >= 1`).
@@ -245,24 +216,9 @@ impl SpaceSaving {
         self.slots.is_empty()
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total observations fed into the summary.
     pub fn items(&self) -> u64 {
         self.items
-    }
-
-    /// The smallest tracked count — an upper bound on the true frequency
-    /// of **every untracked key** (0 while the summary is not full).
-    pub fn min_count(&self) -> u64 {
-        if self.slots.len() < self.capacity {
-            0
-        } else {
-            self.slots.iter().map(|s| s.count).min().unwrap_or(0)
-        }
     }
 
     /// Best-known count of `key`: its tracked (over)estimate — the
@@ -276,7 +232,7 @@ impl SpaceSaving {
     }
 
     /// The largest per-entry overcount bound (telemetry).
-    pub fn max_over(&self) -> u64 {
+    fn max_over(&self) -> u64 {
         self.slots.iter().map(|s| s.over).max().unwrap_or(0)
     }
 
@@ -299,45 +255,6 @@ impl SpaceSaving {
             .collect();
         out.sort_by(|a, b| a.key.cmp(&b.key));
         out
-    }
-
-    /// Merge `other` into `self` (both summaries over disjoint substreams
-    /// of one logical stream). For every key in the union the counts and
-    /// overcount bounds add, with an absent side contributing its
-    /// `min_count` to both (the standard mergeable-summary rule); the
-    /// heaviest `capacity` keys survive, ties broken by key order.
-    pub fn merge(&mut self, other: &SpaceSaving) {
-        let self_min = self.min_count();
-        let other_min = other.min_count();
-        let mut combined: FastMap<Vec<u64>, (u64, u64)> = FastMap::default();
-        for s in &self.slots {
-            combined.insert(s.key.clone(), (s.count, s.over));
-        }
-        for s in &other.slots {
-            let e = combined
-                .entry(s.key.clone())
-                .or_insert((self_min, self_min));
-            e.0 += s.count;
-            e.1 += s.over;
-        }
-        // Keys tracked here but not there: the other side may still have
-        // seen them up to its min_count times.
-        for s in &mut combined.iter_mut() {
-            if !other.index.contains_key(s.0) {
-                s.1 .0 += other_min;
-                s.1 .1 += other_min;
-            }
-        }
-        let mut entries: Vec<(Vec<u64>, (u64, u64))> = combined.into_iter().collect();
-        entries.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
-        entries.truncate(self.capacity);
-        self.items += other.items;
-        self.index.clear();
-        self.slots.clear();
-        for (key, (count, over)) in entries {
-            self.index.insert(key.clone(), self.slots.len());
-            self.slots.push(Slot { key, count, over });
-        }
     }
 
     /// Resident byte accounting: slot storage plus index keys (an
@@ -370,28 +287,20 @@ pub struct RelationSketch {
 }
 
 impl RelationSketch {
-    /// New empty sketch for an `arity`-column relation; per-projection
-    /// summaries will track `capacity` keys. For the no-miss guarantee at
-    /// `p` servers, pick `capacity >= p`.
-    pub fn new(arity: usize, capacity: usize) -> RelationSketch {
-        assert!(arity > 0);
+    /// Sketch an existing relation; per-projection summaries will track
+    /// `capacity` keys (for the no-miss guarantee at `p` servers, pick
+    /// `capacity >= p`). A new sketch tracks no projection yet, so nothing
+    /// is scanned: the row count is the relation's length, and each
+    /// projection pays its one backfill scan in
+    /// [`RelationSketch::ensure_projection`]. Appends after this are
+    /// incremental.
+    pub fn of(rel: &Relation, capacity: usize) -> RelationSketch {
         RelationSketch {
-            arity,
-            rows: 0,
+            arity: rel.arity(),
+            rows: rel.len() as u64,
             capacity: capacity.max(1),
             projections: FastMap::default(),
         }
-    }
-
-    /// Sketch an existing relation (one scan — the load-time cost, taxed
-    /// to the stats-scan meter; appends after this are incremental).
-    pub fn of(rel: &Relation, capacity: usize) -> RelationSketch {
-        let mut sk = RelationSketch::new(rel.arity(), capacity);
-        record_stats_scan_bytes(rel.len() as u64 * rel.arity() as u64 * 8);
-        for row in rel.rows() {
-            sk.observe_row(row);
-        }
-        sk
     }
 
     /// Tuples observed so far (`= m_j` when fed every ingested tuple).
@@ -436,15 +345,11 @@ impl RelationSketch {
     pub fn append_rows(&mut self, flat: &[u64]) {
         assert_eq!(flat.len() % self.arity, 0, "flat data not row-aligned");
         for row in flat.chunks_exact(self.arity) {
-            self.observe_row(row);
-        }
-    }
-
-    fn observe_row(&mut self, row: &[u64]) {
-        self.rows += 1;
-        for (cols, ss) in self.projections.iter_mut() {
-            let key: Vec<u64> = cols.iter().map(|&c| row[c]).collect();
-            ss.observe(&key);
+            self.rows += 1;
+            for (cols, ss) in self.projections.iter_mut() {
+                let key: Vec<u64> = cols.iter().map(|&c| row[c]).collect();
+                ss.observe(&key);
+            }
         }
     }
 
@@ -490,6 +395,16 @@ mod tests {
     use mpc_data::rng::Rng;
     use mpc_data::zipf::Zipf;
 
+    /// The smallest tracked count — an upper bound on the true frequency
+    /// of **every untracked key** (0 while the summary is not full).
+    fn min_count(ss: &SpaceSaving) -> u64 {
+        if ss.slots.len() < ss.capacity {
+            0
+        } else {
+            ss.slots.iter().map(|s| s.count).min().unwrap_or(0)
+        }
+    }
+
     #[test]
     fn spacesaving_is_exact_below_capacity() {
         let mut ss = SpaceSaving::new(8);
@@ -503,7 +418,7 @@ mod tests {
         assert_eq!(est.len(), 2);
         assert_eq!(est[0], FreqEstimate::exact(vec![1], 5));
         assert_eq!(est[1], FreqEstimate::exact(vec![2], 3));
-        assert_eq!(ss.min_count(), 0, "not full: untracked keys are absent");
+        assert_eq!(min_count(&ss), 0, "not full: untracked keys are absent");
     }
 
     #[test]
@@ -530,7 +445,7 @@ mod tests {
         // Untracked keys: bounded by min_count.
         for (key, &t) in &truth {
             if ss.estimates().iter().all(|e| &e.key != key) {
-                assert!(t as u64 <= ss.min_count());
+                assert!(t as u64 <= min_count(&ss));
             }
         }
     }
@@ -568,40 +483,18 @@ mod tests {
     }
 
     #[test]
-    fn spacesaving_merge_preserves_bounds() {
-        let mut rng = Rng::seed_from_u64(3);
-        let zipf = Zipf::new(256, 1.2);
-        let mut a = SpaceSaving::new(8);
-        let mut b = SpaceSaving::new(8);
-        let mut truth: FastMap<Vec<u64>, usize> = FastMap::default();
-        for i in 0..4000 {
-            let v = zipf.sample(&mut rng);
-            if i % 2 == 0 { &mut a } else { &mut b }.observe(&[v]);
-            *truth.entry(vec![v]).or_insert(0) += 1;
-        }
-        a.merge(&b);
-        assert_eq!(a.items(), 4000);
-        for e in a.estimates() {
-            let t = truth.get(&e.key).copied().unwrap_or(0);
-            assert!(
-                e.count_lower() <= t && t <= e.count_upper(),
-                "merged bound violated for {:?}: true {t} not in [{}, {}]",
-                e.key,
-                e.count_lower(),
-                e.count_upper()
-            );
-        }
-    }
-
-    #[test]
     fn relation_sketch_appends_without_rescan() {
         use mpc_data::relation::stats_scan_bytes_total;
         let mut rel = Relation::new("S", 2);
         for i in 0..100u64 {
             rel.push(&[i % 4, i]);
         }
+        // Sketching reads the row count off the relation; only the
+        // projection's backfill scans it, once.
+        let before = stats_scan_bytes_total();
         let mut sk = RelationSketch::of(&rel, 8);
         sk.ensure_projection(&rel, &[0]);
+        assert_eq!(stats_scan_bytes_total() - before, 100 * 2 * 8);
         let before = stats_scan_bytes_total();
         for i in 0..50u64 {
             let row = [i % 4, 1000 + i];
@@ -619,7 +512,7 @@ mod tests {
         let exact = rel.frequencies(&[0]);
         for e in &hh {
             assert_eq!(e.estimate, exact[&e.key]);
-            assert_eq!(e.direction, ErrorDirection::Exact);
+            assert_eq!(e.error_bound, 0);
         }
     }
 
@@ -711,19 +604,19 @@ mod tests {
             key: vec![1],
             estimate: 100,
             error_bound: 10,
-            direction: ErrorDirection::Overcount,
         };
         assert_eq!((e.count_lower(), e.count_upper()), (90, 100));
-        assert!(e.may_exceed(95.0) && !e.must_exceed(95.0));
+        // Straddling the threshold is heavy; above the whole interval is not.
+        assert!(e.may_exceed(95.0));
         assert!(!e.may_exceed(100.0));
-        assert!(e.must_exceed(89.0));
-        let s = FreqEstimate {
-            key: vec![2],
-            estimate: 100,
-            error_bound: 10,
-            direction: ErrorDirection::Symmetric,
+        let x = FreqEstimate::exact(vec![2], 100);
+        assert_eq!((x.count_lower(), x.count_upper()), (100, 100));
+        // An overcount larger than the estimate floors the interval at 0.
+        let wide = FreqEstimate {
+            key: vec![3],
+            estimate: 4,
+            error_bound: 9,
         };
-        assert_eq!((s.count_lower(), s.count_upper()), (90, 110));
-        assert!(s.may_exceed(105.0) && !s.must_exceed(91.0));
+        assert_eq!(wide.count_lower(), 0);
     }
 }

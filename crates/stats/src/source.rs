@@ -2,15 +2,17 @@
 //!
 //! Section 4 needs one kind of statistic — per `(relation, attribute
 //! subset)`, the heavy hitters `m_j(h_j) > m_j/p` "and their (approximate)
-//! frequencies". [`Stats`] is the only way a planner asks for it.
-//! [`ExactStats`] reads the data (the scan-based oracle the parity suites
-//! compare every other source against), [`SketchStats`] answers from
+//! frequencies". [`Stats`] is the only way a planner asks for it, and every
+//! answer is a [`FreqEstimate`] overcount interval. [`ExactStats`] reads
+//! the data (zero-width intervals; the scan-based oracle the parity suites
+//! compare every other source against, and what the engine plans from
+//! when it is handed no source), [`SketchStats`] answers from
 //! [`crate::sketch`] summaries, [`SyntheticStats`] carries cardinalities
 //! only.
 //!
 //! Planners consume estimates through the **pinned conservative fallback
-//! rule** ([`FreqEstimate::may_exceed`]): an estimate whose guaranteed
-//! error interval straddles the `m_j/p` threshold is treated as heavy.
+//! rule** ([`FreqEstimate::may_exceed`]): an estimate whose interval
+//! straddles the `m_j/p` threshold is treated as heavy.
 //! Overclassifying only shifts load (within the paper's constants);
 //! answers never change, because every algorithm in this workspace is
 //! answer-complete under any heavy classification.
@@ -22,12 +24,12 @@ use mpc_data::fastmap::FastMap;
 use std::cell::RefCell;
 
 /// The statistics a planner consumes — the paper's two information regimes
-/// behind one interface, as *error-bounded estimates*.
+/// behind one interface, as *overcount intervals*.
 pub trait Stats {
     /// Simple database statistics (Section 3): cardinalities, bit sizes.
     fn simple(&self) -> SimpleStatistics;
 
-    /// Error-bounded heavy-hitter estimates of atom `atom`'s projection
+    /// Heavy-hitter overcount intervals of atom `atom`'s projection
     /// onto attribute positions `cols`, at the Section 4 threshold
     /// `m_j/p` (the complex regime).
     ///

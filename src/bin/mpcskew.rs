@@ -24,8 +24,8 @@
 
 use mpc_skew::core::bounds;
 use mpc_skew::core::engine::{
-    Algorithm, Engine, StatsMode, AGGREGATE_NEEDS_PARTITIONING, MAX_SERVERS,
-    SKEW_JOIN_NEEDS_TWO_ATOMS,
+    admit, sketch_capacity, Algorithm, Engine, ExactStats, SketchStats, Stats, StatsMode,
+    SyntheticStats, MAX_SERVERS,
 };
 use mpc_skew::core::service::{Service, ServiceError};
 use mpc_skew::core::shares::ShareAllocation;
@@ -152,11 +152,11 @@ fn usage() -> &'static str {
      persistent N-worker pool, 0 = a pool over all cores; default:\n\
      MPCSKEW_THREADS or all available cores; results are identical whichever\n\
      backend runs);\n\
-     --stats: planner statistics — exact (run default), sketch (SpaceSaving\n\
-     summaries, sublinear, error-bounded; serve default), synthetic\n\
-     (cardinalities only; run only); in serve the flag selects the capacity\n\
-     of the one summary kept per relation (exact = unbounded); estimates\n\
-     can only shift load, never change answers;\n\
+     --stats: in run, the planner's statistics source — exact (default),\n\
+     sketch (SpaceSaving summaries: sublinear, each count an overcount\n\
+     interval) or synthetic (cardinalities only); in serve, the capacity of\n\
+     the one summary kept per relation — sketch (default) or exact\n\
+     (unbounded); estimates can only shift load, never change answers;\n\
      serve: resident service speaking the line protocol (LOAD / APPEND /\n\
      QUERY / SET / BATCH..RUN / STATS / SHUTDOWN) on stdin, or on a TCP\n\
      socket with --listen — relations stay loaded, statistics are kept current,\n\
@@ -243,16 +243,12 @@ fn cmd_run(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<
         None => Algorithm::Auto,
         Some(v) => Algorithm::parse(v).map_err(|e| format!("{e}\n{}", usage()))?,
     };
-    if aggregate.is_some() && !algo.partitions_derivations() {
-        return Err(AGGREGATE_NEEDS_PARTITIONING.to_string());
+    admit(q, algo, aggregate)?;
+    // The planner's statistics source: what `run` reads of its own data.
+    let stats_name = args.value("stats")?.unwrap_or("exact");
+    if !["exact", "sketch", "synthetic"].contains(&stats_name) {
+        return Err(format!("unknown stats mode `{stats_name}`\n{}", usage()));
     }
-    if algo == Algorithm::SkewJoin && !q.is_two_atom_join() {
-        return Err(SKEW_JOIN_NEEDS_TWO_ATOMS.to_string());
-    }
-    let stats_mode = match args.value("stats")? {
-        None => StatsMode::Exact,
-        Some(v) => StatsMode::parse(v).map_err(|e| format!("{e}\n{}", usage()))?,
-    };
     let backend = args.backend()?;
 
     // Workload: every relation Zipf(theta) on `skew-col` (uniform if 0.0).
@@ -276,15 +272,20 @@ fn cmd_run(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<
         q.num_atoms()
     );
     println!(
-        "algo   : {algo}, p = {p}, seed = {seed}, backend = {backend}, stats = {stats_mode}\n"
+        "algo   : {algo}, p = {p}, seed = {seed}, backend = {backend}, stats = {stats_name}\n"
     );
 
+    let stats: Box<dyn Stats> = match stats_name {
+        "sketch" => Box::new(SketchStats::of(&db, sketch_capacity(p))),
+        "synthetic" => Box::new(SyntheticStats(SimpleStatistics::of(&db))),
+        _ => Box::new(ExactStats::of(&db)),
+    };
     let mut engine = Engine::new(q)
         .p(p)
         .seed(seed)
         .backend(backend)
         .algorithm(algo)
-        .stats_mode(stats_mode);
+        .stats(&*stats);
     if let Some(spec) = aggregate {
         engine = engine.aggregate(spec.clone());
     }
@@ -374,14 +375,11 @@ fn service_from_args(args: &Args) -> Result<Service, String> {
     // A resident service defaults to sketch statistics: ingest folds into
     // O(p)-space summaries instead of unbounded exact ones, so planning
     // state stays sublinear however large the catalog grows.
+    // The flag is the capacity of the one summary kept per relation; a
+    // resident service always has its data, so `synthetic` is unknown here.
     let stats_mode = match args.value("stats")? {
         None => StatsMode::Sketch,
-        // `synthetic` plans without looking at data; a resident service
-        // always has its data, so to serve it is one more unknown mode.
-        Some(v) => StatsMode::parse(v)
-            .ok()
-            .filter(|&mode| mode != StatsMode::Synthetic)
-            .ok_or_else(|| format!("unknown stats mode `{v}`\n{}", usage()))?,
+        Some(v) => StatsMode::parse(v).map_err(|e| format!("{e}\n{}", usage()))?,
     };
     Ok(Service::new(domain)
         .with_backend(backend)

@@ -62,5 +62,5 @@ pub mod prelude {
     pub use mpc_sim::cluster::Cluster;
     pub use mpc_sim::pool::WorkerPool;
     pub use mpc_stats::cardinality::SimpleStatistics;
-    pub use mpc_stats::sketch::{ErrorDirection, FreqEstimate, RelationSketch, SpaceSaving};
+    pub use mpc_stats::sketch::{FreqEstimate, RelationSketch, SpaceSaving};
 }

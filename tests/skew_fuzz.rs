@@ -1,16 +1,19 @@
 //! Completeness fuzzing for the skew-handling algorithms: randomized
 //! multi-relation, multi-attribute skew patterns must never lose answers.
 
-use mpc_skew::core::engine::{Algorithm, Engine};
+use mpc_skew::core::engine::{planning_projections, Algorithm, Engine, ExactStats, Stats};
 use mpc_skew::core::hypercube::HyperCube;
 use mpc_skew::core::multi_round::run_multi_round;
 use mpc_skew::core::skew_general::GeneralSkewAlgorithm;
 use mpc_skew::core::skew_join::SkewJoin;
 use mpc_skew::core::verify;
 use mpc_skew::data::{generators, Database, Relation, Rng};
-use mpc_skew::query::{named, Query};
+use mpc_skew::query::{named, parse_query, Query};
 use mpc_skew::sim::backend::Backend;
+use mpc_skew::stats::heavy::columns_for;
+use mpc_skew::stats::{FreqEstimate, SimpleStatistics};
 use mpc_testkit::prelude::*;
+use std::cell::RefCell;
 
 /// A randomized relation for one atom: a mix of planted heavy values on a
 /// random attribute, Zipf noise, and uniform filler.
@@ -30,6 +33,65 @@ fn random_skewed_relation(
     }
     degrees.extend((0..(m - heavy) as u64).map(|i| (vec![16 + (i % (n - 16))], 1)));
     generators::from_degree_sequence(name, arity, &[heavy_col % arity], &degrees, n, rng)
+}
+
+/// Exact statistics that record every `(atom, cols)` heavy-hitter question.
+struct Recorder<'a> {
+    exact: ExactStats<'a>,
+    asked: RefCell<Vec<(usize, Vec<usize>)>>,
+}
+
+impl Stats for Recorder<'_> {
+    fn simple(&self) -> SimpleStatistics {
+        self.exact.simple()
+    }
+
+    fn heavy_hitters(&self, atom: usize, cols: &[usize], p: usize) -> Vec<FreqEstimate> {
+        self.asked.borrow_mut().push((atom, cols.to_vec()));
+        self.exact.heavy_hitters(atom, cols, p)
+    }
+
+    fn frequency(&self, atom: usize, cols: &[usize], key: &[u64]) -> usize {
+        self.exact.frequency(atom, cols, key)
+    }
+}
+
+/// Plan `engine` over `db` and return the resolved algorithm with every
+/// heavy-hitter question the planner asked, in order.
+fn planner_reads(engine: Engine<'static>, db: &Database) -> (Algorithm, Vec<(usize, Vec<usize>)>) {
+    let asked = RefCell::default();
+    let recorder = Recorder {
+        exact: ExactStats::of(db),
+        asked,
+    };
+    let algorithm = engine.stats(&recorder).plan(db).algorithm();
+    (algorithm, recorder.asked.take())
+}
+
+/// §4.2 reads the heavy set of every `(atom, nonempty variable subset)`
+/// exactly once per plan — one table feeds both the bin combinations and
+/// the `B_∅` exclusion — and none at one server, where nothing is heavy.
+#[test]
+fn general_plan_reads_each_heavy_set_once() {
+    let q = parse_query("R(x,y,x), S(y,z), T(z,x)").unwrap();
+    let mut rng = Rng::seed_from_u64(23);
+    let rels = (q.atoms().iter())
+        .map(|a| generators::zipf_column(a.name(), a.arity(), 600, 64, 0, 1.1, &mut rng))
+        .collect();
+    let db = Database::new(q.clone(), rels, 64).unwrap();
+    let mut every: Vec<(usize, Vec<usize>)> = (0..q.num_atoms())
+        .flat_map(|j| q.atom(j).var_set().subsets().map(move |s| (j, s)))
+        .filter(|(_, s)| !s.is_empty())
+        .map(|(j, s)| (j, columns_for(&q, j, s)))
+        .collect();
+    every.sort();
+    for p in [2usize, 16, 1] {
+        let general = Engine::new(&q).p(p).algorithm(Algorithm::GeneralSkew);
+        let (_, mut asked) = planner_reads(general, &db);
+        asked.sort();
+        let want = if p == 1 { Vec::new() } else { every.clone() };
+        assert_eq!(asked, want, "p={p}");
+    }
 }
 
 proptest! {
@@ -197,7 +259,7 @@ proptest! {
         // Bit-identical to the explicitly constructed algorithm.
         let (c_exp, r_exp) = match plan.algorithm() {
             Algorithm::HyperCube => {
-                let st = mpc_skew::stats::SimpleStatistics::of(&db);
+                let st = SimpleStatistics::of(&db);
                 HyperCube::with_optimal_shares(q, &st, p, seed ^ 0x5A5A)
                     .run_on(&db, Backend::Sequential)
             }
@@ -273,6 +335,70 @@ proptest! {
         }
         prop_assert!(per_backend.windows(2).all(|w| w[0] == w[1]),
             "kind={kind} seed={seed} p={p}: aggregate not bit-identical across backends");
+    }
+
+    /// The plan cache fingerprints the heavy sets of
+    /// [`planning_projections`], so that is all `hc`, `skew-join` and
+    /// Auto's choice may read: over the named menagerie and random
+    /// two-atom queries (shared sets of one to three variables, repeated
+    /// variables included), every `(atom, cols)` they ask is fingerprinted,
+    /// and a skew-free Auto reads exactly the single-column entries, in
+    /// order. When Auto picks §4.2 it then plans as `general` pinned, whose
+    /// reads (every heavy set of the query) are not part of the choice.
+    #[test]
+    fn auto_reads_only_what_the_plan_cache_fingerprints(
+        qi in 0usize..7,
+        vars0 in mpc_testkit::collection::vec(0usize..4, 1..4),
+        vars1 in mpc_testkit::collection::vec(0usize..4, 1..4),
+        seed in 0u64..10_000,
+        frac0 in 0.0f64..0.6,
+        frac1 in 0.0f64..0.6,
+        col in 0usize..3,
+        p_exp in 1u32..6,
+    ) {
+        let names = |vars: &[usize]| -> Vec<&str> { vars.iter().map(|&v| ["x", "y", "z", "w"][v]).collect() };
+        let q = match qi {
+            0 => named::two_way_join(),
+            1 => named::cycle(3),
+            2 => named::star(2),
+            3 => named::chain(3),
+            4 => named::cartesian(2),
+            5 => named::loomis_whitney(3),
+            _ => Query::build("q", &[("S1", &names(&vars0)), ("S2", &names(&vars1))]).unwrap(),
+        };
+        let (n, m, p) = (1u64 << 9, 300usize, 1usize << p_exp);
+        let mut rng = Rng::seed_from_u64(seed);
+        let rels: Vec<Relation> = q.atoms().iter().enumerate()
+            .map(|(j, a)| {
+                let frac = [frac0, frac1].get(j).copied().unwrap_or(0.0);
+                random_skewed_relation(a.name(), a.arity(), m, n, frac, col, &mut rng)
+            })
+            .collect();
+        let db = Database::new(q.clone(), rels, n).unwrap();
+        let fingerprinted = planning_projections(&q);
+        let engine = |algo| Engine::new(&q).p(p).seed(seed).algorithm(algo);
+
+        for algo in [Algorithm::Auto, Algorithm::HyperCube, Algorithm::SkewJoin] {
+            if algo == Algorithm::SkewJoin && !q.is_two_atom_join() {
+                continue;
+            }
+            let (resolved, mut asked) = planner_reads(engine(algo), &db);
+            if resolved == Algorithm::GeneralSkew {
+                let (_, pinned) = planner_reads(engine(resolved), &db);
+                prop_assert!(asked.ends_with(&pinned),
+                    "{q} p={p}: Auto's §4.2 plan read {asked:?}, pinned read {pinned:?}");
+                asked.truncate(asked.len() - pinned.len());
+            }
+            for read in &asked {
+                prop_assert!(fingerprinted.contains(read),
+                    "{q} p={p} {algo}->{resolved}: read {read:?} outside {fingerprinted:?}");
+            }
+            if algo == Algorithm::Auto && resolved == Algorithm::HyperCube {
+                let singles = fingerprinted.iter().filter(|(_, cols)| cols.len() == 1);
+                prop_assert_eq!(&asked, &singles.cloned().collect::<Vec<_>>(),
+                    "{} p={}: skew detection order", q, p);
+            }
+        }
     }
 
     /// The multi-round baseline never loses answers either (it is a

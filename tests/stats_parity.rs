@@ -108,10 +108,11 @@ fn adversarial_near_threshold() -> Database {
 
 fn plan_pair(db: &Database) -> (Algorithm, Algorithm) {
     let exact = Engine::new(db.query()).p(P).seed(SEED).plan(db);
+    let stats = SketchStats::of(db, sketch_capacity(P));
     let sketch = Engine::new(db.query())
         .p(P)
         .seed(SEED)
-        .stats_mode(StatsMode::Sketch)
+        .stats(&stats)
         .plan(db);
     (exact.algorithm(), sketch.algorithm())
 }
@@ -134,10 +135,11 @@ fn answers_are_bit_identical_under_every_stats_source() {
     all.push(("adversarial", adversarial_near_threshold(), Algorithm::Auto));
     for (name, db, _) in &all {
         let exact_plan = Engine::new(db.query()).p(P).seed(SEED).plan(db);
+        let stats = SketchStats::of(db, sketch_capacity(P));
         let sketch_plan = Engine::new(db.query())
             .p(P)
             .seed(SEED)
-            .stats_mode(StatsMode::Sketch)
+            .stats(&stats)
             .plan(db);
         let baseline = exact_plan.execute(db, Backend::Sequential);
         for backend in BACKENDS {
