@@ -337,11 +337,16 @@ fi
 # one rule (`HeavyHitters::of` + `BinnedHitters::build`), the engine plans
 # from `Engine::stats` or exact statistics (no mode knob), a service's
 # stats mode is only a summary capacity, and the plan cache has one
-# capacity. None of the retired names may come back, comments included.
-stage "one statistics surface: no second estimate shape, binning rule, planner-stats knob or cache-capacity knob"
+# capacity. The planner reads cardinalities and heavy hitters only (no
+# point lookup of a light count), and the service reads them from its
+# sketches alone (no exact-scan fallback). None of the retired names may
+# come back, comments included.
+stage "one statistics surface: no second estimate shape, binning rule, planner-stats knob, cache-capacity knob, light-count lookup or exact fallback in the service"
 RETIRED=$(grep -rn "ErrorDirection\|to_estimates\|bin_of_estimate\|must_exceed\|StatsMode::Synthetic\|with_plan_cache_capacity" \
     crates src tests examples || true)
-RETIRED="$RETIRED$(grep -nw "fn merge" crates/stats/src/sketch.rs || true)"
+RETIRED="$RETIRED$(grep -nw "fn merge\|fn count\|fn frequency" crates/stats/src/sketch.rs || true)"
+RETIRED="$RETIRED$(grep -nw "fn frequency" crates/stats/src/source.rs || true)"
+RETIRED="$RETIRED$(grep -n "ExactStats\|stats_view" crates/core/src/service.rs || true)"
 RETIRED="$RETIRED$(grep -nw "fn stats_mode" crates/core/src/engine.rs || true)"
 if [ -n "$RETIRED" ]; then
     echo "a retired statistics path is back:" >&2

@@ -1043,10 +1043,14 @@ mod tests {
         let heavy = stats.heavy_hitters(0, &[1], 16);
         let one_scan = stats_scan_bytes_total() - before;
         assert_eq!(one_scan, db.relation(0).len() as u64 * 2 * 8);
-        // Every later question about the projection — another threshold, a
-        // point lookup — is answered from the memoized map: no rescan.
+        // Every later question about the projection, at any threshold, is
+        // answered from the memoized map: no rescan.
         assert!(stats.heavy_hitters(0, &[1], 4).len() <= heavy.len());
-        assert_eq!(stats.frequency(0, &[1], &heavy[0].key), heavy[0].estimate);
+        let finer = stats.heavy_hitters(0, &[1], 64);
+        assert!(
+            heavy.iter().all(|e| finer.contains(e)),
+            "m/16-heavy is m/64-heavy"
+        );
         assert_eq!(stats_scan_bytes_total() - before, one_scan);
     }
 

@@ -18,9 +18,14 @@
 //!    execute the cached [`Plan`] against a `Database` assembled from
 //!    `Arc` clones (no tuple copies, no validation rescans);
 //! 4. on a miss, fingerprint the statistics (heavy-hitter membership over
-//!    [`planning_projections`] plus power-of-two cardinality buckets —
-//!    read off the sketches, no scan), plan once from them, and cache the
-//!    plan with its fingerprint.
+//!    [`planning_projections`] plus power-of-two cardinality buckets), plan
+//!    once from them, and cache the plan with its fingerprint. Both read
+//!    one view over the catalog's sketches: cardinalities off the
+//!    relations, heavy hitters off the sketches, each projection
+//!    registered — its one backfill scan — the first time anything asks
+//!    for it. A §4.2 plan's joint-variable projections are registered
+//!    like the rest and kept up to date from then on; no question is ever
+//!    answered by scanning a relation.
 //!
 //! The planner reads nothing but those statistics, and only ingest changes
 //! them, so staleness is decided once, where they change.
@@ -81,7 +86,7 @@ use mpc_query::Query;
 use mpc_sim::backend::Backend;
 use mpc_stats::cardinality::SimpleStatistics;
 use mpc_stats::sketch::{FreqEstimate, RelationSketch, SpaceSaving};
-use mpc_stats::source::ExactStats;
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -548,16 +553,6 @@ impl Service {
         self
     }
 
-    /// The service domain `n`.
-    pub fn domain(&self) -> u64 {
-        self.domain
-    }
-
-    /// The execution backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     /// The configured statistics mode.
     pub fn stats_mode(&self) -> StatsMode {
         self.stats_mode
@@ -805,8 +800,8 @@ impl Service {
             entry.last_used = self.tick;
             return Ok((entry.plan.clone(), db, CacheStatus::Hit));
         }
-        let fingerprint = self.fingerprint_for(&canonical, &atom_entries, p);
-        let view = self.stats_view(&atom_entries, &db);
+        let view = self.catalog_stats(&atom_entries);
+        let fingerprint = view.fingerprint(&canonical, p);
         let mut engine = Engine::new(&canonical)
             .p(p)
             .seed(seed)
@@ -856,39 +851,14 @@ impl Service {
             .collect()
     }
 
-    /// The current statistics fingerprint for `q` at `p`: fold the
-    /// power-of-two cardinality bucket of every atom's relation and the
-    /// heavy-membership hash of every [`planning_projections`] projection
-    /// as its sketch reports it — the (conservative) heavy set the planner
-    /// will actually see. A projection is registered with the sketch on
-    /// first need (one scan, amortized away).
-    fn fingerprint_for(&mut self, q: &Query, atom_entries: &[usize], p: usize) -> u64 {
-        let mut h = mix64(p as u64, 0x5e);
-        for (j, &i) in atom_entries.iter().enumerate() {
-            h = mix64(h, j as u64);
-            h = mix64(h, cardinality_bucket(self.entries[i].rel.len()));
-        }
-        for (j, cols) in planning_projections(q) {
-            let entry = &mut self.entries[atom_entries[j]];
-            entry.sketch.ensure_projection(&entry.rel, &cols);
-            let heavy = entry
-                .sketch
-                .heavy_hitters(&cols, p)
-                .expect("projection ensured");
-            h = mix64(h, j as u64 ^ heavy_membership_hash(&heavy));
-        }
-        h
-    }
-
-    /// Read-only [`Stats`] view over the catalog for planning `db`'s query
-    /// (`atom_entries` maps its atoms to catalog entries).
-    fn stats_view<'a>(&'a self, atom_entries: &[usize], db: &'a Database) -> CatalogStats<'a> {
+    /// The [`Stats`] view over the catalog for a query whose atoms
+    /// `atom_entries` maps to catalog entries: what planning and
+    /// fingerprinting both read.
+    fn catalog_stats<'a>(&'a mut self, atom_entries: &'a [usize]) -> CatalogStats<'a> {
         CatalogStats {
-            sketches: atom_entries
-                .iter()
-                .map(|&i| &self.entries[i].sketch)
-                .collect(),
-            exact: ExactStats::of(db),
+            entries: RefCell::new(&mut self.entries),
+            atom_entries,
+            domain: self.domain,
         }
     }
 
@@ -915,7 +885,7 @@ impl Service {
             let atom_entries = self
                 .resolve_atoms(&query)
                 .expect("cached plan references loaded relations");
-            let current = self.fingerprint_for(&query, &atom_entries, key.p);
+            let current = self.catalog_stats(&atom_entries).fingerprint(&query, key.p);
             if self.plans[&key].fingerprint != current {
                 self.plans.remove(&key);
                 self.counters.invalidations += 1;
@@ -964,34 +934,61 @@ fn heavy_membership_hash(estimates: &[FreqEstimate]) -> u64 {
         .fold(0u64, |acc, kh| acc ^ kh)
 }
 
-/// Planner-facing view of the catalog's maintained statistics: every
-/// question is answered by the relation's sketch when the projection is
-/// registered there (all of [`planning_projections`] are, by the
-/// fingerprint that precedes planning), and otherwise by one exact scan,
-/// memoized for the life of the view (e.g. a pinned §4.2 run asking for a
-/// joint variable subset outside [`planning_projections`]) — registering
-/// it would need to mutate the catalog through a shared view.
+/// The catalog's statistics as the planner and the fingerprint read them:
+/// cardinalities off the relations, heavy hitters off each relation's one
+/// sketch (atoms naming the same relation share it). A projection the
+/// sketch does not track yet is registered on the spot — one backfill
+/// scan, after which appends keep it current — so every answer comes from
+/// the sketch, at the capacity the statistics mode chose.
 struct CatalogStats<'a> {
-    /// The sketch of each atom's relation, in atom order.
-    sketches: Vec<&'a RelationSketch>,
-    exact: ExactStats<'a>,
+    /// The whole catalog, mutable so a question can register a projection.
+    entries: RefCell<&'a mut [CatalogEntry]>,
+    /// The catalog entry of each atom, in atom order.
+    atom_entries: &'a [usize],
+    domain: u64,
+}
+
+impl CatalogStats<'_> {
+    /// The statistics fingerprint of `q` at `p`: fold the power-of-two
+    /// cardinality bucket of every atom's relation and the heavy-membership
+    /// hash of every [`planning_projections`] projection as the planner
+    /// will read it from this view — the (conservative) heavy set it will
+    /// actually see.
+    fn fingerprint(&self, q: &Query, p: usize) -> u64 {
+        let mut h = mix64(p as u64, 0x5e);
+        for (j, &i) in self.atom_entries.iter().enumerate() {
+            h = mix64(h, j as u64);
+            h = mix64(h, cardinality_bucket(self.entries.borrow()[i].rel.len()));
+        }
+        for (j, cols) in planning_projections(q) {
+            let heavy = self.heavy_hitters(j, &cols, p);
+            h = mix64(h, j as u64 ^ heavy_membership_hash(&heavy));
+        }
+        h
+    }
 }
 
 impl Stats for CatalogStats<'_> {
     fn simple(&self) -> SimpleStatistics {
-        self.exact.simple()
+        let entries = self.entries.borrow();
+        let rels = || self.atom_entries.iter().map(|&i| &entries[i].rel);
+        let value_bits = mpc_data::domain_bits(self.domain);
+        SimpleStatistics {
+            cardinalities: rels().map(|rel| rel.len()).collect(),
+            bit_sizes: rels().map(|rel| rel.bit_size(value_bits)).collect(),
+            value_bits,
+            domain: self.domain,
+        }
     }
 
     fn heavy_hitters(&self, atom: usize, cols: &[usize], p: usize) -> Vec<FreqEstimate> {
-        self.sketches[atom]
+        let mut entries = self.entries.borrow_mut();
+        let entry = &mut entries[self.atom_entries[atom]];
+        entry.sketch.ensure_projection(&entry.rel, cols);
+        entry
+            .sketch
             .heavy_hitters(cols, p)
-            .unwrap_or_else(|| self.exact.heavy_hitters(atom, cols, p))
-    }
-
-    fn frequency(&self, atom: usize, cols: &[usize], key: &[u64]) -> usize {
-        self.sketches[atom]
-            .frequency(cols, key)
-            .unwrap_or_else(|| self.exact.frequency(atom, cols, key))
+            .expect("projection ensured")
     }
 }
 
@@ -1218,79 +1215,101 @@ mod tests {
     }
 
     #[test]
-    fn frequency_is_the_lookup_into_the_map_it_replaces() {
-        // `Stats::frequency` must return what the map-shaped `frequencies()`
-        // shim it replaced returned for every key, known or not. That shim
-        // defaulted to "every estimate the source can produce (`p =
-        // usize::MAX` drives the threshold to ~0), each at `count_upper`";
-        // the service view overrode it with the sketch's tracked estimates
-        // on a registered projection and the exact map on any other.
-        use crate::engine::{ExactStats, SketchStats};
+    fn sketch_mode_plans_from_its_sketches_alone() {
+        // A Zipf triangle Auto plans with §4.2: its first miss registers
+        // every projection the planner asks for; later misses, before and
+        // after an APPEND, read them without scanning, and plan exactly as
+        // the engine does from `SketchStats` at the service's capacity.
+        use crate::engine::SketchStats;
         use mpc_data::stats_scan_bytes_total;
-        let n = 1u64 << 12;
-        for mode in [StatsMode::Exact, StatsMode::Sketch] {
-            let mut rng = Rng::seed_from_u64(5);
-            // p = 4 puts the sketch capacity at its floor of 64, far below
-            // the hundreds of distinct z values, so sketch mode evicts.
-            let mut svc = Service::new(n)
-                .with_backend(Backend::Sequential)
-                .with_defaults(4, 3)
-                .with_stats_mode(mode);
-            for name in ["S1", "S2"] {
-                svc.load(generators::uniform(name, 2, 600, 512, &mut rng))
-                    .unwrap();
-            }
-            let q = parse_query("S1(x,z), S2(y,z)").unwrap().canonical();
-            svc.query(&q).unwrap(); // registers the z projection of both atoms
-            let atoms = svc.resolve_atoms(&q).unwrap();
-            let rels = atoms.iter().map(|&i| svc.entries[i].rel.clone()).collect();
-            let db = Database::from_shared(q, rels, n).unwrap();
-            let absent = vec![n - 1];
-            let check = |stats: &dyn Stats, cols: &[usize], shim: &FastMap<Vec<u64>, usize>| {
-                for key in db.relation(0).frequencies(cols).keys().chain([&absent]) {
-                    let want = shim.get(key).copied().unwrap_or(0);
-                    assert_eq!(
-                        stats.frequency(0, cols, key),
-                        want,
-                        "{mode} {cols:?} {key:?}"
-                    );
-                }
-            };
-            let at_count_upper = |estimates: Vec<FreqEstimate>| -> FastMap<Vec<u64>, usize> {
-                let upper = |e: FreqEstimate| (e.key.clone(), e.count_upper());
-                estimates.into_iter().map(upper).collect()
-            };
-            let (truth_z, truth_x) = (
-                db.relation(0).frequencies(&[1]),
-                db.relation(0).frequencies(&[0]),
-            );
-
-            // The free-standing sources register a projection on demand.
-            let (exact, sketch) = (ExactStats::of(&db), SketchStats::of(&db, 16));
-            check(&exact, &[1], &truth_z);
-            let sketched = at_count_upper(sketch.heavy_hitters(0, &[1], usize::MAX));
-            assert_eq!(sketched.len(), 16, "16 slots over hundreds of keys");
-            check(&sketch, &[1], &sketched);
-
-            // The service view, on a projection its sketch has registered...
-            let view = svc.stats_view(&atoms, &db);
-            let summary = svc.entries[atoms[0]].sketch.projection(&[1]);
-            let tracked = at_count_upper(summary.expect("registered above").estimates());
-            check(&view, &[1], &tracked);
-            match mode {
-                StatsMode::Exact => assert_eq!(tracked, truth_z),
-                _ => assert!(tracked.len() < truth_z.len(), "sketch mode must evict here"),
-            }
-            // ... and on one it has not (x is no join variable): exact
-            // counts from one scan, memoized for the life of the view.
+        let (n, p) = (1u64 << 10, 16);
+        let mut rng = Rng::seed_from_u64(7);
+        let mut svc = Service::new(n)
+            .with_backend(Backend::Sequential)
+            .with_defaults(p, 1)
+            .with_stats_mode(StatsMode::Sketch);
+        for name in ["S1", "S2", "S3"] {
+            svc.load(generators::zipf_column(name, 2, 2000, n, 0, 1.1, &mut rng))
+                .unwrap();
+        }
+        let triangle = parse_query("S1(x,y), S2(y,z), S3(z,x)")
+            .unwrap()
+            .canonical();
+        // Plans one miss, checks it against `SketchStats`, and returns the
+        // bytes the service scanned to plan it.
+        let miss = |svc: &mut Service, seed: u64| -> u64 {
+            let spec = QuerySpec::new(triangle.clone()).seed(seed);
             let before = stats_scan_bytes_total();
-            check(&view, &[0], &truth_x);
-            let two_scans = 2 * db.relation(0).len() as u64 * 2 * 8;
-            assert_eq!(
-                stats_scan_bytes_total() - before,
-                two_scans,
-                "check's + the view's"
+            let out = svc.query_spec(&spec).unwrap();
+            let scanned = stats_scan_bytes_total() - before;
+            assert_eq!(out.cache_status(), CacheStatus::Miss, "seed {seed}");
+            assert_eq!(out.algorithm(), Algorithm::GeneralSkew);
+            let key = PlanKey {
+                shape: triangle.shape(),
+                p,
+                seed,
+                algorithm: Algorithm::Auto,
+                aggregate: None,
+            };
+            let plan = &svc.plans[&key].plan;
+            let got = (
+                plan.predicted_load_bits(),
+                plan.num_bin_combinations(),
+                out.max_load_bits(),
             );
+            let atoms = svc.resolve_atoms(&triangle).unwrap();
+            let rels = atoms.iter().map(|&i| svc.entries[i].rel.clone()).collect();
+            let db = Database::from_shared(triangle.clone(), rels, n).unwrap();
+            let stats = SketchStats::of(&db, svc.sketch_capacity_for_p());
+            let want = Engine::new(&triangle)
+                .p(p)
+                .seed(seed)
+                .stats(&stats)
+                .plan(&db);
+            let want = (
+                want.predicted_load_bits(),
+                want.num_bin_combinations(),
+                want.execute(&db, Backend::Sequential).max_load_bits(),
+            );
+            assert_eq!(
+                got, want,
+                "seed {seed}: the service planned off its sketches"
+            );
+            scanned
+        };
+        assert!(
+            miss(&mut svc, 1) > 0,
+            "the first miss registers projections"
+        );
+        assert_eq!(miss(&mut svc, 2), 0, "a second miss rescans");
+        svc.append("S1", &[0, 5, 1, 6, 2, 7]).unwrap();
+        assert_eq!(miss(&mut svc, 3), 0, "a miss after an APPEND rescans");
+
+        // HyperCube and the skew join read nothing but the planning
+        // projections, so they register exactly those.
+        for (names, zipf, expect) in [
+            (["U1", "U2"], false, Algorithm::HyperCube),
+            (["Z1", "Z2"], true, Algorithm::SkewJoin),
+        ] {
+            for name in names {
+                svc.load(if zipf {
+                    generators::zipf_column(name, 3, 2000, n, 0, 1.1, &mut rng)
+                } else {
+                    generators::uniform(name, 3, 2000, n, &mut rng)
+                })
+                .unwrap();
+            }
+            let text = format!("{}(x,y,z), {}(x,y,w)", names[0], names[1]);
+            let q = parse_query(&text).unwrap();
+            assert_eq!(svc.query(&q).unwrap().algorithm(), expect);
+            let projections = planning_projections(&q.canonical());
+            for (j, name) in names.into_iter().enumerate() {
+                let info = (svc.relation_infos().into_iter())
+                    .find(|info| info.name == name)
+                    .unwrap();
+                let asked = projections.iter().filter(|(atom, _)| *atom == j).count();
+                assert_eq!(info.tracked_projections, asked, "{text}: {name}");
+            }
         }
     }
 
@@ -1359,7 +1378,7 @@ mod tests {
                     for key in keys {
                         let query = svc.plans[&key].query.clone();
                         let atoms = svc.resolve_atoms(&query).unwrap();
-                        let now = svc.fingerprint_for(&query, &atoms, key.p);
+                        let now = svc.catalog_stats(&atoms).fingerprint(&query, key.p);
                         mpc_testkit::prop_assert_eq!(svc.plans[&key].fingerprint, now, "{mode} after op {kind} on {name}");
                     }
                 }

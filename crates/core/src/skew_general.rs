@@ -27,7 +27,8 @@
 //! **Deviation from the paper, documented:** the paper selects `C'(B)` by a
 //! non-adaptive overweight recursion (Lemma 4.2) so that only approximate
 //! frequencies are needed; this implementation selects assignments directly
-//! from the exact statistics it already holds and enforces the same
+//! by the heavy hitters' reported frequencies (their overcount intervals'
+//! upper ends; exact from exact statistics) and enforces the same
 //! `|C'(B)| <= p` cap. When the cap drops an assignment, the affected
 //! tuples fall back to the `B_∅` run (correctness is preserved
 //! unconditionally; the load guarantee then degrades gracefully —
@@ -121,7 +122,7 @@ impl GeneralSkewAlgorithm {
         let mu = log_p_sizes(&simple, p);
 
         let binned = heavy_table(&q, p, stats);
-        let raw = enumerate_combinations_with(&q, p, stats, &binned);
+        let raw = enumerate_combinations_with(&q, p, &binned);
         let mut combos: Vec<PreparedCombo> = Vec::with_capacity(raw.len());
         let mut compiled: FastMap<Vec<usize>, Arc<CompiledRoutes>> = FastMap::default();
         let mut base = usize::MAX;

@@ -272,12 +272,6 @@ impl Cluster {
         self.backend
     }
 
-    /// Replace the local-evaluation backend (the fragments are unchanged).
-    pub fn with_backend(mut self, backend: Backend) -> Cluster {
-        self.backend = backend;
-        self
-    }
-
     /// The fragment of atom `j` on `server`.
     pub fn fragment(&self, atom: usize, server: usize) -> &Relation {
         &self.fragments[atom][server]
@@ -778,16 +772,5 @@ mod tests {
             out.push(if atom == 0 { 99 } else { 0 });
         };
         let _ = Cluster::run_round_on(&db, 4, &router, Backend::Pooled(4));
-    }
-
-    #[test]
-    fn with_backend_swaps_local_evaluation() {
-        let db = join_db(500, 8);
-        let p = 4;
-        let cluster = Cluster::run_round_on(&db, p, &BroadcastRouter { p }, Backend::Sequential);
-        let answers_seq = cluster.all_answers(db.query());
-        let cluster = cluster.with_backend(Backend::Pooled(3));
-        assert_eq!(cluster.backend(), Backend::Pooled(3));
-        assert_eq!(cluster.all_answers(db.query()), answers_seq);
     }
 }

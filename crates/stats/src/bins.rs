@@ -158,9 +158,6 @@ mod tests {
                 };
                 self.0.iter().map(interval).collect()
             }
-            fn frequency(&self, _: usize, _: &[usize], _: &[u64]) -> usize {
-                0
-            }
         }
 
         // The rule planning applies: `HeavyHitters::of` keeps what may

@@ -9,9 +9,10 @@
 //! The paper's algorithm caps the assignments actually processed per
 //! combination at `p` (`|C'(B)| <= p`, Lemma 4.2) via the overweight
 //! recursion; this collector enforces the same cap by keeping the
-//! heaviest-by-frequency-product assignments, which realizes the same
-//! guarantee directly from the statistics it already holds (the deviation
-//! is stated in `mpc_core::skew_general`'s module docs).
+//! assignments with the largest product of their *heavy-bin* frequencies —
+//! the heavy hitters' counts it already holds. Light atoms contribute
+//! nothing to the product: no statistic is read about a light assignment
+//! (the deviation is stated in `mpc_core::skew_general`'s module docs).
 //!
 //! Enumerating `C(B)` requires every variable of `x` to be pinned by at
 //! least one atom in a *heavy* bin (light projections have up to `n`
@@ -41,7 +42,8 @@ pub enum BinChoice {
 pub struct CombinationAssignment {
     /// Values for the variables of `x`, in `x.iter()` order.
     pub values: Vec<u64>,
-    /// `m_j(h_j)` per atom (`None` where `x_j = ∅`).
+    /// `m_j(h_j)` per atom, for heavy-bin atoms only (`None` where the
+    /// atom chose the light bin or `x_j = ∅`).
     pub freqs: Vec<Option<usize>>,
 }
 
@@ -117,17 +119,14 @@ pub fn heavy_table(q: &Query, p: usize, stats: &dyn Stats) -> HeavyTable {
 pub fn enumerate_combinations(db: &Database, p: usize) -> Vec<BinCombination> {
     let stats = ExactStats::of(db);
     let binned = heavy_table(db.query(), p, &stats);
-    enumerate_combinations_with(db.query(), p, &stats, &binned)
+    enumerate_combinations_with(db.query(), p, &binned)
 }
 
-/// [`enumerate_combinations`] over any [`Stats`] source — heavy sets come
-/// from `binned` (the source's [`heavy_table`]), light frequencies from
-/// [`Stats::frequency`] (exact statistics go through the same path via
-/// [`ExactStats`]).
+/// [`enumerate_combinations`] over the [`heavy_table`] of any [`Stats`]
+/// source: the heavy sets are everything the combinations read.
 pub fn enumerate_combinations_with(
     q: &Query,
     p: usize,
-    stats: &dyn Stats,
     binned: &HeavyTable,
 ) -> Vec<BinCombination> {
     let l = q.num_atoms();
@@ -168,9 +167,7 @@ pub fn enumerate_combinations_with(
                 .filter(|(_, c)| matches!(c, BinChoice::Heavy(_)))
                 .fold(VarSet::EMPTY, |s, (&j, _)| s.union(xj[j]));
             if covered == x {
-                if let Some(combo) =
-                    realize_combination(q, p, x, &participants, &chosen, binned, stats)
-                {
+                if let Some(combo) = realize_combination(q, p, x, &participants, &chosen, binned) {
                     out.push(combo);
                 }
             }
@@ -194,7 +191,6 @@ pub fn enumerate_combinations_with(
 
 /// Join the chosen heavy bins' members into joint assignments, verify light
 /// choices, cap at `p`, and package the combination.
-#[allow(clippy::too_many_arguments)]
 fn realize_combination(
     q: &Query,
     p: usize,
@@ -202,7 +198,6 @@ fn realize_combination(
     participants: &[usize],
     chosen: &[&BinChoice],
     binned: &HeavyTable,
-    stats: &dyn Stats,
 ) -> Option<BinCombination> {
     let l = q.num_atoms();
     let xvars: Vec<usize> = x.iter().collect();
@@ -248,7 +243,8 @@ fn realize_combination(
         }
     }
 
-    // Materialize, check bins of every participant, collect frequencies.
+    // Materialize, check bins of every participant, collect heavy-bin
+    // frequencies.
     let mut assignments: Vec<CombinationAssignment> = Vec::new();
     'cand: for partial in partials {
         let values: Vec<u64> = partial
@@ -276,11 +272,7 @@ fn realize_combination(
                 }
                 (BinChoice::Heavy(_), None) => continue 'cand,
                 (BinChoice::Light, Some(_)) => continue 'cand, // actually heavy
-                (BinChoice::Light, None) => {
-                    // Light: best-known frequency (may be 0; only orders
-                    // the cap, see `Stats::frequency`).
-                    freqs[j] = Some(stats.frequency(j, &bh.source.cols, &key));
-                }
+                (BinChoice::Light, None) => {}
                 (BinChoice::Absent, _) => unreachable!("participants are non-absent"),
             }
         }
@@ -289,8 +281,9 @@ fn realize_combination(
     if assignments.is_empty() {
         return None;
     }
-    // Cap |C'(B)| <= p, keeping the heaviest assignments by frequency
-    // product (Lemma 4.2's bound, realized greedily).
+    // Cap |C'(B)| <= p, keeping the heaviest assignments by the product of
+    // their heavy-bin frequencies (Lemma 4.2's bound, realized greedily;
+    // light atoms record `None` and drop out of the product).
     if assignments.len() > p {
         assignments.sort_by(|a, b| {
             let fa: f64 = a
@@ -375,8 +368,8 @@ mod tests {
         assert_eq!(hit.assignments.len(), 1);
         assert_eq!(hit.assignments[0].values, vec![7]);
         assert_eq!(hit.assignments[0].freqs[0], Some(512));
-        // S2 is a matching: z=7 appears at most once there.
-        assert!(hit.assignments[0].freqs[1].unwrap_or(0) <= 1);
+        // S2 chose the light bin: no count is read for it.
+        assert_eq!(hit.assignments[0].freqs[1], None);
         // β: bin 2 -> log_p 2 for S1; light -> 1.0 for S2.
         assert!((hit.beta[0] - 2f64.ln() / 16f64.ln()).abs() < 1e-12);
         assert_eq!(hit.beta[1], 1.0);

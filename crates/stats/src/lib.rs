@@ -5,9 +5,10 @@
 //!
 //! * [`cardinality::SimpleStatistics`] — cardinalities and bit sizes
 //!   (Section 3's "simple database statistics");
-//! * [`source`] — [`Stats`], the one trait a planner asks heavy-hitter
-//!   questions through, and its sources: [`ExactStats`] (scan-based
-//!   oracle), [`SketchStats`], [`SyntheticStats`];
+//! * [`source`] — [`Stats`], the one trait a planner asks its two
+//!   questions through (cardinalities, heavy hitters), and its sources:
+//!   [`ExactStats`] (scan-based oracle), [`SketchStats`],
+//!   [`SyntheticStats`];
 //! * [`sketch`] — [`RelationSketch`], the one statistics state anything
 //!   maintains: SpaceSaving summaries per projection, advanced per
 //!   appended tuple, reporting each count as a [`FreqEstimate`] overcount

@@ -221,16 +221,6 @@ impl SpaceSaving {
         self.items
     }
 
-    /// Best-known count of `key`: its tracked (over)estimate — the
-    /// [`FreqEstimate::count_upper`] of its entry in
-    /// [`SpaceSaving::estimates`] — or 0 when the key is not tracked. One
-    /// index probe, no allocation.
-    pub fn count(&self, key: &[u64]) -> usize {
-        self.index
-            .get(key)
-            .map_or(0, |&i| self.slots[i].count as usize)
-    }
-
     /// The largest per-entry overcount bound (telemetry).
     fn max_over(&self) -> u64 {
         self.slots.iter().map(|s| s.over).max().unwrap_or(0)
@@ -364,13 +354,6 @@ impl RelationSketch {
         let ss = self.projections.get(cols)?;
         let threshold = self.rows as f64 / p as f64;
         Some(ss.heavy_hitters(threshold))
-    }
-
-    /// Best-known count of `key` in the `cols` projection — see
-    /// [`SpaceSaving::count`] (`None` when the projection is not
-    /// registered).
-    pub fn frequency(&self, cols: &[usize], key: &[u64]) -> Option<usize> {
-        self.projection(cols).map(|ss| ss.count(key))
     }
 
     /// Resident bytes across all summaries (telemetry).
@@ -537,10 +520,11 @@ mod tests {
             assert_eq!(sk.rows(), rel.len() as u64);
             for cols in [vec![1usize], vec![0usize, 1]] {
                 let freq = rel.frequencies(&cols);
-                for (key, &count) in &freq {
-                    assert_eq!(sk.frequency(&cols, key), Some(count));
+                let tracked = sk.projection(&cols).unwrap().estimates();
+                assert_eq!(tracked.len(), freq.len());
+                for e in &tracked {
+                    assert_eq!(*e, FreqEstimate::exact(e.key.clone(), freq[&e.key]));
                 }
-                assert_eq!(sk.projection(&cols).unwrap().len(), freq.len());
                 for p in [2usize, 4, 8] {
                     let threshold = rel.len() as f64 / p as f64;
                     let mut expect: Vec<FreqEstimate> = freq

@@ -1,9 +1,13 @@
-//! The statistics surface planners consume: one trait, three sources.
+//! The statistics surface planners consume: one trait, two questions,
+//! three sources.
 //!
-//! Section 4 needs one kind of statistic — per `(relation, attribute
-//! subset)`, the heavy hitters `m_j(h_j) > m_j/p` "and their (approximate)
-//! frequencies". [`Stats`] is the only way a planner asks for it, and every
-//! answer is a [`FreqEstimate`] overcount interval. [`ExactStats`] reads
+//! The paper's algorithms read two statistics and nothing else: the
+//! cardinalities `m_j` (Section 3, [`Stats::simple`]) and, on skewed data,
+//! per `(relation, attribute subset)` the heavy hitters `m_j(h_j) > m_j/p`
+//! "and their (approximate) frequencies" (Section 4,
+//! [`Stats::heavy_hitters`]). [`Stats`] is the only way a planner asks for
+//! them, and every heavy hitter is a [`FreqEstimate`] overcount interval;
+//! no planner asks about a light assignment. [`ExactStats`] reads
 //! the data (zero-width intervals; the scan-based oracle the parity suites
 //! compare every other source against, and what the engine plans from
 //! when it is handed no source), [`SketchStats`] answers from
@@ -39,19 +43,12 @@ pub trait Stats {
     /// exactly the heavy hitters with zero-width bounds). Extra
     /// sub-threshold keys are allowed but wasteful.
     fn heavy_hitters(&self, atom: usize, cols: &[usize], p: usize) -> Vec<FreqEstimate>;
-
-    /// Best-known count of one assignment `key` of the `cols` projection:
-    /// the largest count consistent with what the source knows, 0 when it
-    /// knows nothing. Only ever asked about *light* assignments, to order
-    /// the §4.2 `|C'(B)| <= p` cap — any value at or below the threshold
-    /// is consistent there, so 0 costs balance, never correctness.
-    fn frequency(&self, atom: usize, cols: &[usize], key: &[u64]) -> usize;
 }
 
 /// Exact statistics read from the database. The frequency map of each
 /// `(atom, cols)` projection is built by one relation scan on first
 /// request and memoized for the life of the value, so skew detection,
-/// skew-join planning and every §4.2 point lookup share that scan.
+/// skew-join planning and §4.2 share that scan at every threshold.
 pub struct ExactStats<'a> {
     db: &'a Database,
     #[allow(clippy::type_complexity)]
@@ -66,19 +63,6 @@ impl<'a> ExactStats<'a> {
             cache: RefCell::new(FastMap::default()),
         }
     }
-
-    fn with_frequencies<T>(
-        &self,
-        atom: usize,
-        cols: &[usize],
-        f: impl FnOnce(&FastMap<Vec<u64>, usize>) -> T,
-    ) -> T {
-        let mut cache = self.cache.borrow_mut();
-        let map = cache
-            .entry((atom, cols.to_vec()))
-            .or_insert_with(|| self.db.relation(atom).frequencies(cols));
-        f(map)
-    }
 }
 
 impl Stats for ExactStats<'_> {
@@ -88,18 +72,17 @@ impl Stats for ExactStats<'_> {
 
     fn heavy_hitters(&self, atom: usize, cols: &[usize], p: usize) -> Vec<FreqEstimate> {
         let threshold = self.db.relation(atom).len() as f64 / p as f64;
-        let mut out: Vec<FreqEstimate> = self.with_frequencies(atom, cols, |map| {
-            map.iter()
-                .filter(|(_, &c)| c as f64 > threshold)
-                .map(|(k, &c)| FreqEstimate::exact(k.clone(), c))
-                .collect()
-        });
+        let mut cache = self.cache.borrow_mut();
+        let map = cache
+            .entry((atom, cols.to_vec()))
+            .or_insert_with(|| self.db.relation(atom).frequencies(cols));
+        let mut out: Vec<FreqEstimate> = map
+            .iter()
+            .filter(|(_, &c)| c as f64 > threshold)
+            .map(|(k, &c)| FreqEstimate::exact(k.clone(), c))
+            .collect();
         out.sort_by(|a, b| a.key.cmp(&b.key));
         out
-    }
-
-    fn frequency(&self, atom: usize, cols: &[usize], key: &[u64]) -> usize {
-        self.with_frequencies(atom, cols, |map| map.get(key).copied().unwrap_or(0))
     }
 }
 
@@ -124,21 +107,6 @@ impl<'a> SketchStats<'a> {
             cache: RefCell::new(FastMap::default()),
         }
     }
-
-    fn with_sketch<T>(
-        &self,
-        atom: usize,
-        cols: &[usize],
-        f: impl FnOnce(&RelationSketch) -> T,
-    ) -> T {
-        let mut cache = self.cache.borrow_mut();
-        let rel = self.db.relation(atom);
-        let sk = cache
-            .entry(atom)
-            .or_insert_with(|| RelationSketch::of(rel, self.capacity));
-        sk.ensure_projection(rel, cols);
-        f(sk)
-    }
 }
 
 impl Stats for SketchStats<'_> {
@@ -147,15 +115,13 @@ impl Stats for SketchStats<'_> {
     }
 
     fn heavy_hitters(&self, atom: usize, cols: &[usize], p: usize) -> Vec<FreqEstimate> {
-        self.with_sketch(atom, cols, |sk| {
-            sk.heavy_hitters(cols, p).expect("projection ensured")
-        })
-    }
-
-    fn frequency(&self, atom: usize, cols: &[usize], key: &[u64]) -> usize {
-        self.with_sketch(atom, cols, |sk| {
-            sk.frequency(cols, key).expect("projection ensured")
-        })
+        let mut cache = self.cache.borrow_mut();
+        let rel = self.db.relation(atom);
+        let sk = cache
+            .entry(atom)
+            .or_insert_with(|| RelationSketch::of(rel, self.capacity));
+        sk.ensure_projection(rel, cols);
+        sk.heavy_hitters(cols, p).expect("projection ensured")
     }
 }
 
@@ -171,9 +137,5 @@ impl Stats for SyntheticStats {
 
     fn heavy_hitters(&self, _atom: usize, _cols: &[usize], _p: usize) -> Vec<FreqEstimate> {
         Vec::new()
-    }
-
-    fn frequency(&self, _atom: usize, _cols: &[usize], _key: &[u64]) -> usize {
-        0
     }
 }

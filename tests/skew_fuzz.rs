@@ -50,10 +50,6 @@ impl Stats for Recorder<'_> {
         self.asked.borrow_mut().push((atom, cols.to_vec()));
         self.exact.heavy_hitters(atom, cols, p)
     }
-
-    fn frequency(&self, atom: usize, cols: &[usize], key: &[u64]) -> usize {
-        self.exact.frequency(atom, cols, key)
-    }
 }
 
 /// Plan `engine` over `db` and return the resolved algorithm with every

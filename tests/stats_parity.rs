@@ -273,3 +273,51 @@ fn sketch_service_answers_match_exact_service_across_appends() {
         );
     }
 }
+
+#[test]
+fn sketch_service_classifies_a_planted_heavy_pair() {
+    // A triangle with one heavy (x, y) pair in S1, in the style of the §4.2
+    // joint-heavy-pair case: the sketch-mode service estimates the pair
+    // projection from its sketch (no exact scan), answers exactly as exact
+    // mode does on every backend, and — capacity >= p — never misses the
+    // pair, which it plans exactly as `SketchStats` at its capacity does.
+    let q = named::cycle(3);
+    let (n, m, p) = (1u64 << 10, 1024usize, 8usize);
+    let mut rng = Rng::seed_from_u64(5);
+    let mut degrees: Vec<(Vec<u64>, usize)> = vec![(vec![3, 4], m / 4)];
+    degrees.extend((0..(3 * m / 4) as u64).map(|i| (vec![10 + (i % 500), 600 + (i % 300)], 1)));
+    let rels = vec![
+        generators::from_degree_sequence("S1", 2, &[0, 1], &degrees, n, &mut rng),
+        generators::uniform("S2", 2, m, n, &mut rng),
+        generators::uniform("S3", 2, m, n, &mut rng),
+    ];
+    let service = |mode: StatsMode, backend: Backend| {
+        let mut svc = Service::new(n)
+            .with_backend(backend)
+            .with_defaults(p, SEED)
+            .with_stats_mode(mode);
+        for rel in &rels {
+            svc.load(rel.clone()).unwrap();
+        }
+        svc
+    };
+    let db = Database::new(q.clone(), rels.clone(), n).unwrap();
+    let capacity = service(StatsMode::Sketch, Backend::Sequential).sketch_capacity_for_p();
+    assert!(capacity >= p);
+    let stats = SketchStats::of(&db, capacity);
+    let pair = stats.heavy_hitters(0, &[0, 1], p);
+    let planted = pair.iter().find(|e| e.key == [3, 4]).expect("pair missed");
+    assert!(planted.count_lower() <= m / 4 && m / 4 <= planted.count_upper());
+    let want = Engine::new(&q).p(p).seed(SEED).stats(&stats).plan(&db);
+    for backend in [Backend::Sequential, Backend::Pooled(4)] {
+        let exact = service(StatsMode::Exact, backend).query(&q).unwrap();
+        let sketch = service(StatsMode::Sketch, backend).query(&q).unwrap();
+        assert_eq!(sketch.algorithm(), Algorithm::GeneralSkew);
+        assert_eq!(sketch.answers(), exact.answers(), "[{backend}]");
+        assert_eq!(
+            sketch.run_outcome().predicted_load_bits(),
+            want.predicted_load_bits(),
+            "[{backend}]: the service planned from other statistics"
+        );
+    }
+}
