@@ -7,8 +7,8 @@
 #                        # + lint + docs + API-surface, one-shuffle-kernel,
 #                        # one-share-LP (one model, one solve),
 #                        # four-algorithm (no baselines in the engine),
-#                        # one-ground-truth/one-freshness-check and
-#                        # one-statistics-surface guards
+#                        # one-ground-truth/one-freshness-check,
+#                        # one-statistics-surface and one-executor guards
 #                        # + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
@@ -23,9 +23,9 @@
 #                        # BENCH_*.json automatically)
 #
 # The test suite runs twice — pinned to the sequential backend
-# (MPCSKEW_THREADS=1) and to the persistent worker pool (MPCSKEW_THREADS=4)
-# — so every test doubles as a differential check across the two
-# executors. Every `cargo test` passes --no-fail-fast: one red crate must
+# (MPCSKEW_THREADS=1) and to the threaded one (MPCSKEW_THREADS=4: the
+# calling thread and three scoped threads per parallel loop) — so every
+# test doubles as a differential check across the two executors. Every `cargo test` passes --no-fail-fast: one red crate must
 # not hide the crates behind it.
 #
 # A per-stage wall-clock summary is printed at the end of every run, so
@@ -194,7 +194,7 @@ cmp "$SMOKE_DIR/stdio.out" "$SMOKE_DIR/tcp.out" || {
 stage "cargo test -q  (MPCSKEW_THREADS=1: sequential backend)"
 MPCSKEW_THREADS=1 cargo test -q --workspace --offline --no-fail-fast
 
-stage "cargo test -q  (MPCSKEW_THREADS=4: persistent worker pool)"
+stage "cargo test -q  (MPCSKEW_THREADS=4: threaded backend)"
 MPCSKEW_THREADS=4 cargo test -q --workspace --offline --no-fail-fast
 
 # Chaos stage: the failpoint suite again, but with the registry armed from
@@ -210,7 +210,7 @@ if [ "${1:-}" = "--quick" ]; then
     exit 0
 fi
 
-stage "cargo test -q -- --ignored   (heavy-output stress cases, pooled backend)"
+stage "cargo test -q -- --ignored   (heavy-output stress cases, threaded backend)"
 MPCSKEW_THREADS=4 cargo test -q --workspace --offline --no-fail-fast -- --ignored
 
 stage "cargo fmt --all -- --check"
@@ -310,7 +310,7 @@ fi
 # unused hypergraph module stays gone — not even as a name in a comment.
 # The ratchet counts `pub fn`s under crates/*/src whose name appears in no
 # other .rs file; it may fall, never rise past UNCALLED_MAX.
-UNCALLED_MAX=12
+UNCALLED_MAX=11
 UNCALLED=0
 for entry in $(grep -rno 'pub fn [a-z_0-9]*' crates/*/src --include='*.rs' \
     | sed 's/^\([^:]*\):[0-9]*:pub fn /\1:/'); do
@@ -351,6 +351,21 @@ RETIRED="$RETIRED$(grep -nw "fn stats_mode" crates/core/src/engine.rs || true)"
 if [ -n "$RETIRED" ]; then
     echo "a retired statistics path is back:" >&2
     echo "$RETIRED" >&2
+    exit 1
+fi
+
+# One executor. `Backend::Threads` runs each parallel loop on scoped
+# threads (`std::thread::scope`), the calling thread one of them. The
+# persistent worker pool, its process-wide registry and its lifecycle
+# counters stay gone, not even as a name in a comment — and with them the
+# only `unsafe` outside the bench crate's counting allocator.
+stage "one executor: no worker pool, registry or lifecycle counters; unsafe only in the counting allocator"
+POOL=$(grep -rn "mod pool\|WorkerPool\|pool::global\|spawn_count\|exit_counter\|Backend::Pooled" \
+    crates src tests examples || true)
+UNSAFE=$(grep -rln "unsafe" crates/*/src src | grep -vxF crates/bench/src/alloc_counter.rs || true)
+if [ -n "$POOL$UNSAFE" ]; then
+    echo "the worker pool is back, or unsafe code outside crates/bench/src/alloc_counter.rs:" >&2
+    printf '%s\n%s\n' "$POOL" "$UNSAFE" | sed '/^$/d' >&2
     exit 1
 fi
 

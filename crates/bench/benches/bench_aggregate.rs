@@ -17,7 +17,7 @@
 //! stay near zero on pushdown and grow with `|output|` on the baseline.
 
 use mpc_bench::workloads::{correlated_zipf_db, product_skew_db};
-use mpc_core::aggregate::{aggregate_cluster, AggregateAccumulator, Mergeable};
+use mpc_core::aggregate::{aggregate_cluster, AggregateAccumulator};
 use mpc_core::engine::Engine;
 use mpc_data::catalog::Database;
 use mpc_data::{AnswerSet, QueryBudget};

@@ -1,6 +1,7 @@
 //! Local multiway-join throughput (the per-server compute step) and the
 //! full-cluster Zipf end-to-end case (shuffle + per-server local joins)
-//! on every execution backend, including the pool-reuse and batch cases.
+//! on every execution backend, including the many-small-rounds and batch
+//! cases.
 
 use mpc_bench::workloads::{skewed_join_db, uniform_db, zipf_triangle_db};
 use mpc_core::engine::{execute_batch, Algorithm, Engine, Plan};
@@ -88,7 +89,7 @@ fn bench_deadline_overhead(c: &mut Criterion) {
 
 /// The large Zipf end-to-end case: plan once, then per iteration run the
 /// full round (shuffle + load report + every server's local join) on a
-/// given backend. `Sequential` vs `Pooled(4)` quantifies the parallel
+/// given backend. `Sequential` vs `Threads(4)` quantifies the parallel
 /// executor's wall-clock win (parity on single-core machines — results are
 /// bit-identical either way).
 fn bench_cluster_zipf(c: &mut Criterion) {
@@ -102,7 +103,7 @@ fn bench_cluster_zipf(c: &mut Criterion) {
     g.throughput(Throughput::Elements(2 * m as u64));
     for (name, backend) in [
         ("sequential", Backend::Sequential),
-        ("pooled4", Backend::Pooled(4)),
+        ("pooled4", Backend::Threads(4)),
     ] {
         g.bench_function(BenchmarkId::new("skew_join_e2e", name), |b| {
             b.iter(|| {
@@ -129,9 +130,10 @@ fn bench_cluster_zipf(c: &mut Criterion) {
         },
     );
 
-    // Pool-reuse case: 16 small rounds per iteration. Each round's shuffle
-    // shards into 4 chunks per relation, and every parallel loop of every
-    // round reuses the one persistent Pooled(4) worker set.
+    // Many-small-rounds case: 16 rounds per iteration on Threads(4). At
+    // 4 096 rows per relation the shuffle does not split (its threshold is
+    // more than 4 096 rows), nor does the 16-server load report, so every
+    // round runs inline: small rounds pay nothing for threads.
     let rounds = 16usize;
     let m_small = 1usize << 12;
     let small = skewed_join_db(&q, m_small, 1 << 12, 1.2, 200, 7);
@@ -141,7 +143,7 @@ fn bench_cluster_zipf(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0u64;
             for _ in 0..rounds {
-                let (cluster, report) = sj_small.run_on(black_box(&small), Backend::Pooled(4));
+                let (cluster, report) = sj_small.run_on(black_box(&small), Backend::Threads(4));
                 acc ^= report.max_load_bits() ^ cluster.p() as u64;
             }
             black_box(acc)
@@ -149,15 +151,16 @@ fn bench_cluster_zipf(c: &mut Criterion) {
     });
 
     // The same 16 rounds submitted as one `execute_batch`: parallelism
-    // across rounds (each round sequential inside) on the persistent pool
-    // — the multi-query-throughput shape. Like the loop above it shuffles
+    // across rounds (each round sequential inside), the caller and three
+    // threads spawned once for the batch claiming rounds — the
+    // multi-query-throughput shape. Like the loop above it shuffles
     // and reports load; answers stay lazy.
     let plan_small = Engine::new(&q).p(16).seed(2).plan(&small);
     assert_eq!(plan_small.algorithm(), Algorithm::SkewJoin);
     let jobs: Vec<(&Plan, &Database)> = (0..rounds).map(|_| (&plan_small, &small)).collect();
     g.bench_function(BenchmarkId::new("small_rounds_x16", "batch_pooled4"), |b| {
         b.iter(|| {
-            let results = execute_batch(black_box(&jobs), Backend::Pooled(4));
+            let results = execute_batch(black_box(&jobs), Backend::Threads(4));
             black_box(results.len())
         })
     });

@@ -9,7 +9,7 @@
 //! the multiplicity-aware emit of
 //! [`mpc_data::Join::for_each`] — into a per-group
 //! [`AggregateAccumulator`], and the per-server accumulators are merged
-//! ([`Mergeable`]) into one [`AggregateResult`]. Memory is proportional
+//! ([`AggregateAccumulator::merge`]) into one [`AggregateResult`]. Memory is proportional
 //! to the number of *groups*, not output rows — the entire point on
 //! join-product-skew workloads where `|output| ≫ |inputs|`.
 //!
@@ -57,15 +57,6 @@ use mpc_query::aggregate::{AggregateOp, AggregateSpec};
 use mpc_query::Query;
 use mpc_sim::cluster::Cluster;
 use std::fmt;
-
-/// Anything that can absorb a peer built under the same spec — the merge
-/// half of per-server aggregate folding. Merging must be commutative and
-/// associative so the result is independent of server chunking (the
-/// cluster still delivers chunks in server order).
-pub trait Mergeable {
-    /// Fold `other` into `self`.
-    fn merge(&mut self, other: Self);
-}
 
 /// One op's running state inside a group. The operand variable is baked
 /// in so the hot fold never consults the spec.
@@ -129,7 +120,7 @@ impl OpState {
 /// A per-server (or sequential) streaming accumulator: one
 /// [`FastMap`] entry per observed group, each holding one op state per
 /// op. Feed it bindings via [`AggregateAccumulator::fold`], merge peers
-/// via [`Mergeable::merge`], then [`AggregateAccumulator::finish`].
+/// via [`AggregateAccumulator::merge`], then [`AggregateAccumulator::finish`].
 pub struct AggregateAccumulator {
     group_by: Vec<usize>,
     ops: Vec<AggregateOp>,
@@ -192,10 +183,11 @@ impl AggregateAccumulator {
             rows,
         }
     }
-}
 
-impl Mergeable for AggregateAccumulator {
-    fn merge(&mut self, other: AggregateAccumulator) {
+    /// Fold a peer built under the same spec into `self` — the merge half
+    /// of per-server aggregate folding. Commutative and associative, so
+    /// the result is independent of server chunking.
+    pub fn merge(&mut self, other: AggregateAccumulator) {
         for (key, states) in other.groups {
             match self.groups.entry(key) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -274,10 +266,11 @@ impl fmt::Display for AggregateResult {
 }
 
 /// Fold `query`'s distributed answers on a post-shuffle cluster: each
-/// server's local join streams into its own accumulator (in parallel on
-/// the cluster's backend), and the per-server states merge in server
-/// order. Bit-identical across `Sequential`/`Pooled(n)` because
-/// every merge op is commutative and exact.
+/// worker's server range streams into its own accumulator (on
+/// `Threads(n)`, one chunk per worker, in parallel), and the per-chunk
+/// states merge in server order. Bit-identical across
+/// `Sequential`/`Threads(n)` because every merge op is commutative and
+/// exact.
 ///
 /// Each per-server fold charges its group count against `budget`'s group
 /// cap as groups appear (per-worker counts undercount the global union,

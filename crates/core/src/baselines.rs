@@ -60,7 +60,7 @@ impl HashJoinRouter {
 
     /// Execute the round on `db` with an explicit execution backend
     /// (mirrors [`crate::hypercube::HyperCube::run_on`]; results are
-    /// bit-identical across `Sequential` and `Pooled(n)`).
+    /// bit-identical across `Sequential` and `Threads(n)`).
     pub fn run_on(&self, db: &Database, backend: Backend) -> (Cluster, LoadReport) {
         let cluster = Cluster::run_round_on(db, self.p, self, backend);
         let report = cluster.report();
@@ -223,7 +223,7 @@ mod tests {
         let db = Database::new(q.clone(), rels, 64).unwrap();
         let router = FragmentReplicateRouter::new(8, 2, 1);
         let expected = mpc_sim::oracle::join_database(&db);
-        for backend in [Backend::Sequential, Backend::Pooled(2)] {
+        for backend in [Backend::Sequential, Backend::Threads(2)] {
             let answers = router.run_on(&db, backend).0.all_answers(&q);
             assert_eq!(answers.len(), 15_169, "[{backend}]");
             assert_eq!(answers, expected, "[{backend}]");

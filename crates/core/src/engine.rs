@@ -314,7 +314,7 @@ pub struct PlanKey {
 /// assert!(plan.shares().is_some());
 ///
 /// // Batches run across jobs and agree with one-at-a-time execution.
-/// let batched = mpc_core::engine::execute_batch(&[(&plan, &db)], Backend::Pooled(2));
+/// let batched = mpc_core::engine::execute_batch(&[(&plan, &db)], Backend::Threads(2));
 /// let outcome = plan.execute(&db, Backend::Sequential);
 /// assert_eq!(batched[0].report(), outcome.report());
 /// assert_eq!(batched[0].answers(), outcome.answers());
@@ -425,7 +425,7 @@ impl Plan {
 
     /// Execute the plan on `db` with an explicit backend. Results are
     /// bit-identical to invoking the planned algorithm directly
-    /// (`Sequential` and `Pooled(n)` agree).
+    /// (`Sequential` and `Threads(n)` agree).
     pub fn execute(&self, db: &Database, backend: Backend) -> RunOutcome {
         self.try_execute(db, backend, &QueryBudget::unlimited())
             .expect("an unlimited budget cannot be exceeded")
@@ -605,10 +605,10 @@ impl RunOutcome {
 
 /// Execute a batch of `(plan, db)` jobs — many small queries or repeated
 /// rounds — parallelizing **across** jobs on one backend instead of inside
-/// each round: the multi-query-throughput shape, where a persistent pool
-/// ([`Backend::Pooled`]) amortizes its spawn cost over the entire batch and
-/// schedules jobs dynamically (a slow job does not hold up the queue behind
-/// it). Each job runs sequentially inside, so every outcome is
+/// each round: the multi-query-throughput shape. On [`Backend::Threads`]
+/// the threads are spawned once for the whole batch and claim jobs one at
+/// a time (a slow job does not hold up the jobs behind it). Each job runs
+/// sequentially inside, so every outcome is
 /// bit-identical to `plan.execute(db, Backend::Sequential)`; results come
 /// back in job order.
 pub fn execute_batch(jobs: &[(&Plan, &Database)], backend: Backend) -> Vec<RunOutcome> {
@@ -648,7 +648,9 @@ pub struct Engine<'s> {
     query: Query,
     p: usize,
     seed: u64,
-    backend: Backend,
+    /// `None` until [`Engine::backend`] is called: [`Engine::run`] then
+    /// reads [`Backend::from_env`].
+    backend: Option<Backend>,
     algorithm: Algorithm,
     stats: Option<&'s dyn Stats>,
     aggregate: Option<AggregateSpec>,
@@ -656,14 +658,15 @@ pub struct Engine<'s> {
 
 impl Engine<'static> {
     /// A new engine for `query` with the defaults: `p = 64`, `seed = 1`,
-    /// [`Backend::from_env`], [`Algorithm::Auto`], exact statistics read
-    /// from the database at plan time ([`ExactStats`]).
+    /// [`Backend::from_env`] (read by [`Engine::run`], and only when no
+    /// [`Engine::backend`] was set), [`Algorithm::Auto`], exact statistics
+    /// read from the database at plan time ([`ExactStats`]).
     pub fn new(query: &Query) -> Engine<'static> {
         Engine {
             query: query.clone(),
             p: 64,
             seed: 1,
-            backend: Backend::from_env(),
+            backend: None,
             algorithm: Algorithm::Auto,
             stats: None,
             aggregate: None,
@@ -687,7 +690,7 @@ impl<'s> Engine<'s> {
 
     /// Set the execution backend used by [`Engine::run`].
     pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.backend = Some(backend);
         self
     }
 
@@ -760,7 +763,8 @@ impl<'s> Engine<'s> {
 
     /// Plan and execute on the engine's backend.
     pub fn run(&self, db: &Database) -> RunOutcome {
-        self.plan(db).execute(db, self.backend)
+        let backend = self.backend.unwrap_or_else(Backend::from_env);
+        self.plan(db).execute(db, backend)
     }
 
     fn plan_with(&self, db: &Database, stats: &dyn Stats) -> Plan {
@@ -998,7 +1002,11 @@ mod tests {
             .iter()
             .map(|(plan, db)| plan.execute(db, Backend::Sequential))
             .collect();
-        for backend in [Backend::Sequential, Backend::Pooled(3), Backend::Pooled(4)] {
+        for backend in [
+            Backend::Sequential,
+            Backend::Threads(3),
+            Backend::Threads(4),
+        ] {
             let results = execute_batch(&jobs, backend);
             assert_eq!(results.len(), jobs.len());
             for (i, (r, e)) in results.iter().zip(&expected).enumerate() {

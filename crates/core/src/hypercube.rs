@@ -124,8 +124,7 @@ impl HyperCube {
     }
 
     /// [`HyperCube::run`] on an explicit execution backend. Results are
-    /// bit-identical across backends (`Sequential` and the
-    /// persistent-pool `Pooled(n)`).
+    /// bit-identical across backends (`Sequential` and `Threads(n)`).
     pub fn run_on(&self, db: &Database, backend: Backend) -> (Cluster, LoadReport) {
         let cluster = Cluster::run_round_on(db, self.p, self, backend);
         let report = cluster.report();

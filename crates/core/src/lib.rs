@@ -41,7 +41,7 @@ pub mod skew_join;
 pub mod verify;
 pub mod wire;
 
-pub use aggregate::{aggregate_cluster, AggregateAccumulator, AggregateResult, Mergeable};
+pub use aggregate::{aggregate_cluster, AggregateAccumulator, AggregateResult};
 pub use baselines::{FragmentReplicateRouter, HashJoinRouter};
 pub use engine::{
     sketch_capacity, Algorithm, Engine, ExactStats, Plan, PlanKey, RunOutcome, SketchStats, Stats,

@@ -217,9 +217,9 @@ fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> ServiceError {
 }
 
 /// Run `f` inside the service's fault-containment boundary: any panic —
-/// including pool-re-raised worker panics and injected failpoints — is
-/// caught and classified instead of tearing down the caller, and budget
-/// trips surface as their typed errors.
+/// including worker panics re-raised on the caller and injected
+/// failpoints — is caught and classified instead of tearing down the
+/// caller, and budget trips surface as their typed errors.
 fn run_contained<T>(f: impl FnOnce() -> Result<T, BudgetExceeded>) -> Result<T, ServiceError> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(Ok(v)) => Ok(v),
@@ -468,7 +468,9 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
 /// architecture and an end-to-end example.
 pub struct Service {
     domain: u64,
-    backend: Backend,
+    /// `None` until [`Service::with_backend`] is called: queries then run
+    /// on [`Backend::from_env`].
+    backend: Option<Backend>,
     default_p: usize,
     default_seed: u64,
     entries: Vec<CatalogEntry>,
@@ -502,12 +504,13 @@ pub struct SketchTelemetry {
 
 impl Service {
     /// An empty service over domain `[0, domain)` with defaults `p = 64`,
-    /// `seed = 1`, and the environment-selected backend.
+    /// `seed = 1`, and — until [`Service::with_backend`] — the
+    /// environment-selected backend ([`Backend::from_env`], read per query).
     pub fn new(domain: u64) -> Service {
         assert!(domain >= 1, "domain must be non-empty");
         Service {
             domain,
-            backend: Backend::from_env(),
+            backend: None,
             default_p: 64,
             default_seed: 1,
             entries: Vec::new(),
@@ -524,8 +527,14 @@ impl Service {
 
     /// Set the execution backend.
     pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.backend = Some(backend);
         self
+    }
+
+    /// The backend queries run on: the one set by
+    /// [`Service::with_backend`], else [`Backend::from_env`].
+    fn backend(&self) -> Backend {
+        self.backend.unwrap_or_else(Backend::from_env)
     }
 
     /// Set the statistics mode for relations loaded *after* this call
@@ -735,15 +744,16 @@ impl Service {
     pub fn query_spec(&mut self, spec: &QuerySpec) -> Result<ServiceOutcome, ServiceError> {
         let (plan, db, cache) = self.resolve_plan(spec)?;
         let budget = self.budget_for(spec);
-        let outcome = execute_contained(&plan, &db, self.backend, &budget)?;
+        let outcome = execute_contained(&plan, &db, self.backend(), &budget)?;
         Ok(ServiceOutcome { outcome, cache })
     }
 
     /// Run a batch of queries, multiplexing their shuffles **across** jobs
     /// on the service backend (the
     /// [`execute_batch`](crate::engine::execute_batch) shape — parallel
-    /// across jobs, each job sequential inside: on a pooled backend,
-    /// concurrent clients share the persistent worker pool). Results come
+    /// across jobs, each job sequential inside: on `Threads(n)` the
+    /// calling thread and `n - 1` scoped threads claim jobs one at a
+    /// time until the batch is drained). Results come
     /// back in spec order, each bit-identical to running the spec alone,
     /// and each under its own budget and containment boundary: one job's
     /// panic or budget trip errors that job only.
@@ -754,7 +764,7 @@ impl Service {
         // Resolve every plan, then start every deadline clock, then run.
         let resolved: Vec<_> = specs.iter().map(|spec| self.resolve_plan(spec)).collect();
         let budgets: Vec<_> = specs.iter().map(|spec| self.budget_for(spec)).collect();
-        self.backend.run_items(specs.len(), |i| {
+        self.backend().run_items(specs.len(), |i| {
             let (plan, db, cache) = resolved[i].as_ref().map_err(ServiceError::clone)?;
             let outcome = execute_contained(plan, db, Backend::Sequential, &budgets[i])?;
             Ok(ServiceOutcome {

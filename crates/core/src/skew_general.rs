@@ -333,8 +333,8 @@ impl GeneralSkewAlgorithm {
     }
 
     /// [`GeneralSkewAlgorithm::run`] on an explicit execution backend.
-    /// Results are bit-identical across backends (`Sequential` and the
-    /// persistent-pool `Pooled(n)`).
+    /// Results are bit-identical across backends (`Sequential` and
+    /// `Threads(n)`).
     pub fn run_on(&self, db: &Database, backend: Backend) -> (Cluster, LoadReport) {
         let cluster = Cluster::run_round_on(db, self.p, self, backend);
         let report = cluster.report();

@@ -19,7 +19,7 @@ thread_local! {
     /// path is sublinear: a sketch maintained on ingest keeps this flat
     /// per append while an exact rescan grows with the relation.
     /// Thread-local (statistics scans run on the planning thread), so
-    /// parallel tests and pooled workers never pollute a measurement.
+    /// parallel tests and worker threads never pollute a measurement.
     static STATS_SCAN_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 

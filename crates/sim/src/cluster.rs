@@ -14,7 +14,7 @@
 //! destination list, the per-server counts size every fragment exactly, and
 //! every tuple word is then copied once, straight from the input relation
 //! into its fragments. (It replaced a sequential path that grew `p`
-//! vectors by doubling and a pooled `route_chunk` path that copied each
+//! vectors by doubling and a parallel `route_chunk` path that copied each
 //! word through a per-worker scratch buffer and a per-chunk arena first.)
 
 use crate::backend::Backend;
@@ -27,8 +27,14 @@ use mpc_data::join::Join;
 use mpc_data::relation::Relation;
 use mpc_query::Query;
 
-/// Smallest number of tuples a shuffle worker is worth spawning for.
-const SHUFFLE_MIN_CHUNK: usize = 512;
+/// Smallest relation share a shuffle worker is worth spawning for.
+/// [`Backend::workers_for`] rounds the chunk count up, so every chunk of a
+/// split relation holds more than half of this — over 2 048 rows. A scoped
+/// spawn and join costs ~15 µs (2-core x86-64 VM): the time the cheapest
+/// router, compiled HyperCube at ~8 ns a row, takes for ~1 850 rows.
+const SHUFFLE_MIN_CHUNK: usize = 4096;
+/// Rows routed between two budget polls.
+const BUDGET_POLL_ROWS: usize = 512;
 /// Smallest number of servers a load-accounting worker is worth spawning
 /// for (per-server accounting is O(num_atoms), i.e. very cheap).
 const REPORT_MIN_CHUNK: usize = 256;
@@ -79,7 +85,7 @@ struct Routed {
 /// destination list that is not already strictly ascending (compiled
 /// HyperCube routes always are) is sorted and deduplicated; an out-of-range
 /// server panics. The budget is polled before the first row and again
-/// every [`SHUFFLE_MIN_CHUNK`] rows.
+/// every [`BUDGET_POLL_ROWS`] rows.
 #[allow(clippy::too_many_arguments)]
 fn route_rows(
     rel: &Relation,
@@ -102,7 +108,7 @@ fn route_rows(
     let mut block = lo;
     loop {
         budget.poll()?;
-        let block_hi = hi.min(block + SHUFFLE_MIN_CHUNK);
+        let block_hi = hi.min(block + BUDGET_POLL_ROWS);
         for i in block..block_hi {
             out.clear();
             router.route(j, rel.row(i), &mut out);
@@ -194,11 +200,11 @@ impl Cluster {
     /// whatever the backend:
     ///
     /// 1. *Route.* The relation's rows are split into contiguous chunks
-    ///    (one on [`Backend::Sequential`]; on `Pooled(n)` one per worker,
-    ///    routed in parallel). Each chunk calls [`Router::route`] once per
-    ///    row and records the destinations and per-server row counts — no
-    ///    tuple is copied yet. The `shuffle` failpoint is hit once per
-    ///    routed chunk.
+    ///    (one on [`Backend::Sequential`]; on `Threads(n)` at most `n`,
+    ///    and one per 4 096 rows rounded up, routed in parallel). Each chunk
+    ///    calls [`Router::route`] once per row and records the
+    ///    destinations and per-server row counts — no tuple is copied yet.
+    ///    The `shuffle` failpoint is hit once per routed chunk.
     /// 2. *Count.* The per-server counts are summed over the chunks and
     ///    each of the `p` fragments is allocated once, at its exact size.
     /// 3. *Scatter.* The calling thread copies every row to its
@@ -602,7 +608,7 @@ mod tests {
         };
         let tuples: usize = db.relations().iter().map(|r| r.len()).sum();
         let seq = Cluster::run_round_on(db, p, &counting, Backend::Sequential);
-        let backends = [1usize, 2, 3, 8].map(Backend::Pooled);
+        let backends = [1usize, 2, 3, 8].map(Backend::Threads);
         for backend in [Backend::Sequential].into_iter().chain(backends) {
             calls.store(0, Ordering::Relaxed);
             let got = Cluster::run_round_on(db, p, &counting, backend);
@@ -632,8 +638,10 @@ mod tests {
 
     #[test]
     fn backends_produce_identical_clusters() {
-        // Big enough that Pooled(8) really shards (six routed chunks).
-        let db = join_db(3000, 7);
+        // Big enough that every threaded backend really shards (two
+        // routed chunks per relation).
+        let db = join_db(5000, 7);
+        assert_eq!(Backend::Threads(2).workers_for(5000, SHUFFLE_MIN_CHUNK), 2);
         let p = 8;
         assert_kernel_matches_reference(&db, p, "broadcast", &BroadcastRouter { p });
         assert_kernel_matches_reference(
@@ -704,7 +712,7 @@ mod tests {
     #[test]
     fn report_merge_is_exercised_beyond_the_chunk_threshold() {
         // p large enough that workers_for(p, REPORT_MIN_CHUNK) > 1, so the
-        // pooled report really takes the multi-part stitch path.
+        // threaded report really takes the multi-part stitch path.
         let db = join_db(2000, 9);
         let p = 1024;
         let key = 0xBADC_0FFEu64;
@@ -715,7 +723,7 @@ mod tests {
                 out.push((h + 513) % p);
             }
         };
-        let backend = Backend::Pooled(4);
+        let backend = Backend::Threads(4);
         assert!(backend.workers_for(p, super::REPORT_MIN_CHUNK) > 1);
         let seq = Cluster::run_round_on(&db, p, &router, Backend::Sequential);
         let thr = Cluster::run_round_on(&db, p, &router, backend);
@@ -726,38 +734,32 @@ mod tests {
     }
 
     #[test]
-    fn pooled_cluster_is_identical_and_reuses_threads() {
-        // The pooled backend must produce bit-identical fragments, reports,
-        // and answers — and ≥3 consecutive rounds on the same pool must not
-        // spawn a single new thread (the whole point of the pool).
-        let db = join_db(3000, 7);
+    fn threaded_cluster_is_identical_across_rounds() {
+        // A threaded round splits the relations (two routed chunks each)
+        // and must still produce bit-identical fragments, reports, and
+        // answers, round after round.
+        let db = join_db(6000, 7);
         let p = 8;
         let router = BroadcastRouter { p };
         let seq = Cluster::run_round_on(&db, p, &router, Backend::Sequential);
-        let pool = crate::pool::global(4);
-        let spawned_before = pool.spawn_count();
+        assert_eq!(Backend::Threads(4).workers_for(6000, SHUFFLE_MIN_CHUNK), 2);
         for round in 0..3 {
-            let pooled = Cluster::run_round_on(&db, p, &router, Backend::Pooled(4));
-            assert_eq!(pooled.backend(), Backend::Pooled(4));
+            let threaded = Cluster::run_round_on(&db, p, &router, Backend::Threads(4));
+            assert_eq!(threaded.backend(), Backend::Threads(4));
             for atom in 0..2 {
                 for s in 0..p {
                     assert_eq!(
                         seq.fragment(atom, s),
-                        pooled.fragment(atom, s),
-                        "fragment[{atom}][{s}] differs on the pooled backend"
+                        threaded.fragment(atom, s),
+                        "fragment[{atom}][{s}] differs on the threaded backend"
                     );
                 }
             }
-            assert_eq!(seq.report(), pooled.report(), "round {round}");
+            assert_eq!(seq.report(), threaded.report(), "round {round}");
             assert_eq!(
                 seq.all_answers(db.query()),
-                pooled.all_answers(db.query()),
+                threaded.all_answers(db.query()),
                 "round {round}"
-            );
-            assert_eq!(
-                pool.spawn_count(),
-                spawned_before,
-                "round {round} spawned new threads"
             );
         }
     }
@@ -765,12 +767,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "router sent a tuple of atom 0 (S1) to server 99 >= p=4")]
     fn out_of_range_panic_propagates_from_pool_workers() {
-        // Big enough that the pooled shuffle really shards; the worker's
-        // panic payload must reach the caller verbatim.
-        let db = join_db(4096, 6);
+        // Big enough that the threaded shuffle really shards (two routed
+        // chunks); a spawned worker's panic payload must reach the caller
+        // verbatim.
+        let db = join_db(2 * SHUFFLE_MIN_CHUNK, 6);
         let router = |atom: usize, _: &[u64], out: &mut Vec<usize>| {
             out.push(if atom == 0 { 99 } else { 0 });
         };
-        let _ = Cluster::run_round_on(&db, 4, &router, Backend::Pooled(4));
+        let _ = Cluster::run_round_on(&db, 4, &router, Backend::Threads(4));
     }
 }

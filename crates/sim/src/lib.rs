@@ -7,11 +7,10 @@
 //! * [`cluster::Cluster`] — executes a [`cluster::Router`] (a pure
 //!   tuple-at-a-time routing policy, the paper's one-round algorithm model)
 //!   and materializes per-server fragments;
-//! * [`backend::Backend`] — the execution backend (`Sequential` or the
-//!   persistent-pool `Pooled(n)`) driving the shuffle and the per-server
-//!   local joins, with bit-identical results whatever the thread count;
-//! * [`pool::WorkerPool`] — the persistent worker pool behind
-//!   `Backend::Pooled`, reused across rounds, queries, and batches;
+//! * [`backend::Backend`] — the execution backend (`Sequential`, or
+//!   `Threads(n)`: scoped threads per parallel loop, the caller one of
+//!   them) driving the shuffle and the per-server local joins, with
+//!   bit-identical results whatever the thread count;
 //! * [`oracle`] — the sequential ground-truth join that verification
 //!   measures distributed answers against;
 //! * [`load::LoadReport`] — exact per-server bit/tuple accounting, maximum
@@ -26,12 +25,10 @@ pub mod cluster;
 pub mod hashing;
 pub mod load;
 pub mod oracle;
-pub mod pool;
 pub mod topology;
 
 pub use backend::Backend;
 pub use cluster::{BroadcastRouter, Cluster, Router};
 pub use hashing::{bucket_loads, summarize, HashFamily, LoadSummary};
 pub use load::LoadReport;
-pub use pool::WorkerPool;
 pub use topology::{round_shares, Grid};

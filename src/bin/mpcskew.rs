@@ -86,12 +86,18 @@ impl Args {
     }
 
     /// The `--threads` backend (default: `MPCSKEW_THREADS` or all cores).
+    /// The variable is read only without `--threads`, and a malformed one
+    /// is an input error like any other.
     fn backend(&self) -> Result<Backend, String> {
         match self.value("threads")? {
-            None => Ok(Backend::from_env()),
             Some(v) => {
                 Backend::parse(v).map_err(|_| format!("--threads expects an integer, got `{v}`"))
             }
+            None => match std::env::var("MPCSKEW_THREADS") {
+                Ok(v) => Backend::parse(&v)
+                    .map_err(|e| format!("MPCSKEW_THREADS expects an integer, {e}")),
+                Err(_) => Ok(Backend::available()),
+            },
         }
     }
 
@@ -149,9 +155,9 @@ fn usage() -> &'static str {
      skew-free, the \u{a7}4.1 skew join on skewed two-relation joins, the\n\
      \u{a7}4.2 general algorithm otherwise;\n\
      --threads: simulator worker threads (1 = sequential backend, N = the\n\
-     persistent N-worker pool, 0 = a pool over all cores; default:\n\
-     MPCSKEW_THREADS or all available cores; results are identical whichever\n\
-     backend runs);\n\
+     caller plus N-1 scoped threads per parallel loop, 0 = one per core;\n\
+     default: MPCSKEW_THREADS or all available cores; results are identical\n\
+     whichever backend runs);\n\
      --stats: in run, the planner's statistics source — exact (default),\n\
      sketch (SpaceSaving summaries: sublinear, each count an overcount\n\
      interval) or synthetic (cardinalities only); in serve, the capacity of\n\

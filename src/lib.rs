@@ -31,7 +31,7 @@ pub use mpc_stats as stats;
 
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
-    pub use mpc_core::aggregate::{AggregateAccumulator, AggregateResult, Mergeable};
+    pub use mpc_core::aggregate::{AggregateAccumulator, AggregateResult};
     pub use mpc_core::bounds;
     pub use mpc_core::engine::{
         execute_batch, sketch_capacity, Algorithm, Engine, ExactStats, Plan, PlanKey, RunOutcome,
@@ -60,7 +60,6 @@ pub mod prelude {
     pub use mpc_query::varset::VarSet;
     pub use mpc_sim::backend::Backend;
     pub use mpc_sim::cluster::Cluster;
-    pub use mpc_sim::pool::WorkerPool;
     pub use mpc_stats::cardinality::SimpleStatistics;
     pub use mpc_stats::sketch::{FreqEstimate, RelationSketch, SpaceSaving};
 }

@@ -16,7 +16,7 @@ use mpc_skew::sim::backend::Backend;
 const P: usize = 16;
 const SEED: u64 = 11;
 
-const BACKENDS: [Backend; 2] = [Backend::Sequential, Backend::Pooled(4)];
+const BACKENDS: [Backend; 2] = [Backend::Sequential, Backend::Threads(4)];
 
 /// Run `spec` over `db` with `algo` on every backend; assert the result is
 /// bit-identical to the oracle (and therefore across backends too).

@@ -27,7 +27,9 @@ use mpc_skew::query::parse_query;
 use mpc_skew::sim::backend::Backend;
 use mpc_testkit::failpoint;
 
-const DOMAIN: u64 = 1 << 10;
+const DOMAIN: u64 = 1 << 12;
+/// Rows per relation: above the shuffle's 4 096-row split threshold.
+const ROWS: usize = 5000;
 
 /// A service whose relations are big enough (≥ 2 shuffle chunks) that the
 /// parallel backends split them — so the `merge` site (one hit per
@@ -37,9 +39,9 @@ fn loaded_service(backend: Backend) -> Service {
     let mut svc = Service::new(DOMAIN)
         .with_backend(backend)
         .with_defaults(4, 1);
-    svc.load(generators::uniform("S1", 2, 1500, DOMAIN, &mut rng))
+    svc.load(generators::uniform("S1", 2, ROWS, DOMAIN, &mut rng))
         .unwrap();
-    svc.load(generators::uniform("S2", 2, 1500, DOMAIN, &mut rng))
+    svc.load(generators::uniform("S2", 2, ROWS, DOMAIN, &mut rng))
         .unwrap();
     svc
 }
@@ -54,7 +56,7 @@ fn injected_panics_are_contained_and_survivors_are_bit_identical() {
     // (the parallel backends); the other two sites fire on every backend.
     let matrix: &[(Backend, &[&str])] = &[
         (Backend::Sequential, &["shuffle", "local_join"]),
-        (Backend::Pooled(4), &["shuffle", "merge", "local_join"]),
+        (Backend::Threads(4), &["shuffle", "merge", "local_join"]),
     ];
     for &(backend, sites) in matrix {
         for &site in sites {
@@ -100,7 +102,7 @@ fn injected_panics_are_contained_and_survivors_are_bit_identical() {
 #[test]
 fn injected_delays_change_nothing_but_time() {
     let mut fp = failpoint::arm("");
-    for backend in [Backend::Sequential, Backend::Pooled(4)] {
+    for backend in [Backend::Sequential, Backend::Threads(4)] {
         let q = two_way();
         let mut svc = loaded_service(backend);
         let expected = svc.query(&q).expect("uninjected query").answers().clone();
@@ -120,7 +122,7 @@ fn probabilistic_panics_eventually_let_a_query_through() {
     // bit-identical to the uninjected baseline.
     let mut fp = failpoint::arm("");
     let q = two_way();
-    let mut svc = loaded_service(Backend::Pooled(4));
+    let mut svc = loaded_service(Backend::Threads(4));
     let expected = svc.query(&q).expect("uninjected query").answers().clone();
 
     fp.rearm("local_join:panic:0.2");
@@ -145,7 +147,7 @@ fn probabilistic_panics_eventually_let_a_query_through() {
 fn batch_jobs_are_contained_independently() {
     let mut fp = failpoint::arm("");
     let q = two_way();
-    let mut svc = loaded_service(Backend::Pooled(4));
+    let mut svc = loaded_service(Backend::Threads(4));
     let expected = svc.query(&q).expect("solo query").answers().clone();
 
     // A budget-tripped job errors alone; its neighbors are untouched.
@@ -375,7 +377,7 @@ fn serve_survives_env_injected_worker_panics_bit_identically() {
         assert_eq!(b[1..], expected_rows[..]);
     }
 
-    // Inject mid-query worker panics into the pooled local join. The
+    // Inject mid-query worker panics into the threaded local join. The
     // deterministic per-hit coin means some queries die and some survive;
     // every survivor must be bit-identical to the uninjected run, on the
     // same connection, after an earlier query was killed.

@@ -119,8 +119,8 @@ fn threads_flag_selects_backend_and_output_is_invariant() {
     let seq = run("1");
     assert!(seq.contains("backend = sequential"), "{seq}");
     assert!(seq.contains("verification PASSED"), "{seq}");
-    let pooled = run("4");
-    assert!(pooled.contains("backend = pooled(4)"), "{pooled}");
+    let threaded = run("4");
+    assert!(threaded.contains("backend = threads(4)"), "{threaded}");
     // Identical measurements, modulo the backend banner line.
     let strip = |s: &str| {
         s.lines()
@@ -130,8 +130,8 @@ fn threads_flag_selects_backend_and_output_is_invariant() {
     };
     assert_eq!(
         strip(&seq),
-        strip(&pooled),
-        "output drifted on the pooled backend"
+        strip(&threaded),
+        "output drifted on the threaded backend"
     );
 }
 
@@ -308,6 +308,69 @@ fn bad_threads_flag_is_rejected() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("--threads expects an integer"), "{err}");
     }
+}
+
+#[test]
+fn malformed_threads_environment_is_an_input_error() {
+    // Without `--threads`, MPCSKEW_THREADS picks the backend; a malformed
+    // value is reported and exits 1 like every other bad input.
+    for args in [&["run", "S1(x,z), S2(y,z)", "--m", "200"][..], &["serve"]] {
+        let out = mpcskew()
+            .args(args)
+            .env("MPCSKEW_THREADS", "abc")
+            .stdin(Stdio::null())
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err.trim_end(),
+            "error: MPCSKEW_THREADS expects an integer, got `abc`",
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn explicit_threads_wins_over_a_malformed_environment() {
+    let out = mpcskew()
+        .args(["run", "S1(x,z), S2(y,z)", "--m", "200", "--threads", "1"])
+        .env("MPCSKEW_THREADS", "abc")
+        .output()
+        .expect("binary runs");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("backend = sequential"), "{text}");
+    assert!(text.contains("verification PASSED"), "{text}");
+
+    // serve plans and runs a query without ever reading the variable.
+    let mut child = mpcskew()
+        .args(["serve", "--domain", "16", "--p", "4", "--threads", "1"])
+        .env("MPCSKEW_THREADS", "abc")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve spawns");
+    child
+        .stdin
+        .as_mut()
+        .expect("stdin piped")
+        .write_all(b"LOAD S1 2 0,1;1,1\nLOAD S2 2 5,1\nQUERY S1(x,z), S2(y,z)\nSHUTDOWN\n")
+        .expect("script written");
+    let out = child.wait_with_output().expect("serve exits");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("\nok answers=2 "), "{text}");
+    assert!(text.ends_with("ok bye\n"), "{text}");
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //!
 //! 1. **oracle equality** — the distributed answer set equals the
 //!    sequential join of the input (`mpc_sim::oracle::join_database`);
-//! 2. **backend determinism** — `Sequential` and the persistent pool at
-//!    2, 4 and 8 workers produce identical answer sets *and* identical
+//! 2. **backend determinism** — `Sequential` and `Threads(n)` at 2, 4
+//!    and 8 workers produce identical answer sets *and* identical
 //!    [`LoadReport`]s (exact per-server equality), i.e. the parallel
 //!    executor is bit-identical to the sequential one.
 
@@ -26,21 +26,19 @@ use mpc_skew::sim::cluster::{BroadcastRouter, Cluster, Router};
 use mpc_skew::sim::load::LoadReport;
 use mpc_skew::sim::oracle::join_database;
 
-/// The backends the acceptance matrix requires (`Pooled(1)` is covered
-/// separately by `pooled_one_matches_sequential`). Each `Pooled(n)` runs
-/// on the shared persistent pool of that size, so the whole matrix doubles
-/// as a pool-reuse soak: one worker set serves every (scenario, algorithm)
-/// cell.
+/// The backends the acceptance matrix requires (`Threads(1)` is covered
+/// separately by `pooled_one_matches_sequential`).
 const BACKENDS: [Backend; 4] = [
     Backend::Sequential,
-    Backend::Pooled(2),
-    Backend::Pooled(8),
-    Backend::Pooled(4),
+    Backend::Threads(2),
+    Backend::Threads(8),
+    Backend::Threads(4),
 ];
 
-/// The scenario matrix over the two-way join `S1(x,z) ⋈ S2(y,z)`. Sizes
-/// are chosen so the pooled shuffle genuinely shards (> 512-tuple
-/// chunks) without making the oracle join expensive.
+/// The scenario matrix over the two-way join `S1(x,z) ⋈ S2(y,z)`, sized to
+/// keep the oracle join cheap. Only `uniform_split` is above the shuffle's
+/// 4 096-row split threshold, so every algorithm also runs the threaded
+/// route-then-merge-scatter path on it.
 fn scenarios() -> Vec<(&'static str, Database)> {
     let q = named::two_way_join();
     let n = 1u64 << 10;
@@ -97,9 +95,9 @@ fn scenarios() -> Vec<(&'static str, Database)> {
 
     // All duplicates: every tuple of each relation is the same row, and the
     // shared z matches — maximal duplication on one answer (heavy on both
-    // sides, so the skew join's H12 grid is exercised too). 600 copies:
-    // enough for the pooled shuffle to shard, while keeping the
-    // broadcast baseline's quadratic per-server output (600²·p) tame.
+    // sides, so the skew join's H12 grid is exercised too). 600 copies
+    // keep the broadcast baseline's quadratic per-server output (600²·p)
+    // tame.
     {
         let mut s1 = Relation::new("S1", 2);
         let mut s2 = Relation::new("S2", 2);
@@ -109,6 +107,20 @@ fn scenarios() -> Vec<(&'static str, Database)> {
         }
         out.push((
             "all_duplicates",
+            Database::new(q.clone(), vec![s1, s2], n).unwrap(),
+        ));
+    }
+
+    // Uniform again, but large enough that every threaded backend splits
+    // each relation into two routed chunks (5 000 > 4 096 rows), over a
+    // wider domain so the answer set stays small.
+    {
+        let n = 1u64 << 12;
+        let mut rng = Rng::seed_from_u64(0xD1FF_0006);
+        let s1 = generators::uniform("S1", 2, 5000, n, &mut rng);
+        let s2 = generators::uniform("S2", 2, 5000, n, &mut rng);
+        out.push((
+            "uniform_split",
             Database::new(q.clone(), vec![s1, s2], n).unwrap(),
         ));
     }
@@ -198,13 +210,15 @@ fn multi_round_is_backend_invariant_on_the_matrix() {
     // the rewrite must reproduce them. `all_duplicates` is the row that
     // tells bag intermediates (600 × 600 derivations of one answer) from
     // set intermediates (1). Loads are hash placement, so they are
-    // compared across backends, not pinned.
-    let recorded: [(&str, &[(u64, bool)]); 5] = [
+    // compared across backends, not pinned. `uniform_split` joined the
+    // matrix later and was recorded on the `Cluster` data plane.
+    let recorded: [(&str, &[(u64, bool)]); 6] = [
         ("uniform", &[(3870, false)]),
         ("zipf", &[(237502, false)]),
         ("single_heavy_hitter", &[(502, false)]),
         ("empty_relation", &[(0, false)]),
         ("all_duplicates", &[(360000, false)]),
+        ("uniform_split", &[(6069, false)]),
     ];
     let p = 8usize;
     let run = |db: &Database, backend| run_multi_round(db, p, 5, backend);
@@ -220,7 +234,11 @@ fn multi_round_is_backend_invariant_on_the_matrix() {
             .map(|r| (r.intermediate_tuples, r.broadcast))
             .collect();
         assert_eq!(got, rounds, "{name}: per-round shape moved");
-        for backend in [Backend::Pooled(2), Backend::Pooled(8), Backend::Pooled(4)] {
+        for backend in [
+            Backend::Threads(2),
+            Backend::Threads(8),
+            Backend::Threads(4),
+        ] {
             let thr = run(&db, backend);
             assert_eq!(thr.answers, seq.answers, "{name} [{backend}]");
             assert_eq!(thr.num_rounds(), seq.num_rounds(), "{name} [{backend}]");
@@ -232,33 +250,6 @@ fn multi_round_is_backend_invariant_on_the_matrix() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn pooled_matrix_reuses_one_worker_set() {
-    // Every Pooled(4) cell above runs on the process-wide pool; this pins
-    // the lifecycle claim directly: ≥3 consecutive rounds (different
-    // scenarios and algorithms) spawn no new threads.
-    let pool = mpc_skew::sim::pool::global(4);
-    let spawned = pool.spawn_count();
-    assert_eq!(spawned, 4, "the shared pool has exactly its worker set");
-    let p = 16usize;
-    for (round, (name, db)) in scenarios().into_iter().enumerate().take(3) {
-        let sj = SkewJoin::plan(&db, p, 11);
-        let (c_seq, r_seq) = sj.run_on(&db, Backend::Sequential);
-        let (c_pool, r_pool) = sj.run_on(&db, Backend::Pooled(4));
-        assert_eq!(r_seq, r_pool, "{name}");
-        assert_eq!(
-            c_seq.all_answers(db.query()),
-            c_pool.all_answers(db.query()),
-            "{name}"
-        );
-        assert_eq!(
-            pool.spawn_count(),
-            spawned,
-            "round {round} ({name}) spawned threads"
-        );
     }
 }
 
@@ -302,13 +293,13 @@ fn batch_submission_matches_per_round_execution() {
 
 #[test]
 fn pooled_one_matches_sequential() {
-    // Pooled(1) is the degenerate pool configuration; it must take the
-    // same inline fast path and produce the same bits.
+    // Threads(1) is the degenerate configuration; it must take the same
+    // inline fast path and produce the same bits.
     let (_, db) = scenarios().remove(1);
     let p = 16usize;
     let sj = SkewJoin::plan(&db, p, 3);
     let (c_seq, r_seq) = sj.run_on(&db, Backend::Sequential);
-    let (c_one, r_one) = sj.run_on(&db, Backend::Pooled(1));
+    let (c_one, r_one) = sj.run_on(&db, Backend::Threads(1));
     assert_eq!(r_seq, r_one);
     assert_eq!(c_seq.all_answers(db.query()), c_one.all_answers(db.query()));
 }

@@ -13,7 +13,11 @@ use mpc_skew::query::named;
 use mpc_skew::sim::backend::Backend;
 use mpc_skew::stats::SimpleStatistics;
 
-const BACKENDS: [Backend; 3] = [Backend::Sequential, Backend::Pooled(2), Backend::Pooled(4)];
+const BACKENDS: [Backend; 3] = [
+    Backend::Sequential,
+    Backend::Threads(2),
+    Backend::Threads(4),
+];
 
 const P: usize = 16;
 const SEED: u64 = 11;
@@ -211,7 +215,7 @@ fn every_explicit_algorithm_is_backend_invariant_through_the_engine() {
             .algorithm(algo)
             .plan(&db);
         let baseline = plan.execute(&db, Backend::Sequential);
-        for backend in [Backend::Pooled(2), Backend::Pooled(4)] {
+        for backend in [Backend::Threads(2), Backend::Threads(4)] {
             let outcome = plan.execute(&db, backend);
             assert_eq!(
                 outcome.answers(),

@@ -41,7 +41,11 @@ fn ingest_then_query_matches_fresh_build_across_backends() {
     let s1 = generators::zipf_column("S1", 2, 800, domain, 1, 1.1, &mut rng);
     let s2 = generators::uniform("S2", 2, 600, domain, &mut rng);
 
-    for backend in [Backend::Sequential, Backend::Pooled(2), Backend::Pooled(4)] {
+    for backend in [
+        Backend::Sequential,
+        Backend::Threads(2),
+        Backend::Threads(4),
+    ] {
         let mut svc = Service::new(domain)
             .with_backend(backend)
             .with_defaults(p, 1);
@@ -84,7 +88,7 @@ fn batch_queries_match_serial_and_fresh_build() {
     let rels = vec![s1.clone(), s2.clone()];
 
     let mut svc = Service::new(domain)
-        .with_backend(Backend::Pooled(4))
+        .with_backend(Backend::Threads(4))
         .with_defaults(p, 1);
     svc.load(s1).expect("load S1");
     svc.load(s2).expect("load S2");

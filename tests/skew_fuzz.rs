@@ -162,7 +162,7 @@ proptest! {
 
     /// Determinism regression guard: for random queries and databases,
     /// answer sets and per-server loads (the whole `LoadReport`) are
-    /// invariant under the executor's thread count — `Pooled(t)` is
+    /// invariant under the executor's thread count — `Threads(t)` is
     /// bit-identical to `Sequential` for both the §4.2 general algorithm and equal-share HyperCube.
     #[test]
     fn thread_count_invariance_fuzz(
@@ -194,7 +194,7 @@ proptest! {
 
         let alg = GeneralSkewAlgorithm::plan(&db, p, seed ^ 0x7777);
         let (c_seq, r_seq) = alg.run_on(&db, Backend::Sequential);
-        let (c_pool, r_pool) = alg.run_on(&db, Backend::Pooled(threads));
+        let (c_pool, r_pool) = alg.run_on(&db, Backend::Threads(threads));
         prop_assert_eq!(&r_seq, &r_pool,
             "{} seed={seed} p={p} threads={threads}: general LoadReport drifted", q.name());
         prop_assert_eq!(c_seq.all_answers(q), c_pool.all_answers(q),
@@ -202,7 +202,7 @@ proptest! {
 
         let hc = HyperCube::with_equal_shares(q, p, seed ^ 0x2222);
         let (h_seq, hr_seq) = hc.run_on(&db, Backend::Sequential);
-        let (h_pool, hr_pool) = hc.run_on(&db, Backend::Pooled(threads));
+        let (h_pool, hr_pool) = hc.run_on(&db, Backend::Threads(threads));
         prop_assert_eq!(&hr_seq, &hr_pool,
             "{} seed={seed} p={p} threads={threads}: HC LoadReport drifted", q.name());
         prop_assert_eq!(h_seq.all_answers(q), h_pool.all_answers(q),
@@ -273,7 +273,7 @@ proptest! {
             "{} seed={seed} p={p}: engine answers drifted from explicit", q.name());
 
         // Invariant under the executor.
-        let backend = Backend::Pooled(threads);
+        let backend = Backend::Threads(threads);
         let par = plan.execute(&db, backend);
         prop_assert_eq!(par.report(), outcome.report(),
             "{} seed={seed} p={p} [{}]: engine LoadReport drifted", q.name(), backend);
@@ -318,7 +318,7 @@ proptest! {
             .aggregate(spec.clone())
             .plan(&db);
         let mut per_backend = Vec::new();
-        for backend in [Backend::Sequential, Backend::Pooled(threads)] {
+        for backend in [Backend::Sequential, Backend::Threads(threads)] {
             let outcome = plan.execute(&db, backend);
             let v = outcome.verify(&db);
             prop_assert!(v.is_complete(),

@@ -13,7 +13,11 @@ use mpc_skew::data::{generators, Database, Relation, Rng};
 use mpc_skew::query::{named, parse_query};
 use mpc_skew::sim::backend::Backend;
 
-const BACKENDS: [Backend; 3] = [Backend::Sequential, Backend::Pooled(2), Backend::Pooled(4)];
+const BACKENDS: [Backend; 3] = [
+    Backend::Sequential,
+    Backend::Threads(2),
+    Backend::Threads(4),
+];
 
 const P: usize = 16;
 const SEED: u64 = 11;
@@ -309,7 +313,7 @@ fn sketch_service_classifies_a_planted_heavy_pair() {
     let planted = pair.iter().find(|e| e.key == [3, 4]).expect("pair missed");
     assert!(planted.count_lower() <= m / 4 && m / 4 <= planted.count_upper());
     let want = Engine::new(&q).p(p).seed(SEED).stats(&stats).plan(&db);
-    for backend in [Backend::Sequential, Backend::Pooled(4)] {
+    for backend in [Backend::Sequential, Backend::Threads(4)] {
         let exact = service(StatsMode::Exact, backend).query(&q).unwrap();
         let sketch = service(StatsMode::Sketch, backend).query(&q).unwrap();
         assert_eq!(sketch.algorithm(), Algorithm::GeneralSkew);
