@@ -8,7 +8,8 @@
 #                        # one-share-LP (one model, one solve),
 #                        # four-algorithm (no baselines in the engine),
 #                        # one-ground-truth/one-freshness-check,
-#                        # one-statistics-surface and one-executor guards
+#                        # one-statistics-surface, one-executor and
+#                        # one-query-path guards
 #                        # + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
@@ -366,6 +367,21 @@ UNSAFE=$(grep -rln "unsafe" crates/*/src src | grep -vxF crates/bench/src/alloc_
 if [ -n "$POOL$UNSAFE" ]; then
     echo "the worker pool is back, or unsafe code outside crates/bench/src/alloc_counter.rs:" >&2
     printf '%s\n%s\n' "$POOL" "$UNSAFE" | sed '/^$/d' >&2
+    exit 1
+fi
+
+# One query path. Both serve fronts reach the service through one
+# `&Mutex<Service>`, every QUERY runs through `Service::query_spec`, and
+# concurrent sessions are the only multi-query shape. The cross-query batch
+# schedule (BATCH/RUN, the session's queue, the service and engine batch
+# fronts) and the trait that let stdio skip the lock stay gone, not even as
+# a name in a comment.
+stage "one query path: no batch schedule, session queue or ServiceAccess trait"
+BATCHED=$(grep -rnE "query_batch|execute_batch|cmd_batch|cmd_run|in_batch|pending_rows|ServiceAccess" \
+    crates src tests examples || true)
+if [ -n "$BATCHED" ]; then
+    echo "the batch schedule or the ServiceAccess trait is back:" >&2
+    echo "$BATCHED" >&2
     exit 1
 fi
 

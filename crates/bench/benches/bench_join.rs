@@ -1,12 +1,11 @@
 //! Local multiway-join throughput (the per-server compute step) and the
 //! full-cluster Zipf end-to-end case (shuffle + per-server local joins)
-//! on every execution backend, including the many-small-rounds and batch
-//! cases.
+//! on every execution backend, including the many-small-rounds case.
 
 use mpc_bench::workloads::{skewed_join_db, uniform_db, zipf_triangle_db};
-use mpc_core::engine::{execute_batch, Algorithm, Engine, Plan};
+use mpc_core::engine::{Algorithm, Engine};
 use mpc_core::skew_join::SkewJoin;
-use mpc_data::{Database, Join, JoinOrder, QueryBudget, Relation};
+use mpc_data::{Join, JoinOrder, QueryBudget, Relation};
 use mpc_query::named;
 use mpc_sim::backend::Backend;
 use mpc_testkit::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -147,21 +146,6 @@ fn bench_cluster_zipf(c: &mut Criterion) {
                 acc ^= report.max_load_bits() ^ cluster.p() as u64;
             }
             black_box(acc)
-        })
-    });
-
-    // The same 16 rounds submitted as one `execute_batch`: parallelism
-    // across rounds (each round sequential inside), the caller and three
-    // threads spawned once for the batch claiming rounds — the
-    // multi-query-throughput shape. Like the loop above it shuffles
-    // and reports load; answers stay lazy.
-    let plan_small = Engine::new(&q).p(16).seed(2).plan(&small);
-    assert_eq!(plan_small.algorithm(), Algorithm::SkewJoin);
-    let jobs: Vec<(&Plan, &Database)> = (0..rounds).map(|_| (&plan_small, &small)).collect();
-    g.bench_function(BenchmarkId::new("small_rounds_x16", "batch_pooled4"), |b| {
-        b.iter(|| {
-            let results = execute_batch(black_box(&jobs), Backend::Threads(4));
-            black_box(results.len())
         })
     });
     g.finish();

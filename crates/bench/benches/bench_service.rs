@@ -98,33 +98,6 @@ fn bench_service_qps(c: &mut Criterion) {
         })
     });
     g.finish();
-
-    // Batch multiplexing: the same stream twice over, fanned out over
-    // Threads(4) (parallel across jobs, sequential inside) — the shape
-    // `mpcskew serve` uses for BATCH .. RUN. Every outcome's answers are
-    // read, like `service_qps/*` above, so the two groups compare like
-    // work.
-    let mut g = c.benchmark_group("service_qps_batch");
-    g.throughput(Throughput::Elements(2 * queries.len() as u64));
-    let mut threaded = Service::new(DOMAIN)
-        .with_backend(Backend::Threads(4))
-        .with_defaults(P, 1);
-    for r in &rels {
-        threaded.load(r.clone()).expect("load");
-    }
-    let specs: Vec<QuerySpec> = queries
-        .iter()
-        .chain(queries.iter())
-        .map(|q| QuerySpec::new(q.clone()))
-        .collect();
-    g.bench_function(BenchmarkId::from_parameter("resident_pool4"), |b| {
-        b.iter(|| {
-            for out in threaded.query_batch(black_box(&specs)) {
-                black_box(out.expect("query").answers().len());
-            }
-        })
-    });
-    g.finish();
 }
 
 /// Render one resident outcome into a reused buffer: a 100 352-row

@@ -25,8 +25,6 @@
 //!   [`ExactStats`] over the planned database when none is given;
 //! * [`Plan`] — a planned algorithm carrying its predicted `L(u, M, p)`
 //!   load and plan metadata (shares, heavy hitters, bin combinations);
-//!   [`execute_batch`] runs many `(plan, db)` jobs in parallel across
-//!   jobs;
 //! * [`RunOutcome`] — the unified result: answers (held once), measured
 //!   [`LoadReport`], predicted-vs-measured load.
 //!
@@ -292,9 +290,8 @@ pub struct PlanKey {
 }
 
 /// A planned algorithm instance: the configured router plus the plan's
-/// predicted load and metadata. Built by
-/// [`Engine::plan`]; executed by [`Plan::execute`] or, many at a time,
-/// by [`execute_batch`].
+/// predicted load and metadata. Built by [`Engine::plan`]; executed by
+/// [`Plan::execute`].
 ///
 /// ```
 /// use mpc_core::engine::{Algorithm, Engine};
@@ -313,11 +310,11 @@ pub struct PlanKey {
 /// assert_eq!(plan.algorithm(), Algorithm::HyperCube);
 /// assert!(plan.shares().is_some());
 ///
-/// // Batches run across jobs and agree with one-at-a-time execution.
-/// let batched = mpc_core::engine::execute_batch(&[(&plan, &db)], Backend::Threads(2));
+/// // Every backend runs the plan to the same answers and load.
+/// let threaded = plan.execute(&db, Backend::Threads(2));
 /// let outcome = plan.execute(&db, Backend::Sequential);
-/// assert_eq!(batched[0].report(), outcome.report());
-/// assert_eq!(batched[0].answers(), outcome.answers());
+/// assert_eq!(threaded.report(), outcome.report());
+/// assert_eq!(threaded.answers(), outcome.answers());
 /// ```
 pub struct Plan {
     query: Query,
@@ -438,8 +435,9 @@ impl Plan {
     /// answer row against its cap, so a plain (non-aggregate) plan's
     /// answers are joined here, inside the budget, and handed to the
     /// outcome; under [`QueryBudget::unlimited`] they stay lazy until
-    /// [`RunOutcome::answers`] is first read, so callers that never read
-    /// them — the batch throughput path — never pay for them.
+    /// [`RunOutcome::answers`] is first read, so callers that read only
+    /// the load — mpcbench's shuffle span, the experiments — never pay
+    /// for them.
     pub fn try_execute(
         &self,
         db: &Database,
@@ -601,21 +599,6 @@ impl RunOutcome {
         let expected = mpc_sim::oracle::join_database(db);
         verify::diff(&expected, self.answers())
     }
-}
-
-/// Execute a batch of `(plan, db)` jobs — many small queries or repeated
-/// rounds — parallelizing **across** jobs on one backend instead of inside
-/// each round: the multi-query-throughput shape. On [`Backend::Threads`]
-/// the threads are spawned once for the whole batch and claim jobs one at
-/// a time (a slow job does not hold up the jobs behind it). Each job runs
-/// sequentially inside, so every outcome is
-/// bit-identical to `plan.execute(db, Backend::Sequential)`; results come
-/// back in job order.
-pub fn execute_batch(jobs: &[(&Plan, &Database)], backend: Backend) -> Vec<RunOutcome> {
-    backend.run_items(jobs.len(), |i| {
-        let (plan, db) = jobs[i];
-        plan.execute(db, Backend::Sequential)
-    })
 }
 
 /// The engine builder: configure once, then [`Engine::plan`] /
@@ -990,30 +973,6 @@ mod tests {
         let outcome = plan.execute(&db, Backend::Sequential);
         assert_eq!(outcome.report(), Some(&r_exp));
         assert_eq!(*outcome.answers(), c_exp.all_answers(db.query()));
-    }
-
-    #[test]
-    fn execute_batch_matches_individual_execution() {
-        let dbs: Vec<Database> = (0..4).map(|s| zipf_join(1200, 1.0, 20 + s)).collect();
-        let engine = Engine::new(dbs[0].query()).p(8).seed(21);
-        let plans: Vec<Plan> = dbs.iter().map(|db| engine.plan(db)).collect();
-        let jobs: Vec<(&Plan, &Database)> = plans.iter().zip(&dbs).collect();
-        let expected: Vec<RunOutcome> = jobs
-            .iter()
-            .map(|(plan, db)| plan.execute(db, Backend::Sequential))
-            .collect();
-        for backend in [
-            Backend::Sequential,
-            Backend::Threads(3),
-            Backend::Threads(4),
-        ] {
-            let results = execute_batch(&jobs, backend);
-            assert_eq!(results.len(), jobs.len());
-            for (i, (r, e)) in results.iter().zip(&expected).enumerate() {
-                assert_eq!(r.report(), e.report(), "job {i} [{backend}]");
-                assert_eq!(r.answers(), e.answers(), "job {i} [{backend}]");
-            }
-        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ use std::sync::Arc;
 /// (or [`ServiceError::Unsupported`] for known capability limits), budget
 /// trips become [`ServiceError::Timeout`] / [`ServiceError::LimitExceeded`],
 /// and the service stays usable for the next query.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum ServiceError {
     /// The query (or its options) failed to parse at the wire layer.
     Parse(String),
@@ -226,19 +226,6 @@ fn run_contained<T>(f: impl FnOnce() -> Result<T, BudgetExceeded>) -> Result<T, 
         Ok(Err(e)) => Err(budget_error(e)),
         Err(payload) => Err(classify_panic(payload)),
     }
-}
-
-/// The per-job body of [`Service::query_spec`] and
-/// [`Service::query_batch`]: execute one resolved plan under its budget —
-/// which materializes a plain query's answers when the budget is limited,
-/// see [`Plan::try_execute`] — inside the containment boundary.
-fn execute_contained(
-    plan: &Plan,
-    db: &Database,
-    backend: Backend,
-    budget: &QueryBudget,
-) -> Result<RunOutcome, ServiceError> {
-    run_contained(|| plan.try_execute(db, backend, budget))
 }
 
 /// How the plan cache served one query.
@@ -737,41 +724,16 @@ impl Service {
 
     /// Run one fully-specified query inside the fault-containment
     /// boundary: planning runs under a `catch_unwind`, execution *and*
-    /// answer materialization under the spec's budget and another, so a
-    /// planner or mid-query worker panic or a tripped budget returns a
-    /// typed [`ServiceError`] — the catalog, plan cache, and backend stay
-    /// intact for the next query.
+    /// answer materialization (a plain query's answers are joined inside a
+    /// limited budget, see [`Plan::try_execute`]) under the spec's budget
+    /// and another, so a planner or mid-query worker panic or a tripped
+    /// budget returns a typed [`ServiceError`] — the catalog, plan cache,
+    /// and backend stay intact for the next query.
     pub fn query_spec(&mut self, spec: &QuerySpec) -> Result<ServiceOutcome, ServiceError> {
         let (plan, db, cache) = self.resolve_plan(spec)?;
         let budget = self.budget_for(spec);
-        let outcome = execute_contained(&plan, &db, self.backend(), &budget)?;
+        let outcome = run_contained(|| plan.try_execute(&db, self.backend(), &budget))?;
         Ok(ServiceOutcome { outcome, cache })
-    }
-
-    /// Run a batch of queries, multiplexing their shuffles **across** jobs
-    /// on the service backend (the
-    /// [`execute_batch`](crate::engine::execute_batch) shape — parallel
-    /// across jobs, each job sequential inside: on `Threads(n)` the
-    /// calling thread and `n - 1` scoped threads claim jobs one at a
-    /// time until the batch is drained). Results come
-    /// back in spec order, each bit-identical to running the spec alone,
-    /// and each under its own budget and containment boundary: one job's
-    /// panic or budget trip errors that job only.
-    pub fn query_batch(
-        &mut self,
-        specs: &[QuerySpec],
-    ) -> Vec<Result<ServiceOutcome, ServiceError>> {
-        // Resolve every plan, then start every deadline clock, then run.
-        let resolved: Vec<_> = specs.iter().map(|spec| self.resolve_plan(spec)).collect();
-        let budgets: Vec<_> = specs.iter().map(|spec| self.budget_for(spec)).collect();
-        self.backend().run_items(specs.len(), |i| {
-            let (plan, db, cache) = resolved[i].as_ref().map_err(ServiceError::clone)?;
-            let outcome = execute_contained(plan, db, Backend::Sequential, &budgets[i])?;
-            Ok(ServiceOutcome {
-                outcome,
-                cache: *cache,
-            })
-        })
     }
 
     /// Canonicalize and serve a plan from the cache — fingerprinting and
@@ -1163,30 +1125,6 @@ mod tests {
             panic!("an out-of-range group-by variable is admitted");
         };
         assert!(invalid.starts_with("invalid aggregate: "), "{invalid}");
-    }
-
-    #[test]
-    fn batch_matches_serial_and_shares_the_cache() {
-        let mut svc = loaded_service();
-        let specs = vec![
-            QuerySpec::new(parse_query("S1(x,z), S2(y,z)").unwrap()),
-            QuerySpec::new(parse_query("S1(x,y), S3(y,z)").unwrap()),
-            QuerySpec::new(parse_query("S1(a,c), S2(b,c)").unwrap()),
-        ];
-        let results = svc.query_batch(&specs);
-        assert_eq!(results.len(), 3);
-        let batch_answers: Vec<&AnswerSet> = results
-            .iter()
-            .map(|r| r.as_ref().unwrap().answers())
-            .collect();
-        // Spec 2 is shape-equal to spec 0: served from the cache.
-        assert_eq!(svc.counters().hits, 1);
-        assert_eq!(svc.counters().misses, 2);
-        let mut fresh = loaded_service();
-        for (spec, batch) in specs.iter().zip(&batch_answers) {
-            assert_eq!(fresh.query_spec(spec).unwrap().answers(), *batch);
-        }
-        assert_eq!(batch_answers[0], batch_answers[2]);
     }
 
     #[test]

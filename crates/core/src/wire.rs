@@ -10,13 +10,13 @@
 //! QUERY <body> [p=N] [seed=N] [algo=NAME] [timeout=MS] [limit=N] [rows]
 //! SET [timeout_ms=N] [max_rows=N] [max_groups=N]   service-wide defaults
 //!                                          (shared by every session on a TCP front)
-//! BATCH / RUN                              queue QUERYs, run multiplexed
 //! STATS                                    counters + catalog, then `end`
 //! SHUTDOWN                                 `ok bye`, session done
 //! ```
 //!
 //! `QUERY` takes a conjunctive-query body (`S1(x,z), S2(y,z)`, optionally
-//! double-quoted) followed by options; with `rows` the answer tuples
+//! double-quoted) followed by options, each at most once (a repeat is
+//! `err parse <key>= given twice`); with `rows` the answer tuples
 //! follow the `ok` line, one per line, terminated by `end`. The body may
 //! also carry an aggregate head (`Q(x; count) :- S1(x,z), S2(y,z)`), in
 //! which case the status line reports `ok groups=N ...` and `rows` emits
@@ -69,7 +69,7 @@ use crate::service::{QuerySpec, Service, ServiceError, ServiceOutcome};
 use mpc_query::parse_aggregate_query;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Append one formatted, newline-terminated line to a reply buffer
 /// (formatting into a `String` cannot fail).
@@ -79,14 +79,10 @@ macro_rules! reply {
     }};
 }
 
-/// Per-connection protocol state: queued batch specs and the shutdown
-/// flag. All catalog/cache state lives in the [`Service`], which many
-/// sessions may share.
+/// Per-connection protocol state: the shutdown flag. All catalog/cache
+/// state lives in the [`Service`], which many sessions may share.
 #[derive(Default)]
 pub struct Session {
-    pending: Vec<QuerySpec>,
-    pending_rows: Vec<bool>,
-    in_batch: bool,
     done: bool,
 }
 
@@ -123,170 +119,133 @@ impl Session {
             None => (line, ""),
         };
         match keyword.to_ascii_uppercase().as_str() {
-            "LOAD" => self.cmd_load(service, rest, out),
-            "APPEND" => self.cmd_append(service, rest, out),
-            "QUERY" => self.cmd_query(service, rest, out),
-            "SET" => self.cmd_set(service, rest, out),
-            "BATCH" => self.cmd_batch(out),
-            "RUN" => self.cmd_run(service, out),
-            "STATS" => self.cmd_stats(service, out),
+            "LOAD" => cmd_load(service, rest, out),
+            "APPEND" => cmd_append(service, rest, out),
+            "QUERY" => cmd_query(service, rest, out),
+            "SET" => cmd_set(service, rest, out),
+            "STATS" => cmd_stats(service, out),
             "SHUTDOWN" => {
-                if self.in_batch {
-                    return reply!(out, "err SHUTDOWN inside BATCH (send RUN first)");
-                }
                 self.done = true;
                 reply!(out, "ok bye")
             }
             other => reply!(out, "err unknown command `{other}`"),
         }
     }
+}
 
-    fn cmd_load(&mut self, service: &mut Service, rest: &str, out: &mut String) {
-        if self.in_batch {
-            return reply!(out, "err LOAD inside BATCH");
-        }
-        let mut parts = rest.splitn(3, char::is_whitespace);
-        let name = match parts.next().filter(|s| !s.is_empty()) {
-            Some(n) => n,
-            None => return reply!(out, "err LOAD needs: LOAD <rel> <arity> [rows]"),
-        };
-        let arity: usize = match parts.next().and_then(|a| a.parse().ok()) {
-            Some(a) if a > 0 => a,
-            _ => return reply!(out, "err LOAD needs a positive integer arity"),
-        };
-        let flat = match parse_rows(parts.next().unwrap_or(""), arity) {
-            Ok(flat) => flat,
-            Err(e) => return reply!(out, "err {e}"),
-        };
-        let rel = mpc_data::relation::Relation::from_flat(name, arity, flat);
-        match service.load(rel) {
-            Ok(len) => reply!(out, "ok loaded {name} arity={arity} tuples={len}"),
-            Err(e) => reply!(out, "err {e}"),
-        }
+fn cmd_load(service: &mut Service, rest: &str, out: &mut String) {
+    let mut parts = rest.splitn(3, char::is_whitespace);
+    let name = match parts.next().filter(|s| !s.is_empty()) {
+        Some(n) => n,
+        None => return reply!(out, "err LOAD needs: LOAD <rel> <arity> [rows]"),
+    };
+    let arity: usize = match parts.next().and_then(|a| a.parse().ok()) {
+        Some(a) if a > 0 => a,
+        _ => return reply!(out, "err LOAD needs a positive integer arity"),
+    };
+    let flat = match parse_rows(parts.next().unwrap_or(""), arity) {
+        Ok(flat) => flat,
+        Err(e) => return reply!(out, "err {e}"),
+    };
+    let rel = mpc_data::relation::Relation::from_flat(name, arity, flat);
+    match service.load(rel) {
+        Ok(len) => reply!(out, "ok loaded {name} arity={arity} tuples={len}"),
+        Err(e) => reply!(out, "err {e}"),
     }
+}
 
-    fn cmd_append(&mut self, service: &mut Service, rest: &str, out: &mut String) {
-        if self.in_batch {
-            return reply!(out, "err APPEND inside BATCH");
-        }
-        let (name, rows) = match rest.split_once(char::is_whitespace) {
-            Some((n, r)) => (n, r.trim()),
-            None => return reply!(out, "err APPEND needs: APPEND <rel> <rows>"),
-        };
-        let arity = match service.relation(name) {
-            Some(rel) => rel.arity(),
-            None => return reply!(out, "err relation `{name}` is not loaded"),
-        };
-        let flat = match parse_rows(rows, arity) {
-            Ok(flat) if !flat.is_empty() => flat,
-            Ok(_) => return reply!(out, "err APPEND needs at least one tuple"),
-            Err(e) => return reply!(out, "err {e}"),
-        };
-        let appended = flat.len() / arity;
-        match service.append(name, &flat) {
-            Ok(len) => reply!(out, "ok appended {name} +{appended} tuples={len}"),
-            Err(e) => reply!(out, "err {e}"),
-        }
+fn cmd_append(service: &mut Service, rest: &str, out: &mut String) {
+    let (name, rows) = match rest.split_once(char::is_whitespace) {
+        Some((n, r)) => (n, r.trim()),
+        None => return reply!(out, "err APPEND needs: APPEND <rel> <rows>"),
+    };
+    let arity = match service.relation(name) {
+        Some(rel) => rel.arity(),
+        None => return reply!(out, "err relation `{name}` is not loaded"),
+    };
+    let flat = match parse_rows(rows, arity) {
+        Ok(flat) if !flat.is_empty() => flat,
+        Ok(_) => return reply!(out, "err APPEND needs at least one tuple"),
+        Err(e) => return reply!(out, "err {e}"),
+    };
+    let appended = flat.len() / arity;
+    match service.append(name, &flat) {
+        Ok(len) => reply!(out, "ok appended {name} +{appended} tuples={len}"),
+        Err(e) => reply!(out, "err {e}"),
     }
+}
 
-    fn cmd_query(&mut self, service: &mut Service, rest: &str, out: &mut String) {
-        let (spec, want_rows) = match parse_query_line(rest) {
-            Ok(parsed) => parsed,
-            Err(e) => return reply!(out, "err {e}"),
-        };
-        if self.in_batch {
-            self.pending.push(spec);
-            self.pending_rows.push(want_rows);
-            return reply!(out, "ok queued {}", self.pending.len());
-        }
-        render_result(out, &service.query_spec(&spec), want_rows);
+fn cmd_query(service: &mut Service, rest: &str, out: &mut String) {
+    let (spec, want_rows) = match parse_query_line(rest) {
+        Ok(parsed) => parsed,
+        Err(e) => return reply!(out, "err {e}"),
+    };
+    match service.query_spec(&spec) {
+        Ok(outcome) => render_outcome(out, &outcome, want_rows),
+        Err(e) => render_err(out, &e),
     }
+}
 
-    /// `SET key=value ...`: install default query budgets on the service
-    /// (shared by every session on a TCP front). `0` clears a default
-    /// back to unlimited.
-    fn cmd_set(&mut self, service: &mut Service, rest: &str, out: &mut String) {
-        if self.in_batch {
-            return reply!(out, "err SET inside BATCH");
-        }
-        if rest.is_empty() {
-            return reply!(
-                out,
-                "err SET needs: SET [timeout_ms=N] [max_rows=N] [max_groups=N]"
-            );
-        }
-        // The echo grows pair by pair; a bad pair takes it back.
-        let start = out.len();
-        out.push_str("ok set");
-        for pair in rest.split_whitespace() {
-            match apply_setting(service, pair) {
-                Ok((key, n)) => {
-                    let _ = write!(out, " {key}={n}");
-                }
-                Err(e) => {
-                    out.truncate(start);
-                    return reply!(out, "err {e}");
-                }
+/// `SET key=value ...`: install default query budgets on the service
+/// (shared by every session on a TCP front). `0` clears a default
+/// back to unlimited.
+fn cmd_set(service: &mut Service, rest: &str, out: &mut String) {
+    if rest.is_empty() {
+        return reply!(
+            out,
+            "err SET needs: SET [timeout_ms=N] [max_rows=N] [max_groups=N]"
+        );
+    }
+    // The echo grows pair by pair; a bad pair takes it back.
+    let start = out.len();
+    out.push_str("ok set");
+    for pair in rest.split_whitespace() {
+        match apply_setting(service, pair) {
+            Ok((key, n)) => {
+                let _ = write!(out, " {key}={n}");
+            }
+            Err(e) => {
+                out.truncate(start);
+                return reply!(out, "err {e}");
             }
         }
-        out.push('\n');
     }
+    out.push('\n');
+}
 
-    fn cmd_batch(&mut self, out: &mut String) {
-        if self.in_batch {
-            return reply!(out, "err already in BATCH");
-        }
-        self.in_batch = true;
-        reply!(out, "ok batch")
-    }
-
-    fn cmd_run(&mut self, service: &mut Service, out: &mut String) {
-        if !self.in_batch {
-            return reply!(out, "err RUN outside BATCH");
-        }
-        self.in_batch = false;
-        let specs = std::mem::take(&mut self.pending);
-        let rows = std::mem::take(&mut self.pending_rows);
-        for (result, want_rows) in service.query_batch(&specs).iter().zip(rows) {
-            render_result(out, result, want_rows);
-        }
-        reply!(out, "ok ran {}", specs.len())
-    }
-
-    fn cmd_stats(&mut self, service: &mut Service, out: &mut String) {
-        let c = service.counters();
+fn cmd_stats(service: &Service, out: &mut String) {
+    let c = service.counters();
+    reply!(
+        out,
+        "ok plans={} hits={} misses={} invalidations={} evictions={} relations={} mode={}",
+        service.cached_plans(),
+        c.hits,
+        c.misses,
+        c.invalidations,
+        c.evictions,
+        service.relation_infos().len(),
+        service.stats_mode()
+    );
+    if let Some(t) = service.sketch_telemetry() {
         reply!(
             out,
-            "ok plans={} hits={} misses={} invalidations={} evictions={} relations={} mode={}",
-            service.cached_plans(),
-            c.hits,
-            c.misses,
-            c.invalidations,
-            c.evictions,
-            service.relation_infos().len(),
-            service.stats_mode()
+            "sketch bytes={} capacity={} max_error={}",
+            t.bytes,
+            t.capacity,
+            t.max_error
         );
-        if let Some(t) = service.sketch_telemetry() {
-            reply!(
-                out,
-                "sketch bytes={} capacity={} max_error={}",
-                t.bytes,
-                t.capacity,
-                t.max_error
-            );
-        }
-        for info in service.relation_infos() {
-            reply!(
-                out,
-                "rel {} arity={} tuples={} tracked={}",
-                info.name,
-                info.arity,
-                info.tuples,
-                info.tracked_projections
-            );
-        }
-        reply!(out, "end")
     }
+    for info in service.relation_infos() {
+        reply!(
+            out,
+            "rel {} arity={} tuples={} tracked={}",
+            info.name,
+            info.arity,
+            info.tuples,
+            info.tracked_projections
+        );
+    }
+    reply!(out, "end")
 }
 
 /// Install one `SET` pair on the service, returning it for the echo.
@@ -311,14 +270,6 @@ fn apply_setting<'a>(service: &mut Service, pair: &'a str) -> Result<(&'a str, u
 /// including the TCP front's `err overloaded` shed line.
 pub fn render_err(out: &mut String, cause: &ServiceError) {
     reply!(out, "err {cause}")
-}
-
-/// Render one query result: the outcome, or its one `err` line.
-fn render_result(out: &mut String, result: &Result<ServiceOutcome, ServiceError>, want_rows: bool) {
-    match result {
-        Ok(outcome) => render_outcome(out, outcome, want_rows),
-        Err(e) => render_err(out, e),
-    }
 }
 
 /// Append one query outcome to `out`: the `ok` status line, plus the
@@ -396,31 +347,6 @@ fn push_u64(out: &mut String, mut v: u64) {
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
-/// How [`serve`] reaches the [`Service`] for the duration of one command.
-pub trait ServiceAccess {
-    /// Run `f` with exclusive access to the service.
-    fn with_service<T>(&mut self, f: impl FnOnce(&mut Service) -> T) -> T;
-}
-
-/// A front that owns its service (stdio: one session, no sharing).
-impl ServiceAccess for Service {
-    fn with_service<T>(&mut self, f: impl FnOnce(&mut Service) -> T) -> T {
-        f(self)
-    }
-}
-
-/// A front whose sessions share one service (TCP): the lock is held for
-/// exactly one command — parse, plan, execute, render — and released
-/// before the reply is written.
-impl ServiceAccess for &Mutex<Service> {
-    fn with_service<T>(&mut self, f: impl FnOnce(&mut Service) -> T) -> T {
-        // Recover the lock even if another session's thread died while
-        // holding it: the service's own containment boundary means the
-        // state behind a poisoned mutex is still consistent.
-        f(&mut self.lock().unwrap_or_else(|p| p.into_inner()))
-    }
-}
-
 /// How a [`serve`] loop ended.
 #[derive(Debug)]
 pub struct ServeEnd {
@@ -448,10 +374,12 @@ fn recycle(buf: &mut String) {
 }
 
 /// Serve one session — the loop behind both `mpcskew serve` fronts: read
-/// a line, render its whole reply into a buffer with the service reached
-/// through `service`, then (outside that access) hand the reply to
-/// `writer` in one `write_all` + `flush`. Empty replies (blank lines,
-/// comments) write nothing.
+/// a line, render its whole reply into a buffer under `service`'s lock,
+/// then (with the lock released) hand the reply to `writer` in one
+/// `write_all` + `flush`. Empty replies (blank lines, comments) write
+/// nothing. The lock is held for exactly one command — parse, plan,
+/// execute, render — so sessions sharing a service (TCP) interleave
+/// command by command; a front with one session (stdio) never contends.
 ///
 /// The loop ends at `SHUTDOWN`, end of input, or a read error. A write
 /// error ends only the session's *output*: its commands keep being
@@ -459,7 +387,7 @@ fn recycle(buf: &mut String) {
 pub fn serve<R: BufRead, W: Write>(
     mut reader: R,
     mut writer: W,
-    mut service: impl ServiceAccess,
+    service: &Mutex<Service>,
 ) -> ServeEnd {
     let mut session = Session::new();
     let mut line = String::new();
@@ -474,7 +402,14 @@ pub fn serve<R: BufRead, W: Write>(
                 break;
             }
         }
-        service.with_service(|svc| session.handle_into(svc, &line, &mut reply));
+        // Recover the lock even if another session's thread died while
+        // holding it: the service's own containment boundary means the
+        // state behind a poisoned mutex is still consistent.
+        session.handle_into(
+            &mut service.lock().unwrap_or_else(PoisonError::into_inner),
+            &line,
+            &mut reply,
+        );
         // Only a write error leaves the loop running with `error` set.
         if !reply.is_empty() && error.is_none() {
             error = writer
@@ -525,8 +460,9 @@ fn parse_rows(text: &str, arity: usize) -> Result<Vec<u64>, String> {
 
 /// Split a `QUERY` line into the query body and trailing options. Options
 /// are parsed right-to-left so the body itself may contain spaces without
-/// quoting. Syntax problems come back as [`ServiceError::Parse`] — the
-/// same typed vocabulary every other query failure uses.
+/// quoting; each may be given once. Syntax problems come back as
+/// [`ServiceError::Parse`] — the same typed vocabulary every other query
+/// failure uses.
 fn parse_query_line(rest: &str) -> Result<(QuerySpec, bool), ServiceError> {
     let parse_err = |msg: &str| ServiceError::Parse(msg.to_string());
     let mut body = rest.trim();
@@ -534,42 +470,43 @@ fn parse_query_line(rest: &str) -> Result<(QuerySpec, bool), ServiceError> {
     let mut seed = None;
     let mut timeout_ms = None;
     let mut limit = None;
-    let mut algorithm = Algorithm::Auto;
+    let mut algorithm = None;
     let mut want_rows = false;
     while let Some((head, tail)) = body.rsplit_once(char::is_whitespace) {
         let tail = tail.trim();
         if tail.eq_ignore_ascii_case("rows") {
             want_rows = true;
         } else if let Some(v) = tail.strip_prefix("p=") {
-            p = Some(
-                v.parse::<usize>()
-                    .map_err(|_| parse_err("p= expects an integer"))?,
-            );
-            if p == Some(0) {
+            let n = v
+                .parse::<usize>()
+                .map_err(|_| parse_err("p= expects an integer"))?;
+            if n == 0 {
                 return Err(parse_err("p= must be at least 1"));
             }
-            if p > Some(MAX_SERVERS) {
+            if n > MAX_SERVERS {
                 return Err(ServiceError::Parse(format!(
                     "p= must be at most {MAX_SERVERS}"
                 )));
             }
+            set_once(&mut p, "p", n)?;
         } else if let Some(v) = tail.strip_prefix("seed=") {
-            seed = Some(
-                v.parse::<u64>()
-                    .map_err(|_| parse_err("seed= expects an integer"))?,
-            );
+            let n = v
+                .parse()
+                .map_err(|_| parse_err("seed= expects an integer"))?;
+            set_once(&mut seed, "seed", n)?;
         } else if let Some(v) = tail.strip_prefix("timeout=") {
-            timeout_ms = Some(
-                v.parse::<u64>()
-                    .map_err(|_| parse_err("timeout= expects milliseconds"))?,
-            );
+            let ms = v
+                .parse()
+                .map_err(|_| parse_err("timeout= expects milliseconds"))?;
+            set_once(&mut timeout_ms, "timeout", ms)?;
         } else if let Some(v) = tail.strip_prefix("limit=") {
-            limit = Some(
-                v.parse::<u64>()
-                    .map_err(|_| parse_err("limit= expects an integer"))?,
-            );
+            let n = v
+                .parse()
+                .map_err(|_| parse_err("limit= expects an integer"))?;
+            set_once(&mut limit, "limit", n)?;
         } else if let Some(v) = tail.strip_prefix("algo=") {
-            algorithm = Algorithm::parse(v).map_err(ServiceError::Parse)?;
+            let algo = Algorithm::parse(v).map_err(ServiceError::Parse)?;
+            set_once(&mut algorithm, "algo", algo)?;
         } else {
             break;
         }
@@ -585,23 +522,25 @@ fn parse_query_line(rest: &str) -> Result<(QuerySpec, bool), ServiceError> {
     }
     let (query, aggregate) = parse_aggregate_query(body)
         .map_err(|e| ServiceError::Parse(format!("cannot parse query: {e}")))?;
-    let mut spec = QuerySpec::new(query).algorithm(algorithm);
-    if let Some(agg) = aggregate {
-        spec = spec.aggregate(agg);
-    }
-    if let Some(p) = p {
-        spec = spec.p(p);
-    }
-    if let Some(seed) = seed {
-        spec = spec.seed(seed);
-    }
-    if let Some(ms) = timeout_ms {
-        spec = spec.timeout_ms(ms);
-    }
-    if let Some(n) = limit {
-        spec = spec.limit(n);
-    }
+    let spec = QuerySpec {
+        query,
+        p,
+        seed,
+        algorithm: algorithm.unwrap_or(Algorithm::Auto),
+        aggregate,
+        timeout_ms,
+        limit,
+    };
     Ok((spec, want_rows))
+}
+
+/// Fill one `QUERY` option's slot, refusing the option a second time
+/// (the right-to-left parse would otherwise let the leftmost one win).
+fn set_once<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), ServiceError> {
+    match slot.replace(value) {
+        None => Ok(()),
+        Some(_) => Err(ServiceError::Parse(format!("parse {key}= given twice"))),
+    }
 }
 
 #[cfg(test)]
@@ -709,31 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_queues_and_runs_multiplexed() {
-        let mut svc = service();
-        let mut s = Session::new();
-        s.handle(&mut svc, "LOAD S1 2 0,1;1,1");
-        s.handle(&mut svc, "LOAD S2 2 5,1");
-        s.handle(&mut svc, "LOAD S3 2 1,9");
-        assert_eq!(one(&mut s, &mut svc, "BATCH"), "ok batch");
-        assert_eq!(
-            one(&mut s, &mut svc, "QUERY S1(x,z), S2(y,z)"),
-            "ok queued 1"
-        );
-        assert_eq!(
-            one(&mut s, &mut svc, "QUERY S2(x,z), S3(z,y) rows"),
-            "ok queued 2"
-        );
-        assert_eq!(one(&mut s, &mut svc, "LOAD X 1 1"), "err LOAD inside BATCH");
-        let out = s.handle(&mut svc, "RUN");
-        assert!(out[0].starts_with("ok answers=2 "), "{out:?}");
-        // S2(x,z) ⋈ S3(z,y): (5,1) ⋈ (1,9) → x=5, z=1, y=9.
-        assert!(out[1].starts_with("ok answers=1 "), "{out:?}");
-        assert_eq!(out[2..], ["5 1 9", "end", "ok ran 2"]);
-        assert_eq!(one(&mut s, &mut svc, "RUN"), "err RUN outside BATCH");
-    }
-
-    #[test]
     fn query_options_parse_from_the_right() {
         let mut svc = service();
         let mut s = Session::new();
@@ -752,6 +666,18 @@ mod tests {
             "QUERY S1(x,z), S2(y,z) p=2 seed=9 algo=hc",
         );
         assert!(out.starts_with("ok answers=2 algo=hc cache=hit"), "{out}");
+        // Each option may be given once: a repeat is refused, not dropped.
+        for (repeated, key) in [
+            ("p=4 p=8", "p"),
+            ("seed=1 rows seed=1", "seed"),
+            ("algo=hc algo=general", "algo"),
+            ("timeout=5 timeout=0", "timeout"),
+            ("limit=1 p=2 limit=9", "limit"),
+        ] {
+            let line = format!("QUERY S1(x,z), S2(y,z) {repeated}");
+            let out = one(&mut s, &mut svc, &line);
+            assert_eq!(out, format!("err parse {key}= given twice"), "{line}");
+        }
     }
 
     #[test]
@@ -881,6 +807,10 @@ mod tests {
         let mut svc = service();
         let mut s = Session::new();
         assert!(one(&mut s, &mut svc, "FROB x").starts_with("err unknown command"));
+        assert_eq!(
+            one(&mut s, &mut svc, "BATCH"),
+            "err unknown command `BATCH`"
+        );
         assert!(one(&mut s, &mut svc, "LOAD S1").starts_with("err LOAD needs"));
         assert!(one(&mut s, &mut svc, "LOAD S1 two").starts_with("err LOAD needs"));
         assert!(one(&mut s, &mut svc, "LOAD S1 2 1,2,3").starts_with("err tuple 1 has 3 values"));
@@ -936,10 +866,8 @@ mod tests {
             "QUERY Q(z; count, sum(x)) :- A(x,z), B(y,z) rows".to_string(),
             String::new(),
             "# a comment between commands".to_string(),
-            "BATCH".to_string(),
             "QUERY A(x,z), B(y,z) limit=5 rows".to_string(),
             "QUERY Q(x; count) :- A(x,z), B(y,z) rows".to_string(),
-            "RUN".to_string(),
             "STATS".to_string(),
             "FROB".to_string(),
             "SET max_rows=7 frobs=1".to_string(),
@@ -972,7 +900,11 @@ mod tests {
         // The buffer path, through the shared loop: exactly one write and
         // one flush per non-empty reply, the same bytes.
         let mut recorder = Recorder::default();
-        let end = serve(io::Cursor::new(script.join("\n")), &mut recorder, service());
+        let end = serve(
+            io::Cursor::new(script.join("\n")),
+            &mut recorder,
+            &Mutex::new(service()),
+        );
         assert!(end.shutdown);
         assert!(end.error.is_none(), "{:?}", end.error);
         assert_eq!(recorder.0.len(), expected.len());
@@ -989,7 +921,11 @@ mod tests {
             fan(10)
         );
         let mut recorder = Recorder::default();
-        let end = serve(io::Cursor::new(script), &mut recorder, service());
+        let end = serve(
+            io::Cursor::new(script),
+            &mut recorder,
+            &Mutex::new(service()),
+        );
         assert!(!end.shutdown, "input ended without SHUTDOWN");
         let writes: Vec<&str> = recorder
             .0

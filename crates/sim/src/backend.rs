@@ -132,16 +132,14 @@ impl Backend {
         })
     }
 
-    /// Run `count` independent work items and return their results **in
-    /// item order**. Unlike [`Backend::run_chunks`], items are not
-    /// statically grouped into contiguous per-worker chunks: the calling
-    /// thread and up to `min(n, count) - 1` scoped threads claim items one
-    /// at a time from a shared counter, so a slow item (a big batch round)
-    /// occupies one worker while the others keep draining the rest. Every
-    /// item runs even when another panics; the first panicking item's
-    /// payload (in item order) is then re-raised verbatim. A loop started
-    /// inside an item — on the caller or on a spawned worker — runs inline.
-    pub fn run_items<T, F>(&self, count: usize, work: F) -> Vec<T>
+    /// Run `count` independent work items (the chunks of
+    /// [`Backend::run_chunks`]) and return their results **in item
+    /// order**: the calling thread and up to `min(n, count) - 1` scoped
+    /// threads claim items one at a time from a shared counter. Every item
+    /// runs even when another panics; the first panicking item's payload
+    /// (in item order) is then re-raised verbatim. A loop started inside
+    /// an item — on the caller or on a spawned worker — runs inline.
+    fn run_items<T, F>(&self, count: usize, work: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,

@@ -164,7 +164,7 @@ fn usage() -> &'static str {
      the one summary kept per relation — sketch (default) or exact\n\
      (unbounded); estimates can only shift load, never change answers;\n\
      serve: resident service speaking the line protocol (LOAD / APPEND /\n\
-     QUERY / SET / BATCH..RUN / STATS / SHUTDOWN) on stdin, or on a TCP\n\
+     QUERY / SET / STATS / SHUTDOWN) on stdin, or on a TCP\n\
      socket with --listen — relations stay loaded, statistics are kept current,\n\
      and repeated query shapes hit a fingerprinted plan cache; worker\n\
      panics are contained per query (`err internal ...`), SET/timeout=/\n\
@@ -238,7 +238,7 @@ fn cmd_bounds(q: &Query, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<(), String> {
+fn cmd_execute(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<(), String> {
     let p = args.servers()?;
     let m = args.usize_or("m", 10_000)?;
     let domain = args.usize_or("domain", 1 << 16)? as u64;
@@ -420,9 +420,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 /// One session over stdin/stdout: the classic filter shape, scriptable with
 /// a here-doc (see `ci.sh`'s smoke stage). Each reply is written and
-/// flushed as one unit before the next command is read.
+/// flushed as one unit before the next command is read. The service sits
+/// behind the same mutex as on TCP, never contended here.
 fn serve_stdio(service: Service) -> Result<(), String> {
-    let end = wire::serve(std::io::stdin().lock(), std::io::stdout().lock(), service);
+    let service = std::sync::Mutex::new(service);
+    let end = wire::serve(std::io::stdin().lock(), std::io::stdout().lock(), &service);
     match end.error {
         Some(e) => Err(format!("stdio: {e}")),
         None => Ok(()),
@@ -509,7 +511,7 @@ fn serve_tcp(service: Service, addr: &str, max_clients: usize) -> Result<(), Str
                 let _ = stream.set_nodelay(true);
                 match stream.try_clone() {
                     Ok(read_half) => {
-                        wire::serve(BufReader::new(read_half), stream, &*service).shutdown
+                        wire::serve(BufReader::new(read_half), stream, &service).shutdown
                     }
                     Err(_) => false,
                 }
@@ -572,7 +574,7 @@ fn main() -> ExitCode {
             Err("`bounds` analyzes the join body — drop the aggregate head".to_string())
         }
         "bounds" => cmd_bounds(&q, &args),
-        "run" => cmd_run(&q, aggregate.as_ref(), &args),
+        "run" => cmd_execute(&q, aggregate.as_ref(), &args),
         other => Err(format!("unknown command `{other}`\n{}", usage())),
     };
     match result {

@@ -34,8 +34,8 @@ pub mod prelude {
     pub use mpc_core::aggregate::{AggregateAccumulator, AggregateResult};
     pub use mpc_core::bounds;
     pub use mpc_core::engine::{
-        execute_batch, sketch_capacity, Algorithm, Engine, ExactStats, Plan, PlanKey, RunOutcome,
-        SketchStats, Stats, StatsMode, SyntheticStats,
+        sketch_capacity, Algorithm, Engine, ExactStats, Plan, PlanKey, RunOutcome, SketchStats,
+        Stats, StatsMode, SyntheticStats,
     };
     pub use mpc_core::hypercube::HyperCube;
     pub use mpc_core::multi_round::MultiRoundResult;

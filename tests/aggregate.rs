@@ -3,9 +3,9 @@
 //! plus the planner/service contracts around which algorithms qualify.
 
 use mpc_bench::workloads::{correlated_zipf_db, product_skew_db, skewed_join_db, uniform_db};
-use mpc_skew::core::aggregate::{aggregate_cluster, AggregateResult};
+use mpc_skew::core::aggregate::aggregate_cluster;
 use mpc_skew::core::baselines::{FragmentReplicateRouter, HashJoinRouter};
-use mpc_skew::core::engine::{execute_batch, Algorithm, Engine};
+use mpc_skew::core::engine::{Algorithm, Engine};
 use mpc_skew::core::hypercube::HyperCube;
 use mpc_skew::core::verify::aggregate_oracle;
 use mpc_skew::data::{generators, Database, QueryBudget, Rng};
@@ -19,17 +19,21 @@ const SEED: u64 = 11;
 const BACKENDS: [Backend; 2] = [Backend::Sequential, Backend::Threads(4)];
 
 /// Run `spec` over `db` with `algo` on every backend; assert the result is
-/// bit-identical to the oracle (and therefore across backends too).
+/// bit-identical to the oracle (and therefore across backends too), and
+/// the load to that of the plain query: the aggregate changes collection,
+/// not routing.
 fn assert_matches_oracle(name: &str, db: &Database, spec: &AggregateSpec, algo: Algorithm) {
     let expected = aggregate_oracle(db, spec);
-    let plan = Engine::new(db.query())
-        .p(P)
-        .seed(SEED)
-        .algorithm(algo)
-        .aggregate(spec.clone())
-        .plan(db);
+    let engine = Engine::new(db.query()).p(P).seed(SEED).algorithm(algo);
+    let plain = engine.plan(db);
+    let plan = engine.aggregate(spec.clone()).plan(db);
     for backend in BACKENDS {
         let outcome = plan.execute(db, backend);
+        assert_eq!(
+            outcome.report(),
+            plain.execute(db, backend).report(),
+            "{name} [{algo}/{backend}]: the aggregate moved the load"
+        );
         assert_eq!(
             outcome.aggregate(),
             Some(&expected),
@@ -169,31 +173,6 @@ fn explicit_general_skew_with_aggregate_panics() {
         .algorithm(Algorithm::GeneralSkew)
         .aggregate(spec)
         .plan(&db);
-}
-
-#[test]
-fn batch_execution_carries_aggregates_alongside_answers() {
-    let q = named::two_way_join();
-    let db = product_skew_db(&q, 600, 1 << 11, 4, 24, 21);
-    let (_, spec) = parse_aggregate_query("Q(z; count, sum(x)) :- S1(x,z), S2(y,z)").unwrap();
-    let spec = spec.unwrap();
-
-    let agg_plan = Engine::new(&q)
-        .p(P)
-        .seed(SEED)
-        .aggregate(spec.clone())
-        .plan(&db);
-    let plain_plan = Engine::new(&q).p(P).seed(SEED).plan(&db);
-    let jobs = [(&agg_plan, &db), (&plain_plan, &db)];
-    let outcomes = execute_batch(&jobs, Backend::Sequential);
-
-    let expected: AggregateResult = aggregate_oracle(&db, &spec);
-    assert_eq!(outcomes[0].aggregate(), Some(&expected));
-    // The plain twin still materializes answers and carries no aggregate.
-    assert_eq!(outcomes[1].aggregate(), None);
-    assert!(outcomes[1].verify(&db).is_complete());
-    // Routing is identical: the aggregate changes collection, not load.
-    assert_eq!(outcomes[0].report(), outcomes[1].report());
 }
 
 #[test]

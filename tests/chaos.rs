@@ -144,39 +144,6 @@ fn probabilistic_panics_eventually_let_a_query_through() {
 }
 
 #[test]
-fn batch_jobs_are_contained_independently() {
-    let mut fp = failpoint::arm("");
-    let q = two_way();
-    let mut svc = loaded_service(Backend::Threads(4));
-    let expected = svc.query(&q).expect("solo query").answers().clone();
-
-    // A budget-tripped job errors alone; its neighbors are untouched.
-    let specs = vec![
-        QuerySpec::new(q.clone()),
-        QuerySpec::new(q.clone()).limit(1),
-        QuerySpec::new(q.clone()),
-    ];
-    let results = svc.query_batch(&specs);
-    assert_eq!(results[0].as_ref().unwrap().answers(), &expected);
-    assert_eq!(
-        results[1].as_ref().unwrap_err(),
-        &ServiceError::LimitExceeded("max_rows".to_string())
-    );
-    assert_eq!(results[2].as_ref().unwrap().answers(), &expected);
-
-    // Injected panics fail the whole armed batch — but the service
-    // survives and the next (disarmed) batch is bit-identical.
-    fp.rearm("local_join:panic");
-    for r in svc.query_batch(&specs[..1]) {
-        let got = r.and_then(|out| out.try_answers().cloned());
-        assert!(matches!(got, Err(ServiceError::Internal(_))), "{got:?}");
-    }
-    fp.rearm("");
-    let recovered = svc.query_batch(&specs[..1]);
-    assert_eq!(recovered[0].as_ref().unwrap().answers(), &expected);
-}
-
-#[test]
 fn deadline_expiry_leaves_plan_cache_and_stats_untouched() {
     let mut fp = failpoint::arm("");
     let spec = QuerySpec::new(two_way());

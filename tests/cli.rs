@@ -916,10 +916,8 @@ fn serve_stdio_and_tcp_replies_are_byte_identical() {
                   \n\
                   QUERY Q(z; count, sum(x)) :- S1(x,z), S2(y,z) rows\n\
                   QUERY S1(x,z), S2(y,z) limit=1 rows\n\
-                  BATCH\n\
                   QUERY S1(x,z), S2(y,z) rows\n\
                   QUERY S9(x,z)\n\
-                  RUN\n\
                   APPEND S2 8,1\n\
                   SET max_groups=1\n\
                   QUERY Q(z; count) :- S1(x,z), S2(y,z)\n\

@@ -14,7 +14,6 @@
 //!    executor is bit-identical to the sequential one.
 
 use mpc_skew::core::baselines::{FragmentReplicateRouter, HashJoinRouter};
-use mpc_skew::core::engine::{execute_batch, Algorithm, Engine, Plan};
 use mpc_skew::core::hypercube::HyperCube;
 use mpc_skew::core::multi_round::run_multi_round;
 use mpc_skew::core::skew_general::GeneralSkewAlgorithm;
@@ -249,44 +248,6 @@ fn multi_round_is_backend_invariant_on_the_matrix() {
                     "{name} [{backend}]"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn batch_submission_matches_per_round_execution() {
-    // execute_batch parallelizes across jobs; its per-job results must
-    // equal running each plan alone, whatever executor the batch is on.
-    // Every scenario rides twice: as its auto plan and as a pinned
-    // HyperCube plan (batches may mix algorithms).
-    let dbs = scenarios();
-    let plans: Vec<Plan> = [Algorithm::Auto, Algorithm::HyperCube]
-        .into_iter()
-        .flat_map(|algo| dbs.iter().map(move |(_, db)| (algo, db)))
-        .map(|(algo, db)| {
-            Engine::new(db.query())
-                .p(16)
-                .seed(11)
-                .algorithm(algo)
-                .plan(db)
-        })
-        .collect();
-    let jobs: Vec<(&Plan, &Database)> = plans
-        .iter()
-        .zip(dbs.iter().chain(&dbs).map(|(_, db)| db))
-        .collect();
-    let expected: Vec<_> = jobs
-        .iter()
-        .map(|(plan, db)| plan.execute(db, Backend::Sequential))
-        .collect();
-    for backend in BACKENDS {
-        let results = execute_batch(&jobs, backend);
-        assert_eq!(results.len(), jobs.len(), "{backend}");
-        for (i, (got, want)) in results.iter().zip(&expected).enumerate() {
-            let tag = format!("{}/{} [{backend}]", dbs[i % dbs.len()].0, want.algorithm());
-            assert_eq!(got.report(), want.report(), "{tag}: report");
-            assert_eq!(got.max_load_bits(), want.max_load_bits(), "{tag}: load");
-            assert_eq!(got.answers(), want.answers(), "{tag}: answers");
         }
     }
 }

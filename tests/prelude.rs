@@ -68,10 +68,11 @@ fn prelude_covers_the_engine_surface() {
     assert!(outcome.verify(&db).is_complete());
     assert!(outcome.predicted_load_bits() > 0.0);
 
-    // Batches of (plan, db) jobs agree with one-at-a-time execution.
-    let jobs = [(&plan, &db)];
-    let batched = execute_batch(&jobs, Backend::Sequential);
-    assert_eq!(batched[0].report(), outcome.report());
+    // Every backend runs the plan to the same load and answers.
+    let sequential = plan.execute(&db, Backend::Sequential);
+    let threaded = plan.execute(&db, Backend::Threads(2));
+    assert_eq!(threaded.report(), sequential.report());
+    assert_eq!(threaded.answers(), sequential.answers());
 
     // Synthetic statistics plug into the same surface.
     let st = SyntheticStats(SimpleStatistics::of(&db));

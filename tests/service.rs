@@ -10,12 +10,19 @@
 //!    `m_j / p` heavy threshold, the cached plan is invalidated and the
 //!    replan flips `Algorithm::Auto`'s pick (HyperCube → skew join), with
 //!    the invalidation visible in the counters.
+//!
+//! And one the shared service must keep: **sessions** served concurrently
+//! over one `Mutex<Service>` (the TCP front) each read byte for byte what
+//! they read served alone.
 
-use mpc_skew::core::engine::{Algorithm, Engine};
+use mpc_skew::core::engine::{Algorithm, Engine, StatsMode};
 use mpc_skew::core::service::{CacheStatus, QuerySpec, Service};
+use mpc_skew::core::wire::{serve, Session};
 use mpc_skew::data::{generators, AnswerSet, Database, Relation, Rng};
 use mpc_skew::query::{parse_query, Query};
 use mpc_skew::sim::backend::Backend;
+use std::io;
+use std::sync::{Barrier, Mutex};
 
 /// Ground truth: build a fresh database from scratch (full rescan, exact
 /// stats, no cache) and run the engine once.
@@ -93,20 +100,16 @@ fn batch_queries_match_serial_and_fresh_build() {
     svc.load(s1).expect("load S1");
     svc.load(s2).expect("load S2");
 
-    let specs = [
-        QuerySpec::new(q1.clone()),
-        QuerySpec::new(q2.clone()),
-        QuerySpec::new(q1.clone()),
-    ];
-    let outcomes: Vec<_> = svc
-        .query_batch(&specs)
+    let outcomes: Vec<_> = [&q1, &q2, &q1]
         .into_iter()
-        .map(|r| r.expect("batch query runs"))
+        .map(|q| {
+            svc.query_spec(&QuerySpec::new(q.clone()))
+                .expect("query runs")
+        })
         .collect();
-    assert_eq!(outcomes.len(), 3);
-    for (spec, out) in [&q1, &q2, &q1].into_iter().zip(&outcomes) {
-        let (_, want) = fresh_run(spec, &rels, domain, p, Backend::Sequential);
-        assert_eq!(out.answers(), &want, "batch answer diverges for {spec}");
+    for (q, out) in [&q1, &q2, &q1].into_iter().zip(&outcomes) {
+        let (_, want) = fresh_run(q, &rels, domain, p, Backend::Sequential);
+        assert_eq!(out.answers(), &want, "service answer diverges for {q}");
     }
     // The third spec repeats the first's shape: same plan, served warm.
     assert_eq!(outcomes[2].cache_status(), CacheStatus::Hit);
@@ -183,4 +186,116 @@ fn stale_plan_invalidation_fires_on_heavy_threshold_crossing() {
     // Counter book-keeping: 2 misses (cold + replan), 1 hit, 1 invalidation.
     let c = svc.counters();
     assert_eq!((c.misses, c.hits, c.invalidations), (2, 1, 1));
+}
+
+#[test]
+fn concurrent_sessions_match_one_session() {
+    // Readers send `rows` queries whose plans the warm-up cached; one
+    // writer APPENDs to `W`, which no reader names. Whatever the
+    // interleaving of their commands under the service lock, each
+    // session must read exactly what it reads served alone.
+    let queries = [
+        "QUERY A(x,z), B(y,z) rows",
+        "QUERY B(x,z), C(z,y) p=8 rows",
+        "QUERY Q(z; count, sum(x)) :- A(x,z), C(y,z) rows",
+        "QUERY A(x,y), B(y,z), C(z,x) seed=3 algo=hc rows",
+    ];
+    let rows = |a: u64, b: u64| -> String {
+        let rows: Vec<String> = (0..300u64)
+            .map(|i| format!("{},{}", (i * a) % 97, (i * b) % 31))
+            .collect();
+        rows.join(";")
+    };
+    let warmed = || {
+        let mut svc = Service::new(1 << 10)
+            .with_stats_mode(StatsMode::Sketch)
+            .with_defaults(4, 1);
+        let mut session = Session::new();
+        let loads = [
+            format!("LOAD A 2 {}", rows(37, 11)),
+            format!("LOAD B 2 {}", rows(13, 7)),
+            format!("LOAD C 2 {}", rows(29, 5)),
+            "LOAD W 2 0,0".to_string(),
+        ];
+        for line in loads.iter().map(String::as_str).chain(queries) {
+            assert!(session.handle(&mut svc, line)[0].starts_with("ok "));
+        }
+        svc
+    };
+    let mut scripts: Vec<String> = (0..3)
+        .map(|k| {
+            let lines: Vec<&str> = (0..12).map(|i| queries[(k + i) % queries.len()]).collect();
+            lines.join("\n")
+        })
+        .collect();
+    let appends: Vec<String> = (1..=24u64)
+        .map(|i| format!("APPEND W {i},{}", (i * 7) % 31))
+        .collect();
+    scripts.push(appends.join("\n"));
+
+    let run = |script: &str, svc: &Mutex<Service>| {
+        let mut out = Vec::new();
+        let end = serve(io::Cursor::new(script), &mut out, svc);
+        assert!(end.error.is_none(), "{:?}", end.error);
+        String::from_utf8(out).expect("replies are UTF-8")
+    };
+    let alone: Vec<String> = scripts
+        .iter()
+        .map(|script| run(script, &Mutex::new(warmed())))
+        .collect();
+    let shared = Mutex::new(warmed());
+    // Every session starts at once, so their commands contend for the lock.
+    let start = Barrier::new(scripts.len());
+    let together: Vec<String> = std::thread::scope(|scope| {
+        let sessions: Vec<_> = scripts
+            .iter()
+            .map(|script| {
+                scope.spawn(|| {
+                    start.wait();
+                    run(script, &shared)
+                })
+            })
+            .collect();
+        sessions
+            .into_iter()
+            .map(|s| s.join().expect("session thread"))
+            .collect()
+    });
+    for (i, (want, got)) in alone.iter().zip(&together).enumerate() {
+        assert!(got == want, "session {i} diverged from its solo run");
+    }
+    for out in &alone[..3] {
+        assert!(out.lines().count() > 100, "readers see answer rows: {out}");
+        for reply in out.lines().filter(|l| l.starts_with("ok ")) {
+            assert!(reply.contains("cache=hit"), "{reply}");
+        }
+    }
+    assert!(alone[3].ends_with("ok appended W +1 tuples=25\n"));
+    assert_eq!(
+        shared.lock().unwrap().counters().misses,
+        queries.len() as u64
+    );
+}
+
+#[test]
+fn serve_recovers_a_poisoned_service_lock() {
+    let svc = Mutex::new(
+        Service::new(16)
+            .with_backend(Backend::Sequential)
+            .with_defaults(4, 1),
+    );
+    // A session thread that dies holding the lock poisons it.
+    let died = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let _held = svc.lock().unwrap();
+                panic!("session thread died");
+            })
+            .join()
+    });
+    assert!(died.is_err() && svc.is_poisoned());
+    let mut out = Vec::new();
+    let end = serve(io::Cursor::new("LOAD S1 2 0,1\nSHUTDOWN\n"), &mut out, &svc);
+    assert!(end.shutdown);
+    assert_eq!(out, b"ok loaded S1 arity=2 tuples=1\nok bye\n");
 }
