@@ -340,11 +340,15 @@ fi
 # stats mode is only a summary capacity, and the plan cache has one
 # capacity. The planner reads cardinalities and heavy hitters only (no
 # point lookup of a light count), and the service reads them from its
-# sketches alone (no exact-scan fallback). None of the retired names may
-# come back, comments included.
-stage "one statistics surface: no second estimate shape, binning rule, planner-stats knob, cache-capacity knob, light-count lookup or exact fallback in the service"
+# sketches alone (no exact-scan fallback). Both skew planners read heavy
+# hitters one way, `plan_with` over a `Stats` source (no §4.1 entry point
+# over raw frequency maps, no Bernoulli sampler beside the sketch). None of
+# the retired names may come back, comments included.
+stage "one statistics surface: no second estimate shape, binning rule, planner-stats knob, cache-capacity knob, light-count lookup, exact fallback in the service, sampler or raw-map planner"
 RETIRED=$(grep -rn "ErrorDirection\|to_estimates\|bin_of_estimate\|must_exceed\|StatsMode::Synthetic\|with_plan_cache_capacity" \
     crates src tests examples || true)
+RETIRED="$RETIRED$(grep -rn "mod sampling\|sample_heavy_hitters\|sampled_frequencies\|SampledFrequencies\|recommended_rate\|plan_from_parts" \
+    crates src tests examples || true)"
 RETIRED="$RETIRED$(grep -nw "fn merge\|fn count\|fn frequency" crates/stats/src/sketch.rs || true)"
 RETIRED="$RETIRED$(grep -nw "fn frequency" crates/stats/src/source.rs || true)"
 RETIRED="$RETIRED$(grep -n "ExactStats\|stats_view" crates/core/src/service.rs || true)"

@@ -1,6 +1,6 @@
 //! Regenerates the paper's tables: `exp <name>` runs one experiment,
-//! `exp all` runs every one in order (`tee` the output to regenerate the
-//! measured columns of EXPERIMENTS.md).
+//! `exp all` runs every one in order (the experiment index is in the
+//! README's "Experiments" section).
 use mpc_bench::experiments::ALL;
 
 fn main() {

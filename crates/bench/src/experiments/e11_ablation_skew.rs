@@ -8,6 +8,7 @@
 //! variants.
 
 use crate::table::{fmt, fmt_ratio, Table};
+use mpc_core::engine::ExactStats;
 use mpc_core::skew_join::{SkewJoin, SkewJoinConfig};
 use mpc_core::verify;
 use mpc_data::{generators, Database, Rng};
@@ -42,15 +43,12 @@ pub fn run() {
 
         let with = SkewJoin::plan(&db, p, 3);
         let (c1, r1) = with.run(&db);
-        let without = SkewJoin::plan_from_parts(
+        let without = SkewJoin::plan_with(
             db.query(),
-            db.relation(0).len(),
-            db.relation(1).len(),
             p,
             3,
+            &ExactStats::of(&db),
             SkewJoinConfig { use_grids: false },
-            &db.relation(0).frequencies(&[1]),
-            &db.relation(1).frequencies(&[1]),
         );
         let (c2, r2) = without.run(&db);
         // Both remain correct — only the load differs.

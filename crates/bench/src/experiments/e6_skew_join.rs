@@ -13,6 +13,7 @@ use mpc_core::engine::{Algorithm, Engine};
 use mpc_core::hypercube::HyperCube;
 use mpc_query::{named, VarSet};
 use mpc_sim::backend::Backend;
+use mpc_stats::heavy::heavy_hitters;
 
 /// Run E6.
 pub fn run() {
@@ -53,9 +54,7 @@ pub fn run() {
         }
         let sj_rep = sj.report().expect("one-round outcome");
 
-        let f1 = db.relation(0).frequencies(&[1]);
-        let f2 = db.relation(1).frequencies(&[1]);
-        let bound = skew_join_bound(m, m, &f1, &f2, p);
+        let bound = skew_join_bound(&heavy_hitters(&db, 0, z, p), &heavy_hitters(&db, 1, z, p));
         t.row(&[
             theta.to_string(),
             fmt(hash_rep.max_load_tuples() as f64),

@@ -4,7 +4,7 @@
 
 pub mod e10_ablation_shares;
 pub mod e11_ablation_skew;
-pub mod e12_sampling;
+pub mod e12_sketch;
 pub mod e13_multi_round;
 pub mod e1_cartesian;
 pub mod e2_example33;
@@ -29,6 +29,6 @@ pub const ALL: [(&str, fn()); 13] = [
     ("replication", e9_replication::run),
     ("ablation_shares", e10_ablation_shares::run),
     ("ablation_skew", e11_ablation_skew::run),
-    ("sampling", e12_sampling::run),
+    ("sketch", e12_sketch::run),
     ("multi_round", e13_multi_round::run),
 ];

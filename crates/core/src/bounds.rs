@@ -17,6 +17,7 @@ use mpc_query::residual::saturating_packing_vertices;
 use mpc_query::{Packing, Query, VarSet};
 use mpc_stats::cardinality::SimpleStatistics;
 use mpc_stats::degree::{sum_over_assignments, DegreeStatistics};
+use mpc_stats::heavy::HeavyHitters;
 
 /// `K(u, M) = Π_j M_j^{u_j}` (Eq. 6), computed in log space.
 pub fn k_value(u: &[f64], m_bits: &[f64]) -> f64 {
@@ -181,9 +182,6 @@ pub fn max_residual_lower_bound(
 /// ... the paper states these in tuples; we keep tuple units for `L1`,`L2`
 /// (they come from cartesian products against broadcast sides) and convert
 /// to bits uniformly at the end using each side's tuple width.
-///
-/// `h1`, `h2` are the heavy-hitter frequency maps of the shared variables in
-/// S1 and S2 respectively; `m1`, `m2` the cardinalities.
 #[derive(Clone, Debug)]
 pub struct SkewJoinBound {
     /// `m1/p` in tuples.
@@ -209,41 +207,33 @@ impl SkewJoinBound {
     }
 }
 
-/// Compute Eq. (10) from the two shared-variable frequency maps.
-pub fn skew_join_bound(
-    m1: usize,
-    m2: usize,
-    freqs1: &mpc_data::FastMap<Vec<u64>, usize>,
-    freqs2: &mpc_data::FastMap<Vec<u64>, usize>,
-    p: usize,
-) -> SkewJoinBound {
-    let t1 = m1 as f64 / p as f64;
-    let t2 = m2 as f64 / p as f64;
-    let heavy1 = |h: &Vec<u64>| freqs1.get(h).map_or(0.0, |&f| f as f64) > t1;
-    let heavy2 = |h: &Vec<u64>| freqs2.get(h).map_or(0.0, |&f| f as f64) > t2;
+/// Eq. (10) from the two shared-variable heavy sets the §4.1 planner
+/// routes by ([`SkewJoin::plan_with`](crate::skew_join::SkewJoin::plan_with)
+/// builds both with [`HeavyHitters::of`]). A value is in H12, H1 or H2 by
+/// membership in `heavy1` and `heavy2`, the classification the routes use;
+/// each set carries its cardinality `m_j` and `p`.
+pub fn skew_join_bound(heavy1: &HeavyHitters, heavy2: &HeavyHitters) -> SkewJoinBound {
+    let p = heavy1.p as f64;
     let mut k12 = 0.0f64;
     let mut k1 = 0.0f64;
     let mut k2 = 0.0f64;
-    for (h, &f1) in freqs1 {
-        let h1 = heavy1(h);
-        let h2 = heavy2(h);
-        if h1 && h2 {
-            k12 += f1 as f64 * freqs2[h] as f64;
-        } else if h1 {
-            k1 += f1 as f64;
+    for (h, &f1) in &heavy1.entries {
+        match heavy2.frequency(h) {
+            Some(f2) => k12 += f1 as f64 * f2 as f64,
+            None => k1 += f1 as f64,
         }
     }
-    for (h, &f2) in freqs2 {
-        if heavy2(h) && !heavy1(h) {
+    for (h, &f2) in &heavy2.entries {
+        if heavy1.frequency(h).is_none() {
             k2 += f2 as f64;
         }
     }
     SkewJoinBound {
-        scan1: t1,
-        scan2: t2,
-        l12: (k12 / p as f64).sqrt(),
-        l1: (k1 / p as f64).sqrt(),
-        l2: (k2 / p as f64).sqrt(),
+        scan1: heavy1.threshold(),
+        scan2: heavy2.threshold(),
+        l12: (k12 / p).sqrt(),
+        l1: (k1 / p).sqrt(),
+        l2: (k2 / p).sqrt(),
     }
 }
 
@@ -519,21 +509,25 @@ mod tests {
     fn skew_join_bound_matches_section_4_1_manual() {
         use mpc_data::FastMap;
         let p = 4usize;
-        let (m1, m2) = (100usize, 100usize);
+        let m = 100usize;
         // threshold = 25. h=1: heavy both (50, 40). h=2: heavy in S1 only
-        // (30, 5). h=3: heavy in S2 only (10, 55). h=4: light (10, 0).
-        let f1: FastMap<Vec<u64>, usize> = [
-            (vec![1u64], 50usize),
-            (vec![2], 30),
-            (vec![3], 10),
-            (vec![4], 10),
-        ]
-        .into_iter()
-        .collect();
-        let f2: FastMap<Vec<u64>, usize> = [(vec![1u64], 40usize), (vec![2], 5), (vec![3], 55)]
-            .into_iter()
-            .collect();
-        let b = skew_join_bound(m1, m2, &f1, &f2, p);
+        // (30; 5 in S2, light). h=3: heavy in S2 only (55; 10 in S1, light).
+        // Light values are in neither heavy set.
+        let heavy = |atom: usize, entries: &[(u64, usize)]| HeavyHitters {
+            atom,
+            vars: VarSet::singleton(1),
+            cols: vec![1],
+            entries: entries
+                .iter()
+                .map(|&(h, f)| (vec![h], f))
+                .collect::<FastMap<_, _>>(),
+            cardinality: m,
+            p,
+        };
+        let b = skew_join_bound(
+            &heavy(0, &[(1, 50), (2, 30)]),
+            &heavy(1, &[(1, 40), (3, 55)]),
+        );
         assert!((b.scan1 - 25.0).abs() < 1e-12);
         assert!((b.l12 - (50.0f64 * 40.0 / 4.0).sqrt()).abs() < 1e-9);
         assert!((b.l1 - (30.0f64 / 4.0).sqrt()).abs() < 1e-9);

@@ -54,11 +54,10 @@
 //! ```
 
 use crate::aggregate::{aggregate_cluster, AggregateResult};
-use crate::bounds::skew_join_bound;
 use crate::hypercube::HyperCube;
 use crate::shares::ShareAllocation;
 use crate::skew_general::GeneralSkewAlgorithm;
-use crate::skew_join::{SkewJoin, SkewJoinConfig};
+use crate::skew_join::SkewJoin;
 use crate::verify::{self, aggregate_oracle, Verification};
 use mpc_data::answers::AnswerSet;
 use mpc_data::budget::{BudgetExceeded, QueryBudget};
@@ -68,7 +67,6 @@ use mpc_query::{Query, QueryShape, VarSet};
 use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::load::LoadReport;
-use mpc_stats::heavy::HeavyHitters;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -739,8 +737,8 @@ impl<'s> Engine<'s> {
             "engine was built for a different query"
         );
         match self.stats {
-            Some(stats) => self.plan_with(db, stats),
-            None => self.plan_with(db, &ExactStats::of(db)),
+            Some(stats) => self.plan_with(stats),
+            None => self.plan_with(&ExactStats::of(db)),
         }
     }
 
@@ -750,7 +748,7 @@ impl<'s> Engine<'s> {
         self.plan(db).execute(db, backend)
     }
 
-    fn plan_with(&self, db: &Database, stats: &dyn Stats) -> Plan {
+    fn plan_with(&self, stats: &dyn Stats) -> Plan {
         mpc_data::failpoint::hit("plan");
         let q = &self.query;
         let p = self.p;
@@ -803,33 +801,12 @@ impl<'s> Engine<'s> {
                 lower_bound_bits,
             ),
             Algorithm::SkewJoin => {
-                let shared = q.atom(0).var_set().intersect(q.atom(1).var_set());
-                let (m1, m2) = (simple.cardinalities[0], simple.cardinalities[1]);
-                // Heavy hitters at their largest consistent counts: the
-                // straddle-is-heavy rule. The skew join and its load bound
-                // consult frequencies only through the above-threshold
-                // classification, so under exact statistics these pruned
-                // maps reproduce the full-map plan bit for bit.
-                let f1 = HeavyHitters::of(q, stats, m1, 0, shared, p).entries;
-                let f2 = HeavyHitters::of(q, stats, m2, 1, shared, p).entries;
-                let bound = skew_join_bound(m1, m2, &f1, &f2, p);
-                // Eq. (10) is stated in tuples; convert with the widest
-                // tuple so the prediction stays an upper shape.
-                let width = q.max_arity() as f64 * simple.value_bits as f64;
-                let sj = SkewJoin::plan_from_parts(
-                    q,
-                    m1,
-                    m2,
-                    p,
-                    self.seed,
-                    SkewJoinConfig::default(),
-                    &f1,
-                    &f2,
-                );
-                (PlanKind::SkewJoin(sj), bound.max_tuples() * width)
+                let sj = SkewJoin::plan_with(q, p, self.seed, stats, Default::default());
+                let predicted = sj.predicted_load_bits();
+                (PlanKind::SkewJoin(sj), predicted)
             }
             Algorithm::GeneralSkew => {
-                let alg = GeneralSkewAlgorithm::plan_with(db, p, self.seed, stats);
+                let alg = GeneralSkewAlgorithm::plan_with(q, p, self.seed, stats);
                 let predicted = alg.predicted_load_bits();
                 (PlanKind::GeneralSkew(Box::new(alg)), predicted)
             }

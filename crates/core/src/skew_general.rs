@@ -32,7 +32,13 @@
 //! `|C'(B)| <= p` cap. When the cap drops an assignment, the affected
 //! tuples fall back to the `B_∅` run (correctness is preserved
 //! unconditionally; the load guarantee then degrades gracefully —
-//! [`GeneralSkewAlgorithm::dropped_assignments`] reports the count).
+//! [`GeneralSkewAlgorithm::dropped_assignments`] reports the count). What
+//! reading estimates this way costs is a tested bound, not an assumption:
+//! `tests/stats_parity.rs` holds the sketch-planned max load within
+//! `SKETCH_LOAD_FACTOR` (1.5) of the exact-planned one at every sketch
+//! capacity `>= p`, on a Zipf triangle and 3-chain among other inputs, and
+//! shows it exceeded at capacity `p/2`. Lemma 4.2's selection is what
+//! would remove the need for capacity `>= p`.
 //!
 //! Routing is compiled at plan time like plain HyperCube's: one route per
 //! *(bin combination, atom)* on the combination's block grid, so a tuple's
@@ -43,7 +49,7 @@ use crate::hypercube::CompiledRoutes;
 use crate::shares::{log_p_sizes, solve_share_lp};
 use mpc_data::catalog::Database;
 use mpc_data::fastmap::{with_projected_key, FastMap, FastSet};
-use mpc_query::VarSet;
+use mpc_query::{Query, VarSet};
 use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::hashing::HashFamily;
@@ -101,28 +107,27 @@ pub struct GeneralSkewAlgorithm {
 impl GeneralSkewAlgorithm {
     /// Plan from the data's exact statistics.
     pub fn plan(db: &Database, p: usize, seed: u64) -> GeneralSkewAlgorithm {
-        GeneralSkewAlgorithm::plan_with(db, p, seed, &ExactStats::of(db))
+        GeneralSkewAlgorithm::plan_with(db.query(), p, seed, &ExactStats::of(db))
     }
 
-    /// Plan from any [`Stats`] source — exact or sketch-backed. One heavy
-    /// table, read from the source once per plan, feeds both the §4.2 bin
-    /// combinations and the residual-base exclusion tables, so tuples the
-    /// source classifies as heavy are either covered by a heavy combination
-    /// or stay in `B_∅` — completeness holds under any (including
-    /// overcounted) classification; estimate error only shifts load.
+    /// Plan `q` for `p` servers from any [`Stats`] source — exact or
+    /// sketch-backed — the one way §4.2 plans, with the shape of
+    /// [`SkewJoin::plan_with`](crate::skew_join::SkewJoin::plan_with): the
+    /// query, the cardinalities and the heavy sets are everything it reads
+    /// (no data). One heavy table ([`heavy_table`], over
+    /// [`HeavyHitters::of`]), read from the source once per plan, feeds
+    /// both the §4.2 bin combinations and the residual-base exclusion
+    /// tables, so tuples the source classifies as heavy are either covered
+    /// by a heavy combination or stay in `B_∅` — completeness holds under
+    /// any (including overcounted) classification; estimate error only
+    /// shifts load, within the bound the module docs cite.
     #[allow(clippy::needless_range_loop)]
-    pub fn plan_with(
-        db: &Database,
-        p: usize,
-        seed: u64,
-        stats: &dyn Stats,
-    ) -> GeneralSkewAlgorithm {
-        let q = db.query().clone();
+    pub fn plan_with(q: &Query, p: usize, seed: u64, stats: &dyn Stats) -> GeneralSkewAlgorithm {
         let simple = stats.simple();
         let mu = log_p_sizes(&simple, p);
 
-        let binned = heavy_table(&q, p, stats);
-        let raw = enumerate_combinations_with(&q, p, &binned);
+        let binned = heavy_table(q, p, stats);
+        let raw = enumerate_combinations_with(q, p, &binned);
         let mut combos: Vec<PreparedCombo> = Vec::with_capacity(raw.len());
         let mut compiled: FastMap<Vec<usize>, Arc<CompiledRoutes>> = FastMap::default();
         let mut base = usize::MAX;
@@ -137,7 +142,7 @@ impl GeneralSkewAlgorithm {
             } else {
                 (1.0 - combo.alpha(p)).max(0.0)
             };
-            let (lambda, exponents) = solve_share_lp(&q, x, |j| mu[j] - combo.beta[j], budget)
+            let (lambda, exponents) = solve_share_lp(q, x, |j| mu[j] - combo.beta[j], budget)
                 .expect("LP (11) is always feasible");
 
             // Integer shares for one assignment's block.
@@ -151,7 +156,7 @@ impl GeneralSkewAlgorithm {
             let grid = Grid::new(dims);
             let routes = compiled
                 .entry(grid.dims().to_vec())
-                .or_insert_with(|| Arc::new(CompiledRoutes::compile(&q, &grid)));
+                .or_insert_with(|| Arc::new(CompiledRoutes::compile(q, &grid)));
             let routes = Arc::clone(routes);
 
             // Block layout + per-atom lookups.
@@ -166,7 +171,7 @@ impl GeneralSkewAlgorithm {
             let mut proj_cols: Vec<Vec<usize>> = Vec::new();
             for j in 0..q.num_atoms() {
                 let xj = x.intersect(q.atom(j).var_set());
-                let cols = mpc_stats::heavy::columns_for(&q, j, xj);
+                let cols = mpc_stats::heavy::columns_for(q, j, xj);
                 if xj.is_empty() {
                     lookups.push(None);
                     proj_cols.push(cols);

@@ -22,13 +22,16 @@
 //! on exactly one server — the invariant aggregate pushdown
 //! ([`crate::aggregate`]) relies on for exact multiplicities.
 
+use crate::bounds::skew_join_bound;
 use mpc_data::catalog::Database;
 use mpc_data::fastmap::{with_projected_key, FastMap};
 use mpc_data::mix64;
-use mpc_query::VarSet;
+use mpc_query::{Query, VarSet};
 use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::load::LoadReport;
+use mpc_stats::heavy::HeavyHitters;
+use mpc_stats::source::{ExactStats, Stats};
 
 /// How a heavy `z`-value is handled: a `p1 × p2` block of virtual servers
 /// at `offset`. S1's tuples hash their private attributes to a row and go
@@ -60,6 +63,14 @@ impl Default for SkewJoinConfig {
 }
 
 /// A planned skew join (Section 4.1).
+///
+/// [`SkewJoin::plan_with`] is the one planner: it reads a [`Stats`]
+/// source's cardinalities and the two shared-variable heavy sets, exactly
+/// as §4.2's [`GeneralSkewAlgorithm::plan_with`](crate::skew_general::GeneralSkewAlgorithm::plan_with)
+/// does; [`SkewJoin::plan`] is that over [`ExactStats`], and the engine
+/// calls it with whatever source [`Engine::stats`](crate::engine::Engine::stats)
+/// was given. The plan carries its Eq. (10) prediction
+/// ([`SkewJoin::predicted_load_bits`]).
 ///
 /// ```
 /// use mpc_core::skew_join::SkewJoin;
@@ -96,94 +107,77 @@ pub struct SkewJoin {
     routes: FastMap<Vec<u64>, HeavyRoute>,
     /// Total virtual servers (diagnostics; `Θ(p)`).
     virtual_servers: usize,
+    predicted_load_bits: f64,
     key_light: u64,
     key_private: [u64; 2],
 }
 
 impl SkewJoin {
-    /// Plan the algorithm from exact statistics of `db` (two-atom query with
-    /// a non-empty shared variable set): the shared-variable frequency maps
-    /// are scanned from the data and handed to
-    /// [`SkewJoin::plan_from_parts`] under the default configuration.
+    /// Plan from the exact statistics of `db` under the default
+    /// configuration: [`SkewJoin::plan_with`] over [`ExactStats`].
     pub fn plan(db: &Database, p: usize, seed: u64) -> SkewJoin {
-        let q = db.query();
-        let shared: VarSet = q.atom(0).var_set().intersect(q.atom(1).var_set());
-        let f1 = db
-            .relation(0)
-            .frequencies(&mpc_stats::heavy::columns_for(q, 0, shared));
-        let f2 = db
-            .relation(1)
-            .frequencies(&mpc_stats::heavy::columns_for(q, 1, shared));
-        let (m1, m2) = (db.relation(0).len(), db.relation(1).len());
-        SkewJoin::plan_from_parts(q, m1, m2, p, seed, SkewJoinConfig::default(), &f1, &f2)
+        SkewJoin::plan_with(
+            db.query(),
+            p,
+            seed,
+            &ExactStats::of(db),
+            SkewJoinConfig::default(),
+        )
     }
 
-    /// Plan without touching any data at all: query shape, cardinalities,
-    /// and shared-variable frequency maps are everything the §4.1
-    /// algorithm needs — the statistics surface `mpc_core::engine`'s
-    /// planner feeds it, and the entry point for externally estimated
-    /// frequencies (e.g. [`mpc_stats::sampling`]) and ablation
-    /// configurations. Classification is driven entirely by these maps,
-    /// and because both relations consult the same per-value route table,
-    /// *any* maps yield a correct (complete) algorithm: estimation error
-    /// only shifts load, exactly the robustness the paper's
-    /// approximate-frequency assumption relies on.
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_from_parts(
-        q: &mpc_query::Query,
-        m1: usize,
-        m2: usize,
+    /// Plan `q` (two atoms sharing a non-empty variable set) for `p`
+    /// servers from any [`Stats`] source, the way
+    /// [`GeneralSkewAlgorithm::plan_with`](crate::skew_general::GeneralSkewAlgorithm::plan_with)
+    /// plans §4.2: the cardinalities and each side's shared-variable heavy
+    /// set ([`HeavyHitters::of`], straddle-is-heavy) are everything it
+    /// reads. A value is in H12, H1 or H2 by membership in those two sets,
+    /// and [`skew_join_bound`] reads the same two sets, so the routes and
+    /// the Eq. (10) prediction share one classification. Both relations
+    /// consult the same per-value route table, so *any* classification
+    /// yields a complete algorithm: estimate error only shifts load
+    /// (`tests/stats_parity.rs` bounds by how much).
+    pub fn plan_with(
+        q: &Query,
         p: usize,
         seed: u64,
+        stats: &dyn Stats,
         config: SkewJoinConfig,
-        f1: &FastMap<Vec<u64>, usize>,
-        f2: &FastMap<Vec<u64>, usize>,
     ) -> SkewJoin {
         assert_eq!(q.num_atoms(), 2, "skew join handles exactly two relations");
         let shared: VarSet = q.atom(0).var_set().intersect(q.atom(1).var_set());
         assert!(!shared.is_empty(), "the two atoms must share variables");
 
-        let shared_cols = [
-            mpc_stats::heavy::columns_for(q, 0, shared),
-            mpc_stats::heavy::columns_for(q, 1, shared),
-        ];
-        let private_cols = [
-            (0..q.atom(0).arity())
-                .filter(|c| !shared_cols[0].contains(c))
-                .collect::<Vec<_>>(),
-            (0..q.atom(1).arity())
-                .filter(|c| !shared_cols[1].contains(c))
-                .collect::<Vec<_>>(),
-        ];
+        let simple = stats.simple();
+        let heavy =
+            [0, 1].map(|j| HeavyHitters::of(q, stats, simple.cardinalities[j], j, shared, p));
+        // Eq. (10) is stated in tuples; convert with the widest tuple so
+        // the prediction stays an upper shape.
+        let width = q.max_arity() as f64 * simple.value_bits as f64;
+        let predicted_load_bits = skew_join_bound(&heavy[0], &heavy[1]).max_tuples() * width;
 
-        let t1 = m1 as f64 / p as f64;
-        let t2 = m2 as f64 / p as f64;
+        let shared_cols = [heavy[0].cols.clone(), heavy[1].cols.clone()];
+        let private_cols = [0, 1].map(|j| {
+            (0..q.atom(j).arity())
+                .filter(|c| !shared_cols[j].contains(c))
+                .collect::<Vec<_>>()
+        });
 
-        // Classify heavy hitters.
+        // Classify heavy hitters. Ablation: without grids, H12 hitters
+        // degrade to the H1 treatment (partition S1, broadcast S2's heavy
+        // tuples) — the configuration the `ablation_skew` experiment
+        // measures to show why the grid exists.
         let mut h12: Vec<(Vec<u64>, f64, f64)> = Vec::new();
         let mut h1: Vec<(Vec<u64>, f64)> = Vec::new();
         let mut h2: Vec<(Vec<u64>, f64)> = Vec::new();
-        for (h, &c1) in f1 {
-            let c1 = c1 as f64;
-            let c2 = f2.get(h).copied().unwrap_or(0) as f64;
-            if c1 > t1 && c2 > t2 {
-                h12.push((h.clone(), c1, c2));
-            } else if c1 > t1 {
-                h1.push((h.clone(), c1));
+        for (h, &c1) in &heavy[0].entries {
+            match heavy[1].frequency(h) {
+                Some(c2) if config.use_grids => h12.push((h.clone(), c1 as f64, c2 as f64)),
+                _ => h1.push((h.clone(), c1 as f64)),
             }
         }
-        for (h, &c2) in f2 {
-            let c2f = c2 as f64;
-            if c2f > t2 && f1.get(h).copied().unwrap_or(0) as f64 <= t1 {
-                h2.push((h.clone(), c2f));
-            }
-        }
-        // Ablation: without grids, H12 hitters degrade to the H1 treatment
-        // (partition S1, broadcast S2's heavy tuples) — the configuration
-        // the `ablation_skew` experiment measures to show why the grid exists.
-        if !config.use_grids {
-            for (h, c1, _c2) in h12.drain(..) {
-                h1.push((h, c1));
+        for (h, &c2) in &heavy[1].entries {
+            if heavy[0].frequency(h).is_none() {
+                h2.push((h.clone(), c2 as f64));
             }
         }
         // Deterministic ordering for reproducible offsets.
@@ -228,12 +222,19 @@ impl SkewJoin {
             private_cols,
             routes,
             virtual_servers: offset,
+            predicted_load_bits,
             key_light: mix64(seed, 0x2722_0A95_FE4D_BA1B),
             key_private: [
                 mix64(seed, 0x5851_F42D_4C95_7F2D),
                 mix64(seed, 0x1405_7B7E_F767_814F),
             ],
         }
+    }
+
+    /// The plan's predicted per-server load in bits: Eq. (10)'s
+    /// `max(m1/p, m2/p, L1, L2, L12)` tuples times the widest tuple.
+    pub fn predicted_load_bits(&self) -> f64 {
+        self.predicted_load_bits
     }
 
     /// Total virtual servers laid out (`Θ(p)`; diagnostics).
@@ -308,10 +309,10 @@ impl Router for SkewJoin {
 mod tests {
     use super::*;
     use crate::baselines::HashJoinRouter;
-    use crate::bounds::skew_join_bound;
     use crate::verify::assert_complete;
     use mpc_data::{generators, Rng};
     use mpc_query::named;
+    use mpc_stats::heavy::heavy_hitters;
 
     fn zipf_db(m: usize, theta: f64, seed: u64) -> Database {
         let q = named::two_way_join();
@@ -425,50 +426,14 @@ mod tests {
         );
 
         // Eq. (10): measured within polylog of the bound.
-        let f1 = db.relation(0).frequencies(&[1]);
-        let f2 = db.relation(1).frequencies(&[1]);
-        let bound = skew_join_bound(db.relation(0).len(), db.relation(1).len(), &f1, &f2, p);
+        let zs = VarSet::singleton(z);
+        let bound = skew_join_bound(&heavy_hitters(&db, 0, zs, p), &heavy_hitters(&db, 1, zs, p));
         let measured = rep_skew.max_load_tuples() as f64;
         let cap = bound.max_tuples() * (p as f64).ln() * 4.0;
         assert!(
             measured <= cap,
             "measured {measured} above Eq.(10) polylog cap {cap} (bound {})",
             bound.max_tuples()
-        );
-    }
-
-    #[test]
-    fn sampled_statistics_plan_is_complete_and_near_exact() {
-        // Plan from Bernoulli-sampled frequency estimates instead of exact
-        // counts: completeness is unconditional, and the load stays close to
-        // the exactly-planned load.
-        let db = zipf_db(6000, 1.2, 21);
-        let p = 16usize;
-        let mut rng = mpc_data::Rng::seed_from_u64(77);
-        let sf1 = mpc_stats::sampling::sample_heavy_hitters(db.relation(0), &[1], p, &mut rng);
-        let sf2 = mpc_stats::sampling::sample_heavy_hitters(db.relation(1), &[1], p, &mut rng);
-        let sampled = SkewJoin::plan_from_parts(
-            db.query(),
-            db.relation(0).len(),
-            db.relation(1).len(),
-            p,
-            5,
-            SkewJoinConfig::default(),
-            &sf1.estimates,
-            &sf2.estimates,
-        );
-        let (c_s, r_s) = sampled.run(&db);
-        assert_complete(&db, &c_s);
-
-        let exact = SkewJoin::plan(&db, p, 5);
-        let (_, r_e) = exact.run(&db);
-        let ratio = r_s.max_load_tuples() as f64 / r_e.max_load_tuples() as f64;
-        assert!(
-            ratio < 3.0,
-            "sampled plan {}x worse than exact ({} vs {})",
-            ratio,
-            r_s.max_load_tuples(),
-            r_e.max_load_tuples()
         );
     }
 
@@ -492,15 +457,12 @@ mod tests {
         let (c1, r1) = with_grid.run(&db);
         assert_complete(&db, &c1);
 
-        let without = SkewJoin::plan_from_parts(
+        let without = SkewJoin::plan_with(
             db.query(),
-            db.relation(0).len(),
-            db.relation(1).len(),
             p,
             9,
+            &ExactStats::of(&db),
             SkewJoinConfig { use_grids: false },
-            &db.relation(0).frequencies(&[1]),
-            &db.relation(1).frequencies(&[1]),
         );
         let (c2, r2) = without.run(&db);
         assert_complete(&db, &c2);

@@ -2,7 +2,8 @@
 //!
 //! Every random choice in the workspace — hash functions, generated
 //! relations, algorithm coin flips — flows through this generator, so every
-//! experiment in `EXPERIMENTS.md` is reproducible bit-for-bit from its seed.
+//! experiment in the README's experiment index is reproducible bit-for-bit
+//! from its seed.
 //! (The MPC model's "random bits available to all servers, computed
 //! independently of the input data" is exactly a shared seed.)
 

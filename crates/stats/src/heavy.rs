@@ -36,7 +36,7 @@ pub struct HeavyHitters {
 impl HeavyHitters {
     /// The heavy hitters of atom `atom` (of cardinality `cardinality`) at
     /// variable subset `vars` as `stats` reports them (variables outside
-    /// the atom are ignored) — the §4.2 entry point for every statistics
+    /// the atom are ignored) — how §4.1 and §4.2 read every statistics
     /// source, exact or estimated.
     ///
     /// Applies the pinned conservative-fallback rule: every estimate whose

@@ -22,17 +22,13 @@
 //!   read once per plan;
 //! * [`degree`] — exact x-statistics / degree sequences and the factorized
 //!   sum-of-products evaluator behind the `L_x(u, M, p)` lower bound
-//!   (Theorem 4.7);
-//! * [`sampling`] — Bernoulli-sampled frequency estimates (the paper's
-//!   "e.g. using sampling", §1) for the sampling experiment, not a planner
-//!   path.
+//!   (Theorem 4.7).
 
 pub mod bins;
 pub mod cardinality;
 pub mod combination;
 pub mod degree;
 pub mod heavy;
-pub mod sampling;
 pub mod sketch;
 pub mod source;
 
@@ -44,8 +40,5 @@ pub use combination::{
 };
 pub use degree::{degree_statistics, joint_assignments, sum_over_assignments, DegreeStatistics};
 pub use heavy::{heavy_hitters, HeavyHitters};
-pub use sampling::{
-    recommended_rate, sample_heavy_hitters, sampled_frequencies, SampledFrequencies,
-};
 pub use sketch::{FreqEstimate, RelationSketch, SpaceSaving};
 pub use source::{ExactStats, SketchStats, Stats, SyntheticStats};

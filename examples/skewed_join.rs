@@ -24,6 +24,7 @@ use mpc_skew::data::{generators, Database, Rng};
 use mpc_skew::query::named;
 use mpc_skew::query::VarSet;
 use mpc_skew::sim::cluster::Cluster;
+use mpc_skew::stats::heavy::heavy_hitters;
 
 fn main() {
     let query = named::two_way_join();
@@ -73,10 +74,9 @@ fn main() {
         assert!(verify::verify(&db, &c_hc).is_complete());
         assert!(verify::verify(&db, &c_sj).is_complete());
 
-        // Eq. (10) bound from the exact z-frequencies.
-        let f1 = db.relation(0).frequencies(&[1]);
-        let f2 = db.relation(1).frequencies(&[1]);
-        let bound = skew_join_bound(m, m, &f1, &f2, p);
+        // Eq. (10) bound from the exact z heavy hitters.
+        let zs = VarSet::singleton(z);
+        let bound = skew_join_bound(&heavy_hitters(&db, 0, zs, p), &heavy_hitters(&db, 1, zs, p));
 
         println!(
             "{:<8} {:>12} {:>12} {:>12} {:>12.0} {:>10}",

@@ -85,6 +85,28 @@ impl Args {
         }
     }
 
+    /// `--domain`, the value domain `[n]` the data is drawn from or the
+    /// bounds are stated over: at least 1.
+    fn domain(&self, default: u64) -> Result<u64, String> {
+        match self.usize_or("domain", default as usize)? {
+            0 => Err("--domain must be at least 1".to_string()),
+            n => Ok(n as u64),
+        }
+    }
+
+    /// `--theta`, the Zipf exponent (default 0: uniform): finite and
+    /// non-negative.
+    fn theta(&self) -> Result<f64, String> {
+        let Some(v) = self.value("theta")? else {
+            return Ok(0.0);
+        };
+        match v.parse::<f64>() {
+            Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+            Ok(_) => Err(format!("--theta must be a finite number >= 0, got `{v}`")),
+            Err(_) => Err(format!("--theta expects a number, got `{v}`")),
+        }
+    }
+
     /// The `--threads` backend (default: `MPCSKEW_THREADS` or all cores).
     /// The variable is read only without `--threads`, and a malformed one
     /// is an input error like any other.
@@ -98,15 +120,6 @@ impl Args {
                     .map_err(|e| format!("MPCSKEW_THREADS expects an integer, {e}")),
                 Err(_) => Ok(Backend::available()),
             },
-        }
-    }
-
-    fn f64_or(&self, name: &str, default: f64) -> Result<f64, String> {
-        match self.value(name)? {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects a number, got `{v}`")),
         }
     }
 }
@@ -174,7 +187,7 @@ fn usage() -> &'static str {
 
 fn cmd_bounds(q: &Query, args: &Args) -> Result<(), String> {
     let p = args.servers()?;
-    let domain = args.usize_or("domain", 1 << 20)? as u64;
+    let domain = args.domain(1 << 20)?;
     let cards: Vec<usize> = args
         .value("cards")?
         .ok_or("--cards m1,m2,... is required")?
@@ -241,8 +254,8 @@ fn cmd_bounds(q: &Query, args: &Args) -> Result<(), String> {
 fn cmd_execute(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Result<(), String> {
     let p = args.servers()?;
     let m = args.usize_or("m", 10_000)?;
-    let domain = args.usize_or("domain", 1 << 16)? as u64;
-    let theta = args.f64_or("theta", 0.0)?;
+    let domain = args.domain(1 << 16)?;
+    let theta = args.theta()?;
     let seed = args.usize_or("seed", 1)? as u64;
     let skew_col = args.usize_or("skew-col", 1)?;
     let algo = match args.value("algo")? {
@@ -374,7 +387,7 @@ fn cmd_execute(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Res
 
 /// Build the service from the shared serve flags.
 fn service_from_args(args: &Args) -> Result<Service, String> {
-    let domain = args.usize_or("domain", 1 << 16)? as u64;
+    let domain = args.domain(1 << 16)?;
     let p = args.servers()?;
     let seed = args.usize_or("seed", 1)? as u64;
     let backend = args.backend()?;

@@ -332,6 +332,56 @@ fn malformed_threads_environment_is_an_input_error() {
 }
 
 #[test]
+fn domain_below_one_is_an_input_error() {
+    // An empty value domain has nothing to draw data from or state a bound
+    // over: every command that takes `--domain` refuses it up front.
+    for args in [
+        &["run", "S1(x,z), S2(y,z)", "--m", "200", "--domain", "0"][..],
+        &["serve", "--domain", "0"],
+        &[
+            "bounds",
+            "S1(x,z), S2(y,z)",
+            "--cards",
+            "100,100",
+            "--domain",
+            "0",
+        ],
+    ] {
+        let out = mpcskew()
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err.trim_end(),
+            "error: --domain must be at least 1",
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn negative_or_non_finite_theta_is_an_input_error() {
+    // A Zipf exponent must be a finite number >= 0 (0 is uniform); a
+    // negative or NaN one used to run uniform data under a header echoing
+    // it, and an infinite one panicked in the Zipf sampler.
+    for theta in ["-1", "nan", "inf"] {
+        let out = mpcskew()
+            .args(["run", "S1(x,z), S2(y,z)", "--m", "200", "--theta", theta])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "--theta {theta}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err.trim_end(),
+            format!("error: --theta must be a finite number >= 0, got `{theta}`"),
+        );
+    }
+}
+
+#[test]
 fn explicit_threads_wins_over_a_malformed_environment() {
     let out = mpcskew()
         .args(["run", "S1(x,z), S2(y,z)", "--m", "200", "--threads", "1"])

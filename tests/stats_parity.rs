@@ -3,7 +3,10 @@
 //! standard distribution, degrade only in the pinned conservative
 //! direction (HyperCube → SkewJoin, never the reverse) on adversarial
 //! near-threshold data, and produce bit-identical answers always —
-//! statistics error shifts load, never answers.
+//! statistics error shifts load, never answers. How much load it may
+//! shift is pinned too: from sketch capacity `p` up, a sketch-planned run
+//! stays within `SKETCH_LOAD_FACTOR` of the exact-planned one, and at
+//! capacity `p/2` it does not.
 
 use mpc_skew::core::engine::{
     sketch_capacity, Algorithm, Engine, ExactStats, SketchStats, Stats, StatsMode,
@@ -77,6 +80,24 @@ fn standard_scenarios() -> Vec<(&'static str, Database, Algorithm)> {
             "empty_relation",
             Database::new(q.clone(), vec![s1, s2], n).unwrap(),
             Algorithm::HyperCube,
+        ));
+    }
+
+    // The §4.2 inputs: every atom Zipf(1.1) on one column, as `mpcskew run
+    // --theta 1.1 --skew-col c` draws them.
+    for (name, query, skew_col, seed) in [
+        ("zipf_triangle", "S1(x,y), S2(y,z), S3(z,x)", 0, 0xBEEF_0007),
+        ("zipf_3chain", "S1(x,y), S2(y,z), S3(z,w)", 1, 0xBEEF_0008),
+    ] {
+        let q = parse_query(query).unwrap();
+        let mut rng = Rng::seed_from_u64(seed);
+        let rels = (q.atoms().iter())
+            .map(|a| generators::zipf_column(a.name(), a.arity(), 2048, n, skew_col, 1.1, &mut rng))
+            .collect();
+        out.push((
+            name,
+            Database::new(q, rels, n).unwrap(),
+            Algorithm::GeneralSkew,
         ));
     }
 
@@ -323,5 +344,149 @@ fn sketch_service_classifies_a_planted_heavy_pair() {
             want.predicted_load_bits(),
             "[{backend}]: the service planned from other statistics"
         );
+    }
+}
+
+/// How much more max load a sketch-planned run may pay than the
+/// exact-planned run on the same data, seed and backend, at every sketch
+/// capacity `>= p`: the load-under-sketch bound.
+///
+/// Measured on `load_bound_inputs()` at p = 16 and p = 64: every ratio is
+/// 1.00 at capacities 2p and 4p (the engine's and the service's). At
+/// capacity exactly p the worst is 1.36 (the 3-chain at p = 64; the
+/// triangle 1.08, the rest at most 1.16): SpaceSaving's error bound m/k
+/// then equals the threshold m/p, so many light keys straddle it and are
+/// planned heavy — extra bin combinations, never a missed heavy hitter.
+/// 1.5 leaves room for that and no more. Below p a true heavy hitter can
+/// go unseen and its tuples pile onto one server: at p/2 the triangle at
+/// p = 64 reads 3.09 and the 3-chain 2.44
+/// (`load_bound_fails_when_the_sketch_is_starved`).
+const SKETCH_LOAD_FACTOR: f64 = 1.5;
+
+/// Every input of the load-under-sketch bound: the standard matrix (with
+/// its two §4.2 inputs) and the near-threshold case.
+fn load_bound_inputs() -> Vec<(&'static str, Database)> {
+    let mut all: Vec<_> = (standard_scenarios().into_iter())
+        .map(|(name, db, _)| (name, db))
+        .collect();
+    all.push(("adversarial", adversarial_near_threshold()));
+    all
+}
+
+/// Run `db` under Auto at `p`, planned from exact statistics and from a
+/// sketch of `capacity` counters per projection; assert both return the
+/// same answers and give the sketch-planned max load over the exact one.
+fn sketch_load_ratio(db: &Database, p: usize, capacity: usize) -> f64 {
+    let engine = Engine::new(db.query())
+        .p(p)
+        .seed(SEED)
+        .backend(Backend::Sequential);
+    let exact = engine.run(db);
+    let stats = SketchStats::of(db, capacity);
+    let sketched = engine.clone().stats(&stats).run(db);
+    assert_eq!(
+        sketched.answers(),
+        exact.answers(),
+        "p={p} capacity={capacity}: answers depend on the stats source"
+    );
+    sketched.max_load_bits() as f64 / exact.max_load_bits() as f64
+}
+
+#[test]
+fn sketch_planned_load_is_within_a_pinned_factor_of_exact() {
+    for p in [16usize, 64] {
+        for (name, db) in load_bound_inputs() {
+            for capacity in [p, 2 * p, 4 * p] {
+                let ratio = sketch_load_ratio(&db, p, capacity);
+                assert!(
+                    ratio <= SKETCH_LOAD_FACTOR,
+                    "{name} p={p} capacity={capacity}: sketch-planned load {ratio:.3}x exact"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn load_bound_fails_when_the_sketch_is_starved() {
+    // The control: the same check at capacity p/2, where a SpaceSaving
+    // summary may drop a true heavy hitter, must fail on some input.
+    let mut worst = ("", 0, 0.0f64);
+    for p in [16usize, 64] {
+        for (name, db) in load_bound_inputs() {
+            let ratio = sketch_load_ratio(&db, p, p / 2);
+            if ratio > worst.2 {
+                worst = (name, p, ratio);
+            }
+        }
+    }
+    assert!(
+        worst.2 > SKETCH_LOAD_FACTOR,
+        "capacity p/2 stays within {SKETCH_LOAD_FACTOR}x everywhere (worst: {worst:?}): the bound has no teeth"
+    );
+}
+
+#[test]
+fn sketch_service_load_stays_bounded_as_a_heavy_hitter_arrives() {
+    // The `ingest_mix` shape through the resident service: S1 and S2
+    // Zipf(0.8) on their second column at opposite ends of the domain, S3
+    // uniform. Each cycle appends a light batch to S2 and runs the join and
+    // the 3-chain; the last batch carries one fresh value often enough to
+    // be an m/p-heavy hitter, so the plans made after it read a heavy set
+    // the earlier ones did not. Sketch mode (capacity 4p) and exact mode
+    // see the same history and must answer alike within the load bound.
+    let (n, m) = (1u64 << 12, 2048usize);
+    let join = parse_query("S1(x,z), S2(y,z)").unwrap();
+    let chain = parse_query("S1(x,y), S2(y,z), S3(z,w)").unwrap();
+    for p in [16usize, 64] {
+        let build = |mode: StatsMode| {
+            let mut rng = Rng::seed_from_u64(0xBEEF_0009);
+            let low = generators::zipf_degrees(m, n, 0.8);
+            let high: Vec<(Vec<u64>, usize)> = (generators::zipf_degrees(m, n, 0.8).into_iter())
+                .map(|(k, c)| (vec![n - 1 - k[0]], c))
+                .collect();
+            let mut svc = Service::new(n)
+                .with_backend(Backend::Sequential)
+                .with_defaults(p, SEED)
+                .with_stats_mode(mode);
+            for (name, degrees) in [("S1", &low), ("S2", &high)] {
+                let rel = generators::from_degree_sequence(name, 2, &[1], degrees, n, &mut rng);
+                svc.load(rel).unwrap();
+            }
+            svc.load(generators::uniform("S3", 2, m, n, &mut rng))
+                .unwrap();
+            svc
+        };
+        let mut exact = build(StatsMode::Exact);
+        let mut sketch = build(StatsMode::Sketch);
+        assert!(sketch.sketch_capacity_for_p() >= p);
+        let mut rng = Rng::seed_from_u64(0xBEEF_000A);
+        let mut len = m;
+        for cycle in 0..8 {
+            let batch: Vec<u64> = if cycle < 7 {
+                (0..2 * 128).map(|_| rng.below(n)).collect()
+            } else {
+                let fresh = n / 2 + rng.below(n / 4);
+                let copies = (5 * len).div_ceil(4 * p);
+                (0..copies).flat_map(|_| [rng.below(n), fresh]).collect()
+            };
+            len += batch.len() / 2;
+            exact.append("S2", &batch).unwrap();
+            sketch.append("S2", &batch).unwrap();
+            for q in [&join, &chain] {
+                let a = exact.query(q).unwrap();
+                let b = sketch.query(q).unwrap();
+                assert_eq!(b.answers(), a.answers(), "p={p} cycle {cycle}: {q}");
+                let ratio = b.max_load_bits() as f64 / a.max_load_bits() as f64;
+                assert!(
+                    ratio <= SKETCH_LOAD_FACTOR,
+                    "p={p} cycle {cycle}: {q}: sketch-planned load {ratio:.3}x exact"
+                );
+            }
+        }
+        // The fresh value was heavy: the append that brought it dropped
+        // the cached plans, and the queries after it replanned.
+        assert!(exact.counters().invalidations >= 1, "p={p}");
+        assert_eq!(sketch.counters(), exact.counters(), "p={p}");
     }
 }
