@@ -8,8 +8,8 @@
 #                        # one-share-LP (one model, one solve),
 #                        # four-algorithm (no baselines in the engine),
 #                        # one-ground-truth/one-freshness-check,
-#                        # one-statistics-surface, one-executor and
-#                        # one-query-path guards
+#                        # one-statistics-surface, one-executor,
+#                        # one-query-path and one-stop/one-narrowing guards
 #                        # + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
@@ -386,6 +386,24 @@ BATCHED=$(grep -rnE "query_batch|execute_batch|cmd_batch|cmd_run|in_batch|pendin
 if [ -n "$BATCHED" ]; then
     echo "the batch schedule or the ServiceAccess trait is back:" >&2
     echo "$BATCHED" >&2
+    exit 1
+fi
+
+# One way to stop, one way to narrow. A budget trip in the local join is a
+# value its probe records and `Join::for_each` returns, never an unwind, so
+# join.rs neither raises nor catches a panic and the CLI installs no panic
+# hook to keep trips off stderr. The local join narrows only through its
+# cached indexes and deduplicates driver values one way, and the load
+# report is one loop: the inline-scan narrowing, the linear dedup and the
+# chunked report stay gone, not even as a name in a comment.
+stage "one way to stop, one way to narrow: no unwinding budget trip, panic hook, inline scan, linear dedup or chunked report"
+UNWIND=$(grep -n "panic_any\|catch_unwind\|resume_unwind" crates/data/src/join.rs || true)
+UNWIND="$UNWIND$(grep -rn "set_hook\|take_hook" src || true)"
+FORKED=$(grep -rnE "Candidates::Inline|filter_into|masked_match|LINEAR_DEDUP_MAX|REPORT_MIN_CHUNK" \
+    crates src tests examples || true)
+if [ -n "$UNWIND$FORKED" ]; then
+    echo "a budget trip unwinds again, a panic hook is back, or a retired local-join/report fork is named:" >&2
+    printf '%s\n%s\n' "$UNWIND" "$FORKED" | sed '/^$/d' >&2
     exit 1
 fi
 

@@ -193,15 +193,12 @@ fn budget_error(e: BudgetExceeded) -> ServiceError {
     }
 }
 
-/// Classify a caught panic payload into a [`ServiceError`]. Known
+/// Classify a caught panic payload into a [`ServiceError`]. A panic is
+/// always a fault (budget trips return as values and never unwind): known
 /// capability limits (the join index's u32 row-id space) become
-/// [`ServiceError::Unsupported`]; stray [`BudgetExceeded`] payloads map to
-/// their budget error; everything else is [`ServiceError::Internal`].
+/// [`ServiceError::Unsupported`]; everything else is
+/// [`ServiceError::Internal`].
 fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> ServiceError {
-    let payload = match payload.downcast::<BudgetExceeded>() {
-        Ok(e) => return budget_error(*e),
-        Err(p) => p,
-    };
     let msg = match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(p) => match p.downcast::<&'static str>() {
@@ -219,7 +216,7 @@ fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> ServiceError {
 /// Run `f` inside the service's fault-containment boundary: any panic —
 /// including worker panics re-raised on the caller and injected
 /// failpoints — is caught and classified instead of tearing down the
-/// caller, and budget trips surface as their typed errors.
+/// caller, and the budget trips `f` returns surface as their typed errors.
 fn run_contained<T>(f: impl FnOnce() -> Result<T, BudgetExceeded>) -> Result<T, ServiceError> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(Ok(v)) => Ok(v),
@@ -1360,14 +1357,6 @@ mod tests {
             classify_panic(Box::new(17u64)),
             ServiceError::Internal("worker panicked with a non-string payload".to_string())
         );
-        // Budget trips re-raised as panics keep their typed identity.
-        assert_eq!(
-            classify_panic(Box::new(BudgetExceeded {
-                kind: BudgetKind::Deadline
-            })),
-            ServiceError::Timeout
-        );
-
         // The remaining wire error classes, byte-for-byte.
         assert_eq!(
             format!("{}", ServiceError::Timeout),

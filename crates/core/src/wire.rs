@@ -196,19 +196,17 @@ fn cmd_set(service: &mut Service, rest: &str, out: &mut String) {
             "err SET needs: SET [timeout_ms=N] [max_rows=N] [max_groups=N]"
         );
     }
-    // The echo grows pair by pair; a bad pair takes it back.
-    let start = out.len();
+    // Every pair is parsed before any is installed: a bad pair leaves
+    // every default as it was.
+    let settings: Result<Vec<_>, String> = rest.split_whitespace().map(parse_setting).collect();
+    let settings = match settings {
+        Ok(settings) => settings,
+        Err(e) => return reply!(out, "err {e}"),
+    };
     out.push_str("ok set");
-    for pair in rest.split_whitespace() {
-        match apply_setting(service, pair) {
-            Ok((key, n)) => {
-                let _ = write!(out, " {key}={n}");
-            }
-            Err(e) => {
-                out.truncate(start);
-                return reply!(out, "err {e}");
-            }
-        }
+    for (key, n, set) in settings {
+        set(service, (n != 0).then_some(n));
+        let _ = write!(out, " {key}={n}");
     }
     out.push('\n');
 }
@@ -248,22 +246,25 @@ fn cmd_stats(service: &Service, out: &mut String) {
     reply!(out, "end")
 }
 
-/// Install one `SET` pair on the service, returning it for the echo.
-fn apply_setting<'a>(service: &mut Service, pair: &'a str) -> Result<(&'a str, u64), String> {
+/// Installs one service default (`None` = unlimited).
+type Setter = fn(&mut Service, Option<u64>);
+
+/// Parse one `SET` pair: its key, its integer value (0 clears the
+/// default) and the setter that installs it.
+fn parse_setting(pair: &str) -> Result<(&str, u64, Setter), String> {
     let (key, value) = pair
         .split_once('=')
         .ok_or_else(|| format!("SET expects key=value, got `{pair}`"))?;
     let n = value
         .parse::<u64>()
         .map_err(|_| format!("SET {key}= expects an integer, got `{value}`"))?;
-    let setting = if n == 0 { None } else { Some(n) };
-    match key {
-        "timeout_ms" => service.set_default_timeout_ms(setting),
-        "max_rows" => service.set_default_max_rows(setting),
-        "max_groups" => service.set_default_max_groups(setting),
+    let set: Setter = match key {
+        "timeout_ms" => Service::set_default_timeout_ms,
+        "max_rows" => Service::set_default_max_rows,
+        "max_groups" => Service::set_default_max_groups,
         other => return Err(format!("SET has no key `{other}`")),
-    }
-    Ok((key, n))
+    };
+    Ok((key, n, set))
 }
 
 /// Append one `err <cause>` line — the shape of every failure reply,
@@ -800,6 +801,12 @@ mod tests {
         assert!(one(&mut s, &mut svc, "SET frobs=1").starts_with("err SET has no key"));
         assert!(one(&mut s, &mut svc, "SET max_rows=abc").starts_with("err SET max_rows="));
         assert!(one(&mut s, &mut svc, "SET max_rows").starts_with("err SET expects key=value"));
+        // A rejected line installs none of its pairs, not even the valid
+        // ones before the bad one.
+        let out = one(&mut s, &mut svc, "SET max_rows=1 max_groups=x");
+        assert!(out.starts_with("err SET max_groups="), "{out}");
+        let out = one(&mut s, &mut svc, "QUERY S1(x,z), S2(y,z)");
+        assert!(out.starts_with("ok answers=3 "), "{out}");
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! flag every clone observes — so all workers of a parallel run fail fast
 //! once any one of them exceeds the budget.
 //!
-//! An unlimited budget (the default) is free: the join installs no
-//! per-binding check at all, and `poll` on an unlimited handle is a single
-//! branch.
+//! A trip is an ordinary `Err(`[`BudgetExceeded`]`)` at every layer: the
+//! local join's loops return when its probe records one, so a panic always
+//! means a fault and never a budget. An unlimited budget (the default)
+//! costs the join one predicted compare per binding and one per emitted
+//! row, and `poll` on an unlimited handle is a single branch.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -35,10 +37,10 @@ pub enum BudgetKind {
     Groups,
 }
 
-/// The error a budgeted evaluation returns when a limit fires. Also used
-/// as the typed panic payload the join's cooperative checks unwind with —
-/// [`crate::join::Join::for_each`] catches exactly this type and converts
-/// it back into an `Err`, re-raising every other payload.
+/// The error a budgeted evaluation returns when a limit fires. Every layer
+/// hands it back as a value: the local join's probe records it and
+/// [`crate::join::Join::for_each`] returns it, the shuffle and the
+/// aggregate fold return it, and nothing unwinds with it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BudgetExceeded {
     /// The limit that fired first (sticky across every handle clone).

@@ -12,7 +12,10 @@
 //! [`Join::for_each`] (every distinct binding with its multiplicity; the
 //! evaluator the other two are written on), [`Join::count`], or
 //! [`Join::answers`]. An evaluation without a budget *is* the budgeted
-//! evaluation with nothing to check, not a second code path.
+//! evaluation with nothing to check, not a second code path. A tripped
+//! budget is a value, not an unwind: the per-evaluation probe records it,
+//! every loop of both engines returns at its next step, and
+//! [`Join::for_each`] returns it as `Err` — a panic here is always a fault.
 //!
 //! Two engines share the CSR [`JoinIndex`] and are selected by
 //! [`JoinOrder`]:
@@ -25,14 +28,12 @@
 //!   built [`JoinIndex`] before that — and at every depth the evaluator
 //!   picks the unbound variable whose **max-over-atoms** bound is smallest,
 //!   then enumerates that variable's values from the atom with the
-//!   *smallest* candidate set (the driver), intersecting the remaining
-//!   atoms' candidate slices against each value. Tiny candidate sets
-//!   (≤ `SCAN_THRESHOLD` rows) are filtered by scanning instead of
-//!   re-indexing, and the *last* unbound variable is resolved by a
+//!   *smallest* candidate set (the driver), narrowing every other atom
+//!   containing it by one probe of the cached index on the atom's new
+//!   bound-position set. The *last* unbound variable is resolved by a
 //!   leapfrog-style sorted-merge intersection of the sharing atoms' value
 //!   lists — no per-value index probes at the leaf. HyperCube routing
-//!   balances skew *across* servers; this
-//!   ordering absorbs the skew that survives *inside* a server's subcube,
+//!   balances skew *across* servers; this ordering absorbs the skew that survives *inside* a server's subcube,
 //!   where a fixed order can be quadratically off on a locally heavy value.
 //! * [`JoinOrder::Fixed`] is the legacy greedy backtracking join — atoms
 //!   ordered up front by `atom_order`, one hash index per atom keyed on
@@ -94,63 +95,83 @@ pub fn visited_bindings_total() -> u64 {
 
 /// The per-evaluation probe threaded through both engines: the visited
 /// counter, plus an optional cooperative [`QueryBudget`] polled every
-/// [`CHECK_INTERVAL`] bindings. Untracked (no [`Join::budget`]) the check
-/// threshold is `u64::MAX`, so the budget machinery costs one always-false
-/// predicted compare per binding.
+/// [`CHECK_INTERVAL`] bindings and charged for every emitted row. A trip is
+/// a value: the probe records the first [`BudgetExceeded`] it sees, the
+/// [`JoinProbe::bump`] or [`JoinProbe::charge`] that saw it and every later
+/// `bump` answer `false`, so each loop of either engine returns at its
+/// next step and [`Join::for_each`] hands the recorded trip back as its
+/// `Err`. Untracked
+/// (no [`Join::budget`]) the check threshold is `u64::MAX` and there is
+/// nothing to charge, so the budget machinery costs one predicted compare
+/// per binding and one per emitted row.
 struct JoinProbe<'a> {
     visited: u64,
     next_check: u64,
     budget: Option<&'a QueryBudget>,
+    tripped: Option<BudgetExceeded>,
 }
 
 impl<'a> JoinProbe<'a> {
-    /// Probe with no budget: counts bindings, never polls.
-    fn untracked() -> JoinProbe<'static> {
+    /// Probe polling `budget` (if any) every [`CHECK_INTERVAL`] visited
+    /// bindings; with none it counts bindings and never polls.
+    fn new(budget: Option<&'a QueryBudget>) -> JoinProbe<'a> {
         JoinProbe {
             visited: 0,
-            next_check: u64::MAX,
-            budget: None,
+            next_check: if budget.is_some() {
+                CHECK_INTERVAL
+            } else {
+                u64::MAX
+            },
+            budget,
+            tripped: None,
         }
     }
 
-    /// Probe polling `budget` every [`CHECK_INTERVAL`] visited bindings.
-    fn budgeted(budget: &'a QueryBudget) -> JoinProbe<'a> {
-        JoinProbe {
-            visited: 0,
-            next_check: CHECK_INTERVAL,
-            budget: Some(budget),
-        }
-    }
-
+    /// Count one visited binding; `false` once the budget has tripped.
     #[inline]
-    fn bump(&mut self) {
-        self.visited += 1;
-        if self.visited >= self.next_check {
-            self.poll();
-        }
+    fn bump(&mut self) -> bool {
+        self.bump_by(1)
     }
 
+    /// Count `n` visited bindings; `false` once the budget has tripped.
     #[inline]
-    fn bump_by(&mut self, n: u64) {
+    fn bump_by(&mut self, n: u64) -> bool {
         self.visited += n;
-        if self.visited >= self.next_check {
-            self.poll();
+        self.visited < self.next_check || self.poll()
+    }
+
+    /// Charge one emitted binding's `mult` rows against the row cap before
+    /// the sink sees them; `false` (and nothing emitted) when that trips.
+    #[inline]
+    fn charge(&mut self, mult: u64) -> bool {
+        match self.budget {
+            None => true,
+            Some(b) => match b.charge_rows(mult) {
+                Ok(()) => true,
+                Err(e) => self.trip(e),
+            },
         }
     }
 
-    /// Slow path of the cooperative check. A violated budget unwinds with
-    /// a typed [`BudgetExceeded`] payload that [`Join::for_each`] catches
-    /// and converts back into an `Err`;
-    /// the join keeps no cross-evaluation state, so the unwind cannot
-    /// poison anything (scratch is owned by this evaluation's stack).
+    /// Slow path of the cooperative check.
     #[cold]
-    fn poll(&mut self) {
-        self.next_check = self.visited.saturating_add(CHECK_INTERVAL);
-        if let Some(b) = self.budget {
-            if let Err(e) = b.poll() {
-                std::panic::panic_any(e);
-            }
+    fn poll(&mut self) -> bool {
+        if self.tripped.is_some() {
+            return false;
         }
+        self.next_check = self.visited.saturating_add(CHECK_INTERVAL);
+        match self.budget.map(QueryBudget::poll) {
+            Some(Err(e)) => self.trip(e),
+            _ => true,
+        }
+    }
+
+    /// Record the first trip; every later `bump` polls and answers `false`.
+    #[cold]
+    fn trip(&mut self, e: BudgetExceeded) -> bool {
+        self.tripped.get_or_insert(e);
+        self.next_check = 0;
+        false
     }
 }
 
@@ -490,7 +511,9 @@ fn fixed_join(
         emit: &mut impl FnMut(&[u64], u64),
     ) {
         if depth == order.len() {
-            emit(binding, 1);
+            if probe.charge(1) {
+                emit(binding, 1);
+            }
             return;
         }
         let j = order[depth];
@@ -503,7 +526,9 @@ fn fixed_join(
         // `candidates` borrows the index, not `key_buf`, so the buffer is
         // free for reuse by deeper levels while we iterate.
         for &row_id in idx.candidates(key_buf) {
-            probe.bump();
+            if !probe.bump() {
+                return;
+            }
             let row = idx.relation.row(row_id as usize);
             if check_positions[depth]
                 .iter()
@@ -547,14 +572,10 @@ fn fixed_join(
 // Dynamic (cardinality-guided) engine
 // ---------------------------------------------------------------------------
 
-/// Candidate sets at most this large are narrowed by scanning their rows
-/// instead of building/probing an index keyed on the new position set.
+/// The leaf scans an occurrence's candidate rows, instead of probing its
+/// index once per surviving value, when they number at most four times
+/// the larger of this and the survivor count.
 const SCAN_THRESHOLD: usize = 8;
-
-/// Driver slices at most this long deduplicate their values by linear scan
-/// of the collected `(value, count)` pairs; longer slices sort a flat value
-/// buffer and run-length encode it.
-const LINEAR_DEDUP_MAX: usize = 32;
 
 /// Where an atom's current candidate rows live.
 #[derive(Clone, Copy)]
@@ -564,10 +585,9 @@ enum Candidates {
     /// `lo..hi` into the row-id arena of the cached index for the state's
     /// position mask.
     Range(u32, u32),
-    /// The first `count` entries, inline (produced by the scan path).
-    Inline([u32; SCAN_THRESHOLD]),
     /// Count known but rows not materialized (a driver slice deduplicated
-    /// by value); re-derived through an index lookup if ever needed again.
+    /// by value, or the root driver's one row); re-derived through an index
+    /// lookup if ever needed again.
     Unknown,
 }
 
@@ -615,7 +635,7 @@ struct NodeScratch {
     vals: Vec<ValEntry>,
     /// States this depth mutates, for restore on backtrack.
     save: Vec<(usize, AtomState)>,
-    /// Flat value buffer for the sort-based dedup path.
+    /// Sorted value buffer of [`sorted_values`].
     raw: Vec<u64>,
     /// Key buffer for index probes.
     key: Vec<u64>,
@@ -645,19 +665,6 @@ fn build_key(key: &mut Vec<u64>, mut mask: u64, vars: &[usize], binding: &[u64])
     }
 }
 
-/// True iff `row` matches the binding at every position in `mask`.
-#[inline]
-fn masked_match(row: &[u64], vars: &[usize], mut mask: u64, binding: &[u64]) -> bool {
-    while mask != 0 {
-        let p = mask.trailing_zeros() as usize;
-        if row[p] != binding[vars[p]] {
-            return false;
-        }
-        mask &= mask - 1;
-    }
-    true
-}
-
 /// True iff `row` holds the same value at every position in `mask` (the
 /// repeated-variable consistency check; `first` is one of the positions).
 #[inline]
@@ -684,29 +691,6 @@ fn ensure_index_pos(atom: &mut DynAtom<'_>, mask: u64) -> usize {
     atom.indexes.len() - 1
 }
 
-/// The atom's cached index for `mask` (must exist — every `Range` state
-/// points into one).
-fn cached_index<'x, 'a>(atom: &'x DynAtom<'a>, mask: u64) -> &'x JoinIndex<'a> {
-    &atom
-        .indexes
-        .iter()
-        .find(|(m, _)| *m == mask)
-        .expect("a Range state always points into a cached index")
-        .1
-}
-
-/// The atom's materialized candidate rows: its `Inline` survivors or its
-/// `Range` of the cached index's row-id arena.
-fn candidate_rows<'x>(atom: &'x DynAtom<'_>, state: &'x AtomState) -> &'x [u32] {
-    match &state.rows {
-        Candidates::Inline(rows) => &rows[..state.count as usize],
-        Candidates::Range(lo, hi) => {
-            &cached_index(atom, state.mask).row_ids[*lo as usize..*hi as usize]
-        }
-        Candidates::All | Candidates::Unknown => unreachable!("candidate rows are materialized"),
-    }
-}
-
 /// Enumerate an unbound driver's values through its per-value index on
 /// `mask`: `f(value, lo, hi)` once per group, with the group's row range.
 /// Groups whose rows disagree on a repeated variable's positions can never
@@ -731,54 +715,53 @@ fn for_each_group(
     }
 }
 
-/// Call `f` with the value at position `first` of each of `rows` that
-/// agrees on every position in `mask` (a repeated variable's positions),
-/// in row order.
-fn for_each_value(rel: &Relation, rows: &[u32], mask: u64, first: usize, mut f: impl FnMut(u64)) {
-    let multi = mask.count_ones() > 1;
-    for &row_id in rows {
-        let row = rel.row(row_id as usize);
-        if !multi || positions_agree(row, mask, first) {
-            f(row[first]);
-        }
-    }
-}
-
-/// Sort `vals`, then call `f(value, occurrences)` once per distinct value,
-/// ascending.
-fn for_each_run(vals: &mut [u64], mut f: impl FnMut(u64, u64)) {
-    vals.sort_unstable();
-    for run in vals.chunk_by(|a, b| a == b) {
-        f(run[0], run.len() as u64);
-    }
-}
-
-/// Filter `rows` down to those matching the binding on `add_mask`,
-/// collecting survivors inline. Returns the survivor count (≤ input count
-/// ≤ [`SCAN_THRESHOLD`]).
-fn filter_into(
-    rel: &Relation,
-    vars: &[usize],
-    add_mask: u64,
+/// Fill `cur.raw` with the value at position `first` of each of a bound
+/// atom's candidate rows, sorted, skipping rows that disagree on a repeated
+/// variable's positions (`mask`): the atom's distinct values are the
+/// [`runs`] of `cur.raw`. An [`Candidates::Unknown`] state is first
+/// memoized back to its `Range` of the cached index for the state's mask
+/// (the binding projects to its key).
+fn sorted_values(
+    atom: &mut DynAtom<'_>,
+    state: &mut AtomState,
+    mask: u64,
+    first: usize,
     binding: &[u64],
-    rows: impl Iterator<Item = u32>,
-    inline: &mut [u32; SCAN_THRESHOLD],
-) -> u32 {
-    let mut cnt = 0u32;
-    for row_id in rows {
-        if masked_match(rel.row(row_id as usize), vars, add_mask, binding) {
-            inline[cnt as usize] = row_id;
-            cnt += 1;
+    cur: &mut NodeScratch,
+) {
+    let i = ensure_index_pos(atom, state.mask);
+    let idx = &atom.indexes[i].1;
+    if matches!(state.rows, Candidates::Unknown) {
+        build_key(&mut cur.key, state.mask, atom.vars, binding);
+        let (lo, hi) = idx.candidates_range(&cur.key);
+        debug_assert_eq!(hi - lo, state.count);
+        state.rows = Candidates::Range(lo, hi);
+    }
+    let Candidates::Range(lo, hi) = state.rows else {
+        unreachable!("a bound atom's candidate rows are indexed")
+    };
+    let multi = mask.count_ones() > 1;
+    cur.raw.clear();
+    for &row_id in &idx.row_ids[lo as usize..hi as usize] {
+        let row = atom.rel.row(row_id as usize);
+        if !multi || positions_agree(row, mask, first) {
+            cur.raw.push(row[first]);
         }
     }
-    cnt
+    cur.raw.sort_unstable();
+}
+
+/// The runs of a sorted buffer: each distinct value with its occurrences,
+/// ascending.
+fn runs(sorted: &[u64]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u64))
 }
 
 /// Narrow the atom's candidate set after the positions in `add_mask`
-/// became bound. Candidate sets of ≤ [`SCAN_THRESHOLD`] known rows are
-/// filtered by scanning; everything else probes (and lazily builds) the
-/// index keyed on the full new position set. Returns `false` when no row
-/// survives (prune).
+/// became bound: probe the index keyed on the full new position set,
+/// building it on first use. Returns `false` when no row survives (prune).
 fn narrow(
     atom: &mut DynAtom<'_>,
     state: &mut AtomState,
@@ -787,26 +770,6 @@ fn narrow(
     key: &mut Vec<u64>,
 ) -> bool {
     let newmask = state.mask | add_mask;
-    // Rows not materialized (`Unknown`) fall through to the index probe.
-    if state.count as usize <= SCAN_THRESHOLD && !matches!(state.rows, Candidates::Unknown) {
-        let mut inline = [0u32; SCAN_THRESHOLD];
-        let (rel, vars) = (atom.rel, atom.vars);
-        let cnt = match state.rows {
-            Candidates::All => {
-                filter_into(rel, vars, add_mask, binding, 0..state.count, &mut inline)
-            }
-            _ => {
-                let rows = candidate_rows(atom, state).iter().copied();
-                filter_into(rel, vars, add_mask, binding, rows, &mut inline)
-            }
-        };
-        *state = AtomState {
-            mask: newmask,
-            count: cnt,
-            rows: Candidates::Inline(inline),
-        };
-        return cnt > 0;
-    }
     build_key(key, newmask, atom.vars, binding);
     let i = ensure_index_pos(atom, newmask);
     let (lo, hi) = atom.indexes[i].1.candidates_range(key);
@@ -816,24 +779,6 @@ fn narrow(
         rows: Candidates::Range(lo, hi),
     };
     lo < hi
-}
-
-/// Memoize an [`Candidates::Unknown`] candidate set back to its index
-/// `Range`: the state's mask always has a cached index (the narrow that
-/// produced the count built it) and the binding projects to its key.
-fn materialize_unknown(
-    atom: &mut DynAtom<'_>,
-    state: &mut AtomState,
-    binding: &[u64],
-    key: &mut Vec<u64>,
-) {
-    if matches!(state.rows, Candidates::Unknown) {
-        build_key(key, state.mask, atom.vars, binding);
-        let i = ensure_index_pos(atom, state.mask);
-        let (lo, hi) = atom.indexes[i].1.candidates_range(key);
-        debug_assert_eq!(hi - lo, state.count);
-        state.rows = Candidates::Range(lo, hi);
-    }
 }
 
 /// O(1) cardinality bound for the atom's rows compatible with the current
@@ -928,27 +873,17 @@ fn dyn_descend<'a>(
         });
     } else {
         // Bound driver: its candidate rows are already narrowed — collect
-        // the distinct values at v's positions, counting occurrences
-        // (which become the driver's per-value candidate count).
-        materialize_unknown(&mut atoms[d], &mut states[d], binding, &mut cur.key);
-        let rows = candidate_rows(&atoms[d], &states[d]);
-        let new_val = |val, count| ValEntry {
-            val,
-            count,
-            lo: 0,
-            hi: 0,
-        };
-        if rows.len() <= LINEAR_DEDUP_MAX {
-            for_each_value(atoms[d].rel, rows, dmask, dfirst, |val| {
-                match cur.vals.iter_mut().find(|e| e.val == val) {
-                    Some(e) => e.count += 1,
-                    None => cur.vals.push(new_val(val, 1)),
-                }
+        // the distinct values at v's positions in ascending order, counting
+        // occurrences (which become the driver's per-value candidate
+        // count).
+        sorted_values(&mut atoms[d], &mut states[d], dmask, dfirst, binding, cur);
+        for (val, n) in runs(&cur.raw) {
+            cur.vals.push(ValEntry {
+                val,
+                count: n as u32,
+                lo: 0,
+                hi: 0,
             });
-        } else {
-            cur.raw.clear();
-            for_each_value(atoms[d].rel, rows, dmask, dfirst, |val| cur.raw.push(val));
-            for_each_run(&mut cur.raw, |val, n| cur.vals.push(new_val(val, n as u32)));
         }
     }
 
@@ -966,7 +901,9 @@ fn dyn_descend<'a>(
             states[a] = s;
         }
         let e = cur.vals[vi];
-        probe.bump();
+        if !probe.bump() {
+            break;
+        }
         binding[v] = e.val;
         states[d] = AtomState {
             mask: dmask_base | dmask,
@@ -977,23 +914,10 @@ fn dyn_descend<'a>(
                 Candidates::Unknown
             },
         };
-        let mut ok = true;
-        for &(a, pos_mask, _) in occs {
-            if a == d {
-                continue;
-            }
-            if !narrow(
-                &mut atoms[a],
-                &mut states[a],
-                pos_mask,
-                binding,
-                &mut cur.key,
-            ) {
-                ok = false;
-                break;
-            }
-        }
-        if !ok {
+        let key = &mut cur.key;
+        if !occs.iter().all(|&(a, pos_mask, _)| {
+            a == d || narrow(&mut atoms[a], &mut states[a], pos_mask, binding, key)
+        }) {
             continue;
         }
         dyn_descend(
@@ -1051,13 +975,12 @@ fn dyn_leaf<'a>(
         });
         cur.merged.sort_unstable_by_key(|&(val, _)| val);
     } else {
-        materialize_unknown(&mut atoms[d], &mut states[d], binding, &mut cur.key);
-        let rows = candidate_rows(&atoms[d], &states[d]);
-        cur.raw.clear();
-        for_each_value(atoms[d].rel, rows, dmask, dfirst, |val| cur.raw.push(val));
-        for_each_run(&mut cur.raw, |val, n| cur.merged.push((val, n)));
+        sorted_values(&mut atoms[d], &mut states[d], dmask, dfirst, binding, cur);
+        cur.merged.extend(runs(&cur.raw));
     }
-    probe.bump_by(cur.merged.len() as u64);
+    if !probe.bump_by(cur.merged.len() as u64) {
+        return;
+    }
 
     // --- intersect every other occurrence's value list into `merged` ---
     for &(a, pos_mask, first) in occs {
@@ -1072,16 +995,13 @@ fn dyn_leaf<'a>(
         let scan = !matches!(states[a].rows, Candidates::All)
             && (states[a].count as usize) <= 4 * cur.merged.len().max(SCAN_THRESHOLD);
         if scan {
-            materialize_unknown(&mut atoms[a], &mut states[a], binding, &mut cur.key);
-            let rows = candidate_rows(&atoms[a], &states[a]);
-            cur.raw.clear();
-            for_each_value(atoms[a].rel, rows, pos_mask, first, |val| cur.raw.push(val));
             // Merge-intersect the sorted runs with the sorted survivors,
             // folding each matching run's length into the survivor's
             // multiplicity product.
+            sorted_values(&mut atoms[a], &mut states[a], pos_mask, first, binding, cur);
             let merged = &mut cur.merged;
             let (mut w, mut i) = (0usize, 0usize);
-            for_each_run(&mut cur.raw, |val, n| {
+            for (val, n) in runs(&cur.raw) {
                 while i < merged.len() && merged[i].0 < val {
                     i += 1;
                 }
@@ -1090,8 +1010,8 @@ fn dyn_leaf<'a>(
                     w += 1;
                     i += 1;
                 }
-            });
-            cur.merged.truncate(w);
+            }
+            merged.truncate(w);
         } else {
             let newmask = states[a].mask | pos_mask;
             let i = ensure_index_pos(&mut atoms[a], newmask);
@@ -1123,6 +1043,9 @@ fn dyn_leaf<'a>(
     }
     for mi in 0..cur.merged.len() {
         let (val, prod) = cur.merged[mi];
+        if !probe.charge(base * prod) {
+            return;
+        }
         binding[v] = val;
         emit(binding, base * prod);
     }
@@ -1247,11 +1170,11 @@ fn dyn_join(
     let mut binding = vec![0u64; k];
     let mut scratch: Vec<NodeScratch> = (0..k).map(|_| NodeScratch::default()).collect();
     let mut key: Vec<u64> = Vec::new();
-    let drel = relations[d];
 
-    for row_id in 0..drel.len() as u32 {
-        probe.bump();
-        let row = drel.row(row_id as usize);
+    for row in relations[d].rows() {
+        if !probe.bump() {
+            return;
+        }
         if atoms[d].dup_checks.iter().any(|&(p, f)| row[p] != row[f]) {
             continue;
         }
@@ -1261,27 +1184,21 @@ fn dyn_join(
         for &(a, s) in &save {
             states[a] = s;
         }
-        let mut inline = [0u32; SCAN_THRESHOLD];
-        inline[0] = row_id;
+        // Every driver position is bound and no later step reads its rows.
         states[d] = AtomState {
             mask: dfull,
             count: 1,
-            rows: Candidates::Inline(inline),
+            rows: Candidates::Unknown,
         };
-        let mut ok = true;
-        for &(a, add) in &sharers {
-            if !narrow(&mut atoms[a], &mut states[a], add, &binding, &mut key) {
-                ok = false;
-                break;
-            }
-        }
-        if !ok {
+        if !(sharers.iter())
+            .all(|&(a, add)| narrow(&mut atoms[a], &mut states[a], add, &binding, &mut key))
+        {
             continue;
         }
         if dvars == all_vars {
-            let mut mult = 1u64;
-            for s in &states {
-                mult *= s.count as u64;
+            let mult = states.iter().map(|s| s.count as u64).product();
+            if !probe.charge(mult) {
+                return;
             }
             emit(&binding, mult);
         } else {
@@ -1359,8 +1276,7 @@ impl<'a> Join<'a> {
     /// Evaluate under a cooperative [`QueryBudget`]: the probe polls it
     /// every [`CHECK_INTERVAL`] visited bindings, and every emitted answer
     /// row is charged against its row cap *before* reaching the sink. An
-    /// unlimited budget is the same as none: no `catch_unwind` frame, no
-    /// per-emit charge.
+    /// unlimited budget is the same as none: nothing to poll or charge.
     pub fn budget(mut self, budget: &'a QueryBudget) -> Join<'a> {
         self.budget = Some(budget).filter(|b| !b.is_unlimited());
         self
@@ -1373,35 +1289,36 @@ impl<'a> Join<'a> {
     /// answer multiset of the row-at-a-time join. The fixed engine always
     /// passes multiplicity 1.
     ///
-    /// `Err` only under a [`Join::budget`]: a violated budget unwinds out
-    /// of the evaluation with a typed payload that is caught here — the
-    /// join keeps no cross-evaluation state, so the unwind poisons nothing
-    /// and the relations stay usable — while any other panic (a failpoint,
-    /// a real bug) is re-raised verbatim.
+    /// `Err` only under a [`Join::budget`]: a budget that has already
+    /// tripped, that a poll or a row charge finds tripped during the
+    /// evaluation (from then on every loop returns at its next step and
+    /// the sink sees nothing more), or that a final poll finds expired. The join keeps no cross-evaluation state, so the
+    /// relations stay usable. A panic (a failpoint, a real bug) is a fault
+    /// and propagates as one.
     pub fn for_each(self, mut emit: impl FnMut(&[u64], u64)) -> Result<JoinStats, BudgetExceeded> {
         failpoint::hit("local_join");
-        let Some(budget) = self.budget else {
-            return Ok(self.run(&mut JoinProbe::untracked(), &mut emit));
-        };
-        budget.poll()?;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut wrapped = |row: &[u64], mult: u64| {
-                if let Err(e) = budget.charge_rows(mult) {
-                    std::panic::panic_any(e);
-                }
-                emit(row, mult);
-            };
-            self.run(&mut JoinProbe::budgeted(budget), &mut wrapped)
-        }));
-        match outcome {
-            // A final poll: joins shorter than one check interval still honor
-            // an already-expired deadline or a row pool drained by a sibling.
-            Ok(stats) => budget.poll().map(|()| stats),
-            Err(payload) => match payload.downcast::<BudgetExceeded>() {
-                Ok(e) => Err(*e),
-                Err(other) => std::panic::resume_unwind(other),
-            },
+        if let Some(budget) = self.budget {
+            budget.poll()?;
         }
+        let mut probe = JoinProbe::new(self.budget);
+        if !self.relations.iter().any(|r| r.is_empty()) {
+            match self.order {
+                JoinOrder::Dynamic => dyn_join(self.query, &self.relations, &mut probe, &mut emit),
+                JoinOrder::Fixed => fixed_join(self.query, &self.relations, &mut probe, &mut emit),
+            }
+        }
+        if let Some(e) = probe.tripped {
+            return Err(e);
+        }
+        VISITED_TOTAL.fetch_add(probe.visited, Ordering::Relaxed);
+        // A final poll: joins shorter than one check interval still honor
+        // an already-expired deadline or a row pool drained by a sibling.
+        if let Some(budget) = self.budget {
+            budget.poll()?;
+        }
+        Ok(JoinStats {
+            bindings_visited: probe.visited,
+        })
     }
 
     /// Count answers (with multiplicity) without materializing them.
@@ -1416,20 +1333,6 @@ impl<'a> Join<'a> {
         let mut out = AnswerSet::new(self.query.num_vars());
         self.for_each(|row, mult| out.push_repeat(row, mult))?;
         Ok(out)
-    }
-
-    /// Engine dispatch and visited-bindings accounting.
-    fn run(&self, probe: &mut JoinProbe<'_>, emit: &mut impl FnMut(&[u64], u64)) -> JoinStats {
-        if !self.relations.iter().any(|r| r.is_empty()) {
-            match self.order {
-                JoinOrder::Dynamic => dyn_join(self.query, &self.relations, probe, emit),
-                JoinOrder::Fixed => fixed_join(self.query, &self.relations, probe, emit),
-            }
-        }
-        VISITED_TOTAL.fetch_add(probe.visited, Ordering::Relaxed);
-        JoinStats {
-            bindings_visited: probe.visited,
-        }
     }
 }
 

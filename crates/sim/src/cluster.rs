@@ -35,9 +35,6 @@ use mpc_query::Query;
 const SHUFFLE_MIN_CHUNK: usize = 4096;
 /// Rows routed between two budget polls.
 const BUDGET_POLL_ROWS: usize = 512;
-/// Smallest number of servers a load-accounting worker is worth spawning
-/// for (per-server accounting is O(num_atoms), i.e. very cheap).
-const REPORT_MIN_CHUNK: usize = 256;
 
 /// A one-round tuple routing policy. `route` appends the destination server
 /// ids for `tuple` of atom `atom` to `out` (`out` arrives cleared;
@@ -61,7 +58,7 @@ pub struct Cluster {
     input_bits: u64,
     /// `fragments[atom][server]`.
     fragments: Vec<Vec<Relation>>,
-    /// Execution backend for local evaluation and load accounting.
+    /// Execution backend for the local joins (the one the shuffle ran on).
     backend: Backend,
 }
 
@@ -273,7 +270,7 @@ impl Cluster {
         self.p
     }
 
-    /// The backend used for local evaluation and load accounting.
+    /// The backend the shuffle ran on and the local joins run on.
     pub fn backend(&self) -> Backend {
         self.backend
     }
@@ -283,41 +280,21 @@ impl Cluster {
         &self.fragments[atom][server]
     }
 
-    /// Exact load accounting for the round. Per-server counters are
-    /// computed on the cluster's backend (server ranges are independent)
-    /// and stitched together in server-index order, so the report is
-    /// identical whatever the thread count.
+    /// Exact load accounting for the round: one sequential pass reading
+    /// each fragment's length and bit size (O(p · atoms) words, too little
+    /// work to be worth a thread), so the report is the same whatever the
+    /// backend.
     pub fn report(&self) -> LoadReport {
-        let num_atoms = self.fragments.len();
-        // Per-chunk partials keep the per-atom counters in one flat vector
-        // (`[atom * width + (s - lo)]`) instead of a nested vec-of-vecs per
-        // chunk — three allocations per chunk, independent of atom count.
-        let parts = self.backend.run_chunks(self.p, REPORT_MIN_CHUNK, |lo, hi| {
-            let width = hi - lo;
-            let mut bits = vec![0u64; width];
-            let mut tuples = vec![0u64; width];
-            let mut per_atom = vec![0u64; num_atoms * width];
-            for (a, frags) in self.fragments.iter().enumerate() {
-                for s in lo..hi {
-                    let t = frags[s].len() as u64;
-                    per_atom[a * width + (s - lo)] = t;
-                    tuples[s - lo] += t;
-                    bits[s - lo] += frags[s].bit_size(self.value_bits);
-                }
+        let mut per_server_bits = vec![0u64; self.p];
+        let mut per_server_tuples = vec![0u64; self.p];
+        let mut per_atom_server_tuples = Vec::with_capacity(self.fragments.len());
+        for frags in &self.fragments {
+            let tuples: Vec<u64> = frags.iter().map(|f| f.len() as u64).collect();
+            for (s, f) in frags.iter().enumerate() {
+                per_server_tuples[s] += tuples[s];
+                per_server_bits[s] += f.bit_size(self.value_bits);
             }
-            (bits, tuples, per_atom)
-        });
-        let mut per_server_bits = Vec::with_capacity(self.p);
-        let mut per_server_tuples = Vec::with_capacity(self.p);
-        let mut per_atom_server_tuples: Vec<Vec<u64>> =
-            (0..num_atoms).map(|_| Vec::with_capacity(self.p)).collect();
-        for (bits, tuples, per_atom) in parts {
-            let width = bits.len();
-            per_server_bits.extend(bits);
-            per_server_tuples.extend(tuples);
-            for (a, row) in per_atom.chunks_exact(width).enumerate() {
-                per_atom_server_tuples[a].extend_from_slice(row);
-            }
+            per_atom_server_tuples.push(tuples);
         }
         LoadReport {
             per_server_bits,
@@ -710,9 +687,9 @@ mod tests {
     }
 
     #[test]
-    fn report_merge_is_exercised_beyond_the_chunk_threshold() {
-        // p large enough that workers_for(p, REPORT_MIN_CHUNK) > 1, so the
-        // threaded report really takes the multi-part stitch path.
+    fn report_is_backend_identical_at_p_1024() {
+        // A wide round, shuffled once per backend: the report counts the
+        // same fragments the same way whatever ran the shuffle.
         let db = join_db(2000, 9);
         let p = 1024;
         let key = 0xBADC_0FFEu64;
@@ -723,10 +700,8 @@ mod tests {
                 out.push((h + 513) % p);
             }
         };
-        let backend = Backend::Threads(4);
-        assert!(backend.workers_for(p, super::REPORT_MIN_CHUNK) > 1);
         let seq = Cluster::run_round_on(&db, p, &router, Backend::Sequential);
-        let thr = Cluster::run_round_on(&db, p, &router, backend);
+        let thr = Cluster::run_round_on(&db, p, &router, Backend::Threads(4));
         let (rs, rt) = (seq.report(), thr.report());
         assert_eq!(rs, rt);
         assert_eq!(rs.num_servers(), p);

@@ -258,6 +258,14 @@ fn cmd_execute(q: &Query, aggregate: Option<&AggregateSpec>, args: &Args) -> Res
     let theta = args.theta()?;
     let seed = args.usize_or("seed", 1)? as u64;
     let skew_col = args.usize_or("skew-col", 1)?;
+    // A skew column past every atom would run uniform data under a header
+    // echoing `theta`.
+    let widest = q.atoms().iter().map(|a| a.arity()).max().unwrap_or(0);
+    if theta > 0.0 && skew_col >= widest {
+        return Err(format!(
+            "--skew-col {skew_col} is past every atom (the widest has arity {widest})"
+        ));
+    }
     let algo = match args.value("algo")? {
         None => Algorithm::Auto,
         Some(v) => Algorithm::parse(v).map_err(|e| format!("{e}\n{}", usage()))?,
@@ -407,19 +415,6 @@ fn service_from_args(args: &Args) -> Result<Service, String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    // Budget trips unwind with a typed payload that the service edge catches
-    // and turns into `err timeout` / `err limit`; they are normal control
-    // flow, so keep the default hook's stderr noise for real faults only.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if info
-            .payload()
-            .downcast_ref::<mpc_skew::data::BudgetExceeded>()
-            .is_none()
-        {
-            default_hook(info);
-        }
-    }));
     let service = service_from_args(args)?;
     let max_clients = args.usize_or("max-clients", 64)?;
     if max_clients == 0 {

@@ -382,6 +382,27 @@ fn negative_or_non_finite_theta_is_an_input_error() {
 }
 
 #[test]
+fn skew_column_past_every_atom_is_an_input_error() {
+    // With theta > 0 a skew column no atom has used to run uniform data
+    // under a header echoing theta. Without skew the column is unused.
+    let run = |theta: &str| {
+        mpcskew()
+            .args(["run", "S1(x,z), S2(y,z)", "--m", "200", "--theta", theta])
+            .args(["--skew-col", "7", "--threads", "1"])
+            .output()
+            .expect("binary runs")
+    };
+    let out = run("1.5");
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        "error: --skew-col 7 is past every atom (the widest has arity 2)"
+    );
+    assert!(out.stdout.is_empty(), "nothing runs before the check");
+    assert!(run("0").status.success());
+}
+
+#[test]
 fn explicit_threads_wins_over_a_malformed_environment() {
     let out = mpcskew()
         .args(["run", "S1(x,z), S2(y,z)", "--m", "200", "--threads", "1"])

@@ -14,7 +14,7 @@
 
 use mpc_bench::workloads::zipf_triangle_db;
 use mpc_skew::data::join::{self, Join, JoinOrder};
-use mpc_skew::data::{AnswerSet, Relation};
+use mpc_skew::data::{generators, AnswerSet, Relation, Rng};
 use mpc_skew::prelude::*;
 use mpc_skew::query::cover::agm_bound;
 use mpc_skew::query::named;
@@ -171,4 +171,76 @@ fn visited_probe_matches_per_call_stats() {
         assert!(stats.bindings_visited > 0);
         assert!(join::visited_bindings_total() >= before + stats.bindings_visited);
     }
+}
+
+/// A budget trip is a value, not an unwind: on both engines a row cap
+/// tripped by the charge before the sink, and a deadline tripped from
+/// inside the sink (seen by the next poll, within `CHECK_INTERVAL`
+/// bindings), each come back as the matching `Err` kind while a panic hook
+/// counts zero `BudgetExceeded` payloads. The hook forwards every other
+/// panic to the previous one and is restored at the end.
+#[test]
+fn budget_trips_return_without_panicking() {
+    use mpc_skew::data::budget::{BudgetExceeded, BudgetKind, QueryBudget, CHECK_INTERVAL};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    static TRIP_PANICS: AtomicUsize = AtomicUsize::new(0);
+    let previous = Arc::new(std::panic::take_hook());
+    let forward = Arc::clone(&previous);
+    std::panic::set_hook(Box::new(move |info| {
+        if info.payload().is::<BudgetExceeded>() {
+            TRIP_PANICS.fetch_add(1, Ordering::SeqCst);
+        } else {
+            forward(info);
+        }
+    }));
+
+    let q = named::two_way_join();
+    let mut rng = Rng::seed_from_u64(0x7819);
+    let s1 = generators::uniform("S1", 2, 3000, 64, &mut rng);
+    let s2 = generators::uniform("S2", 2, 3000, 64, &mut rng);
+    let rels = [&s1, &s2];
+    for order in [JoinOrder::Dynamic, JoinOrder::Fixed] {
+        let full = Join::new(&q, &rels).order(order).count().unwrap();
+        assert!(full > 10 * CHECK_INTERVAL, "{order:?}: {full} answers");
+
+        let capped = QueryBudget::new(None, Some(100), None);
+        let mut seen = 0u64;
+        let err = Join::new(&q, &rels)
+            .order(order)
+            .budget(&capped)
+            .for_each(|_, mult| seen += mult)
+            .expect_err("100 rows cannot hold the join");
+        assert_eq!(err.kind, BudgetKind::Rows, "{order:?}");
+        assert!(seen <= 100, "{order:?}: the sink saw {seen} rows");
+
+        let budget = QueryBudget::new(Some(Duration::from_secs(3600)), None, None);
+        let (mut calls, mut after_trip) = (0u64, 0u64);
+        let err = Join::new(&q, &rels)
+            .order(order)
+            .budget(&budget)
+            .for_each(|_, _| {
+                calls += 1;
+                if calls == 1 {
+                    budget.trip(BudgetKind::Deadline);
+                } else {
+                    after_trip += 1;
+                }
+            })
+            .expect_err("a tripped deadline ends the join");
+        assert_eq!(err.kind, BudgetKind::Deadline, "{order:?}");
+        assert!(
+            after_trip <= 2 * CHECK_INTERVAL,
+            "{order:?}: {after_trip} emits after the trip"
+        );
+    }
+
+    drop(std::panic::take_hook());
+    let previous = Arc::try_unwrap(previous)
+        .ok()
+        .expect("the counting hook was the only other owner");
+    std::panic::set_hook(previous);
+    assert_eq!(TRIP_PANICS.load(Ordering::SeqCst), 0, "a trip unwound");
 }
