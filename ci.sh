@@ -8,7 +8,8 @@
 #                        # one-share-LP (one model, one solve),
 #                        # four-algorithm (no baselines in the engine),
 #                        # one-ground-truth/one-freshness-check,
-#                        # one-statistics-surface, one-executor,
+#                        # one-statistics-surface (incl. one sketch-backed
+#                        # Stats, no skew-join config), one-executor,
 #                        # one-query-path and one-stop/one-narrowing guards
 #                        # + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
@@ -342,9 +343,13 @@ fi
 # point lookup of a light count), and the service reads them from its
 # sketches alone (no exact-scan fallback). Both skew planners read heavy
 # hitters one way, `plan_with` over a `Stats` source (no §4.1 entry point
-# over raw frequency maps, no Bernoulli sampler beside the sketch). None of
-# the retired names may come back, comments included.
-stage "one statistics surface: no second estimate shape, binning rule, planner-stats knob, cache-capacity knob, light-count lookup, exact fallback in the service, sampler or raw-map planner"
+# over raw frequency maps, no Bernoulli sampler beside the sketch), and a
+# plan depends on `(q, p, seed)` and that source alone (no §4.1 config
+# knob: the grid ablation is a statistics view). The service plans through
+# the one `SketchStats` over its catalog's lent sketches, so service.rs
+# implements no `Stats` of its own. None of the retired names may come
+# back, comments included.
+stage "one statistics surface: no second estimate shape, binning rule, planner-stats knob, cache-capacity knob, light-count lookup, exact fallback or Stats impl in the service, sampler, raw-map planner or skew-join config"
 RETIRED=$(grep -rn "ErrorDirection\|to_estimates\|bin_of_estimate\|must_exceed\|StatsMode::Synthetic\|with_plan_cache_capacity" \
     crates src tests examples || true)
 RETIRED="$RETIRED$(grep -rn "mod sampling\|sample_heavy_hitters\|sampled_frequencies\|SampledFrequencies\|recommended_rate\|plan_from_parts" \
@@ -353,6 +358,8 @@ RETIRED="$RETIRED$(grep -nw "fn merge\|fn count\|fn frequency" crates/stats/src/
 RETIRED="$RETIRED$(grep -nw "fn frequency" crates/stats/src/source.rs || true)"
 RETIRED="$RETIRED$(grep -n "ExactStats\|stats_view" crates/core/src/service.rs || true)"
 RETIRED="$RETIRED$(grep -nw "fn stats_mode" crates/core/src/engine.rs || true)"
+RETIRED="$RETIRED$(grep -rn "CatalogStats\|SkewJoinConfig\|use_grids" crates src tests examples || true)"
+RETIRED="$RETIRED$(grep -n "impl Stats for" crates/core/src/service.rs || true)"
 if [ -n "$RETIRED" ]; then
     echo "a retired statistics path is back:" >&2
     echo "$RETIRED" >&2

@@ -62,6 +62,7 @@ use crate::verify::{self, aggregate_oracle, Verification};
 use mpc_data::answers::AnswerSet;
 use mpc_data::budget::{BudgetExceeded, QueryBudget};
 use mpc_data::catalog::Database;
+use mpc_data::join::MAX_ATOM_ARITY;
 use mpc_query::aggregate::AggregateSpec;
 use mpc_query::{Query, QueryShape, VarSet};
 use mpc_sim::backend::Backend;
@@ -210,8 +211,10 @@ impl fmt::Display for StatsMode {
 /// the CLI prints it after `error: `. In order: the aggregate spec must
 /// name the query's variables (`invalid aggregate: …`), an aggregate needs
 /// an algorithm that [partitions derivations](Algorithm::partitions_derivations)
-/// ([`AGGREGATE_NEEDS_PARTITIONING`]), and the skew join needs two atoms
-/// sharing a variable ([`SKEW_JOIN_NEEDS_TWO_ATOMS`]).
+/// ([`AGGREGATE_NEEDS_PARTITIONING`]), the skew join needs two atoms
+/// sharing a variable ([`SKEW_JOIN_NEEDS_TWO_ATOMS`]), and no atom may have
+/// more positions than the local join tracks
+/// ([`MAX_ATOM_ARITY`]).
 pub fn admit(
     query: &Query,
     algorithm: Algorithm,
@@ -226,6 +229,13 @@ pub fn admit(
     }
     if algorithm == Algorithm::SkewJoin && !query.is_two_atom_join() {
         return Err(SKEW_JOIN_NEEDS_TWO_ATOMS.to_string());
+    }
+    if let Some(atom) = query.atoms().iter().find(|a| a.arity() > MAX_ATOM_ARITY) {
+        return Err(format!(
+            "atom `{}` has {} positions; the local join supports at most {MAX_ATOM_ARITY}",
+            atom.name(),
+            atom.arity()
+        ));
     }
     Ok(())
 }
@@ -801,7 +811,7 @@ impl<'s> Engine<'s> {
                 lower_bound_bits,
             ),
             Algorithm::SkewJoin => {
-                let sj = SkewJoin::plan_with(q, p, self.seed, stats, Default::default());
+                let sj = SkewJoin::plan_with(q, p, self.seed, stats);
                 let predicted = sj.predicted_load_bits();
                 (PlanKind::SkewJoin(sj), predicted)
             }

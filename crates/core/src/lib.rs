@@ -54,7 +54,7 @@ pub use service::{
 };
 pub use shares::ShareAllocation;
 pub use skew_general::GeneralSkewAlgorithm;
-pub use skew_join::{SkewJoin, SkewJoinConfig};
+pub use skew_join::SkewJoin;
 pub use verify::{
     aggregate_oracle, assert_complete, verify, verify_aggregate, AggregateVerification,
     Verification,

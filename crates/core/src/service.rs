@@ -20,12 +20,14 @@
 //! 4. on a miss, fingerprint the statistics (heavy-hitter membership over
 //!    [`planning_projections`] plus power-of-two cardinality buckets), plan
 //!    once from them, and cache the plan with its fingerprint. Both read
-//!    one view over the catalog's sketches: cardinalities off the
-//!    relations, heavy hitters off the sketches, each projection
-//!    registered — its one backfill scan — the first time anything asks
-//!    for it. A §4.2 plan's joint-variable projections are registered
-//!    like the rest and kept up to date from then on; no question is ever
-//!    answered by scanning a relation.
+//!    the one [`SketchStats`] the engine, the CLI and the benchmark plan
+//!    from, here over the query's catalog entries, each lending its
+//!    relation and its maintained sketch to the one atom that names it:
+//!    cardinalities off the relations, heavy hitters off the sketches,
+//!    each projection registered — its one backfill scan — the first time
+//!    anything asks for it. A §4.2 plan's joint-variable projections are
+//!    registered like the rest and kept up to date from then on; no
+//!    question is ever answered by scanning a relation.
 //!
 //! The planner reads nothing but those statistics, and only ingest changes
 //! them, so staleness is decided once, where they change.
@@ -73,7 +75,7 @@
 
 use crate::engine::{
     admit, planning_projections, sketch_capacity, Algorithm, Engine, Plan, PlanKey, RunOutcome,
-    Stats, StatsMode,
+    SketchStats, Stats, StatsMode,
 };
 use mpc_data::answers::AnswerSet;
 use mpc_data::budget::{BudgetExceeded, BudgetKind, QueryBudget};
@@ -84,9 +86,7 @@ use mpc_data::rng::mix64;
 use mpc_query::aggregate::AggregateSpec;
 use mpc_query::Query;
 use mpc_sim::backend::Backend;
-use mpc_stats::cardinality::SimpleStatistics;
 use mpc_stats::sketch::{FreqEstimate, RelationSketch, SpaceSaving};
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -769,8 +769,8 @@ impl Service {
             entry.last_used = self.tick;
             return Ok((entry.plan.clone(), db, CacheStatus::Hit));
         }
-        let view = self.catalog_stats(&atom_entries);
-        let fingerprint = view.fingerprint(&canonical, p);
+        let stats = self.sketch_stats(&atom_entries);
+        let fingerprint = fingerprint(&stats, &canonical, p);
         let mut engine = Engine::new(&canonical)
             .p(p)
             .seed(seed)
@@ -781,7 +781,7 @@ impl Service {
         // Planning runs inside the containment boundary like execution: a
         // planner panic is this query's `err internal`, and nothing is
         // counted or cached for it.
-        let plan = Arc::new(run_contained(|| Ok(engine.stats(&view).plan(&db)))?);
+        let plan = Arc::new(run_contained(|| Ok(engine.stats(&stats).plan(&db)))?);
         self.counters.misses += 1;
         self.tick += 1;
         self.plans.insert(
@@ -820,15 +820,21 @@ impl Service {
             .collect()
     }
 
-    /// The [`Stats`] view over the catalog for a query whose atoms
-    /// `atom_entries` maps to catalog entries: what planning and
-    /// fingerprinting both read.
-    fn catalog_stats<'a>(&'a mut self, atom_entries: &'a [usize]) -> CatalogStats<'a> {
-        CatalogStats {
-            entries: RefCell::new(&mut self.entries),
-            atom_entries,
-            domain: self.domain,
-        }
+    /// The statistics planning and fingerprinting read for a query whose
+    /// atoms `atom_entries` maps to catalog entries: a [`SketchStats`] to
+    /// which each entry lends its relation and its sketch. Queries have no
+    /// self-joins, so no entry is lent twice.
+    fn sketch_stats(&mut self, atom_entries: &[usize]) -> SketchStats<'_, &mut RelationSketch> {
+        let mut entries: Vec<Option<&mut CatalogEntry>> =
+            self.entries.iter_mut().map(Some).collect();
+        let (relations, sketches) = atom_entries
+            .iter()
+            .map(|&i| {
+                let CatalogEntry { rel, sketch } = entries[i].take().expect("no self-joins");
+                (&**rel, sketch)
+            })
+            .unzip();
+        SketchStats::over(relations, sketches, self.domain)
     }
 
     /// Drop every cached plan whose query references `name`, counting
@@ -854,7 +860,7 @@ impl Service {
             let atom_entries = self
                 .resolve_atoms(&query)
                 .expect("cached plan references loaded relations");
-            let current = self.catalog_stats(&atom_entries).fingerprint(&query, key.p);
+            let current = fingerprint(&self.sketch_stats(&atom_entries), &query, key.p);
             if self.plans[&key].fingerprint != current {
                 self.plans.remove(&key);
                 self.counters.invalidations += 1;
@@ -903,62 +909,22 @@ fn heavy_membership_hash(estimates: &[FreqEstimate]) -> u64 {
         .fold(0u64, |acc, kh| acc ^ kh)
 }
 
-/// The catalog's statistics as the planner and the fingerprint read them:
-/// cardinalities off the relations, heavy hitters off each relation's one
-/// sketch (atoms naming the same relation share it). A projection the
-/// sketch does not track yet is registered on the spot — one backfill
-/// scan, after which appends keep it current — so every answer comes from
-/// the sketch, at the capacity the statistics mode chose.
-struct CatalogStats<'a> {
-    /// The whole catalog, mutable so a question can register a projection.
-    entries: RefCell<&'a mut [CatalogEntry]>,
-    /// The catalog entry of each atom, in atom order.
-    atom_entries: &'a [usize],
-    domain: u64,
-}
-
-impl CatalogStats<'_> {
-    /// The statistics fingerprint of `q` at `p`: fold the power-of-two
-    /// cardinality bucket of every atom's relation and the heavy-membership
-    /// hash of every [`planning_projections`] projection as the planner
-    /// will read it from this view — the (conservative) heavy set it will
-    /// actually see.
-    fn fingerprint(&self, q: &Query, p: usize) -> u64 {
-        let mut h = mix64(p as u64, 0x5e);
-        for (j, &i) in self.atom_entries.iter().enumerate() {
-            h = mix64(h, j as u64);
-            h = mix64(h, cardinality_bucket(self.entries.borrow()[i].rel.len()));
-        }
-        for (j, cols) in planning_projections(q) {
-            let heavy = self.heavy_hitters(j, &cols, p);
-            h = mix64(h, j as u64 ^ heavy_membership_hash(&heavy));
-        }
-        h
+/// The plan-cache fingerprint of `q` at `p`: fold the power-of-two
+/// cardinality bucket of every atom's relation and the heavy-membership
+/// hash of every [`planning_projections`] projection as the planner will
+/// read it from `stats` — the (conservative) heavy set it will actually
+/// see.
+fn fingerprint(stats: &dyn Stats, q: &Query, p: usize) -> u64 {
+    let mut h = mix64(p as u64, 0x5e);
+    for (j, &m) in stats.simple().cardinalities.iter().enumerate() {
+        h = mix64(h, j as u64);
+        h = mix64(h, cardinality_bucket(m));
     }
-}
-
-impl Stats for CatalogStats<'_> {
-    fn simple(&self) -> SimpleStatistics {
-        let entries = self.entries.borrow();
-        let rels = || self.atom_entries.iter().map(|&i| &entries[i].rel);
-        let value_bits = mpc_data::domain_bits(self.domain);
-        SimpleStatistics {
-            cardinalities: rels().map(|rel| rel.len()).collect(),
-            bit_sizes: rels().map(|rel| rel.bit_size(value_bits)).collect(),
-            value_bits,
-            domain: self.domain,
-        }
+    for (j, cols) in planning_projections(q) {
+        let heavy = stats.heavy_hitters(j, &cols, p);
+        h = mix64(h, j as u64 ^ heavy_membership_hash(&heavy));
     }
-
-    fn heavy_hitters(&self, atom: usize, cols: &[usize], p: usize) -> Vec<FreqEstimate> {
-        let mut entries = self.entries.borrow_mut();
-        let entry = &mut entries[self.atom_entries[atom]];
-        entry.sketch.ensure_projection(&entry.rel, cols);
-        entry
-            .sketch
-            .heavy_hitters(cols, p)
-            .expect("projection ensured")
-    }
+    h
 }
 
 #[cfg(test)]
@@ -1163,97 +1129,110 @@ mod tests {
     fn sketch_mode_plans_from_its_sketches_alone() {
         // A Zipf triangle Auto plans with §4.2: its first miss registers
         // every projection the planner asks for; later misses, before and
-        // after an APPEND, read them without scanning, and plan exactly as
-        // the engine does from `SketchStats` at the service's capacity.
+        // after an APPEND, read them without scanning. In both modes the
+        // service plans exactly as the engine does from the mode's
+        // reference: `SketchStats` at the service's capacity in sketch
+        // mode, and in exact mode the engine's own exact statistics — the
+        // independent frequency-map scan, against which the service's
+        // unbounded sketches must be the same state.
         use crate::engine::SketchStats;
         use mpc_data::stats_scan_bytes_total;
         let (n, p) = (1u64 << 10, 16);
-        let mut rng = Rng::seed_from_u64(7);
-        let mut svc = Service::new(n)
-            .with_backend(Backend::Sequential)
-            .with_defaults(p, 1)
-            .with_stats_mode(StatsMode::Sketch);
-        for name in ["S1", "S2", "S3"] {
-            svc.load(generators::zipf_column(name, 2, 2000, n, 0, 1.1, &mut rng))
-                .unwrap();
-        }
-        let triangle = parse_query("S1(x,y), S2(y,z), S3(z,x)")
-            .unwrap()
-            .canonical();
-        // Plans one miss, checks it against `SketchStats`, and returns the
-        // bytes the service scanned to plan it.
-        let miss = |svc: &mut Service, seed: u64| -> u64 {
-            let spec = QuerySpec::new(triangle.clone()).seed(seed);
-            let before = stats_scan_bytes_total();
-            let out = svc.query_spec(&spec).unwrap();
-            let scanned = stats_scan_bytes_total() - before;
-            assert_eq!(out.cache_status(), CacheStatus::Miss, "seed {seed}");
-            assert_eq!(out.algorithm(), Algorithm::GeneralSkew);
-            let key = PlanKey {
-                shape: triangle.shape(),
-                p,
-                seed,
-                algorithm: Algorithm::Auto,
-                aggregate: None,
-            };
-            let plan = &svc.plans[&key].plan;
-            let got = (
-                plan.predicted_load_bits(),
-                plan.num_bin_combinations(),
-                out.max_load_bits(),
-            );
-            let atoms = svc.resolve_atoms(&triangle).unwrap();
-            let rels = atoms.iter().map(|&i| svc.entries[i].rel.clone()).collect();
-            let db = Database::from_shared(triangle.clone(), rels, n).unwrap();
-            let stats = SketchStats::of(&db, svc.sketch_capacity_for_p());
-            let want = Engine::new(&triangle)
-                .p(p)
-                .seed(seed)
-                .stats(&stats)
-                .plan(&db);
-            let want = (
-                want.predicted_load_bits(),
-                want.num_bin_combinations(),
-                want.execute(&db, Backend::Sequential).max_load_bits(),
-            );
-            assert_eq!(
-                got, want,
-                "seed {seed}: the service planned off its sketches"
-            );
-            scanned
-        };
-        assert!(
-            miss(&mut svc, 1) > 0,
-            "the first miss registers projections"
-        );
-        assert_eq!(miss(&mut svc, 2), 0, "a second miss rescans");
-        svc.append("S1", &[0, 5, 1, 6, 2, 7]).unwrap();
-        assert_eq!(miss(&mut svc, 3), 0, "a miss after an APPEND rescans");
-
-        // HyperCube and the skew join read nothing but the planning
-        // projections, so they register exactly those.
-        for (names, zipf, expect) in [
-            (["U1", "U2"], false, Algorithm::HyperCube),
-            (["Z1", "Z2"], true, Algorithm::SkewJoin),
-        ] {
-            for name in names {
-                svc.load(if zipf {
-                    generators::zipf_column(name, 3, 2000, n, 0, 1.1, &mut rng)
-                } else {
-                    generators::uniform(name, 3, 2000, n, &mut rng)
-                })
-                .unwrap();
-            }
-            let text = format!("{}(x,y,z), {}(x,y,w)", names[0], names[1]);
-            let q = parse_query(&text).unwrap();
-            assert_eq!(svc.query(&q).unwrap().algorithm(), expect);
-            let projections = planning_projections(&q.canonical());
-            for (j, name) in names.into_iter().enumerate() {
-                let info = (svc.relation_infos().into_iter())
-                    .find(|info| info.name == name)
+        for mode in [StatsMode::Sketch, StatsMode::Exact] {
+            let mut rng = Rng::seed_from_u64(7);
+            let mut svc = Service::new(n)
+                .with_backend(Backend::Sequential)
+                .with_defaults(p, 1)
+                .with_stats_mode(mode);
+            for name in ["S1", "S2", "S3"] {
+                svc.load(generators::zipf_column(name, 2, 2000, n, 0, 1.1, &mut rng))
                     .unwrap();
-                let asked = projections.iter().filter(|(atom, _)| *atom == j).count();
-                assert_eq!(info.tracked_projections, asked, "{text}: {name}");
+            }
+            let triangle = parse_query("S1(x,y), S2(y,z), S3(z,x)")
+                .unwrap()
+                .canonical();
+            // Plans one miss, checks it against the engine, and returns the
+            // bytes the service scanned to plan it.
+            let miss = |svc: &mut Service, seed: u64| -> u64 {
+                let spec = QuerySpec::new(triangle.clone()).seed(seed);
+                let before = stats_scan_bytes_total();
+                let out = svc.query_spec(&spec).unwrap();
+                let scanned = stats_scan_bytes_total() - before;
+                assert_eq!(out.cache_status(), CacheStatus::Miss, "{mode} seed {seed}");
+                assert_eq!(out.algorithm(), Algorithm::GeneralSkew, "{mode}");
+                let key = PlanKey {
+                    shape: triangle.shape(),
+                    p,
+                    seed,
+                    algorithm: Algorithm::Auto,
+                    aggregate: None,
+                };
+                let plan = &svc.plans[&key].plan;
+                let got = (
+                    plan.predicted_load_bits(),
+                    plan.num_bin_combinations(),
+                    out.max_load_bits(),
+                );
+                let atoms = svc.resolve_atoms(&triangle).unwrap();
+                let rels = atoms.iter().map(|&i| svc.entries[i].rel.clone()).collect();
+                let db = Database::from_shared(triangle.clone(), rels, n).unwrap();
+                let engine = Engine::new(&triangle).p(p).seed(seed);
+                let want = match mode {
+                    StatsMode::Sketch => engine
+                        .stats(&SketchStats::of(&db, svc.sketch_capacity_for_p()))
+                        .plan(&db),
+                    // Handed no source, the engine plans from exact
+                    // statistics.
+                    StatsMode::Exact => engine.plan(&db),
+                };
+                let want = (
+                    want.predicted_load_bits(),
+                    want.num_bin_combinations(),
+                    want.execute(&db, Backend::Sequential).max_load_bits(),
+                );
+                assert_eq!(
+                    got, want,
+                    "{mode} seed {seed}: the service planned off its sketches"
+                );
+                scanned
+            };
+            assert!(
+                miss(&mut svc, 1) > 0,
+                "{mode}: the first miss registers projections"
+            );
+            assert_eq!(miss(&mut svc, 2), 0, "{mode}: a second miss rescans");
+            svc.append("S1", &[0, 5, 1, 6, 2, 7]).unwrap();
+            assert_eq!(
+                miss(&mut svc, 3),
+                0,
+                "{mode}: a miss after an APPEND rescans"
+            );
+
+            // HyperCube and the skew join read nothing but the planning
+            // projections, so they register exactly those.
+            for (names, zipf, expect) in [
+                (["U1", "U2"], false, Algorithm::HyperCube),
+                (["Z1", "Z2"], true, Algorithm::SkewJoin),
+            ] {
+                for name in names {
+                    svc.load(if zipf {
+                        generators::zipf_column(name, 3, 2000, n, 0, 1.1, &mut rng)
+                    } else {
+                        generators::uniform(name, 3, 2000, n, &mut rng)
+                    })
+                    .unwrap();
+                }
+                let text = format!("{}(x,y,z), {}(x,y,w)", names[0], names[1]);
+                let q = parse_query(&text).unwrap();
+                assert_eq!(svc.query(&q).unwrap().algorithm(), expect, "{mode}");
+                let projections = planning_projections(&q.canonical());
+                for (j, name) in names.into_iter().enumerate() {
+                    let info = (svc.relation_infos().into_iter())
+                        .find(|info| info.name == name)
+                        .unwrap();
+                    let asked = projections.iter().filter(|(atom, _)| *atom == j).count();
+                    assert_eq!(info.tracked_projections, asked, "{mode} {text}: {name}");
+                }
             }
         }
     }
@@ -1323,7 +1302,7 @@ mod tests {
                     for key in keys {
                         let query = svc.plans[&key].query.clone();
                         let atoms = svc.resolve_atoms(&query).unwrap();
-                        let now = svc.catalog_stats(&atoms).fingerprint(&query, key.p);
+                        let now = fingerprint(&svc.sketch_stats(&atoms), &query, key.p);
                         mpc_testkit::prop_assert_eq!(svc.plans[&key].fingerprint, now, "{mode} after op {kind} on {name}");
                     }
                 }

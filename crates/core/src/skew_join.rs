@@ -46,31 +46,16 @@ struct HeavyRoute {
     p2: usize,
 }
 
-/// Configuration knobs for [`SkewJoin`] (ablations).
-#[derive(Clone, Copy, Debug)]
-pub struct SkewJoinConfig {
-    /// Handle H12 (heavy-both-sides) values with a `p1 × p2` cartesian grid
-    /// (the paper's step 2). When false they fall back to the H1 treatment
-    /// (`p2 = 1`), whose broadcast side costs `Θ(m2(h))` per server instead of
-    /// `Θ(sqrt(m1(h) m2(h) / p_h))`.
-    pub use_grids: bool,
-}
-
-impl Default for SkewJoinConfig {
-    fn default() -> Self {
-        SkewJoinConfig { use_grids: true }
-    }
-}
-
 /// A planned skew join (Section 4.1).
 ///
-/// [`SkewJoin::plan_with`] is the one planner: it reads a [`Stats`]
-/// source's cardinalities and the two shared-variable heavy sets, exactly
-/// as §4.2's [`GeneralSkewAlgorithm::plan_with`](crate::skew_general::GeneralSkewAlgorithm::plan_with)
-/// does; [`SkewJoin::plan`] is that over [`ExactStats`], and the engine
-/// calls it with whatever source [`Engine::stats`](crate::engine::Engine::stats)
-/// was given. The plan carries its Eq. (10) prediction
-/// ([`SkewJoin::predicted_load_bits`]).
+/// [`SkewJoin::plan_with`] is the one planner, with the shape of §4.2's
+/// [`GeneralSkewAlgorithm::plan_with`](crate::skew_general::GeneralSkewAlgorithm::plan_with):
+/// `(q, p, seed)` and one [`Stats`] source, of which it reads the
+/// cardinalities and the two shared-variable heavy sets. There is no
+/// other knob; [`SkewJoin::plan`] is that over [`ExactStats`], and the
+/// engine calls it with whatever source
+/// [`Engine::stats`](crate::engine::Engine::stats) was given. The plan
+/// carries its Eq. (10) prediction ([`SkewJoin::predicted_load_bits`]).
 ///
 /// ```
 /// use mpc_core::skew_join::SkewJoin;
@@ -113,16 +98,10 @@ pub struct SkewJoin {
 }
 
 impl SkewJoin {
-    /// Plan from the exact statistics of `db` under the default
-    /// configuration: [`SkewJoin::plan_with`] over [`ExactStats`].
+    /// Plan from the exact statistics of `db`: [`SkewJoin::plan_with`]
+    /// over [`ExactStats`].
     pub fn plan(db: &Database, p: usize, seed: u64) -> SkewJoin {
-        SkewJoin::plan_with(
-            db.query(),
-            p,
-            seed,
-            &ExactStats::of(db),
-            SkewJoinConfig::default(),
-        )
+        SkewJoin::plan_with(db.query(), p, seed, &ExactStats::of(db))
     }
 
     /// Plan `q` (two atoms sharing a non-empty variable set) for `p`
@@ -135,14 +114,11 @@ impl SkewJoin {
     /// the Eq. (10) prediction share one classification. Both relations
     /// consult the same per-value route table, so *any* classification
     /// yields a complete algorithm: estimate error only shifts load
-    /// (`tests/stats_parity.rs` bounds by how much).
-    pub fn plan_with(
-        q: &Query,
-        p: usize,
-        seed: u64,
-        stats: &dyn Stats,
-        config: SkewJoinConfig,
-    ) -> SkewJoin {
+    /// (`tests/stats_parity.rs` bounds by how much). The plan is a function
+    /// of `(q, p, seed)` and what `stats` reports, nothing else: a variant
+    /// of the algorithm is a statistics view (the grid ablation hides from
+    /// S2 the values S1 finds heavy, so every H12 value is planned as H1).
+    pub fn plan_with(q: &Query, p: usize, seed: u64, stats: &dyn Stats) -> SkewJoin {
         assert_eq!(q.num_atoms(), 2, "skew join handles exactly two relations");
         let shared: VarSet = q.atom(0).var_set().intersect(q.atom(1).var_set());
         assert!(!shared.is_empty(), "the two atoms must share variables");
@@ -162,17 +138,14 @@ impl SkewJoin {
                 .collect::<Vec<_>>()
         });
 
-        // Classify heavy hitters. Ablation: without grids, H12 hitters
-        // degrade to the H1 treatment (partition S1, broadcast S2's heavy
-        // tuples) — the configuration the `ablation_skew` experiment
-        // measures to show why the grid exists.
+        // Classify heavy hitters by membership in the two heavy sets.
         let mut h12: Vec<(Vec<u64>, f64, f64)> = Vec::new();
         let mut h1: Vec<(Vec<u64>, f64)> = Vec::new();
         let mut h2: Vec<(Vec<u64>, f64)> = Vec::new();
         for (h, &c1) in &heavy[0].entries {
             match heavy[1].frequency(h) {
-                Some(c2) if config.use_grids => h12.push((h.clone(), c1 as f64, c2 as f64)),
-                _ => h1.push((h.clone(), c1 as f64)),
+                Some(c2) => h12.push((h.clone(), c1 as f64, c2 as f64)),
+                None => h1.push((h.clone(), c1 as f64)),
             }
         }
         for (h, &c2) in &heavy[1].entries {
@@ -437,6 +410,32 @@ mod tests {
         );
     }
 
+    /// Exact statistics of `S1(x,z), S2(y,z)`, except that S2 hides the
+    /// `z` values S1 finds heavy: every H12 value is planned as heavy in S1
+    /// only (the grid ablation).
+    struct NoGrids<'a>(ExactStats<'a>);
+
+    impl Stats for NoGrids<'_> {
+        fn simple(&self) -> mpc_stats::cardinality::SimpleStatistics {
+            self.0.simple()
+        }
+
+        fn heavy_hitters(
+            &self,
+            atom: usize,
+            cols: &[usize],
+            p: usize,
+        ) -> Vec<mpc_stats::sketch::FreqEstimate> {
+            let mut heavy = self.0.heavy_hitters(atom, cols, p);
+            if atom == 1 {
+                // `z` sits at the same column in both atoms.
+                let in_s1 = self.0.heavy_hitters(0, cols, p);
+                heavy.retain(|e| !in_s1.iter().any(|h| h.key == e.key));
+            }
+            heavy
+        }
+    }
+
     #[test]
     fn grid_ablation_is_correct_but_slower() {
         // Without H12 grids the algorithm stays correct but the broadcast
@@ -457,13 +456,9 @@ mod tests {
         let (c1, r1) = with_grid.run(&db);
         assert_complete(&db, &c1);
 
-        let without = SkewJoin::plan_with(
-            db.query(),
-            p,
-            9,
-            &ExactStats::of(&db),
-            SkewJoinConfig { use_grids: false },
-        );
+        let without = SkewJoin::plan_with(db.query(), p, 9, &NoGrids(ExactStats::of(&db)));
+        let route = without.routes.get(&vec![5u64]).expect("5 is heavy in S1");
+        assert_eq!(route.p2, 1, "the H12 value is planned as H1: {route:?}");
         let (c2, r2) = without.run(&db);
         assert_complete(&db, &c2);
 

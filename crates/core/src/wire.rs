@@ -188,7 +188,7 @@ fn cmd_query(service: &mut Service, rest: &str, out: &mut String) {
 
 /// `SET key=value ...`: install default query budgets on the service
 /// (shared by every session on a TCP front). `0` clears a default
-/// back to unlimited.
+/// back to unlimited; each key at most once.
 fn cmd_set(service: &mut Service, rest: &str, out: &mut String) {
     if rest.is_empty() {
         return reply!(
@@ -196,13 +196,19 @@ fn cmd_set(service: &mut Service, rest: &str, out: &mut String) {
             "err SET needs: SET [timeout_ms=N] [max_rows=N] [max_groups=N]"
         );
     }
-    // Every pair is parsed before any is installed: a bad pair leaves
-    // every default as it was.
-    let settings: Result<Vec<_>, String> = rest.split_whitespace().map(parse_setting).collect();
-    let settings = match settings {
-        Ok(settings) => settings,
-        Err(e) => return reply!(out, "err {e}"),
-    };
+    // Every pair is parsed before any is installed: a bad or repeated pair
+    // leaves every default as it was.
+    let mut settings: Vec<(&str, u64, Setter)> = Vec::new();
+    for pair in rest.split_whitespace() {
+        let setting = match parse_setting(pair) {
+            Ok(setting) => setting,
+            Err(e) => return reply!(out, "err {e}"),
+        };
+        if settings.iter().any(|(key, ..)| *key == setting.0) {
+            return reply!(out, "err SET {}= given twice", setting.0);
+        }
+        settings.push(setting);
+    }
     out.push_str("ok set");
     for (key, n, set) in settings {
         set(service, (n != 0).then_some(n));
@@ -805,6 +811,34 @@ mod tests {
         // ones before the bad one.
         let out = one(&mut s, &mut svc, "SET max_rows=1 max_groups=x");
         assert!(out.starts_with("err SET max_groups="), "{out}");
+        let out = one(&mut s, &mut svc, "QUERY S1(x,z), S2(y,z)");
+        assert!(out.starts_with("ok answers=3 "), "{out}");
+        // A key given twice is refused like a repeated QUERY option, and
+        // neither value is installed.
+        let out = one(&mut s, &mut svc, "SET max_rows=1 max_rows=0");
+        assert_eq!(out, "err SET max_rows= given twice");
+        let out = one(&mut s, &mut svc, "QUERY S1(x,z), S2(y,z)");
+        assert!(out.starts_with("ok answers=3 "), "{out}");
+    }
+
+    #[test]
+    fn an_atom_wider_than_the_local_join_is_unsupported() {
+        // 65 positions over 10 variables parse, but the local join tracks
+        // at most 64 positions per atom: admission refuses the query and
+        // the session keeps serving.
+        let mut svc = service();
+        let mut s = Session::new();
+        let zeros = vec!["0"; 65].join(",");
+        let out = one(&mut s, &mut svc, &format!("LOAD R 65 {zeros}"));
+        assert_eq!(out, "ok loaded R arity=65 tuples=1");
+        let vars: Vec<String> = (0..65).map(|i| format!("v{}", i % 10)).collect();
+        let out = one(&mut s, &mut svc, &format!("QUERY R({})", vars.join(",")));
+        assert_eq!(
+            out,
+            "err unsupported atom `R` has 65 positions; the local join supports at most 64"
+        );
+        s.handle(&mut svc, "LOAD S1 2 0,1;1,1;2,3");
+        s.handle(&mut svc, "LOAD S2 2 5,1;6,3");
         let out = one(&mut s, &mut svc, "QUERY S1(x,z), S2(y,z)");
         assert!(out.starts_with("ok answers=3 "), "{out}");
     }

@@ -161,15 +161,10 @@ impl Database {
         self.relations.iter().map(|r| r.len()).collect()
     }
 
-    /// Bit sizes `M = (M_1, ..., M_ℓ)` with `M_j = a_j m_j log n`.
-    pub fn bit_sizes(&self) -> Vec<u64> {
-        let bits = self.value_bits();
-        self.relations.iter().map(|r| r.bit_size(bits)).collect()
-    }
-
-    /// Total input size in bits, `Σ_j M_j`.
+    /// Total input size in bits, `Σ_j M_j` with `M_j = a_j m_j log n`.
     pub fn total_bits(&self) -> u64 {
-        self.bit_sizes().iter().sum()
+        let bits = self.value_bits();
+        self.relations.iter().map(|r| r.bit_size(bits)).sum()
     }
 
     /// Replace the relation at atom `j` (arity/domain re-validated).
@@ -204,7 +199,7 @@ mod tests {
         let db = join_db();
         assert_eq!(db.cardinalities(), vec![2, 1]);
         assert_eq!(db.value_bits(), 4);
-        assert_eq!(db.bit_sizes(), vec![16, 8]);
+        assert_eq!([0, 1].map(|j| db.relation(j).bit_size(4)), [16, 8]);
         assert_eq!(db.total_bits(), 24);
     }
 

@@ -572,6 +572,11 @@ fn fixed_join(
 // Dynamic (cardinality-guided) engine
 // ---------------------------------------------------------------------------
 
+/// The widest atom the dynamic engine joins: it keeps an atom's bound
+/// positions in one `u64` mask. Planning surfaces refuse wider atoms
+/// before they reach a join.
+pub const MAX_ATOM_ARITY: usize = 64;
+
 /// The leaf scans an occurrence's candidate rows, instead of probing its
 /// index once per surviving value, when they number at most four times
 /// the larger of this and the survivor count.
@@ -1065,8 +1070,8 @@ fn dyn_join(
     let l = query.num_atoms();
     for (j, rel) in relations.iter().enumerate() {
         assert!(
-            query.atom(j).arity() <= 64,
-            "dynamic join supports atom arity <= 64 (atom {:?} has arity {})",
+            query.atom(j).arity() <= MAX_ATOM_ARITY,
+            "dynamic join supports atom arity <= {MAX_ATOM_ARITY} (atom {:?} has arity {})",
             query.atom(j).name(),
             query.atom(j).arity()
         );

@@ -6,6 +6,7 @@
 //! `M_j = a_j · m_j · log n`.
 
 use mpc_data::catalog::Database;
+use mpc_data::relation::Relation;
 
 /// The statistics every input server knows in the simple regime.
 #[derive(Clone, Debug, PartialEq)]
@@ -23,11 +24,21 @@ pub struct SimpleStatistics {
 impl SimpleStatistics {
     /// Collect from a database.
     pub fn of(db: &Database) -> SimpleStatistics {
+        SimpleStatistics::over(db.relations().iter().map(|rel| &**rel), db.domain())
+    }
+
+    /// Collect from one relation per atom, in atom order, over domain
+    /// `[0, domain)`.
+    pub fn over<'r>(
+        relations: impl Iterator<Item = &'r Relation> + Clone,
+        domain: u64,
+    ) -> SimpleStatistics {
+        let value_bits = mpc_data::domain_bits(domain);
         SimpleStatistics {
-            cardinalities: db.cardinalities(),
-            bit_sizes: db.bit_sizes(),
-            value_bits: db.value_bits(),
-            domain: db.domain(),
+            cardinalities: relations.clone().map(Relation::len).collect(),
+            bit_sizes: relations.map(|rel| rel.bit_size(value_bits)).collect(),
+            value_bits,
+            domain,
         }
     }
 

@@ -11,8 +11,8 @@
 //! the data (zero-width intervals; the scan-based oracle the parity suites
 //! compare every other source against, and what the engine plans from
 //! when it is handed no source), [`SketchStats`] answers from
-//! [`crate::sketch`] summaries, [`SyntheticStats`] carries cardinalities
-//! only.
+//! [`crate::sketch`] summaries — its own, or ones the resident service
+//! lends it — and [`SyntheticStats`] carries cardinalities only.
 //!
 //! Planners consume estimates through the **pinned conservative fallback
 //! rule** ([`FreqEstimate::may_exceed`]): an estimate whose interval
@@ -25,6 +25,8 @@ use crate::cardinality::SimpleStatistics;
 use crate::sketch::{FreqEstimate, RelationSketch};
 use mpc_data::catalog::Database;
 use mpc_data::fastmap::FastMap;
+use mpc_data::relation::Relation;
+use std::borrow::BorrowMut;
 use std::cell::RefCell;
 
 /// The statistics a planner consumes — the paper's two information regimes
@@ -86,41 +88,54 @@ impl Stats for ExactStats<'_> {
     }
 }
 
-/// Sketch-backed statistics: one [`RelationSketch`] per relation, built
-/// lazily by one streaming pass per projection first asked about (the
-/// resident service maintains the same summaries incrementally on append);
-/// after that every question is answered from `O(capacity)` state with
-/// guaranteed error bounds, never rescanning.
-pub struct SketchStats<'a> {
-    db: &'a Database,
-    capacity: usize,
-    cache: RefCell<FastMap<usize, RelationSketch>>,
+/// Sketch-backed statistics: one [`RelationSketch`] per atom, owned
+/// ([`SketchStats::of`]) or lent by the resident service, which keeps its
+/// sketches current on append ([`SketchStats::over`]). A projection is
+/// registered — one streaming pass over the relation — the first time
+/// anything asks for it; after that every question is answered from
+/// `O(capacity)` state with guaranteed error bounds, never rescanning.
+pub struct SketchStats<'a, S = RelationSketch> {
+    relations: Vec<&'a Relation>,
+    sketches: RefCell<Vec<S>>,
+    domain: u64,
 }
 
 impl<'a> SketchStats<'a> {
     /// Sketch `db` at `capacity` tracked keys per projection. Capacity
     /// `>= p` guarantees no true `m/p`-heavy hitter is missed.
     pub fn of(db: &'a Database, capacity: usize) -> SketchStats<'a> {
+        let relations: Vec<&Relation> = db.relations().iter().map(|rel| &**rel).collect();
+        let sketches = relations
+            .iter()
+            .map(|rel| RelationSketch::of(rel, capacity))
+            .collect();
+        SketchStats::over(relations, sketches, db.domain())
+    }
+}
+
+impl<'a, S: BorrowMut<RelationSketch>> SketchStats<'a, S> {
+    /// Statistics over one relation and one sketch per atom, in atom
+    /// order, over domain `[0, domain)`. Each sketch must have been fed
+    /// every tuple of its relation.
+    pub fn over(relations: Vec<&'a Relation>, sketches: Vec<S>, domain: u64) -> SketchStats<'a, S> {
+        assert_eq!(relations.len(), sketches.len(), "one sketch per atom");
         SketchStats {
-            db,
-            capacity,
-            cache: RefCell::new(FastMap::default()),
+            relations,
+            sketches: RefCell::new(sketches),
+            domain,
         }
     }
 }
 
-impl Stats for SketchStats<'_> {
+impl<S: BorrowMut<RelationSketch>> Stats for SketchStats<'_, S> {
     fn simple(&self) -> SimpleStatistics {
-        SimpleStatistics::of(self.db)
+        SimpleStatistics::over(self.relations.iter().copied(), self.domain)
     }
 
     fn heavy_hitters(&self, atom: usize, cols: &[usize], p: usize) -> Vec<FreqEstimate> {
-        let mut cache = self.cache.borrow_mut();
-        let rel = self.db.relation(atom);
-        let sk = cache
-            .entry(atom)
-            .or_insert_with(|| RelationSketch::of(rel, self.capacity));
-        sk.ensure_projection(rel, cols);
+        let mut sketches = self.sketches.borrow_mut();
+        let sk = sketches[atom].borrow_mut();
+        sk.ensure_projection(self.relations[atom], cols);
         sk.heavy_hitters(cols, p).expect("projection ensured")
     }
 }

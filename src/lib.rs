@@ -45,7 +45,7 @@ pub mod prelude {
     };
     pub use mpc_core::shares::ShareAllocation;
     pub use mpc_core::skew_general::GeneralSkewAlgorithm;
-    pub use mpc_core::skew_join::{SkewJoin, SkewJoinConfig};
+    pub use mpc_core::skew_join::SkewJoin;
     pub use mpc_core::verify::{
         aggregate_oracle, assert_complete, verify, verify_aggregate, AggregateVerification,
     };

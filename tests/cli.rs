@@ -1068,7 +1068,15 @@ fn serve_answers_unplannable_queries_with_one_err_line_on_stdio_and_tcp() {
 #[test]
 fn run_refuses_unplannable_requests_without_a_backtrace() {
     use mpc_skew::core::engine::SKEW_JOIN_NEEDS_TWO_ATOMS;
+    // 65 positions over 10 variables: the parser limits distinct variables
+    // only, so admission is what keeps the atom off the local join.
+    let vars: Vec<String> = (0..65).map(|i| format!("v{}", i % 10)).collect();
+    let wide = format!("R({})", vars.join(","));
     for (args, message) in [
+        (
+            vec!["run", &wide, "--m", "10", "--domain", "1"],
+            "atom `R` has 65 positions; the local join supports at most 64",
+        ),
         (
             vec!["run", "S1(x,z), S2(y,w)", "--algo", "skew-join"],
             SKEW_JOIN_NEEDS_TWO_ATOMS,
@@ -1084,7 +1092,7 @@ fn run_refuses_unplannable_requests_without_a_backtrace() {
         (vec!["serve", "--p", "0"], "--p must be at least 1"),
     ] {
         let out = mpcskew().args(&args).output().expect("binary runs");
-        assert!(!out.status.success(), "{args:?}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
         assert_eq!(
             String::from_utf8_lossy(&out.stderr),
             format!("error: {message}\n"),

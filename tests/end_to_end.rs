@@ -185,7 +185,7 @@ fn broadcast_join_matches_footnote_1() {
     let cluster = Cluster::run_round(&db, p, &router);
     verify::assert_complete(&db, &cluster);
     let report = cluster.report();
-    let scan = db.bit_sizes()[0] as f64 / p as f64;
+    let scan = db.relation(0).bit_size(db.value_bits()) as f64 / p as f64;
     assert!(
         (report.max_load_bits() as f64) < 2.5 * scan,
         "broadcast join load {} above 2.5x scan bound {scan}",
