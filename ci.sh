@@ -10,7 +10,8 @@
 #                        # one-ground-truth/one-freshness-check,
 #                        # one-statistics-surface (incl. one sketch-backed
 #                        # Stats, no skew-join config), one-executor,
-#                        # one-query-path and one-stop/one-narrowing guards
+#                        # one-query-path, one-stop/one-narrowing and
+#                        # one-enumeration-per-question guards
 #                        # + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
@@ -312,7 +313,7 @@ fi
 # unused hypergraph module stays gone — not even as a name in a comment.
 # The ratchet counts `pub fn`s under crates/*/src whose name appears in no
 # other .rs file; it may fall, never rise past UNCALLED_MAX.
-UNCALLED_MAX=11
+UNCALLED_MAX=5
 UNCALLED=0
 for entry in $(grep -rno 'pub fn [a-z_0-9]*' crates/*/src --include='*.rs' \
     | sed 's/^\([^:]*\):[0-9]*:pub fn /\1:/'); do
@@ -413,6 +414,31 @@ if [ -n "$UNWIND$FORKED" ]; then
     printf '%s\n%s\n' "$UNWIND" "$FORKED" | sed '/^$/d' >&2
     exit 1
 fi
+
+# One enumeration per question. Each packing polytope is enumerated in one
+# place (`packing_vertices` in packing.rs, `saturating_packing_vertices` in
+# residual.rs), over only the rows that can be tight at a vertex, and every
+# closed form in bounds.rs is derived from the vertex list its caller
+# passes in: no non-test function there enumerates on its own. The 8-atom
+# chain's `mpcskew bounds` enumerated its polytope four times over 1 081 575
+# subsets (about 30 s); it must finish well inside 10 s.
+stage "one enumeration per question: bounds.rs derives from a vertex list, enumerate_vertices has two callers, 8-chain bounds under 10 s"
+REENUM=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/bounds.rs \
+    | grep -nE '(^|[^a-z_])(packing_vertices|pk)\(' | grep -vE '^[0-9]+: *//' || true)
+ENUM_CALLERS=$(grep -rn 'enumerate_vertices(' crates/*/src src --include='*.rs' \
+    | grep -v '^crates/lp/src/vertex_enum.rs:' | grep -vE '^[^:]*:[0-9]+: *//' || true)
+if [ -n "$REENUM" ] \
+    || [ "$(printf '%s\n' "$ENUM_CALLERS" | sed 's/:.*//' | sort)" != "$(printf 'crates/query/src/packing.rs\ncrates/query/src/residual.rs')" ]; then
+    echo "a closed form in bounds.rs enumerates the packing polytope itself, or enumerate_vertices has callers besides packing_vertices and saturating_packing_vertices:" >&2
+    printf '%s\n%s\n' "$REENUM" "$ENUM_CALLERS" | sed '/^$/d' >&2
+    exit 1
+fi
+CHAIN8="S1(x1,x2), S2(x2,x3), S3(x3,x4), S4(x4,x5), S5(x5,x6), S6(x6,x7), S7(x7,x8), S8(x8,x9)"
+timeout 10 ./target/release/mpcskew bounds "$CHAIN8" \
+    --cards 65536,65536,65536,65536,65536,65536,65536,65536 --p 64 > /dev/null || {
+    echo "mpcskew bounds on the 8-atom chain failed or took over 10 s" >&2
+    exit 1
+}
 
 stage "cargo bench --no-run"
 cargo bench --workspace --offline --no-run

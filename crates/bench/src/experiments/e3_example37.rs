@@ -7,12 +7,13 @@
 
 use crate::table::{fmt, Table};
 use mpc_core::{bounds, shares::ShareAllocation};
-use mpc_query::named;
+use mpc_query::{named, packing_vertices};
 use mpc_stats::SimpleStatistics;
 
 /// Run E3.
 pub fn run() {
     let q = named::cycle(3);
+    let vertices = packing_vertices(&q);
     let p = 64usize;
     let regimes: Vec<(&str, [usize; 3])> = vec![
         ("balanced", [1 << 16, 1 << 16, 1 << 16]),
@@ -35,7 +36,7 @@ pub fn run() {
     );
     for (name, cards) in regimes {
         let st = SimpleStatistics::synthetic(&[2, 2, 2], cards.to_vec(), 1 << 26);
-        let table = bounds::packing_load_table(&q, &st, p);
+        let table = bounds::packing_load_table(&vertices, &st, p);
         let find = |u: &[f64]| {
             table
                 .iter()
@@ -47,7 +48,7 @@ pub fn run() {
         let u1 = find(&[1.0, 0.0, 0.0]);
         let u2 = find(&[0.0, 1.0, 0.0]);
         let u3 = find(&[0.0, 0.0, 1.0]);
-        let (lower, _) = bounds::l_lower(&q, &st, p);
+        let (lower, _) = bounds::l_lower(&vertices, &st, p);
         let lp = ShareAllocation::optimize(&q, &st, p)
             .unwrap()
             .predicted_load_bits();

@@ -10,7 +10,7 @@
 use crate::table::{fmt, fmt_ratio, Table};
 use mpc_core::bounds;
 use mpc_data::{generators, Database, Rng};
-use mpc_query::{named, Query, VarSet};
+use mpc_query::{named, packing_vertices, Query, VarSet};
 use mpc_stats::{degree_statistics, SimpleStatistics};
 
 fn join_with_degrees(theta: f64, m: usize, n: u64, seed: u64) -> Database {
@@ -48,7 +48,7 @@ fn triangle_with_planted(alpha: f64, m: usize, n: u64, seed: u64) -> Database {
 
 fn report(t: &Table, label: &str, q: &Query, db: &Database, x: VarSet, p: usize) {
     let st = SimpleStatistics::of(db);
-    let (flat, _) = bounds::l_lower(q, &st, p);
+    let (flat, _) = bounds::l_lower(&packing_vertices(q), &st, p);
     let deg = degree_statistics(db, x);
     let (resid, u) = bounds::residual_lower_bound(q, &deg, p, db.value_bits(), db.domain())
         .expect("saturating packing exists");

@@ -10,12 +10,13 @@ use crate::table::{fmt, Table};
 use crate::workloads::uniform_db;
 use mpc_core::bounds;
 use mpc_core::hypercube::HyperCube;
-use mpc_query::named;
+use mpc_query::{named, packing_vertices};
 use mpc_stats::SimpleStatistics;
 
 /// Run E9.
 pub fn run() {
     let q = named::cycle(3);
+    let vertices = packing_vertices(&q);
     let n = 1u64 << 10;
     let m = 1usize << 15;
     let db = uniform_db(&q, m, n, 91);
@@ -40,8 +41,8 @@ pub fn run() {
         let (_, report) = hc.run(&db);
         let l = report.max_load_bits() as f64;
         let r = report.replication_rate();
-        let r_bound = bounds::replication_rate_bound(&q, &st, l);
-        let reducers = bounds::min_reducers(&q, &st, l);
+        let r_bound = bounds::replication_rate_bound(&vertices, &st, l);
+        let reducers = bounds::min_reducers(&vertices, &st, l);
         assert!(
             r >= r_bound * 0.9,
             "p={p}: measured replication {r} below the bound {r_bound}"

@@ -11,16 +11,21 @@
 //! All bounds are "up to a constant `c` < 1 and polylog(p) factors"; the
 //! functions below return the clean algebraic expression (constant 1), which
 //! is the quantity the experiments compare measured loads against.
+//!
+//! The closed forms over the packing polytope take its vertex list, from
+//! [`packing_vertices`](mpc_query::packing::packing_vertices), rather than
+//! the query: a caller that needs several of them enumerates the polytope
+//! once.
 
-use mpc_query::packing::pk;
+use mpc_lp::{non_dominated_max, Rat};
 use mpc_query::residual::saturating_packing_vertices;
-use mpc_query::{Packing, Query, VarSet};
+use mpc_query::{Packing, Query};
 use mpc_stats::cardinality::SimpleStatistics;
 use mpc_stats::degree::{sum_over_assignments, DegreeStatistics};
 use mpc_stats::heavy::HeavyHitters;
 
 /// `K(u, M) = Π_j M_j^{u_j}` (Eq. 6), computed in log space.
-pub fn k_value(u: &[f64], m_bits: &[f64]) -> f64 {
+fn k_value(u: &[f64], m_bits: &[f64]) -> f64 {
     assert_eq!(u.len(), m_bits.len());
     let log_k: f64 = u
         .iter()
@@ -38,7 +43,7 @@ pub fn k_value(u: &[f64], m_bits: &[f64]) -> f64 {
 
 /// `L(u, M, p) = (K(u, M) / p)^{1/u}` with `u = Σ_j u_j` (Eq. 7).
 /// Returns 0 for the degenerate `u = 0`.
-pub fn l_value(u: &[f64], m_bits: &[f64], p: usize) -> f64 {
+fn l_value(u: &[f64], m_bits: &[f64], p: usize) -> f64 {
     let total: f64 = u.iter().sum();
     if total <= 0.0 {
         return 0.0;
@@ -47,9 +52,9 @@ pub fn l_value(u: &[f64], m_bits: &[f64], p: usize) -> f64 {
     log_l.exp()
 }
 
-/// The lower bound `L_lower = max_u L(u, M, p)` over packing-polytope
-/// vertices (Theorem 3.5 via Theorem 3.6), together with the maximizing
-/// packing.
+/// The lower bound `L_lower = max_u L(u, M, p)` over the packing
+/// polytope's `vertices` (Theorem 3.5 via Theorem 3.6), together with the
+/// first maximizing vertex in list order.
 ///
 /// Note on `pk(q)`: Theorem 3.6 states the maximum over the *non-dominated*
 /// vertices `pk(q)`, which is valid after the paper's broadcast
@@ -59,9 +64,8 @@ pub fn l_value(u: &[f64], m_bits: &[f64], p: usize) -> f64 {
 /// `(1,1,1)`, because adding a broadcastable relation to the packing
 /// *lowers* `L`. Maximizing over all vertices is always correct (every
 /// packing gives a valid lower bound) and always equals the LP (5) optimum.
-pub fn l_lower(q: &Query, stats: &SimpleStatistics, p: usize) -> (f64, Packing) {
+pub fn l_lower(vertices: &[Packing], stats: &SimpleStatistics, p: usize) -> (f64, Packing) {
     let m_bits = stats.bit_sizes_f64();
-    let vertices = mpc_query::packing::packing_vertices(q);
     let mut best_val = f64::NEG_INFINITY;
     let mut best = None;
     for v in vertices {
@@ -73,15 +77,20 @@ pub fn l_lower(q: &Query, stats: &SimpleStatistics, p: usize) -> (f64, Packing) 
     }
     (
         best_val,
-        best.expect("pk(q) is never empty for a valid query"),
+        best.cloned()
+            .expect("a packing polytope has at least the origin"),
     )
 }
 
-/// The per-vertex table of Example 3.7: every `u ∈ pk(q)` with its
-/// `L(u, M, p)`, sorted descending by load.
-pub fn packing_load_table(q: &Query, stats: &SimpleStatistics, p: usize) -> Vec<(Packing, f64)> {
+/// The per-vertex table of Example 3.7: every non-dominated member of
+/// `vertices` (`pk(q)`) with its `L(u, M, p)`, sorted descending by load.
+pub fn packing_load_table(
+    vertices: &[Packing],
+    stats: &SimpleStatistics,
+    p: usize,
+) -> Vec<(Packing, f64)> {
     let m_bits = stats.bit_sizes_f64();
-    let mut rows: Vec<(Packing, f64)> = pk(q)
+    let mut rows: Vec<(Packing, f64)> = non_dominated_max(vertices)
         .into_iter()
         .map(|v| {
             let val = l_value(&v.to_f64(), &m_bits, p);
@@ -96,7 +105,7 @@ pub fn packing_load_table(q: &Query, stats: &SimpleStatistics, p: usize) -> Vec<
 /// packing `u` of the residual query `q_x`, evaluated from exact
 /// x-statistics. `M_j(h_j) = a_j · m_j(h_j) · log n` per the paper's bit
 /// accounting. Returns 0 for `Σ u_j = 0`.
-pub fn l_x_value(
+fn l_x_value(
     q: &Query,
     deg: &DegreeStatistics,
     u: &[f64],
@@ -139,41 +148,6 @@ pub fn residual_lower_bound(
         }
     }
     best
-}
-
-/// The overall skewed-data lower bound: `max_x` of [`residual_lower_bound`]
-/// over all variable subsets `x` (including `x = ∅`, which recovers
-/// Theorem 3.5). The caller supplies a function that materializes the
-/// x-statistics for each `x` (typically `|x| <= max_vars` for tractability).
-pub fn max_residual_lower_bound(
-    q: &Query,
-    p: usize,
-    value_bits: u32,
-    domain: u64,
-    max_vars: usize,
-    mut stats_for: impl FnMut(VarSet) -> DegreeStatistics,
-) -> (f64, VarSet, Packing) {
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_x = VarSet::EMPTY;
-    let mut best_u: Option<Packing> = None;
-    for x in q.all_vars().subsets() {
-        if x.len() > max_vars {
-            continue;
-        }
-        let deg = stats_for(x);
-        if let Some((val, u)) = residual_lower_bound(q, &deg, p, value_bits, domain) {
-            if val > best_val {
-                best_val = val;
-                best_x = x;
-                best_u = Some(u);
-            }
-        }
-    }
-    (
-        best_val,
-        best_x,
-        best_u.expect("x = ∅ always yields a bound"),
-    )
 }
 
 /// The Section 4.1 skew-join bound (Eq. 10):
@@ -242,14 +216,18 @@ pub fn skew_join_bound(heavy1: &HeavyHitters, heavy2: &HeavyHitters) -> SkewJoin
 /// `r >= (L / Σ_j M_j) · max_u Π_j (M_j / L)^{u_j}`
 /// over packings with total weight `u >= 1` (the theorem's proof uses
 /// `u >= 1` for the optimal packing; sub-unit packings only yield the
-/// trivial `r >= L/ΣM`). The paper's constant `c^u` is omitted — shapes,
-/// not constants.
-pub fn replication_rate_bound(q: &Query, stats: &SimpleStatistics, reducer_bits: f64) -> f64 {
+/// trivial `r >= L/ΣM`), taken over the packing polytope's `vertices`. The
+/// paper's constant `c^u` is omitted — shapes, not constants.
+pub fn replication_rate_bound(
+    vertices: &[Packing],
+    stats: &SimpleStatistics,
+    reducer_bits: f64,
+) -> f64 {
     let m_bits = stats.bit_sizes_f64();
     let total: f64 = m_bits.iter().sum();
-    let best = mpc_query::packing::packing_vertices(q)
-        .into_iter()
-        .filter(|u| u.value() >= mpc_lp::Rat::ONE)
+    let best = vertices
+        .iter()
+        .filter(|u| u.value() >= Rat::ONE)
         .map(|u| {
             let uf = u.to_f64();
             let log_prod: f64 = uf
@@ -266,8 +244,8 @@ pub fn replication_rate_bound(q: &Query, stats: &SimpleStatistics, reducer_bits:
 /// Minimum number of reducers implied by Theorem 5.1:
 /// `p >= r · |I| / L` (Section 5; for equal-size triangles this is
 /// `(M/L)^{3/2}` as in Example 5.2).
-pub fn min_reducers(q: &Query, stats: &SimpleStatistics, reducer_bits: f64) -> f64 {
-    let r = replication_rate_bound(q, stats, reducer_bits);
+pub fn min_reducers(vertices: &[Packing], stats: &SimpleStatistics, reducer_bits: f64) -> f64 {
+    let r = replication_rate_bound(vertices, stats, reducer_bits);
     r * stats.total_bits() as f64 / reducer_bits
 }
 
@@ -292,29 +270,11 @@ pub fn expected_answers(q: &Query, cardinalities: &[usize], n: u64) -> f64 {
     log.exp()
 }
 
-/// The exact number of bits needed to represent a uniformly chosen
-/// `m`-subset of `[n]^a`: `log2 C(n^a, m)` (the representation size the
-/// lower-bound proofs charge — Appendix A: "the number of bits necessary to
-/// represent the relation is log (n^{a_j} choose m_j)"). Computed as
-/// `Σ_{i<m} log2((N - i)/(i + 1))` in f64.
-pub fn exact_bit_size(n: u64, arity: usize, m: usize) -> f64 {
-    let log2_n_a = arity as f64 * (n as f64).log2();
-    // For the regimes we care about (m << n^a) use the exact telescoping
-    // sum; it is O(m) and stable.
-    let n_a = (n as f64).powi(arity as i32);
-    let mut bits = 0.0f64;
-    for i in 0..m {
-        bits += (n_a - i as f64).log2() - ((i + 1) as f64).log2();
-    }
-    debug_assert!(bits <= m as f64 * log2_n_a + 1.0);
-    bits
-}
-
 /// The space exponent for given statistics (Section 3.3): writing
 /// `M = max_j M_j` and `M_j = M / p^{ν_j}`, the optimal load is `M / p^{v*}`
-/// with `v* = min_{u ∈ pk(q)} (Σ_j ν_j u_j + 1) / Σ_j u_j`, and the space
-/// exponent is `1 - v*`.
-pub fn space_exponent(q: &Query, stats: &SimpleStatistics, p: usize) -> f64 {
+/// with `v* = min_u (Σ_j ν_j u_j + 1) / Σ_j u_j` over the packing polytope's
+/// nonzero `vertices`, and the space exponent is `1 - v*`.
+pub fn space_exponent(vertices: &[Packing], stats: &SimpleStatistics, p: usize) -> f64 {
     let m_bits = stats.bit_sizes_f64();
     let m_max = m_bits.iter().fold(0.0f64, |a, &b| a.max(b));
     let logp = (p as f64).ln();
@@ -322,8 +282,8 @@ pub fn space_exponent(q: &Query, stats: &SimpleStatistics, p: usize) -> f64 {
         .iter()
         .map(|&mj| ((m_max / mj.max(f64::MIN_POSITIVE)).ln() / logp).min(1.0))
         .collect();
-    let v_star = mpc_query::packing::packing_vertices(q)
-        .into_iter()
+    let v_star = vertices
+        .iter()
         .filter_map(|u| {
             let uf = u.to_f64();
             let total: f64 = uf.iter().sum();
@@ -342,6 +302,8 @@ mod tests {
     use super::*;
     use mpc_data::{generators, Database, Rng};
     use mpc_query::named;
+    use mpc_query::packing::packing_vertices;
+    use mpc_query::VarSet;
     use mpc_stats::degree::degree_statistics;
 
     fn stats(arities: &[usize], cards: &[usize]) -> SimpleStatistics {
@@ -370,7 +332,7 @@ mod tests {
         let q = named::cycle(3);
         let st = stats(&[2, 2, 2], &[1 << 16, 1 << 18, 1 << 14]);
         let p = 64usize;
-        let table = packing_load_table(&q, &st, p);
+        let table = packing_load_table(&packing_vertices(&q), &st, p);
         assert_eq!(table.len(), 4);
         let m: Vec<f64> = st.bit_sizes_f64();
         let expect_half = (m[0] * m[1] * m[2]).powf(1.0 / 3.0) / (p as f64).powf(2.0 / 3.0);
@@ -390,7 +352,7 @@ mod tests {
             assert!((found.1 - expect).abs() / expect < 1e-9);
         }
         // l_lower is the table's max.
-        let (lv, _) = l_lower(&q, &st, p);
+        let (lv, _) = l_lower(&packing_vertices(&q), &st, p);
         assert!((lv - table[0].1).abs() < 1e-9);
     }
 
@@ -408,7 +370,7 @@ mod tests {
                 &vec![1 << 16; q.num_atoms()],
             );
             let p = 64usize;
-            let (lv, _) = l_lower(&q, &st, p);
+            let (lv, _) = l_lower(&packing_vertices(&q), &st, p);
             let m = st.bit_sizes_f64()[0];
             let expected = m / (p as f64).powf(1.0 / tau);
             assert!(
@@ -425,7 +387,7 @@ mod tests {
         let q = named::cartesian(2);
         let st = stats(&[1, 1], &[1 << 12, 1 << 14]);
         let p = 16usize;
-        let (lv, u) = l_lower(&q, &st, p);
+        let (lv, u) = l_lower(&packing_vertices(&q), &st, p);
         let m = st.bit_sizes_f64();
         let expected = (m[0] * m[1] / p as f64).sqrt();
         assert!((lv - expected).abs() / expected < 1e-9);
@@ -473,35 +435,13 @@ mod tests {
         let p = 64usize;
         let bits = db.value_bits();
         let st = SimpleStatistics::of(&db);
-        let (flat, _) = l_lower(&q, &st, p);
+        let (flat, _) = l_lower(&packing_vertices(&q), &st, p);
         let z = q.var_index("z").unwrap();
         let deg = degree_statistics(&db, VarSet::singleton(z));
         let (skewed, _) = residual_lower_bound(&q, &deg, p, bits, n).unwrap();
         assert!(
             skewed > 2.0 * flat,
             "skewed bound {skewed} should dominate flat {flat}"
-        );
-    }
-
-    #[test]
-    fn max_residual_bound_includes_empty_x() {
-        let q = named::two_way_join();
-        let mut rng = Rng::seed_from_u64(3);
-        let n = 1u64 << 12;
-        let s1 = generators::matching("S1", 2, 1024, n, &mut rng);
-        let s2 = generators::matching("S2", 2, 1024, n, &mut rng);
-        let db = Database::new(q.clone(), vec![s1, s2], n).unwrap();
-        let p = 16usize;
-        let bits = db.value_bits();
-        let (val, x, _) =
-            max_residual_lower_bound(&q, p, bits, n, 2, |x| degree_statistics(&db, x));
-        // Skew-free: the flat bound (x = ∅ or an equivalent) should win or
-        // tie; the value must match M/p up to the residual refinement.
-        let st = SimpleStatistics::of(&db);
-        let (flat, _) = l_lower(&q, &st, p);
-        assert!(
-            val >= flat - 1e-9,
-            "max residual {val} below flat {flat} (x={x})"
         );
     }
 
@@ -550,13 +490,13 @@ mod tests {
             domain: 1 << 8,
         };
         let l = m / 64.0;
-        let r = replication_rate_bound(&q, &st, l);
+        let r = replication_rate_bound(&packing_vertices(&q), &st, l);
         let expected = (m / l).sqrt() / 3.0;
         assert!(
             (r - expected).abs() / expected < 1e-9,
             "r {r} vs {expected}"
         );
-        let reducers = min_reducers(&q, &st, l);
+        let reducers = min_reducers(&packing_vertices(&q), &st, l);
         let expected_p = expected * 3.0 * m / l;
         assert!((reducers - expected_p).abs() / expected_p < 1e-9);
         // Shape: (M/L)^{3/2} up to the constant 3.
@@ -599,33 +539,16 @@ mod tests {
     }
 
     #[test]
-    fn exact_bit_size_bounds() {
-        // m (a - δ) log n <= log C(n^a, m) <= m a log n for m <= n^δ
-        // (the inequality the constant c in Theorem 3.5 rests on).
-        let n = 1u64 << 10;
-        let a = 2usize;
-        let m = 1usize << 10; // m = n => δ = 1/2 (m = n^{δ·a} with δa = 1)
-        let exact = exact_bit_size(n, a, m);
-        let upper = m as f64 * a as f64 * (n as f64).log2();
-        assert!(exact <= upper);
-        // log C(N, m) >= m log(N/m) = m (a log n - log m) = m log n here.
-        let lower = m as f64 * (n as f64).log2();
-        assert!(exact >= lower, "exact {exact} below {lower}");
-        // And much bigger than trivial.
-        assert!(exact > 0.0);
-    }
-
-    #[test]
     fn space_exponent_equal_sizes() {
         // Equal sizes: v* = 1/τ*, ε = 1 - 1/τ*. For C3: 1 - 2/3 = 1/3.
         let q = named::cycle(3);
         let st = stats(&[2, 2, 2], &[1 << 16; 3]);
-        let eps = space_exponent(&q, &st, 64);
+        let eps = space_exponent(&packing_vertices(&q), &st, 64);
         assert!((eps - (1.0 - 2.0 / 3.0)).abs() < 1e-9, "eps {eps}");
         // Two-way join: τ* = 1, ε = 0 (perfectly parallelizable).
         let j = named::two_way_join();
         let stj = stats(&[2, 2], &[1 << 16; 2]);
-        assert!(space_exponent(&j, &stj, 64).abs() < 1e-9);
+        assert!(space_exponent(&packing_vertices(&j), &stj, 64).abs() < 1e-9);
     }
 
     #[test]
@@ -635,9 +558,9 @@ mod tests {
         let q = named::cycle(3);
         let p = 1usize << 12;
         let st = stats(&[2, 2, 2], &[1 << 24, 1 << 6, 1 << 6]);
-        let eps = space_exponent(&q, &st, p);
+        let eps = space_exponent(&packing_vertices(&q), &st, p);
         let st_eq = stats(&[2, 2, 2], &[1 << 24; 3]);
-        let eps_eq = space_exponent(&q, &st_eq, p);
+        let eps_eq = space_exponent(&packing_vertices(&q), &st_eq, p);
         assert!(eps < eps_eq, "skewed {eps} should be below equal {eps_eq}");
     }
 }

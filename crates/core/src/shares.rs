@@ -296,7 +296,7 @@ pub(crate) fn solve_share_lp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_query::named;
+    use mpc_query::{named, packing_vertices};
 
     fn stats(q: &Query, cards: &[usize]) -> SimpleStatistics {
         let arities: Vec<usize> = q.atoms().iter().map(|a| a.arity()).collect();
@@ -318,7 +318,7 @@ mod tests {
         }
         assert_eq!(alloc.shares, vec![4, 4, 4]);
         let lp_val = alloc.predicted_load_bits();
-        let (closed, _) = crate::bounds::l_lower(&q, &st, p);
+        let (closed, _) = crate::bounds::l_lower(&packing_vertices(&q), &st, p);
         assert!((lp_val - closed).abs() / closed < 1e-6);
     }
 
@@ -338,7 +338,7 @@ mod tests {
             for p in [8usize, 64, 512] {
                 let alloc = ShareAllocation::optimize(&q, &st, p).unwrap();
                 let lp_val = alloc.predicted_load_bits();
-                let (closed, _) = crate::bounds::l_lower(&q, &st, p);
+                let (closed, _) = crate::bounds::l_lower(&packing_vertices(&q), &st, p);
                 assert!(
                     (lp_val - closed).abs() / closed < 1e-5,
                     "{} p={p}: LP {lp_val} vs closed {closed}",
@@ -395,7 +395,7 @@ mod tests {
         );
         // The predicted load matches the closed form (Theorem 3.6).
         let lp_val = alloc.predicted_load_bits();
-        let (closed, _) = crate::bounds::l_lower(&q, &st, p);
+        let (closed, _) = crate::bounds::l_lower(&packing_vertices(&q), &st, p);
         assert!((lp_val - closed).abs() / closed < 1e-5);
     }
 

@@ -1,4 +1,4 @@
-//! Fractional edge covers, the AGM bound, and LP-duality cross-checks.
+//! Fractional edge covers, the AGM bound, and the vertex-cover LP for `τ*`.
 //!
 //! A fractional edge cover flips the `<=` of the packing constraints to `>=`
 //! (Section 2.2). Covers bound the *output size* of a query (Friedgut's
@@ -7,20 +7,16 @@
 //! packing value `τ*` captures one-round parallel complexity — the contrast
 //! the paper's introduction draws.
 
-use crate::packing::{max_packing_value, Packing};
+use crate::packing::{var_weight, Packing};
 use crate::query::Query;
-use mpc_lp::{Cmp, LinearProgram, LpError, Sense};
+use mpc_lp::{Cmp, LinearProgram, LpError, Rat, Sense};
 
 /// True iff `u` is a feasible fractional edge cover of `q`: every variable
 /// is covered with total weight at least 1.
 pub fn is_cover(q: &Query, u: &Packing) -> bool {
-    if u.len() != q.num_atoms() || u.0.iter().any(|w| w.is_negative()) {
-        return false;
-    }
-    (0..q.num_vars()).all(|i| {
-        let total: mpc_lp::Rat = q.atoms_with_var(i).map(|j| u.0[j]).sum();
-        total >= mpc_lp::Rat::ONE
-    })
+    u.len() == q.num_atoms()
+        && !u.0.iter().any(Rat::is_negative)
+        && (0..q.num_vars()).all(|i| var_weight(q, u, i) >= Rat::ONE)
 }
 
 /// Minimum fractional edge cover weights (argmin of `Σ u_j`), via LP.
@@ -44,7 +40,7 @@ pub fn edge_cover_number(q: &Query) -> Result<f64, LpError> {
 /// The fractional vertex covering number `τ*` of `q`, computed by LP
 /// (minimize `Σ_i v_i` s.t. `Σ_{i ∈ S_j} v_i >= 1` per atom). By LP duality
 /// this equals the maximum fractional edge packing value — the identity the
-/// paper uses after Theorem 1.1; [`duality_check`] asserts it.
+/// paper uses after Theorem 1.1.
 pub fn vertex_cover_number(q: &Query) -> Result<f64, LpError> {
     let mut lp = LinearProgram::new(Sense::Minimize);
     let vars: Vec<usize> = (0..q.num_vars())
@@ -55,18 +51,6 @@ pub fn vertex_cover_number(q: &Query) -> Result<f64, LpError> {
         lp.add_constraint(&terms, Cmp::Ge, 1.0);
     }
     lp.solve().map(|s| s.objective)
-}
-
-/// Assert (numerically) that `τ* = max packing value`; returns the common
-/// value. Used by tests and diagnostics.
-pub fn duality_check(q: &Query) -> f64 {
-    let packing = max_packing_value(q).to_f64();
-    let cover = vertex_cover_number(q).expect("vertex cover LP is always feasible");
-    debug_assert!(
-        (packing - cover).abs() < 1e-6,
-        "LP duality violated: max packing {packing} != vertex cover {cover}"
-    );
-    packing
 }
 
 /// The AGM output-size bound `Π_j m_j^{u_j}` for the *minimum-value*
@@ -91,7 +75,7 @@ pub fn agm_bound(q: &Query, cardinalities: &[usize]) -> Result<f64, LpError> {
 mod tests {
     use super::*;
     use crate::named;
-    use mpc_lp::Rat;
+    use crate::packing::{max_packing_value, packing_vertices};
 
     #[test]
     fn triangle_cover_number_is_three_halves() {
@@ -137,7 +121,7 @@ mod tests {
             named::cartesian(2),
             named::cartesian(4),
         ] {
-            let v = duality_check(&q);
+            let v = max_packing_value(&packing_vertices(&q)).to_f64();
             let tau = vertex_cover_number(&q).unwrap();
             assert!((v - tau).abs() < 1e-6, "{}: {v} vs {tau}", q.name());
         }

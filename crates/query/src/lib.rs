@@ -10,8 +10,8 @@
 //! * [`varset::VarSet`] — compact variable sets (`x` in `q_x`);
 //! * [`packing`] — fractional edge packings and the exact vertex set
 //!   `pk(q)` of the packing polytope;
-//! * [`cover`] — fractional edge covers, `ρ*`, `τ*`, the AGM bound, and LP
-//!   duality cross-checks;
+//! * [`cover`] — fractional edge covers, `ρ*`, the AGM bound, and `τ*` as
+//!   the vertex-cover LP (equal to the packing value by LP duality);
 //! * [`residual`] — residual queries `q_x` and saturating packings for the
 //!   skewed lower bound (Theorem 4.7);
 //! * [`named`] — the standard example queries (`C3`, chains, stars,
@@ -27,7 +27,7 @@ pub mod residual;
 pub mod varset;
 
 pub use aggregate::{AggregateOp, AggregateSpec};
-pub use packing::{max_packing_value, pk, Packing};
+pub use packing::{max_packing_value, packing_vertices, pk, Packing};
 pub use parser::{parse_aggregate_query, parse_query};
 pub use query::{Atom, Query, QueryError, QueryShape};
 pub use residual::{residual_query, saturates, saturating_packing_vertices, saturating_pk};

@@ -161,10 +161,17 @@ mod tests {
     fn loomis_whitney_tau_star() {
         // Every variable appears in k-1 atoms: the uniform packing
         // u_j = 1/(k-1) is tight, so τ* = k/(k-1).
-        use crate::packing::max_packing_value;
+        use crate::packing::{max_packing_value, packing_vertices};
         use mpc_lp::Rat;
-        assert_eq!(max_packing_value(&loomis_whitney(3)), Rat::new(3, 2));
-        assert_eq!(max_packing_value(&loomis_whitney(4)), Rat::new(4, 3));
-        assert_eq!(max_packing_value(&loomis_whitney(5)), Rat::new(5, 4));
+        for (k, tau) in [
+            (3, Rat::new(3, 2)),
+            (4, Rat::new(4, 3)),
+            (5, Rat::new(5, 4)),
+        ] {
+            assert_eq!(
+                max_packing_value(&packing_vertices(&loomis_whitney(k))),
+                tau
+            );
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! indices stable across `q` and all of its residuals, which every consumer
 //! of these types relies on.
 
-use crate::packing::{packing_system, Packing};
+use crate::packing::{packing_system, var_weight, Packing};
 use crate::query::Query;
 use crate::varset::VarSet;
 use mpc_lp::{enumerate_vertices, non_dominated_max, Rat, RatMatrix};
@@ -47,15 +47,13 @@ pub fn residual_query(q: &Query, x: VarSet) -> Query {
 /// variable of `x`: for each `x_i ∈ x`, `Σ_{j : x_i ∈ vars(S_j)} u_j >= 1`,
 /// with atom incidence taken in the *original* query.
 pub fn saturates(q: &Query, u: &Packing, x: VarSet) -> bool {
-    x.iter().all(|i| {
-        let total: Rat = q.atoms_with_var(i).map(|j| u.weight(j)).sum();
-        total >= Rat::ONE
-    })
+    x.iter().all(|i| var_weight(q, u, i) >= Rat::ONE)
 }
 
 /// The constraint system of the *saturated residual polytope*: packings of
-/// `q_x` (with per-atom caps, see [`packing_system`]) intersected with the
-/// saturation half-spaces `Σ_{j: x_i ∈ S_j} u_j >= 1` for each `x_i ∈ x`.
+/// `q_x` (with caps on its zero-arity atoms, see [`packing_system`])
+/// intersected with the saturation half-spaces `Σ_{j: x_i ∈ S_j} u_j >= 1`
+/// for each `x_i ∈ x`.
 fn saturated_system(q: &Query, x: VarSet) -> (RatMatrix, Vec<Rat>) {
     let qx = residual_query(q, x);
     let (a, mut b) = packing_system(&qx);
@@ -94,11 +92,7 @@ pub fn saturating_packing_vertices(q: &Query, x: VarSet) -> Vec<Packing> {
 /// Non-dominated vertices of the saturated residual polytope — the
 /// candidates for the maximizer of `L_x(u, M, p)`.
 pub fn saturating_pk(q: &Query, x: VarSet) -> Vec<Packing> {
-    let (a, b) = saturated_system(q, x);
-    let raw = enumerate_vertices(&a, &b);
-    let mut nd: Vec<Packing> = non_dominated_max(&raw).into_iter().map(Packing).collect();
-    nd.sort();
-    nd
+    non_dominated_max(&saturating_packing_vertices(q, x))
 }
 
 #[cfg(test)]
@@ -154,21 +148,9 @@ mod tests {
 
     #[test]
     fn saturation_infeasible_when_variable_uncoverable() {
-        // Star(2): S1(x1,z), S2(x2,z); x = {z, x1, x2}: saturating all three
-        // requires u1 >= 1 (x1), u2 >= 1 (x2), fine since residual atoms are
-        // empty; caps allow u = (1,1); z needs u1+u2 >= 1: satisfied. So
-        // this IS feasible; check a genuinely infeasible case instead:
-        // a single unary atom S(x) and x = {x} with... saturation needs
-        // u1 >= 1, cap allows it. Construct infeasibility via conflicting
-        // residual constraint: q = S1(x,y), S2(y); x = {x}. Saturating x
-        // needs u1 >= 1, but residual S1(y), S2(y) forces u1 + u2 <= 1, so
-        // vertices exist with u1 = 1, u2 = 0 — still feasible. True
-        // infeasibility cannot arise from these systems when caps permit
-        // u_j = 1 unless a residual variable constraint conflicts:
-        // q = S1(x,y), S2(x,y): self-join is banned, so use
-        // q = S1(x,y), S2(y,x2), x = {x}: saturation u1 >= 1; residual
-        // S1(y), S2(y,x2): y-row forces u1+u2 <= 1 => u2 = 0. Feasible.
-        // Conclusion: feasibility is the norm; assert non-emptiness here.
+        // Star(2) = S1(x1,z), S2(x2,z) at x = {z, x1, x2}: saturation needs
+        // u1 >= 1, u2 >= 1 and u1 + u2 >= 1, and the zero-arity residual
+        // atoms' caps allow u = (1,1). Saturation is feasible here.
         let q = named::star(2);
         let x = q.all_vars();
         assert!(!saturating_packing_vertices(&q, x).is_empty());
@@ -180,6 +162,17 @@ mod tests {
         let with_empty = saturating_packing_vertices(&q, VarSet::EMPTY);
         let plain = crate::packing::packing_vertices(&q);
         assert_eq!(with_empty, plain);
+    }
+
+    #[test]
+    fn residual_system_caps_only_swallowed_atoms() {
+        // C3 = S1(x1,x2), S2(x2,x3), S3(x3,x1) at x = {x1, x2}: the residual
+        // S1(), S2(x3), S3(x3) keeps the x3 row and caps only S1.
+        let q = named::cycle(3);
+        let (a, _) = packing_system(&residual_query(&q, VarSet::from_iter([0, 1])));
+        assert_eq!(a.rows(), 2);
+        assert_eq!(a.row(0), &[Rat::ZERO, Rat::ONE, Rat::ONE]);
+        assert_eq!(a.row(1), &[Rat::ONE, Rat::ZERO, Rat::ZERO]);
     }
 
     #[test]

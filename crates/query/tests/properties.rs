@@ -1,7 +1,7 @@
 //! Property-based tests for packing polytopes and residual queries.
 
-use mpc_lp::Rat;
-use mpc_query::packing::{is_packing, max_packing_value, packing_vertices, pk};
+use mpc_lp::{enumerate_vertices, Rat, RatMatrix};
+use mpc_query::packing::{is_packing, max_packing_value, packing_system, packing_vertices, pk};
 use mpc_query::residual::{residual_query, saturates, saturating_packing_vertices};
 use mpc_query::{named, Packing, VarSet};
 use mpc_testkit::prelude::*;
@@ -45,7 +45,7 @@ proptest! {
         for v in &nd {
             prop_assert!(all.contains(v));
         }
-        let tau = max_packing_value(&q);
+        let tau = max_packing_value(&all);
         prop_assert!(nd.iter().any(|v| v.value() == tau),
             "no pk vertex attains tau* = {tau}");
     }
@@ -66,7 +66,7 @@ proptest! {
     /// τ* of a sub-query with one atom dropped is <= τ* + 1 and >= τ* - 1.)
     #[test]
     fn tau_star_is_stable_under_atom_removal(q in arb_query()) {
-        let tau = max_packing_value(&q).to_f64();
+        let tau = max_packing_value(&packing_vertices(&q)).to_f64();
         prop_assume!(q.num_atoms() > 2);
         // Rebuild without the last atom.
         let spec: Vec<(String, Vec<String>)> = q.atoms()[..q.num_atoms() - 1]
@@ -81,7 +81,7 @@ proptest! {
             .collect();
         let borrowed: Vec<(&str, &[&str])> = refs.iter().map(|(n, v)| (*n, v.as_slice())).collect();
         let q2 = mpc_query::Query::build("rq2", &borrowed).unwrap();
-        let tau2 = max_packing_value(&q2).to_f64();
+        let tau2 = max_packing_value(&packing_vertices(&q2)).to_f64();
         prop_assert!(tau2 <= tau + 1e-9, "dropping an atom increased tau*");
         prop_assert!(tau2 >= tau - 1.0 - 1e-9, "dropping one atom lost more than 1");
     }
@@ -90,9 +90,31 @@ proptest! {
     /// cover number (f64 LP) on random queries.
     #[test]
     fn duality_on_random_queries(q in arb_query()) {
-        let tau = max_packing_value(&q).to_f64();
+        let tau = max_packing_value(&packing_vertices(&q)).to_f64();
         let vc = mpc_query::cover::vertex_cover_number(&q).unwrap();
         prop_assert!((tau - vc).abs() < 1e-6, "tau*={tau} vc={vc} for {q}");
+    }
+
+    /// The packing system keeps only the rows that can be tight at a vertex
+    /// (variables that occur, caps on zero-arity atoms), and has the same
+    /// vertex set as Eq. (2) with a row for every variable and a cap for
+    /// every atom, on residual queries too.
+    #[test]
+    fn trimmed_system_has_the_every_cap_vertices(q in arb_query(), xbits in 0u64..32) {
+        let x = VarSet::from_bits(xbits & ((1u64 << q.num_vars()) - 1));
+        let qx = residual_query(&q, x);
+        let (k, l) = (qx.num_vars(), qx.num_atoms());
+        let every_cap = RatMatrix::from_fn(k + l, l, |row, j| {
+            let hit = if row < k { qx.atom(j).vars().contains(&row) } else { row - k == j };
+            if hit { Rat::ONE } else { Rat::ZERO }
+        });
+        let mut want = enumerate_vertices(&every_cap, &vec![Rat::ONE; k + l]);
+        want.sort();
+        let (a, b) = packing_system(&qx);
+        prop_assert!(a.rows() <= k + l);
+        let mut got = enumerate_vertices(&a, &b);
+        got.sort();
+        prop_assert_eq!(got, want, "vertex sets differ for {}", qx);
     }
 
     /// Saturating vertices: every returned vertex is a packing of q_x and
@@ -122,6 +144,14 @@ proptest! {
             }
         }
     }
+}
+
+/// L8 has 9 variables and no zero-arity atom: 9 rows, where a cap on every
+/// atom would add 8 more.
+#[test]
+fn chain_system_has_one_row_per_variable_and_no_caps() {
+    let (a, b) = packing_system(&named::chain(8));
+    assert_eq!((a.rows(), a.cols(), b.len()), (9, 8, 9));
 }
 
 /// Round-trip: Display output of any named query re-parses to an equal query.

@@ -208,12 +208,13 @@ fn cmd_bounds(q: &Query, args: &Args) -> Result<(), String> {
     let arities: Vec<usize> = q.atoms().iter().map(|a| a.arity()).collect();
     let st = SimpleStatistics::synthetic(&arities, cards.clone(), domain);
 
+    let vertices = mpc_skew::query::packing_vertices(q);
     println!("query           : {q}");
     println!("p               : {p}");
     println!("M (bits)        : {:?}", st.bit_sizes);
     println!(
         "tau* (max pack) : {}",
-        mpc_skew::query::max_packing_value(q)
+        mpc_skew::query::max_packing_value(&vertices)
     );
     println!(
         "rho* (min cover): {:.4}",
@@ -227,12 +228,15 @@ fn cmd_bounds(q: &Query, args: &Args) -> Result<(), String> {
         "E[|q(I)|]       : {:.3e} tuples (Lemma A.1)",
         bounds::expected_answers(q, &cards, domain)
     );
-    println!("space exponent  : {:.4}", bounds::space_exponent(q, &st, p));
+    println!(
+        "space exponent  : {:.4}",
+        bounds::space_exponent(&vertices, &st, p)
+    );
     println!("\npk(q) load table (Example 3.7 style):");
-    for (u, l) in bounds::packing_load_table(q, &st, p) {
+    for (u, l) in bounds::packing_load_table(&vertices, &st, p) {
         println!("  u = {:?}  ->  L = {:.0} bits", u.to_f64(), l);
     }
-    let (lower, best) = bounds::l_lower(q, &st, p);
+    let (lower, best) = bounds::l_lower(&vertices, &st, p);
     println!(
         "\nL_lower = L_upper = {:.0} bits  (packing {:?})",
         lower,

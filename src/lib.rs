@@ -55,6 +55,7 @@ pub mod prelude {
     pub use mpc_data::relation::Relation;
     pub use mpc_data::rng::Rng;
     pub use mpc_query::aggregate::{AggregateOp, AggregateSpec};
+    pub use mpc_query::packing::packing_vertices;
     pub use mpc_query::parser::{parse_aggregate_query, parse_query};
     pub use mpc_query::query::Query;
     pub use mpc_query::varset::VarSet;

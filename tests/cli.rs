@@ -31,6 +31,35 @@ fn bounds_command_prints_triangle_table() {
     assert!(text.contains("optimal shares  : [4, 4, 4]"));
 }
 
+/// `mpcskew bounds` stdout, asserting a clean exit.
+fn bounds_stdout(query: &str, cards: &str) -> String {
+    let out = mpcskew()
+        .args(["bounds", query, "--cards", cards, "--p", "64"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// Every quantity `bounds` prints for the 6-atom chain, pinned whole: τ*,
+/// the space exponent, the pk(q) table and L_lower all come from one
+/// enumeration of the packing polytope.
+#[test]
+fn bounds_golden_six_atom_chain() {
+    let chain = "S1(x1,x2), S2(x2,x3), S3(x3,x4), S4(x4,x5), S5(x5,x6), S6(x6,x7)";
+    let got = bounds_stdout(chain, "65536,65536,65536,65536,65536,65536");
+    assert_eq!(got, include_str!("golden/bounds_chain6.txt"));
+}
+
+/// A dominated vertex wins: the pk(q) table holds only `[1,1,1]`, while
+/// L_lower, taken over every vertex, is attained at `[0,1,1]` because
+/// adding the tiny S1 to the packing lowers `L`.
+#[test]
+fn bounds_golden_dominated_vertex_wins() {
+    let got = bounds_stdout("S1(x), S2(y), S3(z)", "16,65536,65536");
+    assert_eq!(got, include_str!("golden/bounds_dominated_vertex.txt"));
+}
+
 #[test]
 fn run_command_executes_and_verifies() {
     let out = mpcskew()

@@ -10,7 +10,7 @@ use mpc_skew::core::skew_general::GeneralSkewAlgorithm;
 use mpc_skew::core::skew_join::SkewJoin;
 use mpc_skew::core::verify;
 use mpc_skew::data::{generators, Database, Rng};
-use mpc_skew::query::{named, Query, VarSet};
+use mpc_skew::query::{named, packing_vertices, Query, VarSet};
 use mpc_skew::sim::cluster::Cluster;
 use mpc_skew::stats::SimpleStatistics;
 
@@ -155,8 +155,9 @@ fn measured_load_never_beats_lower_bound() {
     for q in [named::cycle(3), named::two_way_join(), named::chain(3)] {
         let db = matching_db(&q, 4000, 1 << 14, 17);
         let st = SimpleStatistics::of(&db);
+        let vertices = packing_vertices(&q);
         for p in [8usize, 64] {
-            let (lower, _) = bounds::l_lower(&q, &st, p);
+            let (lower, _) = bounds::l_lower(&vertices, &st, p);
             let hc = HyperCube::with_optimal_shares(&q, &st, p, 3);
             let (cluster, report) = hc.run(&db);
             verify::assert_complete(&db, &cluster);

@@ -9,7 +9,7 @@ use mpc_skew::core::skew_join::SkewJoin;
 use mpc_skew::core::verify;
 use mpc_skew::data::{generators, Database, Relation, Rng};
 use mpc_skew::lp::{Cmp, LinearProgram, Sense};
-use mpc_skew::query::{named, Query};
+use mpc_skew::query::{max_packing_value, named, packing_vertices, Query};
 use mpc_skew::stats::SimpleStatistics;
 use mpc_testkit::prelude::*;
 
@@ -48,7 +48,7 @@ proptest! {
         let st = SimpleStatistics::synthetic(&arities, cards, 1 << 24);
         let alloc = ShareAllocation::optimize(q, &st, p).unwrap();
         let lp_val = alloc.predicted_load_bits();
-        let (closed, _) = bounds::l_lower(q, &st, p);
+        let (closed, _) = bounds::l_lower(&packing_vertices(q), &st, p);
         prop_assert!(
             (lp_val - closed).abs() / closed.max(1.0) < 1e-4,
             "{}: LP {lp_val} vs closed {closed}", q.name()
@@ -158,9 +158,10 @@ proptest! {
         let st = SimpleStatistics::synthetic(
             &arities, vec![1usize << log_m; q.num_atoms()], 1 << 24);
         let total = st.total_bits() as f64;
+        let vertices = packing_vertices(q);
         let mut last = f64::INFINITY;
         for div in [64.0f64, 16.0, 4.0, 1.0] {
-            let r = bounds::replication_rate_bound(q, &st, total / div);
+            let r = bounds::replication_rate_bound(&vertices, &st, total / div);
             prop_assert!(r <= last + 1e-9, "{}: bound not monotone", q.name());
             last = r;
         }
@@ -243,9 +244,10 @@ proptest! {
         let arities: Vec<usize> = q.atoms().iter().map(|a| a.arity()).collect();
         let st = SimpleStatistics::synthetic(
             &arities, vec![1usize << log_m; q.num_atoms()], 1 << 24);
-        let eps = bounds::space_exponent(q, &st, 64);
+        let vertices = packing_vertices(q);
+        let eps = bounds::space_exponent(&vertices, &st, 64);
         prop_assert!((0.0 - 1e-9..1.0).contains(&eps), "{}: eps = {eps}", q.name());
-        let tau = mpc_skew::query::max_packing_value(q).to_f64();
+        let tau = max_packing_value(&vertices).to_f64();
         prop_assert!((eps - (1.0 - 1.0 / tau)).abs() < 1e-6,
             "{}: eps {eps} vs 1 - 1/tau* {}", q.name(), 1.0 - 1.0 / tau);
     }

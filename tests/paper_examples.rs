@@ -10,7 +10,7 @@ use mpc_skew::core::hypercube::HyperCube;
 use mpc_skew::core::shares::ShareAllocation;
 use mpc_skew::core::verify;
 use mpc_skew::data::{generators, Database, Rng};
-use mpc_skew::query::packing::pk;
+use mpc_skew::query::packing::{packing_vertices, pk};
 use mpc_skew::query::{named, residual_query, saturating_pk, Packing, VarSet};
 use mpc_skew::stats::degree_statistics;
 use mpc_skew::stats::SimpleStatistics;
@@ -149,12 +149,12 @@ fn example_3_7_triangle_vertex_table() {
 
     // Regime A (balanced sizes): the fractional vertex wins.
     let st_a = SimpleStatistics::synthetic(&[2, 2, 2], vec![1 << 16; 3], 1 << 20);
-    let (_, win_a) = bounds::l_lower(&q, &st_a, 64);
+    let (_, win_a) = bounds::l_lower(&packing_vertices(&q), &st_a, 64);
     assert_eq!(win_a.to_f64(), vec![0.5, 0.5, 0.5]);
 
     // Regime B (one giant relation): its unit vertex wins.
     let st_b = SimpleStatistics::synthetic(&[2, 2, 2], vec![1 << 26, 1 << 10, 1 << 10], 64);
-    let (_, win_b) = bounds::l_lower(&q, &st_b, 8);
+    let (_, win_b) = bounds::l_lower(&packing_vertices(&q), &st_b, 8);
     assert_eq!(win_b.to_f64(), vec![1.0, 0.0, 0.0]);
 }
 
@@ -209,12 +209,13 @@ fn example_5_2_triangle_replication() {
         value_bits: 12,
         domain: 1 << 12,
     };
+    let vertices = packing_vertices(&q);
     for factor in [4.0f64, 16.0, 64.0] {
         let l = m_bits / factor;
-        let r = bounds::replication_rate_bound(&q, &st, l);
+        let r = bounds::replication_rate_bound(&vertices, &st, l);
         let expected = (m_bits / l).sqrt() / 3.0;
         assert!((r - expected).abs() / expected < 1e-9);
-        let reducers = bounds::min_reducers(&q, &st, l);
+        let reducers = bounds::min_reducers(&vertices, &st, l);
         assert!((reducers - factor.powf(1.5)).abs() / reducers < 1e-9);
     }
 }
@@ -228,7 +229,7 @@ fn broadcast_regime_lower_bound() {
     // M1 tiny: optimal strategy broadcasts S1 and splits S2 x S3.
     let st = SimpleStatistics::synthetic(&[1, 1, 1], vec![1 << 4, 1 << 14, 1 << 16], 1 << 20);
     let p = 8usize;
-    let (val, u) = bounds::l_lower(&q, &st, p);
+    let (val, u) = bounds::l_lower(&packing_vertices(&q), &st, p);
     let m = st.bit_sizes_f64();
     let expected = (m[1] * m[2] / p as f64).sqrt();
     assert!(

@@ -19,7 +19,7 @@ fn prelude_covers_the_quickstart_flow() {
     let (cluster, report) = hc.run(&db);
     assert!(verify(&db, &cluster).is_complete());
     assert!(report.max_load_bits() > 0);
-    let (lower, _) = bounds::l_lower(&query, &stats, 16);
+    let (lower, _) = bounds::l_lower(&packing_vertices(&query), &stats, 16);
     assert!(lower > 0.0);
 }
 
