@@ -102,7 +102,7 @@ fn bench_cluster_zipf(c: &mut Criterion) {
     g.throughput(Throughput::Elements(2 * m as u64));
     for (name, backend) in [
         ("sequential", Backend::Sequential),
-        ("pooled4", Backend::Threads(4)),
+        ("threads4", Backend::Threads(4)),
     ] {
         g.bench_function(BenchmarkId::new("skew_join_e2e", name), |b| {
             b.iter(|| {
@@ -138,7 +138,7 @@ fn bench_cluster_zipf(c: &mut Criterion) {
     let small = skewed_join_db(&q, m_small, 1 << 12, 1.2, 200, 7);
     let sj_small = SkewJoin::plan(&small, 16, 2);
     g.throughput(Throughput::Elements((rounds * 2 * m_small) as u64));
-    g.bench_function(BenchmarkId::new("small_rounds_x16", "pooled4"), |b| {
+    g.bench_function(BenchmarkId::new("small_rounds_x16", "threads4"), |b| {
         b.iter(|| {
             let mut acc = 0u64;
             for _ in 0..rounds {

@@ -13,7 +13,7 @@ use mpc_query::named;
 use mpc_stats::SimpleStatistics;
 
 /// Run E10.
-pub fn run() {
+pub(crate) fn run() {
     let q = named::cycle(3);
     let p = 64usize;
     let t = Table::new(

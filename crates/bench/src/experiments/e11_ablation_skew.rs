@@ -37,7 +37,7 @@ impl Stats for NoGrids<'_> {
 }
 
 /// Run E11.
-pub fn run() {
+pub(crate) fn run() {
     let q = named::two_way_join();
     let n = 1u64 << 14;
     let m = 1usize << 14;

@@ -17,7 +17,7 @@ use mpc_query::named;
 use mpc_stats::cardinality::SimpleStatistics;
 
 /// Run E12.
-pub fn run() {
+pub(crate) fn run() {
     let q = named::two_way_join();
     let p = 64usize;
     let m = 60_000usize;

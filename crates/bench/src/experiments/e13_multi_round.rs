@@ -24,7 +24,7 @@ use mpc_query::named;
 use mpc_sim::backend::Backend;
 
 /// Run E13.
-pub fn run() {
+pub(crate) fn run() {
     let p = 64usize;
     let t = Table::new(
         "E13: one-round HyperCube vs multi-round hash joins (bits/server), p = 64",

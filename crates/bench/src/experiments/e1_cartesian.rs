@@ -14,7 +14,7 @@ use mpc_query::named;
 use mpc_stats::SimpleStatistics;
 
 /// Run E1.
-pub fn run() {
+pub(crate) fn run() {
     let q = named::cartesian(2);
     let (m1, m2) = (1usize << 12, 1usize << 14);
     let n = 1u64 << 16;

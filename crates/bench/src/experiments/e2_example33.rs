@@ -14,7 +14,7 @@ use mpc_data::{generators, Database, Rng};
 use mpc_query::named;
 
 /// Run E2.
-pub fn run() {
+pub(crate) fn run() {
     let q = named::two_way_join();
     let n = 1u64 << 14;
     let m = 1usize << 13;

@@ -11,7 +11,7 @@ use mpc_query::{named, packing_vertices};
 use mpc_stats::SimpleStatistics;
 
 /// Run E3.
-pub fn run() {
+pub(crate) fn run() {
     let q = named::cycle(3);
     let vertices = packing_vertices(&q);
     let p = 64usize;

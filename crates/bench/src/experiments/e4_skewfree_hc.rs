@@ -9,7 +9,7 @@ use mpc_core::engine::{Algorithm, Engine};
 use mpc_query::named;
 
 /// Run E4.
-pub fn run() {
+pub(crate) fn run() {
     let t = Table::new(
         "E4: Theorem 3.4 — measured HC load vs L_upper on skew-free (matching) data",
         &[

@@ -13,7 +13,7 @@ use mpc_sim::hashing::{bucket_loads, summarize, HashFamily};
 use mpc_sim::topology::Grid;
 
 /// Run E5.
-pub fn run() {
+pub(crate) fn run() {
     let t = Table::new(
         "E5: Lemma 3.1 — max bucket load under per-attribute hashing (m = 65536)",
         &[

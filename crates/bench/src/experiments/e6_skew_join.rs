@@ -16,7 +16,7 @@ use mpc_sim::backend::Backend;
 use mpc_stats::heavy::heavy_hitters;
 
 /// Run E6.
-pub fn run() {
+pub(crate) fn run() {
     let q = named::two_way_join();
     let p = 64usize;
     let m = 60_000usize;

@@ -63,7 +63,7 @@ fn report(t: &Table, label: &str, q: &Query, db: &Database, x: VarSet, p: usize)
 }
 
 /// Run E7.
-pub fn run() {
+pub(crate) fn run() {
     let p = 64usize;
     let m = 1usize << 14;
     let n = 1u64 << 14;

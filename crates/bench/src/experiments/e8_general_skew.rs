@@ -60,7 +60,7 @@ fn workloads() -> Vec<(&'static str, Database)> {
 }
 
 /// Run E8.
-pub fn run() {
+pub(crate) fn run() {
     let p = 64usize;
     let t = Table::new(
         "E8: Section 4.2 general algorithm vs oblivious HC (bits/server), p = 64",

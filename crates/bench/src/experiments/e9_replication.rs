@@ -14,7 +14,7 @@ use mpc_query::{named, packing_vertices};
 use mpc_stats::SimpleStatistics;
 
 /// Run E9.
-pub fn run() {
+pub(crate) fn run() {
     let q = named::cycle(3);
     let vertices = packing_vertices(&q);
     let n = 1u64 << 10;

@@ -8,7 +8,7 @@ pub struct Table {
 impl Table {
     /// Print the title and header; column widths come from the header plus
     /// padding.
-    pub fn new(title: &str, headers: &[&str]) -> Table {
+    pub(crate) fn new(title: &str, headers: &[&str]) -> Table {
         println!("\n== {title} ==");
         let widths: Vec<usize> = headers.iter().map(|h| h.len().max(10) + 2).collect();
         let mut line = String::new();
@@ -21,7 +21,7 @@ impl Table {
     }
 
     /// Print one row of already-formatted cells.
-    pub fn row(&self, cells: &[String]) {
+    pub(crate) fn row(&self, cells: &[String]) {
         let mut line = String::new();
         for (c, w) in cells.iter().zip(&self.widths) {
             line.push_str(&format!("{c:>w$}"));
@@ -31,7 +31,7 @@ impl Table {
 }
 
 /// Format a float compactly (3 significant-ish digits).
-pub fn fmt(v: f64) -> String {
+pub(crate) fn fmt(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
     } else if v.abs() >= 1000.0 {
@@ -44,7 +44,7 @@ pub fn fmt(v: f64) -> String {
 }
 
 /// Format a ratio like `1.73x`.
-pub fn fmt_ratio(v: f64) -> String {
+pub(crate) fn fmt_ratio(v: f64) -> String {
     format!("{v:.2}x")
 }
 

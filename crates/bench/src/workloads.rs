@@ -15,7 +15,7 @@ pub fn uniform_db(q: &Query, m: usize, n: u64, seed: u64) -> Database {
 }
 
 /// One matching relation per atom (the skew-free extreme).
-pub fn matching_db(q: &Query, m: usize, n: u64, seed: u64) -> Database {
+pub(crate) fn matching_db(q: &Query, m: usize, n: u64, seed: u64) -> Database {
     let mut rng = Rng::seed_from_u64(seed);
     let rels = q
         .atoms()

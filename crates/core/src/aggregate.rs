@@ -25,13 +25,12 @@
 //! injective within it) qualify, and so do the hash-join and
 //! fragment-replicate baselines, whose routers the tests drive through
 //! [`aggregate_cluster`] directly. The §4.2 general algorithm does not
-//! ([`Algorithm::partitions_derivations`] is the one predicate,
+//! (`Algorithm::partitions_derivations` is the one predicate,
 //! [`AGGREGATE_NEEDS_PARTITIONING`] the one refusal): it replicates a
 //! derivation across overlapping bin-combination sub-instances — auto
 //! planning falls back to HyperCube at skew-resilient equal shares for
 //! aggregates instead.
 //!
-//! [`Algorithm::partitions_derivations`]: crate::engine::Algorithm::partitions_derivations
 //! [`AGGREGATE_NEEDS_PARTITIONING`]: crate::engine::AGGREGATE_NEEDS_PARTITIONING
 //!
 //! ```
@@ -165,7 +164,7 @@ impl AggregateAccumulator {
     }
 
     /// Number of groups observed so far.
-    pub fn num_groups(&self) -> usize {
+    pub(crate) fn num_groups(&self) -> usize {
         self.groups.len()
     }
 
@@ -219,21 +218,6 @@ impl AggregateResult {
     /// Number of groups (rows).
     pub fn num_groups(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Width of the group key (0 for a global aggregate).
-    pub fn group_arity(&self) -> usize {
-        self.group_arity
-    }
-
-    /// The ops each row's values correspond to, in order.
-    pub fn ops(&self) -> &[AggregateOp] {
-        &self.ops
-    }
-
-    /// The `(group key, values)` rows, sorted by group key.
-    pub fn rows(&self) -> &[(Vec<u64>, Vec<u128>)] {
-        &self.rows
     }
 
     /// The values for one group key, if present.
@@ -429,7 +413,7 @@ mod tests {
             acc.fold(&[key, 0], 2);
         }
         let result = acc.finish();
-        let keys: Vec<u64> = result.rows().iter().map(|(k, _)| k[0]).collect();
+        let keys: Vec<u64> = result.rows.iter().map(|(k, _)| k[0]).collect();
         assert_eq!(keys, vec![3, 7, 9]);
         assert_eq!(result.get(&[3]), Some(&[4u128][..]));
         assert_eq!(result.get(&[4]), None);

@@ -446,6 +446,21 @@ mod tests {
     }
 
     #[test]
+    fn residual_bound_is_none_when_no_packing_saturates_x() {
+        // x = {x, y} on S1(x,z), S2(y,z): saturation needs u1 >= 1 and
+        // u2 >= 1 while z caps u1 + u2 <= 1, so x yields no bound.
+        let q = named::two_way_join();
+        let mut rng = Rng::seed_from_u64(3);
+        let n = 1u64 << 10;
+        let s1 = generators::uniform("S1", 2, 500, n, &mut rng);
+        let s2 = generators::uniform("S2", 2, 500, n, &mut rng);
+        let db = Database::new(q.clone(), vec![s1, s2], n).unwrap();
+        let x = VarSet::from_iter([q.var_index("x").unwrap(), q.var_index("y").unwrap()]);
+        let deg = degree_statistics(&db, x);
+        assert!(residual_lower_bound(&q, &deg, 16, db.value_bits(), n).is_none());
+    }
+
+    #[test]
     fn skew_join_bound_matches_section_4_1_manual() {
         use mpc_data::FastMap;
         let p = 4usize;

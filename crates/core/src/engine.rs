@@ -74,7 +74,7 @@ use std::sync::OnceLock;
 pub use mpc_stats::source::{ExactStats, SketchStats, Stats, SyntheticStats};
 
 /// The one refusal every surface gives an aggregate head pinned to an
-/// algorithm that fails [`Algorithm::partitions_derivations`]: the engine
+/// algorithm that fails `Algorithm::partitions_derivations`: the engine
 /// panics with it, the service wraps it in `ServiceError::Unsupported`,
 /// the CLI prints it after `error: `.
 pub const AGGREGATE_NEEDS_PARTITIONING: &str =
@@ -113,7 +113,7 @@ pub enum Algorithm {
 
 impl Algorithm {
     /// Stable CLI/display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Algorithm::Auto => "auto",
             Algorithm::HyperCube => "hc",
@@ -122,7 +122,7 @@ impl Algorithm {
         }
     }
 
-    /// Parse a CLI algorithm name (the inverse of [`Algorithm::name`],
+    /// Parse a CLI algorithm name (the inverse of `Algorithm::name`,
     /// plus the `hypercube` alias).
     pub fn parse(s: &str) -> Result<Algorithm, String> {
         Ok(match s {
@@ -139,7 +139,7 @@ impl Algorithm {
     /// (see [`crate::aggregate`]). False only for the §4.2 general
     /// algorithm (bin-combination sub-instances replicate derivations);
     /// [`Algorithm::Auto`] resolves to an eligible plan by itself.
-    pub fn partitions_derivations(self) -> bool {
+    pub(crate) fn partitions_derivations(self) -> bool {
         self != Algorithm::GeneralSkew
     }
 
@@ -182,14 +182,14 @@ pub enum StatsMode {
 
 impl StatsMode {
     /// Stable CLI/display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             StatsMode::Exact => "exact",
             StatsMode::Sketch => "sketch",
         }
     }
 
-    /// Parse a CLI name (inverse of [`StatsMode::name`]).
+    /// Parse a CLI name (inverse of `StatsMode::name`).
     pub fn parse(s: &str) -> Result<StatsMode, String> {
         Ok(match s {
             "exact" => StatsMode::Exact,
@@ -210,7 +210,7 @@ impl fmt::Display for StatsMode {
 /// panics with the message, the service answers `err unsupported` with it,
 /// the CLI prints it after `error: `. In order: the aggregate spec must
 /// name the query's variables (`invalid aggregate: …`), an aggregate needs
-/// an algorithm that [partitions derivations](Algorithm::partitions_derivations)
+/// an algorithm that partitions derivations
 /// ([`AGGREGATE_NEEDS_PARTITIONING`]), the skew join needs two atoms
 /// sharing a variable ([`SKEW_JOIN_NEEDS_TWO_ATOMS`]), and no atom may have
 /// more positions than the local join tracks
@@ -350,17 +350,15 @@ impl Plan {
         }
     }
 
-    /// The query this plan evaluates.
-    pub fn query(&self) -> &Query {
-        &self.query
-    }
-
     /// The plan's predicted per-server load in bits — the algorithm's own
-    /// `L(u, M, p)`-style prediction (LP (5) `p^λ` for HyperCube, or
-    /// Corollary 3.2(ii)'s cap on Auto's equal-share aggregate fallback,
-    /// Eq. (10) for the skew join, Theorem 4.6's `max_B p^{λ(B)}` for the
-    /// general algorithm), valid up to the paper's constant and polylog
-    /// factors.
+    /// prediction: for an LP-optimal HyperCube, the mean load of the
+    /// servers its integer shares use, `Σ_j M_j / Π_{i ∈ S_j} p_i`
+    /// (`ShareAllocation::mean_load_bits`; the max load is never below
+    /// it and, on skew-free data, stays within a small factor of it);
+    /// Corollary 3.2(ii)'s cap on Auto's equal-share aggregate
+    /// fallback; Eq. (10) for the skew join; Theorem 4.6's
+    /// `max_B p^{λ(B)}` for the general algorithm — the last three valid up
+    /// to the paper's constant and polylog factors.
     pub fn predicted_load_bits(&self) -> f64 {
         self.predicted_load_bits
     }
@@ -387,9 +385,9 @@ impl Plan {
     }
 
     /// Planned replication per atom — the number of servers each of its
-    /// tuples is sent to ([`HyperCube::replication_of`]) — when the plan is
-    /// a HyperCube. Their cardinality-weighted sum is the round's total
-    /// communication, the term the share LP's tie-break minimizes.
+    /// tuples is sent to — when the plan is a HyperCube. Their
+    /// cardinality-weighted sum is the round's total communication, the
+    /// term the share LP's tie-break minimizes.
     pub fn replication(&self) -> Option<Vec<usize>> {
         match &self.kind {
             PlanKind::HyperCube(hc) => Some(
@@ -446,7 +444,7 @@ impl Plan {
     /// [`RunOutcome::answers`] is first read, so callers that read only
     /// the load — mpcbench's shuffle span, the experiments — never pay
     /// for them.
-    pub fn try_execute(
+    pub(crate) fn try_execute(
         &self,
         db: &Database,
         backend: Backend,
@@ -581,7 +579,7 @@ impl RunOutcome {
 
     /// The pushed-down aggregate result, when the plan carried an
     /// [`AggregateSpec`] (plans whose algorithm
-    /// [partitions derivations](Algorithm::partitions_derivations) only).
+    /// partitions derivations only).
     pub fn aggregate(&self) -> Option<&AggregateResult> {
         self.aggregate.as_ref()
     }
@@ -704,8 +702,7 @@ impl<'s> Engine<'s> {
     /// # Panics
     /// [`Engine::plan`] panics with [`admit`]'s message when the spec
     /// references variables the query does not have, or when explicitly
-    /// combined with an algorithm that fails
-    /// [`Algorithm::partitions_derivations`].
+    /// combined with an algorithm that does not partition derivations.
     pub fn aggregate(mut self, spec: AggregateSpec) -> Self {
         self.aggregate = Some(spec);
         self
@@ -808,7 +805,7 @@ impl<'s> Engine<'s> {
             }
             Algorithm::HyperCube => (
                 PlanKind::HyperCube(HyperCube::new(q, &alloc, self.seed)),
-                lower_bound_bits,
+                alloc.mean_load_bits(q, &simple),
             ),
             Algorithm::SkewJoin => {
                 let sj = SkewJoin::plan_with(q, p, self.seed, stats);

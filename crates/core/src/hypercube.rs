@@ -106,7 +106,7 @@ impl HyperCube {
 
     /// Replication factor of atom `j`: the number of servers each of its
     /// tuples is sent to (`Π_{i ∉ S_j} p_i`).
-    pub fn replication_of(&self, atom: usize) -> usize {
+    pub(crate) fn replication_of(&self, atom: usize) -> usize {
         let vars = self.query.atom(atom).var_set();
         self.grid
             .dims()

@@ -237,7 +237,7 @@ pub enum CacheStatus {
 
 impl CacheStatus {
     /// Stable wire/display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CacheStatus::Hit => "hit",
             CacheStatus::Miss => "miss",
@@ -291,22 +291,9 @@ impl QuerySpec {
         }
     }
 
-    /// Override the server count.
-    pub fn p(mut self, p: usize) -> Self {
-        assert!(p >= 1, "need at least one server");
-        self.p = Some(p);
-        self
-    }
-
     /// Override the hash seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
-        self
-    }
-
-    /// Pin the algorithm.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
         self
     }
 
@@ -529,10 +516,9 @@ impl Service {
     /// ([`Service::sketch_capacity_for_p`]) in [`StatsMode::Sketch`], where
     /// planning and plan-cache fingerprints read `O(capacity)` state.
     /// Either way appends fold into the summaries without ever rescanning
-    /// the relation. In sketch mode, queries that override `p` far above
-    /// the default erode the no-missed-heavy-hitter guarantee gradually
-    /// (capacity headroom absorbs moderate drift); answers stay exact
-    /// regardless — estimate error only shifts load.
+    /// the relation. In sketch mode a query whose `p` exceeds the capacity
+    /// is refused ([`ServiceError::Unsupported`]): below `p` counters a
+    /// summary can miss a true `m/p`-heavy hitter.
     pub fn with_stats_mode(mut self, mode: StatsMode) -> Self {
         self.stats_mode = mode;
         self
@@ -554,7 +540,8 @@ impl Service {
     /// The SpaceSaving capacity [`StatsMode::Sketch`] builds summaries
     /// at: the engine's [`sketch_capacity`] for the default `p`, doubled
     /// again and floored at 64 — headroom so per-query `p` above the
-    /// default keeps the no-missed-heavy-hitter guarantee.
+    /// default keeps the no-missed-heavy-hitter guarantee. It is also the
+    /// largest `p` a sketch-mode query may ask for.
     pub fn sketch_capacity_for_p(&self) -> usize {
         (2 * sketch_capacity(self.default_p)).max(64)
     }
@@ -598,7 +585,7 @@ impl Service {
     }
 
     /// The loaded relation `name`, if any.
-    pub fn relation(&self, name: &str) -> Option<&Relation> {
+    pub(crate) fn relation(&self, name: &str) -> Option<&Relation> {
         self.names.get(name).map(|&i| self.entries[i].rel.as_ref())
     }
 
@@ -680,18 +667,18 @@ impl Service {
 
     /// Set the default deadline for queries that do not override it
     /// (`None` = unlimited). The wire's `SET timeout_ms=` lands here.
-    pub fn set_default_timeout_ms(&mut self, ms: Option<u64>) {
+    pub(crate) fn set_default_timeout_ms(&mut self, ms: Option<u64>) {
         self.default_timeout_ms = ms;
     }
 
     /// Set the default cap on materialized answer rows (`None` =
     /// unlimited).
-    pub fn set_default_max_rows(&mut self, rows: Option<u64>) {
+    pub(crate) fn set_default_max_rows(&mut self, rows: Option<u64>) {
         self.default_max_rows = rows;
     }
 
     /// Set the default cap on aggregate groups (`None` = unlimited).
-    pub fn set_default_max_groups(&mut self, groups: Option<u64>) {
+    pub(crate) fn set_default_max_groups(&mut self, groups: Option<u64>) {
         self.default_max_groups = groups;
     }
 
@@ -722,7 +709,7 @@ impl Service {
     /// Run one fully-specified query inside the fault-containment
     /// boundary: planning runs under a `catch_unwind`, execution *and*
     /// answer materialization (a plain query's answers are joined inside a
-    /// limited budget, see [`Plan::try_execute`]) under the spec's budget
+    /// limited budget) under the spec's budget
     /// and another, so a planner or mid-query worker panic or a tripped
     /// budget returns a typed [`ServiceError`] — the catalog, plan cache,
     /// and backend stay intact for the next query.
@@ -744,6 +731,13 @@ impl Service {
         let seed = spec.seed.unwrap_or(self.default_seed);
         admit(&spec.query, spec.algorithm, spec.aggregate.as_ref())
             .map_err(ServiceError::Unsupported)?;
+        let capacity = self.sketch_capacity_for_p();
+        if self.stats_mode == StatsMode::Sketch && p > capacity {
+            return Err(ServiceError::Unsupported(format!(
+                "p={p} is above the sketch capacity {capacity}: a summary of fewer than p \
+                 counters can miss an m/p-heavy hitter"
+            )));
+        }
         // Canonicalization renames variables but keeps their indices, so
         // the aggregate spec applies to the canonical query unchanged.
         let canonical = spec.query.canonical();
@@ -976,12 +970,18 @@ mod tests {
         assert_eq!(svc.cached_plans(), 1);
         // Different p / seed / pinned algorithm are distinct entries, even
         // a pin on the algorithm Auto resolves to here.
-        let spec = QuerySpec::new(q.clone()).p(8);
+        let spec = QuerySpec {
+            p: Some(8),
+            ..QuerySpec::new(q.clone())
+        };
         assert_eq!(
             svc.query_spec(&spec).unwrap().cache_status(),
             CacheStatus::Miss
         );
-        let pinned = QuerySpec::new(q).algorithm(Algorithm::HyperCube);
+        let pinned = QuerySpec {
+            algorithm: Algorithm::HyperCube,
+            ..QuerySpec::new(q)
+        };
         assert_eq!(
             svc.query_spec(&pinned).unwrap().cache_status(),
             CacheStatus::Miss
@@ -1083,7 +1083,10 @@ mod tests {
         // before asking whether its pinned algorithm may aggregate.
         let bad = AggregateSpec::new(vec![9], vec![AggregateOp::Count]).unwrap();
         let triangle = parse_query("S1(x,y), S2(y,z), S3(z,x)").unwrap();
-        let spec = QuerySpec::new(triangle).algorithm(Algorithm::GeneralSkew);
+        let spec = QuerySpec {
+            algorithm: Algorithm::GeneralSkew,
+            ..QuerySpec::new(triangle)
+        };
         let Err(ServiceError::Unsupported(invalid)) = svc.query_spec(&spec.aggregate(bad)) else {
             panic!("an out-of-range group-by variable is admitted");
         };
@@ -1284,7 +1287,10 @@ mod tests {
                     // before its first LOAD) errs and changes nothing.
                     let _ = match kind {
                         0 => svc
-                            .query_spec(&QuerySpec::new(shapes[r].clone()).p(4 << (2 * aux)))
+                            .query_spec(&QuerySpec {
+                                p: Some(4 << (2 * aux)),
+                                ..QuerySpec::new(shapes[r].clone())
+                            })
                             .map(|_| 0),
                         2 if len <= 1024 => {
                             let mut rows = light(&mut rng, len / 2 + 1);

@@ -73,7 +73,7 @@ impl ShareAllocation {
 
     /// Equal shares `p_i = floor(p^{1/k})`: the skew-resilient allocation of
     /// Corollary 3.2(ii) / Example 3.3.
-    pub fn equal(q: &Query, p: usize) -> ShareAllocation {
+    pub(crate) fn equal(q: &Query, p: usize) -> ShareAllocation {
         let k = q.num_vars();
         let e = 1.0 / k as f64;
         let exponents = vec![e; k];
@@ -204,18 +204,31 @@ impl ShareAllocation {
     /// `max_j M_j / Π_{i ∈ S_j} p_i` (the expectation of Lemma 3.1(1),
     /// maxed over relations).
     pub fn expected_load_bits(&self, q: &Query, stats: &SimpleStatistics) -> f64 {
-        let m = stats.bit_sizes_f64();
-        (0..q.num_atoms())
-            .map(|j| {
-                let denom: f64 = q
-                    .atom(j)
-                    .var_set()
-                    .iter()
-                    .map(|i| self.shares[i] as f64)
-                    .product();
-                m[j] / denom
-            })
-            .fold(0.0, f64::max)
+        self.per_atom_load_bits(q, stats).fold(0.0, f64::max)
+    }
+
+    /// The mean load in bits of the servers the integer shares use:
+    /// `Σ_j M_j / Π_{i ∈ S_j} p_i`. Each of them receives that in
+    /// expectation, and since atom `j`'s `M_j` bits go to `Π_{i ∉ S_j} p_i`
+    /// of the `Π_i p_i` used servers, it is also the round's total
+    /// communication divided among them: whatever the hashing does, the
+    /// busiest server receives at least this much.
+    pub(crate) fn mean_load_bits(&self, q: &Query, stats: &SimpleStatistics) -> f64 {
+        self.per_atom_load_bits(q, stats).sum()
+    }
+
+    /// `M_j / Π_{i ∈ S_j} p_i` for each atom `j`.
+    fn per_atom_load_bits<'a>(
+        &'a self,
+        q: &'a Query,
+        stats: &'a SimpleStatistics,
+    ) -> impl Iterator<Item = f64> + 'a {
+        (q.atoms().iter().zip(&stats.bit_sizes)).map(|(atom, &m)| {
+            let denom: f64 = (atom.var_set().iter())
+                .map(|i| self.shares[i] as f64)
+                .product();
+            m as f64 / denom
+        })
     }
 }
 

@@ -122,7 +122,12 @@ impl GeneralSkewAlgorithm {
     /// any (including overcounted) classification; estimate error only
     /// shifts load, within the bound the module docs cite.
     #[allow(clippy::needless_range_loop)]
-    pub fn plan_with(q: &Query, p: usize, seed: u64, stats: &dyn Stats) -> GeneralSkewAlgorithm {
+    pub(crate) fn plan_with(
+        q: &Query,
+        p: usize,
+        seed: u64,
+        stats: &dyn Stats,
+    ) -> GeneralSkewAlgorithm {
         let simple = stats.simple();
         let mu = log_p_sizes(&simple, p);
 

@@ -49,13 +49,14 @@ struct HeavyRoute {
 /// A planned skew join (Section 4.1).
 ///
 /// [`SkewJoin::plan_with`] is the one planner, with the shape of §4.2's
-/// [`GeneralSkewAlgorithm::plan_with`](crate::skew_general::GeneralSkewAlgorithm::plan_with):
+/// `GeneralSkewAlgorithm::plan_with`:
 /// `(q, p, seed)` and one [`Stats`] source, of which it reads the
 /// cardinalities and the two shared-variable heavy sets. There is no
 /// other knob; [`SkewJoin::plan`] is that over [`ExactStats`], and the
 /// engine calls it with whatever source
 /// [`Engine::stats`](crate::engine::Engine::stats) was given. The plan
-/// carries its Eq. (10) prediction ([`SkewJoin::predicted_load_bits`]).
+/// carries its Eq. (10) prediction, which the engine reports as
+/// [`Plan::predicted_load_bits`](crate::engine::Plan::predicted_load_bits).
 ///
 /// ```
 /// use mpc_core::skew_join::SkewJoin;
@@ -74,7 +75,6 @@ struct HeavyRoute {
 /// let db = Database::new(q, vec![s1, s2], 4096).unwrap();
 ///
 /// let sj = SkewJoin::plan(&db, 16, 3);
-/// assert!(sj.num_heavy() >= 1);           // the hot value was classified
 /// let (cluster, report) = sj.run(&db);
 /// assert!(verify::verify(&db, &cluster).is_complete());
 /// // The hot value's tuples were split, not dumped on one server:
@@ -90,8 +90,6 @@ pub struct SkewJoin {
     /// Heavy-hitter route table, probed once per routed tuple with a
     /// stack-projected key (no per-tuple allocation).
     routes: FastMap<Vec<u64>, HeavyRoute>,
-    /// Total virtual servers (diagnostics; `Θ(p)`).
-    virtual_servers: usize,
     predicted_load_bits: f64,
     key_light: u64,
     key_private: [u64; 2],
@@ -106,7 +104,7 @@ impl SkewJoin {
 
     /// Plan `q` (two atoms sharing a non-empty variable set) for `p`
     /// servers from any [`Stats`] source, the way
-    /// [`GeneralSkewAlgorithm::plan_with`](crate::skew_general::GeneralSkewAlgorithm::plan_with)
+    /// `GeneralSkewAlgorithm::plan_with`
     /// plans §4.2: the cardinalities and each side's shared-variable heavy
     /// set ([`HeavyHitters::of`], straddle-is-heavy) are everything it
     /// reads. A value is in H12, H1 or H2 by membership in those two sets,
@@ -194,7 +192,6 @@ impl SkewJoin {
             shared_cols,
             private_cols,
             routes,
-            virtual_servers: offset,
             predicted_load_bits,
             key_light: mix64(seed, 0x2722_0A95_FE4D_BA1B),
             key_private: [
@@ -206,17 +203,12 @@ impl SkewJoin {
 
     /// The plan's predicted per-server load in bits: Eq. (10)'s
     /// `max(m1/p, m2/p, L1, L2, L12)` tuples times the widest tuple.
-    pub fn predicted_load_bits(&self) -> f64 {
+    pub(crate) fn predicted_load_bits(&self) -> f64 {
         self.predicted_load_bits
     }
 
-    /// Total virtual servers laid out (`Θ(p)`; diagnostics).
-    pub fn virtual_servers(&self) -> usize {
-        self.virtual_servers
-    }
-
     /// Number of heavy `z` values handled specially.
-    pub fn num_heavy(&self) -> usize {
+    pub(crate) fn num_heavy(&self) -> usize {
         self.routes.len()
     }
 
@@ -515,10 +507,10 @@ mod tests {
             let db = zipf_db(4000, theta, 6);
             for p in [8usize, 32, 128] {
                 let sj = SkewJoin::plan(&db, p, 12);
+                let virtual_servers = p + sj.routes.values().map(|r| r.p1 * r.p2).sum::<usize>();
                 assert!(
-                    sj.virtual_servers() <= 6 * p + sj.num_heavy(),
-                    "theta={theta} p={p}: {} virtual servers",
-                    sj.virtual_servers()
+                    virtual_servers <= 6 * p + sj.num_heavy(),
+                    "theta={theta} p={p}: {virtual_servers} virtual servers"
                 );
             }
         }

@@ -101,13 +101,6 @@ pub struct AggregateVerification {
     pub got: AggregateResult,
 }
 
-impl AggregateVerification {
-    /// True iff the distributed fold is bit-identical to the oracle.
-    pub fn is_complete(&self) -> bool {
-        self.expected == self.got
-    }
-}
-
 /// The sequential ground truth: fold the oracle's Fixed-order join of the
 /// full database ([`oracle::for_each_binding`]) through one accumulator.
 /// Every distributed aggregate is differentially checked against it.

@@ -39,7 +39,7 @@
 //! **Reply framing.** There is one renderer and one serve loop. Every
 //! reply — status line, answer rows, group lines, `STATS`, `err` — is
 //! appended as newline-terminated text to one reusable buffer
-//! ([`Session::handle_into`], [`render_outcome`]); [`Session::handle`] is
+//! (`Session::handle_into`, [`render_outcome`]); [`Session::handle`] is
 //! the same path split into lines. [`serve`] reads a command, renders its
 //! whole reply *before* writing any of it (so a panic or budget trip while
 //! the rows are materialized is one `err` line, never a torn reply), and
@@ -61,7 +61,6 @@
 //! assert_eq!(reply[1], "0 1 9"); // x z y, interning order
 //! assert_eq!(reply[2], "end");
 //! assert!(session.handle(&mut svc, "SHUTDOWN")[0].starts_with("ok bye"));
-//! assert!(session.is_done());
 //! ```
 
 use crate::engine::{Algorithm, MAX_SERVERS};
@@ -93,12 +92,12 @@ impl Session {
     }
 
     /// True once the client sent `SHUTDOWN`.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.done
     }
 
     /// Process one protocol line against `service`, returning the
-    /// response lines: [`Session::handle_into`] split at its newlines.
+    /// response lines: `Session::handle_into` split at its newlines.
     pub fn handle(&mut self, service: &mut Service, line: &str) -> Vec<String> {
         let mut out = String::new();
         self.handle_into(service, line, &mut out);
@@ -109,7 +108,7 @@ impl Session {
     /// zero or more newline-terminated lines — to `out`. Nothing else is
     /// allocated per reply line, so a caller that reuses `out` renders
     /// even a large `rows` reply without touching the allocator.
-    pub fn handle_into(&mut self, service: &mut Service, line: &str, out: &mut String) {
+    pub(crate) fn handle_into(&mut self, service: &mut Service, line: &str, out: &mut String) {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             return;

@@ -73,18 +73,6 @@ impl AnswerSet {
         }
     }
 
-    /// Build from nested rows (tests and the migration escape hatch).
-    ///
-    /// # Panics
-    /// Panics when a row's length differs from `arity`.
-    pub fn from_nested(arity: usize, rows: &[Vec<u64>]) -> AnswerSet {
-        let mut out = AnswerSet::with_capacity(arity, rows.len());
-        for row in rows {
-            out.push(row);
-        }
-        out
-    }
-
     /// Row width (the query's variable count).
     pub fn arity(&self) -> usize {
         self.arity
@@ -334,6 +322,16 @@ impl fmt::Debug for AnswerSet {
 mod tests {
     use super::*;
 
+    /// Build from nested rows; panics when a row's length differs from
+    /// `arity`.
+    fn from_nested(arity: usize, rows: &[Vec<u64>]) -> AnswerSet {
+        let mut out = AnswerSet::with_capacity(arity, rows.len());
+        for row in rows {
+            out.push(row);
+        }
+        out
+    }
+
     #[test]
     fn push_row_len_and_iteration() {
         let mut a = AnswerSet::new(3);
@@ -379,24 +377,24 @@ mod tests {
 
     #[test]
     fn sort_keeps_duplicates() {
-        let mut a = AnswerSet::from_nested(2, &[vec![3, 1], vec![1, 2], vec![3, 1]]);
+        let mut a = from_nested(2, &[vec![3, 1], vec![1, 2], vec![3, 1]]);
         a.sort();
         assert_eq!(a, vec![vec![1, 2], vec![3, 1], vec![3, 1]]);
-        let mut one = AnswerSet::from_nested(1, &[vec![4], vec![2], vec![4]]);
+        let mut one = from_nested(1, &[vec![4], vec![2], vec![4]]);
         one.sort();
         assert_eq!(one, vec![vec![2], vec![4], vec![4]]);
     }
 
     #[test]
     fn sort_dedup_canonicalizes() {
-        let mut a = AnswerSet::from_nested(2, &[vec![3, 1], vec![1, 2], vec![3, 1], vec![0, 9]]);
+        let mut a = from_nested(2, &[vec![3, 1], vec![1, 2], vec![3, 1], vec![0, 9]]);
         a.sort_dedup();
         assert_eq!(a, vec![vec![0, 9], vec![1, 2], vec![3, 1]]);
     }
 
     #[test]
     fn sort_dedup_arity_one_uses_flat_path() {
-        let mut a = AnswerSet::from_nested(1, &[vec![5], vec![1], vec![5], vec![3]]);
+        let mut a = from_nested(1, &[vec![5], vec![1], vec![5], vec![3]]);
         a.sort_dedup();
         assert_eq!(a, vec![vec![1], vec![3], vec![5]]);
     }
@@ -428,8 +426,8 @@ mod tests {
 
     #[test]
     fn append_concatenates_in_order() {
-        let mut a = AnswerSet::from_nested(2, &[vec![1, 2]]);
-        let b = AnswerSet::from_nested(2, &[vec![3, 4], vec![5, 6]]);
+        let mut a = from_nested(2, &[vec![1, 2]]);
+        let b = from_nested(2, &[vec![3, 4], vec![5, 6]]);
         a.append(b);
         assert_eq!(a, vec![vec![1, 2], vec![3, 4], vec![5, 6]]);
     }
@@ -448,7 +446,7 @@ mod tests {
             (2, vec![]),
             (2, vec![vec![7, 7]; 10]),
         ] {
-            let mut a = AnswerSet::from_nested(arity, &rows);
+            let mut a = from_nested(arity, &rows);
             let mut b = a.clone();
             b.sort_dedup();
             assert_eq!(a.sorted_distinct_count(), b.len(), "arity {arity}");
@@ -474,7 +472,7 @@ mod tests {
     #[test]
     fn nested_round_trip_and_equality() {
         let rows = vec![vec![9, 8], vec![7, 6]];
-        let a = AnswerSet::from_nested(2, &rows);
+        let a = from_nested(2, &rows);
         assert_eq!(a.to_nested(), rows);
         assert_eq!(a, rows);
         assert_eq!(rows, a);

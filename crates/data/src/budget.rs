@@ -137,7 +137,7 @@ impl QueryBudget {
 
     /// The configured group cap, if any (aggregate accumulators charge
     /// against it via [`QueryBudget::check_groups`]).
-    pub fn max_groups(&self) -> Option<u64> {
+    pub(crate) fn max_groups(&self) -> Option<u64> {
         self.shared.as_ref().and_then(|s| s.max_groups)
     }
 
@@ -186,7 +186,7 @@ impl QueryBudget {
 
     /// Charge `n` emitted answer rows against the row cap (shared across
     /// clones — a parallel run's servers draw down one pool).
-    pub fn charge_rows(&self, n: u64) -> Result<(), BudgetExceeded> {
+    pub(crate) fn charge_rows(&self, n: u64) -> Result<(), BudgetExceeded> {
         let Some(s) = &self.shared else {
             return Ok(());
         };

@@ -251,7 +251,6 @@ fn assert_indexable(name: &str, rows: usize) {
 /// assert_eq!(idx.candidates(&[5]), &[0, 1]);
 /// assert_eq!(idx.candidates(&[6]), &[2]);
 /// assert_eq!(idx.candidates(&[7]), &[] as &[u32]);
-/// assert_eq!(idx.num_groups(), 2);
 /// ```
 pub struct JoinIndex<'a> {
     relation: &'a Relation,
@@ -362,13 +361,13 @@ impl<'a> JoinIndex<'a> {
     }
 
     /// The attribute positions forming the key.
-    pub fn key_cols(&self) -> &[usize] {
+    pub(crate) fn key_cols(&self) -> &[usize] {
         &self.key_cols
     }
 
     /// Number of distinct keys (groups). An empty key — and an empty
     /// relation — count as one group spanning all rows.
-    pub fn num_groups(&self) -> usize {
+    pub(crate) fn num_groups(&self) -> usize {
         self.offsets.len() - 1
     }
 

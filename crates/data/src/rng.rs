@@ -15,7 +15,7 @@ pub struct Rng {
 
 /// SplitMix64 step, used for seeding and as a standalone mixer.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -88,17 +88,9 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Sample `k` distinct values uniformly from `[0, n)` (Floyd's
     /// algorithm); order is unspecified but deterministic.
-    pub fn sample_distinct(&mut self, n: u64, k: usize) -> Vec<u64> {
+    pub(crate) fn sample_distinct(&mut self, n: u64, k: usize) -> Vec<u64> {
         assert!(
             k as u64 <= n,
             "cannot sample {k} distinct values from [0,{n})"
@@ -118,6 +110,14 @@ impl Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fisher–Yates shuffle.
+    fn shuffle<T>(rng: &mut Rng, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = rng.below(i as u64 + 1) as usize;
+            items.swap(i, j);
+        }
+    }
 
     #[test]
     fn determinism() {
@@ -184,7 +184,7 @@ mod tests {
     fn shuffle_is_permutation() {
         let mut rng = Rng::seed_from_u64(11);
         let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
+        shuffle(&mut rng, &mut v);
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());

@@ -41,13 +41,8 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of values.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Probability of value `v`.
-    pub fn pmf(&self, v: usize) -> f64 {
+    pub(crate) fn pmf(&self, v: usize) -> f64 {
         if v == 0 {
             self.cdf[0]
         } else {

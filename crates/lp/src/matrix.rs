@@ -18,7 +18,7 @@ pub struct RatMatrix {
 
 impl RatMatrix {
     /// An all-zero `rows x cols` matrix.
-    pub fn zeros(rows: usize, cols: usize) -> RatMatrix {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> RatMatrix {
         RatMatrix {
             rows,
             cols,
@@ -35,11 +35,6 @@ impl RatMatrix {
             }
         }
         m
-    }
-
-    /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> RatMatrix {
-        RatMatrix::from_fn(n, n, |r, c| if r == c { Rat::ONE } else { Rat::ZERO })
     }
 
     /// Number of rows.
@@ -107,37 +102,6 @@ impl RatMatrix {
         Some((0..n).map(|i| rhs[i] / a[(i, i)]).collect())
     }
 
-    /// Rank via fraction-free style row reduction.
-    pub fn rank(&self) -> usize {
-        let mut a = self.clone();
-        let (rows, cols) = (a.rows, a.cols);
-        let mut rank = 0;
-        let mut row = 0;
-        for col in 0..cols {
-            if row >= rows {
-                break;
-            }
-            let Some(pivot) = (row..rows).find(|&r| !a[(r, col)].is_zero()) else {
-                continue;
-            };
-            a.swap_rows(pivot, row);
-            let pv = a[(row, col)];
-            for r in (row + 1)..rows {
-                if a[(r, col)].is_zero() {
-                    continue;
-                }
-                let factor = a[(r, col)] / pv;
-                for c in col..cols {
-                    let sub = factor * a[(row, c)];
-                    a[(r, c)] -= sub;
-                }
-            }
-            rank += 1;
-            row += 1;
-        }
-        rank
-    }
-
     fn swap_rows(&mut self, r1: usize, r2: usize) {
         if r1 == r2 {
             return;
@@ -183,9 +147,44 @@ mod tests {
         Rat::new(n as i128, d as i128)
     }
 
+    fn identity(n: usize) -> RatMatrix {
+        RatMatrix::from_fn(n, n, |r, c| if r == c { Rat::ONE } else { Rat::ZERO })
+    }
+
+    /// Rank via fraction-free style row reduction.
+    fn rank(m: &RatMatrix) -> usize {
+        let mut a = m.clone();
+        let (rows, cols) = (a.rows, a.cols);
+        let mut rank = 0;
+        let mut row = 0;
+        for col in 0..cols {
+            if row >= rows {
+                break;
+            }
+            let Some(pivot) = (row..rows).find(|&r| !a[(r, col)].is_zero()) else {
+                continue;
+            };
+            a.swap_rows(pivot, row);
+            let pv = a[(row, col)];
+            for r in (row + 1)..rows {
+                if a[(r, col)].is_zero() {
+                    continue;
+                }
+                let factor = a[(r, col)] / pv;
+                for c in col..cols {
+                    let sub = factor * a[(row, c)];
+                    a[(r, c)] -= sub;
+                }
+            }
+            rank += 1;
+            row += 1;
+        }
+        rank
+    }
+
     #[test]
     fn identity_solves_trivially() {
-        let id = RatMatrix::identity(3);
+        let id = identity(3);
         let b = vec![r(1, 2), r(3, 1), r(-2, 5)];
         assert_eq!(id.solve(&b).unwrap(), b);
     }
@@ -229,9 +228,9 @@ mod tests {
     fn rank_of_rectangular() {
         let a = RatMatrix::from_fn(3, 2, |i, j| r((i + j) as i64, 1));
         // rows (0,1),(1,2),(2,3): rank 2
-        assert_eq!(a.rank(), 2);
-        assert_eq!(RatMatrix::identity(4).rank(), 4);
-        assert_eq!(RatMatrix::zeros(3, 3).rank(), 0);
+        assert_eq!(rank(&a), 2);
+        assert_eq!(rank(&identity(4)), 4);
+        assert_eq!(rank(&RatMatrix::zeros(3, 3)), 0);
     }
 
     #[test]

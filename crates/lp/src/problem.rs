@@ -111,13 +111,8 @@ impl LinearProgram {
     }
 
     /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
+    pub(crate) fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// Variable name lookup (for diagnostics).
-    pub fn var_name(&self, idx: usize) -> &str {
-        &self.names[idx]
     }
 
     /// Add the constraint `sum(coeff * x[var]) cmp rhs` from a sparse list of
@@ -132,17 +127,17 @@ impl LinearProgram {
     }
 
     /// Model sense.
-    pub fn sense(&self) -> Sense {
+    pub(crate) fn sense(&self) -> Sense {
         self.sense
     }
 
     /// Objective coefficients.
-    pub fn objective(&self) -> &[f64] {
+    pub(crate) fn objective(&self) -> &[f64] {
         &self.objective
     }
 
     /// Constraint list.
-    pub fn constraints(&self) -> &[Constraint] {
+    pub(crate) fn constraints(&self) -> &[Constraint] {
         &self.constraints
     }
 
@@ -177,7 +172,7 @@ mod tests {
         lp.add_constraint(&[(x, 1.0), (y, 3.0)], Cmp::Le, 6.0);
         assert_eq!(lp.num_vars(), 2);
         assert_eq!(lp.num_constraints(), 2);
-        assert_eq!(lp.var_name(x), "x");
+        assert_eq!(lp.names[x], "x");
         assert_eq!(lp.constraints()[1].coeffs, vec![1.0, 3.0]);
     }
 

@@ -98,28 +98,10 @@ impl Rat {
     }
 
     /// Absolute value.
-    pub fn abs(&self) -> Rat {
+    pub(crate) fn abs(&self) -> Rat {
         Rat {
             num: self.num.abs(),
             den: self.den,
-        }
-    }
-
-    /// `min` of two rationals.
-    pub fn min(self, other: Rat) -> Rat {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// `max` of two rationals.
-    pub fn max(self, other: Rat) -> Rat {
-        if self >= other {
-            self
-        } else {
-            other
         }
     }
 

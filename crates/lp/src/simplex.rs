@@ -1,5 +1,5 @@
 //! Two-phase primal simplex over `f64` with Bland's anti-cycling rule, plus
-//! an optional lexicographic third phase ([`solve_lex`]) that breaks ties on
+//! an optional lexicographic third phase (`solve_lex`) that breaks ties on
 //! the optimal face by a secondary objective without leaving the tableau.
 //!
 //! The LPs solved in this workspace (share-exponent LP (5), its dual (8),
@@ -104,7 +104,7 @@ impl Tableau {
 }
 
 /// Solve a [`LinearProgram`]; see [`LinearProgram::solve`].
-pub fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
+pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
     solve_lex(lp, &[])
 }
 
@@ -112,7 +112,7 @@ pub fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
 /// [`LinearProgram::solve_lex`]. Phases 1–2 are [`solve`]'s; phase 3 keeps
 /// the tableau they end on, so a vertex that is already secondary-optimal is
 /// returned as it stands and an all-zero `secondary` pivots nothing.
-pub fn solve_lex(lp: &LinearProgram, secondary: &[f64]) -> Result<Solution, LpError> {
+pub(crate) fn solve_lex(lp: &LinearProgram, secondary: &[f64]) -> Result<Solution, LpError> {
     let n_orig = lp.num_vars();
     assert!(
         secondary.len() <= n_orig,

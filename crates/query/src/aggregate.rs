@@ -49,7 +49,7 @@ pub enum AggregateOp {
 
 impl AggregateOp {
     /// The operand variable, when the op has one.
-    pub fn var(self) -> Option<usize> {
+    pub(crate) fn var(self) -> Option<usize> {
         match self {
             AggregateOp::Count => None,
             AggregateOp::Sum(v)
@@ -60,7 +60,7 @@ impl AggregateOp {
     }
 
     /// The op's keyword as it appears in query text.
-    pub fn keyword(self) -> &'static str {
+    pub(crate) fn keyword(self) -> &'static str {
         match self {
             AggregateOp::Count => "count",
             AggregateOp::Sum(_) => "sum",
@@ -71,7 +71,7 @@ impl AggregateOp {
     }
 
     /// Render with the operand variable named through `q`.
-    pub fn display_with(self, q: &Query) -> String {
+    pub(crate) fn display_with(self, q: &Query) -> String {
         match self.var() {
             None => self.keyword().to_string(),
             Some(v) => format!("{}({})", self.keyword(), q.var_name(v)),

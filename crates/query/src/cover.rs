@@ -7,17 +7,8 @@
 //! packing value `τ*` captures one-round parallel complexity — the contrast
 //! the paper's introduction draws.
 
-use crate::packing::{var_weight, Packing};
 use crate::query::Query;
-use mpc_lp::{Cmp, LinearProgram, LpError, Rat, Sense};
-
-/// True iff `u` is a feasible fractional edge cover of `q`: every variable
-/// is covered with total weight at least 1.
-pub fn is_cover(q: &Query, u: &Packing) -> bool {
-    u.len() == q.num_atoms()
-        && !u.0.iter().any(Rat::is_negative)
-        && (0..q.num_vars()).all(|i| var_weight(q, u, i) >= Rat::ONE)
-}
+use mpc_lp::{Cmp, LinearProgram, LpError, Sense};
 
 /// Minimum fractional edge cover weights (argmin of `Σ u_j`), via LP.
 fn min_edge_cover(q: &Query) -> Result<Vec<f64>, LpError> {
@@ -75,7 +66,16 @@ pub fn agm_bound(q: &Query, cardinalities: &[usize]) -> Result<f64, LpError> {
 mod tests {
     use super::*;
     use crate::named;
-    use crate::packing::{max_packing_value, packing_vertices};
+    use crate::packing::{max_packing_value, packing_vertices, var_weight, Packing};
+    use mpc_lp::Rat;
+
+    /// True iff `u` is a feasible fractional edge cover of `q`: every
+    /// variable is covered with total weight at least 1.
+    fn is_cover(q: &Query, u: &Packing) -> bool {
+        u.len() == q.num_atoms()
+            && !u.0.iter().any(Rat::is_negative)
+            && (0..q.num_vars()).all(|i| var_weight(q, u, i) >= Rat::ONE)
+    }
 
     #[test]
     fn triangle_cover_number_is_three_halves() {

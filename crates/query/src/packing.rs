@@ -20,24 +20,14 @@ impl Packing {
         self.0.iter().copied().sum()
     }
 
-    /// Weight of atom `j`.
-    pub fn weight(&self, j: usize) -> Rat {
-        self.0[j]
-    }
-
     /// Weights as `f64`s.
     pub fn to_f64(&self) -> Vec<f64> {
         self.0.iter().map(Rat::to_f64).collect()
     }
 
     /// Number of atoms.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
-    }
-
-    /// True iff no atoms (degenerate).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -84,7 +74,8 @@ pub fn is_packing(q: &Query, u: &Packing) -> bool {
 /// True iff `u` is a *tight* packing: every variable constraint holds with
 /// equality. (Every tight fractional edge packing is a tight fractional edge
 /// cover and vice versa — Section 2.2.)
-pub fn is_tight_packing(q: &Query, u: &Packing) -> bool {
+#[cfg(test)]
+pub(crate) fn is_tight_packing(q: &Query, u: &Packing) -> bool {
     is_packing(q, u) && (0..q.num_vars()).all(|i| var_weight(q, u, i) == Rat::ONE)
 }
 

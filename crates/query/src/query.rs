@@ -198,7 +198,7 @@ impl Query {
 
     /// Indices of atoms containing variable `i` (the hyperedges incident to
     /// node `i`).
-    pub fn atoms_with_var(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn atoms_with_var(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         self.atoms
             .iter()
             .enumerate()

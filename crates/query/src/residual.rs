@@ -147,13 +147,23 @@ mod tests {
     }
 
     #[test]
-    fn saturation_infeasible_when_variable_uncoverable() {
+    fn saturation_feasible_when_every_residual_atom_is_capped_alone() {
         // Star(2) = S1(x1,z), S2(x2,z) at x = {z, x1, x2}: saturation needs
         // u1 >= 1, u2 >= 1 and u1 + u2 >= 1, and the zero-arity residual
         // atoms' caps allow u = (1,1). Saturation is feasible here.
         let q = named::star(2);
         let x = q.all_vars();
         assert!(!saturating_packing_vertices(&q, x).is_empty());
+    }
+
+    #[test]
+    fn saturation_infeasible_when_a_residual_variable_caps_the_sum() {
+        // S1(x,z), S2(y,z) at x = {x, y}: saturating x needs u1 >= 1 and
+        // saturating y needs u2 >= 1, but the residual S1(z), S2(z) keeps
+        // z's packing row u1 + u2 <= 1. No packing saturates x.
+        let q = named::two_way_join();
+        let x = VarSet::from_iter([q.var_index("x").unwrap(), q.var_index("y").unwrap()]);
+        assert!(saturating_packing_vertices(&q, x).is_empty());
     }
 
     #[test]

@@ -28,11 +28,6 @@ impl VarSet {
             .fold(VarSet::EMPTY, |s, i| s.union(VarSet::singleton(i)))
     }
 
-    /// Raw bitmask.
-    pub fn bits(self) -> u64 {
-        self.0
-    }
-
     /// Build directly from a bitmask.
     pub fn from_bits(bits: u64) -> VarSet {
         VarSet(bits)

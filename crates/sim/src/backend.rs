@@ -81,7 +81,7 @@ impl Backend {
     }
 
     /// Worker-thread budget of this backend (>= 1).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         match *self {
             Backend::Sequential => 1,
             Backend::Threads(n) => n.max(1),
@@ -90,7 +90,7 @@ impl Backend {
 
     /// Number of workers a loop over `len` items with at least `min_chunk`
     /// items per worker would actually use.
-    pub fn workers_for(&self, len: usize, min_chunk: usize) -> usize {
+    pub(crate) fn workers_for(&self, len: usize, min_chunk: usize) -> usize {
         if len == 0 {
             return 0;
         }
@@ -113,7 +113,7 @@ impl Backend {
     /// the simulator is built on. Worker panics are re-raised on the caller
     /// with their original payload (the first panicking chunk in chunk
     /// order). A loop started inside a worker runs inline.
-    pub fn run_chunks<T, F>(&self, len: usize, min_chunk: usize, work: F) -> Vec<T>
+    pub(crate) fn run_chunks<T, F>(&self, len: usize, min_chunk: usize, work: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, usize) -> T + Sync,

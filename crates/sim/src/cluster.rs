@@ -270,11 +270,6 @@ impl Cluster {
         self.p
     }
 
-    /// The backend the shuffle ran on and the local joins run on.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     /// The fragment of atom `j` on `server`.
     pub fn fragment(&self, atom: usize, server: usize) -> &Relation {
         &self.fragments[atom][server]
@@ -589,7 +584,7 @@ mod tests {
         for backend in [Backend::Sequential].into_iter().chain(backends) {
             calls.store(0, Ordering::Relaxed);
             let got = Cluster::run_round_on(db, p, &counting, backend);
-            assert_eq!(got.backend(), backend);
+            assert_eq!(got.backend, backend);
             assert_eq!(
                 calls.load(Ordering::Relaxed),
                 tuples,
@@ -704,7 +699,7 @@ mod tests {
         let thr = Cluster::run_round_on(&db, p, &router, Backend::Threads(4));
         let (rs, rt) = (seq.report(), thr.report());
         assert_eq!(rs, rt);
-        assert_eq!(rs.num_servers(), p);
+        assert_eq!(rs.per_server_bits.len(), p);
         assert_eq!(rs.total_tuples(), 2000 * 2 + 2000);
     }
 
@@ -720,7 +715,7 @@ mod tests {
         assert_eq!(Backend::Threads(4).workers_for(6000, SHUFFLE_MIN_CHUNK), 2);
         for round in 0..3 {
             let threaded = Cluster::run_round_on(&db, p, &router, Backend::Threads(4));
-            assert_eq!(threaded.backend(), Backend::Threads(4));
+            assert_eq!(threaded.backend, Backend::Threads(4));
             for atom in 0..2 {
                 for s in 0..p {
                     assert_eq!(

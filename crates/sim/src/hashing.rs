@@ -25,7 +25,7 @@ impl HashFamily {
     }
 
     /// Number of functions in the family.
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.keys.len()
     }
 

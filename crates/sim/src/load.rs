@@ -21,11 +21,6 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Number of servers.
-    pub fn num_servers(&self) -> usize {
-        self.per_server_bits.len()
-    }
-
     /// The load `L`: maximum bits received by any server.
     pub fn max_load_bits(&self) -> u64 {
         self.per_server_bits.iter().copied().max().unwrap_or(0)
@@ -100,7 +95,7 @@ mod tests {
     #[test]
     fn maxima_and_totals() {
         let r = report();
-        assert_eq!(r.num_servers(), 4);
+        assert_eq!(r.per_server_bits.len(), 4);
         assert_eq!(r.max_load_bits(), 300);
         assert_eq!(r.max_load_tuples(), 30);
         assert_eq!(r.total_bits(), 600);

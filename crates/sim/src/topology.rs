@@ -6,7 +6,7 @@
 //! is replicated to the whole subcube spanned by the remaining dimensions.
 //! Which dimensions a tuple knows depends on its atom only, so that set is
 //! compiled once per atom into a [`SubcubePlan`] (strides of the fixed
-//! dimensions + ascending offsets of the free ones); [`Grid::subcube`]
+//! dimensions + ascending offsets of the free ones); `Grid::subcube`
 //! enumerates one subcube through the same plan.
 
 /// A k-dimensional grid of servers, `dims[i]` cells along dimension `i`.
@@ -34,7 +34,7 @@ impl Grid {
     }
 
     /// Number of dimensions `k`.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.dims.len()
     }
 
@@ -117,7 +117,7 @@ impl Grid {
     /// Destinations are appended to `out` (cleared first). This convenience
     /// form compiles a fresh [`SubcubePlan`] per call; routers compile one
     /// per atom when the plan is built ([`Grid::subcube_plan`]).
-    pub fn subcube(&self, fixed: &[(usize, usize)], out: &mut Vec<usize>) {
+    pub(crate) fn subcube(&self, fixed: &[(usize, usize)], out: &mut Vec<usize>) {
         out.clear();
         let (dims, coords): (Vec<usize>, Vec<usize>) = fixed.iter().copied().unzip();
         let plan = self.subcube_plan(&dims);
@@ -151,7 +151,7 @@ struct FixedDim {
 /// cached by the hundred). A tuple's destination set is then
 /// `base + offsets` with `base = Σ coordinate · stride` — no per-tuple
 /// enumeration state. (This replaced the per-tuple odometer walk and its
-/// scratch buffers; [`Grid::subcube`] is a wrapper over it, so there is one
+/// scratch buffers; `Grid::subcube` is a wrapper over it, so there is one
 /// enumeration.)
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SubcubePlan {

@@ -44,7 +44,7 @@ pub fn bin_of_frequency(freq: usize, m: usize, p: usize) -> Option<usize> {
 
 /// The bin exponent `β_b = log_p(2^{b-1})` of heavy bin `b`; the light bin
 /// is represented by exponent 1 ([`LIGHT_BIN_EXPONENT`]).
-pub fn bin_exponent(b: usize, p: usize) -> f64 {
+pub(crate) fn bin_exponent(b: usize, p: usize) -> f64 {
     assert!(b >= 1);
     ((b - 1) as f64) * 2f64.ln() / (p as f64).ln()
 }
@@ -65,7 +65,7 @@ pub struct BinnedHitters {
 
 impl BinnedHitters {
     /// Group a detection result into bins.
-    pub fn build(source: HeavyHitters) -> BinnedHitters {
+    pub(crate) fn build(source: HeavyHitters) -> BinnedHitters {
         let nb = num_bins(source.p);
         let mut bins: Vec<Vec<(Vec<u64>, usize)>> = vec![Vec::new(); nb];
         for (key, &freq) in &source.entries {
@@ -80,7 +80,7 @@ impl BinnedHitters {
     }
 
     /// Non-empty bins as `(bin index b, members)`.
-    pub fn occupied(&self) -> impl Iterator<Item = (usize, &[(Vec<u64>, usize)])> {
+    pub(crate) fn occupied(&self) -> impl Iterator<Item = (usize, &[(Vec<u64>, usize)])> {
         self.bins
             .iter()
             .enumerate()

@@ -29,7 +29,7 @@ impl SimpleStatistics {
 
     /// Collect from one relation per atom, in atom order, over domain
     /// `[0, domain)`.
-    pub fn over<'r>(
+    pub(crate) fn over<'r>(
         relations: impl Iterator<Item = &'r Relation> + Clone,
         domain: u64,
     ) -> SimpleStatistics {

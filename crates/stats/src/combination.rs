@@ -72,7 +72,7 @@ impl BinCombination {
 
     /// The empty combination `B_∅` (x = ∅, all atoms absent, one empty
     /// assignment) that drives the all-light run of the general algorithm.
-    pub fn empty(num_atoms: usize) -> BinCombination {
+    pub(crate) fn empty(num_atoms: usize) -> BinCombination {
         BinCombination {
             x: VarSet::EMPTY,
             bins: vec![BinChoice::Absent; num_atoms],

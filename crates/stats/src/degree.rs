@@ -77,7 +77,7 @@ fn slots_of(x: VarSet, sub: VarSet) -> Vec<usize> {
 /// exist (assert), since they would make the assignment set infinite.
 ///
 /// Returned values are in `x.iter()` (ascending variable index) order.
-pub fn joint_assignments(
+pub(crate) fn joint_assignments(
     stats: &DegreeStatistics,
     active: &[usize],
 ) -> Vec<(Vec<u64>, Vec<usize>)> {

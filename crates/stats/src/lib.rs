@@ -32,13 +32,13 @@ pub mod heavy;
 pub mod sketch;
 pub mod source;
 
-pub use bins::{bin_exponent, bin_of_frequency, num_bins, BinnedHitters, LIGHT_BIN_EXPONENT};
+pub use bins::{bin_of_frequency, num_bins, BinnedHitters, LIGHT_BIN_EXPONENT};
 pub use cardinality::SimpleStatistics;
 pub use combination::{
     enumerate_combinations, enumerate_combinations_with, heavy_table, BinChoice, BinCombination,
     CombinationAssignment, HeavyTable,
 };
-pub use degree::{degree_statistics, joint_assignments, sum_over_assignments, DegreeStatistics};
+pub use degree::{degree_statistics, sum_over_assignments, DegreeStatistics};
 pub use heavy::{heavy_hitters, HeavyHitters};
 pub use sketch::{FreqEstimate, RelationSketch, SpaceSaving};
 pub use source::{ExactStats, SketchStats, Stats, SyntheticStats};

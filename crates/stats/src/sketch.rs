@@ -32,25 +32,26 @@
 //! heavy classification).
 //!
 //! ```
-//! use mpc_stats::sketch::SpaceSaving;
+//! use mpc_data::Relation;
+//! use mpc_stats::sketch::RelationSketch;
 //!
-//! // One heavy key (40 of 100 observations) among many light ones,
-//! // summarized in 8 slots instead of a 61-entry frequency map. The
-//! // heavy key arrives last, after evictions have begun, so its count
-//! // inherits an evicted slot's — an overcount, never an undercount.
-//! let mut ss = SpaceSaving::new(8);
-//! for k in 0..60u64 {
-//!     ss.observe(&[100 + k]);
-//! }
-//! for _ in 0..40 {
-//!     ss.observe(&[7]);
-//! }
+//! // One heavy key (40 of 100 rows) among many light ones, summarized in
+//! // 8 slots instead of a 61-entry frequency map. The heavy key arrives
+//! // last, after evictions have begun, so its count inherits an evicted
+//! // slot's — an overcount, never an undercount.
+//! let mut rel = Relation::new("S", 1);
+//! let mut sketch = RelationSketch::of(&rel, 8);
+//! sketch.ensure_projection(&rel, &[0]);
+//! let rows: Vec<u64> = (100..160).chain(std::iter::repeat_n(7, 40)).collect();
+//! rel.push_rows(&rows);
+//! sketch.append_rows(&rows);
 //!
 //! // p = 10 servers → heaviness threshold m/p = 10. The true heavy key
 //! // is guaranteed present, its interval `[estimate - error, estimate]`
 //! // covering the true count.
-//! let est = ss
-//!     .estimates()
+//! let est = sketch
+//!     .heavy_hitters(&[0], 10)
+//!     .expect("the projection is registered")
 //!     .into_iter()
 //!     .find(|e| e.key == [7])
 //!     .expect("capacity >= p never misses a true m/p-heavy hitter");
@@ -141,8 +142,6 @@ pub struct SpaceSaving {
     /// key -> slot index.
     index: FastMap<Vec<u64>, usize>,
     slots: Vec<Slot>,
-    /// Total observations (`Σ true counts`).
-    items: u64,
 }
 
 impl SpaceSaving {
@@ -152,7 +151,7 @@ impl SpaceSaving {
     pub const UNBOUNDED: usize = usize::MAX;
 
     /// New summary tracking at most `capacity` keys (`capacity >= 1`).
-    pub fn new(capacity: usize) -> SpaceSaving {
+    pub(crate) fn new(capacity: usize) -> SpaceSaving {
         assert!(capacity >= 1, "SpaceSaving needs capacity >= 1");
         SpaceSaving {
             capacity,
@@ -164,15 +163,13 @@ impl SpaceSaving {
             } else {
                 Vec::with_capacity(capacity)
             },
-            items: 0,
         }
     }
 
     /// Count one occurrence of `key`. `O(1)` amortized; `O(capacity)` when
     /// a new key evicts the current minimum — constant in the stream
     /// length, which is what makes the summary sublinear to maintain.
-    pub fn observe(&mut self, key: &[u64]) {
-        self.items += 1;
+    pub(crate) fn observe(&mut self, key: &[u64]) {
         if let Some(&i) = self.index.get(key) {
             self.slots[i].count += 1;
             return;
@@ -206,37 +203,15 @@ impl SpaceSaving {
         best
     }
 
-    /// Number of tracked keys (`<= capacity`).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True iff nothing has been tracked yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Total observations fed into the summary.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
     /// The largest per-entry overcount bound (telemetry).
     fn max_over(&self) -> u64 {
         self.slots.iter().map(|s| s.over).max().unwrap_or(0)
     }
 
-    /// All tracked estimates, sorted by key (deterministic output order).
-    pub fn estimates(&self) -> Vec<FreqEstimate> {
-        let mut out: Vec<FreqEstimate> = self.slots.iter().map(Slot::estimate).collect();
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        out
-    }
-
     /// Tracked keys that [`FreqEstimate::may_exceed`] `threshold` — the
     /// conservative heavy superset, sorted by key. At capacity `>= p` and
     /// `threshold = items/p` this contains every true heavy hitter.
-    pub fn heavy_hitters(&self, threshold: f64) -> Vec<FreqEstimate> {
+    pub(crate) fn heavy_hitters(&self, threshold: f64) -> Vec<FreqEstimate> {
         let mut out: Vec<FreqEstimate> = self
             .slots
             .iter()
@@ -250,7 +225,7 @@ impl SpaceSaving {
     /// Resident byte accounting: slot storage plus index keys (an
     /// estimate, not an allocator measurement — deterministic across
     /// hosts).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.slots
             .iter()
             .map(|s| 2 * (s.key.len() * 8) + 24)
@@ -291,11 +266,6 @@ impl RelationSketch {
             capacity: capacity.max(1),
             projections: FastMap::default(),
         }
-    }
-
-    /// Tuples observed so far (`= m_j` when fed every ingested tuple).
-    pub fn rows(&self) -> u64 {
-        self.rows
     }
 
     /// Per-projection tracking capacity.
@@ -343,11 +313,6 @@ impl RelationSketch {
         }
     }
 
-    /// The tracked summary at `cols`, if registered.
-    pub fn projection(&self, cols: &[usize]) -> Option<&SpaceSaving> {
-        self.projections.get(cols)
-    }
-
     /// Conservative heavy hitters of the `cols` projection at the paper's
     /// `m/p` threshold (`None` when the projection is not registered).
     pub fn heavy_hitters(&self, cols: &[usize], p: usize) -> Option<Vec<FreqEstimate>> {
@@ -378,6 +343,13 @@ mod tests {
     use mpc_data::rng::Rng;
     use mpc_data::zipf::Zipf;
 
+    /// All tracked estimates, sorted by key.
+    fn estimates(ss: &SpaceSaving) -> Vec<FreqEstimate> {
+        let mut out: Vec<FreqEstimate> = ss.slots.iter().map(Slot::estimate).collect();
+        out.sort_by(|a, b| a.key.cmp(&b.key));
+        out
+    }
+
     /// The smallest tracked count — an upper bound on the true frequency
     /// of **every untracked key** (0 while the summary is not full).
     fn min_count(ss: &SpaceSaving) -> u64 {
@@ -397,7 +369,7 @@ mod tests {
         for _ in 0..3 {
             ss.observe(&[2]);
         }
-        let est = ss.estimates();
+        let est = estimates(&ss);
         assert_eq!(est.len(), 2);
         assert_eq!(est[0], FreqEstimate::exact(vec![1], 5));
         assert_eq!(est[1], FreqEstimate::exact(vec![2], 3));
@@ -414,8 +386,7 @@ mod tests {
             ss.observe(&[v]);
             *truth.entry(vec![v]).or_insert(0) += 1;
         }
-        assert_eq!(ss.items(), 12);
-        for e in ss.estimates() {
+        for e in estimates(&ss) {
             let t = truth[&e.key];
             assert!(
                 e.count_lower() <= t && t <= e.count_upper(),
@@ -427,7 +398,7 @@ mod tests {
         }
         // Untracked keys: bounded by min_count.
         for (key, &t) in &truth {
-            if ss.estimates().iter().all(|e| &e.key != key) {
+            if estimates(&ss).iter().all(|e| &e.key != key) {
                 assert!(t as u64 <= min_count(&ss));
             }
         }
@@ -489,7 +460,7 @@ mod tests {
             before,
             "appends must not rescan the relation"
         );
-        assert_eq!(sk.rows(), 150);
+        assert_eq!(sk.rows, 150);
         // The projection kept exact counts (4 distinct keys < capacity 8).
         let hh = sk.heavy_hitters(&[0], 4).unwrap();
         let exact = rel.frequencies(&[0]);
@@ -517,10 +488,10 @@ mod tests {
                 .collect();
             rel.push_rows(&flat);
             sk.append_rows(&flat);
-            assert_eq!(sk.rows(), rel.len() as u64);
+            assert_eq!(sk.rows, rel.len() as u64);
             for cols in [vec![1usize], vec![0usize, 1]] {
                 let freq = rel.frequencies(&cols);
-                let tracked = sk.projection(&cols).unwrap().estimates();
+                let tracked = estimates(&sk.projections[&cols]);
                 assert_eq!(tracked.len(), freq.len());
                 for e in &tracked {
                     assert_eq!(*e, FreqEstimate::exact(e.key.clone(), freq[&e.key]));

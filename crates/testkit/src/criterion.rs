@@ -100,16 +100,6 @@ impl Criterion {
             throughput: None,
         }
     }
-
-    /// Run a standalone benchmark (no group).
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let id = id.into();
-        run_benchmark(&id.0, self.sample_size, self.sample_time_ms, None, f);
-        self
-    }
 }
 
 /// A group of benchmarks sharing a name prefix and optional throughput.
@@ -207,6 +197,9 @@ impl Bencher {
     }
 }
 
+/// Per-iteration time below which a benchmark gets four times the samples.
+const NOISE_FLOOR_NS: u128 = 100_000;
+
 fn run_benchmark<F>(
     label: &str,
     sample_size: usize,
@@ -235,11 +228,8 @@ fn run_benchmark<F>(
     let iters = (per_sample.as_nanos() / estimate.as_nanos()).clamp(1, 1_000_000) as u64;
     // Minimum-time floor: µs-scale benchmarks are dominated by scheduler
     // and cache noise at the default budget, so quadruple the sample count
-    // below the floor — medians over the larger population are what keep
-    // `bench_compare` deltas meaningful on groups like `share_lp/star4`.
-    // `MPC_TESTKIT_NOISE_FLOOR_NS` overrides the floor (0 disables it).
-    let noise_floor_ns = env_usize("MPC_TESTKIT_NOISE_FLOOR_NS").unwrap_or(100_000) as u128;
-    let sample_size = if estimate.as_nanos() < noise_floor_ns {
+    // below 100 µs per iteration.
+    let sample_size = if estimate.as_nanos() < NOISE_FLOOR_NS {
         sample_size * 4
     } else {
         sample_size

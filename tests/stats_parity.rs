@@ -11,7 +11,7 @@
 use mpc_skew::core::engine::{
     sketch_capacity, Algorithm, Engine, ExactStats, SketchStats, Stats, StatsMode,
 };
-use mpc_skew::core::service::{CacheCounters, Service};
+use mpc_skew::core::service::{CacheCounters, QuerySpec, Service, ServiceError};
 use mpc_skew::data::{generators, Database, Relation, Rng};
 use mpc_skew::query::{named, parse_query};
 use mpc_skew::sim::backend::Backend;
@@ -488,5 +488,64 @@ fn sketch_service_load_stays_bounded_as_a_heavy_hitter_arrives() {
         // the cached plans, and the queries after it replanned.
         assert!(exact.counters().invalidations >= 1, "p={p}");
         assert_eq!(sketch.counters(), exact.counters(), "p={p}");
+    }
+}
+
+#[test]
+fn sketch_service_refuses_p_above_its_capacity() {
+    // `serve --p 16 --stats sketch` keeps 64 counters per projection. A
+    // query may override `p`, but from p = 65 on the summary has fewer
+    // counters than servers and can miss an m/p-heavy hitter: on these
+    // inputs the sketch plan reads 1.79x the exact one on the join at
+    // p = 1024 and 3.12x on the 3-chain at p = 128 (the roadmap's
+    // direction-8 table). So every admitted `p=` must stay
+    // within SKETCH_LOAD_FACTOR of exact mode, and every `p=` above the
+    // capacity is refused, naming it; exact mode admits them all.
+    let (n, m, p) = (1u64 << 16, 32_768usize, 16usize);
+    let mut rng = Rng::seed_from_u64(0xBEEF_000B);
+    let rels: Vec<Relation> = ["S1", "S2", "S3"]
+        .iter()
+        .map(|name| generators::zipf_column(name, 2, m, n, 1, 1.1, &mut rng))
+        .collect();
+    let build = |mode: StatsMode| {
+        let mut svc = Service::new(n)
+            .with_backend(Backend::Sequential)
+            .with_defaults(p, SEED)
+            .with_stats_mode(mode);
+        for rel in &rels {
+            svc.load(rel.clone()).unwrap();
+        }
+        svc
+    };
+    let mut exact = build(StatsMode::Exact);
+    let mut sketch = build(StatsMode::Sketch);
+    let capacity = sketch.sketch_capacity_for_p();
+    assert_eq!(capacity, 64);
+    let join = parse_query("S1(x,z), S2(y,z)").unwrap();
+    let chain = parse_query("S1(x,y), S2(y,z), S3(z,w)").unwrap();
+    for q in [&join, &chain] {
+        for p in (4..=10).map(|e| 1usize << e) {
+            let spec = QuerySpec {
+                p: Some(p),
+                ..QuerySpec::new(q.clone())
+            };
+            let a = exact.query_spec(&spec).unwrap();
+            match sketch.query_spec(&spec) {
+                Ok(b) if p <= capacity => {
+                    let ratio = b.max_load_bits() as f64 / a.max_load_bits() as f64;
+                    assert!(
+                        ratio <= SKETCH_LOAD_FACTOR,
+                        "{q} p={p}: sketch-planned load {ratio:.3}x exact"
+                    );
+                }
+                Err(ServiceError::Unsupported(msg)) if p > capacity => {
+                    assert!(msg.contains(&format!("capacity {capacity}")), "{msg}");
+                }
+                other => panic!(
+                    "{q} p={p} (capacity {capacity}): {:?}",
+                    other.map(|b| b.max_load_bits())
+                ),
+            }
+        }
     }
 }
