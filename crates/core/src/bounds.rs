@@ -6,7 +6,10 @@
 //!   Theorem 4.7 (Eq. 12);
 //! * the two-relation skew-join bound — Eq. (10);
 //! * the MapReduce replication-rate bound — Theorem 5.1;
-//! * the space exponent for given statistics — Section 3.3.
+//! * the space exponent for given statistics — Section 3.3;
+//! * the floor a run's answer count puts under its own loads — the
+//!   counting argument of "Communication Cost in Parallel Query
+//!   Processing" ([`output_floor`]).
 //!
 //! All bounds are "up to a constant `c` < 1 and polylog(p) factors"; the
 //! functions below return the clean algebraic expression (constant 1), which
@@ -18,6 +21,7 @@
 //! once.
 
 use mpc_lp::{non_dominated_max, Rat};
+use mpc_query::cover::{agm_bound, min_edge_cover};
 use mpc_query::residual::saturating_packing_vertices;
 use mpc_query::{Packing, Query};
 use mpc_stats::cardinality::SimpleStatistics;
@@ -268,6 +272,42 @@ pub fn expected_answers(q: &Query, cardinalities: &[usize], n: u64) -> f64 {
             .map(|&m| (m.max(1) as f64).ln())
             .sum::<f64>();
     log.exp()
+}
+
+/// What one round's answer count forces on its own servers, from
+/// `fragments[atom][server]` (a `LoadReport`'s per-atom, per-server tuple
+/// counts), the answer count `out` and `p`. Returns `(L_out, Σ_s AGM)`:
+///
+/// * `Σ_s AGM(q; a_s)`: a server holding fragments of sizes `a_s` derives
+///   at most `AGM(q; a_s)` distinct answers (none when one is empty), and
+///   every answer is derived on some server, so a correct round has
+///   `Σ_s AGM(q; a_s) ≥ out`.
+/// * `L_out`, in tuples: for the minimum fractional edge cover `u` of value
+///   `ρ`, `Π_j a_j^{u_j}` under `Σ_j a_j ≤ L` peaks at `a_j = u_j L / ρ`,
+///   so some server holds at least
+///   `L_out = (out / (p · Π_j (u_j/ρ)^{u_j}))^{1/ρ}` tuples. On the
+///   two-atom join (`u = (1, 1)`) that is `2·√(out / p)`.
+///
+/// `out` is the distinct answer count; the derivation (bag) count is also
+/// valid when the cover is integral, as on the join.
+pub fn output_floor(q: &Query, fragments: &[Vec<u64>], out: u64, p: usize) -> (f64, f64) {
+    assert_eq!(fragments.len(), q.num_atoms());
+    let u = min_edge_cover(q).expect("every variable is in an atom, so a cover exists");
+    let rho: f64 = u.iter().sum();
+    let peak: f64 = (u.iter().filter(|&&uj| uj > 0.0))
+        .map(|&uj| (uj / rho).powf(uj))
+        .product();
+    let l_out = (out as f64 / (p as f64 * peak)).powf(1.0 / rho);
+    let agm_sum = (0..p)
+        .map(|s| {
+            let a: Vec<usize> = fragments.iter().map(|f| f[s] as usize).collect();
+            match a.contains(&0) {
+                true => 0.0,
+                false => agm_bound(q, &a).expect("the cover LP is feasible"),
+            }
+        })
+        .sum();
+    (l_out, agm_sum)
 }
 
 /// The space exponent for given statistics (Section 3.3): writing

@@ -493,6 +493,14 @@ impl Router for Plan {
             PlanKind::GeneralSkew(r) => r.route(atom, tuple, out),
         }
     }
+
+    fn holders(&self, atom: usize) -> &[u32] {
+        match &self.kind {
+            PlanKind::HyperCube(r) => r.holders(atom),
+            PlanKind::SkewJoin(r) => r.holders(atom),
+            PlanKind::GeneralSkew(r) => r.holders(atom),
+        }
+    }
 }
 
 impl fmt::Display for Plan {

@@ -13,9 +13,10 @@
 //! atom and the shares, so it is compiled when the plan is built: one
 //! route per atom (attribute positions, dimension sizes and strides, the
 //! repeated-variable checks, and the offsets of the atom's
-//! [`SubcubePlan`]). Routing a tuple is then its hashes plus one `extend`
-//! — there is no per-thread routing scratch (`RouteScratch` and its
-//! `thread_local!` are gone).
+//! [`SubcubePlan`]). Routing a tuple is then its hashes: the router emits
+//! the subcube's first cell as the tuple's one key, and the atom's subcube
+//! offsets are its [`Router::holders`], so the cluster copies the tuple
+//! once per slice and every server of the slice holds that one fragment.
 
 use crate::shares::ShareAllocation;
 use mpc_data::catalog::Database;
@@ -261,12 +262,15 @@ impl AtomRoute<'_> {
     }
 }
 
+/// A tuple's key is the first cell of its subcube; the subcube is the
+/// key's holders.
 impl Router for HyperCube {
     fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
-        let route = self.routes.atom(atom);
-        if let Some(base) = route.base(&self.family, tuple) {
-            out.extend(route.offsets.iter().map(|&o| base + o as usize));
-        }
+        out.extend(self.routes.atom(atom).base(&self.family, tuple));
+    }
+
+    fn holders(&self, atom: usize) -> &[u32] {
+        self.routes.atom(atom).offsets
     }
 }
 
@@ -428,11 +432,21 @@ mod tests {
             let hc = HyperCube::new(&q, &ShareAllocation::explicit(shares, p), 5);
             let (mut out, mut dropped) = (Vec::new(), 0);
             for (j, rel) in db.relations().iter().enumerate() {
+                let holders = hc.holders(j);
+                assert!(holders.windows(2).all(|w| w[0] < w[1]), "not ascending");
+                assert_eq!(holders.len(), hc.replication_of(j), "{text} atom {j}");
                 for row in rel.rows() {
                     out.clear();
                     hc.route(j, row, &mut out);
-                    assert_eq!(out, reference_route(&hc, j, row), "{text} atom {j} {row:?}");
-                    assert!(out.windows(2).all(|w| w[0] < w[1]), "not ascending");
+                    assert!(out.len() <= 1, "{text}: one key per tuple");
+                    let dests: Vec<usize> = (out.iter())
+                        .flat_map(|&key| holders.iter().map(move |&o| key + o as usize))
+                        .collect();
+                    assert_eq!(
+                        dests,
+                        reference_route(&hc, j, row),
+                        "{text} atom {j} {row:?}"
+                    );
                     dropped += usize::from(out.is_empty());
                 }
             }
@@ -453,6 +467,49 @@ mod tests {
                 }
             }
             verify_complete(&db, &got);
+        }
+    }
+
+    #[test]
+    fn a_plans_hypercube_arm_holds_each_slice_once() {
+        // The triangle at 4x4x4 through `Plan`: every backend's fragments
+        // equal those of a router naming every destination, the report is
+        // the same, and the four servers of a slice share one fragment.
+        let q = named::cycle(3);
+        let db = uniform_db(&q, 5000, 1 << 12, 12);
+        let plan = crate::engine::Engine::new(&q).p(64).seed(3).plan(&db);
+        assert_eq!(plan.shares(), Some(vec![4, 4, 4]));
+        let explicit = |j: usize, row: &[u64], out: &mut Vec<usize>| {
+            plan.route(j, row, out);
+            if let Some(&key) = out.first() {
+                out.clear();
+                out.extend(plan.holders(j).iter().map(|&o| key + o as usize));
+            }
+        };
+        let want = Cluster::run_round_on(&db, 64, &explicit, Backend::Sequential);
+        let backends = [1usize, 2, 3, 8].map(Backend::Threads);
+        for backend in [Backend::Sequential].into_iter().chain(backends) {
+            let got = Cluster::run_round_on(&db, 64, &plan, backend);
+            assert_eq!(got.report(), want.report(), "{backend}");
+            for (j, rel) in db.relations().iter().enumerate() {
+                for s in 0..64 {
+                    assert_eq!(got.fragment(j, s), want.fragment(j, s), "{backend}");
+                }
+                let holders = plan.holders(j);
+                assert_eq!(holders.len(), 4);
+                let mut keys = Vec::new();
+                for row in rel.rows() {
+                    plan.route(j, row, &mut keys);
+                }
+                for &key in &keys {
+                    for &o in holders {
+                        let (first, other) =
+                            (got.fragment(j, key), got.fragment(j, key + o as usize));
+                        assert!(std::ptr::eq(first, other), "{backend}: a copy at {key}+{o}");
+                    }
+                }
+            }
+            assert_eq!(got.all_answers(&q), want.all_answers(&q), "{backend}");
         }
     }
 

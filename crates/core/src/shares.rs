@@ -276,9 +276,9 @@ pub(crate) fn solve_share_lp(
     budget: f64,
 ) -> Result<(f64, Vec<f64>), LpError> {
     let mut lp = LinearProgram::new(Sense::Minimize);
-    let lambda = lp.add_var("lambda", 1.0);
+    let lambda = lp.add_var(1.0);
     let evars: Vec<Option<usize>> = (0..q.num_vars())
-        .map(|i| (!x.contains(i)).then(|| lp.add_var(format!("e_{}", q.var_name(i)), 0.0)))
+        .map(|i| (!x.contains(i)).then(|| lp.add_var(0.0)))
         .collect();
     let mut terms: Vec<(usize, f64)> = Vec::with_capacity(evars.len() + 1);
     terms.extend(evars.iter().flatten().map(|&v| (v, 1.0)));

@@ -48,6 +48,12 @@
 //! combinations deriving it), and both report a [`JoinStats`] probe of the
 //! bindings they explored, also accumulated process-wide for the bench
 //! harness via [`visited_bindings_total`].
+//!
+//! Both engines take their indexes from an [`IndexCache`], one per atom,
+//! which builds each (relation, key-position set) index on first use.
+//! `Join::new` gives every evaluation caches of its own; [`Join::indexed`]
+//! evaluates over caches the caller shares between joins, so servers
+//! holding the same fragment build its indexes once.
 
 use crate::answers::AnswerSet;
 use crate::budget::{BudgetExceeded, QueryBudget, CHECK_INTERVAL};
@@ -58,6 +64,7 @@ use crate::rng::mix64;
 use mpc_query::{Query, VarSet};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which variable-ordering engine evaluates a local join.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -410,6 +417,58 @@ impl<'a> JoinIndex<'a> {
     }
 }
 
+/// One relation's [`JoinIndex`]es by key-position mask (bit `p` = position
+/// `p`), each built on first use and then handed to every join that asks
+/// for it. A join takes each (atom, mask) index from its cache once and
+/// keeps the `Arc`, so its probes never touch the lock; an index is built
+/// under the lock, so joins racing for one index build it once.
+///
+/// ```
+/// use mpc_data::join::{IndexCache, Join};
+/// use mpc_data::Relation;
+/// use mpc_query::named;
+///
+/// let q = named::two_way_join(); // S1(x,z), S2(y,z)
+/// let s1 = Relation::from_rows("S1", 2, &[&[1, 5], &[2, 5], &[3, 6]]);
+/// let s2 = Relation::from_rows("S2", 2, &[&[7, 5], &[8, 6]]);
+/// let (c1, c2) = (IndexCache::new(&s1), IndexCache::new(&s2));
+/// // Two evaluations over the same caches: the second builds nothing.
+/// assert_eq!(Join::indexed(&q, [&c1, &c2]).count(), Ok(3));
+/// assert_eq!(Join::indexed(&q, [&c1, &c2]).count(), Ok(3));
+/// ```
+pub struct IndexCache<'a> {
+    relation: &'a Relation,
+    built: Mutex<Vec<(u64, Arc<JoinIndex<'a>>)>>,
+}
+
+impl<'a> IndexCache<'a> {
+    /// An empty cache over `relation`.
+    pub fn new(relation: &'a Relation) -> IndexCache<'a> {
+        IndexCache {
+            relation,
+            built: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The index keyed on `mask`'s positions, built on first use.
+    fn index(&self, mask: u64) -> Arc<JoinIndex<'a>> {
+        // A build that panicked pushed nothing, so the list is whole.
+        let mut built = self.built.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, idx)) = built.iter().find(|(m, _)| *m == mask) {
+            return Arc::clone(idx);
+        }
+        let idx = Arc::new(JoinIndex::build(self.relation, mask_positions(mask)));
+        built.push((mask, Arc::clone(&idx)));
+        idx
+    }
+
+    /// Drop every index built so far; joins that took one keep theirs.
+    pub fn clear(&self) {
+        let mut built = self.built.lock().unwrap_or_else(PoisonError::into_inner);
+        *built = Vec::new();
+    }
+}
+
 /// Hash the projection of `row` onto `cols` (chained [`mix64`]).
 #[inline]
 fn hash_cols(row: &[u64], cols: &[usize]) -> u64 {
@@ -444,18 +503,19 @@ fn rows_key_equal(rel: &Relation, a: u32, row_b: &[u64], cols: &[usize]) -> bool
 /// The legacy engine: order atoms once with [`atom_order`], index each on
 /// its bound positions, extend bindings depth-first one row at a time.
 /// Emits every answer with multiplicity 1.
-fn fixed_join(
+fn fixed_join<'a>(
     query: &Query,
-    relations: &[&Relation],
+    caches: &[&IndexCache<'a>],
     probe: &mut JoinProbe<'_>,
     emit: &mut impl FnMut(&[u64], u64),
 ) {
-    let order = atom_order(query, relations);
+    let relations: Vec<&Relation> = caches.iter().map(|c| c.relation).collect();
+    let order = atom_order(query, &relations);
 
     // For each atom (in visit order) decide which of its positions are bound
     // by earlier atoms, and build the index keyed on those positions.
     let mut bound = VarSet::EMPTY;
-    let mut indexes: Vec<JoinIndex> = Vec::with_capacity(order.len());
+    let mut indexes: Vec<Arc<JoinIndex>> = Vec::with_capacity(order.len());
     // For checking: positions that must match the current binding but are not
     // part of the key (repeated variables within the atom).
     let mut check_positions: Vec<Vec<(usize, usize)>> = Vec::with_capacity(order.len());
@@ -464,13 +524,13 @@ fn fixed_join(
 
     for &j in &order {
         let atom = query.atom(j);
-        let mut key_positions = Vec::new();
+        let mut key_mask = 0u64;
         let mut checks = Vec::new();
         let mut binds = Vec::new();
         let mut seen_here = VarSet::EMPTY;
         for (pos, &v) in atom.vars().iter().enumerate() {
             if bound.contains(v) {
-                key_positions.push(pos);
+                key_mask |= 1 << pos;
             } else if seen_here.contains(v) {
                 // Repeated new variable within the atom: equality check
                 // against the position that bound it.
@@ -485,7 +545,7 @@ fn fixed_join(
                 binds.push((pos, v));
             }
         }
-        indexes.push(JoinIndex::build(relations[j], key_positions));
+        indexes.push(caches[j].index(key_mask));
         check_positions.push(checks);
         bind_positions.push(binds);
         bound = bound.union(atom.var_set());
@@ -501,7 +561,7 @@ fn fixed_join(
         depth: usize,
         order: &[usize],
         query: &Query,
-        indexes: &[JoinIndex],
+        indexes: &[Arc<JoinIndex>],
         check_positions: &[Vec<(usize, usize)>],
         bind_positions: &[Vec<(usize, usize)>],
         binding: &mut Vec<u64>,
@@ -571,9 +631,9 @@ fn fixed_join(
 // Dynamic (cardinality-guided) engine
 // ---------------------------------------------------------------------------
 
-/// The widest atom the dynamic engine joins: it keeps an atom's bound
-/// positions in one `u64` mask. Planning surfaces refuse wider atoms
-/// before they reach a join.
+/// The widest atom the local join takes: both engines key an atom's
+/// indexes by a `u64` mask of its bound positions. Planning surfaces
+/// refuse wider atoms before they reach a join.
 pub const MAX_ATOM_ARITY: usize = 64;
 
 /// The leaf scans an occurrence's candidate rows, instead of probing its
@@ -608,17 +668,19 @@ struct AtomState {
     rows: Candidates,
 }
 
-/// One atom's relation plus its lazily built per-position-mask indexes.
-/// Indexes are cached for the whole join, so each (atom, position set)
-/// pair is built at most once no matter how often the search revisits it.
-struct DynAtom<'a> {
+/// One atom's relation plus the per-position-mask indexes the join has
+/// taken from the atom's [`IndexCache`]. Each is taken once and kept for
+/// the whole join, so each (atom, position set) pair costs one cache
+/// lookup no matter how often the search revisits it.
+struct DynAtom<'c, 'a> {
+    cache: &'c IndexCache<'a>,
     rel: &'a Relation,
     /// Variable at each position (`atom.vars()`).
-    vars: &'a [usize],
+    vars: &'c [usize],
     /// `(pos, first_pos)` pairs a row must agree on (repeated variables
     /// within the atom); used by the root driver scan.
     dup_checks: Vec<(usize, usize)>,
-    indexes: Vec<(u64, JoinIndex<'a>)>,
+    indexes: Vec<(u64, Arc<JoinIndex<'a>>)>,
 }
 
 /// One distinct driver value with its multiplicity; `lo..hi` is the value's
@@ -684,14 +746,13 @@ fn positions_agree(row: &[u64], mut mask: u64, first: usize) -> bool {
     true
 }
 
-/// Position of the atom's cached index for `mask`, building it on first
-/// use (cached for the rest of the join).
-fn ensure_index_pos(atom: &mut DynAtom<'_>, mask: u64) -> usize {
+/// Position of the atom's index for `mask`, taken from its cache on first
+/// use (kept for the rest of the join).
+fn ensure_index_pos(atom: &mut DynAtom<'_, '_>, mask: u64) -> usize {
     if let Some(i) = atom.indexes.iter().position(|(m, _)| *m == mask) {
         return i;
     }
-    atom.indexes
-        .push((mask, JoinIndex::build(atom.rel, mask_positions(mask))));
+    atom.indexes.push((mask, atom.cache.index(mask)));
     atom.indexes.len() - 1
 }
 
@@ -701,7 +762,7 @@ fn ensure_index_pos(atom: &mut DynAtom<'_>, mask: u64) -> usize {
 /// match and are skipped whole (all rows of a group share the key
 /// projection).
 fn for_each_group(
-    atom: &mut DynAtom<'_>,
+    atom: &mut DynAtom<'_, '_>,
     mask: u64,
     first: usize,
     mut f: impl FnMut(u64, u32, u32),
@@ -726,7 +787,7 @@ fn for_each_group(
 /// memoized back to its `Range` of the cached index for the state's mask
 /// (the binding projects to its key).
 fn sorted_values(
-    atom: &mut DynAtom<'_>,
+    atom: &mut DynAtom<'_, '_>,
     state: &mut AtomState,
     mask: u64,
     first: usize,
@@ -767,7 +828,7 @@ fn runs(sorted: &[u64]) -> impl Iterator<Item = (u64, u64)> + '_ {
 /// became bound: probe the index keyed on the full new position set,
 /// building it on first use. Returns `false` when no row survives (prune).
 fn narrow(
-    atom: &mut DynAtom<'_>,
+    atom: &mut DynAtom<'_, '_>,
     state: &mut AtomState,
     add_mask: u64,
     binding: &[u64],
@@ -790,7 +851,7 @@ fn narrow(
 /// candidate count once any position is bound, the distinct-value count of
 /// a cached per-value index before that, the relation size as the fallback.
 #[inline]
-fn estimate(atom: &DynAtom<'_>, state: &AtomState, pos_mask: u64) -> u64 {
+fn estimate(atom: &DynAtom<'_, '_>, state: &AtomState, pos_mask: u64) -> u64 {
     if state.mask != 0 {
         return state.count as u64;
     }
@@ -805,8 +866,8 @@ fn estimate(atom: &DynAtom<'_>, state: &AtomState, pos_mask: u64) -> u64 {
 /// (the driver), narrow every other atom containing it, recurse; at the
 /// leaf emit the binding with multiplicity = ∏ per-atom candidate counts.
 #[allow(clippy::too_many_arguments)]
-fn dyn_descend<'a>(
-    atoms: &mut [DynAtom<'a>],
+fn dyn_descend(
+    atoms: &mut [DynAtom<'_, '_>],
     occs_of_var: &[Vec<(usize, u64, usize)>],
     all_vars: VarSet,
     bound: VarSet,
@@ -957,8 +1018,8 @@ fn dyn_descend<'a>(
 /// Visited-bindings accounting is unchanged: one per distinct driver
 /// value, whether or not it survives the intersection.
 #[allow(clippy::too_many_arguments)]
-fn dyn_leaf<'a>(
-    atoms: &mut [DynAtom<'a>],
+fn dyn_leaf(
+    atoms: &mut [DynAtom<'_, '_>],
     occs: &[(usize, u64, usize)],
     v: usize,
     d: usize,
@@ -1060,26 +1121,17 @@ fn dyn_leaf<'a>(
 /// engines start from identical row scans), its rows are iterated directly
 /// — no index is built for the driver — and every atom sharing variables
 /// with it is narrowed per row before the per-variable search takes over.
-fn dyn_join(
+fn dyn_join<'a>(
     query: &Query,
-    relations: &[&Relation],
+    caches: &[&IndexCache<'a>],
     probe: &mut JoinProbe<'_>,
     emit: &mut impl FnMut(&[u64], u64),
 ) {
     let l = query.num_atoms();
-    for (j, rel) in relations.iter().enumerate() {
-        assert!(
-            query.atom(j).arity() <= MAX_ATOM_ARITY,
-            "dynamic join supports atom arity <= {MAX_ATOM_ARITY} (atom {:?} has arity {})",
-            query.atom(j).name(),
-            query.atom(j).arity()
-        );
-        assert_indexable(rel.name(), rel.len());
-    }
 
     // Per-atom shape info.
-    let mut atoms: Vec<DynAtom<'_>> = Vec::with_capacity(l);
-    for (j, &rel) in relations.iter().enumerate() {
+    let mut atoms: Vec<DynAtom<'_, 'a>> = Vec::with_capacity(l);
+    for (j, &cache) in caches.iter().enumerate() {
         let vars = query.atom(j).vars();
         let mut dup_checks = Vec::new();
         for (pos, &v) in vars.iter().enumerate() {
@@ -1092,7 +1144,8 @@ fn dyn_join(
             }
         }
         atoms.push(DynAtom {
-            rel,
+            cache,
+            rel: cache.relation,
             vars,
             dup_checks,
             indexes: Vec::new(),
@@ -1121,7 +1174,7 @@ fn dyn_join(
     // fixed order's step-0 pick).
     let mut d = 0;
     for j in 1..l {
-        if relations[j].len() < relations[d].len() {
+        if atoms[j].rel.len() < atoms[d].rel.len() {
             d = j;
         }
     }
@@ -1158,11 +1211,11 @@ fn dyn_join(
         }
     }
 
-    let mut states: Vec<AtomState> = relations
+    let mut states: Vec<AtomState> = atoms
         .iter()
-        .map(|r| AtomState {
+        .map(|a| AtomState {
             mask: 0,
-            count: r.len() as u32,
+            count: a.rel.len() as u32,
             rows: Candidates::All,
         })
         .collect();
@@ -1175,7 +1228,8 @@ fn dyn_join(
     let mut scratch: Vec<NodeScratch> = (0..k).map(|_| NodeScratch::default()).collect();
     let mut key: Vec<u64> = Vec::new();
 
-    for row in relations[d].rows() {
+    let driver = atoms[d].rel;
+    for row in driver.rows() {
         if !probe.bump() {
             return;
         }
@@ -1244,28 +1298,48 @@ fn dyn_join(
 /// ```
 pub struct Join<'a> {
     query: &'a Query,
-    relations: Cow<'a, [&'a Relation]>,
+    atoms: Atoms<'a>,
     order: JoinOrder,
     budget: Option<&'a QueryBudget>,
+}
+
+/// Where a join's atoms come from: relations it indexes for itself, or
+/// index caches shared with other joins.
+enum Atoms<'a> {
+    Relations(Cow<'a, [&'a Relation]>),
+    Indexed(Vec<&'a IndexCache<'a>>),
 }
 
 impl<'a> Join<'a> {
     /// The join of `query` over `relations` (one per atom, in atom order).
     pub fn new(query: &'a Query, relations: &'a [&'a Relation]) -> Join<'a> {
-        Join::over(query, Cow::Borrowed(relations))
+        Join::over(query, Atoms::Relations(Cow::Borrowed(relations)))
     }
 
     /// The join of a [`Database`]'s query over its relations.
     pub fn of(db: &'a Database) -> Join<'a> {
         let rels = db.relations().iter().map(|r| r.as_ref()).collect();
-        Join::over(db.query(), Cow::Owned(rels))
+        Join::over(db.query(), Atoms::Relations(Cow::Owned(rels)))
     }
 
-    fn over(query: &'a Query, relations: Cow<'a, [&'a Relation]>) -> Join<'a> {
-        assert_eq!(relations.len(), query.num_atoms());
+    /// The join of `query` over one [`IndexCache`] per atom, in atom
+    /// order: every index it needs comes from (and stays in) those caches.
+    pub fn indexed(
+        query: &'a Query,
+        indexes: impl IntoIterator<Item = &'a IndexCache<'a>>,
+    ) -> Join<'a> {
+        Join::over(query, Atoms::Indexed(indexes.into_iter().collect()))
+    }
+
+    fn over(query: &'a Query, atoms: Atoms<'a>) -> Join<'a> {
+        let len = match &atoms {
+            Atoms::Relations(rels) => rels.len(),
+            Atoms::Indexed(caches) => caches.len(),
+        };
+        assert_eq!(len, query.num_atoms());
         Join {
             query,
-            relations,
+            atoms,
             order: JoinOrder::default(),
             budget: None,
         }
@@ -1305,11 +1379,13 @@ impl<'a> Join<'a> {
             budget.poll()?;
         }
         let mut probe = JoinProbe::new(self.budget);
-        if !self.relations.iter().any(|r| r.is_empty()) {
-            match self.order {
-                JoinOrder::Dynamic => dyn_join(self.query, &self.relations, &mut probe, &mut emit),
-                JoinOrder::Fixed => fixed_join(self.query, &self.relations, &mut probe, &mut emit),
+        match &self.atoms {
+            Atoms::Relations(rels) => {
+                let private: Vec<IndexCache> = rels.iter().map(|r| IndexCache::new(r)).collect();
+                let private: Vec<&IndexCache> = private.iter().collect();
+                self.evaluate(&private, &mut probe, &mut emit);
             }
+            Atoms::Indexed(caches) => self.evaluate(caches, &mut probe, &mut emit),
         }
         if let Some(e) = probe.tripped {
             return Err(e);
@@ -1323,6 +1399,33 @@ impl<'a> Join<'a> {
         Ok(JoinStats {
             bindings_visited: probe.visited,
         })
+    }
+
+    /// Run the chosen engine over one cache per atom; a join with an empty
+    /// relation has no answers and builds nothing.
+    fn evaluate(
+        &self,
+        caches: &[&IndexCache<'a>],
+        probe: &mut JoinProbe<'_>,
+        emit: &mut impl FnMut(&[u64], u64),
+    ) {
+        if caches.iter().any(|c| c.relation.is_empty()) {
+            return;
+        }
+        for (atom, cache) in self.query.atoms().iter().zip(caches) {
+            let rel = cache.relation;
+            assert!(
+                atom.arity() <= MAX_ATOM_ARITY,
+                "the local join supports atom arity <= {MAX_ATOM_ARITY} (atom {:?} has arity {})",
+                atom.name(),
+                atom.arity()
+            );
+            assert_indexable(rel.name(), rel.len());
+        }
+        match self.order {
+            JoinOrder::Dynamic => dyn_join(self.query, caches, probe, emit),
+            JoinOrder::Fixed => fixed_join(self.query, caches, probe, emit),
+        }
     }
 
     /// Count answers (with multiplicity) without materializing them.
@@ -1598,6 +1701,38 @@ mod tests {
         assert!(stats.bindings_visited > 0);
         // Other tests run in the same process; the global only ever grows.
         assert!(visited_bindings_total() - before >= stats.bindings_visited);
+    }
+
+    #[test]
+    fn joins_over_one_cache_build_each_index_once() {
+        let q = named::cycle(3);
+        let mut rng = Rng::seed_from_u64(0x1DC);
+        let rels: Vec<Relation> = ["S1", "S2", "S3"]
+            .map(|name| generators::uniform(name, 2, 400, 24, &mut rng))
+            .into_iter()
+            .collect();
+        let refs: Vec<&Relation> = rels.iter().collect();
+        let caches: Vec<IndexCache> = rels.iter().map(IndexCache::new).collect();
+        let built = |c: &IndexCache| -> Vec<(u64, usize)> {
+            let list = c.built.lock().unwrap();
+            list.iter()
+                .map(|(m, idx)| (*m, Arc::as_ptr(idx) as usize))
+                .collect()
+        };
+        for order in [JoinOrder::Dynamic, JoinOrder::Fixed] {
+            let want = count(&q, &refs, order);
+            let first = Join::indexed(&q, &caches).order(order).count().unwrap();
+            let after_first: Vec<_> = caches.iter().map(built).collect();
+            let second = Join::indexed(&q, &caches).order(order).count().unwrap();
+            assert_eq!((first, second), (want, want), "{order:?}");
+            let after_second: Vec<_> = caches.iter().map(built).collect();
+            assert_eq!(
+                after_first, after_second,
+                "{order:?}: the second join rebuilt"
+            );
+        }
+        caches[0].clear();
+        assert!(built(&caches[0]).is_empty());
     }
 
     #[test]

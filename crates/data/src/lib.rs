@@ -38,7 +38,7 @@ pub use answers::{rows_materialized_total, AnswerSet};
 pub use budget::{BudgetExceeded, BudgetKind, QueryBudget};
 pub use catalog::{CatalogError, Database};
 pub use fastmap::{FastMap, FastSet};
-pub use join::{visited_bindings_total, Join, JoinIndex, JoinOrder, JoinStats};
+pub use join::{visited_bindings_total, IndexCache, Join, JoinIndex, JoinOrder, JoinStats};
 pub use relation::{domain_bits, record_stats_scan_bytes, stats_scan_bytes_total, Relation};
 pub use rng::{mix64, Rng};
 pub use zipf::Zipf;

@@ -46,7 +46,6 @@ pub struct Constraint {
 pub struct LinearProgram {
     sense: Sense,
     objective: Vec<f64>,
-    names: Vec<String>,
     constraints: Vec<Constraint>,
 }
 
@@ -89,16 +88,14 @@ impl LinearProgram {
         LinearProgram {
             sense,
             objective: Vec::new(),
-            names: Vec::new(),
             constraints: Vec::new(),
         }
     }
 
     /// Add a non-negative variable with objective coefficient `obj`.
     /// Returns the variable's index.
-    pub fn add_var(&mut self, name: impl Into<String>, obj: f64) -> usize {
+    pub fn add_var(&mut self, obj: f64) -> usize {
         self.objective.push(obj);
-        self.names.push(name.into());
         for c in &mut self.constraints {
             c.coeffs.push(0.0);
         }
@@ -166,22 +163,22 @@ mod tests {
     #[test]
     fn build_model_shape() {
         let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_var("x", 3.0);
-        let y = lp.add_var("y", 2.0);
+        let x = lp.add_var(3.0);
+        let y = lp.add_var(2.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
         lp.add_constraint(&[(x, 1.0), (y, 3.0)], Cmp::Le, 6.0);
         assert_eq!(lp.num_vars(), 2);
         assert_eq!(lp.num_constraints(), 2);
-        assert_eq!(lp.names[x], "x");
+        assert_eq!((x, y), (0, 1));
         assert_eq!(lp.constraints()[1].coeffs, vec![1.0, 3.0]);
     }
 
     #[test]
     fn add_var_after_constraint_pads() {
         let mut lp = LinearProgram::new(Sense::Minimize);
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(&[(x, 2.0)], Cmp::Ge, 1.0);
-        let _y = lp.add_var("y", 1.0);
+        let _y = lp.add_var(1.0);
         assert_eq!(lp.constraints()[0].coeffs.len(), 2);
         assert_eq!(lp.constraints()[0].coeffs[1], 0.0);
     }
@@ -189,7 +186,7 @@ mod tests {
     #[test]
     fn duplicate_terms_accumulate() {
         let mut lp = LinearProgram::new(Sense::Minimize);
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(&[(x, 1.0), (x, 2.0)], Cmp::Le, 3.0);
         assert_eq!(lp.constraints()[0].coeffs[0], 3.0);
     }

@@ -286,8 +286,8 @@ mod tests {
     /// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 => x=4, y=0, z=12.
     fn textbook() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_var("x", 3.0);
-        let y = lp.add_var("y", 2.0);
+        let x = lp.add_var(3.0);
+        let y = lp.add_var(2.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
         lp.add_constraint(&[(x, 1.0), (y, 3.0)], Cmp::Le, 6.0);
         lp
@@ -296,8 +296,8 @@ mod tests {
     /// min 2x + 3y s.t. x + y >= 10, x >= 3: (10, 0) costs 20, (3, 7) 27.
     fn min_with_ge() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Minimize);
-        let x = lp.add_var("x", 2.0);
-        let y = lp.add_var("y", 3.0);
+        let x = lp.add_var(2.0);
+        let y = lp.add_var(3.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 10.0);
         lp.add_constraint(&[(x, 1.0)], Cmp::Ge, 3.0);
         lp
@@ -306,8 +306,8 @@ mod tests {
     /// min x + y s.t. x + 2y = 4, x - y = 1 => y=1, x=2, z=3.
     fn equalities() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Minimize);
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 1.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(1.0);
         lp.add_constraint(&[(x, 1.0), (y, 2.0)], Cmp::Eq, 4.0);
         lp.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Eq, 1.0);
         lp
@@ -316,7 +316,7 @@ mod tests {
     /// x <= 1 and x >= 2.
     fn infeasible() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(&[(x, 1.0)], Cmp::Le, 1.0);
         lp.add_constraint(&[(x, 1.0)], Cmp::Ge, 2.0);
         lp
@@ -325,8 +325,8 @@ mod tests {
     /// max x s.t. x - y <= 1: follow y up.
     fn unbounded() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 0.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(0.0);
         lp.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Le, 1.0);
         lp
     }
@@ -334,7 +334,7 @@ mod tests {
     /// min x s.t. -x <= -5  (i.e. x >= 5).
     fn negative_rhs() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Minimize);
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(&[(x, -1.0)], Cmp::Le, -5.0);
         lp
     }
@@ -342,10 +342,10 @@ mod tests {
     /// Classic degenerate example; Bland's rule must terminate.
     fn degenerate() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Maximize);
-        let x1 = lp.add_var("x1", 10.0);
-        let x2 = lp.add_var("x2", -57.0);
-        let x3 = lp.add_var("x3", -9.0);
-        let x4 = lp.add_var("x4", -24.0);
+        let x1 = lp.add_var(10.0);
+        let x2 = lp.add_var(-57.0);
+        let x3 = lp.add_var(-9.0);
+        let x4 = lp.add_var(-24.0);
         lp.add_constraint(
             &[(x1, 0.5), (x2, -5.5), (x3, -2.5), (x4, 9.0)],
             Cmp::Le,
@@ -368,10 +368,10 @@ mod tests {
     /// space: lambda = mu - 2/3 = 1/3 when mu = 1).
     fn triangle_share_lp() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Minimize);
-        let l = lp.add_var("lambda", 1.0);
-        let e1 = lp.add_var("e1", 0.0);
-        let e2 = lp.add_var("e2", 0.0);
-        let e3 = lp.add_var("e3", 0.0);
+        let l = lp.add_var(1.0);
+        let e1 = lp.add_var(0.0);
+        let e2 = lp.add_var(0.0);
+        let e3 = lp.add_var(0.0);
         lp.add_constraint(&[(e1, 1.0), (e2, 1.0), (e3, 1.0)], Cmp::Le, 1.0);
         lp.add_constraint(&[(e1, 1.0), (e2, 1.0), (l, 1.0)], Cmp::Ge, 1.0);
         lp.add_constraint(&[(e2, 1.0), (e3, 1.0), (l, 1.0)], Cmp::Ge, 1.0);
@@ -383,8 +383,8 @@ mod tests {
     /// on the whole edge from (1, 3) to (3, 1).
     fn optimal_edge() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 1.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(1.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
         lp.add_constraint(&[(x, 1.0)], Cmp::Le, 3.0);
         lp.add_constraint(&[(y, 1.0)], Cmp::Le, 3.0);
@@ -531,8 +531,8 @@ mod tests {
         // is a ray, and the secondary min −y runs off along it. Share LPs
         // cannot do this (Σ e <= budget bounds the face).
         let mut lp = LinearProgram::new(Sense::Minimize);
-        let x = lp.add_var("x", 1.0);
-        let _y = lp.add_var("y", 0.0);
+        let x = lp.add_var(1.0);
+        let _y = lp.add_var(0.0);
         lp.add_constraint(&[(x, 1.0)], Cmp::Ge, 1.0);
         assert_close(lp.solve().unwrap().objective, 1.0);
         assert_eq!(lp.solve_lex(&[0.0, -1.0]).unwrap_err(), LpError::Unbounded);

@@ -109,8 +109,8 @@ proptest! {
         b0 in 1.0f64..10.0, b1 in 1.0f64..10.0,
     ) {
         let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_var("x", c0);
-        let y = lp.add_var("y", c1);
+        let x = lp.add_var(c0);
+        let y = lp.add_var(c1);
         lp.add_constraint(&[(x, a00), (y, a01)], Cmp::Le, b0);
         lp.add_constraint(&[(x, a10), (y, a11)], Cmp::Le, b1);
         let sol = lp.solve().expect("bounded feasible LP");

@@ -11,11 +11,9 @@ use crate::query::Query;
 use mpc_lp::{Cmp, LinearProgram, LpError, Sense};
 
 /// Minimum fractional edge cover weights (argmin of `Σ u_j`), via LP.
-fn min_edge_cover(q: &Query) -> Result<Vec<f64>, LpError> {
+pub fn min_edge_cover(q: &Query) -> Result<Vec<f64>, LpError> {
     let mut lp = LinearProgram::new(Sense::Minimize);
-    let vars: Vec<usize> = (0..q.num_atoms())
-        .map(|j| lp.add_var(format!("u{j}"), 1.0))
-        .collect();
+    let vars: Vec<usize> = (0..q.num_atoms()).map(|_| lp.add_var(1.0)).collect();
     for i in 0..q.num_vars() {
         let terms: Vec<(usize, f64)> = q.atoms_with_var(i).map(|j| (vars[j], 1.0)).collect();
         lp.add_constraint(&terms, Cmp::Ge, 1.0);
@@ -34,9 +32,7 @@ pub fn edge_cover_number(q: &Query) -> Result<f64, LpError> {
 /// paper uses after Theorem 1.1.
 pub fn vertex_cover_number(q: &Query) -> Result<f64, LpError> {
     let mut lp = LinearProgram::new(Sense::Minimize);
-    let vars: Vec<usize> = (0..q.num_vars())
-        .map(|i| lp.add_var(format!("v{i}"), 1.0))
-        .collect();
+    let vars: Vec<usize> = (0..q.num_vars()).map(|_| lp.add_var(1.0)).collect();
     for j in 0..q.num_atoms() {
         let terms: Vec<(usize, f64)> = q.atom(j).var_set().iter().map(|i| (vars[i], 1.0)).collect();
         lp.add_constraint(&terms, Cmp::Ge, 1.0);
@@ -53,7 +49,7 @@ pub fn agm_bound(q: &Query, cardinalities: &[usize]) -> Result<f64, LpError> {
     assert_eq!(cardinalities.len(), q.num_atoms());
     let mut lp = LinearProgram::new(Sense::Minimize);
     let vars: Vec<usize> = (0..q.num_atoms())
-        .map(|j| lp.add_var(format!("u{j}"), (cardinalities[j].max(1) as f64).ln()))
+        .map(|j| lp.add_var((cardinalities[j].max(1) as f64).ln()))
         .collect();
     for i in 0..q.num_vars() {
         let terms: Vec<(usize, f64)> = q.atoms_with_var(i).map(|j| (vars[j], 1.0)).collect();

@@ -2,20 +2,31 @@
 //!
 //! The MPC model (Section 2.1): `p` servers, one global communication round,
 //! cost = maximum bits received by a server. An algorithm in this simulator
-//! is a [`Router`]: a pure function from `(atom, tuple)` to destination
-//! servers, evaluated tuple-at-a-time — exactly the paper's upper-bound
-//! model in which "all our algorithms treat tuples in `S_j` independently of
-//! other tuples". After the round, each server holds one fragment per
-//! relation and evaluates the query locally; [`Cluster::all_answers`] unions
-//! the per-server outputs.
+//! is a [`Router`]: a pure function from `(atom, tuple)` to destinations,
+//! evaluated tuple-at-a-time — exactly the paper's upper-bound model in
+//! which "all our algorithms treat tuples in `S_j` independently of other
+//! tuples". After the round, every server holds one fragment per relation
+//! and evaluates the query locally; [`Cluster::all_answers`] unions the
+//! per-server outputs.
+//!
+//! A router names destinations in two parts. [`Router::route`] emits a
+//! tuple's *keys*, and [`Router::holders`] gives, per atom, the offsets
+//! from a key to every server that holds the key's fragment: the rows
+//! routed to one key form one fragment, held by all of its holders. Most
+//! routers have one holder per key (the key is the server). HyperCube has
+//! one key per subcube slice, and every server of the slice holds it: the
+//! paper's replication along the dimensions an atom lacks. The cluster
+//! stores such a fragment once and its holders share it, so their local
+//! joins also share its indexes ([`Cluster::fold_answers`]). The model
+//! still charges every holder for every tuple it holds: load is counted
+//! per server ([`Cluster::report`]), exactly as if each had received its
+//! own copy.
 //!
 //! A round is one kernel for every backend — **route → count → scatter**
 //! ([`Cluster::try_run_round_on`]): every tuple is routed once into a flat
-//! destination list, the per-server counts size every fragment exactly, and
-//! every tuple word is then copied once, straight from the input relation
-//! into its fragments. (It replaced a sequential path that grew `p`
-//! vectors by doubling and a parallel `route_chunk` path that copied each
-//! word through a per-worker scratch buffer and a per-chunk arena first.)
+//! key list, the per-key counts size every fragment exactly, and every
+//! tuple word is then copied once per key, straight from the input relation
+//! into its fragments.
 
 use crate::backend::Backend;
 use crate::load::LoadReport;
@@ -23,9 +34,10 @@ use mpc_data::answers::AnswerSet;
 use mpc_data::budget::{BudgetExceeded, QueryBudget};
 use mpc_data::catalog::Database;
 use mpc_data::failpoint;
-use mpc_data::join::Join;
+use mpc_data::join::{IndexCache, Join};
 use mpc_data::relation::Relation;
 use mpc_query::Query;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Smallest relation share a shuffle worker is worth spawning for.
 /// [`Backend::workers_for`] rounds the chunk count up, so every chunk of a
@@ -36,12 +48,20 @@ const SHUFFLE_MIN_CHUNK: usize = 4096;
 /// Rows routed between two budget polls.
 const BUDGET_POLL_ROWS: usize = 512;
 
-/// A one-round tuple routing policy. `route` appends the destination server
-/// ids for `tuple` of atom `atom` to `out` (`out` arrives cleared;
-/// duplicates are tolerated and deduplicated by the simulator).
+/// A one-round tuple routing policy. `route` appends the keys of `tuple`
+/// of atom `atom` to `out` (`out` arrives cleared; duplicates are
+/// tolerated and deduplicated by the simulator); the tuple reaches every
+/// server `key + offset` for `offset` in [`Router::holders`].
 pub trait Router {
-    /// Compute destinations for one tuple.
+    /// Compute the keys of one tuple.
     fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>);
+
+    /// Ascending offsets from a key of atom `atom` to every server that
+    /// holds the key's fragment. Two keys of one atom must not share a
+    /// holder. The default, `[0]`, makes the key the server.
+    fn holders(&self, _atom: usize) -> &[u32] {
+        &[0]
+    }
 }
 
 impl<F: Fn(usize, &[u64], &mut Vec<usize>)> Router for F {
@@ -50,39 +70,50 @@ impl<F: Fn(usize, &[u64], &mut Vec<usize>)> Router for F {
     }
 }
 
-/// The post-shuffle state: per-atom, per-server relation fragments.
+/// The post-shuffle state: per atom, its distinct fragments and which one
+/// each server holds.
 #[derive(Clone, Debug)]
 pub struct Cluster {
     p: usize,
     value_bits: u32,
     input_bits: u64,
-    /// `fragments[atom][server]`.
-    fragments: Vec<Vec<Relation>>,
+    /// One entry per atom.
+    atoms: Vec<Held>,
     /// Execution backend for the local joins (the one the shuffle ran on).
     backend: Backend,
 }
 
-/// One routed row range of one relation: where every row goes, and how
-/// many rows every server receives. Rows are not copied here — the scatter
-/// reads them from the relation once the fragment sizes are known.
+/// One atom's fragments after a round.
+#[derive(Clone, Debug)]
+struct Held {
+    /// Slot 0 is the empty fragment of every server no key reaches; then
+    /// one fragment per key that received a row, in key order.
+    fragments: Vec<Relation>,
+    /// `slot[server]`: the fragment the server holds.
+    slot: Vec<u32>,
+}
+
+/// One routed row range of one relation: every row's keys, and how many
+/// rows every key receives. Rows are not copied here — the scatter reads
+/// them from the relation once the fragment sizes are known.
 struct Routed {
     /// First row of the range.
     lo: usize,
-    /// Every row's destination servers, concatenated; one row's run is
-    /// strictly ascending.
-    dests: Vec<u32>,
-    /// `ends[k]` is where row `lo + k`'s run ends in `dests`.
+    /// Every row's keys, concatenated; one row's run is strictly
+    /// ascending.
+    keys: Vec<u32>,
+    /// `ends[k]` is where row `lo + k`'s run ends in `keys`.
     ends: Vec<u32>,
-    /// Rows routed to each of the `p` servers.
+    /// Rows routed to each of the `p` keys.
     counts: Vec<usize>,
 }
 
 /// Route rows `lo..hi` of `rel` (atom `j`): the one place
-/// [`Router::route`] is called, once per row, on every backend. A
-/// destination list that is not already strictly ascending (compiled
-/// HyperCube routes always are) is sorted and deduplicated; an out-of-range
-/// server panics. The budget is polled before the first row and again
-/// every [`BUDGET_POLL_ROWS`] rows.
+/// [`Router::route`] is called, once per row, on every backend. A key
+/// list that is not already strictly ascending (compiled HyperCube routes
+/// always are) is sorted and deduplicated; a key whose last holder
+/// (`key + reach`) is not a server panics. The budget is polled before the
+/// first row and again every [`BUDGET_POLL_ROWS`] rows.
 #[allow(clippy::too_many_arguments)]
 fn route_rows(
     rel: &Relation,
@@ -91,13 +122,14 @@ fn route_rows(
     lo: usize,
     hi: usize,
     p: usize,
+    reach: usize,
     router: &(impl Router + Sync),
     budget: &QueryBudget,
 ) -> Result<Routed, BudgetExceeded> {
     failpoint::hit("shuffle");
     let mut routed = Routed {
         lo,
-        dests: Vec::with_capacity(hi - lo),
+        keys: Vec::with_capacity(hi - lo),
         ends: Vec::with_capacity(hi - lo),
         counts: vec![0; p],
     };
@@ -113,18 +145,22 @@ fn route_rows(
                 out.sort_unstable();
                 out.dedup();
             }
-            if out.last().is_some_and(|&last| last >= p) {
-                let server = out.iter().find(|&&s| s >= p).expect("the last one is");
+            if out.last().is_some_and(|&last| last + reach >= p) {
+                let key = out
+                    .iter()
+                    .find(|&&k| k + reach >= p)
+                    .expect("the last one is");
+                let server = key + reach;
                 panic!("router sent a tuple of atom {j} ({name}) to server {server} >= p={p}");
             }
-            // `server < p <= u32::MAX` was checked above and at round start.
+            // `key < p <= u32::MAX` was checked above and at round start.
             let counts = &mut routed.counts;
-            routed.dests.extend(out.iter().map(|&server| {
-                counts[server] += 1;
-                server as u32
+            routed.keys.extend(out.iter().map(|&key| {
+                counts[key] += 1;
+                key as u32
             }));
-            let end = u32::try_from(routed.dests.len())
-                .expect("one chunk routes fewer than 2^32 destinations");
+            let end =
+                u32::try_from(routed.keys.len()).expect("one chunk routes fewer than 2^32 keys");
             routed.ends.push(end);
         }
         if block_hi == hi {
@@ -134,9 +170,9 @@ fn route_rows(
     }
 }
 
-/// Copy every routed row of one chunk into its destination fragments'
-/// (flat, row-major) buffers, in row order. The buffers were reserved at
-/// their final size, so no copy reallocates.
+/// Copy every routed row of one chunk into its keys' (flat, row-major)
+/// buffers, in row order. The buffers were reserved at their final size,
+/// so no copy reallocates.
 fn scatter(rel: &Relation, routed: &Routed, bufs: &mut [Vec<u64>]) {
     fn copy_rows<R: AsRef<[u64]>>(
         rows: impl Iterator<Item = R>,
@@ -145,8 +181,8 @@ fn scatter(rel: &Relation, routed: &Routed, bufs: &mut [Vec<u64>]) {
     ) {
         let mut start = 0usize;
         for (row, &end) in rows.zip(&routed.ends) {
-            for &server in &routed.dests[start..end as usize] {
-                bufs[server as usize].extend_from_slice(row.as_ref());
+            for &key in &routed.keys[start..end as usize] {
+                bufs[key as usize].extend_from_slice(row.as_ref());
             }
             start = end as usize;
         }
@@ -199,15 +235,21 @@ impl Cluster {
     /// 1. *Route.* The relation's rows are split into contiguous chunks
     ///    (one on [`Backend::Sequential`]; on `Threads(n)` at most `n`,
     ///    and one per 4 096 rows rounded up, routed in parallel). Each chunk
-    ///    calls [`Router::route`] once per row and records the
-    ///    destinations and per-server row counts — no tuple is copied yet.
-    ///    The `shuffle` failpoint is hit once per routed chunk.
-    /// 2. *Count.* The per-server counts are summed over the chunks and
-    ///    each of the `p` fragments is allocated once, at its exact size.
-    /// 3. *Scatter.* The calling thread copies every row to its
-    ///    destinations in chunk-then-row order, so fragment tuple order is
-    ///    the relation's row order on every backend. When the relation was
-    ///    split, the `merge` failpoint is hit once per scattered chunk.
+    ///    calls [`Router::route`] once per row and records the keys and
+    ///    per-key row counts — no tuple is copied yet. The `shuffle`
+    ///    failpoint is hit once per routed chunk.
+    /// 2. *Count.* The per-key counts are summed over the chunks and the
+    ///    fragment of every key that received a row is allocated once, at
+    ///    its exact size.
+    /// 3. *Scatter.* The calling thread copies every row to its keys in
+    ///    chunk-then-row order, so fragment tuple order is the relation's
+    ///    row order on every backend. When the relation was split, the
+    ///    `merge` failpoint is hit once per scattered chunk. Every holder
+    ///    of a key ([`Router::holders`]) is then given that one fragment.
+    ///
+    /// # Panics
+    /// Panics when a key's holder is not a server, or when two keys of one
+    /// atom share a holder.
     ///
     /// The budget is polled by the routing step: at the start of every
     /// chunk and again every 512 rows, on both backends, so an expired
@@ -225,12 +267,14 @@ impl Cluster {
         assert!(p > 0, "cluster needs at least one server");
         assert!(u32::try_from(p).is_ok(), "server ids must fit in 32 bits");
         let q = db.query();
-        let mut fragments: Vec<Vec<Relation>> = Vec::with_capacity(q.num_atoms());
+        let mut atoms: Vec<Held> = Vec::with_capacity(q.num_atoms());
         for (j, rel) in db.relations().iter().enumerate() {
             let rel: &Relation = rel;
             let name = q.atom(j).name();
+            let holders = router.holders(j);
+            let reach = *holders.last().expect("a key has a holder") as usize;
             let split = backend.workers_for(rel.len(), SHUFFLE_MIN_CHUNK) > 1;
-            let route = |lo, hi| route_rows(rel, j, name, lo, hi, p, router, budget);
+            let route = |lo, hi| route_rows(rel, j, name, lo, hi, p, reach, router, budget);
             let chunks: Vec<Routed> = if split {
                 backend.run_chunks(rel.len(), SHUFFLE_MIN_CHUNK, route)
             } else {
@@ -240,8 +284,8 @@ impl Cluster {
             .collect::<Result<_, _>>()?;
             let arity = rel.arity();
             let mut bufs: Vec<Vec<u64>> = (0..p)
-                .map(|s| {
-                    let rows: usize = chunks.iter().map(|c| c.counts[s]).sum();
+                .map(|k| {
+                    let rows: usize = chunks.iter().map(|c| c.counts[k]).sum();
                     Vec::with_capacity(rows * arity)
                 })
                 .collect();
@@ -251,16 +295,13 @@ impl Cluster {
                 }
                 scatter(rel, chunk, &mut bufs);
             }
-            let frag = bufs
-                .into_iter()
-                .map(|buf| Relation::from_flat(name, arity, buf));
-            fragments.push(frag.collect());
+            atoms.push(Held::place(name, arity, bufs, holders));
         }
         Ok(Cluster {
             p,
             value_bits: db.value_bits(),
             input_bits: db.total_bits(),
-            fragments,
+            atoms,
             backend,
         })
     }
@@ -270,22 +311,26 @@ impl Cluster {
         self.p
     }
 
-    /// The fragment of atom `j` on `server`.
+    /// The fragment of atom `j` on `server`. Servers holding one key's
+    /// fragment get the same storage.
     pub fn fragment(&self, atom: usize, server: usize) -> &Relation {
-        &self.fragments[atom][server]
+        let held = &self.atoms[atom];
+        &held.fragments[held.slot[server] as usize]
     }
 
     /// Exact load accounting for the round: one sequential pass reading
-    /// each fragment's length and bit size (O(p · atoms) words, too little
-    /// work to be worth a thread), so the report is the same whatever the
-    /// backend.
+    /// each server's fragment lengths and bit sizes (O(p · atoms) words,
+    /// too little work to be worth a thread), so the report is the same
+    /// whatever the backend. A fragment counts in full on every server
+    /// that holds it.
     pub fn report(&self) -> LoadReport {
         let mut per_server_bits = vec![0u64; self.p];
         let mut per_server_tuples = vec![0u64; self.p];
-        let mut per_atom_server_tuples = Vec::with_capacity(self.fragments.len());
-        for frags in &self.fragments {
-            let tuples: Vec<u64> = frags.iter().map(|f| f.len() as u64).collect();
-            for (s, f) in frags.iter().enumerate() {
+        let mut per_atom_server_tuples = Vec::with_capacity(self.atoms.len());
+        for held in &self.atoms {
+            let frags = held.slot.iter().map(|&k| &held.fragments[k as usize]);
+            let tuples: Vec<u64> = frags.clone().map(|f| f.len() as u64).collect();
+            for (s, f) in frags.enumerate() {
                 per_server_tuples[s] += tuples[s];
                 per_server_bits[s] += f.bit_size(self.value_bits);
             }
@@ -363,6 +408,12 @@ impl Cluster {
     /// server-index order, so an order-sensitive merge stays deterministic
     /// — though a correct aggregate merge is commutative anyway.
     ///
+    /// The holders of one fragment share one [`IndexCache`], so each
+    /// (fragment, key-position set) index is built once per fold, not once
+    /// per server; a cache drops its indexes when its last holder's join
+    /// is done, so a fragment with one holder keeps them no longer than
+    /// that join.
+    ///
     /// A budget is a property of the evaluation: every local join polls
     /// `budget` and charges emitted rows against its row cap
     /// ([`QueryBudget::unlimited`] costs nothing), and the fold itself is
@@ -376,18 +427,39 @@ impl Cluster {
         init: impl Fn() -> A + Sync,
         fold: impl Fn(&mut A, &[u64], u64) -> Result<(), BudgetExceeded> + Sync,
     ) -> Result<Vec<A>, BudgetExceeded> {
+        // Per atom, per fragment: its cache and its holders yet to join.
+        let caches: Vec<Vec<(IndexCache, AtomicUsize)>> = (self.atoms.iter())
+            .map(|held| {
+                let mut holders = vec![0; held.fragments.len()];
+                for &k in &held.slot {
+                    holders[k as usize] += 1;
+                }
+                let pending = holders.into_iter().map(AtomicUsize::new);
+                held.fragments
+                    .iter()
+                    .map(IndexCache::new)
+                    .zip(pending)
+                    .collect()
+            })
+            .collect();
         let parts = self.backend.run_chunks(self.p, 1, |lo, hi| {
             let mut acc = init();
             for s in lo..hi {
-                let rels: Vec<&Relation> = self.fragments.iter().map(|f| &f[s]).collect();
+                let mine =
+                    || (self.atoms.iter().zip(&caches)).map(|(held, c)| &c[held.slot[s] as usize]);
                 let mut failed = None;
-                Join::new(query, &rels)
+                Join::indexed(query, mine().map(|(cache, _)| cache))
                     .budget(budget)
                     .for_each(|row, mult| {
                         if failed.is_none() {
                             failed = fold(&mut acc, row, mult).err();
                         }
                     })?;
+                for (cache, pending) in mine() {
+                    if pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        cache.clear();
+                    }
+                }
                 if let Some(e) = failed {
                     return Err(e);
                 }
@@ -404,6 +476,37 @@ impl Cluster {
         self.collect_answers(query, &QueryBudget::unlimited())
             .expect("an unlimited budget cannot be exceeded")
             .sorted_distinct_count() as u64
+    }
+}
+
+impl Held {
+    /// Turn one atom's per-key row buffers into its fragments: every key
+    /// that received a row gets a fragment, held by `key + offset` for
+    /// every offset in `holders`; every other server holds the empty one.
+    fn place(name: &str, arity: usize, bufs: Vec<Vec<u64>>, holders: &[u32]) -> Held {
+        let p = bufs.len();
+        let keys = bufs.iter().filter(|buf| !buf.is_empty()).count();
+        let mut held = Held {
+            fragments: Vec::with_capacity(keys + 1),
+            slot: vec![0; p],
+        };
+        held.fragments.push(Relation::new(name, arity));
+        for (key, buf) in bufs.into_iter().enumerate() {
+            if buf.is_empty() {
+                continue;
+            }
+            let k = u32::try_from(held.fragments.len()).expect("p fits in 32 bits");
+            held.fragments.push(Relation::from_flat(name, arity, buf));
+            for &offset in holders {
+                let server = key + offset as usize;
+                assert_eq!(
+                    held.slot[server], 0,
+                    "two keys of atom {name} share holder {server}"
+                );
+                held.slot[server] = k;
+            }
+        }
+        held
     }
 }
 
@@ -540,44 +643,77 @@ mod tests {
     }
 
     /// The shuffle as the model states it, kept here as the reference the
-    /// kernel is compared against: route each tuple, sort, dedup, push.
-    fn naive_fragments(db: &Database, p: usize, router: &impl Router) -> Vec<Vec<Relation>> {
-        let mut fragments = Vec::new();
+    /// kernel is compared against: route each tuple, sort and dedup its
+    /// keys, push it to every holder of every key. Also returns every
+    /// atom's keys that received a tuple.
+    fn naive_fragments(
+        db: &Database,
+        p: usize,
+        router: &impl Router,
+    ) -> (Vec<Vec<Relation>>, Vec<Vec<usize>>) {
+        let (mut fragments, mut used) = (Vec::new(), Vec::new());
         for (j, rel) in db.relations().iter().enumerate() {
             let mut frag: Vec<Relation> = (0..p)
                 .map(|_| Relation::new(rel.name(), rel.arity()))
                 .collect();
-            let mut dests = Vec::new();
+            let mut keys = Vec::new();
+            let mut all = Vec::new();
             for row in rel.rows() {
-                dests.clear();
-                router.route(j, row, &mut dests);
-                dests.sort_unstable();
-                dests.dedup();
-                for &server in &dests {
-                    frag[server].push(row);
+                keys.clear();
+                router.route(j, row, &mut keys);
+                keys.sort_unstable();
+                keys.dedup();
+                for &key in &keys {
+                    for &offset in router.holders(j) {
+                        frag[key + offset as usize].push(row);
+                    }
                 }
+                all.extend_from_slice(&keys);
             }
+            all.sort_unstable();
+            all.dedup();
             fragments.push(frag);
+            used.push(all);
         }
-        fragments
+        (fragments, used)
+    }
+
+    /// A forwarding router: `route` counts its calls, `holders` is the
+    /// inner router's.
+    struct Counting<'r, R> {
+        inner: &'r R,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<R: Router> Router for Counting<'_, R> {
+        fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.route(atom, tuple, out);
+        }
+
+        fn holders(&self, atom: usize) -> &[u32] {
+            self.inner.holders(atom)
+        }
     }
 
     /// Fragment contents (incl. tuple order), reports, and answers must be
-    /// the naive reference's, bit for bit, whatever the thread count — and
-    /// `route` runs exactly once per input tuple.
+    /// the naive reference's, bit for bit, whatever the thread count;
+    /// `route` runs exactly once per input tuple; and every holder of one
+    /// key is handed the same storage.
     fn assert_kernel_matches_reference(
         db: &Database,
         p: usize,
         label: &str,
         router: &(impl Router + Sync),
     ) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let expected = naive_fragments(db, p, router);
-        let calls = AtomicUsize::new(0);
-        let counting = |atom: usize, tuple: &[u64], out: &mut Vec<usize>| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            router.route(atom, tuple, out);
+        use std::sync::atomic::Ordering;
+        let (expected, used) = naive_fragments(db, p, router);
+        let counting = Counting {
+            inner: router,
+            calls: Default::default(),
         };
+        let calls = &counting.calls;
         let tuples: usize = db.relations().iter().map(|r| r.len()).sum();
         let seq = Cluster::run_round_on(db, p, &counting, Backend::Sequential);
         let backends = [1usize, 2, 3, 8].map(Backend::Threads);
@@ -597,6 +733,14 @@ mod tests {
                         want,
                         "{label}: fragment[{atom}][{s}] differs on {backend}"
                     );
+                }
+                for &key in &used[atom] {
+                    for &offset in router.holders(atom) {
+                        assert!(
+                            std::ptr::eq(got.fragment(atom, key), got.fragment(atom, key + offset as usize)),
+                            "{label}: servers {key} and {key}+{offset} hold copies of one fragment of atom {atom}"
+                        );
+                    }
                 }
             }
             assert_eq!(seq.report(), got.report(), "{label} on {backend}");
@@ -635,6 +779,86 @@ mod tests {
                 }
             },
         );
+    }
+
+    /// HyperCube from the grid alone: a tuple's key is the first cell of
+    /// its subcube, and the subcube's offsets are the key's holders.
+    struct SliceRouter {
+        dims: Vec<usize>,
+        atoms: Vec<(Vec<usize>, crate::topology::SubcubePlan)>,
+        family: crate::hashing::HashFamily,
+    }
+
+    impl SliceRouter {
+        fn new(q: &Query, dims: Vec<usize>) -> SliceRouter {
+            let grid = crate::topology::Grid::new(dims.clone());
+            let atoms = (q.atoms().iter())
+                .map(|a| (a.vars().to_vec(), grid.subcube_plan(a.vars())))
+                .collect();
+            let family = crate::hashing::HashFamily::new(q.num_vars(), 5);
+            SliceRouter {
+                dims,
+                atoms,
+                family,
+            }
+        }
+    }
+
+    impl Router for SliceRouter {
+        fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
+            let (vars, plan) = &self.atoms[atom];
+            let coords: Vec<usize> = (vars.iter().zip(tuple))
+                .map(|(&v, &x)| self.family.hash(v, x, self.dims[v]))
+                .collect();
+            out.extend(plan.base(&coords));
+        }
+
+        fn holders(&self, atom: usize) -> &[u32] {
+            self.atoms[atom].1.offsets()
+        }
+    }
+
+    #[test]
+    fn slices_are_held_once_and_match_the_reference() {
+        // Big enough that every threaded backend really shards; a small
+        // domain for the repeated variable, so its two hashes both agree
+        // and disagree.
+        for (text, dims, p, n) in [
+            ("S1(x,y), S2(y,z), S3(z,x)", vec![4, 4, 4], 64, 1 << 12),
+            ("S1(x,y), S2(y,z), S3(z,w)", vec![1, 8, 8, 1], 64, 1 << 12),
+            ("R(x,y,x), S(y,z)", vec![3, 2, 4], 30, 6),
+        ] {
+            let q = mpc_query::parse_query(text).unwrap();
+            let mut rng = Rng::seed_from_u64(8);
+            let rels = (q.atoms().iter())
+                .map(|a| generators::uniform(a.name(), a.arity(), 5000, n, &mut rng))
+                .collect();
+            let db = Database::new(q.clone(), rels, n).unwrap();
+            let router = SliceRouter::new(&q, dims);
+            assert_kernel_matches_reference(&db, p, text, &router);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "two keys of atom S1 share holder 1")]
+    fn overlapping_holders_panic() {
+        struct Overlap;
+        impl Router for Overlap {
+            fn route(&self, _: usize, tuple: &[u64], out: &mut Vec<usize>) {
+                out.push((tuple[0] % 2) as usize);
+            }
+            fn holders(&self, _: usize) -> &[u32] {
+                &[0, 1]
+            }
+        }
+        let _ = Cluster::run_round(&join_db(100, 2), 4, &Overlap);
+    }
+
+    #[test]
+    #[should_panic(expected = "router sent a tuple of atom 0 (S1) to server 5 >= p=4")]
+    fn a_holder_past_p_panics() {
+        let router = SliceRouter::new(&named::two_way_join(), vec![1, 4, 2]);
+        let _ = Cluster::run_round(&join_db(100, 2), 4, &router);
     }
 
     #[test]

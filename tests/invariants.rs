@@ -258,10 +258,8 @@ proptest! {
 fn single_objective_lp5(q: &Query, st: &SimpleStatistics, p: usize) -> (f64, Vec<f64>) {
     let logp = (p as f64).ln();
     let mut lp = LinearProgram::new(Sense::Minimize);
-    let lambda = lp.add_var("lambda", 1.0);
-    let e: Vec<usize> = (0..q.num_vars())
-        .map(|i| lp.add_var(q.var_name(i), 0.0))
-        .collect();
+    let lambda = lp.add_var(1.0);
+    let e: Vec<usize> = (0..q.num_vars()).map(|_| lp.add_var(0.0)).collect();
     let all: Vec<(usize, f64)> = e.iter().map(|&v| (v, 1.0)).collect();
     lp.add_constraint(&all, Cmp::Le, 1.0);
     for (j, m) in st.bit_sizes_f64().into_iter().enumerate() {

@@ -3,14 +3,17 @@
 //! bit-identical — answers *and* `LoadReport` — to invoking that algorithm
 //! explicitly, on every backend.
 
+use mpc_skew::core::bounds::output_floor;
 use mpc_skew::core::engine::{Algorithm, Engine, Plan};
 use mpc_skew::core::hypercube::HyperCube;
 use mpc_skew::core::shares::ShareAllocation;
 use mpc_skew::core::skew_general::GeneralSkewAlgorithm;
 use mpc_skew::core::skew_join::SkewJoin;
 use mpc_skew::data::{generators, Database, Relation, Rng};
-use mpc_skew::query::named;
+use mpc_skew::query::aggregate::{AggregateOp, AggregateSpec};
+use mpc_skew::query::{named, Query};
 use mpc_skew::sim::backend::Backend;
+use mpc_skew::sim::load::LoadReport;
 use mpc_skew::stats::SimpleStatistics;
 
 const BACKENDS: [Backend; 3] = [
@@ -359,5 +362,101 @@ fn hypercube_max_load_stays_near_its_prediction_without_skew() {
             ratio <= HYPERCUBE_SKEW_FREE_FACTOR,
             "{name} p={p}: max load {ratio:.3}x the predicted mean"
         );
+    }
+}
+
+/// A run is held to the floor its own answer count sets
+/// (`bounds::output_floor`): the busiest server holds at least `L_out`
+/// tuples, and the servers' AGM bounds sum to at least the answer count.
+/// Both hold by arithmetic for any correct round; a `LoadReport` or a
+/// fragment bookkeeping that undercounts breaks them.
+fn assert_clears_output_floor(tag: &str, q: &Query, report: &LoadReport, out: u64) {
+    let p = report.per_server_tuples.len();
+    let (l_out, agm_sum) = output_floor(q, &report.per_atom_server_tuples, out, p);
+    let max = report.max_load_tuples() as f64;
+    assert!(
+        max >= l_out * (1.0 - 1e-9),
+        "{tag}: max load {max} tuples is below L_out {l_out:.1}"
+    );
+    assert!(
+        agm_sum >= out as f64 * (1.0 - 1e-9),
+        "{tag}: the servers' AGM bounds sum to {agm_sum:.1} < |OUT| {out}"
+    );
+}
+
+#[test]
+fn every_plan_clears_its_output_floor() {
+    let mut inputs: Vec<(&str, Database, usize)> = (scenarios().into_iter())
+        .map(|(name, db, _)| (name, db, P))
+        .collect();
+    inputs.extend(skew_free_inputs());
+    let q = named::cycle(3);
+    let mut rng = Rng::seed_from_u64(0xBEEF_0005);
+    let d = generators::zipf_degrees(1500, 1 << 7, 1.0);
+    let mut rels = vec![generators::from_degree_sequence(
+        "S1",
+        2,
+        &[1],
+        &d,
+        1 << 7,
+        &mut rng,
+    )];
+    for a in ["S2", "S3"] {
+        rels.push(generators::uniform(a, 2, 1500, 1 << 7, &mut rng));
+    }
+    inputs.push(("triangle_zipf", Database::new(q, rels, 1 << 7).unwrap(), P));
+    for (name, db, p) in inputs {
+        let plan = Engine::new(db.query()).p(p).seed(SEED).plan(&db);
+        for backend in BACKENDS {
+            let outcome = plan.execute(&db, backend);
+            let report = outcome.report().expect("one-round plan");
+            let out = outcome.answers().len() as u64;
+            let tag = format!("{name} {} [{backend}]", plan.algorithm());
+            assert_clears_output_floor(&tag, db.query(), report, out);
+        }
+    }
+}
+
+#[test]
+fn output_floor_reproduces_the_join_table() {
+    // The join `S1(x,z), S2(y,z)` with both relations Zipf(θ) on z, as
+    // `mpcskew run --m 32768 --domain 65536 --skew-col 1 --p 64 --seed 1`
+    // builds it; |OUT| is the derivation count of a `count` head, which is
+    // a valid |OUT| here because the join's cover (1, 1) is integral.
+    // Auto plans the §4.1 skew join on every row. 32 bits a tuple.
+    let q = named::two_way_join();
+    let (m, n, p) = (32_768usize, 1u64 << 16, 64usize);
+    let count = AggregateSpec::new(vec![], vec![AggregateOp::Count]).unwrap();
+    for (theta, out, l_out_bits, max_bits) in [
+        (0.8, 1_466_773u64, 9_688.8, 61_312u64),
+        (1.1, 30_728_339, 44_346.5, 104_480),
+        (1.5, 191_826_910, 110_801.3, 157_376),
+    ] {
+        let mut rng = Rng::seed_from_u64(1);
+        let rels = (q.atoms().iter())
+            .map(|a| generators::zipf_column(a.name(), 2, m, n, 1, theta, &mut rng))
+            .collect();
+        let db = Database::new(q.clone(), rels, n).unwrap();
+        let plan = Engine::new(&q)
+            .p(p)
+            .seed(1)
+            .aggregate(count.clone())
+            .plan(&db);
+        assert_eq!(plan.algorithm(), Algorithm::SkewJoin, "θ {theta}");
+        let outcome = plan.execute(&db, Backend::from_env());
+        let derived = outcome
+            .aggregate()
+            .and_then(|a| a.get(&[]))
+            .expect("one group")[0];
+        assert_eq!(derived, out as u128, "θ {theta}: |OUT|");
+        let report = outcome.report().expect("one-round plan");
+        let (l_out, _) = output_floor(&q, &report.per_atom_server_tuples, out, p);
+        assert!(
+            (l_out * 32.0 - l_out_bits).abs() < 0.1,
+            "θ {theta}: L_out {:.1} bits",
+            l_out * 32.0
+        );
+        assert_clears_output_floor(&format!("θ {theta}"), &q, report, out);
+        assert_eq!(report.max_load_bits(), max_bits, "θ {theta}: max load");
     }
 }

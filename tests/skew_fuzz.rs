@@ -1,6 +1,7 @@
 //! Completeness fuzzing for the skew-handling algorithms: randomized
 //! multi-relation, multi-attribute skew patterns must never lose answers.
 
+use mpc_skew::core::bounds::output_floor;
 use mpc_skew::core::engine::{planning_projections, Algorithm, Engine, ExactStats, Stats};
 use mpc_skew::core::hypercube::HyperCube;
 use mpc_skew::core::multi_round::run_multi_round;
@@ -10,10 +11,25 @@ use mpc_skew::core::verify;
 use mpc_skew::data::{generators, Database, Relation, Rng};
 use mpc_skew::query::{named, parse_query, Query};
 use mpc_skew::sim::backend::Backend;
+use mpc_skew::sim::load::LoadReport;
 use mpc_skew::stats::heavy::columns_for;
 use mpc_skew::stats::{FreqEstimate, SimpleStatistics};
 use mpc_testkit::prelude::*;
 use std::cell::RefCell;
+
+/// Where a round falls below the floor its own answer count sets
+/// (`bounds::output_floor`): the busiest server below `L_out` tuples, or
+/// the servers' AGM bounds summing to less than |OUT|. Neither can happen
+/// on a correct round whose `LoadReport` counts what every server holds.
+fn below_output_floor(q: &Query, report: &LoadReport, out: u64) -> Option<String> {
+    let p = report.per_server_tuples.len();
+    let (l_out, agm_sum) = output_floor(q, &report.per_atom_server_tuples, out, p);
+    let max = report.max_load_tuples() as f64;
+    if max < l_out * (1.0 - 1e-9) {
+        return Some(format!("max load {max} tuples below L_out {l_out:.1}"));
+    }
+    (agm_sum < out as f64 * (1.0 - 1e-9)).then(|| format!("AGM sum {agm_sum:.1} below |OUT| {out}"))
+}
 
 /// A randomized relation for one atom: a mix of planted heavy values on a
 /// random attribute, Zipf noise, and uniform filler.
@@ -127,11 +143,13 @@ proptest! {
             .collect();
         let db = Database::new(q.clone(), rels, n).unwrap();
         let alg = GeneralSkewAlgorithm::plan(&db, p, seed ^ 0xABCD);
-        let (cluster, _) = alg.run(&db);
+        let (cluster, report) = alg.run(&db);
         let v = verify::verify(&db, &cluster);
         prop_assert!(v.is_complete(),
             "{} seed={seed} p={p} frac=({frac0:.2},{frac1:.2}) col={col}: {} missing",
             q.name(), v.missing.len());
+        let below = below_output_floor(q, &report, cluster.answer_count(q));
+        prop_assert!(below.is_none(), "{} seed={seed} p={p}: {below:?}", q.name());
     }
 
     /// The §4.1 skew join never loses answers under randomized two-sided
@@ -153,11 +171,13 @@ proptest! {
         let s2 = random_skewed_relation("S2", 2, m, n, frac1, 1, &mut rng);
         let db = Database::new(q.clone(), vec![s1, s2], n).unwrap();
         let sj = SkewJoin::plan(&db, p, seed ^ 0x1234);
-        let (cluster, _) = sj.run(&db);
+        let (cluster, report) = sj.run(&db);
         let v = verify::verify(&db, &cluster);
         prop_assert!(v.is_complete(),
             "seed={seed} p={p} frac=({frac0:.2},{frac1:.2}): {} missing",
             v.missing.len());
+        let below = below_output_floor(&q, &report, cluster.answer_count(&q));
+        prop_assert!(below.is_none(), "seed={seed} p={p}: {below:?}");
     }
 
     /// Determinism regression guard: for random queries and databases,
@@ -279,6 +299,10 @@ proptest! {
             "{} seed={seed} p={p} [{}]: engine LoadReport drifted", q.name(), backend);
         prop_assert_eq!(par.answers(), outcome.answers(),
             "{} seed={seed} p={p} [{}]: engine answers drifted", q.name(), backend);
+        let report = outcome.report().expect("one-round plan");
+        let below = below_output_floor(q, report, outcome.answers().len() as u64);
+        prop_assert!(below.is_none(), "{} seed={seed} p={p} plan={}: {below:?}",
+            q.name(), plan.algorithm());
     }
 
     /// Join-product-skew workloads (correlated hot values on both sides,
