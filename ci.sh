@@ -124,7 +124,7 @@ fi
 stage "cargo build --release"
 cargo build --release --offline
 
-stage "mpcskew serve smoke (LOAD/QUERY/APPEND/STATS/SHUTDOWN over stdin, then over TCP)"
+stage "mpcskew serve smoke (LOAD/QUERY/APPEND/STATS/SHUTDOWN over stdin, then over TCP, then two TCP clients at once)"
 SERVE_SCRIPT='LOAD S1 2 0,1;1,1;2,3
 LOAD S2 2 5,1;6,3;7,9
 QUERY S1(x,z), S2(y,z) rows
@@ -167,21 +167,24 @@ serve_expect '^ok bye$'           # SHUTDOWN acknowledged, clean exit
 # The socket front must say the same thing byte for byte: spawn the server
 # on an OS-picked port, read the banner, send the same script through
 # bash's /dev/tcp and read replies until the server closes (SHUTDOWN).
-./target/release/mpcskew serve --domain 16 --p 4 --threads 1 --listen 127.0.0.1:0 \
-    > "$SMOKE_DIR/banner" &
-SERVE_PID=$!
-SERVE_ADDR=""
-TRIES=0
-while [ -z "$SERVE_ADDR" ] && [ "$TRIES" -lt 50 ]; do
-    sleep 0.1
-    SERVE_ADDR=$(sed -n 's/^listening on //p' "$SMOKE_DIR/banner")
-    TRIES=$((TRIES + 1))
-done
-if [ -z "$SERVE_ADDR" ]; then
-    kill "$SERVE_PID" 2>/dev/null || true
-    echo "serve smoke: no \`listening on\` banner from --listen" >&2
-    exit 1
-fi
+serve_listen() {
+    ./target/release/mpcskew serve --domain 16 --p 4 --threads 1 --listen 127.0.0.1:0 \
+        > "$SMOKE_DIR/banner" &
+    SERVE_PID=$!
+    SERVE_ADDR=""
+    TRIES=0
+    while [ -z "$SERVE_ADDR" ] && [ "$TRIES" -lt 50 ]; do
+        sleep 0.1
+        SERVE_ADDR=$(sed -n 's/^listening on //p' "$SMOKE_DIR/banner")
+        TRIES=$((TRIES + 1))
+    done
+    if [ -z "$SERVE_ADDR" ]; then
+        kill "$SERVE_PID" 2>/dev/null || true
+        echo "serve smoke: no \`listening on\` banner from --listen" >&2
+        exit 1
+    fi
+}
+serve_listen
 bash -c 'exec 3<>"/dev/tcp/${1%:*}/${1##*:}" && printf "%s" "$2" >&3 && cat <&3' \
     serve-smoke "$SERVE_ADDR" "$SERVE_SCRIPT" > "$SMOKE_DIR/tcp.out" || {
     kill "$SERVE_PID" 2>/dev/null || true
@@ -193,6 +196,61 @@ cmp "$SMOKE_DIR/stdio.out" "$SMOKE_DIR/tcp.out" || {
     echo "serve smoke: TCP replies differ from the stdin replies" >&2
     exit 1
 }
+
+# Two read-only clients at once against one server. A warm-up client loads
+# the relations and caches every plan; then two clients send the same
+# read-only script together, and each must read byte for byte what that
+# script reads over stdin after the same warm-up. A client reads as many
+# lines as the stdin replies hold and hangs up; a last one stops the server.
+READ_SCRIPT=''
+for _ in 1 2 3 4 5 6; do
+    READ_SCRIPT="${READ_SCRIPT}QUERY S1(x,z), S2(y,z) rows
+QUERY Q(z; count, sum(x)) :- S1(x,z), S2(y,z) rows
+QUERY S1(x,z), S2(y,z) p=2 seed=5 algo=hc rows
+"
+done
+WARM_SCRIPT="$(printf '%s' "$SERVE_SCRIPT" | sed -n '1,2p')
+$READ_SCRIPT"
+serve_stdin() {
+    printf '%s' "$1" | ./target/release/mpcskew serve --domain 16 --p 4 --threads 1
+}
+serve_stdin "$WARM_SCRIPT" > "$SMOKE_DIR/warm.out"
+serve_stdin "$WARM_SCRIPT$READ_SCRIPT" > "$SMOKE_DIR/warm_read.out"
+tail -c +$(($(wc -c < "$SMOKE_DIR/warm.out") + 1)) "$SMOKE_DIR/warm_read.out" \
+    > "$SMOKE_DIR/read.out"
+if grep -q 'cache=miss' "$SMOKE_DIR/read.out" || ! grep -q 'cache=hit' "$SMOKE_DIR/read.out"; then
+    echo "serve smoke: the read-only script is not all cache hits after its warm-up" >&2
+    exit 1
+fi
+tcp_client() {
+    timeout 30 bash -c \
+        'exec 3<>"/dev/tcp/${1%:*}/${1##*:}" && printf "%s" "$2" >&3 && head -n "$3" <&3' \
+        tcp-client "$SERVE_ADDR" "$1" "$2"
+}
+serve_listen
+tcp_client "$WARM_SCRIPT" "$(wc -l < "$SMOKE_DIR/warm.out")" > "$SMOKE_DIR/tcp_warm.out"
+READ_LINES=$(wc -l < "$SMOKE_DIR/read.out")
+tcp_client "$READ_SCRIPT" "$READ_LINES" > "$SMOKE_DIR/tcp_read1.out" &
+CLIENT1=$!
+tcp_client "$READ_SCRIPT" "$READ_LINES" > "$SMOKE_DIR/tcp_read2.out" &
+CLIENT2=$!
+CLIENTS_OK=1
+wait "$CLIENT1" || CLIENTS_OK=0
+wait "$CLIENT2" || CLIENTS_OK=0
+tcp_client 'SHUTDOWN
+' 1 > "$SMOKE_DIR/tcp_bye.out" || CLIENTS_OK=0
+if [ "$CLIENTS_OK" = 0 ]; then
+    kill "$SERVE_PID" 2>/dev/null || true
+    echo "serve smoke: a concurrent TCP client failed against $SERVE_ADDR" >&2
+    exit 1
+fi
+wait "$SERVE_PID"
+for out in tcp_warm:warm tcp_read1:read tcp_read2:read; do
+    cmp "$SMOKE_DIR/${out%%:*}.out" "$SMOKE_DIR/${out##*:}.out" || {
+        echo "serve smoke: concurrent TCP client's ${out%%:*} replies differ from stdin's" >&2
+        exit 1
+    }
+done
 
 stage "cargo test -q  (MPCSKEW_THREADS=1: sequential backend)"
 MPCSKEW_THREADS=1 cargo test -q --workspace --offline --no-fail-fast
@@ -384,8 +442,9 @@ if [ -n "$POOL$UNSAFE" ]; then
 fi
 
 # One query path. Both serve fronts reach the service through one
-# `&Mutex<Service>`, every QUERY runs through `Service::query_spec`, and
-# concurrent sessions are the only multi-query shape. The cross-query batch
+# `&Mutex<Service>`, every QUERY runs through `Service::prepare` (under the
+# lock) and `PreparedQuery::run` (outside it), `Service::query_spec` is those
+# two calls, and concurrent sessions are the only multi-query shape. The cross-query batch
 # schedule (BATCH/RUN, the session's queue, the service and engine batch
 # fronts) and the trait that let stdio skip the lock stay gone, not even as
 # a name in a comment.

@@ -93,11 +93,12 @@ use std::sync::Arc;
 /// Errors raised by the service surface — the one typed vocabulary the
 /// wire protocol renders (`err {Display}`), replacing the ad-hoc strings
 /// that used to thread through engine/service/wire. The fault-containment
-/// boundary in [`Service::query_spec`] guarantees every query resolves to
-/// `Ok` or one of these: worker panics become [`ServiceError::Internal`]
-/// (or [`ServiceError::Unsupported`] for known capability limits), budget
-/// trips become [`ServiceError::Timeout`] / [`ServiceError::LimitExceeded`],
-/// and the service stays usable for the next query.
+/// boundary around planning and execution in [`Service::query_spec`]
+/// guarantees every query resolves to `Ok` or one of these: worker panics
+/// become [`ServiceError::Internal`] (or [`ServiceError::Unsupported`] for
+/// known capability limits), budget trips become [`ServiceError::Timeout`]
+/// / [`ServiceError::LimitExceeded`], and the service stays usable for the
+/// next query.
 #[derive(Debug, PartialEq, Eq)]
 pub enum ServiceError {
     /// The query (or its options) failed to parse at the wire layer.
@@ -382,6 +383,30 @@ impl fmt::Debug for ServiceOutcome {
     }
 }
 
+/// A query [`Service::prepare`] admitted and planned. Its `Database` of
+/// catalog `Arc`s is a snapshot no later ingest changes.
+pub(crate) struct PreparedQuery {
+    plan: Arc<Plan>,
+    db: Database,
+    cache: CacheStatus,
+    budget: QueryBudget,
+    backend: Backend,
+}
+
+impl PreparedQuery {
+    /// Execute without the service, inside the fault-containment boundary:
+    /// a worker panic or a tripped budget (a limited budget also joins a
+    /// plain query's answers here) is a typed [`ServiceError`].
+    pub(crate) fn run(self) -> Result<ServiceOutcome, ServiceError> {
+        let outcome =
+            run_contained(|| self.plan.try_execute(&self.db, self.backend, &self.budget))?;
+        Ok(ServiceOutcome {
+            outcome,
+            cache: self.cache,
+        })
+    }
+}
+
 /// Plan-cache traffic counters (see [`Service::counters`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
@@ -630,7 +655,9 @@ impl Service {
     /// loaded relation, folding them into its sketch in place — no
     /// rescan. Cached plans whose query
     /// references `name` are re-fingerprinted; exactly the stale ones are
-    /// dropped (counted as invalidations). Returns the new cardinality.
+    /// dropped (counted as invalidations). A query prepared before the
+    /// append and still executing reads the relation as it was; that
+    /// costs one copy of the relation. Returns the new cardinality.
     pub fn append(&mut self, name: &str, tuples: &[u64]) -> Result<usize, ServiceError> {
         let i = *self
             .names
@@ -655,10 +682,10 @@ impl Service {
         // Fold into the summaries: O(appended × tracked projections),
         // never a rescan of the relation.
         entry.sketch.append_rows(tuples);
-        // In the steady state the service holds the only strong reference
-        // (per-query Databases are dropped with their outcomes), so this
-        // appends in place; a concurrent holder forces one copy, never a
-        // correctness problem.
+        // A prepared query holds the relation until it has executed; with
+        // none in flight the service holds the only strong reference and
+        // this appends in place. A query in flight costs one copy and
+        // keeps reading its snapshot.
         Arc::make_mut(&mut entry.rel).push_rows(tuples);
         let len = entry.rel.len();
         self.revalidate_plans_referencing(name);
@@ -706,27 +733,17 @@ impl Service {
         self.query_spec(&QuerySpec::new(query.clone()))
     }
 
-    /// Run one fully-specified query inside the fault-containment
-    /// boundary: planning runs under a `catch_unwind`, execution *and*
-    /// answer materialization (a plain query's answers are joined inside a
-    /// limited budget) under the spec's budget
-    /// and another, so a planner or mid-query worker panic or a tripped
-    /// budget returns a typed [`ServiceError`] — the catalog, plan cache,
-    /// and backend stay intact for the next query.
+    /// Run one fully-specified query: `Service::prepare`, then
+    /// `PreparedQuery::run`.
     pub fn query_spec(&mut self, spec: &QuerySpec) -> Result<ServiceOutcome, ServiceError> {
-        let (plan, db, cache) = self.resolve_plan(spec)?;
-        let budget = self.budget_for(spec);
-        let outcome = run_contained(|| plan.try_execute(&db, self.backend(), &budget))?;
-        Ok(ServiceOutcome { outcome, cache })
+        self.prepare(spec)?.run()
     }
 
-    /// Canonicalize and serve a plan from the cache — fingerprinting and
-    /// planning through the [`Engine`] only on a miss — plus the zero-copy
-    /// `Database` to run it on.
-    fn resolve_plan(
-        &mut self,
-        spec: &QuerySpec,
-    ) -> Result<(Arc<Plan>, Database, CacheStatus), ServiceError> {
+    /// The part of a query that needs the service, and all a server holds
+    /// its service lock for: admission, the plan-cache lookup (fingerprint
+    /// and plan through the [`Engine`] only on a miss), the zero-copy
+    /// `Database` to run on, and the budget and backend to run under.
+    pub(crate) fn prepare(&mut self, spec: &QuerySpec) -> Result<PreparedQuery, ServiceError> {
         let p = spec.p.unwrap_or(self.default_p);
         let seed = spec.seed.unwrap_or(self.default_seed);
         admit(&spec.query, spec.algorithm, spec.aggregate.as_ref())
@@ -757,38 +774,46 @@ impl Service {
             .expect("atoms resolved against the catalog");
         // APPEND and LOAD drop every plan their statistics change made
         // stale, so an entry that is still here is fresh.
-        if let Some(entry) = self.plans.get_mut(&key) {
+        let (plan, cache) = if let Some(entry) = self.plans.get_mut(&key) {
             self.counters.hits += 1;
             self.tick += 1;
             entry.last_used = self.tick;
-            return Ok((entry.plan.clone(), db, CacheStatus::Hit));
-        }
-        let stats = self.sketch_stats(&atom_entries);
-        let fingerprint = fingerprint(&stats, &canonical, p);
-        let mut engine = Engine::new(&canonical)
-            .p(p)
-            .seed(seed)
-            .algorithm(spec.algorithm);
-        if let Some(agg) = &spec.aggregate {
-            engine = engine.aggregate(agg.clone());
-        }
-        // Planning runs inside the containment boundary like execution: a
-        // planner panic is this query's `err internal`, and nothing is
-        // counted or cached for it.
-        let plan = Arc::new(run_contained(|| Ok(engine.stats(&stats).plan(&db)))?);
-        self.counters.misses += 1;
-        self.tick += 1;
-        self.plans.insert(
-            key,
-            CacheEntry {
-                plan: plan.clone(),
-                query: canonical,
-                fingerprint,
-                last_used: self.tick,
-            },
-        );
-        self.evict_lru_overflow();
-        Ok((plan, db, CacheStatus::Miss))
+            (entry.plan.clone(), CacheStatus::Hit)
+        } else {
+            let stats = self.sketch_stats(&atom_entries);
+            let fingerprint = fingerprint(&stats, &canonical, p);
+            let mut engine = Engine::new(&canonical)
+                .p(p)
+                .seed(seed)
+                .algorithm(spec.algorithm);
+            if let Some(agg) = &spec.aggregate {
+                engine = engine.aggregate(agg.clone());
+            }
+            // Planning runs inside the containment boundary like execution:
+            // a planner panic is this query's `err internal`, and nothing is
+            // counted or cached for it.
+            let plan = Arc::new(run_contained(|| Ok(engine.stats(&stats).plan(&db)))?);
+            self.counters.misses += 1;
+            self.tick += 1;
+            self.plans.insert(
+                key,
+                CacheEntry {
+                    plan: plan.clone(),
+                    query: canonical,
+                    fingerprint,
+                    last_used: self.tick,
+                },
+            );
+            self.evict_lru_overflow();
+            (plan, CacheStatus::Miss)
+        };
+        Ok(PreparedQuery {
+            plan,
+            db,
+            cache,
+            budget: self.budget_for(spec),
+            backend: self.backend(),
+        })
     }
 
     /// Map each atom of `q` to its catalog entry, validating presence and
@@ -941,6 +966,24 @@ mod tests {
         svc.load(generators::uniform("S3", 2, 400, n, &mut rng))
             .unwrap();
         svc
+    }
+
+    #[test]
+    fn a_prepared_query_runs_on_its_snapshot() {
+        let mut svc = Service::new(16)
+            .with_backend(Backend::Sequential)
+            .with_defaults(4, 1);
+        svc.load(Relation::from_rows("S1", 2, &[&[0, 1], &[1, 1]]))
+            .unwrap();
+        svc.load(Relation::from_rows("S2", 2, &[&[5, 1]])).unwrap();
+        let spec = QuerySpec::new(parse_query("S1(x,z), S2(y,z)").unwrap());
+        // Prepared before the append and run after it, the query reads S2
+        // as it was; the append copied S2 rather than change it under the
+        // query.
+        let prepared = svc.prepare(&spec).unwrap();
+        assert_eq!(svc.append("S2", &[6, 1]), Ok(2));
+        assert_eq!(prepared.run().unwrap().answers().len(), 2);
+        assert_eq!(svc.query_spec(&spec).unwrap().answers().len(), 4);
     }
 
     #[test]

@@ -40,11 +40,12 @@
 //! reply — status line, answer rows, group lines, `STATS`, `err` — is
 //! appended as newline-terminated text to one reusable buffer
 //! (`Session::handle_into`, [`render_outcome`]); [`Session::handle`] is
-//! the same path split into lines. [`serve`] reads a command, renders its
-//! whole reply *before* writing any of it (so a panic or budget trip while
-//! the rows are materialized is one `err` line, never a torn reply), and
-//! hands it to the transport in one `write_all` + `flush`: a client sees
-//! each reply arrive as one unit, on stdio and on TCP alike.
+//! the same path split into lines. [`serve`] reads a command, holds the
+//! service lock only to apply it, renders its whole reply *before* writing
+//! any of it (so a panic or budget trip while the rows are materialized is
+//! one `err` line, never a torn reply), and hands it to the transport in
+//! one `write_all` + `flush`: a client sees each reply arrive as one unit,
+//! on stdio and on TCP alike.
 //!
 //! ```
 //! use mpc_core::service::Service;
@@ -64,10 +65,12 @@
 //! ```
 
 use crate::engine::{Algorithm, MAX_SERVERS};
-use crate::service::{QuerySpec, Service, ServiceError, ServiceOutcome};
+use crate::service::{PreparedQuery, QuerySpec, Service, ServiceError, ServiceOutcome};
+use mpc_data::relation::Relation;
 use mpc_query::parse_aggregate_query;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
+use std::ops::DerefMut;
 use std::sync::{Mutex, PoisonError};
 
 /// Append one formatted, newline-terminated line to a reply buffer
@@ -85,6 +88,16 @@ pub struct Session {
     done: bool,
 }
 
+/// A command line parsed without the service: what
+/// [`Session::handle_into`] applies to it under its lock.
+enum Command<'a> {
+    Load(&'a str, Relation),
+    Append(&'a str, &'a str),
+    Query(QuerySpec, bool),
+    Set(Vec<(&'a str, u64, Setter)>),
+    Stats,
+}
+
 impl Session {
     /// A fresh session.
     pub fn new() -> Session {
@@ -100,64 +113,105 @@ impl Session {
     /// response lines: `Session::handle_into` split at its newlines.
     pub fn handle(&mut self, service: &mut Service, line: &str) -> Vec<String> {
         let mut out = String::new();
-        self.handle_into(service, line, &mut out);
+        self.handle_into(move || service, line, &mut out);
         out.lines().map(str::to_owned).collect()
     }
 
-    /// Process one protocol line against `service`, appending the reply —
-    /// zero or more newline-terminated lines — to `out`. Nothing else is
-    /// allocated per reply line, so a caller that reuses `out` renders
-    /// even a large `rows` reply without touching the allocator.
-    pub(crate) fn handle_into(&mut self, service: &mut Service, line: &str, out: &mut String) {
+    /// Process one protocol line, appending its reply to `out` (a reused
+    /// `out` renders even a large `rows` reply without allocating), in
+    /// three phases: parse the line without the service; apply it to the
+    /// one `service()` hands out (on a server, a lock guard, dropped as
+    /// this phase ends); then execute and render a `QUERY` without it.
+    pub(crate) fn handle_into<S: DerefMut<Target = Service>>(
+        &mut self,
+        service: impl FnOnce() -> S,
+        line: &str,
+        out: &mut String,
+    ) {
+        let applied = (self.parse(line, out)).and_then(|cmd| apply(cmd, &mut service(), out));
+        if let Some((query, want_rows)) = applied {
+            match query.run() {
+                Ok(outcome) => render_outcome(out, &outcome, want_rows),
+                Err(e) => render_err(out, &e),
+            }
+        }
+    }
+
+    /// Phase 1: parse a line. A line that needs no service — blank, a
+    /// comment, `SHUTDOWN`, or one that does not parse — is answered here.
+    fn parse<'a>(&mut self, line: &'a str, out: &mut String) -> Option<Command<'a>> {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
-            return;
+            return None;
         }
         let (keyword, rest) = match line.split_once(char::is_whitespace) {
             Some((k, r)) => (k, r.trim()),
             None => (line, ""),
         };
-        match keyword.to_ascii_uppercase().as_str() {
-            "LOAD" => cmd_load(service, rest, out),
-            "APPEND" => cmd_append(service, rest, out),
-            "QUERY" => cmd_query(service, rest, out),
-            "SET" => cmd_set(service, rest, out),
-            "STATS" => cmd_stats(service, out),
+        let parsed = match keyword.to_ascii_uppercase().as_str() {
+            "LOAD" => parse_load(rest),
+            "APPEND" => match rest.split_once(char::is_whitespace) {
+                Some((name, rows)) => Ok(Command::Append(name, rows)),
+                None => Err("APPEND needs: APPEND <rel> <rows>".to_string()),
+            },
+            "QUERY" => parse_query_line(rest).map_err(|e| e.to_string()),
+            "SET" => parse_set(rest),
+            "STATS" => Ok(Command::Stats),
             "SHUTDOWN" => {
                 self.done = true;
-                reply!(out, "ok bye")
+                reply!(out, "ok bye");
+                return None;
             }
-            other => reply!(out, "err unknown command `{other}`"),
+            other => Err(format!("unknown command `{other}`")),
+        };
+        parsed.map_err(|e| reply!(out, "err {e}")).ok()
+    }
+}
+
+/// Phase 2: apply a parsed command to the service. A `QUERY` is admitted
+/// and planned, and comes back to run once the service is released.
+fn apply(cmd: Command, service: &mut Service, out: &mut String) -> Option<(PreparedQuery, bool)> {
+    match cmd {
+        Command::Load(name, rel) => {
+            let arity = rel.arity();
+            match service.load(rel) {
+                Ok(len) => reply!(out, "ok loaded {name} arity={arity} tuples={len}"),
+                Err(e) => reply!(out, "err {e}"),
+            }
         }
+        Command::Append(name, rows) => cmd_append(service, name, rows, out),
+        Command::Query(spec, want_rows) => match service.prepare(&spec) {
+            Ok(query) => return Some((query, want_rows)),
+            Err(e) => render_err(out, &e),
+        },
+        Command::Set(settings) => {
+            out.push_str("ok set");
+            for (key, n, set) in settings {
+                set(service, (n != 0).then_some(n));
+                let _ = write!(out, " {key}={n}");
+            }
+            out.push('\n');
+        }
+        Command::Stats => cmd_stats(service, out),
     }
+    None
 }
 
-fn cmd_load(service: &mut Service, rest: &str, out: &mut String) {
+fn parse_load(rest: &str) -> Result<Command<'_>, String> {
     let mut parts = rest.splitn(3, char::is_whitespace);
-    let name = match parts.next().filter(|s| !s.is_empty()) {
-        Some(n) => n,
-        None => return reply!(out, "err LOAD needs: LOAD <rel> <arity> [rows]"),
-    };
-    let arity: usize = match parts.next().and_then(|a| a.parse().ok()) {
+    let name =
+        (parts.next().filter(|s| !s.is_empty())).ok_or("LOAD needs: LOAD <rel> <arity> [rows]")?;
+    let arity = match parts.next().and_then(|a| a.parse().ok()) {
         Some(a) if a > 0 => a,
-        _ => return reply!(out, "err LOAD needs a positive integer arity"),
+        _ => return Err("LOAD needs a positive integer arity".to_string()),
     };
-    let flat = match parse_rows(parts.next().unwrap_or(""), arity) {
-        Ok(flat) => flat,
-        Err(e) => return reply!(out, "err {e}"),
-    };
-    let rel = mpc_data::relation::Relation::from_flat(name, arity, flat);
-    match service.load(rel) {
-        Ok(len) => reply!(out, "ok loaded {name} arity={arity} tuples={len}"),
-        Err(e) => reply!(out, "err {e}"),
-    }
+    let flat = parse_rows(parts.next().unwrap_or(""), arity)?;
+    Ok(Command::Load(name, Relation::from_flat(name, arity, flat)))
 }
 
-fn cmd_append(service: &mut Service, rest: &str, out: &mut String) {
-    let (name, rows) = match rest.split_once(char::is_whitespace) {
-        Some((n, r)) => (n, r.trim()),
-        None => return reply!(out, "err APPEND needs: APPEND <rel> <rows>"),
-    };
+/// `APPEND`'s rows are parsed here, under the lock, against the arity the
+/// catalog gives.
+fn cmd_append(service: &mut Service, name: &str, rows: &str, out: &mut String) {
     let arity = match service.relation(name) {
         Some(rel) => rel.arity(),
         None => return reply!(out, "err relation `{name}` is not loaded"),
@@ -174,46 +228,23 @@ fn cmd_append(service: &mut Service, rest: &str, out: &mut String) {
     }
 }
 
-fn cmd_query(service: &mut Service, rest: &str, out: &mut String) {
-    let (spec, want_rows) = match parse_query_line(rest) {
-        Ok(parsed) => parsed,
-        Err(e) => return reply!(out, "err {e}"),
-    };
-    match service.query_spec(&spec) {
-        Ok(outcome) => render_outcome(out, &outcome, want_rows),
-        Err(e) => render_err(out, &e),
-    }
-}
-
-/// `SET key=value ...`: install default query budgets on the service
-/// (shared by every session on a TCP front). `0` clears a default
-/// back to unlimited; each key at most once.
-fn cmd_set(service: &mut Service, rest: &str, out: &mut String) {
+/// `SET key=value ...`: default query budgets for the service (shared by
+/// every session on a TCP front). `0` clears a default back to unlimited;
+/// each key at most once. Every pair is parsed before any is installed: a
+/// bad or repeated pair leaves every default as it was.
+fn parse_set(rest: &str) -> Result<Command<'_>, String> {
     if rest.is_empty() {
-        return reply!(
-            out,
-            "err SET needs: SET [timeout_ms=N] [max_rows=N] [max_groups=N]"
-        );
+        return Err("SET needs: SET [timeout_ms=N] [max_rows=N] [max_groups=N]".to_string());
     }
-    // Every pair is parsed before any is installed: a bad or repeated pair
-    // leaves every default as it was.
     let mut settings: Vec<(&str, u64, Setter)> = Vec::new();
     for pair in rest.split_whitespace() {
-        let setting = match parse_setting(pair) {
-            Ok(setting) => setting,
-            Err(e) => return reply!(out, "err {e}"),
-        };
+        let setting = parse_setting(pair)?;
         if settings.iter().any(|(key, ..)| *key == setting.0) {
-            return reply!(out, "err SET {}= given twice", setting.0);
+            return Err(format!("SET {}= given twice", setting.0));
         }
         settings.push(setting);
     }
-    out.push_str("ok set");
-    for (key, n, set) in settings {
-        set(service, (n != 0).then_some(n));
-        let _ = write!(out, " {key}={n}");
-    }
-    out.push('\n');
+    Ok(Command::Set(settings))
 }
 
 fn cmd_stats(service: &Service, out: &mut String) {
@@ -380,12 +411,14 @@ fn recycle(buf: &mut String) {
 }
 
 /// Serve one session — the loop behind both `mpcskew serve` fronts: read
-/// a line, render its whole reply into a buffer under `service`'s lock,
-/// then (with the lock released) hand the reply to `writer` in one
-/// `write_all` + `flush`. Empty replies (blank lines, comments) write
-/// nothing. The lock is held for exactly one command — parse, plan,
-/// execute, render — so sessions sharing a service (TCP) interleave
-/// command by command; a front with one session (stdio) never contends.
+/// a line, render its whole reply into a buffer, then hand the reply to
+/// `writer` in one `write_all` + `flush`. Empty replies (blank lines,
+/// comments) write nothing. `service`'s lock covers only a command's apply
+/// step (catalog, plan cache, ingest, planning on a miss): the line is
+/// parsed before it (an `APPEND`'s rows under it, against the arity), and
+/// a `QUERY`'s shuffle, local join, answer materialization and render run
+/// after it, so one session's query does not hold up another's commands.
+/// Stdio's one session never contends.
 ///
 /// The loop ends at `SHUTDOWN`, end of input, or a read error. A write
 /// error ends only the session's *output*: its commands keep being
@@ -412,7 +445,7 @@ pub fn serve<R: BufRead, W: Write>(
         // holding it: the service's own containment boundary means the
         // state behind a poisoned mutex is still consistent.
         session.handle_into(
-            &mut service.lock().unwrap_or_else(PoisonError::into_inner),
+            || service.lock().unwrap_or_else(PoisonError::into_inner),
             &line,
             &mut reply,
         );
@@ -434,30 +467,21 @@ pub fn serve<R: BufRead, W: Write>(
 
 /// Parse `v,v,..;v,v,..` into flat row-major data, validating row widths.
 fn parse_rows(text: &str, arity: usize) -> Result<Vec<u64>, String> {
-    let text = text.trim();
     let mut flat = Vec::new();
-    if text.is_empty() {
-        return Ok(flat);
-    }
-    for (i, row) in text.split(';').enumerate() {
-        let row = row.trim();
+    for (tuple, row) in (1..).zip(text.split(';').map(str::trim)) {
         if row.is_empty() {
             continue;
         }
         let before = flat.len();
-        for cell in row.split(',') {
-            let v: u64 = cell
-                .trim()
-                .parse()
-                .map_err(|_| format!("tuple {} has non-integer value `{}`", i + 1, cell.trim()))?;
+        for cell in row.split(',').map(str::trim) {
+            let v = (cell.parse())
+                .map_err(|_| format!("tuple {tuple} has non-integer value `{cell}`"))?;
             flat.push(v);
         }
-        if flat.len() - before != arity {
+        let width = flat.len() - before;
+        if width != arity {
             return Err(format!(
-                "tuple {} has {} values, expected arity {}",
-                i + 1,
-                flat.len() - before,
-                arity
+                "tuple {tuple} has {width} values, expected arity {arity}"
             ));
         }
     }
@@ -469,8 +493,9 @@ fn parse_rows(text: &str, arity: usize) -> Result<Vec<u64>, String> {
 /// quoting; each may be given once. Syntax problems come back as
 /// [`ServiceError::Parse`] — the same typed vocabulary every other query
 /// failure uses.
-fn parse_query_line(rest: &str) -> Result<(QuerySpec, bool), ServiceError> {
+fn parse_query_line(rest: &str) -> Result<Command<'static>, ServiceError> {
     let parse_err = |msg: &str| ServiceError::Parse(msg.to_string());
+    let int = |v: &str, expects: &str| v.parse::<u64>().map_err(|_| parse_err(expects));
     let mut body = rest.trim();
     let mut p = None;
     let mut seed = None;
@@ -496,20 +521,12 @@ fn parse_query_line(rest: &str) -> Result<(QuerySpec, bool), ServiceError> {
             }
             set_once(&mut p, "p", n)?;
         } else if let Some(v) = tail.strip_prefix("seed=") {
-            let n = v
-                .parse()
-                .map_err(|_| parse_err("seed= expects an integer"))?;
-            set_once(&mut seed, "seed", n)?;
+            set_once(&mut seed, "seed", int(v, "seed= expects an integer")?)?;
         } else if let Some(v) = tail.strip_prefix("timeout=") {
-            let ms = v
-                .parse()
-                .map_err(|_| parse_err("timeout= expects milliseconds"))?;
+            let ms = int(v, "timeout= expects milliseconds")?;
             set_once(&mut timeout_ms, "timeout", ms)?;
         } else if let Some(v) = tail.strip_prefix("limit=") {
-            let n = v
-                .parse()
-                .map_err(|_| parse_err("limit= expects an integer"))?;
-            set_once(&mut limit, "limit", n)?;
+            set_once(&mut limit, "limit", int(v, "limit= expects an integer")?)?;
         } else if let Some(v) = tail.strip_prefix("algo=") {
             let algo = Algorithm::parse(v).map_err(ServiceError::Parse)?;
             set_once(&mut algorithm, "algo", algo)?;
@@ -537,7 +554,7 @@ fn parse_query_line(rest: &str) -> Result<(QuerySpec, bool), ServiceError> {
         timeout_ms,
         limit,
     };
-    Ok((spec, want_rows))
+    Ok(Command::Query(spec, want_rows))
 }
 
 /// Fill one `QUERY` option's slot, refusing the option a second time

@@ -433,7 +433,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// One session over stdin/stdout: the classic filter shape, scriptable with
 /// a here-doc (see `ci.sh`'s smoke stage). Each reply is written and
 /// flushed as one unit before the next command is read. The service sits
-/// behind the same mutex as on TCP, never contended here.
+/// behind the same mutex as on TCP, never contended here; as there, the
+/// lock covers only a command's apply step.
 fn serve_stdio(service: Service) -> Result<(), String> {
     let service = std::sync::Mutex::new(service);
     let end = wire::serve(std::io::stdin().lock(), std::io::stdout().lock(), &service);
@@ -446,11 +447,14 @@ fn serve_stdio(service: Service) -> Result<(), String> {
 /// Concurrent clients multiplexed onto one catalog: each connection gets its
 /// own session (parser state), all of them sharing the `Service` — and
 /// therefore its memoized statistics and plan cache — behind a mutex held
-/// for one command at a time. Any client's SHUTDOWN stops the listener.
+/// only while a command is applied: catalog, plan cache, ingest, and
+/// planning on a miss. A query's execution and render run outside it, so
+/// clients' queries run side by side. Any client's SHUTDOWN stops the
+/// listener.
 ///
 /// Every connection runs the same [`wire::serve`] loop as stdio: a reply is
-/// rendered completely under the lock, then written to the socket in one
-/// `write_all` after the lock is dropped. Sockets are `TCP_NODELAY`, so a
+/// rendered completely, then written to the socket in one `write_all`,
+/// with the lock released. Sockets are `TCP_NODELAY`, so a
 /// reply leaves when it is written instead of waiting out Nagle's algorithm
 /// against the client's delayed ACK (44 ms per reply, measured on Linux
 /// loopback).
@@ -459,8 +463,8 @@ fn serve_stdio(service: Service) -> Result<(), String> {
 /// mid-response ends only its own session (whose thread handle is reaped,
 /// not leaked), a session thread panic is caught without poisoning the
 /// shared service for everyone else, and connections past `max_clients`
-/// are shed with one `err overloaded` line instead of queueing unbounded
-/// work behind the service mutex.
+/// are shed with one `err overloaded` line, which bounds the sessions (and
+/// so the queries) running at once.
 fn serve_tcp(service: Service, addr: &str, max_clients: usize) -> Result<(), String> {
     use std::io::{BufReader, Write as _};
     use std::net::{TcpListener, TcpStream};

@@ -12,6 +12,10 @@ use mpc_skew::data::{generators, Database, QueryBudget, Rng};
 use mpc_skew::query::aggregate::{AggregateOp, AggregateSpec};
 use mpc_skew::query::{named, parse_aggregate_query, VarSet};
 use mpc_skew::sim::backend::Backend;
+use mpc_skew::sim::oracle::join_database;
+
+mod output_floor;
+use output_floor::assert_clears_output_floor;
 
 const P: usize = 16;
 const SEED: u64 = 11;
@@ -19,11 +23,13 @@ const SEED: u64 = 11;
 const BACKENDS: [Backend; 2] = [Backend::Sequential, Backend::Threads(4)];
 
 /// Run `spec` over `db` with `algo` on every backend; assert the result is
-/// bit-identical to the oracle (and therefore across backends too), and
-/// the load to that of the plain query: the aggregate changes collection,
-/// not routing.
+/// bit-identical to the oracle (and therefore across backends too), the
+/// load to that of the plain query — the aggregate changes collection,
+/// not routing — and the round to the output floor of the oracle's
+/// distinct answer count.
 fn assert_matches_oracle(name: &str, db: &Database, spec: &AggregateSpec, algo: Algorithm) {
     let expected = aggregate_oracle(db, spec);
+    let out = join_database(db).len() as u64;
     let engine = Engine::new(db.query()).p(P).seed(SEED).algorithm(algo);
     let plain = engine.plan(db);
     let plan = engine.aggregate(spec.clone()).plan(db);
@@ -43,6 +49,13 @@ fn assert_matches_oracle(name: &str, db: &Database, spec: &AggregateSpec, algo: 
             outcome.verify_aggregate(db),
             Some(true),
             "{name} [{algo}/{backend}]"
+        );
+        let report = outcome.report().expect("one-round plan");
+        assert_clears_output_floor(
+            &format!("{name} [{algo}/{backend}]"),
+            db.query(),
+            report,
+            out,
         );
     }
 }
@@ -97,19 +110,22 @@ fn every_derivation_partitioning_algorithm_is_exact() {
     // the engine. Hash join on the join key z; fragment-replicate splits
     // the last of the two equal-size relations.
     let expected = aggregate_oracle(&db, &spec);
+    let out = join_database(&db).len() as u64;
     let z = q.var_index("z").unwrap();
     let hc_equal = HyperCube::with_equal_shares(&q, P, SEED);
     let hash = HashJoinRouter::new(&q, VarSet::singleton(z), P, SEED);
     let fr = FragmentReplicateRouter::new(P, 1, SEED);
     for backend in BACKENDS {
-        let clusters = [
-            ("hc-equal", hc_equal.run_on(&db, backend).0),
-            ("hash", hash.run_on(&db, backend).0),
-            ("fragment-replicate", fr.run_on(&db, backend).0),
+        let rounds = [
+            ("hc-equal", hc_equal.run_on(&db, backend)),
+            ("hash", hash.run_on(&db, backend)),
+            ("fragment-replicate", fr.run_on(&db, backend)),
         ];
-        for (name, cluster) in clusters {
+        for (name, (cluster, report)) in rounds {
+            let tag = format!("zipf_h12 [{name}/{backend}]");
             let got = aggregate_cluster(&cluster, &q, &spec, &QueryBudget::unlimited());
-            assert_eq!(got.as_ref(), Ok(&expected), "zipf_h12 [{name}/{backend}]");
+            assert_eq!(got.as_ref(), Ok(&expected), "{tag}");
+            assert_clears_output_floor(&tag, &q, &report, out);
         }
     }
 }

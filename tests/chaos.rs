@@ -21,11 +21,13 @@
 //! armed; `rearm` swaps sites in and out while keeping it.
 
 use mpc_skew::core::service::{CacheStatus, QuerySpec, Service, ServiceError};
-use mpc_skew::core::wire::Session;
-use mpc_skew::data::{generators, Rng};
+use mpc_skew::core::wire::{serve, Session};
+use mpc_skew::data::{generators, Relation, Rng};
 use mpc_skew::query::parse_query;
 use mpc_skew::sim::backend::Backend;
 use mpc_testkit::failpoint;
+use std::io::Cursor;
+use std::sync::Mutex;
 
 const DOMAIN: u64 = 1 << 12;
 /// Rows per relation: above the shuffle's 4 096-row split threshold.
@@ -252,6 +254,64 @@ fn a_bad_plan_is_one_err_line_and_caches_nothing() {
     // Same session, same service: the next reply is byte-identical.
     assert_eq!(s.handle(&mut svc, "QUERY S1(x,z), S2(y,z) rows"), baseline);
     assert!(s.handle(&mut svc, "SHUTDOWN")[0].starts_with("ok bye"));
+}
+
+/// A session's writer that logs, in arrival order across sessions, the
+/// first line of every reply under the session's tag.
+struct Tagged<'a>(&'static str, &'a Mutex<Vec<String>>);
+
+impl std::io::Write for Tagged<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let reply = String::from_utf8_lossy(buf);
+        let first = reply.lines().next().unwrap_or_default();
+        self.1.lock().unwrap().push(format!("{} {first}", self.0));
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_slow_query_does_not_hold_up_other_sessions() {
+    // Session A's query stalls in each of its 64 servers' local joins.
+    // Once it is stalled, session B asks for STATS and appends to a
+    // relation A does not read: the service lock covers neither A's join
+    // nor its render, so both of B's replies arrive before A's.
+    let mut fp = failpoint::arm("");
+    let mut svc = loaded_service(Backend::Sequential);
+    svc.load(Relation::from_rows("W", 2, &[&[0, 0]])).unwrap();
+    let shared = Mutex::new(svc);
+    let log = Mutex::new(Vec::new());
+    fp.rearm("local_join:delay:20ms");
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let a = Cursor::new("QUERY S1(x,z), S2(y,z) p=64 rows\n");
+            serve(a, Tagged("A", &log), &shared)
+        });
+        // (A reply from A first means it never stalled; the assertion
+        // below reports it.)
+        while failpoint::fires("local_join") == 0 && log.lock().unwrap().is_empty() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        serve(
+            Cursor::new("STATS\nAPPEND W 1,1\n"),
+            Tagged("B", &log),
+            &shared,
+        );
+    });
+    fp.rearm("");
+    let log = log.into_inner().unwrap();
+    let tags: Vec<&str> = log.iter().map(|l| &l[..4]).collect();
+    assert_eq!(tags, ["B ok", "B ok", "A ok"], "{log:?}");
+    // A's plan was cached before its execution began.
+    assert!(
+        log[0].starts_with("B ok plans=1 hits=0 misses=1 "),
+        "{}",
+        log[0]
+    );
+    assert_eq!(log[1], "B ok appended W +1 tuples=2");
 }
 
 // ---------------------------------------------------------------------------

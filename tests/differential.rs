@@ -11,7 +11,9 @@
 //! 2. **backend determinism** — `Sequential` and `Threads(n)` at 2, 4
 //!    and 8 workers produce identical answer sets *and* identical
 //!    [`LoadReport`]s (exact per-server equality), i.e. the parallel
-//!    executor is bit-identical to the sequential one.
+//!    executor is bit-identical to the sequential one;
+//! 3. **the output floor** — every one-round cell, on every backend,
+//!    clears the floor its answer count sets (`bounds::output_floor`).
 
 use mpc_skew::core::baselines::{FragmentReplicateRouter, HashJoinRouter};
 use mpc_skew::core::hypercube::HyperCube;
@@ -24,6 +26,9 @@ use mpc_skew::sim::backend::Backend;
 use mpc_skew::sim::cluster::{BroadcastRouter, Cluster, Router};
 use mpc_skew::sim::load::LoadReport;
 use mpc_skew::sim::oracle::join_database;
+
+mod output_floor;
+use output_floor::assert_clears_output_floor;
 
 /// The backends the acceptance matrix requires (`Threads(1)` is covered
 /// separately by `pooled_one_matches_sequential`).
@@ -143,6 +148,8 @@ fn check_router(
         let answers = cluster.all_answers(db.query());
         let report = cluster.report();
         assert_eq!(&answers, expected, "{tag} [{backend}]: oracle mismatch");
+        let out = answers.len() as u64;
+        assert_clears_output_floor(&format!("{tag} [{backend}]"), db.query(), &report, out);
         match &baseline {
             None => baseline = Some((answers, report)),
             Some((a0, r0)) => {

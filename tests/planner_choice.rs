@@ -11,10 +11,12 @@ use mpc_skew::core::skew_general::GeneralSkewAlgorithm;
 use mpc_skew::core::skew_join::SkewJoin;
 use mpc_skew::data::{generators, Database, Relation, Rng};
 use mpc_skew::query::aggregate::{AggregateOp, AggregateSpec};
-use mpc_skew::query::{named, Query};
+use mpc_skew::query::named;
 use mpc_skew::sim::backend::Backend;
-use mpc_skew::sim::load::LoadReport;
 use mpc_skew::stats::SimpleStatistics;
+
+mod output_floor;
+use output_floor::assert_clears_output_floor;
 
 const BACKENDS: [Backend; 3] = [
     Backend::Sequential,
@@ -363,25 +365,6 @@ fn hypercube_max_load_stays_near_its_prediction_without_skew() {
             "{name} p={p}: max load {ratio:.3}x the predicted mean"
         );
     }
-}
-
-/// A run is held to the floor its own answer count sets
-/// (`bounds::output_floor`): the busiest server holds at least `L_out`
-/// tuples, and the servers' AGM bounds sum to at least the answer count.
-/// Both hold by arithmetic for any correct round; a `LoadReport` or a
-/// fragment bookkeeping that undercounts breaks them.
-fn assert_clears_output_floor(tag: &str, q: &Query, report: &LoadReport, out: u64) {
-    let p = report.per_server_tuples.len();
-    let (l_out, agm_sum) = output_floor(q, &report.per_atom_server_tuples, out, p);
-    let max = report.max_load_tuples() as f64;
-    assert!(
-        max >= l_out * (1.0 - 1e-9),
-        "{tag}: max load {max} tuples is below L_out {l_out:.1}"
-    );
-    assert!(
-        agm_sum >= out as f64 * (1.0 - 1e-9),
-        "{tag}: the servers' AGM bounds sum to {agm_sum:.1} < |OUT| {out}"
-    );
 }
 
 #[test]

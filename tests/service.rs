@@ -11,9 +11,14 @@
 //!    replan flips `Algorithm::Auto`'s pick (HyperCube → skew join), with
 //!    the invalidation visible in the counters.
 //!
-//! And one the shared service must keep: **sessions** served concurrently
-//! over one `Mutex<Service>` (the TCP front) each read byte for byte what
-//! they read served alone.
+//! And what the shared service must keep for **sessions** served
+//! concurrently over one `Mutex<Service>` (the TCP front). `serve` holds
+//! the lock only while a command is applied — catalog, plan cache, ingest,
+//! planning on a miss —; a query's execution and render run outside it,
+//! on the snapshot of the catalog it was prepared against. So each session
+//! reads byte for byte what it reads served alone, and a reader racing a
+//! writer reads, answers and `load=` alike, what the serial history reads
+//! after some number of the writer's appends, never fewer than before.
 
 use mpc_skew::core::engine::{Algorithm, Engine, StatsMode};
 use mpc_skew::core::service::{CacheStatus, QuerySpec, Service};
@@ -192,36 +197,14 @@ fn stale_plan_invalidation_fires_on_heavy_threshold_crossing() {
 fn concurrent_sessions_match_one_session() {
     // Readers send `rows` queries whose plans the warm-up cached; one
     // writer APPENDs to `W`, which no reader names. Whatever the
-    // interleaving of their commands under the service lock, each
-    // session must read exactly what it reads served alone.
+    // interleaving of their commands, each session must read exactly what
+    // it reads served alone.
     let queries = [
         "QUERY A(x,z), B(y,z) rows",
         "QUERY B(x,z), C(z,y) p=8 rows",
         "QUERY Q(z; count, sum(x)) :- A(x,z), C(y,z) rows",
         "QUERY A(x,y), B(y,z), C(z,x) seed=3 algo=hc rows",
     ];
-    let rows = |a: u64, b: u64| -> String {
-        let rows: Vec<String> = (0..300u64)
-            .map(|i| format!("{},{}", (i * a) % 97, (i * b) % 31))
-            .collect();
-        rows.join(";")
-    };
-    let warmed = || {
-        let mut svc = Service::new(1 << 10)
-            .with_stats_mode(StatsMode::Sketch)
-            .with_defaults(4, 1);
-        let mut session = Session::new();
-        let loads = [
-            format!("LOAD A 2 {}", rows(37, 11)),
-            format!("LOAD B 2 {}", rows(13, 7)),
-            format!("LOAD C 2 {}", rows(29, 5)),
-            "LOAD W 2 0,0".to_string(),
-        ];
-        for line in loads.iter().map(String::as_str).chain(queries) {
-            assert!(session.handle(&mut svc, line)[0].starts_with("ok "));
-        }
-        svc
-    };
     let mut scripts: Vec<String> = (0..3)
         .map(|k| {
             let lines: Vec<&str> = (0..12).map(|i| queries[(k + i) % queries.len()]).collect();
@@ -233,34 +216,12 @@ fn concurrent_sessions_match_one_session() {
         .collect();
     scripts.push(appends.join("\n"));
 
-    let run = |script: &str, svc: &Mutex<Service>| {
-        let mut out = Vec::new();
-        let end = serve(io::Cursor::new(script), &mut out, svc);
-        assert!(end.error.is_none(), "{:?}", end.error);
-        String::from_utf8(out).expect("replies are UTF-8")
-    };
     let alone: Vec<String> = scripts
         .iter()
-        .map(|script| run(script, &Mutex::new(warmed())))
+        .map(|script| serve_one(script, &Mutex::new(warmed_service(None, &queries))))
         .collect();
-    let shared = Mutex::new(warmed());
-    // Every session starts at once, so their commands contend for the lock.
-    let start = Barrier::new(scripts.len());
-    let together: Vec<String> = std::thread::scope(|scope| {
-        let sessions: Vec<_> = scripts
-            .iter()
-            .map(|script| {
-                scope.spawn(|| {
-                    start.wait();
-                    run(script, &shared)
-                })
-            })
-            .collect();
-        sessions
-            .into_iter()
-            .map(|s| s.join().expect("session thread"))
-            .collect()
-    });
+    let shared = Mutex::new(warmed_service(None, &queries));
+    let together = serve_together(&scripts, &shared);
     for (i, (want, got)) in alone.iter().zip(&together).enumerate() {
         assert!(got == want, "session {i} diverged from its solo run");
     }
@@ -275,6 +236,149 @@ fn concurrent_sessions_match_one_session() {
         shared.lock().unwrap().counters().misses,
         queries.len() as u64
     );
+}
+
+/// Three relations of 300 rows, `(i·a mod 97, i·b mod 31)` with `(a, b)`
+/// per relation, loaded into a sketch-mode service on `backend` through a
+/// session that then warms the plan of every query in `queries`.
+fn warmed_service(backend: Option<Backend>, queries: &[&str]) -> Service {
+    let rows = |a: u64, b: u64| -> String {
+        let rows: Vec<String> = (0..300u64)
+            .map(|i| format!("{},{}", (i * a) % 97, (i * b) % 31))
+            .collect();
+        rows.join(";")
+    };
+    let mut svc = Service::new(1 << 10)
+        .with_stats_mode(StatsMode::Sketch)
+        .with_defaults(4, 1);
+    if let Some(backend) = backend {
+        svc = svc.with_backend(backend);
+    }
+    let mut session = Session::new();
+    let loads = [
+        format!("LOAD A 2 {}", rows(37, 11)),
+        format!("LOAD B 2 {}", rows(13, 7)),
+        format!("LOAD C 2 {}", rows(29, 5)),
+        "LOAD W 2 0,0".to_string(),
+    ];
+    for line in loads
+        .iter()
+        .map(String::as_str)
+        .chain(queries.iter().copied())
+    {
+        assert!(session.handle(&mut svc, line)[0].starts_with("ok "));
+    }
+    svc
+}
+
+/// Serve each script as its own session on one shared service, all
+/// started at once so their commands contend; each session's output.
+fn serve_together(scripts: &[String], shared: &Mutex<Service>) -> Vec<String> {
+    let start = Barrier::new(scripts.len());
+    std::thread::scope(|scope| {
+        let sessions: Vec<_> = scripts
+            .iter()
+            .map(|script| {
+                scope.spawn(|| {
+                    start.wait();
+                    serve_one(script, shared)
+                })
+            })
+            .collect();
+        sessions
+            .into_iter()
+            .map(|s| s.join().expect("session thread"))
+            .collect()
+    })
+}
+
+fn serve_one(script: &str, svc: &Mutex<Service>) -> String {
+    let mut out = Vec::new();
+    let end = serve(io::Cursor::new(script), &mut out, svc);
+    assert!(end.error.is_none(), "{:?}", end.error);
+    String::from_utf8(out).expect("replies are UTF-8")
+}
+
+#[test]
+fn readers_racing_appends_read_a_serial_history() {
+    // The appends land in `A`, which three of the four queries read, and
+    // each joins `B` (and `C`) on z: every append changes their answers.
+    // A reader's query reads the catalog as of the moment it was prepared,
+    // so each of its replies must be the serial reply after some number k
+    // of appends, and k must never go down within one session.
+    const APPENDS: usize = 24;
+    let queries = [
+        "QUERY A(x,z), B(y,z) rows",
+        "QUERY B(x,z), C(z,y) p=8 rows",
+        "QUERY Q(z; count, sum(x)) :- A(x,z), C(y,z) rows",
+        "QUERY A(x,y), B(y,z), C(z,x) seed=3 algo=hc rows",
+    ];
+    let appends: Vec<String> = (0..APPENDS)
+        .map(|i| format!("APPEND A {},{}", 100 + i, (i * 7) % 31))
+        .collect();
+    for backend in [Backend::Sequential, Backend::Threads(4)] {
+        // serial[k][q]: query q's reply after the first k appends.
+        let mut svc = warmed_service(Some(backend), &queries);
+        let mut session = Session::new();
+        let mut read = |svc: &mut Service| -> Vec<String> {
+            (queries.iter())
+                .map(|q| session.handle(svc, q).join("\n") + "\n")
+                .collect()
+        };
+        let mut serial = vec![read(&mut svc)];
+        for append in &appends {
+            Session::new().handle(&mut svc, append);
+            serial.push(read(&mut svc));
+        }
+        assert!(
+            (serial.windows(2)).all(|w| w[0][0] != w[1][0]),
+            "every append changes the join's answers"
+        );
+
+        let mut scripts: Vec<String> = (0..3)
+            .map(|r| {
+                let lines: Vec<&str> = (0..12).map(|i| queries[(r + i) % queries.len()]).collect();
+                lines.join("\n")
+            })
+            .collect();
+        // The writer reads between its appends (a query that does not read
+        // `A`), which spreads them over the readers' run.
+        let writes: Vec<&str> = (appends.iter())
+            .flat_map(|a| [a.as_str(), queries[1]])
+            .collect();
+        scripts.push(writes.join("\n"));
+        let shared = Mutex::new(warmed_service(Some(backend), &queries));
+        let together = serve_together(&scripts, &shared);
+        for (r, out) in together[..3].iter().enumerate() {
+            // Every query asks for rows, so every reply ends with `end`.
+            let replies: Vec<&str> = out.split_inclusive("end\n").collect();
+            assert_eq!(replies.len(), 12, "[{backend}] reader {r}: {out}");
+            let mut at = 0;
+            for (i, reply) in replies.into_iter().enumerate() {
+                let q = (r + i) % queries.len();
+                let seen = (0..=APPENDS).filter(|&k| serial[k][q] == reply);
+                let seen: Vec<usize> = seen.collect();
+                assert!(
+                    !seen.is_empty(),
+                    "[{backend}] reader {r}, reply {i}: no serial history reads {reply}"
+                );
+                at = *(seen.iter().find(|&&k| k >= at)).unwrap_or_else(|| {
+                    panic!("[{backend}] reader {r}, reply {i}: read appends {seen:?} after {at}")
+                });
+            }
+        }
+        let want: Vec<String> = (1..=APPENDS)
+            .map(|k| format!("ok appended A +1 tuples={}\n{}", 300 + k, serial[k][1]))
+            .collect();
+        assert_eq!(together[3], want.concat(), "[{backend}]");
+        // Once the writer is done, every query reads all of its appends.
+        let after = serve_one(&queries.join("\n"), &shared);
+        assert_eq!(after, serial[APPENDS].concat(), "[{backend}]");
+        // No append changed a plan: every reply above was a cache hit, as
+        // in the serial history.
+        let c = shared.lock().unwrap().counters();
+        assert_eq!((c.misses, c.invalidations), (queries.len() as u64, 0));
+    }
 }
 
 #[test]
