@@ -136,7 +136,7 @@ impl AggregateAccumulator {
         }
     }
 
-    /// Absorb one distinct binding with its derivation multiplicity (the
+    /// Absorb one binding with its derivation multiplicity (the
     /// `Join::for_each` emit signature). The hot path probes with a
     /// stack-projected key and heap-allocates only when a new group
     /// appears, so folding stays `Θ(groups)` allocations even when the

@@ -430,25 +430,27 @@ impl Plan {
     /// bit-identical to invoking the planned algorithm directly
     /// (`Sequential` and `Threads(n)` agree).
     pub fn execute(&self, db: &Database, backend: Backend) -> RunOutcome {
-        self.try_execute(db, backend, &QueryBudget::unlimited())
+        self.try_execute(db, backend, &QueryBudget::unlimited(), true)
             .expect("an unlimited budget cannot be exceeded")
     }
 
     /// [`Plan::execute`] under a cooperative [`QueryBudget`]: the shuffle
     /// polls every 512 routed tuples, and the pushed-down aggregate fold
     /// polls inside every server's local join and charges groups against
-    /// the group cap. A limited budget must charge every materialized
-    /// answer row against its cap, so a plain (non-aggregate) plan's
-    /// answers are joined here, inside the budget, and handed to the
-    /// outcome; under [`QueryBudget::unlimited`] they stay lazy until
-    /// [`RunOutcome::answers`] is first read, so callers that read only
-    /// the load — mpcbench's shuffle span, the experiments — never pay
-    /// for them.
+    /// the group cap. A limited budget must charge every answer row the
+    /// join emits against its cap, so a plain (non-aggregate) plan is
+    /// joined here, inside the budget: into its answer set when the
+    /// caller will read `rows`, or when the plan does not partition
+    /// derivations; otherwise into its [`RunOutcome::answer_count`] alone,
+    /// which charges the same rows. Under [`QueryBudget::unlimited`] both
+    /// stay lazy until first read, so callers that read only the load —
+    /// mpcbench's shuffle span, the experiments — never pay for them.
     pub(crate) fn try_execute(
         &self,
         db: &Database,
         backend: Backend,
         budget: &QueryBudget,
+        rows: bool,
     ) -> Result<RunOutcome, BudgetExceeded> {
         assert_eq!(
             db.query(),
@@ -458,14 +460,19 @@ impl Plan {
         let cluster = Cluster::try_run_round_on(db, self.p, self, backend, budget)?;
         let report = cluster.report();
         let mut answers = OnceLock::new();
+        let mut count = OnceLock::new();
         // Aggregate pushdown: fold each server's local join into a
         // per-group accumulator and merge — answers are never materialized
         // into an `AnswerSet`.
         let aggregate = match &self.aggregate {
             Some(spec) => Some(aggregate_cluster(&cluster, &self.query, spec, budget)?),
             None => {
-                if !budget.is_unlimited() {
+                if budget.is_unlimited() {
+                    // The answers and their count stay lazy.
+                } else if rows || !self.algorithm().partitions_derivations() {
                     answers = OnceLock::from(cluster.try_all_answers(&self.query, budget)?);
+                } else {
+                    count = OnceLock::from(cluster.partitioned_answer_count(&self.query, budget)?);
                 }
                 None
             }
@@ -478,6 +485,7 @@ impl Plan {
             aggregate_spec: self.aggregate.clone(),
             aggregate,
             answers,
+            count,
             cluster,
             report,
         })
@@ -540,6 +548,9 @@ pub struct RunOutcome {
     /// Filled by [`Plan::try_execute`] inside a limited budget, by the
     /// first read otherwise.
     answers: OnceLock<AnswerSet>,
+    /// The distinct answer count of a plan that partitions derivations,
+    /// counted per server without the answer set: filled like `answers`.
+    count: OnceLock<u64>,
     cluster: Cluster,
     report: LoadReport,
 }
@@ -583,6 +594,27 @@ impl RunOutcome {
     /// servers' local joins on the first call and keeps the set.
     pub fn answers(&self) -> &AnswerSet {
         (self.answers).get_or_init(|| self.cluster.all_answers(&self.query))
+    }
+
+    /// The number of distinct answers: `answers().len()` once the answers
+    /// exist. Before that, a plan that partitions derivations (HyperCube,
+    /// including Auto's equal-share fallback, and the §4.1 skew join)
+    /// produces every binding on one server only, so this sums each
+    /// server's distinct bindings and never builds the answer set
+    /// ([`Cluster::partitioned_answer_count`]); the §4.2 general algorithm
+    /// repeats bindings across servers, so it materializes them.
+    pub fn answer_count(&self) -> u64 {
+        if let Some(answers) = self.answers.get() {
+            return answers.len() as u64;
+        }
+        if !self.algorithm.partitions_derivations() {
+            return self.answers().len() as u64;
+        }
+        *self.count.get_or_init(|| {
+            (self.cluster)
+                .partitioned_answer_count(&self.query, &QueryBudget::unlimited())
+                .expect("an unlimited budget cannot be exceeded")
+        })
     }
 
     /// The pushed-down aggregate result, when the plan carried an

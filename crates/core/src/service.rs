@@ -218,7 +218,9 @@ fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> ServiceError {
 /// including worker panics re-raised on the caller and injected
 /// failpoints — is caught and classified instead of tearing down the
 /// caller, and the budget trips `f` returns surface as their typed errors.
-fn run_contained<T>(f: impl FnOnce() -> Result<T, BudgetExceeded>) -> Result<T, ServiceError> {
+pub(crate) fn run_contained<T>(
+    f: impl FnOnce() -> Result<T, BudgetExceeded>,
+) -> Result<T, ServiceError> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(Ok(v)) => Ok(v),
         Ok(Err(e)) => Err(budget_error(e)),
@@ -324,7 +326,9 @@ impl QuerySpec {
 /// containment boundary — so a budget trip during answer collection
 /// surfaced as the query's error —, otherwise the first read joins it
 /// ([`ServiceOutcome::try_answers`] keeps that read contained too), and
-/// every later read is a borrow of the same set.
+/// every later read is a borrow of the same set. A wire `QUERY` without
+/// `rows` on a plan that partitions derivations never builds the set: it
+/// reads [`RunOutcome::answer_count`], counted per server.
 pub struct ServiceOutcome {
     outcome: RunOutcome,
     cache: CacheStatus,
@@ -352,7 +356,9 @@ impl ServiceOutcome {
     /// boundary: when the answers were not already materialized under a
     /// budget, the lazy join runs under `catch_unwind` so a worker panic
     /// during materialization (not just during execution) surfaces as a
-    /// typed [`ServiceError`]. The wire layer renders rows through this.
+    /// typed [`ServiceError`]. The wire layer renders `rows` replies
+    /// through this, and only those: a reply without `rows` prints the
+    /// answer count, which materializes only on a `general` plan.
     pub fn try_answers(&self) -> Result<&AnswerSet, ServiceError> {
         run_contained(|| Ok(self.outcome.answers()))
     }
@@ -395,11 +401,13 @@ pub(crate) struct PreparedQuery {
 
 impl PreparedQuery {
     /// Execute without the service, inside the fault-containment boundary:
-    /// a worker panic or a tripped budget (a limited budget also joins a
-    /// plain query's answers here) is a typed [`ServiceError`].
-    pub(crate) fn run(self) -> Result<ServiceOutcome, ServiceError> {
+    /// a worker panic or a tripped budget is a typed [`ServiceError`]. A
+    /// limited budget also joins a plain query here: into its answer set
+    /// when the caller will read `rows`, into its answer count alone when
+    /// it will not and the plan partitions derivations.
+    pub(crate) fn run(self, rows: bool) -> Result<ServiceOutcome, ServiceError> {
         let outcome =
-            run_contained(|| self.plan.try_execute(&self.db, self.backend, &self.budget))?;
+            run_contained(|| (self.plan).try_execute(&self.db, self.backend, &self.budget, rows))?;
         Ok(ServiceOutcome {
             outcome,
             cache: self.cache,
@@ -734,9 +742,10 @@ impl Service {
     }
 
     /// Run one fully-specified query: `Service::prepare`, then
-    /// `PreparedQuery::run`.
+    /// `PreparedQuery::run` for a caller that reads the answers, so a
+    /// limited budget materializes them inside the run.
     pub fn query_spec(&mut self, spec: &QuerySpec) -> Result<ServiceOutcome, ServiceError> {
-        self.prepare(spec)?.run()
+        self.prepare(spec)?.run(true)
     }
 
     /// The part of a query that needs the service, and all a server holds
@@ -982,7 +991,7 @@ mod tests {
         // query.
         let prepared = svc.prepare(&spec).unwrap();
         assert_eq!(svc.append("S2", &[6, 1]), Ok(2));
-        assert_eq!(prepared.run().unwrap().answers().len(), 2);
+        assert_eq!(prepared.run(true).unwrap().answers().len(), 2);
         assert_eq!(svc.query_spec(&spec).unwrap().answers().len(), 4);
     }
 

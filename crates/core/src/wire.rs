@@ -17,7 +17,11 @@
 //! `QUERY` takes a conjunctive-query body (`S1(x,z), S2(y,z)`, optionally
 //! double-quoted) followed by options, each at most once (a repeat is
 //! `err parse <key>= given twice`); with `rows` the answer tuples
-//! follow the `ok` line, one per line, terminated by `end`. The body may
+//! follow the `ok` line, one per line, terminated by `end`. Only `rows`
+//! materializes the answers: without it, `answers=N` is counted on each
+//! server of a HyperCube or skew-join plan, which produces every answer
+//! on one server only, and no answer set is built; a `general` plan
+//! repeats answers across servers and materializes them to count. The body may
 //! also carry an aggregate head (`Q(x; count) :- S1(x,z), S2(y,z)`), in
 //! which case the status line reports `ok groups=N ...` and `rows` emits
 //! `key.. | value..` group lines instead of answer tuples. Blank lines
@@ -65,7 +69,9 @@
 //! ```
 
 use crate::engine::{Algorithm, MAX_SERVERS};
-use crate::service::{PreparedQuery, QuerySpec, Service, ServiceError, ServiceOutcome};
+use crate::service::{
+    run_contained, PreparedQuery, QuerySpec, Service, ServiceError, ServiceOutcome,
+};
 use mpc_data::relation::Relation;
 use mpc_query::parse_aggregate_query;
 use std::fmt::Write as _;
@@ -130,7 +136,7 @@ impl Session {
     ) {
         let applied = (self.parse(line, out)).and_then(|cmd| apply(cmd, &mut service(), out));
         if let Some((query, want_rows)) = applied {
-            match query.run() {
+            match query.run(want_rows) {
                 Ok(outcome) => render_outcome(out, &outcome, want_rows),
                 Err(e) => render_err(out, &e),
             }
@@ -311,11 +317,14 @@ pub fn render_err(out: &mut String, cause: &ServiceError) {
 
 /// Append one query outcome to `out`: the `ok` status line, plus the
 /// answer tuples (or `key | value` group lines for aggregate heads) and an
-/// `end` terminator when the client asked for rows. Rows are written
-/// straight from the outcome's [`AnswerSet`](mpc_data::answers::AnswerSet)
-/// into the buffer, so a warm buffer renders without allocating. Every plan
-/// the service runs is one communication round, so the status line's
-/// `rounds=` field is always `rounds=1`.
+/// `end` terminator when the client asked for rows. Only a `rows` reply
+/// materializes the answers: rows are written straight from the outcome's
+/// [`AnswerSet`](mpc_data::answers::AnswerSet) into the buffer, so a warm
+/// buffer renders without allocating. Without `rows`, `answers=N` is
+/// [`RunOutcome::answer_count`](crate::engine::RunOutcome::answer_count),
+/// counted per server on every plan but `general`. Every plan the service
+/// runs is one communication round, so the status line's `rounds=` field
+/// is always `rounds=1`.
 pub fn render_outcome(out: &mut String, outcome: &ServiceOutcome, want_rows: bool) {
     let run = outcome.run_outcome();
     if let Some(agg) = outcome.aggregate() {
@@ -338,23 +347,27 @@ pub fn render_outcome(out: &mut String, outcome: &ServiceOutcome, want_rows: boo
         }
         return;
     }
-    // Containment extends to the lazy row materialization: a worker panic
-    // while joining the rows yields one `err` line, not a torn reply —
-    // nothing of this outcome is in the buffer yet.
-    let answers = match outcome.try_answers() {
-        Ok(a) => a,
+    // Containment extends to the lazy row materialization and the lazy
+    // count: a worker panic while joining yields one `err` line, not a torn
+    // reply — nothing of this outcome is in the buffer yet.
+    let read = if want_rows {
+        (outcome.try_answers()).map(|answers| (answers.len() as u64, Some(answers)))
+    } else {
+        run_contained(|| Ok((run.answer_count(), None)))
+    };
+    let (count, answers) = match read {
+        Ok(read) => read,
         Err(e) => return render_err(out, &e),
     };
     reply!(
         out,
-        "ok answers={} algo={} cache={} rounds=1 load={} predicted={:.0}",
-        answers.len(),
+        "ok answers={count} algo={} cache={} rounds=1 load={} predicted={:.0}",
         outcome.algorithm(),
         outcome.cache_status(),
         outcome.max_load_bits(),
         run.predicted_load_bits(),
     );
-    if want_rows {
+    if let Some(answers) = answers {
         for row in answers.rows() {
             for (i, &v) in row.iter().enumerate() {
                 if i > 0 {

@@ -101,8 +101,8 @@ impl AnswerSet {
     }
 
     /// Append `times` copies of one row — the multiplicity-aware emit path
-    /// of the dynamic join, which reports each distinct binding once with
-    /// the number of row combinations deriving it. `times == 0` appends
+    /// of the dynamic join, which reports a binding with the number of row
+    /// combinations it stands for. `times == 0` appends
     /// nothing; the copies come from doubling `extend_from_within` calls,
     /// so the cost is one slice append plus O(log times) memcpys.
     ///

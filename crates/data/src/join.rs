@@ -9,8 +9,8 @@
 //! There is one entry point, the [`Join`] builder: `Join::new(query,
 //! &relations)` (or `Join::of(&database)`), optionally `.order(..)` and
 //! `.budget(..)`, then one of three sinks —
-//! [`Join::for_each`] (every distinct binding with its multiplicity; the
-//! evaluator the other two are written on), [`Join::count`], or
+//! [`Join::for_each`] (bindings with their multiplicities; the evaluator
+//! the other two are written on), [`Join::count`], or
 //! [`Join::answers`]. An evaluation without a budget *is* the budgeted
 //! evaluation with nothing to check, not a second code path. A tripped
 //! budget is a value, not an unwind: the per-evaluation probe records it,
@@ -42,10 +42,14 @@
 //!   the oracle joins run it, so every verification pass is a
 //!   dynamic-vs-fixed comparison.
 //!
-//! Both engines produce the same answer *multiset* (the dynamic engine
-//! emits each distinct binding once with its multiplicity — the product of
-//! the per-atom candidate counts — which is exactly the number of row
-//! combinations deriving it), and both report a [`JoinStats`] probe of the
+//! Both engines produce the same answer *multiset*: the dynamic engine
+//! emits a binding with a multiplicity — the product of the per-atom
+//! candidate counts, the number of row combinations it stands for — and
+//! the multiplicities of a binding's emits sum to the number of row
+//! combinations deriving it. A binding may be emitted more than once: the
+//! root loops over the driver's *rows*, so every copy of a duplicated
+//! driver row emits its bindings again. Both engines report a
+//! [`JoinStats`] probe of the
 //! bindings they explored, also accumulated process-wide for the bench
 //! harness via [`visited_bindings_total`].
 //!
@@ -1360,12 +1364,14 @@ impl<'a> Join<'a> {
         self
     }
 
-    /// Run the join, invoking `emit(binding, multiplicity)` once per
-    /// *distinct answer occurrence group*: the multiplicity is the number
-    /// of row combinations deriving the binding (values indexed by query
-    /// variable), so expanding every call `mult` times reproduces the exact
-    /// answer multiset of the row-at-a-time join. The fixed engine always
-    /// passes multiplicity 1.
+    /// Run the join, invoking `emit(binding, multiplicity)` (values
+    /// indexed by query variable) for groups of row combinations that
+    /// derive one binding: expanding every call `mult` times reproduces
+    /// the exact answer multiset of the row-at-a-time join. One binding
+    /// may come in several calls — the dynamic engine emits it once per
+    /// copy of a duplicated driver row, and the fixed engine, which always
+    /// passes multiplicity 1, once per derivation — so a distinct count
+    /// over the calls must deduplicate.
     ///
     /// `Err` only under a [`Join::budget`]: a budget that has already
     /// tripped, that a poll or a row charge finds tripped during the
@@ -1701,6 +1707,29 @@ mod tests {
         assert!(stats.bindings_visited > 0);
         // Other tests run in the same process; the global only ever grows.
         assert!(visited_bindings_total() - before >= stats.bindings_visited);
+    }
+
+    #[test]
+    fn a_duplicated_driver_row_emits_its_bindings_again() {
+        // S1 is the smaller relation, so it drives the root; its two
+        // copies of (1,5) each emit (x,z,y) = (1,5,7) with mult 2 (the two
+        // copies of (7,5) in S2). The multiset is exact — four derivations
+        // of (1,5,7) — but the binding comes twice.
+        let q = named::two_way_join();
+        let s1 = Relation::from_flat("S1", 2, vec![1, 5, 1, 5, 2, 5]);
+        let s2 = Relation::from_flat("S2", 2, vec![7, 5, 7, 5, 8, 5, 9, 5]);
+        let rels = [&s1, &s2];
+        let mut emits: Vec<(Vec<u64>, u64)> = Vec::new();
+        Join::new(&q, &rels)
+            .for_each(|row, mult| emits.push((row.to_vec(), mult)))
+            .unwrap();
+        let target = emits.iter().filter(|(row, _)| row == &[1, 5, 7]);
+        assert_eq!(target.clone().map(|&(_, m)| m).collect::<Vec<_>>(), [2, 2]);
+        assert_eq!(count(&q, &rels, JoinOrder::Dynamic), 3 * 4);
+        let mut distinct = answers(&q, &rels, JoinOrder::Dynamic);
+        distinct.sort_dedup();
+        assert_eq!(distinct.len(), 2 * 3);
+        assert!(emits.len() > distinct.len());
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub fn join_database(db: &Database) -> AnswerSet {
 }
 
 /// Stream the sequential Fixed-order join of `db` into `emit`: every
-/// distinct binding once, with its derivation multiplicity. The ground
+/// derivation, each with multiplicity 1 (see `Join::for_each`). The ground
 /// truth distributed aggregates are folded against
 /// (`mpc_core::verify::aggregate_oracle`).
 pub fn for_each_binding(db: &Database, emit: impl FnMut(&[u64], u64)) {

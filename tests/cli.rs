@@ -303,6 +303,53 @@ fn no_verify_boolean_flag_skips_verification() {
 }
 
 #[test]
+fn no_verify_count_equals_the_verified_answer_count() {
+    // `--no-verify` counts per server on hc and skew-join plans and
+    // materializes on general; every count must equal the verified set's.
+    // Zipf on z repeats rows, so a server's join can emit a binding twice.
+    let distinct = |algo: &str, verify: bool| -> String {
+        let mut args = vec![
+            "run",
+            "S1(x,z), S2(y,z)",
+            "--m",
+            "3000",
+            "--domain",
+            "64",
+            "--theta",
+            "1.2",
+            "--p",
+            "16",
+            "--algo",
+            algo,
+        ];
+        if !verify {
+            args.push("--no-verify");
+        }
+        let out = mpcskew().args(&args).output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{algo}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = (text.lines())
+            .find_map(|l| l.strip_prefix("answers       : "))
+            .unwrap_or_else(|| panic!("{algo}: no answers line in {text}"));
+        let (n, rest) = line.split_once(" distinct").expect("`N distinct`");
+        let tail = if verify {
+            ", verification PASSED"
+        } else {
+            " (verification skipped)"
+        };
+        assert_eq!(rest, tail, "{algo}: {text}");
+        n.to_string()
+    };
+    for algo in ["hc", "skew-join", "general"] {
+        assert_eq!(distinct(algo, false), distinct(algo, true), "{algo}");
+    }
+}
+
+#[test]
 fn help_and_no_args_print_usage_and_exit_zero() {
     for args in [vec![], vec!["--help"], vec!["run", "S1(x,z)", "--help"]] {
         let out = mpcskew().args(&args).output().expect("binary runs");

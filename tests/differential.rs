@@ -13,14 +13,22 @@
 //!    [`LoadReport`]s (exact per-server equality), i.e. the parallel
 //!    executor is bit-identical to the sequential one;
 //! 3. **the output floor** — every one-round cell, on every backend,
-//!    clears the floor its answer count sets (`bounds::output_floor`).
+//!    clears the floor its answer count sets (`bounds::output_floor`);
+//! 4. **the answer count** — on every backend, a router that produces each
+//!    binding on one server counts the oracle's distinct answers per
+//!    server (`Cluster::partitioned_answer_count`), and every engine
+//!    plan's `RunOutcome::answer_count` equals the oracle's. A server's
+//!    join emits a binding once per copy of a repeated driver row, so a
+//!    count of emits overcounts wherever a relation repeats a row; the
+//!    `all_duplicates` scenario is the extreme, 600 emits of one answer.
 
 use mpc_skew::core::baselines::{FragmentReplicateRouter, HashJoinRouter};
+use mpc_skew::core::engine::{Algorithm, Engine};
 use mpc_skew::core::hypercube::HyperCube;
 use mpc_skew::core::multi_round::run_multi_round;
 use mpc_skew::core::skew_general::GeneralSkewAlgorithm;
 use mpc_skew::core::skew_join::SkewJoin;
-use mpc_skew::data::{generators, Database, Relation, Rng};
+use mpc_skew::data::{generators, Database, QueryBudget, Relation, Rng};
 use mpc_skew::query::{named, VarSet};
 use mpc_skew::sim::backend::Backend;
 use mpc_skew::sim::cluster::{BroadcastRouter, Cluster, Router};
@@ -132,19 +140,39 @@ fn scenarios() -> Vec<(&'static str, Database)> {
     out
 }
 
+/// Whether a router produces every binding on one server only, so that
+/// summing per-server distinct counts counts the answers.
+#[derive(Clone, Copy, PartialEq)]
+enum Bindings {
+    OnOneServer,
+    Repeated,
+}
+
 /// Run `router` over every backend; assert oracle equality (`expected` is
-/// the precomputed sequential join) and exact cross-backend equality of
-/// answers and reports.
+/// the precomputed sequential join), the per-server answer count when the
+/// router puts each binding on one server, and exact cross-backend
+/// equality of answers and reports.
 fn check_router(
-    tag: &str,
+    name: &str,
+    algo: &str,
     db: &Database,
     expected: &mpc_skew::data::AnswerSet,
     p: usize,
     router: &(impl Router + Sync),
+    bindings: Bindings,
 ) {
+    let tag = format!("{name}/{algo}");
     let mut baseline: Option<(mpc_skew::data::AnswerSet, LoadReport)> = None;
     for backend in BACKENDS {
         let cluster = Cluster::run_round_on(db, p, router, backend);
+        if bindings == Bindings::OnOneServer {
+            let count = cluster.partitioned_answer_count(db.query(), &QueryBudget::unlimited());
+            assert_eq!(
+                count,
+                Ok(expected.len() as u64),
+                "{tag} [{backend}]: per-server count differs from the oracle's"
+            );
+        }
         let answers = cluster.all_answers(db.query());
         let report = cluster.report();
         assert_eq!(&answers, expected, "{tag} [{backend}]: oracle mismatch");
@@ -175,37 +203,54 @@ fn scenario_matrix_times_algorithms_is_deterministic_and_complete() {
         let z = q.var_index("z").unwrap();
         let expected = join_database(&db);
 
+        let one = Bindings::OnOneServer;
+        let repeated = Bindings::Repeated;
         let hc = HyperCube::with_optimal_shares(&q, &st, p, 11);
-        check_router(&format!("{name}/hypercube_optimal"), &db, &expected, p, &hc);
+        check_router(name, "hypercube_optimal", &db, &expected, p, &hc, one);
 
         let hce = HyperCube::with_equal_shares(&q, p, 11);
-        check_router(&format!("{name}/hypercube_equal"), &db, &expected, p, &hce);
+        check_router(name, "hypercube_equal", &db, &expected, p, &hce, one);
 
         let sj = SkewJoin::plan(&db, p, 11);
-        check_router(&format!("{name}/skew_join"), &db, &expected, p, &sj);
+        check_router(name, "skew_join", &db, &expected, p, &sj, one);
 
         let general = GeneralSkewAlgorithm::plan(&db, p, 11);
-        check_router(&format!("{name}/general_skew"), &db, &expected, p, &general);
+        check_router(name, "general_skew", &db, &expected, p, &general, repeated);
 
         let hj = HashJoinRouter::new(&q, VarSet::singleton(z), p, 11);
-        check_router(&format!("{name}/hash_join"), &db, &expected, p, &hj);
+        check_router(name, "hash_join", &db, &expected, p, &hj, one);
 
         let fr = FragmentReplicateRouter::new(p, 0, 11);
-        check_router(
-            &format!("{name}/fragment_replicate"),
-            &db,
-            &expected,
-            p,
-            &fr,
-        );
+        check_router(name, "fragment_replicate", &db, &expected, p, &fr, one);
 
-        check_router(
-            &format!("{name}/broadcast"),
-            &db,
-            &expected,
-            p,
-            &BroadcastRouter { p },
-        );
+        let broadcast = BroadcastRouter { p };
+        check_router(name, "broadcast", &db, &expected, p, &broadcast, repeated);
+
+        check_answer_counts(name, &db, expected.len() as u64, p);
+    }
+}
+
+/// Every engine plan's `RunOutcome::answer_count`, on every backend,
+/// equals the oracle's distinct count: counted per server on `hc` and
+/// `skew-join`, materialized on `general`.
+fn check_answer_counts(name: &str, db: &Database, expected: u64, p: usize) {
+    let q = db.query();
+    let two_atoms = q.is_two_atom_join();
+    for algorithm in Algorithm::all() {
+        if algorithm == Algorithm::SkewJoin && !two_atoms {
+            continue;
+        }
+        for backend in BACKENDS {
+            let outcome = (Engine::new(q).p(p).seed(11))
+                .algorithm(algorithm)
+                .backend(backend)
+                .run(db);
+            assert_eq!(
+                outcome.answer_count(),
+                expected,
+                "{name}/{algorithm} [{backend}]: answer_count differs from the oracle's"
+            );
+        }
     }
 }
 
@@ -297,8 +342,20 @@ fn triangle_differential_beyond_two_atoms() {
 
     let expected = join_database(&db);
     let hc = HyperCube::with_optimal_shares(&q, &st, p, 7);
-    check_router("triangle/hypercube_optimal", &db, &expected, p, &hc);
+    let one = Bindings::OnOneServer;
+    check_router("triangle", "hypercube_optimal", &db, &expected, p, &hc, one);
 
     let general = GeneralSkewAlgorithm::plan(&db, p, 7);
-    check_router("triangle/general_skew", &db, &expected, p, &general);
+    let repeated = Bindings::Repeated;
+    check_router(
+        "triangle",
+        "general_skew",
+        &db,
+        &expected,
+        p,
+        &general,
+        repeated,
+    );
+
+    check_answer_counts("triangle", &db, expected.len() as u64, p);
 }
