@@ -10,8 +10,9 @@
 #                        # one-ground-truth/one-freshness-check,
 #                        # one-statistics-surface (incl. one sketch-backed
 #                        # Stats, no skew-join config), one-executor,
-#                        # one-query-path, one-stop/one-narrowing and
-#                        # one-enumeration-per-question guards
+#                        # one-query-path, one-stop/one-narrowing,
+#                        # one-enumeration-per-question and one-row-sort
+#                        # guards
 #                        # + bench-compile
 #                        # + mpcbench (its unit tests and a --smoke run)
 #   ./ci.sh --quick      # tier-1 gate only (what the driver enforces);
@@ -499,6 +500,25 @@ timeout 10 ./target/release/mpcskew bounds "$CHAIN8" \
     echo "mpcskew bounds on the 8-atom chain failed or took over 10 s" >&2
     exit 1
 }
+
+# One row sort. `mpc_data::answers::sort_rows` is the only function that
+# sorts row-major rows: answer sets, relations and the per-server answer
+# count call it. The per-caller sorts it replaced (the cluster's distinct
+# row counter, the answer set's distinct count, the cluster's materializing
+# answer count) stay gone, not even as a name in a comment, and no index of
+# row slices (`chunks_exact(..).collect()`) is built outside its body.
+stage "one row sort: sort_rows is the only row sort; no distinct_rows, sorted_distinct_count, Cluster::answer_count or row-slice index outside it"
+RESORTED=$(grep -rn "distinct_rows\|sorted_distinct_count" crates src tests || true)
+RESORTED="$RESORTED$(grep -n "pub fn answer_count" crates/sim/src/cluster.rs || true)"
+ROW_INDEX='chunks_exact\([^)]*\)[[:space:]]*\.collect'
+ROW_INDEXES=$(grep -rnE "$ROW_INDEX" crates src tests --include='*.rs' || true)
+IN_SORT_ROWS=$(sed -n '/^pub fn sort_rows(/,/^}/p' crates/data/src/answers.rs | grep -cE "$ROW_INDEX" || true)
+if [ -n "$RESORTED" ] || [ "$IN_SORT_ROWS" -ne 1 ] \
+    || [ "$(printf '%s\n' "$ROW_INDEXES" | grep -c .)" -ne 1 ]; then
+    echo "a second row sort is back, or sort_rows no longer holds the one row-slice index:" >&2
+    printf '%s\n%s\n' "$RESORTED" "$ROW_INDEXES" | sed '/^$/d' >&2
+    exit 1
+fi
 
 stage "cargo bench --no-run"
 cargo bench --workspace --offline --no-run

@@ -107,7 +107,7 @@ fn bench_cluster_zipf(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("skew_join_e2e", name), |b| {
             b.iter(|| {
                 let (cluster, report) = sj.run_on(black_box(&db), backend);
-                black_box((cluster.answer_count(&q), report.max_load_bits()))
+                black_box((cluster.all_answers(&q).len(), report.max_load_bits()))
             })
         });
     }
@@ -124,7 +124,7 @@ fn bench_cluster_zipf(c: &mut Criterion) {
             b.iter(|| {
                 let outcome = plan.execute(black_box(&db), Backend::Sequential);
                 let cluster = outcome.cluster().expect("one-round outcome");
-                black_box((cluster.answer_count(&q), outcome.max_load_bits()))
+                black_box((cluster.all_answers(&q).len(), outcome.max_load_bits()))
             })
         },
     );

@@ -136,8 +136,10 @@ impl AggregateAccumulator {
         }
     }
 
-    /// Absorb one binding with its derivation multiplicity (the
-    /// `Join::for_each` emit signature). The hot path probes with a
+    /// Absorb one emit `(binding, mult)` of
+    /// [`Join::for_each`](mpc_data::Join::for_each), under its emit
+    /// contract: `mult` derivations of `binding`, which other emits may
+    /// repeat, so the fold adds. The hot path probes with a
     /// stack-projected key and heap-allocates only when a new group
     /// appears, so folding stays `Θ(groups)` allocations even when the
     /// derivation count is enormous.

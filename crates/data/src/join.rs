@@ -42,13 +42,8 @@
 //!   the oracle joins run it, so every verification pass is a
 //!   dynamic-vs-fixed comparison.
 //!
-//! Both engines produce the same answer *multiset*: the dynamic engine
-//! emits a binding with a multiplicity — the product of the per-atom
-//! candidate counts, the number of row combinations it stands for — and
-//! the multiplicities of a binding's emits sum to the number of row
-//! combinations deriving it. A binding may be emitted more than once: the
-//! root loops over the driver's *rows*, so every copy of a duplicated
-//! driver row emits its bindings again. Both engines report a
+//! Both engines produce the same answer *multiset*, emitted under the
+//! contract stated once, on [`Join::for_each`]. Both engines report a
 //! [`JoinStats`] probe of the
 //! bindings they explored, also accumulated process-wide for the bench
 //! harness via [`visited_bindings_total`].
@@ -1364,14 +1359,20 @@ impl<'a> Join<'a> {
         self
     }
 
-    /// Run the join, invoking `emit(binding, multiplicity)` (values
-    /// indexed by query variable) for groups of row combinations that
-    /// derive one binding: expanding every call `mult` times reproduces
-    /// the exact answer multiset of the row-at-a-time join. One binding
-    /// may come in several calls — the dynamic engine emits it once per
-    /// copy of a duplicated driver row, and the fixed engine, which always
-    /// passes multiplicity 1, once per derivation — so a distinct count
-    /// over the calls must deduplicate.
+    /// Run the join, invoking `emit(binding, mult)` (values indexed by
+    /// query variable) for groups of row combinations that derive one
+    /// binding. This is the emit contract every consumer of a join relies
+    /// on:
+    /// - expanding every call `mult` times reproduces the exact answer
+    ///   multiset of the row-at-a-time join: the `mult`s of one binding's
+    ///   calls sum to the number of row combinations deriving it, and the
+    ///   dynamic engine's `mult` is the product of the per-atom candidate
+    ///   counts;
+    /// - one binding may come in several calls: the dynamic engine's root
+    ///   loops over the driver's *rows*, so it emits a binding once per
+    ///   copy of a duplicated driver row, and the fixed engine, which
+    ///   always passes `mult` 1, once per derivation. A distinct count
+    ///   over the calls must deduplicate.
     ///
     /// `Err` only under a [`Join::budget`]: a budget that has already
     /// tripped, that a poll or a row charge finds tripped during the

@@ -5,6 +5,7 @@
 //! bits with `M_j = a_j · m_j · log n` (Section 3); [`Relation::bit_size`]
 //! implements exactly that accounting given the domain's bit width.
 
+use crate::answers::sort_rows;
 use crate::fastmap::FastMap;
 use std::cell::Cell;
 use std::fmt;
@@ -170,24 +171,15 @@ impl Relation {
         self.arity as u64 * self.len() as u64 * value_bits as u64
     }
 
-    /// Sort tuples lexicographically and remove duplicates (set semantics).
+    /// Sort tuples lexicographically and remove duplicates (set semantics;
+    /// [`sort_rows`]).
     pub fn sort_dedup(&mut self) {
-        let arity = self.arity;
-        let mut rows: Vec<&[u64]> = self.data.chunks_exact(arity).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        let mut out = Vec::with_capacity(rows.len() * arity);
-        for row in rows {
-            out.extend_from_slice(row);
-        }
-        self.data = out;
+        sort_rows(&mut self.data, self.arity, true);
     }
 
-    /// True iff no duplicate tuples (after the eye of `sort_dedup`).
+    /// True iff no duplicate tuples (the check sorts a copy).
     pub fn is_set(&self) -> bool {
-        let mut rows: Vec<&[u64]> = self.data.chunks_exact(self.arity).collect();
-        rows.sort_unstable();
-        rows.windows(2).all(|w| w[0] != w[1])
+        sort_rows(&mut self.data.clone(), self.arity, true) == self.len()
     }
 
     /// Frequency map of the projections onto attribute positions `cols`:

@@ -3,6 +3,7 @@
 //! the legacy `Vec<Vec<u64>>` sort+dedup, and the CSR [`JoinIndex`] pinned
 //! against the legacy per-key `HashMap` buckets.
 
+use mpc_data::answers::sort_rows;
 use mpc_data::{generators, AnswerSet, Join, JoinIndex, JoinOrder, Relation, Rng};
 use mpc_query::{named, Query};
 use mpc_testkit::prelude::*;
@@ -15,26 +16,66 @@ fn sorted_answers(q: &Query, rels: &[&Relation], order: JoinOrder) -> Vec<Vec<u6
     got.to_nested()
 }
 
+/// `sort_rows` in both modes, and `Relation::{sort_dedup, is_set}` and
+/// `AnswerSet::{sort, sort_dedup}`, against a nested-vec sort (and dedup)
+/// of `arity`-wide `rows`.
+fn sorts_like_nested(arity: usize, rows: &[Vec<u64>]) -> Result<(), TestCaseError> {
+    let mut sorted = rows.to_vec();
+    sorted.sort();
+    let mut distinct = sorted.clone();
+    distinct.dedup();
+    for (dedup, want) in [(false, &sorted), (true, &distinct)] {
+        let mut flat = rows.concat();
+        prop_assert_eq!(sort_rows(&mut flat, arity, dedup), want.len());
+        prop_assert_eq!(flat, want.concat(), "arity {arity}, dedup {dedup}");
+    }
+
+    let mut r = Relation::from_flat("S", arity, rows.concat());
+    prop_assert_eq!(r.is_set(), distinct.len() == rows.len());
+    r.sort_dedup();
+    prop_assert!(r.is_set());
+    prop_assert_eq!(r.rows().map(<[u64]>::to_vec).collect::<Vec<_>>(), distinct);
+
+    let mut answers = AnswerSet::new(arity);
+    for row in rows {
+        answers.push(row);
+    }
+    answers.sort();
+    prop_assert_eq!(answers.to_nested(), sorted);
+    answers.sort_dedup();
+    prop_assert_eq!(answers.to_nested(), distinct);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// sort_dedup produces a sorted duplicate-free relation preserving the
-    /// underlying tuple *set*.
+    /// `sort_rows`, the one row sort, matches a nested-vec sort (and
+    /// dedup) on both sides of its fixed-width cut (rows up to four wide
+    /// sort as arrays, wider ones through an index), in both modes, and so
+    /// do the relation and answer-set sorts that call it. Every case also
+    /// checks the empty, one-row and all-duplicate inputs of its arity and
+    /// an arity-0 answer set.
     #[test]
-    fn sort_dedup_is_canonical(rows in mpc_testkit::collection::vec(
-        mpc_testkit::collection::vec(0u64..8, 2), 0..40))
-    {
-        let mut r = Relation::new("S", 2);
-        for row in &rows {
-            r.push(row);
+    fn sort_dedup_is_canonical(
+        arity in 1usize..7,
+        vals in mpc_testkit::collection::vec(0u64..3, 0..120),
+    ) {
+        let rows: Vec<Vec<u64>> = vals.chunks_exact(arity).map(<[u64]>::to_vec).collect();
+        sorts_like_nested(arity, &rows)?;
+        let row: Vec<u64> = (0..arity as u64).rev().collect();
+        for rows in [vec![], vec![row.clone()], vec![row; 5]] {
+            sorts_like_nested(arity, &rows)?;
         }
-        let mut expected: Vec<Vec<u64>> = rows.clone();
-        expected.sort();
-        expected.dedup();
-        r.sort_dedup();
-        prop_assert!(r.is_set());
-        let got: Vec<Vec<u64>> = r.rows().map(|x| x.to_vec()).collect();
-        prop_assert_eq!(got, expected);
+        // Arity 0: every row is the empty tuple.
+        let mut zero = AnswerSet::new(0);
+        for _ in &rows {
+            zero.push(&[]);
+        }
+        zero.sort();
+        prop_assert_eq!(zero.len(), rows.len());
+        zero.sort_dedup();
+        prop_assert_eq!(zero.len(), rows.len().min(1));
     }
 
     /// Frequencies on any column subset sum to the cardinality.

@@ -30,7 +30,7 @@
 
 use crate::backend::Backend;
 use crate::load::LoadReport;
-use mpc_data::answers::AnswerSet;
+use mpc_data::answers::{sort_rows, AnswerSet};
 use mpc_data::budget::{BudgetExceeded, QueryBudget};
 use mpc_data::catalog::Database;
 use mpc_data::failpoint;
@@ -359,20 +359,9 @@ impl Cluster {
     /// [`Cluster::all_answers`] under a cooperative [`QueryBudget`]: every
     /// server's local join polls the budget and charges emitted rows
     /// against the (shared) row cap, so an overgrown output trips cleanly
-    /// instead of materializing.
+    /// instead of materializing. Each emitted binding is collected once,
+    /// whatever its `mult`: the union is deduplicated anyway.
     pub fn try_all_answers(
-        &self,
-        query: &Query,
-        budget: &QueryBudget,
-    ) -> Result<AnswerSet, BudgetExceeded> {
-        let mut out = self.collect_answers(query, budget)?;
-        out.sort_dedup();
-        Ok(out)
-    }
-
-    /// The concatenated (unsorted, undeduplicated) per-server outputs:
-    /// [`Cluster::fold_answers`] with an [`AnswerSet`] accumulator.
-    fn collect_answers(
         &self,
         query: &Query,
         budget: &QueryBudget,
@@ -381,8 +370,8 @@ impl Cluster {
             query,
             budget,
             || AnswerSet::new(query.num_vars()),
-            |local, row, mult| {
-                local.push_repeat(row, mult);
+            |local, row, _| {
+                local.push(row);
                 Ok(())
             },
         )?;
@@ -390,17 +379,16 @@ impl Cluster {
         for part in parts {
             out.append(part);
         }
+        out.sort_dedup();
         Ok(out)
     }
 
     /// Fold every server's local join into accumulators without ever
     /// materializing an [`AnswerSet`] — the collection half of aggregate
     /// pushdown, and of the multi-round baseline's bag intermediates.
-    /// `fold` sees every server's bindings with the number of *local
-    /// derivations* (row combinations) as `mult`: expanding each call
-    /// `mult` times gives the server's exact derivation multiset, though
-    /// one binding may come more than once (see [`Join::for_each`]). When
-    /// the routing partitions the join's derivation multiset across
+    /// `fold` sees each server's emits as [`Join::for_each`] makes them,
+    /// `(binding, mult)` with `mult` the number of *local derivations*.
+    /// When the routing partitions the join's derivation multiset across
     /// servers (every aggregate-eligible plan does — see
     /// `mpc_core::aggregate`), summing per-server folds of a
     /// derivation-additive aggregate is exact.
@@ -447,11 +435,11 @@ impl Cluster {
     /// §4.2 general algorithm or a broadcast. It is then `Σ_s distinct_s`,
     /// summed over each server's own distinct bindings, and no
     /// [`AnswerSet`] is built: a worker keeps one flat buffer, collects one
-    /// server's bindings into it (each once, not `mult` times), counts
-    /// their runs after a sort, and clears it for the next server. The
-    /// sort is needed because a server's join may emit one binding more
-    /// than once (see [`Join::for_each`]). Runs under `budget` like
-    /// [`Cluster::fold_answers`], charging the same rows.
+    /// server's emits into it (each once, not `mult` times), counts them
+    /// with [`sort_rows`] (a server may emit one binding more than once,
+    /// see [`Join::for_each`]), and clears it for the next server. Runs
+    /// under `budget` like [`Cluster::fold_answers`], charging the same
+    /// rows.
     pub fn partitioned_answer_count(
         &self,
         query: &Query,
@@ -463,16 +451,8 @@ impl Cluster {
             budget,
             || (0u64, Vec::new()),
             |(count, buf), join| {
-                let mut emitted = 0u64;
-                join.for_each(|row, _| {
-                    buf.extend_from_slice(row);
-                    emitted += 1;
-                })?;
-                *count += if emitted <= 1 {
-                    emitted
-                } else {
-                    distinct_rows(buf, arity)
-                };
+                join.for_each(|row, _| buf.extend_from_slice(row))?;
+                *count += sort_rows(buf, arity, true) as u64;
                 buf.clear();
                 Ok(())
             },
@@ -526,51 +506,6 @@ impl Cluster {
             Ok(acc)
         });
         parts.into_iter().collect()
-    }
-
-    /// Count of distinct answers across servers: counts runs over the
-    /// sorted flat union ([`AnswerSet::sorted_distinct_count`]) instead of
-    /// rebuilding a deduplicated copy like [`Cluster::all_answers`] must.
-    pub fn answer_count(&self, query: &Query) -> u64 {
-        self.collect_answers(query, &QueryBudget::unlimited())
-            .expect("an unlimited budget cannot be exceeded")
-            .sorted_distinct_count() as u64
-    }
-}
-
-/// The number of distinct `arity`-wide rows in `flat`, which holds at
-/// least one row: sort the rows in place and count their runs. Rows up to
-/// four values wide sort as fixed-size arrays; wider ones sort an index of
-/// row slices.
-///
-/// The sort is the stable one because it merges the ascending runs it
-/// finds, and a local join emits long ones: each leaf of its search emits
-/// the last unbound variable's values in ascending order with every other
-/// variable fixed. On the heavy servers of a §4.1 skew join with
-/// 1 024 × 128 copies of one value (~21 000 bindings each) it took a third
-/// of `sort_unstable`'s time (2-core x86-64 VM).
-fn distinct_rows(flat: &mut [u64], arity: usize) -> u64 {
-    fn runs<T: PartialEq>(sorted: &[T]) -> u64 {
-        1 + sorted.windows(2).filter(|w| w[0] != w[1]).count() as u64
-    }
-    fn fixed<const A: usize>(flat: &mut [u64]) -> u64 {
-        let (rows, rest) = flat.as_chunks_mut::<A>();
-        debug_assert!(rest.is_empty(), "a row is `arity` values long");
-        rows.sort();
-        runs(rows)
-    }
-    match arity {
-        // Every row is the empty tuple.
-        0 => 1,
-        1 => fixed::<1>(flat),
-        2 => fixed::<2>(flat),
-        3 => fixed::<3>(flat),
-        4 => fixed::<4>(flat),
-        _ => {
-            let mut rows: Vec<&[u64]> = flat.chunks_exact(arity).collect();
-            rows.sort();
-            runs(&rows)
-        }
     }
 }
 
@@ -705,11 +640,10 @@ mod tests {
         let hashed = Cluster::run_round(&db, p, &hash);
         let counted = hashed.partitioned_answer_count(db.query(), unlimited);
         assert_eq!(counted, Ok(distinct));
-        assert_eq!(hashed.answer_count(db.query()), distinct);
         let everywhere = Cluster::run_round(&db, p, &BroadcastRouter { p });
         let counted = everywhere.partitioned_answer_count(db.query(), unlimited);
         assert_eq!(counted, Ok(p as u64 * distinct));
-        assert_eq!(everywhere.answer_count(db.query()), distinct);
+        assert_eq!(everywhere.all_answers(db.query()).len() as u64, distinct);
     }
 
     #[test]

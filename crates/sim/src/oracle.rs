@@ -24,10 +24,10 @@ pub fn join_database(db: &Database) -> AnswerSet {
     answers
 }
 
-/// Stream the sequential Fixed-order join of `db` into `emit`: every
-/// derivation, each with multiplicity 1 (see `Join::for_each`). The ground
-/// truth distributed aggregates are folded against
-/// (`mpc_core::verify::aggregate_oracle`).
+/// Stream the sequential Fixed-order join of `db` into `emit`, under
+/// [`Join::for_each`]'s emit contract (the fixed engine emits every
+/// derivation with `mult` 1). The ground truth distributed aggregates are
+/// folded against (`mpc_core::verify::aggregate_oracle`).
 pub fn for_each_binding(db: &Database, emit: impl FnMut(&[u64], u64)) {
     Join::of(db)
         .order(JoinOrder::Fixed)

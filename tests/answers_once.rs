@@ -6,12 +6,15 @@
 //! same process would move: they share this binary with no other test and
 //! take `COUNTERS` so that they run one at a time.
 
-use mpc_skew::core::engine::Engine;
+use mpc_skew::core::engine::{Algorithm, Engine};
 use mpc_skew::core::service::{QuerySpec, Service};
 use mpc_skew::core::wire::Session;
-use mpc_skew::data::{generators, rows_materialized_total, visited_bindings_total, Database, Rng};
+use mpc_skew::data::{
+    generators, rows_materialized_total, visited_bindings_total, Database, Relation, Rng,
+};
 use mpc_skew::query::named;
 use mpc_skew::sim::backend::Backend;
+use mpc_skew::sim::oracle::join_database;
 use std::sync::{Mutex, PoisonError};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
@@ -95,4 +98,32 @@ fn a_query_without_rows_counts_without_materializing() {
     ask(query);
     let (_, materialized) = ask(query);
     assert!(materialized > 0, "{query} counted per server");
+}
+
+#[test]
+fn answers_hold_each_emitted_binding_once() {
+    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    // 600 copies of one joining pair in each atom: one answer with
+    // 600 × 600 derivations. A server's join emits it once per copy of its
+    // driver row, with multiplicity 600 each time.
+    let q = named::two_way_join();
+    let (mut s1, mut s2) = (Relation::new("S1", 2), Relation::new("S2", 2));
+    for _ in 0..600 {
+        s1.push(&[3, 7]);
+        s2.push(&[5, 7]);
+    }
+    let db = Database::new(q.clone(), vec![s1, s2], 1 << 4).unwrap();
+    let plan = (Engine::new(&q).p(16).seed(3))
+        .algorithm(Algorithm::HyperCube)
+        .plan(&db);
+    let outcome = plan.execute(&db, Backend::Sequential);
+    let expected = join_database(&db);
+    let before = rows_materialized_total();
+    assert_eq!(outcome.answers(), &expected);
+    let collected = rows_materialized_total() - before;
+    assert_eq!(expected.len(), 1);
+    assert!(
+        collected <= 600,
+        "answers() collected {collected} rows for 600 emits"
+    );
 }

@@ -148,7 +148,7 @@ proptest! {
         prop_assert!(v.is_complete(),
             "{} seed={seed} p={p} frac=({frac0:.2},{frac1:.2}) col={col}: {} missing",
             q.name(), v.missing.len());
-        let below = below_output_floor(q, &report, cluster.answer_count(q));
+        let below = below_output_floor(q, &report, cluster.all_answers(q).len() as u64);
         prop_assert!(below.is_none(), "{} seed={seed} p={p}: {below:?}", q.name());
     }
 
@@ -176,7 +176,7 @@ proptest! {
         prop_assert!(v.is_complete(),
             "seed={seed} p={p} frac=({frac0:.2},{frac1:.2}): {} missing",
             v.missing.len());
-        let below = below_output_floor(&q, &report, cluster.answer_count(&q));
+        let below = below_output_floor(&q, &report, cluster.all_answers(&q).len() as u64);
         prop_assert!(below.is_none(), "seed={seed} p={p}: {below:?}");
     }
 
