@@ -520,6 +520,22 @@ if [ -n "$RESORTED" ] || [ "$IN_SORT_ROWS" -ne 1 ] \
     exit 1
 fi
 
+# One placement. A router emits fragment keys and the plan's placement
+# maps them to the servers holding them: the fold of virtual servers onto
+# `p` is one expression, in crates/sim/src/placement.rs. No router names
+# holders any more, and the skew algorithms fold nothing themselves (a
+# hash reduced to servers, `% self.p as u64`, is not a fold).
+stage "one placement: no Router::holders, no fold in the skew routers, one % self.p fold in placement.rs"
+FOLDS=$(grep -rn "fn holders" crates || true)
+FOLDS="$FOLDS$(grep -nE 'fn fold\b|% *self\.p\b' crates/core/src/skew_join.rs crates/core/src/skew_general.rs || true)"
+FOLD_SITES=$(grep -rnE '% *self\.p\b' crates src --include='*.rs' | grep -vE '% *self\.p as ' || true)
+if [ -n "$FOLDS" ] || [ "$(printf '%s\n' "$FOLD_SITES" | grep -c .)" -ne 1 ] \
+    || ! printf '%s\n' "$FOLD_SITES" | grep -q '^crates/sim/src/placement.rs:'; then
+    echo "a router names holders, a skew router folds, or a second fold is back outside the placement:" >&2
+    printf '%s\n%s\n' "$FOLDS" "$FOLD_SITES" | sed '/^$/d' >&2
+    exit 1
+fi
+
 stage "cargo bench --no-run"
 cargo bench --workspace --offline --no-run
 

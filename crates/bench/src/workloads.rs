@@ -1,7 +1,7 @@
 //! Shared workload builders for the experiment binaries.
 
-use mpc_data::{generators, Database, Rng};
-use mpc_query::Query;
+use mpc_data::{generators, Database, Relation, Rng};
+use mpc_query::{named, Query};
 
 /// One uniform relation per atom.
 pub fn uniform_db(q: &Query, m: usize, n: u64, seed: u64) -> Database {
@@ -110,6 +110,58 @@ pub fn zipf_triangle_db(q: &Query, m: usize, n: u64, theta: f64, seed: u64) -> D
     let s2 = generators::zipf_column("S2", 2, m, n, 0, theta, &mut rng);
     let s3 = generators::uniform("S3", 2, m, n, &mut rng);
     Database::new(q.clone(), vec![s1, s2, s3], n).expect("valid zipf triangle db")
+}
+
+/// E8's inputs: an aligned heavy `x1` in S1 and S3 of the triangle, a hot
+/// `z` on the star, and a two-sided Zipf join.
+pub fn general_skew_inputs() -> Vec<(&'static str, Database)> {
+    let mut out = Vec::new();
+
+    // Triangle with an *aligned* heavy x1 in both S1 and S3 — the
+    // Example 4.8 scenario whose residual handler is a per-hitter
+    // cartesian grid on (x2, x3).
+    {
+        let q = named::cycle(3);
+        let n = 1u64 << 12;
+        let m = 1usize << 13;
+        let mut rng = Rng::seed_from_u64(81);
+        let degrees: Vec<(Vec<u64>, usize)> = std::iter::once((vec![5u64], m / 2))
+            .chain((0..(m / 2) as u64).map(|i| (vec![100 + (i % (n - 100))], 1)))
+            .collect();
+        // x1 is position 0 of S1 and position 1 of S3.
+        let s1 = generators::from_degree_sequence("S1", 2, &[0], &degrees, n, &mut rng);
+        let s2 = generators::uniform("S2", 2, m, n, &mut rng);
+        let s3 = generators::from_degree_sequence("S3", 2, &[1], &degrees, n, &mut rng);
+        out.push((
+            "C3 heavy x1 (Ex 4.8)",
+            Database::new(q, vec![s1, s2, s3], n).unwrap(),
+        ));
+    }
+
+    // Star(2) with a hot shared z in one ray.
+    {
+        let q = named::star(2);
+        let n = 1u64 << 12;
+        let m = 1usize << 13;
+        let mut rng = Rng::seed_from_u64(82);
+        let mut s1 = Relation::with_capacity("S1", 2, m);
+        for _ in 0..m / 2 {
+            s1.push(&[rng.below(n), 9]);
+        }
+        for _ in 0..m / 2 {
+            s1.push(&[rng.below(n), rng.below(n)]);
+        }
+        let s2 = generators::matching("S2", 2, m.min(n as usize), n, &mut rng);
+        out.push(("Star2 hot z", Database::new(q, vec![s1, s2], n).unwrap()));
+    }
+
+    // Join with double-sided zipf (the Section 4.1 case, via 4.2 machinery).
+    {
+        let q = named::two_way_join();
+        let db = skewed_join_db(&q, 1 << 13, 1 << 13, 1.2, 400, 83);
+        out.push(("join θ=1.2", db));
+    }
+    out
 }
 
 #[cfg(test)]

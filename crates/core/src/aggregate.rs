@@ -21,8 +21,9 @@
 //! even when one binding's derivations split across servers (e.g. a heavy
 //! hitter's rows spread over a skew-join row block). HyperCube at any
 //! shares (a derivation is one grid cell) and the §4.1 skew join (every
-//! virtual block is at most `p` long, so the round-robin fold is
-//! injective within it) qualify, and so do the hash-join and
+//! block has at most `p` cells, so the placement's fold gives each its
+//! own server, and a server joins each block on its own) qualify, and so
+//! do the hash-join and
 //! fragment-replicate baselines, whose routers the tests drive through
 //! [`aggregate_cluster`] directly. The §4.2 general algorithm does not
 //! (`Algorithm::partitions_derivations` is the one predicate,

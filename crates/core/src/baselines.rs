@@ -19,6 +19,7 @@ use mpc_query::{Query, VarSet};
 use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::load::LoadReport;
+use mpc_sim::placement::Placement;
 
 /// Partition by hash of the values of `vars`; broadcast atoms that do not
 /// contain all of `vars`.
@@ -62,7 +63,7 @@ impl HashJoinRouter {
     /// (mirrors [`crate::hypercube::HyperCube::run_on`]; results are
     /// bit-identical across `Sequential` and `Threads(n)`).
     pub fn run_on(&self, db: &Database, backend: Backend) -> (Cluster, LoadReport) {
-        let cluster = Cluster::run_round_on(db, self.p, self, backend);
+        let cluster = Cluster::run_round_on(db, &Placement::identity(self.p), self, backend);
         let report = cluster.report();
         (cluster, report)
     }
@@ -107,7 +108,7 @@ impl FragmentReplicateRouter {
 
     /// Execute the round on `db` with an explicit execution backend.
     pub fn run_on(&self, db: &Database, backend: Backend) -> (Cluster, LoadReport) {
-        let cluster = Cluster::run_round_on(db, self.p, self, backend);
+        let cluster = Cluster::run_round_on(db, &Placement::identity(self.p), self, backend);
         let report = cluster.report();
         (cluster, report)
     }

@@ -68,6 +68,7 @@ use mpc_query::{Query, QueryShape, VarSet};
 use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::load::LoadReport;
+use mpc_sim::placement::Placement;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -426,6 +427,16 @@ impl Plan {
         }
     }
 
+    /// Where the plan's fragment keys live: the algorithm's blocks on the
+    /// `p` servers ([`Placement`]).
+    pub fn placement(&self) -> &Placement {
+        match &self.kind {
+            PlanKind::HyperCube(hc) => &hc.placement,
+            PlanKind::SkewJoin(sj) => &sj.placement,
+            PlanKind::GeneralSkew(alg) => &alg.placement,
+        }
+    }
+
     /// Execute the plan on `db` with an explicit backend. Results are
     /// bit-identical to invoking the planned algorithm directly
     /// (`Sequential` and `Threads(n)` agree).
@@ -457,7 +468,7 @@ impl Plan {
             &self.query,
             "plan was built for a different query"
         );
-        let cluster = Cluster::try_run_round_on(db, self.p, self, backend, budget)?;
+        let cluster = Cluster::try_run_round_on(db, self.placement(), self, backend, budget)?;
         let report = cluster.report();
         let mut answers = OnceLock::new();
         let mut count = OnceLock::new();
@@ -499,14 +510,6 @@ impl Router for Plan {
             PlanKind::HyperCube(r) => r.route(atom, tuple, out),
             PlanKind::SkewJoin(r) => r.route(atom, tuple, out),
             PlanKind::GeneralSkew(r) => r.route(atom, tuple, out),
-        }
-    }
-
-    fn holders(&self, atom: usize) -> &[u32] {
-        match &self.kind {
-            PlanKind::HyperCube(r) => r.holders(atom),
-            PlanKind::SkewJoin(r) => r.holders(atom),
-            PlanKind::GeneralSkew(r) => r.holders(atom),
         }
     }
 }

@@ -10,13 +10,12 @@
 //! answers in a single round.
 //!
 //! Everything about that destination set except the hashes is fixed by the
-//! atom and the shares, so it is compiled when the plan is built: one
-//! route per atom (attribute positions, dimension sizes and strides, the
-//! repeated-variable checks, and the offsets of the atom's
-//! [`SubcubePlan`]). Routing a tuple is then its hashes: the router emits
-//! the subcube's first cell as the tuple's one key, and the atom's subcube
-//! offsets are its [`Router::holders`], so the cluster copies the tuple
-//! once per slice and every server of the slice holds that one fragment.
+//! atom and the shares, so it is compiled when the plan is built: each
+//! atom's [`SubcubePlan`] on the grid, and a one-block [`Placement`] of
+//! the grid. Routing a tuple is then its hashes: the router emits the
+//! tuple's slice on the atom's own dimensions as its one key, and the
+//! placement holds that one fragment on every server of the slice's
+//! subcube.
 
 use crate::shares::ShareAllocation;
 use mpc_data::catalog::Database;
@@ -25,8 +24,10 @@ use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::hashing::HashFamily;
 use mpc_sim::load::LoadReport;
-use mpc_sim::topology::{Grid, SubcubePlan};
+use mpc_sim::placement::Placement;
+use mpc_sim::topology::{Grid, SubcubePlan, Subcubes};
 use mpc_stats::cardinality::SimpleStatistics;
+use std::sync::Arc;
 
 /// A configured HyperCube run: query + grid + hash family.
 ///
@@ -56,10 +57,10 @@ pub struct HyperCube {
     query: Query,
     grid: Grid,
     family: HashFamily,
-    /// Physical server count (the grid may use fewer cells).
-    p: usize,
-    /// One compiled route per atom.
-    routes: CompiledRoutes,
+    /// Every atom's subcube plan on the grid.
+    shape: Arc<Subcubes>,
+    /// The grid as one block on `p` servers (it may use fewer cells).
+    pub(crate) placement: Placement,
 }
 
 impl HyperCube {
@@ -72,13 +73,15 @@ impl HyperCube {
             grid.num_cells() <= alloc.p,
             "share product exceeds server budget"
         );
-        let routes = CompiledRoutes::compile(query, &grid);
+        let shape = Arc::new(grid.subcubes(query.atoms().iter().map(|a| a.vars())));
+        let mut placement = Placement::identity(alloc.p);
+        placement.push(Arc::clone(&shape), 1);
         HyperCube {
             query: query.clone(),
             grid,
             family: HashFamily::new(query.num_vars(), seed),
-            p: alloc.p,
-            routes,
+            shape,
+            placement,
         }
     }
 
@@ -127,7 +130,7 @@ impl HyperCube {
     /// [`HyperCube::run`] on an explicit execution backend. Results are
     /// bit-identical across backends (`Sequential` and `Threads(n)`).
     pub fn run_on(&self, db: &Database, backend: Backend) -> (Cluster, LoadReport) {
-        let cluster = Cluster::run_round_on(db, self.p, self, backend);
+        let cluster = Cluster::run_round_on(db, &self.placement, self, backend);
         let report = cluster.report();
         (cluster, report)
     }
@@ -156,135 +159,30 @@ impl HyperCube {
     }
 }
 
-/// The tuple-independent part of routing every atom of a query on one
-/// grid, compiled once per plan (per distinct block grid in
-/// [`crate::skew_general::GeneralSkewAlgorithm`]). Plans are cached by the
-/// hundred, so the atoms share three flat allocations.
-#[derive(Clone, Debug)]
-pub(crate) struct CompiledRoutes {
-    /// Every atom's hashed attributes, concatenated in atom order.
-    attrs: Box<[RouteAttr]>,
-    /// Every atom's ascending subcube offsets ([`SubcubePlan::offsets`]),
-    /// concatenated in atom order.
-    offsets: Box<[u32]>,
-    /// Per atom: where its run ends in `attrs` and in `offsets`.
-    ends: Box<[(u32, u32)]>,
+/// The slice of `tuple` on an atom's subcube plan: its attributes hashed
+/// by the variables' hash functions. `None` when a repeated variable's
+/// occurrences hash apart — such a tuple can never satisfy the atom and is
+/// dropped. The check is on the hashes, not the values: unequal values
+/// that collide keep being routed.
+#[inline]
+pub(crate) fn slice_of(plan: SubcubePlan<'_>, family: &HashFamily, tuple: &[u64]) -> Option<usize> {
+    plan.slice(|pos, var, size| family.hash(var, tuple[pos], size))
 }
 
-/// One attribute that needs hashing. A dimension of size 1 hashes
-/// everything to coordinate 0, so its attributes are left out.
-#[derive(Clone, Debug)]
-struct RouteAttr {
-    /// Attribute position in the tuple.
-    pos: usize,
-    /// Query variable = hash function = grid dimension.
-    var: usize,
-    /// Size of that dimension.
-    dim: usize,
-    /// What one step of the coordinate adds to the server id.
-    stride: usize,
-    /// For a repeated variable: the position of its first occurrence. The
-    /// two hashes must agree or the tuple matches no server.
-    repeat_of: Option<usize>,
-}
-
-/// One atom's compiled route ([`CompiledRoutes::atom`]).
-pub(crate) struct AtomRoute<'a> {
-    attrs: &'a [RouteAttr],
-    /// Ascending offsets from [`AtomRoute::base`] to every destination:
-    /// the subcube over the dimensions of the variables the atom lacks.
-    pub(crate) offsets: &'a [u32],
-}
-
-impl CompiledRoutes {
-    /// Compile every atom of `query` for `grid` (one dimension per query
-    /// variable). O(cells of the free subcube) ≤ O(p) per atom.
-    pub(crate) fn compile(query: &Query, grid: &Grid) -> CompiledRoutes {
-        let narrow = |len: usize| u32::try_from(len).expect("fewer than 2^32 compiled offsets");
-        let (mut attrs, mut offsets, mut ends) = (Vec::new(), Vec::new(), Vec::new());
-        for atom in query.atoms() {
-            let vars = atom.vars();
-            let plan: SubcubePlan = grid.subcube_plan(vars);
-            for (pos, &var) in vars.iter().enumerate() {
-                if grid.dims()[var] > 1 {
-                    attrs.push(RouteAttr {
-                        pos,
-                        var,
-                        dim: grid.dims()[var],
-                        stride: plan.stride(pos),
-                        repeat_of: vars[..pos].iter().position(|&v| v == var),
-                    });
-                }
-            }
-            offsets.extend_from_slice(plan.offsets());
-            ends.push((narrow(attrs.len()), narrow(offsets.len())));
-        }
-        CompiledRoutes {
-            attrs: attrs.into(),
-            offsets: offsets.into(),
-            ends: ends.into(),
-        }
-    }
-
-    /// The route of atom `atom`.
-    #[inline]
-    pub(crate) fn atom(&self, atom: usize) -> AtomRoute<'_> {
-        let (attrs_lo, offsets_lo) = match atom {
-            0 => (0, 0),
-            _ => self.ends[atom - 1],
-        };
-        let (attrs_hi, offsets_hi) = self.ends[atom];
-        AtomRoute {
-            attrs: &self.attrs[attrs_lo as usize..attrs_hi as usize],
-            offsets: &self.offsets[offsets_lo as usize..offsets_hi as usize],
-        }
-    }
-}
-
-impl AtomRoute<'_> {
-    /// The first cell of `tuple`'s subcube, or `None` when a repeated
-    /// variable's occurrences hash apart — such a tuple can never satisfy
-    /// the atom and is dropped. The check is on the hashes, not the values:
-    /// unequal values that collide keep being routed.
-    #[inline]
-    pub(crate) fn base(&self, family: &HashFamily, tuple: &[u64]) -> Option<usize> {
-        let mut base = 0usize;
-        for a in self.attrs {
-            let hash = |pos: usize| family.hash(a.var, tuple[pos], a.dim);
-            let h = hash(a.pos);
-            match a.repeat_of {
-                None => base += h * a.stride,
-                Some(first) if hash(first) != h => return None,
-                Some(_) => {}
-            }
-        }
-        Some(base)
-    }
-}
-
-/// A tuple's key is the first cell of its subcube; the subcube is the
-/// key's holders.
+/// A tuple's key is its slice; the placement holds it on the slice's
+/// subcube.
 impl Router for HyperCube {
     fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
-        out.extend(self.routes.atom(atom).base(&self.family, tuple));
-    }
-
-    fn holders(&self, atom: usize) -> &[u32] {
-        self.routes.atom(atom).offsets
+        out.extend(slice_of(self.shape.get(atom), &self.family, tuple));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::assert_complete;
     use mpc_data::{generators, Rng};
     use mpc_query::named;
-
-    fn verify_complete(db: &Database, cluster: &Cluster) {
-        let mut expected = mpc_data::Join::of(db).answers().unwrap();
-        expected.sort_dedup();
-        assert_eq!(cluster.all_answers(db.query()), expected);
-    }
 
     fn uniform_db(q: &Query, m: usize, n: u64, seed: u64) -> Database {
         let mut rng = Rng::seed_from_u64(seed);
@@ -303,7 +201,7 @@ mod tests {
         let st = SimpleStatistics::of(&db);
         let hc = HyperCube::with_optimal_shares(&q, &st, 64, 42);
         let (cluster, report) = hc.run(&db);
-        verify_complete(&db, &cluster);
+        assert_complete(&db, &cluster);
         assert!(report.max_load_bits() > 0);
     }
 
@@ -318,7 +216,7 @@ mod tests {
         let z = q.var_index("z").unwrap();
         assert_eq!(hc.grid().dims()[z], 16);
         let (cluster, report) = hc.run(&db);
-        verify_complete(&db, &cluster);
+        assert_complete(&db, &cluster);
         assert!((report.replication_rate() - 1.0).abs() < 1e-9);
     }
 
@@ -334,7 +232,7 @@ mod tests {
         assert_eq!(hc.replication_of(0), 4);
         assert_eq!(hc.replication_of(1), 4);
         let (cluster, report) = hc.run(&db);
-        verify_complete(&db, &cluster);
+        assert_complete(&db, &cluster);
         assert!((report.replication_rate() - 4.0).abs() < 1e-9);
     }
 
@@ -430,18 +328,20 @@ mod tests {
             // disagree, and disagreeing values sometimes hash together.
             let db = uniform_db(&q, 400, 6, 11);
             let hc = HyperCube::new(&q, &ShareAllocation::explicit(shares, p), 5);
-            let (mut out, mut dropped) = (Vec::new(), 0);
+            let (mut out, mut dests, mut dropped) = (Vec::new(), Vec::new(), 0);
             for (j, rel) in db.relations().iter().enumerate() {
-                let holders = hc.holders(j);
-                assert!(holders.windows(2).all(|w| w[0] < w[1]), "not ascending");
-                assert_eq!(holders.len(), hc.replication_of(j), "{text} atom {j}");
+                let slices = hc.grid.num_cells() / hc.replication_of(j);
+                assert_eq!(hc.placement.keys(j), slices, "{text}");
                 for row in rel.rows() {
                     out.clear();
+                    dests.clear();
                     hc.route(j, row, &mut out);
                     assert!(out.len() <= 1, "{text}: one key per tuple");
-                    let dests: Vec<usize> = (out.iter())
-                        .flat_map(|&key| holders.iter().map(move |&o| key + o as usize))
-                        .collect();
+                    for &key in &out {
+                        let (block, servers) = hc.placement.place(j, key);
+                        assert_eq!(block, 0, "one block");
+                        dests.extend(servers);
+                    }
                     assert_eq!(
                         dests,
                         reference_route(&hc, j, row),
@@ -455,60 +355,52 @@ mod tests {
                 text.contains("R(x,y,x)"),
                 "{text}: tuples are dropped iff a repeated variable disagrees"
             );
-            // Through the cluster: same fragments as the reference router.
+            // Through the cluster: every backend charges what the reference
+            // router does, and a server joins its fragments only when it
+            // holds one of every atom.
             let reference = |j: usize, row: &[u64], out: &mut Vec<usize>| {
                 out.extend(reference_route(&hc, j, row))
             };
-            let (got, _) = hc.run_on(&db, Backend::Sequential);
-            let want = Cluster::run_round_on(&db, p, &reference, Backend::Sequential);
-            for j in 0..q.num_atoms() {
+            let identity = &Placement::identity(p);
+            let want = Cluster::run_round_on(&db, identity, &reference, Backend::Sequential);
+            for backend in [Backend::Sequential, Backend::Threads(3)] {
+                let (got, report) = hc.run_on(&db, backend);
+                assert_eq!(report, want.report(), "{text} on {backend}");
                 for s in 0..p {
-                    assert_eq!(got.fragment(j, s), want.fragment(j, s), "{text}");
+                    let rels: Vec<&mpc_data::Relation> =
+                        (0..q.num_atoms()).map(|j| want.fragment(j, s)).collect();
+                    let joined = Vec::from_iter(rels.iter().all(|r| !r.is_empty()).then_some(rels));
+                    assert_eq!(got.blocks(s).collect::<Vec<_>>(), joined, "{text}");
                 }
+                assert_complete(&db, &got);
             }
-            verify_complete(&db, &got);
         }
     }
 
     #[test]
     fn a_plans_hypercube_arm_holds_each_slice_once() {
-        // The triangle at 4x4x4 through `Plan`: every backend's fragments
-        // equal those of a router naming every destination, the report is
-        // the same, and the four servers of a slice share one fragment.
+        // The triangle at 4x4x4 through `Plan`: one key per slice, 16 per
+        // atom, and the report and answers of the explicit destinations
+        // on every backend.
         let q = named::cycle(3);
         let db = uniform_db(&q, 5000, 1 << 12, 12);
         let plan = crate::engine::Engine::new(&q).p(64).seed(3).plan(&db);
         assert_eq!(plan.shares(), Some(vec![4, 4, 4]));
+        let placement = plan.placement();
+        assert!((0..3).all(|j| placement.keys(j) == 16));
         let explicit = |j: usize, row: &[u64], out: &mut Vec<usize>| {
-            plan.route(j, row, out);
-            if let Some(&key) = out.first() {
-                out.clear();
-                out.extend(plan.holders(j).iter().map(|&o| key + o as usize));
-            }
+            let mut keys = Vec::new();
+            plan.route(j, row, &mut keys);
+            out.extend(keys.into_iter().flat_map(|key| placement.place(j, key).1));
         };
-        let want = Cluster::run_round_on(&db, 64, &explicit, Backend::Sequential);
-        let backends = [1usize, 2, 3, 8].map(Backend::Threads);
-        for backend in [Backend::Sequential].into_iter().chain(backends) {
-            let got = Cluster::run_round_on(&db, 64, &plan, backend);
+        let want = Cluster::run_round(&db, 64, &explicit);
+        for backend in [
+            Backend::Sequential,
+            Backend::Threads(2),
+            Backend::Threads(8),
+        ] {
+            let got = Cluster::run_round_on(&db, placement, &plan, backend);
             assert_eq!(got.report(), want.report(), "{backend}");
-            for (j, rel) in db.relations().iter().enumerate() {
-                for s in 0..64 {
-                    assert_eq!(got.fragment(j, s), want.fragment(j, s), "{backend}");
-                }
-                let holders = plan.holders(j);
-                assert_eq!(holders.len(), 4);
-                let mut keys = Vec::new();
-                for row in rel.rows() {
-                    plan.route(j, row, &mut keys);
-                }
-                for &key in &keys {
-                    for &o in holders {
-                        let (first, other) =
-                            (got.fragment(j, key), got.fragment(j, key + o as usize));
-                        assert!(std::ptr::eq(first, other), "{backend}: a copy at {key}+{o}");
-                    }
-                }
-            }
             assert_eq!(got.all_answers(&q), want.all_answers(&q), "{backend}");
         }
     }

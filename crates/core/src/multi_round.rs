@@ -39,6 +39,7 @@ use mpc_data::relation::Relation;
 use mpc_query::{Query, VarSet};
 use mpc_sim::backend::Backend;
 use mpc_sim::cluster::Cluster;
+use mpc_sim::placement::Placement;
 use std::sync::Arc;
 
 /// Load accounting for one round of the multi-round plan.
@@ -153,10 +154,10 @@ pub fn run_multi_round(db: &Database, p: usize, seed: u64, backend: Backend) -> 
         let key = mix64(seed, round as u64);
         let cluster = if shared.is_empty() {
             let router = FragmentReplicateRouter::new(p, 0, key);
-            Cluster::run_round_on(&round_db, p, &router, backend)
+            Cluster::run_round_on(&round_db, &Placement::identity(p), &router, backend)
         } else {
             let router = HashJoinRouter::new(round_query, shared, p, key);
-            Cluster::run_round_on(&round_db, p, &router, backend)
+            Cluster::run_round_on(&round_db, &Placement::identity(p), &router, backend)
         };
 
         // The next intermediate: every server's local join, one row per

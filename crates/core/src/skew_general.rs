@@ -40,12 +40,14 @@
 //! shows it exceeded at capacity `p/2`. Lemma 4.2's selection is what
 //! would remove the need for capacity `>= p`.
 //!
-//! Routing is compiled at plan time like plain HyperCube's: one route per
-//! *(bin combination, atom)* on the combination's block grid, so a tuple's
-//! destinations inside a block are its hashes plus the block offset (the
-//! per-thread `RouteScratch` and its `thread_local!` are gone).
+//! Routing is compiled at plan time like plain HyperCube's: every atom's
+//! subcube plan on each combination's block grid. Every
+//! (combination, assignment) is one block of the plan's [`Placement`],
+//! laid out back to back in combination order: a tuple's key in a block
+//! is its slice on that grid, and the placement folds the block's cells
+//! onto the `p` servers.
 
-use crate::hypercube::CompiledRoutes;
+use crate::hypercube::slice_of;
 use crate::shares::{log_p_sizes, solve_share_lp};
 use mpc_data::catalog::Database;
 use mpc_data::fastmap::{with_projected_key, FastMap, FastSet};
@@ -54,7 +56,8 @@ use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::hashing::HashFamily;
 use mpc_sim::load::LoadReport;
-use mpc_sim::topology::{round_shares, Grid};
+use mpc_sim::placement::Placement;
+use mpc_sim::topology::{round_shares, Grid, Subcubes};
 use mpc_stats::combination::{enumerate_combinations_with, heavy_table, BinChoice, BinCombination};
 use mpc_stats::heavy::HeavyHitters;
 use mpc_stats::source::{ExactStats, Stats};
@@ -67,18 +70,18 @@ struct PreparedCombo {
     combo: BinCombination,
     /// LP (11) optimum (load exponent).
     lambda: f64,
-    /// Every atom's compiled route on this combination's block grid (the
+    /// Every atom's subcube plan on this combination's block grid (the
     /// full k-dimensional grid; dimensions of `x` variables have size 1, so
-    /// they contribute coordinate 0 and are never hashed). A route depends
-    /// on the grid's shape only, so combinations with equal shapes share
-    /// one set.
-    routes: Arc<CompiledRoutes>,
-    /// The block grid the routes were compiled for (the tests' reference
+    /// they contribute coordinate 0 and are never hashed). Combinations
+    /// with equal grids share one shape.
+    shape: Arc<Subcubes>,
+    /// The block grid the shape was compiled for (the tests' reference
     /// router enumerates its subcubes directly).
     #[cfg(test)]
     grid: Grid,
-    /// Virtual-server offset of each assignment's block.
-    offsets: Vec<usize>,
+    /// Per atom: its key in slice 0 of the first assignment's block;
+    /// assignment `a`'s block follows `a` blocks of `slices` keys later.
+    keys: Vec<usize>,
     /// Per atom: map from `x_j`-projection to the assignment indices
     /// carrying it (`None` when `x_j = ∅`: all assignments). Probed per
     /// routed tuple, hence `mix64`-keyed.
@@ -89,8 +92,9 @@ struct PreparedCombo {
 
 /// The Section 4.2 algorithm, planned against exact statistics.
 pub struct GeneralSkewAlgorithm {
-    p: usize,
     family: HashFamily,
+    /// One block per (combination, assignment), in combination order.
+    pub(crate) placement: Placement,
     combos: Vec<PreparedCombo>,
     /// Index (into `combos`) of `B_∅`.
     base: usize,
@@ -100,7 +104,6 @@ pub struct GeneralSkewAlgorithm {
     /// Per atom: its heavy sets with any heavy key (for the `B_∅`
     /// exclusion test).
     all_heavy: Vec<Vec<HeavyHitters>>,
-    virtual_servers: usize,
     dropped: usize,
 }
 
@@ -134,9 +137,9 @@ impl GeneralSkewAlgorithm {
         let binned = heavy_table(q, p, stats);
         let raw = enumerate_combinations_with(q, p, &binned);
         let mut combos: Vec<PreparedCombo> = Vec::with_capacity(raw.len());
-        let mut compiled: FastMap<Vec<usize>, Arc<CompiledRoutes>> = FastMap::default();
+        let mut shapes: FastMap<Vec<usize>, Arc<Subcubes>> = FastMap::default();
+        let mut placement = Placement::identity(p);
         let mut base = usize::MAX;
-        let mut offset = 0usize;
         for combo in raw {
             let x = combo.x;
             // LP (11): LP (5) over `V − x` at `µ_j − β_j` and budget `1 − α`.
@@ -159,17 +162,13 @@ impl GeneralSkewAlgorithm {
                 }
             }
             let grid = Grid::new(dims);
-            let routes = compiled
+            let shape = shapes
                 .entry(grid.dims().to_vec())
-                .or_insert_with(|| Arc::new(CompiledRoutes::compile(q, &grid)));
-            let routes = Arc::clone(routes);
+                .or_insert_with(|| Arc::new(grid.subcubes(q.atoms().iter().map(|a| a.vars()))));
+            let shape = Arc::clone(shape);
 
             // Block layout + per-atom lookups.
-            let block = grid.num_cells();
-            let offsets: Vec<usize> = (0..combo.assignments.len())
-                .map(|a| offset + a * block)
-                .collect();
-            offset += block * combo.assignments.len();
+            let keys = placement.push(Arc::clone(&shape), combo.assignments.len());
 
             let xvars: Vec<usize> = x.iter().collect();
             let mut lookups: Vec<Option<FastMap<Vec<u64>, Vec<usize>>>> = Vec::new();
@@ -202,10 +201,10 @@ impl GeneralSkewAlgorithm {
             combos.push(PreparedCombo {
                 combo,
                 lambda,
-                routes,
+                shape,
                 #[cfg(test)]
                 grid,
-                offsets,
+                keys,
                 lookups,
                 proj_cols,
             });
@@ -247,13 +246,12 @@ impl GeneralSkewAlgorithm {
         }
 
         GeneralSkewAlgorithm {
-            p,
             family: HashFamily::new(q.num_vars(), seed),
+            placement,
             combos,
             base,
             covered_heavy,
             all_heavy,
-            virtual_servers: offset,
             dropped,
         }
     }
@@ -263,7 +261,7 @@ impl GeneralSkewAlgorithm {
     pub fn predicted_load_bits(&self) -> f64 {
         self.combos
             .iter()
-            .map(|c| (self.p.max(2) as f64).powf(c.lambda))
+            .map(|c| (self.placement.p().max(2) as f64).powf(c.lambda))
             .fold(0.0, f64::max)
     }
 
@@ -279,15 +277,6 @@ impl GeneralSkewAlgorithm {
     /// fall back to `B_∅`). Zero in every experiment of this repository.
     pub fn dropped_assignments(&self) -> usize {
         self.dropped
-    }
-
-    /// Total virtual servers across all blocks (`polylog(p) · p`).
-    pub fn virtual_servers(&self) -> usize {
-        self.virtual_servers
-    }
-
-    fn fold(&self, v: usize) -> usize {
-        v % self.p
     }
 
     /// True iff every heavy projection of the tuple is covered by a kept
@@ -317,8 +306,8 @@ impl GeneralSkewAlgorithm {
     }
 
     /// HyperCube routing of a tuple of `atom` inside the blocks of
-    /// `assignments`: the block-relative subcube is the same in every
-    /// block, so its base is hashed once.
+    /// `assignments`: its slice is the same in every block, so it is hashed
+    /// once, and its key in block `a` is `a` blocks of slices later.
     fn route_blocks(
         &self,
         pc: &PreparedCombo,
@@ -327,13 +316,10 @@ impl GeneralSkewAlgorithm {
         tuple: &[u64],
         out: &mut Vec<usize>,
     ) {
-        let route = pc.routes.atom(atom);
-        let Some(base) = route.base(&self.family, tuple) else {
-            return;
-        };
-        for a in assignments {
-            let first = pc.offsets[a] + base;
-            out.extend(route.offsets.iter().map(|&o| self.fold(first + o as usize)));
+        let plan = pc.shape.get(atom);
+        if let Some(slice) = slice_of(plan, &self.family, tuple) {
+            let first = pc.keys[atom] + slice;
+            out.extend(assignments.map(|a| first + a * plan.slices()));
         }
     }
 
@@ -346,7 +332,7 @@ impl GeneralSkewAlgorithm {
     /// Results are bit-identical across backends (`Sequential` and
     /// `Threads(n)`).
     pub fn run_on(&self, db: &Database, backend: Backend) -> (Cluster, LoadReport) {
-        let cluster = Cluster::run_round_on(db, self.p, self, backend);
+        let cluster = Cluster::run_round_on(db, &self.placement, self, backend);
         let report = cluster.report();
         (cluster, report)
     }
@@ -363,7 +349,10 @@ impl Router for GeneralSkewAlgorithm {
             }
             match &pc.lookups[atom] {
                 // x_j = ∅: participate in every assignment.
-                None => self.route_blocks(pc, 0..pc.offsets.len(), atom, tuple, out),
+                None => {
+                    let assignments = 0..pc.combo.assignments.len();
+                    self.route_blocks(pc, assignments, atom, tuple, out)
+                }
                 Some(map) => {
                     let assignments =
                         with_projected_key(tuple, &pc.proj_cols[atom], |key| map.get(key));
@@ -380,21 +369,11 @@ impl Router for GeneralSkewAlgorithm {
 mod tests {
     use super::*;
     use crate::hypercube::HyperCube;
+    use crate::skew_join::tests::zipf_db;
     use crate::verify::assert_complete;
     use mpc_data::{generators, Rng};
     use mpc_query::named;
     use mpc_stats::cardinality::SimpleStatistics;
-
-    fn zipf_join(m: usize, theta: f64, seed: u64) -> Database {
-        let q = named::two_way_join();
-        let n = 1u64 << 14;
-        let mut rng = Rng::seed_from_u64(seed);
-        let d1 = generators::zipf_degrees(m, n, theta);
-        let d2 = generators::zipf_degrees(m, n, theta);
-        let s1 = generators::from_degree_sequence("S1", 2, &[1], &d1, n, &mut rng);
-        let s2 = generators::from_degree_sequence("S2", 2, &[1], &d2, n, &mut rng);
-        Database::new(q, vec![s1, s2], n).unwrap()
-    }
 
     #[test]
     fn skew_free_reduces_to_plain_hypercube() {
@@ -420,7 +399,7 @@ mod tests {
     #[test]
     fn correct_under_zipf_skew() {
         for theta in [0.8f64, 1.2] {
-            let db = zipf_join(3000, theta, 2);
+            let db = zipf_db(3000, theta, 2);
             let alg = GeneralSkewAlgorithm::plan(&db, 16, 5);
             assert_eq!(alg.dropped_assignments(), 0, "theta {theta}");
             let (cluster, _) = alg.run(&db);
@@ -431,7 +410,7 @@ mod tests {
     #[test]
     fn load_tracks_theorem_4_6_prediction() {
         let p = 16usize;
-        let db = zipf_join(4000, 1.2, 3);
+        let db = zipf_db(4000, 1.2, 3);
         let alg = GeneralSkewAlgorithm::plan(&db, p, 7);
         let (cluster, report) = alg.run(&db);
         assert_complete(&db, &cluster);
@@ -448,7 +427,7 @@ mod tests {
     #[test]
     fn beats_hash_join_on_skew() {
         let p = 16usize;
-        let db = zipf_join(4000, 1.5, 4);
+        let db = zipf_db(4000, 1.5, 4);
         let q = db.query().clone();
         let alg = GeneralSkewAlgorithm::plan(&db, p, 9);
         let (cluster, rep_gen) = alg.run(&db);
@@ -500,13 +479,13 @@ mod tests {
         atom: usize,
         tuple: &[u64],
     ) -> Vec<usize> {
-        let mut out = Vec::new();
+        let (mut out, mut offset) = (Vec::new(), 0);
         for (ci, pc) in alg.combos.iter().enumerate() {
             let assignments: Vec<usize> = if ci == alg.base {
                 Vec::from_iter(alg.tuple_in_base(atom, tuple).then_some(0))
             } else {
                 match &pc.lookups[atom] {
-                    None => (0..pc.offsets.len()).collect(),
+                    None => (0..pc.combo.assignments.len()).collect(),
                     Some(map) => with_projected_key(tuple, &pc.proj_cols[atom], |key| {
                         map.get(key).cloned().unwrap_or_default()
                     }),
@@ -526,10 +505,13 @@ mod tests {
                     )
                 })
                 .collect();
+            let block = pc.grid.num_cells();
             for a in assignments {
                 let cells = pc.grid.subcube_vec(&fixed);
-                out.extend(cells.iter().map(|&cell| (pc.offsets[a] + cell) % alg.p));
+                let first = offset + a * block;
+                out.extend(cells.iter().map(|&cell| (first + cell) % alg.placement.p()));
             }
+            offset += block * pc.combo.assignments.len();
         }
         out
     }
@@ -539,29 +521,36 @@ mod tests {
         let alg = GeneralSkewAlgorithm::plan(db, p, 17);
         let combos = alg.combination_summary().len();
         assert!(combos >= min_combos, "{q}: only {combos} bin combinations");
-        let mut out = Vec::new();
+        let (mut keys, mut dests) = (Vec::new(), Vec::new());
         for (j, rel) in db.relations().iter().enumerate() {
             for row in rel.rows() {
-                out.clear();
-                alg.route(j, row, &mut out);
+                keys.clear();
+                dests.clear();
+                alg.route(j, row, &mut keys);
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys ascend");
+                for &key in &keys {
+                    dests.extend(alg.placement.place(j, key).1);
+                }
                 assert_eq!(
-                    out,
+                    dests,
                     reference_route(&alg, q, j, row),
                     "{q} atom {j} {row:?}"
                 );
             }
         }
+        // Through the cluster: every server is charged once per tuple it
+        // holds, as when the reference's servers were the keys.
         let reference = |j: usize, row: &[u64], out: &mut Vec<usize>| {
             out.extend(reference_route(&alg, q, j, row))
         };
-        let (got, _) = alg.run_on(db, Backend::Sequential);
-        let want = Cluster::run_round_on(db, p, &reference, Backend::Sequential);
-        for j in 0..q.num_atoms() {
-            for s in 0..p {
-                assert_eq!(got.fragment(j, s), want.fragment(j, s), "{q}");
-            }
+        let identity = &mpc_sim::placement::Placement::identity(p);
+        let want = Cluster::run_round_on(db, identity, &reference, Backend::Sequential);
+        for backend in [Backend::Sequential, Backend::Threads(3)] {
+            let (got, report) = alg.run_on(db, backend);
+            assert_eq!(report, want.report(), "{q} on {backend}");
+            assert_eq!(got.all_answers(q), want.all_answers(q), "{q} on {backend}");
+            assert_complete(db, &got);
         }
-        assert_complete(db, &got);
     }
 
     #[test]
@@ -585,7 +574,7 @@ mod tests {
 
     #[test]
     fn base_exclusion_keeps_light_tuples() {
-        let db = zipf_join(2000, 1.0, 6);
+        let db = zipf_db(2000, 1.0, 6);
         let alg = GeneralSkewAlgorithm::plan(&db, 16, 13);
         // A tuple with a fresh (never-seen) z value must be in B_∅.
         assert!(alg.tuple_in_base(0, &[1, 16000]));

@@ -14,12 +14,14 @@
 //!
 //! The resulting load matches the lower bound
 //! `L = max(m1/p, m2/p, L1, L2, L12)` (Eq. 10) up to `O(log p)`.
-//! Virtual server blocks are laid out sequentially and folded onto the `p`
-//! physical servers round-robin; the total block volume is `Θ(p)`, so the
-//! folding adds only a constant factor. Every block is at most `p` virtual
-//! servers long, so the fold is injective *within* a block: each grid cell
-//! owns a distinct physical server and every join derivation materializes
-//! on exactly one server — the invariant aggregate pushdown
+//! Each class is a block of the plan's [`Placement`]: the light hash
+//! join's `p` cells, then one `p1 × p2` grid per heavy value, laid out back
+//! to back and folded onto the `p` physical servers by the placement; the
+//! total block volume is `Θ(p)`, so folding adds only a constant factor.
+//! Every block has at most `p` cells, so each of its cells owns a distinct
+//! server. A server joins each of its blocks on its own, and two tuples
+//! that join share a `z`-value and hence a block, so every join derivation
+//! materializes on exactly one server — the invariant aggregate pushdown
 //! ([`crate::aggregate`]) relies on for exact multiplicities.
 
 use crate::bounds::skew_join_bound;
@@ -30,18 +32,21 @@ use mpc_query::{Query, VarSet};
 use mpc_sim::backend::Backend;
 use mpc_sim::cluster::{Cluster, Router};
 use mpc_sim::load::LoadReport;
+use mpc_sim::placement::Placement;
+use mpc_sim::topology::{Grid, Subcubes};
 use mpc_stats::heavy::HeavyHitters;
 use mpc_stats::source::{ExactStats, Stats};
+use std::sync::Arc;
 
-/// How a heavy `z`-value is handled: a `p1 × p2` block of virtual servers
-/// at `offset`. S1's tuples hash their private attributes to a row and go
-/// to every column of it, S2's hash to a column and go to every row.
-/// Heavy on both sides is a true grid; heavy in S1 only is `p_h × 1`
-/// (partition S1, broadcast S2's matching tuples), heavy in S2 only is
-/// `1 × p_h`.
+/// How a heavy `z`-value is handled: a `p1 × p2` block. S1's tuples hash
+/// their private attributes to a row, key `keys[0] + row`, held on every
+/// column of it; S2's hash to a column, key `keys[1] + column`, held on
+/// every row. Heavy on both sides is a true grid; heavy in S1 only is
+/// `p_h × 1` (partition S1, broadcast S2's matching tuples), heavy in S2
+/// only is `1 × p_h`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct HeavyRoute {
-    offset: usize,
+    keys: [usize; 2],
     p1: usize,
     p2: usize,
 }
@@ -82,7 +87,8 @@ struct HeavyRoute {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SkewJoin {
-    p: usize,
+    /// The light block, then every heavy value's.
+    pub(crate) placement: Placement,
     /// Shared-variable attribute positions per atom.
     shared_cols: [Vec<usize>; 2],
     /// Private (non-shared) attribute positions per atom.
@@ -160,35 +166,41 @@ impl SkewJoin {
         let k1_total: f64 = h1.iter().map(|(_, a)| a).sum();
         let k2_total: f64 = h2.iter().map(|(_, a)| a).sum();
 
+        // The light hash join: one block of `p` cells, keys `0..p`.
+        let mut placement = Placement::identity(p);
+        let light = Grid::new(vec![p]).subcubes([&[0][..], &[0][..]]);
+        placement.push(Arc::new(light), 1);
+        let mut shapes: FastMap<[usize; 2], Arc<Subcubes>> = FastMap::default();
         let mut routes = FastMap::default();
-        let mut offset = p; // virtual block 0 = the light hash join
+        let mut heavy = |h, p1, p2| {
+            let shape = shapes.entry([p1, p2]).or_insert_with(|| {
+                Arc::new(Grid::new(vec![p1, p2]).subcubes([&[0][..], &[1][..]]))
+            });
+            let keys = placement.push(Arc::clone(shape), 1).try_into();
+            let keys = keys.expect("two atoms");
+            routes.insert(h, HeavyRoute { keys, p1, p2 });
+        };
         for (h, c1, c2) in h12 {
             let ph = ((p as f64 * c1 * c2 / k12_total).ceil() as usize).max(1);
             let p1 = (((ph as f64 * c1 / c2).sqrt().ceil()) as usize).clamp(1, ph);
-            // `p1 * p2 <= ph <= p` keeps every block no longer than `p`, so
-            // the round-robin fold stays injective within a block and each
-            // grid cell owns a distinct physical server — the invariant that
-            // makes join *derivations* partition across servers (aggregate
-            // pushdown counts every derivation exactly once). Rounding the
-            // grid down instead of up costs at most a factor 2 in per-cell
-            // load.
+            // `p1 * p2 <= ph <= p` keeps every block within `p` cells, so
+            // the placement's fold gives each grid cell its own server —
+            // the invariant that makes join *derivations* partition across
+            // servers (aggregate pushdown counts every derivation exactly
+            // once). Rounding the grid down instead of up costs at most a
+            // factor 2 in per-cell load.
             let p2 = (ph / p1).max(1);
-            routes.insert(h, HeavyRoute { offset, p1, p2 });
-            offset += p1 * p2;
+            heavy(h, p1, p2);
         }
         for (h, c1) in h1 {
-            let p1 = ((p as f64 * c1 / k1_total).ceil() as usize).max(1);
-            routes.insert(h, HeavyRoute { offset, p1, p2: 1 });
-            offset += p1;
+            heavy(h, ((p as f64 * c1 / k1_total).ceil() as usize).max(1), 1);
         }
         for (h, c2) in h2 {
-            let p2 = ((p as f64 * c2 / k2_total).ceil() as usize).max(1);
-            routes.insert(h, HeavyRoute { offset, p1: 1, p2 });
-            offset += p2;
+            heavy(h, 1, ((p as f64 * c2 / k2_total).ceil() as usize).max(1));
         }
 
         SkewJoin {
-            p,
+            placement,
             shared_cols,
             private_cols,
             routes,
@@ -212,16 +224,13 @@ impl SkewJoin {
         self.routes.len()
     }
 
-    fn fold(&self, virtual_id: usize) -> usize {
-        virtual_id % self.p
-    }
-
     fn hash_private(&self, atom: usize, tuple: &[u64], buckets: usize) -> usize {
-        let mut h = self.key_private[atom];
-        for &c in &self.private_cols[atom] {
-            h = mix64(tuple[c], h);
-        }
-        (h % buckets as u64) as usize
+        let cols = &self.private_cols[atom];
+        bucket(
+            cols.iter()
+                .fold(self.key_private[atom], |h, &c| mix64(tuple[c], h)),
+            buckets,
+        )
     }
 
     /// Execute on `db` with the [`Backend::from_env`] backend.
@@ -232,46 +241,37 @@ impl SkewJoin {
     /// [`SkewJoin::run`] on an explicit execution backend. Results are
     /// bit-identical across backends (`Sequential` and `Threads(n)`).
     pub fn run_on(&self, db: &Database, backend: Backend) -> (Cluster, LoadReport) {
-        let cluster = Cluster::run_round_on(db, self.p, self, backend);
+        let cluster = Cluster::run_round_on(db, &self.placement, self, backend);
         let report = cluster.report();
         (cluster, report)
     }
 }
 
+/// `h` reduced to one of `buckets`.
+fn bucket(h: u64, buckets: usize) -> usize {
+    (h % buckets as u64) as usize
+}
+
+/// A light tuple's key is its light block's cell, `z`'s hash; a heavy
+/// tuple's is its row (S1) or column (S2) of `z`'s grid.
 impl Router for SkewJoin {
     fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
         // The shared-variable key lives on the stack; the route table is
         // probed with the borrowed slice (`Vec<u64>: Borrow<[u64]>`).
         with_projected_key(tuple, &self.shared_cols[atom], |z| {
-            match self.routes.get(z) {
-                None => {
-                    // Light: hash join on z over the first block.
-                    let mut h = self.key_light;
-                    for &v in z {
-                        h = mix64(v, h);
-                    }
-                    out.push((h % self.p as u64) as usize);
-                }
-                Some(HeavyRoute { offset, p1, p2 }) => {
-                    if atom == 0 {
-                        let row = self.hash_private(0, tuple, *p1);
-                        for col in 0..*p2 {
-                            out.push(self.fold(offset + row * p2 + col));
-                        }
-                    } else {
-                        let col = self.hash_private(1, tuple, *p2);
-                        for row in 0..*p1 {
-                            out.push(self.fold(offset + row * p2 + col));
-                        }
-                    }
-                }
-            }
+            out.push(match self.routes.get(z) {
+                None => bucket(
+                    z.iter().fold(self.key_light, |h, &v| mix64(v, h)),
+                    self.placement.p(),
+                ),
+                Some(r) => r.keys[atom] + self.hash_private(atom, tuple, [r.p1, r.p2][atom]),
+            })
         })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::baselines::HashJoinRouter;
     use crate::verify::assert_complete;
@@ -279,7 +279,8 @@ mod tests {
     use mpc_query::named;
     use mpc_stats::heavy::heavy_hitters;
 
-    fn zipf_db(m: usize, theta: f64, seed: u64) -> Database {
+    /// `S1(x,z), S2(y,z)` with Zipf(`theta`) degrees on `z` on both sides.
+    pub(crate) fn zipf_db(m: usize, theta: f64, seed: u64) -> Database {
         let q = named::two_way_join();
         let n = 1u64 << 14;
         let mut rng = Rng::seed_from_u64(seed);
@@ -288,6 +289,22 @@ mod tests {
         let s1 = generators::from_degree_sequence("S1", 2, &[1], &d1, n, &mut rng);
         let s2 = generators::from_degree_sequence("S2", 2, &[1], &d2, n, &mut rng);
         Database::new(q, vec![s1, s2], n).unwrap()
+    }
+
+    /// `S1(x,z), S2(y,z)`, 2 048 tuples a side: `z = 5` carries half of S1
+    /// (and of S2 when `both`), every other `z` one tuple.
+    fn planted_db(seed: u64, both: bool) -> Database {
+        let (n, m) = (1u64 << 12, 2048usize);
+        let mut rng = Rng::seed_from_u64(seed);
+        let degrees: Vec<(Vec<u64>, usize)> = std::iter::once((vec![5u64], m / 2))
+            .chain((0..(m / 2) as u64).map(|i| (vec![100 + i], 1)))
+            .collect();
+        let s1 = generators::from_degree_sequence("S1", 2, &[1], &degrees, n, &mut rng);
+        let s2 = match both {
+            true => generators::from_degree_sequence("S2", 2, &[1], &degrees, n, &mut rng),
+            false => generators::matching("S2", 2, m, n, &mut rng),
+        };
+        Database::new(named::two_way_join(), vec![s1, s2], n).unwrap()
     }
 
     #[test]
@@ -316,16 +333,7 @@ mod tests {
 
     #[test]
     fn one_sided_heavy_hitter_uses_only1_block() {
-        let q = named::two_way_join();
-        let n = 1u64 << 12;
-        let mut rng = Rng::seed_from_u64(3);
-        let m = 2048usize;
-        let degrees: Vec<(Vec<u64>, usize)> = std::iter::once((vec![5u64], m / 2))
-            .chain((0..(m / 2) as u64).map(|i| (vec![100 + i], 1)))
-            .collect();
-        let s1 = generators::from_degree_sequence("S1", 2, &[1], &degrees, n, &mut rng);
-        let s2 = generators::matching("S2", 2, m, n, &mut rng);
-        let db = Database::new(q, vec![s1, s2], n).unwrap();
+        let (db, m) = (planted_db(3, false), 2048usize);
         let sj = SkewJoin::plan(&db, 16, 9);
         let route = sj.routes.get(&vec![5u64]).expect("5 is heavy in S1");
         assert!(route.p1 > 1 && route.p2 == 1, "{route:?}");
@@ -342,16 +350,7 @@ mod tests {
 
     #[test]
     fn both_sided_heavy_uses_grid() {
-        let q = named::two_way_join();
-        let n = 1u64 << 12;
-        let mut rng = Rng::seed_from_u64(4);
-        let m = 2048usize;
-        let degrees: Vec<(Vec<u64>, usize)> = std::iter::once((vec![5u64], m / 2))
-            .chain((0..(m / 2) as u64).map(|i| (vec![100 + i], 1)))
-            .collect();
-        let s1 = generators::from_degree_sequence("S1", 2, &[1], &degrees, n, &mut rng);
-        let s2 = generators::from_degree_sequence("S2", 2, &[1], &degrees, n, &mut rng);
-        let db = Database::new(q, vec![s1, s2], n).unwrap();
+        let (db, m) = (planted_db(4, true), 2048usize);
         let p = 16usize;
         let sj = SkewJoin::plan(&db, p, 10);
         let HeavyRoute { p1, p2, .. } = sj.routes.get(&vec![5u64]).expect("5 is heavy");
@@ -432,16 +431,7 @@ mod tests {
     fn grid_ablation_is_correct_but_slower() {
         // Without H12 grids the algorithm stays correct but the broadcast
         // side of the H12 value inflates the load.
-        let q = named::two_way_join();
-        let n = 1u64 << 12;
-        let mut rng = Rng::seed_from_u64(13);
-        let m = 2048usize;
-        let degrees: Vec<(Vec<u64>, usize)> = std::iter::once((vec![5u64], m / 2))
-            .chain((0..(m / 2) as u64).map(|i| (vec![100 + i], 1)))
-            .collect();
-        let s1 = generators::from_degree_sequence("S1", 2, &[1], &degrees, n, &mut rng);
-        let s2 = generators::from_degree_sequence("S2", 2, &[1], &degrees, n, &mut rng);
-        let db = Database::new(q, vec![s1, s2], n).unwrap();
+        let db = planted_db(13, true);
         let p = 16usize;
 
         let with_grid = SkewJoin::plan(&db, p, 9);
@@ -483,18 +473,8 @@ mod tests {
         };
         // Planted H12 value at small p: the grid is forced and the old
         // wrapped (div_ceil) layout would fold two of its cells together.
-        let q = named::two_way_join();
-        let n = 1u64 << 12;
-        let m = 2048usize;
         for p in [4usize, 7] {
-            let mut rng = Rng::seed_from_u64(4);
-            let degrees: Vec<(Vec<u64>, usize)> = std::iter::once((vec![5u64], m / 2))
-                .chain((0..(m / 2) as u64).map(|i| (vec![100 + i], 1)))
-                .collect();
-            let s1 = generators::from_degree_sequence("S1", 2, &[1], &degrees, n, &mut rng);
-            let s2 = generators::from_degree_sequence("S2", 2, &[1], &degrees, n, &mut rng);
-            let db = Database::new(q.clone(), vec![s1, s2], n).unwrap();
-            check(&db, p, &format!("planted H12, p={p}"));
+            check(&planted_db(4, true), p, &format!("planted H12, p={p}"));
         }
         for theta in [1.2f64, 1.5] {
             check(&zipf_db(3000, theta, 9), 16, &format!("zipf theta={theta}"));
@@ -507,7 +487,7 @@ mod tests {
             let db = zipf_db(4000, theta, 6);
             for p in [8usize, 32, 128] {
                 let sj = SkewJoin::plan(&db, p, 12);
-                let virtual_servers = p + sj.routes.values().map(|r| r.p1 * r.p2).sum::<usize>();
+                let virtual_servers = sj.placement.virtual_servers();
                 assert!(
                     virtual_servers <= 6 * p + sj.num_heavy(),
                     "theta={theta} p={p}: {virtual_servers} virtual servers"

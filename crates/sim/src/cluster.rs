@@ -2,25 +2,20 @@
 //!
 //! The MPC model (Section 2.1): `p` servers, one global communication round,
 //! cost = maximum bits received by a server. An algorithm in this simulator
-//! is a [`Router`]: a pure function from `(atom, tuple)` to destinations,
+//! is a [`Router`], a pure function from `(atom, tuple)` to *fragment keys*
 //! evaluated tuple-at-a-time — exactly the paper's upper-bound model in
 //! which "all our algorithms treat tuples in `S_j` independently of other
-//! tuples". After the round, every server holds one fragment per relation
-//! and evaluates the query locally; [`Cluster::all_answers`] unions the
-//! per-server outputs.
+//! tuples" — and a [`Placement`], fixed at plan time, that maps each key to
+//! a *block* and the servers holding the key's fragment (see
+//! [`crate::placement`]). The rows routed to one key form one fragment,
+//! stored once however many servers hold it.
 //!
-//! A router names destinations in two parts. [`Router::route`] emits a
-//! tuple's *keys*, and [`Router::holders`] gives, per atom, the offsets
-//! from a key to every server that holds the key's fragment: the rows
-//! routed to one key form one fragment, held by all of its holders. Most
-//! routers have one holder per key (the key is the server). HyperCube has
-//! one key per subcube slice, and every server of the slice holds it: the
-//! paper's replication along the dimensions an atom lacks. The cluster
-//! stores such a fragment once and its holders share it, so their local
-//! joins also share its indexes ([`Cluster::fold_answers`]). The model
-//! still charges every holder for every tuple it holds: load is counted
-//! per server ([`Cluster::report`]), exactly as if each had received its
-//! own copy.
+//! After the round a server joins each of its blocks in which it holds a
+//! fragment of every atom, on its own, over [`IndexCache`]s the holders of
+//! a fragment share ([`Cluster::fold_answers`]): no local join mixes the
+//! tuples of two blocks. [`Cluster::all_answers`] unions the outputs. Load
+//! is counted per server ([`Cluster::report`]): a server is charged once
+//! for every tuple it holds, however many of its blocks hold it.
 //!
 //! A round is one kernel for every backend — **route → count → scatter**
 //! ([`Cluster::try_run_round_on`]): every tuple is routed once into a flat
@@ -30,6 +25,7 @@
 
 use crate::backend::Backend;
 use crate::load::LoadReport;
+use crate::placement::Placement;
 use mpc_data::answers::{sort_rows, AnswerSet};
 use mpc_data::budget::{BudgetExceeded, QueryBudget};
 use mpc_data::catalog::Database;
@@ -37,6 +33,7 @@ use mpc_data::failpoint;
 use mpc_data::join::{IndexCache, Join};
 use mpc_data::relation::Relation;
 use mpc_query::Query;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Smallest relation share a shuffle worker is worth spawning for.
@@ -48,20 +45,13 @@ const SHUFFLE_MIN_CHUNK: usize = 4096;
 /// Rows routed between two budget polls.
 const BUDGET_POLL_ROWS: usize = 512;
 
-/// A one-round tuple routing policy. `route` appends the keys of `tuple`
-/// of atom `atom` to `out` (`out` arrives cleared; duplicates are
-/// tolerated and deduplicated by the simulator); the tuple reaches every
-/// server `key + offset` for `offset` in [`Router::holders`].
+/// A one-round tuple routing policy: `route` appends the fragment keys of
+/// `tuple` of atom `atom` to `out` (`out` arrives cleared; duplicates are
+/// tolerated and deduplicated by the simulator). The round's
+/// [`Placement`] says which servers hold each key.
 pub trait Router {
     /// Compute the keys of one tuple.
     fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>);
-
-    /// Ascending offsets from a key of atom `atom` to every server that
-    /// holds the key's fragment. Two keys of one atom must not share a
-    /// holder. The default, `[0]`, makes the key the server.
-    fn holders(&self, _atom: usize) -> &[u32] {
-        &[0]
-    }
 }
 
 impl<F: Fn(usize, &[u64], &mut Vec<usize>)> Router for F {
@@ -70,8 +60,8 @@ impl<F: Fn(usize, &[u64], &mut Vec<usize>)> Router for F {
     }
 }
 
-/// The post-shuffle state: per atom, its distinct fragments and which one
-/// each server holds.
+/// The post-shuffle state: per atom, its fragments; per server, the blocks
+/// it joins.
 #[derive(Clone, Debug)]
 pub struct Cluster {
     p: usize,
@@ -79,6 +69,14 @@ pub struct Cluster {
     input_bits: u64,
     /// One entry per atom.
     atoms: Vec<Held>,
+    /// `tuples[atom * p + server]`: the tuples of the atom the server
+    /// holds, each counted once.
+    tuples: Vec<u64>,
+    /// Every (server, block) in which the server holds a fragment of every
+    /// atom, ascending: its server ...
+    block_servers: Vec<u32>,
+    /// ... and its fragment of each atom, `atoms.len()` entries per block.
+    block_fragments: Vec<u32>,
     /// Execution backend for the local joins (the one the shuffle ran on).
     backend: Backend,
 }
@@ -86,10 +84,10 @@ pub struct Cluster {
 /// One atom's fragments after a round.
 #[derive(Clone, Debug)]
 struct Held {
-    /// Slot 0 is the empty fragment of every server no key reaches; then
-    /// one fragment per key that received a row, in key order.
+    /// Slot 0 is the empty fragment of every key no row reaches; then one
+    /// fragment per key that received a row, in key order.
     fragments: Vec<Relation>,
-    /// `slot[server]`: the fragment the server holds.
+    /// `slot[key]`: the key's fragment.
     slot: Vec<u32>,
 }
 
@@ -99,20 +97,41 @@ struct Held {
 struct Routed {
     /// First row of the range.
     lo: usize,
-    /// Every row's keys, concatenated; one row's run is strictly
-    /// ascending.
+    /// Every row's keys, concatenated; one row's run strictly ascends.
     keys: Vec<u32>,
     /// `ends[k]` is where row `lo + k`'s run ends in `keys`.
     ends: Vec<u32>,
-    /// Rows routed to each of the `p` keys.
+    /// Rows routed to each key.
     counts: Vec<usize>,
+    /// Each server a row reached again, through another of its keys.
+    again: Vec<u32>,
+}
+
+/// Every key's servers, `servers[ends[k]..ends[k + 1]]` for key `k`: under
+/// a placement of several blocks, where one row's keys may share a server.
+struct Holders {
+    ends: Vec<u32>,
+    servers: Vec<u32>,
+}
+
+impl Holders {
+    fn of(placement: &Placement, atom: usize) -> Holders {
+        let mut ends = Vec::with_capacity(placement.keys(atom) + 1);
+        let mut servers = Vec::with_capacity(placement.virtual_servers());
+        ends.push(0);
+        for key in 0..placement.keys(atom) {
+            servers.extend(placement.place(atom, key).1.map(|s| s as u32));
+            ends.push(servers.len() as u32);
+        }
+        Holders { ends, servers }
+    }
 }
 
 /// Route rows `lo..hi` of `rel` (atom `j`): the one place
 /// [`Router::route`] is called, once per row, on every backend. A key
-/// list that is not already strictly ascending (compiled HyperCube routes
-/// always are) is sorted and deduplicated; a key whose last holder
-/// (`key + reach`) is not a server panics. The budget is polled before the
+/// list that is not already strictly ascending is sorted and
+/// deduplicated; a key past the atom's keys panics; a server two of a
+/// row's keys share goes to `again`. The budget is polled before the
 /// first row and again every [`BUDGET_POLL_ROWS`] rows.
 #[allow(clippy::too_many_arguments)]
 fn route_rows(
@@ -121,19 +140,23 @@ fn route_rows(
     name: &str,
     lo: usize,
     hi: usize,
-    p: usize,
-    reach: usize,
+    placement: &Placement,
+    holders: Option<&Holders>,
     router: &(impl Router + Sync),
     budget: &QueryBudget,
 ) -> Result<Routed, BudgetExceeded> {
     failpoint::hit("shuffle");
+    let keys = placement.keys(j);
     let mut routed = Routed {
         lo,
         keys: Vec::with_capacity(hi - lo),
         ends: Vec::with_capacity(hi - lo),
-        counts: vec![0; p],
+        counts: vec![0; keys],
+        again: Vec::new(),
     };
     let mut out: Vec<usize> = Vec::new();
+    // `seen[s]`: the last row (from 1) of the range that reached server `s`.
+    let mut seen = vec![0u32; holders.map_or(0, |_| placement.p())];
     let mut block = lo;
     loop {
         budget.poll()?;
@@ -145,15 +168,27 @@ fn route_rows(
                 out.sort_unstable();
                 out.dedup();
             }
-            if out.last().is_some_and(|&last| last + reach >= p) {
-                let key = out
-                    .iter()
-                    .find(|&&k| k + reach >= p)
-                    .expect("the last one is");
-                let server = key + reach;
-                panic!("router sent a tuple of atom {j} ({name}) to server {server} >= p={p}");
+            if out.last().is_some_and(|&last| last >= keys) {
+                let key = out.iter().find(|&&k| k >= keys).expect("the last one is");
+                let (what, of) = match placement.is_identity() {
+                    true => ("server", "p"),
+                    false => ("key", "keys"),
+                };
+                panic!("router sent a tuple of atom {j} ({name}) to {what} {key} >= {of}={keys}");
             }
-            // `key < p <= u32::MAX` was checked above and at round start.
+            if let Some(holders) = holders.filter(|_| out.len() > 1) {
+                let row = (i - lo + 1) as u32;
+                for &key in &out {
+                    let (from, to) = (holders.ends[key], holders.ends[key + 1]);
+                    for &s in &holders.servers[from as usize..to as usize] {
+                        match seen[s as usize] == row {
+                            true => routed.again.push(s),
+                            false => seen[s as usize] = row,
+                        }
+                    }
+                }
+            }
+            // `key < keys <= u32::MAX` was checked above and at round start.
             let counts = &mut routed.counts;
             routed.keys.extend(out.iter().map(|&key| {
                 counts[key] += 1;
@@ -202,28 +237,28 @@ fn scatter(rel: &Relation, routed: &Routed, bufs: &mut [Vec<u64>]) {
 }
 
 impl Cluster {
-    /// Execute one communication round of `router` over `db` on `p` servers,
-    /// with the backend chosen by [`Backend::from_env`].
+    /// One round of `router` over `db` on `p` servers under the
+    /// [`Placement::identity`], on the [`Backend::from_env`] backend.
     ///
     /// # Panics
     /// Panics when a router emits an out-of-range server id, naming the
     /// offending atom and server.
     pub fn run_round(db: &Database, p: usize, router: &(impl Router + Sync)) -> Cluster {
-        Cluster::run_round_on(db, p, router, Backend::from_env())
+        Cluster::run_round_on(db, &Placement::identity(p), router, Backend::from_env())
     }
 
-    /// [`Cluster::run_round`] on an explicit [`Backend`].
+    /// One round of `router` under `placement` on an explicit [`Backend`].
     ///
     /// Fragment tuple order — hence answers and [`LoadReport`]s — is
     /// independent of the thread count: see
     /// [`Cluster::try_run_round_on`] for how a round is executed.
     pub fn run_round_on(
         db: &Database,
-        p: usize,
+        placement: &Placement,
         router: &(impl Router + Sync),
         backend: Backend,
     ) -> Cluster {
-        Cluster::try_run_round_on(db, p, router, backend, &QueryBudget::unlimited())
+        Cluster::try_run_round_on(db, placement, router, backend, &QueryBudget::unlimited())
             .expect("an unlimited budget cannot be exceeded")
     }
 
@@ -244,12 +279,11 @@ impl Cluster {
     /// 3. *Scatter.* The calling thread copies every row to its keys in
     ///    chunk-then-row order, so fragment tuple order is the relation's
     ///    row order on every backend. When the relation was split, the
-    ///    `merge` failpoint is hit once per scattered chunk. Every holder
-    ///    of a key ([`Router::holders`]) is then given that one fragment.
+    ///    `merge` failpoint is hit once per scattered chunk. Every server
+    ///    the placement names for a key then holds that one fragment.
     ///
     /// # Panics
-    /// Panics when a key's holder is not a server, or when two keys of one
-    /// atom share a holder.
+    /// Panics when a key is not one of the placement's keys for its atom.
     ///
     /// The budget is polled by the routing step: at the start of every
     /// chunk and again every 512 rows, on both backends, so an expired
@@ -259,22 +293,29 @@ impl Cluster {
     /// the next one.
     pub fn try_run_round_on(
         db: &Database,
-        p: usize,
+        placement: &Placement,
         router: &(impl Router + Sync),
         backend: Backend,
         budget: &QueryBudget,
     ) -> Result<Cluster, BudgetExceeded> {
+        let p = placement.p();
         assert!(p > 0, "cluster needs at least one server");
         assert!(u32::try_from(p).is_ok(), "server ids must fit in 32 bits");
         let q = db.query();
         let mut atoms: Vec<Held> = Vec::with_capacity(q.num_atoms());
+        let mut holdings = 0; // (server, fragment) pairs
+                              // Per atom, per server: the tuples it holds, each counted once.
+        let mut tuples = vec![0u64; q.num_atoms() * p];
         for (j, rel) in db.relations().iter().enumerate() {
             let rel: &Relation = rel;
             let name = q.atom(j).name();
-            let holders = router.holders(j);
-            let reach = *holders.last().expect("a key has a holder") as usize;
+            let keys = placement.keys(j);
+            assert!(u32::try_from(keys).is_ok(), "keys must fit in 32 bits");
             let split = backend.workers_for(rel.len(), SHUFFLE_MIN_CHUNK) > 1;
-            let route = |lo, hi| route_rows(rel, j, name, lo, hi, p, reach, router, budget);
+            let holders = (placement.blocks() > 1).then(|| Holders::of(placement, j));
+            let holders = holders.as_ref();
+            let route =
+                |lo, hi| route_rows(rel, j, name, lo, hi, placement, holders, router, budget);
             let chunks: Vec<Routed> = if split {
                 backend.run_chunks(rel.len(), SHUFFLE_MIN_CHUNK, route)
             } else {
@@ -283,7 +324,7 @@ impl Cluster {
             .into_iter()
             .collect::<Result<_, _>>()?;
             let arity = rel.arity();
-            let mut bufs: Vec<Vec<u64>> = (0..p)
+            let mut bufs: Vec<Vec<u64>> = (0..keys)
                 .map(|k| {
                     let rows: usize = chunks.iter().map(|c| c.counts[k]).sum();
                     Vec::with_capacity(rows * arity)
@@ -295,13 +336,54 @@ impl Cluster {
                 }
                 scatter(rel, chunk, &mut bufs);
             }
-            atoms.push(Held::place(name, arity, bufs, holders));
+            let mut fragments =
+                Vec::with_capacity(1 + bufs.iter().filter(|b| !b.is_empty()).count());
+            fragments.push(Relation::new(name, arity));
+            let mut atom = Held {
+                fragments,
+                slot: vec![0; keys],
+            };
+            for (key, buf) in bufs.into_iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+                let fragment = Relation::from_flat(name, arity, buf);
+                let k = atom.fragments.len() as u32;
+                for s in placement.place(j, key).1 {
+                    tuples[j * p + s] += fragment.len() as u64;
+                    holdings += 1;
+                }
+                atom.slot[key] = k;
+                atom.fragments.push(fragment);
+            }
+            for &s in chunks.iter().flat_map(|c| &c.again) {
+                tuples[j * p + s as usize] -= 1;
+            }
+            atoms.push(atom);
+        }
+        // (server, block, atom, fragment) for every fragment a server holds.
+        let mut held: Vec<[u32; 4]> = Vec::with_capacity(holdings);
+        for (j, atom) in atoms.iter().enumerate() {
+            for (key, &k) in atom.slot.iter().enumerate().filter(|(_, &k)| k > 0) {
+                let (block, servers) = placement.place(j, key);
+                held.extend(servers.map(|s| [s as u32, block as u32, j as u32, k]));
+            }
+        }
+        held.sort_unstable();
+        let l = atoms.len().max(1);
+        let mut block_servers = Vec::with_capacity(held.len() / l);
+        let mut block_fragments = Vec::with_capacity(held.len());
+        for block in held.chunk_by(|a, b| a[..2] == b[..2]) {
+            if block.iter().map(|h| h[2] as usize).eq(0..atoms.len()) {
+                block_servers.push(block[0][0]);
+                block_fragments.extend(block.iter().map(|h| h[3]));
+            }
         }
         Ok(Cluster {
             p,
             value_bits: db.value_bits(),
             input_bits: db.total_bits(),
             atoms,
+            tuples,
+            block_servers,
+            block_fragments,
             backend,
         })
     }
@@ -311,35 +393,57 @@ impl Cluster {
         self.p
     }
 
-    /// The fragment of atom `j` on `server`. Servers holding one key's
-    /// fragment get the same storage.
-    pub fn fragment(&self, atom: usize, server: usize) -> &Relation {
+    /// The fragment of atom `atom`'s key `key`: the rows routed to it, in
+    /// input order. Under [`Placement::identity`] the key is the server.
+    pub fn fragment(&self, atom: usize, key: usize) -> &Relation {
         let held = &self.atoms[atom];
-        &held.fragments[held.slot[server] as usize]
+        &held.fragments[held.slot[key] as usize]
     }
 
-    /// Exact load accounting for the round: one sequential pass reading
-    /// each server's fragment lengths and bit sizes (O(p · atoms) words,
-    /// too little work to be worth a thread), so the report is the same
-    /// whatever the backend. A fragment counts in full on every server
-    /// that holds it.
+    /// The blocks `server` joins — those in which it holds a fragment of
+    /// every atom — in block order, each as one fragment per atom.
+    pub fn blocks(&self, server: usize) -> impl Iterator<Item = Vec<&Relation>> + '_ {
+        self.blocks_of(server..server + 1).map(|b| {
+            let mine = self.block(b).iter().zip(&self.atoms);
+            mine.map(|(&k, held)| &held.fragments[k as usize]).collect()
+        })
+    }
+
+    /// The blocks of `servers`, as indexes into `block_servers`.
+    fn blocks_of(&self, servers: Range<usize>) -> Range<usize> {
+        let at = |s: usize| self.block_servers.partition_point(|&b| (b as usize) < s);
+        at(servers.start)..at(servers.end)
+    }
+
+    /// Block `b`'s fragment of each atom.
+    fn block(&self, b: usize) -> &[u32] {
+        let l = self.atoms.len();
+        &self.block_fragments[b * l..(b + 1) * l]
+    }
+
+    /// Exact load accounting for the round: one sequential pass over the
+    /// tuples each server holds per atom (O(p · atoms) words, too little
+    /// work to be worth a thread), so the report is the same whatever the
+    /// backend. A server is charged once per tuple it holds, whichever of
+    /// its blocks hold it.
     pub fn report(&self) -> LoadReport {
         let mut per_server_bits = vec![0u64; self.p];
         let mut per_server_tuples = vec![0u64; self.p];
-        let mut per_atom_server_tuples = Vec::with_capacity(self.atoms.len());
-        for held in &self.atoms {
-            let frags = held.slot.iter().map(|&k| &held.fragments[k as usize]);
-            let tuples: Vec<u64> = frags.clone().map(|f| f.len() as u64).collect();
-            for (s, f) in frags.enumerate() {
-                per_server_tuples[s] += tuples[s];
-                per_server_bits[s] += f.bit_size(self.value_bits);
+        for (held, atom) in self.atoms.iter().zip(self.tuples.chunks_exact(self.p)) {
+            let width = held.fragments[0].arity() as u64 * u64::from(self.value_bits);
+            for (s, &tuples) in atom.iter().enumerate() {
+                per_server_tuples[s] += tuples;
+                per_server_bits[s] += tuples * width;
             }
-            per_atom_server_tuples.push(tuples);
         }
         LoadReport {
             per_server_bits,
             per_server_tuples,
-            per_atom_server_tuples,
+            per_atom_server_tuples: self
+                .tuples
+                .chunks_exact(self.p)
+                .map(<[u64]>::to_vec)
+                .collect(),
             input_bits: self.input_bits,
         }
     }
@@ -383,14 +487,14 @@ impl Cluster {
         Ok(out)
     }
 
-    /// Fold every server's local join into accumulators without ever
+    /// Fold every server's local joins into accumulators without ever
     /// materializing an [`AnswerSet`] — the collection half of aggregate
     /// pushdown, and of the multi-round baseline's bag intermediates.
-    /// `fold` sees each server's emits as [`Join::for_each`] makes them,
-    /// `(binding, mult)` with `mult` the number of *local derivations*.
-    /// When the routing partitions the join's derivation multiset across
-    /// servers (every aggregate-eligible plan does — see
-    /// `mpc_core::aggregate`), summing per-server folds of a
+    /// `fold` sees each joined block's emits as [`Join::for_each`] makes
+    /// them, `(binding, mult)` with `mult` the number of *local
+    /// derivations*. When the routing partitions the join's derivation
+    /// multiset across blocks and servers (every aggregate-eligible plan
+    /// does — see `mpc_core::aggregate`), summing per-server folds of a
     /// derivation-additive aggregate is exact.
     ///
     /// Server ranges run in parallel on the cluster's backend (one `init`
@@ -398,11 +502,11 @@ impl Cluster {
     /// server-index order, so an order-sensitive merge stays deterministic
     /// — though a correct aggregate merge is commutative anyway.
     ///
-    /// The holders of one fragment share one [`IndexCache`], so each
+    /// The blocks holding one fragment share one [`IndexCache`], so each
     /// (fragment, key-position set) index is built once per fold, not once
-    /// per server; a cache drops its indexes when its last holder's join
-    /// is done, so a fragment with one holder keeps them no longer than
-    /// that join.
+    /// per server; a cache drops its indexes when the last block holding
+    /// it is joined, so a fragment with one holder keeps them no longer
+    /// than that join. A fragment in no joined block builds none.
     ///
     /// A budget is a property of the evaluation: every local join polls
     /// `budget` and charges emitted rows against its row cap
@@ -417,7 +521,7 @@ impl Cluster {
         init: impl Fn() -> A + Sync,
         fold: impl Fn(&mut A, &[u64], u64) -> Result<(), BudgetExceeded> + Sync,
     ) -> Result<Vec<A>, BudgetExceeded> {
-        self.join_servers(query, budget, init, |acc, join| {
+        let block = |acc: &mut A, join: Join<'_>| {
             let mut failed = None;
             join.for_each(|row, mult| {
                 if failed.is_none() {
@@ -425,7 +529,8 @@ impl Cluster {
                 }
             })?;
             failed.map_or(Ok(()), Err)
-        })
+        };
+        self.join_servers(query, budget, init, block, |_| {})
     }
 
     /// The number of distinct answers when every binding is produced on
@@ -434,12 +539,12 @@ impl Cluster {
     /// join, the hash-join and fragment-replicate baselines), not of the
     /// §4.2 general algorithm or a broadcast. It is then `Σ_s distinct_s`,
     /// summed over each server's own distinct bindings, and no
-    /// [`AnswerSet`] is built: a worker keeps one flat buffer, collects one
-    /// server's emits into it (each once, not `mult` times), counts them
-    /// with [`sort_rows`] (a server may emit one binding more than once,
-    /// see [`Join::for_each`]), and clears it for the next server. Runs
-    /// under `budget` like [`Cluster::fold_answers`], charging the same
-    /// rows.
+    /// [`AnswerSet`] is built: a worker keeps one flat buffer, collects the
+    /// emits of one server's blocks into it (each once, not `mult` times),
+    /// counts them with [`sort_rows`] (a server may emit one binding more
+    /// than once, see [`Join::for_each`]), and clears it for the next
+    /// server. Runs under `budget` like [`Cluster::fold_answers`], charging
+    /// the same rows.
     pub fn partitioned_answer_count(
         &self,
         query: &Query,
@@ -450,36 +555,41 @@ impl Cluster {
             query,
             budget,
             || (0u64, Vec::new()),
-            |(count, buf), join| {
-                join.for_each(|row, _| buf.extend_from_slice(row))?;
+            |(_, buf), join| join.for_each(|row, _| buf.extend_from_slice(row)).map(drop),
+            |(count, buf)| {
                 *count += sort_rows(buf, arity, true) as u64;
                 buf.clear();
-                Ok(())
             },
         )?;
         Ok(parts.into_iter().map(|(count, _)| count).sum())
     }
 
     /// The server loop behind [`Cluster::fold_answers`] and
-    /// [`Cluster::partitioned_answer_count`]: `server` runs each server's
-    /// budgeted local join into its worker chunk's accumulator, over
-    /// [`IndexCache`]s the holders of a fragment share, and the last
-    /// holder of a fragment to finish clears its cache.
+    /// [`Cluster::partitioned_answer_count`]: `block` runs the budgeted
+    /// local join of each block a server joins into its worker chunk's
+    /// accumulator, over [`IndexCache`]s the blocks holding a fragment
+    /// share, and the last of them to finish clears its cache; `server`
+    /// then closes the server's share of the accumulator.
     fn join_servers<A: Send>(
         &self,
         query: &Query,
         budget: &QueryBudget,
         init: impl Fn() -> A + Sync,
-        server: impl Fn(&mut A, Join<'_>) -> Result<(), BudgetExceeded> + Sync,
+        block: impl Fn(&mut A, Join<'_>) -> Result<(), BudgetExceeded> + Sync,
+        server: impl Fn(&mut A) + Sync,
     ) -> Result<Vec<A>, BudgetExceeded> {
-        // Per atom, per fragment: its cache and its holders yet to join.
-        let caches: Vec<Vec<(IndexCache, AtomicUsize)>> = (self.atoms.iter())
-            .map(|held| {
-                let mut holders = vec![0; held.fragments.len()];
-                for &k in &held.slot {
-                    holders[k as usize] += 1;
-                }
-                let pending = holders.into_iter().map(AtomicUsize::new);
+        // Per atom, per fragment: its cache and its blocks yet to join.
+        let mut pending: Vec<Vec<usize>> = (self.atoms.iter())
+            .map(|held| vec![0; held.fragments.len()])
+            .collect();
+        for b in 0..self.block_servers.len() {
+            for (j, &k) in self.block(b).iter().enumerate() {
+                pending[j][k as usize] += 1;
+            }
+        }
+        let caches: Vec<Vec<(IndexCache, AtomicUsize)>> = (self.atoms.iter().zip(pending))
+            .map(|(held, pending)| {
+                let pending = pending.into_iter().map(AtomicUsize::new);
                 held.fragments
                     .iter()
                     .map(IndexCache::new)
@@ -489,10 +599,9 @@ impl Cluster {
             .collect();
         let parts = self.backend.run_chunks(self.p, 1, |lo, hi| {
             let mut acc = init();
-            for s in lo..hi {
-                let mine =
-                    || (self.atoms.iter().zip(&caches)).map(|(held, c)| &c[held.slot[s] as usize]);
-                let joined = server(
+            for b in self.blocks_of(lo..hi) {
+                let mine = || (self.block(b).iter().zip(&caches)).map(|(&k, c)| &c[k as usize]);
+                let joined = block(
                     &mut acc,
                     Join::indexed(query, mine().map(|(cache, _)| cache)).budget(budget),
                 );
@@ -502,41 +611,13 @@ impl Cluster {
                     }
                 }
                 joined?;
+                if self.block_servers.get(b + 1) != Some(&self.block_servers[b]) {
+                    server(&mut acc);
+                }
             }
             Ok(acc)
         });
         parts.into_iter().collect()
-    }
-}
-
-impl Held {
-    /// Turn one atom's per-key row buffers into its fragments: every key
-    /// that received a row gets a fragment, held by `key + offset` for
-    /// every offset in `holders`; every other server holds the empty one.
-    fn place(name: &str, arity: usize, bufs: Vec<Vec<u64>>, holders: &[u32]) -> Held {
-        let p = bufs.len();
-        let keys = bufs.iter().filter(|buf| !buf.is_empty()).count();
-        let mut held = Held {
-            fragments: Vec::with_capacity(keys + 1),
-            slot: vec![0; p],
-        };
-        held.fragments.push(Relation::new(name, arity));
-        for (key, buf) in bufs.into_iter().enumerate() {
-            if buf.is_empty() {
-                continue;
-            }
-            let k = u32::try_from(held.fragments.len()).expect("p fits in 32 bits");
-            held.fragments.push(Relation::from_flat(name, arity, buf));
-            for &offset in holders {
-                let server = key + offset as usize;
-                assert_eq!(
-                    held.slot[server], 0,
-                    "two keys of atom {name} share holder {server}"
-                );
-                held.slot[server] = k;
-            }
-        }
-        held
     }
 }
 
@@ -705,47 +786,58 @@ mod tests {
         let router = |atom: usize, _: &[u64], out: &mut Vec<usize>| {
             out.push(if atom == 1 { 99 } else { 0 });
         };
-        let _ = Cluster::run_round_on(&db, 4, &router, Backend::Sequential);
+        let _ = Cluster::run_round_on(&db, &Placement::identity(4), &router, Backend::Sequential);
     }
 
     /// The shuffle as the model states it, kept here as the reference the
     /// kernel is compared against: route each tuple, sort and dedup its
-    /// keys, push it to every holder of every key. Also returns every
-    /// atom's keys that received a tuple.
-    fn naive_fragments(
+    /// keys, push it to every key; and charge it once to every server
+    /// `dests` names for it.
+    fn reference(
         db: &Database,
-        p: usize,
+        placement: &Placement,
         router: &impl Router,
-    ) -> (Vec<Vec<Relation>>, Vec<Vec<usize>>) {
-        let (mut fragments, mut used) = (Vec::new(), Vec::new());
+        dests: impl Fn(usize, &[u64]) -> Vec<usize>,
+    ) -> (Vec<Vec<Relation>>, LoadReport) {
+        let p = placement.p();
+        let (mut fragments, mut per_atom_server_tuples) = (Vec::new(), Vec::new());
+        let (mut per_server_bits, mut per_server_tuples) = (vec![0; p], vec![0; p]);
         for (j, rel) in db.relations().iter().enumerate() {
-            let mut frag: Vec<Relation> = (0..p)
+            let mut frag: Vec<Relation> = (0..placement.keys(j))
                 .map(|_| Relation::new(rel.name(), rel.arity()))
                 .collect();
+            let mut tuples = vec![0; p];
             let mut keys = Vec::new();
-            let mut all = Vec::new();
             for row in rel.rows() {
                 keys.clear();
                 router.route(j, row, &mut keys);
                 keys.sort_unstable();
                 keys.dedup();
                 for &key in &keys {
-                    for &offset in router.holders(j) {
-                        frag[key + offset as usize].push(row);
-                    }
+                    frag[key].push(row);
                 }
-                all.extend_from_slice(&keys);
+                let mut servers = dests(j, row);
+                servers.sort_unstable();
+                servers.dedup();
+                for s in servers {
+                    tuples[s] += 1;
+                    per_server_tuples[s] += 1;
+                    per_server_bits[s] += (rel.arity() as u32 * db.value_bits()) as u64;
+                }
             }
-            all.sort_unstable();
-            all.dedup();
             fragments.push(frag);
-            used.push(all);
+            per_atom_server_tuples.push(tuples);
         }
-        (fragments, used)
+        let report = LoadReport {
+            per_server_bits,
+            per_server_tuples,
+            per_atom_server_tuples,
+            input_bits: db.total_bits(),
+        };
+        (fragments, report)
     }
 
-    /// A forwarding router: `route` counts its calls, `holders` is the
-    /// inner router's.
+    /// A forwarding router that counts its calls.
     struct Counting<'r, R> {
         inner: &'r R,
         calls: std::sync::atomic::AtomicUsize,
@@ -757,35 +849,31 @@ mod tests {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.inner.route(atom, tuple, out);
         }
-
-        fn holders(&self, atom: usize) -> &[u32] {
-            self.inner.holders(atom)
-        }
     }
 
     /// Fragment contents (incl. tuple order), reports, and answers must be
-    /// the naive reference's, bit for bit, whatever the thread count;
-    /// `route` runs exactly once per input tuple; and every holder of one
-    /// key is handed the same storage.
+    /// the reference's, bit for bit, whatever the thread count; and `route`
+    /// runs exactly once per input tuple.
     fn assert_kernel_matches_reference(
         db: &Database,
-        p: usize,
+        placement: &Placement,
         label: &str,
         router: &(impl Router + Sync),
+        dests: impl Fn(usize, &[u64]) -> Vec<usize>,
     ) {
         use std::sync::atomic::Ordering;
-        let (expected, used) = naive_fragments(db, p, router);
+        let (expected, report) = reference(db, placement, router, dests);
         let counting = Counting {
             inner: router,
             calls: Default::default(),
         };
         let calls = &counting.calls;
         let tuples: usize = db.relations().iter().map(|r| r.len()).sum();
-        let seq = Cluster::run_round_on(db, p, &counting, Backend::Sequential);
+        let seq = Cluster::run_round_on(db, placement, &counting, Backend::Sequential);
         let backends = [1usize, 2, 3, 8].map(Backend::Threads);
         for backend in [Backend::Sequential].into_iter().chain(backends) {
             calls.store(0, Ordering::Relaxed);
-            let got = Cluster::run_round_on(db, p, &counting, backend);
+            let got = Cluster::run_round_on(db, placement, &counting, backend);
             assert_eq!(got.backend, backend);
             assert_eq!(
                 calls.load(Ordering::Relaxed),
@@ -793,29 +881,37 @@ mod tests {
                 "{label}: route calls on {backend}"
             );
             for (atom, frag) in expected.iter().enumerate() {
-                for (s, want) in frag.iter().enumerate() {
+                for (key, want) in frag.iter().enumerate() {
                     assert_eq!(
-                        got.fragment(atom, s),
+                        got.fragment(atom, key),
                         want,
-                        "{label}: fragment[{atom}][{s}] differs on {backend}"
+                        "{label}: fragment[{atom}][{key}] differs on {backend}"
                     );
                 }
-                for &key in &used[atom] {
-                    for &offset in router.holders(atom) {
-                        assert!(
-                            std::ptr::eq(got.fragment(atom, key), got.fragment(atom, key + offset as usize)),
-                            "{label}: servers {key} and {key}+{offset} hold copies of one fragment of atom {atom}"
-                        );
-                    }
-                }
             }
-            assert_eq!(seq.report(), got.report(), "{label} on {backend}");
+            assert_eq!(got.report(), report, "{label} on {backend}");
             assert_eq!(
                 seq.all_answers(db.query()),
                 got.all_answers(db.query()),
                 "{label} on {backend}"
             );
         }
+    }
+
+    /// [`assert_kernel_matches_reference`] for a router whose keys are
+    /// servers.
+    fn assert_identity_matches_reference(
+        db: &Database,
+        p: usize,
+        label: &str,
+        router: &(impl Router + Sync),
+    ) {
+        let keys = |j: usize, row: &[u64]| {
+            let mut out = Vec::new();
+            router.route(j, row, &mut out);
+            out
+        };
+        assert_kernel_matches_reference(db, &Placement::identity(p), label, router, keys);
     }
 
     #[test]
@@ -825,62 +921,63 @@ mod tests {
         let db = join_db(5000, 7);
         assert_eq!(Backend::Threads(2).workers_for(5000, SHUFFLE_MIN_CHUNK), 2);
         let p = 8;
-        assert_kernel_matches_reference(&db, p, "broadcast", &BroadcastRouter { p });
-        assert_kernel_matches_reference(
-            &db,
-            p,
-            "unsorted duplicates",
-            &|atom: usize, tuple: &[u64], out: &mut Vec<usize>| {
-                let h = (mpc_data::mix64(tuple[1], 3) % p as u64) as usize;
-                out.extend([(h + 5) % p, h, (h + 5) % p, (h + 2 + atom) % p, h]);
-            },
-        );
-        assert_kernel_matches_reference(
-            &db,
-            p,
-            "some tuples nowhere",
-            &|_: usize, tuple: &[u64], out: &mut Vec<usize>| {
-                if !tuple[0].is_multiple_of(3) {
-                    out.push((tuple[0] % p as u64) as usize);
-                }
-            },
-        );
+        assert_identity_matches_reference(&db, p, "broadcast", &BroadcastRouter { p });
+        assert_identity_matches_reference(&db, p, "unsorted duplicates", &|atom: usize,
+                                                                           tuple: &[u64],
+                                                                           out: &mut Vec<
+            usize,
+        >| {
+            let h = (mpc_data::mix64(tuple[1], 3) % p as u64) as usize;
+            out.extend([(h + 5) % p, h, (h + 5) % p, (h + 2 + atom) % p, h]);
+        });
+        assert_identity_matches_reference(&db, p, "some tuples nowhere", &|_: usize,
+                                                                           tuple: &[u64],
+                                                                           out: &mut Vec<
+            usize,
+        >| {
+            if !tuple[0].is_multiple_of(3) {
+                out.push((tuple[0] % p as u64) as usize);
+            }
+        });
     }
 
-    /// HyperCube from the grid alone: a tuple's key is the first cell of
-    /// its subcube, and the subcube's offsets are the key's holders.
+    /// HyperCube from the grid alone: a tuple's key is its slice on the
+    /// atom's own dimensions, held on the slice's subcube by a one-block
+    /// placement of the grid.
     struct SliceRouter {
-        dims: Vec<usize>,
-        atoms: Vec<(Vec<usize>, crate::topology::SubcubePlan)>,
+        grid: crate::topology::Grid,
+        vars: Vec<Vec<usize>>,
+        shape: std::sync::Arc<crate::topology::Subcubes>,
         family: crate::hashing::HashFamily,
     }
 
     impl SliceRouter {
         fn new(q: &Query, dims: Vec<usize>) -> SliceRouter {
-            let grid = crate::topology::Grid::new(dims.clone());
-            let atoms = (q.atoms().iter())
-                .map(|a| (a.vars().to_vec(), grid.subcube_plan(a.vars())))
-                .collect();
+            let grid = crate::topology::Grid::new(dims);
+            let vars: Vec<Vec<usize>> = q.atoms().iter().map(|a| a.vars().to_vec()).collect();
+            let shape = grid.subcubes(vars.iter().map(|v| &v[..]));
             let family = crate::hashing::HashFamily::new(q.num_vars(), 5);
             SliceRouter {
-                dims,
-                atoms,
+                grid,
+                vars,
+                shape: std::sync::Arc::new(shape),
                 family,
             }
+        }
+
+        /// The servers of the tuple's subcube, from its coordinates.
+        fn subcube(&self, atom: usize, tuple: &[u64]) -> Vec<usize> {
+            let fixed: Vec<(usize, usize)> = (self.vars[atom].iter().zip(tuple))
+                .map(|(&v, &x)| (v, self.family.hash(v, x, self.grid.dims()[v])))
+                .collect();
+            self.grid.subcube_vec(&fixed)
         }
     }
 
     impl Router for SliceRouter {
         fn route(&self, atom: usize, tuple: &[u64], out: &mut Vec<usize>) {
-            let (vars, plan) = &self.atoms[atom];
-            let coords: Vec<usize> = (vars.iter().zip(tuple))
-                .map(|(&v, &x)| self.family.hash(v, x, self.dims[v]))
-                .collect();
-            out.extend(plan.base(&coords));
-        }
-
-        fn holders(&self, atom: usize) -> &[u32] {
-            self.atoms[atom].1.offsets()
+            let plan = self.shape.get(atom);
+            out.extend(plan.slice(|pos, var, size| self.family.hash(var, tuple[pos], size)));
         }
     }
 
@@ -901,30 +998,53 @@ mod tests {
                 .collect();
             let db = Database::new(q.clone(), rels, n).unwrap();
             let router = SliceRouter::new(&q, dims);
-            assert_kernel_matches_reference(&db, p, text, &router);
+            let mut placement = Placement::identity(p);
+            placement.push(std::sync::Arc::clone(&router.shape), 1);
+            let subcube = |j: usize, row: &[u64]| router.subcube(j, row);
+            assert_kernel_matches_reference(&db, &placement, text, &router, subcube);
         }
     }
 
     #[test]
-    #[should_panic(expected = "two keys of atom S1 share holder 1")]
-    fn overlapping_holders_panic() {
-        struct Overlap;
-        impl Router for Overlap {
-            fn route(&self, _: usize, tuple: &[u64], out: &mut Vec<usize>) {
-                out.push((tuple[0] % 2) as usize);
+    fn a_server_holding_a_row_in_two_blocks_is_charged_once() {
+        // Two blocks of a 4-cell hash join on z, the second folded onto
+        // the first: S1 sends every row to both, S2 only to the first, so
+        // each S1 row's two keys share their one holder.
+        let db = join_db(400, 12);
+        let p = 4;
+        let mut placement = Placement::identity(p);
+        let grid = crate::topology::Grid::new(vec![p]);
+        let shape = std::sync::Arc::new(grid.subcubes([&[0][..], &[0][..]]));
+        assert_eq!(placement.push(shape, 2), vec![0, 0]);
+        let hash = |tuple: &[u64]| (tuple[1] % p as u64) as usize;
+        let router = |atom: usize, tuple: &[u64], out: &mut Vec<usize>| {
+            out.push(hash(tuple));
+            if atom == 0 {
+                out.push(p + hash(tuple));
             }
-            fn holders(&self, _: usize) -> &[u32] {
-                &[0, 1]
-            }
-        }
-        let _ = Cluster::run_round(&join_db(100, 2), 4, &Overlap);
-    }
+        };
+        let one_server = |_: usize, tuple: &[u64]| vec![hash(tuple)];
+        assert_kernel_matches_reference(&db, &placement, "two blocks", &router, one_server);
 
-    #[test]
-    #[should_panic(expected = "router sent a tuple of atom 0 (S1) to server 5 >= p=4")]
-    fn a_holder_past_p_panics() {
-        let router = SliceRouter::new(&named::two_way_join(), vec![1, 4, 2]);
-        let _ = Cluster::run_round(&join_db(100, 2), 4, &router);
+        // The row is held in both blocks' fragments ...
+        let cluster = Cluster::run_round_on(&db, &placement, &router, Backend::Sequential);
+        for s in 0..p {
+            assert_eq!(cluster.fragment(0, s), cluster.fragment(0, p + s));
+            assert!(!cluster.fragment(0, s).is_empty());
+            // ... and the second block, holding no S2 row, is not joined.
+            assert_eq!(cluster.blocks(s).count(), 1);
+        }
+        // ... but charged once: the load, and the per-atom tuples and the
+        // answer count an output floor is computed from, are those of the
+        // one-block hash join.
+        let one_block = Cluster::run_round(&db, p, &|_: usize, t: &[u64], out: &mut Vec<usize>| {
+            out.push(hash(t))
+        });
+        assert_eq!(cluster.report(), one_block.report());
+        assert_eq!(
+            cluster.all_answers(db.query()),
+            one_block.all_answers(db.query())
+        );
     }
 
     #[test]
@@ -948,18 +1068,26 @@ mod tests {
             plain(atom, tuple, out);
         };
         let budget = QueryBudget::new(Some(Duration::from_millis(5)), None, None);
-        let err = Cluster::try_run_round_on(&db, p, &sleepy, Backend::Sequential, &budget)
-            .expect_err("the deadline expired mid-shuffle");
+        let err = Cluster::try_run_round_on(
+            &db,
+            &Placement::identity(p),
+            &sleepy,
+            Backend::Sequential,
+            &budget,
+        )
+        .expect_err("the deadline expired mid-shuffle");
         assert_eq!(err.kind, BudgetKind::Deadline);
         let made = calls.load(Ordering::Relaxed);
         assert!(made < 50_000, "{made} route calls after the deadline");
 
         // The tripped round left nothing behind on this thread: the next
         // one equals a round run on a thread that never saw the trip.
-        let here = Cluster::run_round_on(&db, p, &plain, Backend::Sequential);
+        let here = Cluster::run_round_on(&db, &Placement::identity(p), &plain, Backend::Sequential);
         let fresh = std::thread::scope(|scope| {
             scope
-                .spawn(|| Cluster::run_round_on(&db, p, &plain, Backend::Sequential))
+                .spawn(|| {
+                    Cluster::run_round_on(&db, &Placement::identity(p), &plain, Backend::Sequential)
+                })
                 .join()
                 .expect("fresh round")
         });
@@ -985,8 +1113,8 @@ mod tests {
                 out.push((h + 513) % p);
             }
         };
-        let seq = Cluster::run_round_on(&db, p, &router, Backend::Sequential);
-        let thr = Cluster::run_round_on(&db, p, &router, Backend::Threads(4));
+        let seq = Cluster::run_round_on(&db, &Placement::identity(p), &router, Backend::Sequential);
+        let thr = Cluster::run_round_on(&db, &Placement::identity(p), &router, Backend::Threads(4));
         let (rs, rt) = (seq.report(), thr.report());
         assert_eq!(rs, rt);
         assert_eq!(rs.per_server_bits.len(), p);
@@ -1001,10 +1129,11 @@ mod tests {
         let db = join_db(6000, 7);
         let p = 8;
         let router = BroadcastRouter { p };
-        let seq = Cluster::run_round_on(&db, p, &router, Backend::Sequential);
+        let seq = Cluster::run_round_on(&db, &Placement::identity(p), &router, Backend::Sequential);
         assert_eq!(Backend::Threads(4).workers_for(6000, SHUFFLE_MIN_CHUNK), 2);
         for round in 0..3 {
-            let threaded = Cluster::run_round_on(&db, p, &router, Backend::Threads(4));
+            let threaded =
+                Cluster::run_round_on(&db, &Placement::identity(p), &router, Backend::Threads(4));
             assert_eq!(threaded.backend, Backend::Threads(4));
             for atom in 0..2 {
                 for s in 0..p {
@@ -1034,6 +1163,6 @@ mod tests {
         let router = |atom: usize, _: &[u64], out: &mut Vec<usize>| {
             out.push(if atom == 0 { 99 } else { 0 });
         };
-        let _ = Cluster::run_round_on(&db, 4, &router, Backend::Threads(4));
+        let _ = Cluster::run_round_on(&db, &Placement::identity(4), &router, Backend::Threads(4));
     }
 }

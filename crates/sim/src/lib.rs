@@ -6,7 +6,9 @@
 //!
 //! * [`cluster::Cluster`] — executes a [`cluster::Router`] (a pure
 //!   tuple-at-a-time routing policy, the paper's one-round algorithm model)
-//!   and materializes per-server fragments;
+//!   and materializes one fragment per key;
+//! * [`placement::Placement`] — maps a router's keys to the blocks and
+//!   servers that hold them (the one fold of virtual servers onto `p`);
 //! * [`backend::Backend`] — the execution backend (`Sequential`, or
 //!   `Threads(n)`: scoped threads per parallel loop, the caller one of
 //!   them) driving the shuffle and the per-server local joins, with
@@ -25,10 +27,12 @@ pub mod cluster;
 pub mod hashing;
 pub mod load;
 pub mod oracle;
+pub mod placement;
 pub mod topology;
 
 pub use backend::Backend;
 pub use cluster::{BroadcastRouter, Cluster, Router};
 pub use hashing::{bucket_loads, summarize, HashFamily, LoadSummary};
 pub use load::LoadReport;
-pub use topology::{round_shares, Grid};
+pub use placement::Placement;
+pub use topology::{round_shares, Grid, Subcubes};

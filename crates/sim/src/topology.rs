@@ -6,8 +6,9 @@
 //! is replicated to the whole subcube spanned by the remaining dimensions.
 //! Which dimensions a tuple knows depends on its atom only, so that set is
 //! compiled once per atom into a [`SubcubePlan`] (strides of the fixed
-//! dimensions + ascending offsets of the free ones); `Grid::subcube`
-//! enumerates one subcube through the same plan.
+//! dimensions + ascending offsets of the free ones; [`Grid::subcubes`]
+//! compiles every atom's at once); `Grid::subcube_vec` enumerates one
+//! subcube through the same plan.
 
 /// A k-dimensional grid of servers, `dims[i]` cells along dimension `i`.
 /// Server ids are mixed-radix encodings of coordinate vectors, dimension 0
@@ -65,15 +66,15 @@ impl Grid {
         coords
     }
 
-    /// Compile the subcube spanned by fixing `fixed_dims` and letting every
-    /// other dimension range over everything — the part of a HyperCube
-    /// destination set that depends on the atom and the shares only, never
-    /// on the tuple. A dimension may be named more than once (a repeated
-    /// variable); see [`SubcubePlan::base`].
+    /// Compile the subcube spanned by fixing each list of dimensions and
+    /// letting every other dimension range over everything — the part of
+    /// a HyperCube destination set that depends on the atom and the shares
+    /// only, never on the tuple. A dimension may be named more than once
+    /// (a repeated variable); see [`SubcubePlan::base`].
     ///
     /// # Panics
     /// Panics when a fixed dimension is out of range.
-    pub fn subcube_plan(&self, fixed_dims: &[usize]) -> SubcubePlan {
+    pub fn subcubes<'a>(&self, lists: impl IntoIterator<Item = &'a [usize]>) -> Subcubes {
         assert!(
             u32::try_from(self.num_cells()).is_ok(),
             "subcube offsets are 32-bit server ids"
@@ -84,92 +85,169 @@ impl Grid {
         for i in (0..k.saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];
         }
-        let fixed = fixed_dims
-            .iter()
-            .enumerate()
-            .map(|(i, &dim)| {
+        let narrow = |v: usize| u32::try_from(v).expect("32-bit subcube plans");
+        let (mut fixed, mut offsets, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+        for fixed_dims in lists {
+            let start = fixed.len();
+            for (i, &dim) in fixed_dims.iter().enumerate() {
                 assert!(dim < k, "fixed dimension out of range");
-                FixedDim {
-                    size: self.dims[dim],
-                    stride: strides[dim],
-                    first: fixed_dims[..i].iter().position(|&d| d == dim).unwrap_or(i),
+                fixed.push(FixedDim {
+                    dim: narrow(dim),
+                    size: narrow(self.dims[dim]),
+                    stride: narrow(strides[dim]),
+                    slice_stride: 0,
+                    first: narrow(fixed_dims[..i].iter().position(|&d| d == dim).unwrap_or(i)),
+                });
+            }
+            // Slices are numbered mixed-radix over the distinct fixed
+            // dimensions, the last named least significant.
+            let mut slices = 1;
+            for (i, f) in fixed[start..].iter_mut().enumerate().rev() {
+                if f.first as usize == i {
+                    f.slice_stride = slices;
+                    slices *= f.size;
                 }
-            })
-            .collect();
-        // Free dimensions expanded most significant first, so the offsets
-        // come out in lexicographic = ascending numeric order.
-        let mut offsets = vec![0u32];
-        for i in (0..k).filter(|i| !fixed_dims.contains(i)) {
-            let (size, stride) = (self.dims[i], strides[i]);
-            offsets = offsets
-                .iter()
-                .flat_map(|&o| (0..size).map(move |c| o + (c * stride) as u32))
-                .collect();
+            }
+            // Free dimensions expanded most significant first, so the
+            // offsets come out in lexicographic = ascending numeric order.
+            let mut free = vec![0u32];
+            for i in (0..k).filter(|i| !fixed_dims.contains(i)) {
+                let (size, stride) = (self.dims[i], strides[i]);
+                free = (free.iter())
+                    .flat_map(|&o| (0..size).map(move |c| o + (c * stride) as u32))
+                    .collect();
+            }
+            offsets.extend(free);
+            ends.push((narrow(fixed.len()), narrow(offsets.len()), slices));
         }
-        SubcubePlan { fixed, offsets }
+        Subcubes {
+            cells: self.num_cells(),
+            fixed: fixed.into(),
+            offsets: offsets.into(),
+            ends: ends.into(),
+        }
     }
 
     /// Enumerate all server ids whose coordinates agree with `fixed`
     /// (a list of `(dimension, coordinate)` pairs); the remaining dimensions
     /// range over everything. This is the subcube a tuple is replicated to
-    /// during the HyperCube shuffle, in ascending order.
-    ///
-    /// Destinations are appended to `out` (cleared first). This convenience
+    /// during the HyperCube shuffle, in ascending order. This convenience
     /// form compiles a fresh [`SubcubePlan`] per call; routers compile one
-    /// per atom when the plan is built ([`Grid::subcube_plan`]).
-    pub(crate) fn subcube(&self, fixed: &[(usize, usize)], out: &mut Vec<usize>) {
-        out.clear();
-        let (dims, coords): (Vec<usize>, Vec<usize>) = fixed.iter().copied().unzip();
-        let plan = self.subcube_plan(&dims);
-        if let Some(base) = plan.base(&coords) {
-            plan.emit(base, out);
-        }
-    }
-
-    /// Convenience wrapper returning the subcube as a fresh vector.
+    /// per atom when the plan is built ([`Grid::subcubes`]).
     pub fn subcube_vec(&self, fixed: &[(usize, usize)]) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.subcube(fixed, &mut out);
-        out
+        let (dims, coords): (Vec<usize>, Vec<usize>) = fixed.iter().copied().unzip();
+        let subcubes = self.subcubes([&dims[..]]);
+        let plan = subcubes.get(0);
+        match plan.base(&coords) {
+            Some(base) => plan.offsets().iter().map(|&o| base + o as usize).collect(),
+            None => Vec::new(),
+        }
     }
 }
 
 /// One fixed dimension of a [`SubcubePlan`], in the order it was named.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct FixedDim {
-    size: usize,
-    stride: usize,
+    dim: u32,
+    size: u32,
+    stride: u32,
+    /// What one step of the coordinate adds to the slice number (0 on a
+    /// repeat).
+    slice_stride: u32,
     /// Index of the first entry naming the same dimension (its own index
     /// unless the dimension is repeated).
-    first: usize,
+    first: u32,
 }
 
-/// A compiled subcube ([`Grid::subcube_plan`]): the mixed-radix stride of
-/// each fixed dimension plus the **ascending** server-id offsets of every
-/// combination of the free dimensions (`Π free dims` entries, at most the
-/// grid's cell count; 32-bit, because plans — and these with them — are
-/// cached by the hundred). A tuple's destination set is then
-/// `base + offsets` with `base = Σ coordinate · stride` — no per-tuple
-/// enumeration state. (This replaced the per-tuple odometer walk and its
-/// scratch buffers; `Grid::subcube` is a wrapper over it, so there is one
-/// enumeration.)
+/// Several [`SubcubePlan`]s on one grid ([`Grid::subcubes`]), one per list
+/// of fixed dimensions — under HyperCube, one per atom — in three flat
+/// allocations: plans are cached by the hundred.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SubcubePlan {
-    fixed: Vec<FixedDim>,
-    offsets: Vec<u32>,
+pub struct Subcubes {
+    /// The grid's cell count.
+    pub(crate) cells: usize,
+    fixed: Box<[FixedDim]>,
+    offsets: Box<[u32]>,
+    /// Per plan: where it ends in `fixed` and in `offsets`, and its slices.
+    ends: Box<[(u32, u32, u32)]>,
 }
 
-impl SubcubePlan {
-    /// Stride of the `i`-th fixed dimension (in the order given to
-    /// [`Grid::subcube_plan`]): what one step of its coordinate adds to
-    /// the server id.
-    pub fn stride(&self, i: usize) -> usize {
-        self.fixed[i].stride
+impl Subcubes {
+    /// Number of plans.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The `i`-th plan.
+    pub fn get(&self, i: usize) -> SubcubePlan<'_> {
+        let (fixed_lo, offsets_lo) = match i {
+            0 => (0, 0),
+            _ => (self.ends[i - 1].0, self.ends[i - 1].1),
+        };
+        let (fixed_hi, offsets_hi, slices) = self.ends[i];
+        SubcubePlan {
+            fixed: &self.fixed[fixed_lo as usize..fixed_hi as usize],
+            offsets: &self.offsets[offsets_lo as usize..offsets_hi as usize],
+            slices: slices as usize,
+        }
+    }
+}
+
+/// A compiled subcube: the mixed-radix stride of each fixed dimension plus
+/// the **ascending** server-id offsets of every combination of the free
+/// dimensions (`Π free dims` entries, at most the grid's cell count). A
+/// tuple's destination set is then `base + offsets` with
+/// `base = Σ coordinate · stride` — no per-tuple enumeration state. (This
+/// replaced the per-tuple odometer walk and its scratch buffers;
+/// `Grid::subcube_vec` is a wrapper over it, so there is one enumeration.)
+///
+/// The subcubes of one plan partition the grid into *slices*, one per
+/// combination of the fixed coordinates, numbered `0..slices()`:
+/// [`SubcubePlan::slice`] numbers a coordinate vector, and
+/// [`SubcubePlan::first_cell`] gives a slice's `base`.
+#[derive(Clone, Copy, Debug)]
+pub struct SubcubePlan<'a> {
+    fixed: &'a [FixedDim],
+    offsets: &'a [u32],
+    slices: usize,
+}
+
+impl<'a> SubcubePlan<'a> {
+    /// Number of slices: the product of the distinct fixed dimensions.
+    pub fn slices(&self) -> usize {
+        self.slices
+    }
+
+    /// The first cell of slice `slice`: the `base` its coordinates give.
+    pub fn first_cell(&self, slice: usize) -> usize {
+        (self.fixed.iter().enumerate())
+            .filter(|&(i, f)| f.first as usize == i)
+            .map(|(_, f)| slice / f.slice_stride as usize % f.size as usize * f.stride as usize)
+            .sum()
     }
 
     /// Ascending offsets of the free-dimension combinations.
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
+    pub fn offsets(&self) -> &'a [u32] {
+        self.offsets
+    }
+
+    /// The slice of the coordinates `coord(i, dim, size)` gives the `i`-th
+    /// fixed dimension (`dim`, of `size` cells; one of a single cell is
+    /// coordinate 0 and never asked), or `None` when a dimension fixed
+    /// twice gets two coordinates.
+    #[inline]
+    pub fn slice(&self, mut coord: impl FnMut(usize, usize, usize) -> usize) -> Option<usize> {
+        let mut slice = 0;
+        for (i, f) in self.fixed.iter().enumerate().filter(|(_, f)| f.size > 1) {
+            let (dim, size, first) = (f.dim as usize, f.size as usize, f.first as usize);
+            let c = coord(i, dim, size);
+            if first == i {
+                slice += c * f.slice_stride as usize;
+            } else if coord(first, dim, size) != c {
+                return None;
+            }
+        }
+        Some(slice)
     }
 
     /// The server id of the subcube's first cell for one coordinate per
@@ -180,22 +258,10 @@ impl SubcubePlan {
     /// Panics on a coordinate count mismatch or an out-of-range coordinate.
     pub fn base(&self, coords: &[usize]) -> Option<usize> {
         assert_eq!(coords.len(), self.fixed.len(), "coordinate rank mismatch");
-        let mut base = 0usize;
-        for (i, (f, &c)) in self.fixed.iter().zip(coords).enumerate() {
-            assert!(c < f.size, "fixed coordinate out of range");
-            if f.first == i {
-                base += c * f.stride;
-            } else if coords[f.first] != c {
-                return None;
-            }
-        }
-        Some(base)
-    }
-
-    /// Append the subcube starting at `base` to `out`, ascending.
-    #[inline]
-    pub fn emit(&self, base: usize, out: &mut Vec<usize>) {
-        out.extend(self.offsets.iter().map(|&o| base + o as usize));
+        let in_range = (coords.iter().zip(self.fixed)).all(|(&c, f)| c < f.size as usize);
+        assert!(in_range, "fixed coordinate out of range");
+        self.slice(|i, _, _| coords[i])
+            .map(|slice| self.first_cell(slice))
     }
 }
 

@@ -87,10 +87,22 @@ proptest! {
         prop_assert!(expected.windows(2).all(|w| w[0] < w[1]), "reference not ascending");
 
         let (fixed_dims, coords): (Vec<usize>, Vec<usize>) = fixed.iter().copied().unzip();
-        let plan = g.subcube_plan(&fixed_dims);
+        let plans = g.subcubes([&fixed_dims[..]]);
+        let plan = plans.get(0);
         let mut got = Vec::new();
         if let Some(base) = plan.base(&coords) {
-            plan.emit(base, &mut got);
+            got.extend(plan.offsets().iter().map(|&o| base + o as usize));
+            // The slice the coordinates number starts at the same cell.
+            let first = |i: &usize| !fixed_dims[..*i].contains(&fixed_dims[*i]);
+            let slices: usize = (0..fixed_dims.len()).filter(first).map(|i| dims[fixed_dims[i]]).product();
+            prop_assert_eq!(plan.slices(), slices);
+            let slice = plan.slice(|i, dim, size| {
+                assert_eq!((dim, size), (fixed_dims[i], dims[fixed_dims[i]]));
+                coords[i]
+            });
+            let slice = slice.expect("the coordinates agree");
+            prop_assert!(slice < slices);
+            prop_assert_eq!(plan.first_cell(slice), base);
         }
         prop_assert_eq!(&got, &expected, "dims {:?} fixed {:?}", dims, fixed);
         // The convenience wrappers are the same enumeration.

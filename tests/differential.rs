@@ -31,9 +31,10 @@ use mpc_skew::core::skew_join::SkewJoin;
 use mpc_skew::data::{generators, Database, QueryBudget, Relation, Rng};
 use mpc_skew::query::{named, VarSet};
 use mpc_skew::sim::backend::Backend;
-use mpc_skew::sim::cluster::{BroadcastRouter, Cluster, Router};
+use mpc_skew::sim::cluster::{BroadcastRouter, Cluster};
 use mpc_skew::sim::load::LoadReport;
 use mpc_skew::sim::oracle::join_database;
+use mpc_skew::sim::placement::Placement;
 
 mod output_floor;
 use output_floor::assert_clears_output_floor;
@@ -157,14 +158,13 @@ fn check_router(
     algo: &str,
     db: &Database,
     expected: &mpc_skew::data::AnswerSet,
-    p: usize,
-    router: &(impl Router + Sync),
+    round: impl Fn(Backend) -> Cluster,
     bindings: Bindings,
 ) {
     let tag = format!("{name}/{algo}");
     let mut baseline: Option<(mpc_skew::data::AnswerSet, LoadReport)> = None;
     for backend in BACKENDS {
-        let cluster = Cluster::run_round_on(db, p, router, backend);
+        let cluster = round(backend);
         if bindings == Bindings::OnOneServer {
             let count = cluster.partitioned_answer_count(db.query(), &QueryBudget::unlimited());
             assert_eq!(
@@ -206,25 +206,62 @@ fn scenario_matrix_times_algorithms_is_deterministic_and_complete() {
         let one = Bindings::OnOneServer;
         let repeated = Bindings::Repeated;
         let hc = HyperCube::with_optimal_shares(&q, &st, p, 11);
-        check_router(name, "hypercube_optimal", &db, &expected, p, &hc, one);
+        check_router(
+            name,
+            "hypercube_optimal",
+            &db,
+            &expected,
+            |b| hc.run_on(&db, b).0,
+            one,
+        );
 
         let hce = HyperCube::with_equal_shares(&q, p, 11);
-        check_router(name, "hypercube_equal", &db, &expected, p, &hce, one);
+        check_router(
+            name,
+            "hypercube_equal",
+            &db,
+            &expected,
+            |b| hce.run_on(&db, b).0,
+            one,
+        );
 
         let sj = SkewJoin::plan(&db, p, 11);
-        check_router(name, "skew_join", &db, &expected, p, &sj, one);
+        check_router(
+            name,
+            "skew_join",
+            &db,
+            &expected,
+            |b| sj.run_on(&db, b).0,
+            one,
+        );
 
         let general = GeneralSkewAlgorithm::plan(&db, p, 11);
-        check_router(name, "general_skew", &db, &expected, p, &general, repeated);
+        let round = |b| general.run_on(&db, b).0;
+        check_router(name, "general_skew", &db, &expected, round, repeated);
 
         let hj = HashJoinRouter::new(&q, VarSet::singleton(z), p, 11);
-        check_router(name, "hash_join", &db, &expected, p, &hj, one);
+        check_router(
+            name,
+            "hash_join",
+            &db,
+            &expected,
+            |b| hj.run_on(&db, b).0,
+            one,
+        );
 
         let fr = FragmentReplicateRouter::new(p, 0, 11);
-        check_router(name, "fragment_replicate", &db, &expected, p, &fr, one);
+        check_router(
+            name,
+            "fragment_replicate",
+            &db,
+            &expected,
+            |b| fr.run_on(&db, b).0,
+            one,
+        );
 
         let broadcast = BroadcastRouter { p };
-        check_router(name, "broadcast", &db, &expected, p, &broadcast, repeated);
+        let round = |b| Cluster::run_round_on(&db, &Placement::identity(p), &broadcast, b);
+        check_router(name, "broadcast", &db, &expected, round, repeated);
 
         check_answer_counts(name, &db, expected.len() as u64, p);
     }
@@ -343,19 +380,19 @@ fn triangle_differential_beyond_two_atoms() {
     let expected = join_database(&db);
     let hc = HyperCube::with_optimal_shares(&q, &st, p, 7);
     let one = Bindings::OnOneServer;
-    check_router("triangle", "hypercube_optimal", &db, &expected, p, &hc, one);
+    check_router(
+        "triangle",
+        "hypercube_optimal",
+        &db,
+        &expected,
+        |b| hc.run_on(&db, b).0,
+        one,
+    );
 
     let general = GeneralSkewAlgorithm::plan(&db, p, 7);
     let repeated = Bindings::Repeated;
-    check_router(
-        "triangle",
-        "general_skew",
-        &db,
-        &expected,
-        p,
-        &general,
-        repeated,
-    );
+    let round = |b| general.run_on(&db, b).0;
+    check_router("triangle", "general_skew", &db, &expected, round, repeated);
 
     check_answer_counts("triangle", &db, expected.len() as u64, p);
 }

@@ -91,10 +91,8 @@ fn dynamic_order_dominates_fixed_on_every_skewed_fragment() {
     assert!(verify(&db, &cluster).is_complete());
 
     let (mut dyn_total, mut fixed_total) = (0u64, 0u64);
-    for server in 0..cluster.p() {
-        let rels: Vec<&Relation> = (0..q.num_atoms())
-            .map(|a| cluster.fragment(a, server))
-            .collect();
+    // One block: a server joins its fragments when it holds all three.
+    for (server, rels) in (0..cluster.p()).flat_map(|s| cluster.blocks(s).map(move |b| (s, b))) {
         let (dyn_rows, dyn_visited) = run_fragment(&q, &rels, JoinOrder::Dynamic);
         let (fixed_rows, fixed_visited) = run_fragment(&q, &rels, JoinOrder::Fixed);
         assert_eq!(dyn_rows, fixed_rows, "answer mismatch on server {server}");

@@ -1,21 +1,24 @@
 //! Completeness fuzzing for the skew-handling algorithms: randomized
 //! multi-relation, multi-attribute skew patterns must never lose answers.
 
+use mpc_bench::workloads::general_skew_inputs;
 use mpc_skew::core::bounds::output_floor;
-use mpc_skew::core::engine::{planning_projections, Algorithm, Engine, ExactStats, Stats};
+use mpc_skew::core::engine::{planning_projections, Algorithm, Engine, ExactStats, Plan, Stats};
 use mpc_skew::core::hypercube::HyperCube;
 use mpc_skew::core::multi_round::run_multi_round;
 use mpc_skew::core::skew_general::GeneralSkewAlgorithm;
 use mpc_skew::core::skew_join::SkewJoin;
 use mpc_skew::core::verify;
-use mpc_skew::data::{generators, Database, Relation, Rng};
+use mpc_skew::data::{generators, AnswerSet, Database, Join, Relation, Rng};
 use mpc_skew::query::{named, parse_query, Query};
 use mpc_skew::sim::backend::Backend;
+use mpc_skew::sim::cluster::Router;
 use mpc_skew::sim::load::LoadReport;
 use mpc_skew::stats::heavy::columns_for;
 use mpc_skew::stats::{FreqEstimate, SimpleStatistics};
 use mpc_testkit::prelude::*;
 use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Where a round falls below the floor its own answer count sets
 /// (`bounds::output_floor`): the busiest server below `L_out` tuples, or
@@ -104,6 +107,109 @@ fn general_plan_reads_each_heavy_set_once() {
         let want = if p == 1 { Vec::new() } else { every.clone() };
         assert_eq!(asked, want, "p={p}");
     }
+}
+
+/// The distinct bindings of `q` over one relation per atom.
+fn bindings(q: &Query, rels: &[Relation]) -> AnswerSet {
+    let rels: Vec<&Relation> = rels.iter().collect();
+    let mut out = Join::new(q, &rels).answers().expect("no budget");
+    out.sort_dedup();
+    out
+}
+
+/// The bindings a server of `plan` could complete from tuples of two
+/// different blocks — those of the join over everything it holds that no
+/// block it holds derives on its own — rebuilt from the router and the
+/// placement, beside how many of them the cluster's local joins emit.
+fn cross_block_bindings(db: &Database, plan: &Plan) -> (u64, u64) {
+    let (q, placement) = (db.query(), plan.placement());
+    let p = placement.p();
+    let empty = || -> Vec<Relation> {
+        db.relations()
+            .iter()
+            .map(|r| Relation::new(r.name(), r.arity()))
+            .collect()
+    };
+    let mut blocks: BTreeMap<(usize, usize), Vec<Relation>> = BTreeMap::new();
+    let mut servers: Vec<Vec<Relation>> = (0..p).map(|_| empty()).collect();
+    let mut keys = Vec::new();
+    for (j, rel) in db.relations().iter().enumerate() {
+        for row in rel.rows() {
+            keys.clear();
+            plan.route(j, row, &mut keys);
+            let mut reached = BTreeSet::new();
+            for &key in &keys {
+                let (block, holders) = placement.place(j, key);
+                for s in holders {
+                    blocks.entry((s, block)).or_insert_with(empty)[j].push(row);
+                    reached.insert(s);
+                }
+            }
+            for s in reached {
+                servers[s][j].push(row);
+            }
+        }
+    }
+    let cluster = plan.execute(db, Backend::Sequential);
+    let cluster = cluster.cluster().expect("one-round plan");
+    let (mut cross, mut emitted) = (0, 0);
+    for (s, held) in servers.iter().enumerate() {
+        let mut in_blocks = AnswerSet::new(q.num_vars());
+        let mine = blocks.range((s, 0)..(s + 1, 0)).map(|(_, rels)| rels);
+        for rels in mine.filter(|rels| rels.iter().all(|r| !r.is_empty())) {
+            in_blocks.append(bindings(q, rels));
+        }
+        in_blocks.sort_dedup();
+        let mut joined = AnswerSet::new(q.num_vars());
+        for rels in cluster.blocks(s) {
+            joined.append(bindings(q, &rels.into_iter().cloned().collect::<Vec<_>>()));
+        }
+        joined.sort_dedup();
+        assert_eq!(joined, in_blocks, "server {s} joins exactly its blocks");
+        let in_blocks: BTreeSet<&[u64]> = in_blocks.rows().collect();
+        let joined: BTreeSet<&[u64]> = joined.rows().collect();
+        for binding in bindings(q, held).rows().filter(|b| !in_blocks.contains(b)) {
+            cross += 1;
+            emitted += u64::from(joined.contains(binding));
+        }
+    }
+    (cross, emitted)
+}
+
+/// Blocks that the placement folds onto one server could complete a
+/// derivation from tuples of two of them if the server joined their
+/// union. It joins each block on its own, so it completes none: on E8's
+/// inputs at p = 64 (the join has 47 such bindings, the triangle and the
+/// star none) and on one `general_algorithm_completeness_fuzz` case (the
+/// 3-chain, seed 0, 270).
+#[test]
+fn no_server_completes_a_derivation_across_two_blocks() {
+    let general = |db: &Database, p: usize, seed: u64| {
+        let engine = Engine::new(db.query()).p(p).seed(seed);
+        cross_block_bindings(db, &engine.algorithm(Algorithm::GeneralSkew).plan(db))
+    };
+    let mut e8 = 0;
+    for (name, db) in general_skew_inputs() {
+        let (cross, emitted) = general(&db, 64, 7);
+        assert_eq!(emitted, 0, "E8 {name}: {emitted} of {cross} completed");
+        e8 += cross;
+    }
+    assert!(e8 > 0, "no two blocks of E8 share a server's bindings");
+
+    let q = named::chain(3);
+    let mut rng = Rng::seed_from_u64(0);
+    let rels = (q.atoms().iter().zip([0.4, 0.3, 0.0]))
+        .map(|(a, frac)| {
+            random_skewed_relation(a.name(), a.arity(), 600, 1 << 9, frac, 0, &mut rng)
+        })
+        .collect();
+    let db = Database::new(q, rels, 1 << 9).unwrap();
+    let (cross, emitted) = general(&db, 16, 0xABCD);
+    assert!(
+        cross > 0,
+        "no two blocks of the chain share a server's bindings"
+    );
+    assert_eq!(emitted, 0, "chain: {emitted} of {cross} completed");
 }
 
 proptest! {
